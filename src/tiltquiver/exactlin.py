@@ -1,38 +1,217 @@
 """Exact linear algebra over the rationals.
 
 Everything in the package that smells like numerics goes through this
-module, and this module only ever touches ``fractions.Fraction``.  No
-floats, no numpy: results are exact and runs are deterministic, which
-the rest of the code relies on when it freezes computed values into
-regression tests.
+module, and this module only ever touches ``fractions.Fraction`` (and
+plain ``int`` internally).  No floats, no numpy: results are exact and
+runs are deterministic, which the rest of the code relies on when it
+freezes computed values into regression tests.
 
-The central object is :class:`RatMatrix`, a dense matrix of Fractions
-with reduced row echelon form, kernel/image bases and linear solving.
-Echelon-based outputs are *canonical*: the same subspace always yields
-the same basis, so callers may compare bases by equality.
+All elimination goes through one sparse kernel, :class:`SparseEchelon`:
+an incremental Gauss-Jordan on rows stored as ``{column: entry}`` dicts
+that never touches a zero entry and keeps integral entries as ``int``, so
+the 0/±1 systems the package builds stay in machine-word arithmetic.
+:func:`rref_rows` runs it over a batch of rows; :class:`RatMatrix` stores
+its entries densely and converts to and from sparse rows around the
+kernel; ``homsolve`` feeds it the intertwining systems of Hom spaces
+directly, without a dense matrix.
+
+Echelon-based outputs are *canonical*: the reduced row echelon form of a
+matrix is unique, so the order in which the kernel picks its pivots
+cannot change any output, and the same subspace always yields the same
+basis.  Callers may compare bases by equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction | int
 
 __all__ = [
     "RatMatrix",
+    "SparseEchelon",
+    "rref_rows",
+    "kernel_from_rref",
     "rank_kernel",
     "solve",
     "image_basis",
 ]
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def sparse_row(vec: Sequence[Rat]) -> dict[int, Rat]:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def dense_row(row: Mapping[int, Fraction], n: int) -> list[Fraction]:
+    """Dense vector of length ``n`` from sparse entries."""
+    v = [_ZERO] * n
+    for j, x in row.items():
+        v[j] = x
+    return v
+
+
+def as_int_if_integral(x: Rat) -> Rat:
+    """``x`` as an ``int`` when it is integral, else the Fraction itself."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def _sub(row: dict[int, Rat], f: Rat, other: Mapping[int, Rat]) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    get = row.get
+    for j, x in other.items():
+        y = get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+class SparseEchelon:
+    """Incremental Gauss-Jordan elimination on sparse rational rows.
+
+    Rows are dicts ``{column: entry}`` over ``ncols`` columns.  The
+    stored rows are in reduced echelon form at all times: each has
+    entry 1 at its pivot column and no entry at any other pivot column.
+    A row added is cleared only at the pivot columns it contains (each
+    stored row is zero at the others, so one pass suffices), its
+    smallest remaining column becomes a new pivot, and that column is
+    then cleared from the earlier rows that hold it, which an index from
+    each non-pivot column to the rows holding it finds without a scan.
+    Work is proportional to the nonzero entries touched, never to the
+    width of the matrix.
+
+    Entries are kept as ``int`` while they are integral and as
+    ``Fraction`` otherwise; :meth:`result` hands out only Fractions.
+    """
+
+    __slots__ = ("ncols", "_rows", "_holders")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._rows: dict[int, dict[int, Rat]] = {}  # pivot column -> row
+        self._holders: dict[int, set[int]] = {}  # column -> pivots of rows with it
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def reduce(self, row: Mapping[int, Rat]) -> dict[int, Rat]:
+        """Residual of ``row`` modulo the span: zero at every pivot column."""
+        # as_int_if_integral, inlined: this runs once per input entry
+        out = {c: x if type(x) is int or x.denominator != 1 else x.numerator
+               for c, x in row.items() if x}
+        if out and (min(out) < 0 or max(out) >= self.ncols):
+            raise ValueError(f"column index outside 0..{self.ncols - 1}")
+        stored = self._rows
+        for p in [c for c in out if c in stored]:
+            _sub(out, out[p], stored[p])
+        return out
+
+    def add(self, row: Mapping[int, Rat]) -> bool:
+        """Insert a row; True iff it enlarged the span."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = min(r)
+        pv = r[c]
+        if pv == -1:
+            r = {j: -x for j, x in r.items()}
+        elif pv != 1:
+            inv = 1 / Fraction(pv)
+            r = {j: as_int_if_integral(x * inv) for j, x in r.items()}
+        rest = [(j, x) for j, x in r.items() if j != c]
+        holders = self._holders
+        for j, _ in rest:
+            holders.setdefault(j, set()).add(c)
+        for q in holders.pop(c, ()):
+            other = self._rows[q]
+            f = other.pop(c)
+            for j, x in rest:
+                y = other.get(j)
+                if y is None:
+                    other[j] = -f * x
+                    holders[j].add(q)
+                else:
+                    y -= f * x
+                    if y:
+                        other[j] = y
+                    else:
+                        del other[j]
+                        holders[j].discard(q)
+        self._rows[c] = r
+        return True
+
+    def result(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+        """(nonzero RREF rows in pivot order, pivot columns ascending)."""
+        pivots = sorted(self._rows)
+        rows = [
+            {j: x if type(x) is Fraction else Fraction(x)
+             for j, x in self._rows[p].items()}
+            for p in pivots
+        ]
+        return rows, pivots
+
+
+def rref_rows(
+    rows: Iterable[Mapping[int, Rat]], ncols: int
+) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form of sparse rows over ``ncols`` columns.
+
+    Returns the nonzero rows of the RREF as ``{column: Fraction}`` dicts,
+    sorted by pivot, and the pivot columns in increasing order; the
+    number of pivots is the rank.
+    """
+    ech = SparseEchelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return ech.result()
+
+
+def kernel_from_rref(
+    rows: Sequence[Mapping[int, Fraction]], pivots: Sequence[int], ncols: int
+) -> list[list[Fraction]]:
+    """Canonical basis of the right kernel from an :func:`rref_rows` result.
+
+    One vector per free column ``f``, ordered by ``f``: entry 1 at ``f``,
+    the negated RREF coefficients of column ``f`` at the pivot
+    positions, zero elsewhere.  The basis is unique given the matrix.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    one = Fraction(1)
+    basis = [[_ZERO] * ncols for _ in free]
+    at = {}
+    for k, f in enumerate(free):
+        basis[k][f] = one
+        at[f] = k
+    for row, p in zip(rows, pivots):
+        for j, x in row.items():
+            k = at.get(j)
+            if k is not None:
+                basis[k][p] = -x
+    return basis
+
+
 class RatMatrix:
-    """Dense rational matrix (row-major list of lists of Fraction)."""
+    """Rational matrix stored densely (row-major list of lists of Fraction).
+
+    ``data`` stays a dense list of lists for element access, arithmetic
+    and block assembly; the echelon methods (``rref``, ``rank``,
+    ``kernel_basis``, ``solve``, ``image_basis``, ``inverse``) hand the
+    nonzero entries to the sparse kernel :func:`rref_rows` and read its
+    result back.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -212,65 +391,30 @@ class RatMatrix:
     # ------------------------------------------------------------------
     # echelon machinery
 
+    def _echelon(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+        return rref_rows(map(sparse_row, self.data), self.cols)
+
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form.
 
-        Returns ``(R, pivots)`` where ``R`` is the RREF and ``pivots``
-        the list of pivot column indices in increasing order.  Gaussian
-        elimination with exact pivoting; no magnitude concerns over Q,
-        so the first nonzero entry in the current column is the pivot.
+        Returns ``(R, pivots)`` where ``R`` is the RREF (zero rows at the
+        bottom, same shape as ``self``) and ``pivots`` the list of pivot
+        column indices in increasing order.  A dense view of
+        :func:`rref_rows`.
         """
-        m = [row[:] for row in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                inv = Fraction(1) / pv
-                m[r] = [x * inv for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    mr = m[r]
-                    m[i] = [a - f * b for a, b in zip(m[i], mr)]
-            pivots.append(c)
-            r += 1
-        return RatMatrix(m, cols=ncols), pivots
+        rows, pivots = self._echelon()
+        n = self.cols
+        data = [dense_row(row, n) for row in rows]
+        data.extend([_ZERO] * n for _ in range(self.rows - len(rows)))
+        return RatMatrix(data, cols=n), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[list[Fraction]]:
-        """Canonical basis of the right kernel, one vector per free column.
-
-        Vector for free column ``f`` has entry 1 at ``f``, the negated
-        RREF coefficients at the pivot positions, zero elsewhere.  The
-        list is ordered by free column index, so it is unique given the
-        matrix — handy for reproducible hom-space bases downstream.
-        """
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis: list[list[Fraction]] = []
-        zero = Fraction(0)
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -R.data[i][f]
-            basis.append(v)
-        return basis
+        """Canonical basis of the right kernel (see :func:`kernel_from_rref`)."""
+        rows, pivots = self._echelon()
+        return kernel_from_rref(rows, pivots, self.cols)
 
     def solve(self, rhs: Sequence[Rat]) -> list[Fraction] | None:
         """One solution of ``self @ x = rhs`` or None if inconsistent.
@@ -281,16 +425,14 @@ class RatMatrix:
         """
         if len(rhs) != self.rows:
             raise ValueError(f"rhs length {len(rhs)} != rows {self.rows}")
-        aug = RatMatrix(
-            [row + [_frac(b)] for row, b in zip(self.data, rhs)],
-            cols=self.cols + 1,
-        )
-        R, pivots = aug.rref()
-        if pivots and pivots[-1] == self.cols:
+        n = self.cols
+        aug = (sparse_row(row + [b]) for row, b in zip(self.data, rhs))
+        rows, pivots = rref_rows(aug, n + 1)
+        if pivots and pivots[-1] == n:
             return None  # a row reduced to [0 ... 0 | 1]
-        x = [Fraction(0)] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = R.data[i][self.cols]
+        x = [_ZERO] * n
+        for row, p in zip(rows, pivots):
+            x[p] = row.get(n, _ZERO)
         return x
 
     def image_basis(self) -> list[list[Fraction]]:
@@ -320,18 +462,8 @@ class RatMatrix:
 
 def rank_kernel(m: RatMatrix) -> tuple[int, list[list[Fraction]]]:
     """Rank and canonical kernel basis in one echelon pass."""
-    R, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis: list[list[Fraction]] = []
-    zero = Fraction(0)
-    for f in free:
-        v = [zero] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R.data[i][f]
-        basis.append(v)
-    return len(pivots), basis
+    ker = m.kernel_basis()
+    return m.cols - len(ker), ker
 
 
 def solve(m: RatMatrix, rhs: Sequence[Rat]) -> list[Fraction] | None:

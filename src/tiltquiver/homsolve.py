@@ -8,7 +8,8 @@ the duplicated algebra and the modules over a computed endomorphism
 algebra all fit.  Everything that only depends on that shape lives
 here, written once:
 
-* morphism spaces (``hom_basis``) by solving the intertwining equations,
+* morphism spaces (``hom_basis``) and their dimensions (``hom_dim``) from
+  the intertwining equations, assembled as sparse rows,
 * kernels, cokernels and direct sums that stay inside the category,
 * radical / top / socle, projective covers and injective envelopes
   (via small per-class hooks for the canonical projectives/injectives),
@@ -27,7 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .exactlin import RatMatrix, rank_kernel
+from .exactlin import (
+    Rat,
+    RatMatrix,
+    SparseEchelon,
+    as_int_if_integral,
+    dense_row,
+    kernel_from_rref,
+    rref_rows,
+    sparse_row,
+)
 
 Label = Hashable
 Slot = Hashable
@@ -169,95 +179,97 @@ class LinSpan:
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list[list[Fraction]] = []  # echelon, sorted by pivot
-        self.pivots: list[int] = []
+        self._echelon = SparseEchelon(length)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self._echelon.rank
 
-    def _reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The reduced echelon basis of the span, as dense vectors."""
+        return [dense_row(row, self.length) for row in self._echelon.result()[0]]
+
+    def _sparse(self, vec: Sequence[Fraction]) -> dict[int, Fraction]:
+        if len(vec) != self.length:
+            raise ValueError("length mismatch")
+        return sparse_row(vec)
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         """Insert vec; True iff it enlarged the span."""
-        if len(vec) != self.length:
-            raise ValueError("length mismatch")
-        v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = Fraction(1) / v[piv]
-        v = [x * inv for x in v]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
+        return self._echelon.add(self._sparse(vec))
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
+        return not self._echelon.reduce(self._sparse(vec))
 
 
 # ---------------------------------------------------------------------------
 # morphism spaces
 
 
-def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
-    """Basis of the space of module morphisms M -> N.
+def _hom_system(
+    M: SlotModule, N: SlotModule
+) -> tuple[list[dict[int, Rat]], dict[Slot, int], int]:
+    """Intertwining equations of Hom(M, N) as sparse rows.
 
-    Unknowns are the entries of one matrix per slot; each solver label
-    l: a -> b contributes the intertwining equations
-    f_b @ S^M_l - S^N_l @ f_a = 0.  The kernel basis of the assembled
-    system is canonical, so the returned morphism basis is too.
+    Unknowns are the entries of one matrix f_s: M_s -> N_s per slot,
+    row-major, slot blocks in slot order (``offs[s]`` is where slot s
+    starts; ``total`` unknowns in all).  Each solver label l: a -> b
+    contributes the equations f_b @ S^M_l - S^N_l @ f_a = 0, one row per
+    entry, holding at most dim M_b + dim N_a nonzeros.
     """
     if M.slot_keys != N.slot_keys:
         raise ValueError("modules live on different slot sets")
     labels = M.solver_labels()
     if labels != N.solver_labels():
         raise ValueError("modules carry different label sets")
-    slots = M.slot_keys
     offs: dict[Slot, int] = {}
     total = 0
-    for s in slots:
+    for s in M.slot_keys:
         offs[s] = total
         total += N.dims[s] * M.dims[s]
     if total == 0:
-        return []
+        return [], offs, 0
     ms, ns = M.struct(), N.struct()
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Rat]] = []
     for lab in labels:
         a, b = M.label_ends(lab)
         P, Q = ms[lab], ns[lab]  # M_a -> M_b and N_a -> N_b
         mb, ma = M.dims[b], M.dims[a]
         nb, na = N.dims[b], N.dims[a]
+        # nonzeros of the columns of P and the rows of Q, as ints where
+        # integral so the rows below are built without Fraction arithmetic
+        p_cols = [[(k, as_int_if_integral(P.data[k][j]))
+                   for k in range(mb) if P.data[k][j]] for j in range(ma)]
+        q_rows = [[(k, as_int_if_integral(x)) for k, x in enumerate(Q.data[i]) if x]
+                  for i in range(nb)]
         for i in range(nb):
+            base_b = offs[b] + i * mb
             for j in range(ma):
-                row = [zero] * total
-                hit = False
-                base_b = offs[b] + i * mb
-                for k in range(mb):
-                    c = P.data[k][j]
-                    if c:
-                        row[base_b + k] += c
-                        hit = True
-                for k in range(na):
-                    c = Q.data[i][k]
-                    if c:
-                        row[offs[a] + k * ma + j] -= c
-                        hit = True
-                if hit:
+                row: dict[int, Rat] = {}
+                for k, c in p_cols[j]:
+                    row[base_b + k] = c
+                for k, c in q_rows[i]:
+                    col = offs[a] + k * ma + j
+                    row[col] = row.get(col, 0) - c
+                if row:
                     rows.append(row)
-    _, ker = rank_kernel(RatMatrix(rows, cols=total))
+    return rows, offs, total
+
+
+def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
+    """Basis of the space of module morphisms M -> N.
+
+    The canonical kernel basis of the intertwining system (see
+    ``_hom_system``), cut back into one matrix per slot; the returned
+    morphism basis is canonical too.
+    """
+    rows, offs, total = _hom_system(M, N)
+    echelon, pivots = rref_rows(rows, total)
     out = []
-    for v in ker:
+    for v in kernel_from_rref(echelon, pivots, total):
         blocks = {}
-        for s in slots:
+        for s in M.slot_keys:
             r, c = N.dims[s], M.dims[s]
             seg = v[offs[s]: offs[s] + r * c]
             blocks[s] = RatMatrix([seg[i * c:(i + 1) * c] for i in range(r)], cols=c)
@@ -266,11 +278,16 @@ def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
 
 
 def hom_dim(M: SlotModule, N: SlotModule) -> int:
-    return len(hom_basis(M, N))
+    """dim Hom(M, N) from the rank of the intertwining system alone."""
+    rows, _, total = _hom_system(M, N)
+    echelon = SparseEchelon(total)
+    for row in rows:
+        echelon.add(row)
+    return total - echelon.rank
 
 
 def end_dim(M: SlotModule) -> int:
-    return len(hom_basis(M, M))
+    return hom_dim(M, M)
 
 
 # ---------------------------------------------------------------------------

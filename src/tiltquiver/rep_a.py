@@ -33,6 +33,7 @@ __all__ = [
     "tau_inverse",
     "indecomposables",
     "kronecker_window",
+    "hom_basis",
     "hom_dim",
     "ext1_dim",
     "minimal_left_approx",
@@ -356,7 +357,7 @@ def kronecker_window(w: int) -> list[tuple[IndecId, Rep]]:
 def hom_dim(m: Rep, n: Rep) -> int:
     if m.quiver != n.quiver:
         raise ValueError("representations over different quivers")
-    return len(hom_basis(m, n))
+    return homsolve.hom_dim(m, n)
 
 
 def ext1_dim(m: Rep, n: Rep) -> int:

@@ -75,6 +75,13 @@ def test_indec_window(capsys):
     assert "I0 dim=(1,0)" in out
 
 
+def test_kquiver_large_window(capsys):
+    # window 12 took minutes with dense elimination; seconds with sparse
+    code, out, _ = run(capsys, "kquiver", "--window", "12")
+    assert code == 0
+    assert "stats: arcs=22 boundary_vertices=2 connected=no vertices=24\n" in out
+
+
 def test_orientations_a2(capsys):
     code, out, _ = run(capsys, "orientations", "--diagram", "A2")
     assert code == 0

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltquiver.exactlin import RatMatrix, image_basis, rank_kernel, solve
+from tiltquiver import homsolve
+from tiltquiver.exactlin import (
+    RatMatrix,
+    image_basis,
+    rank_kernel,
+    rref_rows,
+    solve,
+)
+from tiltquiver.homsolve import LinSpan
+from tiltquiver.quiver_core import named_diagram
+from tiltquiver.rep_a import indecomposables, kronecker_window
 
 F = Fraction
 
@@ -190,3 +200,143 @@ def test_image_basis_spans_columns(m):
         for j in range(m.cols):
             col = [m[i, j] for i in range(m.rows)]
             assert B.solve(col) is not None
+
+
+# ------------------------------------------------- differential: the kernel
+# RatMatrix.rref runs on the sparse kernel; these tests hold it to two
+# independent implementations: the dense Gauss-Jordan the package used
+# before the kernel, and sympy's exact rref (a test-only dependency).
+
+
+def dense_rref(data, ncols):
+    """Reference: dense Gauss-Jordan, first nonzero entry as pivot."""
+    m = [[F(x) for x in row] for row in data]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            inv = F(1) / pv
+            m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+# mostly zeros, so zero rows and columns and rank drops are common
+sparse_rat = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.just(F(0)),
+    st.sampled_from([F(1), F(-1)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def shaped_matrices(draw):
+    shape = draw(st.sampled_from(["tall", "wide", "square", "empty"]))
+    small, big = draw(st.integers(0, 4)), draw(st.integers(1, 9))
+    rows, cols = {
+        "tall": (big, small), "wide": (small, big),
+        "square": (small, small), "empty": (draw(st.integers(0, 1)) * big, 0),
+    }[shape]
+    if draw(st.booleans()):
+        rows, cols = cols, rows
+    data = draw(st.lists(st.lists(sparse_rat, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, rows), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, cols), max_size=2))
+    data = [[F(0) if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(data)]
+    return RatMatrix(data, cols=cols)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices())
+def test_rref_matches_dense_reference(m):
+    R, piv = m.rref()
+    want, want_piv = dense_rref(m.data, m.cols)
+    assert R.shape == m.shape
+    assert R.data == want  # every row, the zero rows included
+    assert piv == want_piv
+    assert all(type(x) is Fraction for row in R.data for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=shaped_matrices())
+def test_rref_matches_sympy(sympy, m):
+    entries = [sympy.Rational(x.numerator, x.denominator)
+               for row in m.data for x in row]
+    R, piv = sympy.Matrix(m.rows, m.cols, entries).rref()
+    want = [[F(int(R[i, j].p), int(R[i, j].q)) for j in range(m.cols)]
+            for i in range(m.rows)]
+    got, got_piv = m.rref()
+    assert got.data == want
+    assert got_piv == list(piv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_matrices())
+def test_rank_kernel_match_dense_reference(m):
+    R, piv = dense_rref(m.data, m.cols)
+    want = []  # one vector per free column, as the dense routine gave it
+    for f in (c for c in range(m.cols) if c not in piv):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for i, p in enumerate(piv):
+            v[p] = -R[i][f]
+        want.append(v)
+    rank, ker = rank_kernel(m)
+    assert rank == m.rank() == len(piv)
+    assert ker == m.kernel_basis() == want
+
+
+def test_rref_rows_sparse_input():
+    # [4 0 2; 0 0 0; 2 1/3 0] -> [1 0 1/2; 0 1 -3]
+    rows, piv = rref_rows([{2: F(2), 0: 4}, {}, {0: 2, 1: F(1, 3), 2: 0}], 3)
+    assert piv == [0, 1]
+    assert rows == [{0: F(1), 2: F(1, 2)}, {1: F(1), 2: F(-3)}]
+    assert all(type(x) is Fraction for row in rows for x in row.values())
+    with pytest.raises(ValueError):
+        rref_rows([{3: 1}], 3)
+
+
+# --------------------------------------------------- incremental row span
+
+
+def test_linspan_contains_checks_length():
+    span = LinSpan(3)
+    assert span.add([F(1), F(0), F(0)])
+    assert span.contains([F(2), F(0), F(0)])
+    assert not span.contains([F(0), F(1), F(0)])
+    with pytest.raises(ValueError, match="length mismatch"):
+        span.contains([F(0), F(0)])
+    with pytest.raises(ValueError, match="length mismatch"):
+        span.add([F(0), F(0)])
+
+
+# ---------------------------------------------------- hom spaces, rank only
+
+
+@pytest.mark.parametrize("pool", ["A3", "D4", "K4"])
+def test_hom_dim_matches_hom_basis(pool):
+    mods = (kronecker_window(4) if pool == "K4"
+            else indecomposables(named_diagram(pool)))
+    for _, m in mods:
+        for _, n in mods:
+            assert homsolve.hom_dim(m, n) == len(homsolve.hom_basis(m, n))
