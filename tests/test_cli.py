@@ -1,12 +1,14 @@
 """CLI behaviour: golden outputs, exit codes, byte-stable reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from tiltquiver import cli
 
 A2_FILE = "vertices 1 2\narrow a 1 2\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -41,6 +43,21 @@ def test_kquiver_a2_golden(capsys):
         "(1,0)+(1,1)\n"
         "(0,1)+(1,1) -> (1,0)+(1,1)\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    "kquiver --diagram A4",
+    "kquiver --window 6",
+    "dup-kquiver --diagram A3",
+    "verify --theorem 4.1 --diagram A3",
+    "verify --theorem 5.2 --diagram D4",
+])
+def test_full_stdout_golden(capsys, argv):
+    # tests/golden/<argv without dashes, dots and spaces as _>.txt
+    name = argv.replace("--", "").replace(".", "_").replace(" ", "_")
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_dup_kquiver_pentagon_dot(capsys, tmp_path):
