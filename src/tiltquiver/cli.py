@@ -86,12 +86,24 @@ def _ce_lines(report: dict) -> list[str]:
     return out
 
 
-def _write_dot(path: str, labels: list[str], arcs: list[tuple[int, int]]) -> None:
-    lines = ["digraph K {"]
-    lines.extend(f'  "{lab}";' for lab in labels)
-    lines.extend(f'  "{labels[s]}" -> "{labels[d]}";' for s, d in arcs)
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _graph_stats(g: tilt_a.TiltingGraph) -> dict:
+    return {"vertices": len(g.tiltings), "arcs": len(g.arcs), "connected": g.is_connected()}
+
+
+def _graph_lines(g: tilt_a.TiltingGraph, dot: str | None) -> list[str]:
+    """Vertex labels (window rim marked), arcs, and the optional DOT export."""
+    labels = [t.label() for t in g.tiltings]
+    lines = [lab + (" (window rim)" if i in g.boundary else "")
+             for i, lab in enumerate(labels)]
+    lines.extend(f"{labels[a.src]} -> {labels[a.dst]}" for a in g.arcs)
+    if dot:
+        text = ["digraph K {"]
+        text.extend(f'  "{lab}";' for lab in labels)
+        text.extend(f'  "{labels[a.src]}" -> "{labels[a.dst]}";' for a in g.arcs)
+        text.append("}")
+        Path(dot).write_text("\n".join(text) + "\n")
+        lines.append(f"dot written: {dot}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +196,11 @@ def cmd_kquiver(args) -> tuple[dict, list[str]]:
         q, desc = _load_quiver(args)
         g = tilt_a.tilting_quiver(q)
     status = "window-limited" if g.boundary else "pass"
-    labels = [t.label() for t in g.tiltings]
-    stats = {
-        "vertices": len(g.tiltings),
-        "arcs": len(g.arcs),
-        "connected": g.is_connected(),
-    }
+    stats = _graph_stats(g)
     if g.boundary:
         stats["boundary_vertices"] = len(g.boundary)
     lines = [f"kquiver [{desc}]: {status}", _stats_line(stats)]
-    for i, lab in enumerate(labels):
-        lines.append(lab + (" (window rim)" if i in g.boundary else ""))
-    lines.extend(f"{labels[a.src]} -> {labels[a.dst]}" for a in g.arcs)
-    if args.dot:
-        _write_dot(args.dot, labels, [(a.src, a.dst) for a in g.arcs])
-        lines.append(f"dot written: {args.dot}")
+    lines.extend(_graph_lines(g, args.dot))
     return _report("kquiver", desc, status, stats, []), lines
 
 
@@ -207,13 +209,7 @@ def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
     ctx = dup.build_context(q)
     g = dup.tilting_quiver_dup(ctx)
     violations = list(g.defects)
-    stats = {
-        "vertices": len(g.tiltings),
-        "arcs": len(g.arcs),
-        "connected": g.is_connected(),
-        "degree": ctx.n,
-    }
-    labels = [t.label() for t in g.tiltings]
+    stats = {**_graph_stats(g), "degree": ctx.n}
     if args.deep_check:
         deep = dup.deep_check_coresolution(ctx, g.tiltings)
         stats["deep_sequences"] = deep["stats"]["sequences_checked"]
@@ -221,11 +217,7 @@ def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
     status = "pass" if not violations else "violation"
     report = _report("dup-kquiver", desc, status, stats, violations)
     lines = [f"dup-kquiver [{desc}]: {status}", _stats_line(stats)]
-    lines.extend(labels)
-    lines.extend(f"{labels[a.src]} -> {labels[a.dst]}" for a in g.arcs)
-    if args.dot:
-        _write_dot(args.dot, labels, [(a.src, a.dst) for a in g.arcs])
-        lines.append(f"dot written: {args.dot}")
+    lines.extend(_graph_lines(g, args.dot))
     lines.extend(_ce_lines(report))
     return report, lines
 
@@ -543,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QuiverSyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError, ArithmeticError, KeyError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 2
     print(f"time: {time.perf_counter() - start:.3f}s", file=sys.stderr)

@@ -20,7 +20,9 @@ supplies the triple-specific structure, the Nakayama correspondence
 between canonical projectives and injectives needed for the translates,
 and the tilting combinatorics: enumeration of the basic tilting modules
 containing all bar projectives, their exchange graph, and the checkers
-the command line exposes.
+the command line exposes.  Enumeration and the exchange graph run on the
+one engine in :mod:`tiltquiver.tilt_a`, fed with this module's pool,
+``DupContext.ext1_idx`` and an exchange-sequence certifier.
 
 A triple is stored with one matrix per path of the quiver: for a path
 ``p`` from ``u`` to ``v`` the matrix ``conn[(u, p)]`` maps the top space
@@ -36,13 +38,13 @@ are forced by the two shuffle relations
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from . import homsolve, rep_a
+from . import homsolve, rep_a, tilt_a
 from .exactlin import RatMatrix
 from .homsolve import SlotMap
 from .quiver_core import Quiver
@@ -677,6 +679,7 @@ class DupContext:
             for v in q.vertices:
                 items.append((DupPoolId("W", v), shifted_module(q, v)))
             self._pool = items
+            self._ids = [pid for pid, _ in items]
         return self._pool
 
     def objects(self) -> list[tuple[DupPoolId, TripleModule]]:
@@ -692,7 +695,8 @@ class DupContext:
         return len(self.pool())
 
     def pool_ids(self) -> list[DupPoolId]:
-        return [pid for pid, _ in self.pool()]
+        self.pool()
+        return self._ids
 
     def embedded_projective_indices(self) -> list[int]:
         """Pool positions of the embedded A-projectives (one per vertex)."""
@@ -734,7 +738,8 @@ class DupContext:
         cover_hom = sum(mult * N.dims[s] for s, mult in mults.items())
         val = (len(homsolve.hom_basis(K, N)) - cover_hom
                + len(self.hom_idx(i, j)))
-        assert val >= 0
+        if val < 0:
+            raise RuntimeError(f"negative Ext^1 between objects {i} and {j}")
         self._ext[(i, j)] = val
         return val
 
@@ -752,6 +757,10 @@ class DupContext:
 
     def compatible(self, i: int, j: int) -> bool:
         return self._rule_ext_zero(i, j) and self._rule_ext_zero(j, i)
+
+    @cached_property
+    def table(self) -> list[frozenset[int]]:
+        return tilt_a.compatibility_table(self.pool_size(), self.compatible)
 
     def validate_rules(self) -> None:
         """Cross-check every predicted Ext vanishing against the solver."""
@@ -780,15 +789,7 @@ def build_context(q: Quiver) -> DupContext:
 # tilting enumeration and the exchange graph
 
 
-class DupTilting(NamedTuple):
-    indices: tuple[int, ...]
-    ids: tuple[DupPoolId, ...]
-
-    def label(self) -> str:
-        return "+".join(str(i) for i in self.ids)
-
-
-def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[DupTilting]:
+def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a.Tilting]:
     """All basic tilting modules containing every bar projective.
 
     A set of n pairwise compatible pool members completes, together with
@@ -797,74 +798,9 @@ def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[DupTil
     """
     if validate:
         ctx.validate_rules()
-    n = ctx.n
-    r = ctx.pool_size()
     ids = ctx.pool_ids()
-    out: list[DupTilting] = []
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        if len(chosen) == n:
-            idx = tuple(chosen)
-            out.append(DupTilting(idx, tuple(ids[i] for i in idx)))
-            return
-        for c in range(start, r):
-            if r - c < n - len(chosen):
-                break
-            if all(ctx.compatible(c, p) for p in chosen):
-                chosen.append(c)
-                extend(c + 1)
-                chosen.pop()
-
-    extend(0)
-    return out
-
-
-@dataclass(frozen=True)
-class DupArc:
-    src: int
-    dst: int
-    x: DupPoolId
-    y: DupPoolId
-
-
-@dataclass
-class DupGraph:
-    ctx: DupContext
-    tiltings: list[DupTilting]
-    arcs: list[DupArc]
-    defects: list[str]
-
-    def index_of(self, ids: Sequence[DupPoolId]) -> int:
-        key = frozenset(ids)
-        for i, t in enumerate(self.tiltings):
-            if frozenset(t.ids) == key:
-                return i
-        raise KeyError(ids)
-
-    def out_degree(self, i: int) -> int:
-        return sum(1 for a in self.arcs if a.src == i)
-
-    def in_degree(self, i: int) -> int:
-        return sum(1 for a in self.arcs if a.dst == i)
-
-    def is_connected(self) -> bool:
-        t = len(self.tiltings)
-        if t <= 1:
-            return True
-        parent = list(range(t))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in self.arcs:
-            ra, rb = find(a.src), find(a.dst)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(t)}) == 1
+    mods = [m for _, m in ctx.pool()]
+    return [tilt_a.make_tilting(c, ids, mods) for c in tilt_a.cliques(ctx.table, ctx.n)]
 
 
 def _certify_iso(m: TripleModule, n: TripleModule) -> bool:
@@ -881,93 +817,64 @@ def _certify_iso(m: TripleModule, n: TripleModule) -> bool:
     return False
 
 
-def tilting_quiver_dup(ctx: DupContext, certify: bool = True) -> DupGraph:
+def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     """Exchange graph of the tilting modules over the duplicated algebra.
 
     An arc runs from the set containing x to the set containing y when
     exchanging x for y in their common almost complete part, oriented by
-    Ext^1(y, x) != 0 (solver-checked); with ``certify`` each arc also
-    carries a reconstructed exchange sequence 0 -> x -> E -> y -> 0 with
-    E in the closure of the common part plus bar projectives, and the
-    cokernel is matched against y by an explicit isomorphism test.
+    Ext^1(y, x) != 0 (solver-checked); each arc also carries a
+    reconstructed exchange sequence 0 -> x -> E -> y -> 0 with E in the
+    closure of the common part plus bar projectives, and the cokernel is
+    matched against y by an explicit isomorphism test.  Parts without
+    exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
-    index = {frozenset(t.indices): i for i, t in enumerate(tilts)}
     ids = ctx.pool_ids()
     objs = ctx.objects()
-    n_bar = ctx.n
-    bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + n_bar))
-    arcs: list[DupArc] = []
-    defects: list[str] = []
-    seen: set[frozenset[int]] = set()
-    for t_pos, t in enumerate(tilts):
-        for drop in t.indices:
-            rest = frozenset(t.indices) - {drop}
-            if rest in seen:
-                continue
-            seen.add(rest)
-            cands = [c for c in range(ctx.pool_size())
-                     if c not in rest and all(ctx.compatible(c, p) for p in rest)]
-            if len(cands) != 2:
-                defects.append(
-                    f"almost complete part {sorted(rest)} has "
-                    f"{len(cands)} completions"
-                )
-                continue
-            c1, c2 = cands
-            e12, e21 = ctx.ext1_idx(c1, c2), ctx.ext1_idx(c2, c1)
-            if (e12 == 0) == (e21 == 0):
-                raise RuntimeError(
-                    f"cannot orient the exchange of {ids[c1]} / {ids[c2]}"
-                )
-            x_i, y_i = (c2, c1) if e12 else (c1, c2)
-            src = index[rest | {x_i}]
-            dst = index[rest | {y_i}]
-            if certify:
-                members = sorted(rest) + bar_indices
-                pool_mods = [objs[k][1] for k in members]
-                hom_x = [ctx.hom_idx(x_i, k) for k in members]
-                pool_homs = {
-                    (a, b): ctx.hom_idx(members[a], members[b])
-                    for a in range(len(members)) for b in range(len(members))
-                    if a != b
-                }
-                _, _, f, y = homsolve.exchange_sequence(
-                    objs[x_i][1], pool_mods, hom_x=hom_x, pool_homs=pool_homs)
-                if not _certify_iso(y, objs[y_i][1]):
-                    raise RuntimeError(
-                        f"exchange cokernel at {ids[x_i]} is not the expected "
-                        f"complement {ids[y_i]}"
-                    )
-            arcs.append(DupArc(src, dst, ids[x_i], ids[y_i]))
-    arcs.sort(key=lambda a: (a.src, a.dst))
-    return DupGraph(ctx, tilts, arcs, defects)
+    bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+
+    def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
+        members = list(rest) + bar_indices
+        e, cok = homsolve.exchange_sequence(
+            objs[x][1], [objs[k][1] for k in members],
+            hom_x=[ctx.hom_idx(x, k) for k in members],
+            pool_homs=homsolve.member_homs(members, ctx.hom_idx))
+        if not _certify_iso(cok, objs[y][1]):
+            raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
+                               f"complement {ids[y]}")
+        return e.dims_key()
+
+    arcs, defects = tilt_a.exchange_arcs(ids, ctx.table, ctx.ext1_idx, certify,
+                                         [t.indices for t in tilts],
+                                         allowed=frozenset({2}))
+    return tilt_a.TiltingGraph(
+        ctx.quiver, ctx, tilts, arcs,
+        defects=[f"almost complete part {list(rest)} has {count} completions"
+                 for rest, count in defects])
 
 
 # ---------------------------------------------------------------------------
 # checkers
 
 
-def verify_embedding(ctx: DupContext, certify: bool = True) -> dict:
+def verify_embedding(ctx: DupContext) -> dict:
     """The classical exchange graph sits inside the duplicated one.
 
     Maps each tilting module over A to its embedded image, checks the
     map is a bijection onto the all-embedded vertices, and that arcs
     between embedded vertices correspond exactly both ways.
     """
-    from . import tilt_a
-
     kA = tilt_a.tilting_quiver(ctx.quiver)
-    dup = tilting_quiver_dup(ctx, certify=certify)
-    id_to_pos = {pid: i for i, (pid, _) in enumerate(ctx.pool())}
+    dup = tilting_quiver_dup(ctx)
+    id_to_pos = {pid: i for i, pid in enumerate(ctx.pool_ids())}
     violations: list[str] = []
 
     image: dict[int, int] = {}
     for i, t in enumerate(kA.tiltings):
-        want = frozenset(DupPoolId("E", iid) for iid in t.ids)
+        want = [id_to_pos[DupPoolId("E", iid)] for iid in t.ids]
         try:
             image[i] = dup.index_of(want)
-        except KeyError:
+        except ValueError:
             violations.append(f"embedded image of {t.label()} is not tilting")
     embedded_vertices = {
         i for i, t in enumerate(dup.tiltings)
@@ -1000,10 +907,10 @@ def verify_embedding(ctx: DupContext, certify: bool = True) -> dict:
     }
 
 
-def verify_regularity(ctx: DupContext, certify: bool = True) -> dict:
+def verify_regularity(ctx: DupContext) -> dict:
     """Every vertex of the duplicated exchange graph has total degree n,
     and the graph is connected."""
-    dup = tilting_quiver_dup(ctx, certify=certify)
+    dup = tilting_quiver_dup(ctx)
     n = ctx.n
     violations = list(dup.defects)
     for i, t in enumerate(dup.tiltings):
@@ -1034,17 +941,13 @@ def verify_shift_completion(ctx: DupContext) -> dict:
     Ext conditions are evaluated by the solver, not the counting rule.
     Also checks that a non-sincere M misses exactly one vertex.
     """
-    pool = ctx.pool()
     ids = ctx.pool_ids()
-    emb = [i for i, pid in enumerate(ids) if pid.kind == "E"]
     shifts = {pid.key: i for i, pid in enumerate(ids) if pid.kind == "W"}
     n = ctx.n
     violations: list[str] = []
     checked = 0
-    parts = [
-        c for c in itertools.combinations(emb, n - 1)
-        if all(ctx.compatible(a, b) for a, b in itertools.combinations(c, 2))
-    ]
+    parts = [c for c in tilt_a.cliques(ctx.table, n - 1)
+             if all(ids[i].kind == "E" for i in c)]
 
     def engine_tilting(indices: tuple[int, ...]) -> bool:
         return all(
@@ -1151,7 +1054,7 @@ def _decompose_in_add(ctx: DupContext, c: TripleModule,
 
 
 def deep_check_coresolution(ctx: DupContext,
-                            tiltings: Sequence[DupTilting] | None = None) -> dict:
+                            tiltings: Sequence[tilt_a.Tilting] | None = None) -> dict:
     """For each tilting set T and each projective P: a short exact
     sequence 0 -> P -> T0 -> T1 -> 0 with both middle terms in add T
     (bar projectives included), built from the minimal left
@@ -1165,16 +1068,12 @@ def deep_check_coresolution(ctx: DupContext,
     for t in tiltings:
         members = list(t.indices) + bar_indices
         pool_mods = [objs[k][1] for k in members]
-        pool_homs = {
-            (a, b): ctx.hom_idx(members[a], members[b])
-            for a in range(len(members)) for b in range(len(members))
-            if a != b
-        }
+        pool_homs = homsolve.member_homs(members, ctx.hom_idx)
         for p_idx in bar_indices + ctx.embedded_projective_indices():
             checked += 1
             hom_x = [ctx.hom_idx(p_idx, k) for k in members]
             try:
-                _, _, f, y = homsolve.exchange_sequence(
+                _, y = homsolve.exchange_sequence(
                     objs[p_idx][1], pool_mods, hom_x=hom_x, pool_homs=pool_homs)
             except ValueError as exc:
                 violations.append(f"{t.label()} / {objs[p_idx][0]}: {exc}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import dup, homsolve
+from . import dup, homsolve, tilt_a
 from .exactlin import RatMatrix
 from .homsolve import SlotMap, SlotModule
 
@@ -378,7 +378,7 @@ def global_dimension(alg: StructureAlgebra, cap: int = 6) -> int:
 
 
 def endo_algebra(ctx: dup.DupContext,
-                 t: "dup.DupTilting") -> tuple[StructureAlgebra, list[int]]:
+                 t: tilt_a.Tilting) -> tuple[StructureAlgebra, list[int]]:
     """End of (tilting set + bar projectives) over the duplicated algebra.
 
     Returns the algebra and the global object indices of its summands
@@ -388,10 +388,7 @@ def endo_algebra(ctx: dup.DupContext,
         range(ctx.pool_size(), ctx.pool_size() + ctx.n))
     objs = ctx.objects()
     mods = [objs[k][1] for k in members]
-    homs = {
-        (a, b): ctx.hom_idx(members[a], members[b])
-        for a in range(len(members)) for b in range(len(members))
-    }
+    homs = homsolve.member_homs(members, ctx.hom_idx)
     return structure_algebra(mods, homs=homs), members
 
 
@@ -442,7 +439,7 @@ def verify_endo_global_dimension(ctx: dup.DupContext, cap: int = 6) -> dict:
     }
 
 
-def hom_pd_bound(ctx: dup.DupContext, t: "dup.DupTilting",
+def hom_pd_bound(ctx: dup.DupContext, t: tilt_a.Tilting,
                  cap: int = 6) -> dict:
     """pd of Hom(T, m) over End(T) never exceeds pd of m, for every pool
     module generated by the summands."""

@@ -338,6 +338,17 @@ def _complement_columns(image_rows: list[list[Fraction]], dim: int) -> list[int]
     return chosen
 
 
+def complete_basis(vecs: list[list[Fraction]], dim: int) -> tuple[list[int], RatMatrix]:
+    """Complete independent vectors by standard basis vectors
+    (``_complement_columns``); return those indices and the inverse of the
+    basis matrix whose columns are ``vecs``, then the standard vectors."""
+    comp = _complement_columns(vecs, dim)
+    if dim == 0:
+        return comp, RatMatrix.zeros(0, 0)
+    std = RatMatrix.identity(dim).data
+    return comp, RatMatrix(list(vecs) + [std[i] for i in comp], cols=dim).transpose().inverse()
+
+
 def cokernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
     """Cokernel with its projection, using greedy standard-basis complements."""
     N = f.dst
@@ -347,24 +358,12 @@ def cokernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
     for s in N.slot_keys:
         d = N.dims[s]
         img = f.blocks[s].image_basis()
-        comp = _complement_columns(img, d)
+        # the projection reads off the complement coordinates
+        comp, inv = complete_basis(img, d)
         dims[s] = len(comp)
-        if d == 0:
-            projs[s] = RatMatrix.zeros(0, 0)
-            sections[s] = RatMatrix.zeros(0, 0)
-            continue
-        # full basis = image vectors then complement std vectors; the
-        # projection reads off the complement coordinates
-        cols = [list(r) for r in img]
-        for i in comp:
-            e = [Fraction(0)] * d
-            e[i] = Fraction(1)
-            cols.append(e)
-        full = RatMatrix(cols, cols=d).transpose()
-        inv = full.inverse()
-        projs[s] = RatMatrix(inv.data[len(img):], cols=d) if comp else RatMatrix.zeros(0, d)
-        sec_cols = [[Fraction(1) if r == i else Fraction(0) for r in range(d)] for i in comp]
-        sections[s] = RatMatrix(sec_cols, cols=d).transpose() if comp else RatMatrix.zeros(d, 0)
+        projs[s] = RatMatrix(inv.data[len(img):], cols=d)
+        std = RatMatrix.identity(d).data
+        sections[s] = RatMatrix([std[i] for i in comp], cols=d).transpose()
     struct: dict[Label, RatMatrix] = {}
     for lab, mat in N.struct().items():
         a, b = N.label_ends(lab)
@@ -561,14 +560,9 @@ def injective_envelope_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
     for s, v in soc:
         by_slot.setdefault(s, []).append(v)
     for s, vecs in by_slot.items():
-        d = M.dims[s]
-        # complete the socle vectors to a basis, invert, take the rows
-        # dual to the socle part: functionals vanishing on the complement
-        comp = _complement_columns(vecs, d)
-        cols = [list(v) for v in vecs] + [
-            [Fraction(1) if r == i else Fraction(0) for r in range(d)] for i in comp
-        ]
-        inv = RatMatrix(cols, cols=d).transpose().inverse()
+        # the rows dual to the socle part: functionals vanishing on the
+        # complement
+        _, inv = complete_basis(vecs, M.dims[s])
         for idx in range(len(vecs)):
             functional = inv.data[idx][:]
             comps.append(
@@ -671,30 +665,48 @@ def is_left_approximation(
     return True
 
 
+def member_homs(members: Sequence[int], hom) -> dict[tuple[int, int], list[SlotMap]]:
+    """``pool_homs`` for ``exchange_sequence`` from a cached ``hom(i, j)``:
+    ``(a, b) -> hom(members[a], members[b])``."""
+    return {(a, b): hom(i, j) for a, i in enumerate(members) for b, j in enumerate(members)}
+
+
+def approximation_map(
+    x: SlotModule, pool: Sequence[SlotModule], comps: Sequence[tuple[int, SlotMap]]
+) -> tuple[SlotModule, SlotMap]:
+    """The map x -> E into the sum of the chosen components (zero if none)."""
+    if not comps:
+        z = x.zero_like()
+        return z, SlotMap.zero(x, z)
+    E, incls, _ = direct_sum([pool[i] for i, _ in comps])
+    f = SlotMap.zero(x, E)
+    for (_, h), inc in zip(comps, incls):
+        f = f + (inc @ h)
+    return E, f
+
+
+class NoExchangeSequence(ValueError):
+    """The minimal left approximation is zero or fails to be injective."""
+
+
 def exchange_sequence(
     x: SlotModule,
     pool: Sequence[SlotModule],
     hom_x: Sequence[list[SlotMap]] | None = None,
     pool_homs: dict[tuple[int, int], list[SlotMap]] | None = None,
-) -> tuple[list[int], SlotModule, SlotMap, SlotModule]:
+) -> tuple[SlotModule, SlotModule]:
     """Short exact sequence 0 -> x -> E -> y -> 0 from the minimal left
     approximation of x into add(pool).
 
-    Returns (multiplicities per pool index, E, the map x -> E, y).
-    Raises if the approximation map fails to be injective, which in the
-    tilting-exchange situations this package uses it for cannot happen.
+    Returns (E, y).  Raises ``NoExchangeSequence`` if the approximation
+    is zero or fails to be injective, which in the tilting-exchange
+    situations this package certifies cannot happen.
     """
     comps = minimal_left_approximation(x, pool, hom_x=hom_x, pool_homs=pool_homs)
-    mults = [0] * len(pool)
-    for i, _ in comps:
-        mults[i] += 1
     if not comps:
-        raise ValueError("empty approximation: x admits no map into the pool")
-    E, incls, _ = direct_sum([pool[i] for i, _ in comps])
-    f = SlotMap.zero(x, E)
-    for (i, h), inc in zip(comps, incls):
-        f = f + (inc @ h)
+        raise NoExchangeSequence("empty approximation: x admits no map into the pool")
+    E, f = approximation_map(x, pool, comps)
     if not f.is_injective():
-        raise ValueError("approximation map is not injective")
+        raise NoExchangeSequence("approximation map is not injective")
     y, _ = cokernel(f)
-    return mults, E, f, y
+    return E, y

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import homsolve
 from .exactlin import RatMatrix
-from .homsolve import SlotMap, direct_sum, hom_basis
+from .homsolve import SlotMap, hom_basis
 from .quiver_core import Quiver, classify, named_diagram
 
 __all__ = [
@@ -226,25 +226,13 @@ def reflect(r: Rep, v: int) -> Rep:
         big = (RatMatrix.vstack(blocks) if blocks
                else RatMatrix.zeros(0, r.dims[v]))
         img = big.image_basis()
-        comp = homsolve._complement_columns(img, big.rows)
+        comp, inv = homsolve.complete_basis(img, big.rows)
         new_dims[v] = len(comp)
-        if big.rows == 0:
-            proj = RatMatrix.zeros(0, 0)
-        else:
-            cols = [list(rw) for rw in img] + [
-                [Fraction(1) if r_ == i else Fraction(0) for r_ in range(big.rows)]
-                for i in comp
-            ]
-            inv = RatMatrix(cols, cols=big.rows).transpose().inverse()
-            proj = (RatMatrix(inv.data[len(img):], cols=big.rows)
-                    if comp else RatMatrix.zeros(0, big.rows))
+        proj = RatMatrix(inv.data[len(img):], cols=big.rows)
         off = 0
         for a in outs:
             d = r.dims[a.target]
-            cols_slice = [
-                [proj[i, off + j] for j in range(d)] for i in range(proj.rows)
-            ]
-            new_maps[a.aid] = RatMatrix(cols_slice, cols=d) if proj.rows else RatMatrix.zeros(0, d)
+            new_maps[a.aid] = RatMatrix([row[off:off + d] for row in proj.data], cols=d)
             off += d
     else:
         raise ValueError(f"vertex {v} is neither a sink nor a source")
@@ -374,31 +362,32 @@ def ext1_dim(m: Rep, n: Rep) -> int:
 
 def minimal_left_approx(x: Rep, pool: Sequence[Rep]) -> tuple[Rep, SlotMap]:
     """Minimal left approximation of x into add(pool); may be zero."""
-    comps = homsolve.minimal_left_approximation(x, pool)
-    if not comps:
-        z = x.zero_like()
-        return z, SlotMap.zero(x, z)
-    e, incls, _ = direct_sum([pool[i] for i, _ in comps])
-    f = SlotMap.zero(x, e)
-    for (_, h), inc in zip(comps, incls):
-        f = f + (inc @ h)
-    return e, f
+    return homsolve.approximation_map(
+        x, pool, homsolve.minimal_left_approximation(x, pool))
 
 
-def exchange_sequence(x: Rep, m_pool: Sequence[Rep]) -> tuple[Rep, Rep] | None:
+def exchange_sequence(
+    x: Rep,
+    m_pool: Sequence[Rep],
+    hom_x: Sequence[list[SlotMap]] | None = None,
+    pool_homs: dict[tuple[int, int], list[SlotMap]] | None = None,
+) -> tuple[Rep, Rep] | None:
     """0 -> x -> e -> y -> 0 against the pool, or None when there is none.
 
     None when the approximation is zero or fails to be injective; raises
     when the cokernel is decomposable (x is then not an exchangeable
-    complement in this context).
+    complement in this context).  The optional Hom caches are those of
+    ``homsolve.exchange_sequence``.
     """
-    e, f = minimal_left_approx(x, m_pool)
-    if e.is_zero() or not f.is_injective():
+    try:
+        e, y = homsolve.exchange_sequence(x, m_pool, hom_x=hom_x, pool_homs=pool_homs)
+    except homsolve.NoExchangeSequence:
         return None
-    y, _ = homsolve.cokernel(f)
     if y.is_zero():
         return None
     if homsolve.end_dim(y) != 1:
         raise ValueError(f"decomposable exchange cokernel {y.dim_vector()}")
-    assert tuple(a + b for a, b in zip(x.dim_vector(), y.dim_vector())) == e.dim_vector()
+    if tuple(a + b for a, b in zip(x.dim_vector(), y.dim_vector())) != e.dim_vector():
+        raise RuntimeError(f"exchange sequence at {x.dim_vector()} is not exact: "
+                           f"middle term {e.dim_vector()}, cokernel {y.dim_vector()}")
     return e, y

@@ -10,6 +10,10 @@ exact sequence 0 -> X -> E -> Y -> 0 (from the module containing X to
 the one containing Y); the engine certifies every arc twice, once by
 the Ext criterion and once by building the sequence.
 
+This module hosts the package's one exchange-graph engine (records,
+clique and complement search, the arc loop ``exchange_arcs``);
+:mod:`tiltquiver.dup` runs it with its own pool, Ext and certifier.
+
 The same machinery runs on the double-arrow (tame) quiver restricted to
 a preprojective/preinjective window; everything touching the window rim
 is flagged window-limited instead of being trusted.
@@ -17,15 +21,21 @@ is flagged window-limited instead of being trusted.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
+from . import homsolve
+from .homsolve import SlotMap, SlotModule
 from .quiver_core import Quiver, named_diagram, orientations
 from .rep_a import (
     IndecId,
     Rep,
     exchange_sequence,
     ext1_dim,
+    hom_basis,
     indecomposables,
     kronecker_window,
 )
@@ -35,6 +45,11 @@ __all__ = [
     "Arc",
     "TiltingGraph",
     "Saturation",
+    "compatibility_table",
+    "cliques",
+    "complement_indices",
+    "exchange_arcs",
+    "make_tilting",
     "enumerate_tilting",
     "complements",
     "AlmostComplete",
@@ -48,7 +63,7 @@ __all__ = [
 
 
 class Pool:
-    """Indecomposable pool with a cached Ext table and compatibility."""
+    """Indecomposable pool with cached Ext and Hom tables and compatibility."""
 
     def __init__(self, quiver: Quiver, items: Sequence[tuple[IndecId, Rep]]):
         self.quiver = quiver
@@ -57,8 +72,10 @@ class Pool:
         self.index_of = {iid: i for i, iid in enumerate(self.ids)}
         size = len(items)
         self._ext = [[None] * size for _ in range(size)]
+        self._hom: dict[tuple[int, int], list[SlotMap]] = {}
         for i in range(size):
-            assert self.ext(i, i) == 0, f"pool member {self.ids[i]} is not rigid"
+            if self.ext(i, i):
+                raise RuntimeError(f"pool member {self.ids[i]} is not rigid")
 
     def ext(self, i: int, j: int) -> int:
         e = self._ext[i][j]
@@ -67,8 +84,19 @@ class Pool:
             self._ext[i][j] = e
         return e
 
+    def hom(self, i: int, j: int) -> list[SlotMap]:
+        got = self._hom.get((i, j))
+        if got is None:
+            got = hom_basis(self.reps[i], self.reps[j])
+            self._hom[(i, j)] = got
+        return got
+
     def compatible(self, i: int, j: int) -> bool:
         return self.ext(i, j) == 0 and self.ext(j, i) == 0
+
+    @cached_property
+    def table(self) -> list[frozenset[int]]:
+        return compatibility_table(len(self), self.compatible)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -91,10 +119,11 @@ def _kron_pool(w: int) -> Pool:
 
 
 class Tilting(NamedTuple):
-    """A basic tilting module, as sorted pool indices plus bookkeeping."""
+    """A basic tilting module, as sorted pool indices plus bookkeeping
+    (bar summands of the duplicated algebra stay implicit)."""
 
     indices: tuple[int, ...]
-    ids: tuple[IndecId, ...]
+    ids: tuple[Hashable, ...]
     dim_sum: tuple[int, ...]
 
     def label(self) -> str:
@@ -103,10 +132,12 @@ class Tilting(NamedTuple):
 
 @dataclass(frozen=True)
 class Arc:
+    """Exchange of x for y; ``e_dims`` is the middle term of 0 -> x -> E -> y -> 0."""
+
     src: int
     dst: int
-    x: IndecId
-    y: IndecId
+    x: Hashable
+    y: Hashable
     e_dims: tuple[int, ...]
 
 
@@ -120,28 +151,35 @@ class Saturation(NamedTuple):
 
 @dataclass
 class TiltingGraph:
+    """Exchange graph; ``pool`` is a ``Pool`` or a ``dup.DupContext``."""
+
     quiver: Quiver
-    pool: Pool
+    pool: object
     tiltings: list[Tilting]
     arcs: list[Arc]
     boundary: set[int] = field(default_factory=set)  # window-limited vertices
+    defects: list[str] = field(default_factory=list)  # disallowed complement counts
+
+    def __post_init__(self) -> None:
+        self._position = {t.indices: i for i, t in enumerate(self.tiltings)}
+        self._out = Counter(a.src for a in self.arcs)
+        self._in = Counter(a.dst for a in self.arcs)
 
     @property
     def n(self) -> int:
         return self.quiver.n
 
-    def index_of(self, t: Tilting | tuple[int, ...]) -> int:
+    def index_of(self, t: Tilting | Iterable[int]) -> int:
         key = t.indices if isinstance(t, Tilting) else tuple(sorted(t))
-        for i, cand in enumerate(self.tiltings):
-            if cand.indices == key:
-                return i
-        raise ValueError(f"tilting module {key} not a vertex of this graph")
+        if key not in self._position:
+            raise ValueError(f"tilting module {key} not a vertex of this graph")
+        return self._position[key]
 
     def out_degree(self, i: int) -> int:
-        return sum(1 for a in self.arcs if a.src == i)
+        return self._out[i]
 
     def in_degree(self, i: int) -> int:
-        return sum(1 for a in self.arcs if a.dst == i)
+        return self._in[i]
 
     def saturation(self, t: Tilting | int) -> Saturation:
         i = t if isinstance(t, int) else self.index_of(t)
@@ -174,37 +212,88 @@ class TiltingGraph:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# the exchange-graph engine (shared with dup)
 
 
-def _cliques(pool: Pool, size: int) -> list[tuple[int, ...]]:
-    """All ascending pairwise-compatible index tuples of the given size."""
-    total = len(pool)
+def compatibility_table(size: int, compatible: Callable[[int, int], bool]
+                        ) -> list[frozenset[int]]:
+    """Row i: every other pool index j with compatible(i, j)."""
+    return [frozenset(j for j in range(size) if j != i and compatible(i, j))
+            for i in range(size)]
+
+
+def cliques(table: Sequence[frozenset[int]], size: int) -> list[tuple[int, ...]]:
+    """All ascending pairwise-compatible index tuples of the given size,
+    in lexicographic order."""
     out: list[tuple[int, ...]] = []
-    cur: list[int] = []
 
-    def rec(start: int) -> None:
-        if len(cur) == size:
-            out.append(tuple(cur))
+    def rec(chosen: tuple[int, ...], cands: list[int]) -> None:
+        if len(chosen) == size:
+            out.append(chosen)
             return
-        need = size - len(cur)
-        for i in range(start, total - need + 1):
-            if all(pool.compatible(j, i) for j in cur):
-                cur.append(i)
-                rec(i + 1)
-                cur.pop()
+        need = size - len(chosen)
+        for k, i in enumerate(cands):
+            if len(cands) - k < need:
+                break
+            row = table[i]
+            rec(chosen + (i,), [j for j in cands[k + 1:] if j in row])
 
-    rec(0)
+    rec((), list(range(len(table))))
     return out
 
 
-def _tilting_from_indices(pool: Pool, idx: tuple[int, ...]) -> Tilting:
-    q = pool.quiver
-    dims = [0] * q.n
-    for i in idx:
-        for k, d in enumerate(pool.reps[i].dim_vector()):
-            dims[k] += d
-    return Tilting(idx, tuple(pool.ids[i] for i in idx), tuple(dims))
+def complement_indices(table: Sequence[frozenset[int]], rest: Sequence[int]) -> list[int]:
+    """Every pool index outside ``rest`` compatible with all of it."""
+    return sorted(set(range(len(table))).intersection(*(table[r] for r in rest)))
+
+
+def exchange_arcs(
+    ids: Sequence[Hashable],
+    table: Sequence[frozenset[int]],
+    ext: Callable[[int, int], int],
+    certify: Callable[[int, int, tuple[int, ...]], tuple[int, ...]],
+    vertices: Sequence[tuple[int, ...]],
+    allowed: frozenset[int],
+) -> tuple[list[Arc], list[tuple[tuple[int, ...], int]]]:
+    """Certified arcs between the given vertices, sorted by (src, dst).
+
+    Visits every almost complete part of a vertex once.  A part with two
+    complements x, y gives one arc, oriented by Ext^1(y, x) != 0;
+    ``certify(x, y, rest)`` raises ``RuntimeError`` unless the exchange
+    sequence 0 -> x -> E -> y -> 0 holds, and returns the dimensions of
+    E.  Complement counts not in ``allowed`` come back as defects.
+    """
+    position = {c: i for i, c in enumerate(vertices)}
+    arcs: list[Arc] = []
+    defects: list[tuple[tuple[int, ...], int]] = []
+    parts = dict.fromkeys(tuple(j for j in t if j != drop) for t in vertices for drop in t)
+    for rest in parts:
+        comps = complement_indices(table, rest)
+        if len(comps) not in allowed:
+            defects.append((rest, len(comps)))
+        if len(comps) != 2:
+            continue
+        c1, c2 = comps
+        e12, e21 = ext(c1, c2), ext(c2, c1)
+        if (e12 == 0) == (e21 == 0):
+            raise RuntimeError(f"cannot orient the exchange of {ids[c1]} / {ids[c2]}")
+        x, y = (c2, c1) if e12 else (c1, c2)
+        arcs.append(Arc(position[tuple(sorted(rest + (x,)))],
+                        position[tuple(sorted(rest + (y,)))],
+                        ids[x], ids[y], certify(x, y, rest)))
+    arcs.sort(key=lambda a: (a.src, a.dst))
+    return arcs, defects
+
+
+def make_tilting(idx: tuple[int, ...], ids: Sequence[Hashable],
+                 mods: Sequence[SlotModule]) -> Tilting:
+    """The tilting record of pool indices ``idx``, summing slot dimensions."""
+    dims = tuple(sum(col) for col in zip(*(mods[i].dims_key() for i in idx)))
+    return Tilting(idx, tuple(ids[i] for i in idx), dims)
+
+
+# ---------------------------------------------------------------------------
+# enumeration
 
 
 def enumerate_tilting(q: Quiver) -> list[Tilting]:
@@ -218,7 +307,7 @@ def enumerate_tilting(q: Quiver) -> list[Tilting]:
     if q.n == 0:
         return [Tilting((), (), ())]
     pool = _dynkin_pool(q)
-    return [_tilting_from_indices(pool, c) for c in _cliques(pool, q.n)]
+    return [make_tilting(c, pool.ids, pool.reps) for c in cliques(pool.table, q.n)]
 
 
 def complements(q: Quiver, m: Iterable[IndecId | tuple[int, ...]]) -> list[IndecId]:
@@ -232,20 +321,10 @@ def complements(q: Quiver, m: Iterable[IndecId | tuple[int, ...]]) -> list[Indec
         idx.append(pool.index_of[iid])
     if len(set(idx)) != len(idx) or len(idx) != q.n - 1:
         raise ValueError(f"need {q.n - 1} distinct summands, got {idx}")
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if not pool.compatible(idx[a], idx[b]):
-                raise ValueError("summand set is not partial tilting")
-    got = _complement_indices(pool, tuple(sorted(idx)))
+    if any(b not in pool.table[a] for a, b in itertools.combinations(idx, 2)):
+        raise ValueError("summand set is not partial tilting")
+    got = complement_indices(pool.table, idx)
     return [pool.ids[c] for c in got]
-
-
-def _complement_indices(pool: Pool, rest: tuple[int, ...]) -> list[int]:
-    rest_set = set(rest)
-    return [
-        c for c in range(len(pool))
-        if c not in rest_set and all(pool.compatible(r, c) for r in rest)
-    ]
 
 
 class AlmostComplete(NamedTuple):
@@ -265,10 +344,10 @@ def almost_complete_survey(q: Quiver) -> list[AlmostComplete]:
     """Every almost complete tilting module with all its complements."""
     pool = _dynkin_pool(q)
     out = []
-    for rest in _cliques(pool, q.n - 1):
+    for rest in cliques(pool.table, q.n - 1):
         ds = summand_dim_sum(q, [pool.reps[i] for i in rest])
         zeros = zero_support(q, ds)
-        comps = _complement_indices(pool, rest)
+        comps = complement_indices(pool.table, rest)
         out.append(AlmostComplete(
             tuple(pool.ids[i] for i in rest),
             ds,
@@ -283,66 +362,37 @@ def almost_complete_survey(q: Quiver) -> list[AlmostComplete]:
 # graph construction
 
 
-def _build_graph(q: Quiver, pool: Pool, cliques: list[tuple[int, ...]],
-                 certify: bool = True) -> TiltingGraph:
-    position = {c: i for i, c in enumerate(cliques)}
-    arcs: list[Arc] = []
-    comp_cache: dict[tuple[int, ...], list[int]] = {}
-    for T in cliques:
-        for x in T:
-            rest = tuple(j for j in T if j != x)
-            if rest in comp_cache:
-                comps = comp_cache[rest]
-            else:
-                comps = _complement_indices(pool, rest)
-                comp_cache[rest] = comps
-            assert x in comps
-            if len(comps) == 1:
-                continue
-            if len(comps) > 2:
-                raise RuntimeError(
-                    f"almost complete module {rest} has {len(comps)} complements"
-                )
-            other = comps[0] if comps[1] == x else comps[1]
-            # orientation: the sequence runs from the complement X with
-            # Ext1(Y, X) != 0 towards Y; exactly one direction may fire
-            e_other_x = pool.ext(other, x)
-            e_x_other = pool.ext(x, other)
-            if (e_other_x > 0) == (e_x_other > 0):
-                raise RuntimeError(
-                    f"ambiguous exchange orientation between {pool.ids[x]} "
-                    f"and {pool.ids[other]}"
-                )
-            if e_other_x == 0:
-                continue  # x is the Y side; the arc is recorded from the X side
-            partner = tuple(sorted(rest + (other,)))
-            if partner not in position:
-                continue  # partner falls outside a windowed vertex set
-            seq_dims: tuple[int, ...]
-            if certify:
-                got = exchange_sequence(pool.reps[x], [pool.reps[r] for r in rest])
-                assert got is not None, "certified arc lost its exchange sequence"
-                e_rep, y_rep = got
-                assert y_rep.dim_vector() == pool.reps[other].dim_vector()
-                seq_dims = e_rep.dim_vector()
-            else:
-                seq_dims = tuple(
-                    a + b for a, b in zip(pool.reps[x].dim_vector(),
-                                          pool.reps[other].dim_vector())
-                )
-            arcs.append(Arc(position[T], position[partner],
-                            pool.ids[x], pool.ids[other], seq_dims))
-    arcs.sort(key=lambda a: (a.src, a.dst))
-    tilts = [_tilting_from_indices(pool, c) for c in cliques]
-    return TiltingGraph(q, pool, tilts, arcs)
+def _graph(pool: Pool, size: int) -> TiltingGraph:
+    """Exchange graph on all tilting modules of the pool, each arc certified
+    by an exchange sequence built from the pool's cached Hom bases."""
+
+    def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
+        got = exchange_sequence(pool.reps[x], [pool.reps[r] for r in rest],
+                                hom_x=[pool.hom(x, r) for r in rest],
+                                pool_homs=homsolve.member_homs(rest, pool.hom))
+        if got is None:
+            raise RuntimeError(f"certified arc at {pool.ids[x]} lost its exchange sequence")
+        e_rep, y_rep = got
+        if y_rep.dim_vector() != pool.reps[y].dim_vector():
+            raise RuntimeError(f"exchange cokernel at {pool.ids[x]} is not the expected "
+                               f"complement {pool.ids[y]}")
+        return e_rep.dim_vector()
+
+    vertices = cliques(pool.table, size)
+    arcs, defects = exchange_arcs(pool.ids, pool.table, pool.ext, certify, vertices,
+                                  allowed=frozenset({1, 2}))
+    if defects:
+        rest, count = defects[0]
+        raise RuntimeError(f"almost complete module {rest} has {count} complements")
+    tilts = [make_tilting(c, pool.ids, pool.reps) for c in vertices]
+    return TiltingGraph(pool.quiver, pool, tilts, arcs)
 
 
 def tilting_quiver(q: Quiver) -> TiltingGraph:
     """Exchange graph of all tilting modules (Dynkin components only)."""
     if q.n == 0:
         return TiltingGraph(q, Pool(q, []), [Tilting((), (), ())], [])
-    pool = _dynkin_pool(q)
-    return _build_graph(q, pool, _cliques(pool, q.n))
+    return _graph(_dynkin_pool(q), q.n)
 
 
 def kronecker_tilting_quiver(w: int) -> TiltingGraph:
@@ -355,7 +405,7 @@ def kronecker_tilting_quiver(w: int) -> TiltingGraph:
     if w < 1:
         raise ValueError("window must be >= 1 to see any tilting pair")
     pool = _kron_pool(w)
-    g = _build_graph(pool.quiver, pool, _cliques(pool, 2))
+    g = _graph(pool, 2)
     rim = {i for i, iid in enumerate(pool.ids) if iid.key[0] == w}
     g.boundary = {
         pos for pos, t in enumerate(g.tiltings) if any(i in rim for i in t.indices)
@@ -428,14 +478,15 @@ def nonsaturated_tame(w: int) -> NonSaturatedSet:
             lifts.append((matches[0],))
         part: list[Tilting] = []
         for rest in lifts:
-            comps = _complement_indices(pool, rest)
+            comps = complement_indices(pool.table, rest)
             if not comps:
                 raise ValueError(
                     f"no completion found for {rest} inside window {w}; enlarge it"
                 )
-            assert len(comps) == 1, "support-restricted module completed ambiguously"
+            if len(comps) != 1:
+                raise RuntimeError("support-restricted module completed ambiguously")
             idx = tuple(sorted(rest + (comps[0],)))
-            t = seen.setdefault(idx, _tilting_from_indices(pool, idx))
+            t = seen.setdefault(idx, make_tilting(idx, pool.ids, pool.reps))
             part.append(t)
         parts[x] = part
     delta = sorted(seen.values(), key=lambda t: t.indices)

@@ -24,7 +24,7 @@ def _ctx(name: str) -> dup.DupContext:
     return _CTX[name]
 
 
-def _dup_graph(name: str) -> dup.DupGraph:
+def _dup_graph(name: str) -> tilt_a.TiltingGraph:
     if name not in _DUP_GRAPHS:
         _DUP_GRAPHS[name] = dup.tilting_quiver_dup(_ctx(name))
     return _DUP_GRAPHS[name]
@@ -102,7 +102,7 @@ def test_criterion_04_dup_graph_size_and_regularity():
         assert len(g.tiltings) == s, name
         assert len(g.arcs) == t, name
         assert not g.defects
-        n = g.ctx.n
+        n = g.pool.n
         for i in range(len(g.tiltings)):
             assert g.out_degree(i) + g.in_degree(i) == n
         assert g.is_connected()

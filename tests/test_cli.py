@@ -1,6 +1,9 @@
 """CLI behaviour: golden outputs, exit codes, byte-stable reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from tiltquiver import cli
 
 A2_FILE = "vertices 1 2\narrow a 1 2\n"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -174,6 +178,40 @@ def test_violation_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "theorem 4.2 [diagram A2]: violation" in out
     assert "counterexample: made up" in out
+
+
+# ---------------------------------------------------------------------------
+# engine failures: exit 2, never a pass or a violation
+
+WRONG_COKERNEL = (
+    "import sys\n"
+    "from tiltquiver import cli, tilt_a\n"
+    "tilt_a.exchange_sequence = lambda x, pool, **k: (x, x)\n"
+    "sys.exit(cli.main(['kquiver', '--diagram', 'A3']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_arc_certificate_is_an_engine_error(flags):
+    # the certificate must hold under -O too, where assert statements vanish
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", WRONG_COKERNEL],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error:" in proc.stderr
+
+
+@pytest.mark.parametrize("exc", [AssertionError, ArithmeticError, KeyError])
+def test_engine_exceptions_exit_2(capsys, monkeypatch, exc):
+    def broken(q):
+        raise exc("injected")
+    monkeypatch.setattr(cli.tilt_a, "tilting_quiver", broken)
+    code, out, err = run(capsys, "kquiver", "--diagram", "A3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("engine error:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
+import itertools
+
 import pytest
 
+from tiltquiver import dup, tilt_a
 from tiltquiver.quiver_core import named_diagram
-from tiltquiver.rep_a import IndecId
+from tiltquiver.rep_a import IndecId, indecomposables, kronecker_window, simple
 from tiltquiver.tilt_a import (
+    Pool,
+    cliques,
+    compatibility_table,
+    complement_indices,
     complements,
     enumerate_tilting,
     kronecker_tilting_quiver,
@@ -178,6 +185,85 @@ def test_zero_support():
     assert zero_support(A2, (0, 1)) == {0}
     assert zero_support(A3, (0, 1, 2)) == {0}
     assert zero_support(A3, (1, 1, 1)) == set()
+
+
+# ------------------------------------------------------------- engine
+
+
+def _engine_pools():
+    d4, kron = named_diagram("D4"), named_diagram("K")
+    yield Pool(d4, indecomposables(d4)), 4
+    yield Pool(kron, kronecker_window(4)), 2
+    for name in ("A3", "D4"):
+        ctx = dup.build_context(named_diagram(name))
+        yield ctx, ctx.n
+
+
+def test_clique_and_complement_search_match_brute_force():
+    for pool, n in _engine_pools():
+        size = len(pool.table)
+        assert pool.table == compatibility_table(size, pool.compatible)
+        for k in range(n + 1):
+            brute = [c for c in itertools.combinations(range(size), k)
+                     if all(pool.compatible(a, b)
+                            for a, b in itertools.combinations(c, 2))]
+            assert cliques(pool.table, k) == brute, (pool, k)
+        for rest in cliques(pool.table, n - 1):
+            brute = [c for c in range(size) if c not in rest
+                     and all(pool.compatible(c, r) for r in rest)]
+            assert complement_indices(pool.table, rest) == brute
+
+
+def test_indexed_degrees_match_arc_counts():
+    for g in (tilting_quiver(named_diagram("D4")),
+              dup.tilting_quiver_dup(dup.build_context(A3))):
+        assert len(g.arcs) > 0
+        for i, t in enumerate(g.tiltings):
+            assert g.out_degree(i) == sum(1 for a in g.arcs if a.src == i)
+            assert g.in_degree(i) == sum(1 for a in g.arcs if a.dst == i)
+            assert g.index_of(t) == i
+
+
+class _ThreeComplements:
+    """Rank-one pool of three members, serving both callers of the engine:
+    its only almost complete part (the empty one) has three complements."""
+
+    quiver = named_diagram("A1")
+    n = 1
+    ids = ["X", "Y", "Z"]
+    table = compatibility_table(3, lambda i, j: False)
+
+    def __init__(self):
+        self.reps = [simple(self.quiver, 0)] * 3
+
+    def ext(self, i, j):
+        raise AssertionError("no arc may be oriented")
+
+    hom = ext1_idx = hom_idx = ext
+
+    def validate_rules(self):
+        pass
+
+    def pool(self):
+        return list(zip(self.ids, self.reps))
+
+    objects = pool
+
+    def pool_ids(self):
+        return self.ids
+
+    def pool_size(self):
+        return 3
+
+
+def test_disallowed_complement_count(monkeypatch):
+    stub = _ThreeComplements()
+    monkeypatch.setitem(tilt_a._POOLS, stub.quiver, stub)
+    with pytest.raises(RuntimeError, match="has 3 complements"):
+        tilting_quiver(stub.quiver)
+    g = dup.tilting_quiver_dup(stub)
+    assert g.defects == ["almost complete part [] has 3 completions"]
+    assert len(g.tiltings) == 3 and g.arcs == []
 
 
 # ------------------------------------------------------------- kronecker
