@@ -7,13 +7,16 @@ optionally serializes the report to JSON.  Timing goes to standard
 error so that repeated runs stay byte-identical on standard output.
 
 Exit codes: 0 for pass or window-limited results, 1 when a verifier
-found a violation, 2 for usage or input errors.
+found a violation, 2 for usage or input errors and engine failures.  A
+reader that closes standard output early (``| head``) changes neither
+the exit code nor the JSON report, which is written before printing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -539,11 +542,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"engine error: {exc}", file=sys.stderr)
         return 2
     print(f"time: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    for line in lines:
-        print(line)
     if getattr(args, "json", None):
         payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
         Path(args.json).write_text(payload)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; send the rest, and the flush at
+        # interpreter exit, to devnull so the verdict's exit code stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return _EXIT.get(report["status"], 2)
 
 

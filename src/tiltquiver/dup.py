@@ -804,8 +804,15 @@ def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a
 
 
 def _certify_iso(m: TripleModule, n: TripleModule) -> bool:
-    """Two indecomposables are isomorphic iff some composite through both
-    directions is a nonzero endomorphism."""
+    """Isomorphism test for an indecomposable ``m`` against a brick ``n``
+    (End(n) = k, as for every pool member): they are isomorphic iff some
+    composite f . g with g: n -> m and f: m -> n is nonzero.
+
+    For a brick target a nonzero endomorphism of n is invertible, which
+    makes m -> n a split epi, hence an iso as m is indecomposable.  For
+    targets with larger endomorphism rings a nonzero composite can be
+    nilpotent, and the test proves nothing.
+    """
     if m.dims_key() != n.dims_key():
         return False
     fwd = homsolve.hom_basis(m, n)

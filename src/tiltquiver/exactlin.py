@@ -236,13 +236,23 @@ class RatMatrix:
                 raise ValueError("zero-row matrix needs an explicit column count")
             self.cols = cols
 
+    @classmethod
+    def _trusted(cls, data: list[list[Fraction]], cols: int) -> "RatMatrix":
+        """Wrap rows this class built itself: fresh lists of Fractions,
+        all of length ``cols``.  Skips the entry conversion and the
+        width check of the public constructor."""
+        m = object.__new__(cls)
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        z = Fraction(0)
-        return cls([[z] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted([[_ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -257,7 +267,7 @@ class RatMatrix:
         return cls([[x] for x in entries], cols=1)
 
     def copy(self) -> "RatMatrix":
-        return RatMatrix([row[:] for row in self.data], cols=self.cols)
+        return RatMatrix._trusted([row[:] for row in self.data], self.cols)
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -301,55 +311,45 @@ class RatMatrix:
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
+        return RatMatrix._trusted(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            self.cols,
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
+        return RatMatrix._trusted(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            self.cols,
         )
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in row] for row in self.data], cols=self.cols)
+        return RatMatrix._trusted([[-x for x in row] for row in self.data], self.cols)
 
     def scale(self, c: Rat) -> "RatMatrix":
         c = _frac(c)
-        return RatMatrix([[c * x for x in row] for row in self.data], cols=self.cols)
+        return RatMatrix._trusted([[c * x for x in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Matrix product self @ other."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = RatMatrix.zeros(self.rows, other.cols)
-        od = other.data
-        for i, row in enumerate(self.data):
-            acc = out.data[i]
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                ok = od[k]
-                for j in range(other.cols):
-                    b = ok[j]
-                    if b != 0:
+        n = other.cols
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [_ZERO] * n
+            for a, nz in zip(row, nonzeros):
+                if a:
+                    for j, b in nz:
                         acc[j] += a * b
-        return out
+            out.append(acc)
+        return RatMatrix._trusted(out, n)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return RatMatrix._trusted(
+            [[row[j] for row in self.data] for j in range(self.cols)], self.rows)
 
     def apply(self, vec: Sequence[Rat]) -> list[Fraction]:
         """Matrix-vector product (vec as a column of length ``cols``)."""
@@ -374,7 +374,7 @@ class RatMatrix:
             if b.cols != w:
                 raise ValueError("vstack width mismatch")
             rows.extend(row[:] for row in b.data)
-        return cls(rows, cols=w)
+        return cls._trusted(rows, w)
 
     @classmethod
     def hstack(cls, blocks: Iterable["RatMatrix"]) -> "RatMatrix":
@@ -385,8 +385,24 @@ class RatMatrix:
         for b in blocks:
             if b.rows != h:
                 raise ValueError("hstack height mismatch")
-        rows = [sum((b.data[i] for b in blocks), []) for i in range(h)]
-        return cls(rows, cols=sum(b.cols for b in blocks))
+        rows = [[x for b in blocks for x in b.data[i]] for i in range(h)]
+        return cls._trusted(rows, sum(b.cols for b in blocks))
+
+    @classmethod
+    def block_diagonal(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
+        """Blocks along the diagonal, zeros elsewhere (built row by row)."""
+        width = sum(b.cols for b in blocks)
+        rows: list[list[Fraction]] = []
+        left = 0
+        for b in blocks:
+            pad, right = [_ZERO] * left, [_ZERO] * (width - left - b.cols)
+            rows.extend(pad + row + right for row in b.data)
+            left += b.cols
+        return cls._trusted(rows, width)
+
+    def columns(self, idx: Sequence[int]) -> "RatMatrix":
+        """The submatrix of the listed columns, in the order given."""
+        return RatMatrix._trusted([[row[j] for j in idx] for row in self.data], len(idx))
 
     # ------------------------------------------------------------------
     # echelon machinery
@@ -406,7 +422,7 @@ class RatMatrix:
         n = self.cols
         data = [dense_row(row, n) for row in rows]
         data.extend([_ZERO] * n for _ in range(self.rows - len(rows)))
-        return RatMatrix(data, cols=n), pivots
+        return RatMatrix._trusted(data, n), pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -453,7 +469,7 @@ class RatMatrix:
         R, pivots = aug.rref()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return RatMatrix([row[n:] for row in R.data], cols=n)
+        return RatMatrix._trusted([row[n:] for row in R.data], n)
 
 
 # ----------------------------------------------------------------------

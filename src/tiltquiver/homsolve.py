@@ -316,7 +316,8 @@ def kernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
         for j in range(pushed.cols):
             col = [pushed[i, j] for i in range(pushed.rows)]
             x = bases[b].solve(col)
-            assert x is not None, "kernel not preserved: map is not a morphism"
+            if x is None:
+                raise RuntimeError("kernel not preserved: map is not a morphism")
             cols.append(x)
         struct[lab] = RatMatrix(cols, cols=dims[b]).transpose() if cols else RatMatrix.zeros(dims[b], 0)
     K = M._rebuild(dims, struct)
@@ -324,25 +325,61 @@ def kernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
     return K, incl
 
 
-def _complement_columns(image_rows: list[list[Fraction]], dim: int) -> list[int]:
-    """Greedy standard-basis complement of a subspace (canonical)."""
-    span = LinSpan(dim)
-    for r in image_rows:
-        span.add(r)
-    chosen = []
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        if span.add(e):
-            chosen.append(i)
-    return chosen
+def _reverse_echelon(
+    vecs: Iterable[Sequence[Rat]], dim: int
+) -> tuple[list[int], list[tuple[int, dict[int, Fraction]]]]:
+    """Echelon form of the span of ``vecs`` with the columns reversed.
+
+    Returns the complement (the columns that are not pivots, ascending)
+    and the reduced rows as ``(pivot, {column: entry})`` pairs: each row
+    is 1 at its pivot, which is its largest column, and holds no other
+    pivot column.  The complement is the greedy standard-basis one:
+    scanning c = 0, 1, ..., e_c is taken iff it lies outside the span
+    plus the e_c' taken before it.  (A pivot p has its row, e_p plus
+    columns below p, in the span; a non-pivot c cannot be reached, since
+    a combination of rows is nonzero at its largest pivot.)
+    """
+    top = dim - 1
+    echelon = SparseEchelon(dim)
+    for v in vecs:
+        echelon.add({top - j: x for j, x in enumerate(v) if x})
+    rows, pivots = echelon.result()
+    pivot_set = {top - p for p in pivots}
+    complement = [c for c in range(dim) if c not in pivot_set]
+    return complement, [(top - p, {top - j: x for j, x in row.items()})
+                        for row, p in zip(rows, pivots)]
+
+
+def cokernel_projection(mat: RatMatrix) -> tuple[list[int], RatMatrix]:
+    """Projection of the target of ``mat`` onto the greedy standard-basis
+    complement of its image, along the image.
+
+    Returns the complement columns and the projection, one row per
+    complement column c: e_c - sum_p r_p[c] e_p over the reduced rows
+    r_p of the image (see ``_reverse_echelon``).  The projection onto a
+    fixed complement along a fixed subspace is unique.
+    """
+    d = mat.rows
+    comp, reduced = _reverse_echelon(zip(*mat.data), d)
+    zero, one = Fraction(0), Fraction(1)
+    proj = [[zero] * d for _ in comp]
+    at = {}
+    for k, c in enumerate(comp):
+        proj[k][c] = one
+        at[c] = k
+    for p, row in reduced:
+        for c, x in row.items():
+            if c != p:
+                proj[at[c]][p] = -x
+    return comp, RatMatrix(proj, cols=d)
 
 
 def complete_basis(vecs: list[list[Fraction]], dim: int) -> tuple[list[int], RatMatrix]:
-    """Complete independent vectors by standard basis vectors
-    (``_complement_columns``); return those indices and the inverse of the
-    basis matrix whose columns are ``vecs``, then the standard vectors."""
-    comp = _complement_columns(vecs, dim)
+    """Complete independent vectors by standard basis vectors (the greedy
+    complement of ``_reverse_echelon``); return those indices and the
+    inverse of the basis matrix whose columns are ``vecs``, then the
+    standard vectors."""
+    comp, _ = _reverse_echelon(vecs, dim)
     if dim == 0:
         return comp, RatMatrix.zeros(0, 0)
     std = RatMatrix.identity(dim).data
@@ -352,49 +389,35 @@ def complete_basis(vecs: list[list[Fraction]], dim: int) -> tuple[list[int], Rat
 def cokernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
     """Cokernel with its projection, using greedy standard-basis complements."""
     N = f.dst
+    comps: dict[Slot, list[int]] = {}
     projs: dict[Slot, RatMatrix] = {}
-    dims: dict[Slot, int] = {}
-    sections: dict[Slot, RatMatrix] = {}
     for s in N.slot_keys:
-        d = N.dims[s]
-        img = f.blocks[s].image_basis()
-        # the projection reads off the complement coordinates
-        comp, inv = complete_basis(img, d)
-        dims[s] = len(comp)
-        projs[s] = RatMatrix(inv.data[len(img):], cols=d)
-        std = RatMatrix.identity(d).data
-        sections[s] = RatMatrix([std[i] for i in comp], cols=d).transpose()
+        comps[s], projs[s] = cokernel_projection(f.blocks[s])
     struct: dict[Label, RatMatrix] = {}
     for lab, mat in N.struct().items():
         a, b = N.label_ends(lab)
-        struct[lab] = projs[b] @ mat @ sections[a]
-    C = N._rebuild(dims, struct)
+        struct[lab] = projs[b] @ mat.columns(comps[a])
+    C = N._rebuild({s: len(comps[s]) for s in N.slot_keys}, struct)
     proj = SlotMap(N, C, projs)
     return C, proj
+
+
+def _sum_module(mods: Sequence[SlotModule]) -> SlotModule:
+    """The direct sum module alone: block-diagonal structure maps."""
+    proto = mods[0]
+    dims = {s: sum(m.dims[s] for m in mods) for s in proto.slot_keys}
+    structs = [m.struct() for m in mods]
+    struct = {lab: RatMatrix.block_diagonal([st[lab] for st in structs])
+              for lab in structs[0]}
+    return proto._rebuild(dims, struct)
 
 
 def direct_sum(mods: Sequence[SlotModule]) -> tuple[SlotModule, list[SlotMap], list[SlotMap]]:
     """Direct sum with inclusion and projection maps (at least one summand)."""
     if not mods:
         raise ValueError("direct_sum of nothing; use zero_like for a zero module")
-    proto = mods[0]
-    slots = proto.slot_keys
-    dims = {s: sum(m.dims[s] for m in mods) for s in slots}
-    structs = [m.struct() for m in mods]
-    struct: dict[Label, RatMatrix] = {}
-    for lab in structs[0]:
-        a, b = proto.label_ends(lab)
-        blocks = [st[lab] for st in structs]
-        big = RatMatrix.zeros(dims[b], dims[a])
-        ro = co = 0
-        for blk in blocks:
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    big[ro + i, co + j] = blk[i, j]
-            ro += blk.rows
-            co += blk.cols
-        struct[lab] = big
-    S = proto._rebuild(dims, struct)
+    S = _sum_module(mods)
+    slots, dims = S.slot_keys, S.dims
     incls, projs = [], []
     offset = {s: 0 for s in slots}
     for m in mods:
@@ -418,24 +441,17 @@ def direct_sum(mods: Sequence[SlotModule]) -> tuple[SlotModule, list[SlotMap], l
 # radical / top / socle and covers / envelopes
 
 
-def radical_span(M: SlotModule) -> dict[Slot, LinSpan]:
-    """Span of the images of all radical structure maps, per slot."""
-    spans = {s: LinSpan(M.dims[s]) for s in M.slot_keys}
+def top_lifts(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
+    """Standard-basis lifts of a basis of M / rad M, slot by slot: the
+    greedy complement of the span of all radical images."""
+    images: dict[Slot, list[tuple[Fraction, ...]]] = {s: [] for s in M.slot_keys}
     st = M.struct()
     for lab in M.radical_labels():  # type: ignore[attr-defined]
         _, b = M.label_ends(lab)
-        mat = st[lab]
-        for j in range(mat.cols):
-            spans[b].add([mat[i, j] for i in range(mat.rows)])
-    return spans
-
-
-def top_lifts(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
-    """Standard-basis lifts of a basis of M / rad M, slot by slot."""
+        images[b].extend(zip(*st[lab].data))  # the columns
     out: list[tuple[Slot, list[Fraction]]] = []
-    spans = radical_span(M)
     for s in M.slot_keys:
-        for i in _complement_columns(spans[s].rows, M.dims[s]):
+        for i in _reverse_echelon(images[s], M.dims[s])[0]:
             v = [Fraction(0)] * M.dims[s]
             v[i] = Fraction(1)
             out.append((s, v))
@@ -460,7 +476,8 @@ def projective_cover_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
     """
     lifts = top_lifts(M)
     if not lifts:
-        assert M.is_zero(), "nonzero module with zero top"
+        if not M.is_zero():
+            raise RuntimeError("nonzero module with zero top")
         Z = M.zero_like()
         dec = SumDecomposition(Z, [], [], [], [])
         return dec, SlotMap.zero(Z, M)
@@ -475,7 +492,8 @@ def projective_cover_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
         for s in M.slot_keys
     }
     cover = SlotMap(P, M, blocks)
-    assert cover.is_surjective(), "cover failed to be surjective"
+    if not cover.is_surjective():
+        raise RuntimeError("cover failed to be surjective")
     dec = SumDecomposition(P, [p for _, p, _ in comps], [s for s, _, _ in comps],
                            incls, projs)
     return dec, cover
@@ -551,7 +569,8 @@ def injective_envelope_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
     """
     soc = socle_vectors(M)
     if not soc:
-        assert M.is_zero(), "nonzero module with zero socle"
+        if not M.is_zero():
+            raise RuntimeError("nonzero module with zero socle")
         Z = M.zero_like()
         dec = SumDecomposition(Z, [], [], [], [])
         return dec, SlotMap.zero(M, Z)
@@ -576,7 +595,8 @@ def injective_envelope_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
         for s in M.slot_keys
     }
     emb = SlotMap(M, E, blocks)
-    assert emb.is_injective(), "envelope failed to be injective"
+    if not emb.is_injective():
+        raise RuntimeError("envelope failed to be injective")
     dec = SumDecomposition(E, [e for _, e, _ in comps], [s for s, _, _ in comps],
                            incls, projs)
     return dec, emb
@@ -600,6 +620,36 @@ def cosyzygy(M: SlotModule) -> tuple[SlotModule, SlotModule, SlotMap]:
 
 def _map_vec_length(M: SlotModule, N: SlotModule) -> int:
     return sum(N.dims[s] * M.dims[s] for s in M.slot_keys)
+
+
+def _block_nonzeros(f: SlotMap) -> list[list[list[tuple[int, Rat]]]]:
+    """Per slot (in slot order), per block row: its nonzero (column, entry)s,
+    integral entries as ``int`` (``as_int_if_integral``, inlined)."""
+    return [[[(t, b.numerator if b.denominator == 1 else b) for t, b in enumerate(row) if b]
+             for row in f.blocks[s].data]
+            for s in f.src.slot_keys]
+
+
+def _composite_row(
+    g_nonzeros: list[list[list[tuple[int, Rat]]]],
+    h_nonzeros: list[list[list[tuple[int, Rat]]]],
+    widths: Sequence[int],
+) -> dict[int, Rat]:
+    """``(g @ h).vec()`` as a sparse row, slot by slot from the
+    ``_block_nonzeros`` of g and h; ``widths`` are the slot dimensions
+    of h's source.  Sums that cancel stay as explicit zeros, which
+    ``SparseEchelon`` drops."""
+    out: dict[int, Rat] = {}
+    get = out.get
+    base = 0
+    for g_rows, h_rows, c in zip(g_nonzeros, h_nonzeros, widths):
+        for g_row in g_rows:
+            for k, a in g_row:
+                for t, b in h_rows[k]:
+                    t += base
+                    out[t] = get(t, 0) + a * b
+            base += c
+    return out
 
 
 def minimal_left_approximation(
@@ -631,19 +681,23 @@ def minimal_left_approximation(
             for i in range(r):
                 if i != j:
                     pool_homs[(j, i)] = hom_basis(pool[j], pool[i])
+    widths = [x.dims[s] for s in x.slot_keys]
+    nonzeros = [[_block_nonzeros(h) for h in homs] for homs in hom_x]
     comps: list[tuple[int, SlotMap]] = []
     for i in range(r):
         if not hom_x[i]:
             continue
-        span = LinSpan(_map_vec_length(x, pool[i]))
+        # the radical composites x -> pool_j -> pool_i, as sparse rows
+        span = SparseEchelon(_map_vec_length(x, pool[i]))
         for j in range(r):
             if j == i or not hom_x[j]:
                 continue
             for g in pool_homs[(j, i)]:
-                for h in hom_x[j]:
-                    span.add((g @ h).vec())
+                g_nonzeros = _block_nonzeros(g)
+                for h in nonzeros[j]:
+                    span.add(_composite_row(g_nonzeros, h, widths))
         for h in hom_x[i]:
-            if span.add(h.vec()):
+            if span.add(sparse_row(h.vec())):
                 comps.append((i, h))
     return comps
 
@@ -678,11 +732,10 @@ def approximation_map(
     if not comps:
         z = x.zero_like()
         return z, SlotMap.zero(x, z)
-    E, incls, _ = direct_sum([pool[i] for i, _ in comps])
-    f = SlotMap.zero(x, E)
-    for (_, h), inc in zip(comps, incls):
-        f = f + (inc @ h)
-    return E, f
+    # the sum of inclusion . component: the component blocks, stacked
+    E = _sum_module([pool[i] for i, _ in comps])
+    blocks = {s: RatMatrix.vstack([h.blocks[s] for _, h in comps]) for s in x.slot_keys}
+    return E, SlotMap(x, E, blocks)
 
 
 class NoExchangeSequence(ValueError):

@@ -225,10 +225,8 @@ def reflect(r: Rep, v: int) -> Rep:
         blocks = [r.arrow_maps[a.aid] for a in outs]
         big = (RatMatrix.vstack(blocks) if blocks
                else RatMatrix.zeros(0, r.dims[v]))
-        img = big.image_basis()
-        comp, inv = homsolve.complete_basis(img, big.rows)
+        comp, proj = homsolve.cokernel_projection(big)
         new_dims[v] = len(comp)
-        proj = RatMatrix(inv.data[len(img):], cols=big.rows)
         off = 0
         for a in outs:
             d = r.dims[a.target]

@@ -214,6 +214,33 @@ def test_engine_exceptions_exit_2(capsys, monkeypatch, exc):
     assert err.startswith("engine error:")
 
 
+def test_homsolve_fault_is_an_engine_error(capsys, monkeypatch):
+    # a cover that finds no top for a nonzero module: RuntimeError, exit 2
+    monkeypatch.setattr(cli.dup.homsolve, "top_lifts", lambda M: [])
+    code, out, err = run(capsys, "dup-kquiver", "--diagram", "A2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("engine error: nonzero module with zero top")
+
+
+def test_closed_stdout_keeps_exit_code_and_json(tmp_path):
+    # the reader goes away before the first line (as `| head` can): the
+    # run still passes, without a traceback, and its JSON report is written
+    report = tmp_path / "report.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tiltquiver.cli", "dup-kquiver", "--diagram", "A3",
+         "--json", str(report)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0, err
+    assert "Traceback" not in err
+    assert json.loads(report.read_text())["status"] == "pass"
+
+
 # ---------------------------------------------------------------------------
 # usage and input errors
 

@@ -340,3 +340,79 @@ def test_hom_dim_matches_hom_basis(pool):
     for _, m in mods:
         for _, n in mods:
             assert homsolve.hom_dim(m, n) == len(homsolve.hom_basis(m, n))
+
+
+# ------------------------------------------- results built without checks
+# zeros, identity, arithmetic, transpose, stacking, rref and inverse wrap
+# their rows without the public constructor's conversion and width
+# check; each result must be what that constructor would have built.
+
+
+def validated(m):
+    """``m`` rebuilt through the public, checking constructor."""
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert len({id(row) for row in m.data}) == m.rows  # no shared rows
+    return RatMatrix(m.data, cols=m.cols)
+
+
+def test_empty_shapes_keep_their_width():
+    for r, c in [(0, 0), (0, 3), (3, 0)]:
+        m = RatMatrix.zeros(r, c)
+        assert m.shape == (r, c) and m == validated(m)
+        t = m.transpose()
+        assert t.shape == (c, r) and t == validated(t)
+        assert t.data == [[] for _ in range(c)]
+    assert RatMatrix.vstack([RatMatrix.zeros(0, 2), RatMatrix.zeros(0, 2)]).shape == (0, 2)
+    assert RatMatrix.vstack([RatMatrix.zeros(2, 0), RatMatrix.zeros(1, 0)]).shape == (3, 0)
+    assert RatMatrix.hstack([RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 0)]).shape == (2, 0)
+    assert RatMatrix.hstack([RatMatrix.zeros(0, 2), RatMatrix.zeros(0, 1)]).shape == (0, 3)
+    assert (RatMatrix.zeros(2, 0) @ RatMatrix.zeros(0, 3)) == RatMatrix.zeros(2, 3)
+    assert RatMatrix.block_diagonal([RatMatrix.zeros(0, 2), RatMatrix.zeros(1, 0)]).shape == (1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices(), shaped_matrices(), st.fractions(-3, 3, max_denominator=4))
+def test_internal_results_equal_validated_construction(m, n, c):
+    r, k = m.shape
+    same = RatMatrix([[x + 1 for x in row] for row in m.data], cols=k)
+    # n cut or padded to k rows, so that m @ rhs is defined
+    rhs = RatMatrix(n.data[:k] + [[F(1)] * n.cols] * max(0, k - n.rows), cols=n.cols)
+    results = {
+        "zeros": RatMatrix.zeros(r, k),
+        "identity": RatMatrix.identity(k),
+        "copy": m.copy(),
+        "add": m + same,
+        "sub": m - same,
+        "neg": -m,
+        "scale": m.scale(c),
+        "transpose": m.transpose(),
+        "rref": m.rref()[0],
+        "vstack": RatMatrix.vstack([m, same, RatMatrix.zeros(0, k)]),
+        "hstack": RatMatrix.hstack([m, same, RatMatrix.zeros(r, 0)]),
+        "block_diagonal": RatMatrix.block_diagonal([m, n]),
+        "columns": m.columns(list(range(k))[::-1]),
+        "matmul": m @ rhs,
+    }
+    for name, got in results.items():
+        assert got == validated(got), name
+    # and each holds the entries its definition gives
+    assert results["transpose"].data == [[m.data[i][j] for i in range(r)] for j in range(k)]
+    assert results["add"].data == [[2 * x + 1 for x in row] for row in m.data]
+    assert results["sub"].data == [[F(-1)] * k for _ in range(r)]
+    assert results["neg"].data == [[-x for x in row] for row in m.data]
+    assert results["scale"].data == [[c * x for x in row] for row in m.data]
+    assert results["vstack"].data == m.data + same.data
+    assert results["hstack"].data == [a + b for a, b in zip(m.data, same.data)]
+    assert results["columns"].data == [row[::-1] for row in m.data]
+    bd = results["block_diagonal"]
+    assert bd.shape == (r + n.rows, k + n.cols)
+    assert [row[:k] for row in bd.data[:r]] == m.data
+    assert [row[k:] for row in bd.data[r:]] == n.data
+    assert all(x == 0 for row in bd.data[:r] for x in row[k:])
+    assert all(x == 0 for row in bd.data[r:] for x in row[:k])
+    assert results["matmul"].data == [[sum((row[t] * rhs.data[t][j] for t in range(k)), F(0))
+                           for j in range(rhs.cols)] for row in m.data]
+    if r == k and m.rank() == k:
+        inv = m.inverse()
+        assert inv == validated(inv)
+        assert m @ inv == RatMatrix.identity(k)
