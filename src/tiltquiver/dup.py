@@ -114,7 +114,7 @@ class TripleModule(homsolve.SlotModule):
                  top: dict[str, RatMatrix], bot: dict[str, RatMatrix],
                  conn: dict[ConnKey, RatMatrix]):
         self.quiver = quiver
-        lay = _layout(quiver)
+        self._lay = lay = _layout(quiver)
         self.slot_keys = lay.slot_keys
         self.dims = {s: dims.get(s, 0) for s in lay.slot_keys}
         self.top = top
@@ -140,18 +140,18 @@ class TripleModule(homsolve.SlotModule):
 
     def struct(self) -> dict:
         out: dict = {}
-        for lab in _layout(self.quiver).labels:
+        for lab in self._lay.labels:
             out[lab] = self._mat(lab)
         return out
 
     def label_ends(self, label: tuple) -> tuple[Slot, Slot]:
-        return _layout(self.quiver).ends[label]
+        return self._lay.ends[label]
 
     def solver_labels(self) -> tuple[tuple, ...]:
-        return _layout(self.quiver).solver
+        return self._lay.solver
 
     def radical_labels(self) -> tuple[tuple, ...]:
-        return _layout(self.quiver).labels
+        return self._lay.labels
 
     def _rebuild(self, dims, struct) -> "TripleModule":
         top = {a.aid: struct[("t", a.aid)] for a in self.quiver.arrows}
@@ -803,37 +803,18 @@ def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a
     return [tilt_a.make_tilting(c, ids, mods) for c in tilt_a.cliques(ctx.table, ctx.n)]
 
 
-def _certify_iso(m: TripleModule, n: TripleModule) -> bool:
-    """Isomorphism test for an indecomposable ``m`` against a brick ``n``
-    (End(n) = k, as for every pool member): they are isomorphic iff some
-    composite f . g with g: n -> m and f: m -> n is nonzero.
-
-    For a brick target a nonzero endomorphism of n is invertible, which
-    makes m -> n a split epi, hence an iso as m is indecomposable.  For
-    targets with larger endomorphism rings a nonzero composite can be
-    nilpotent, and the test proves nothing.
-    """
-    if m.dims_key() != n.dims_key():
-        return False
-    fwd = homsolve.hom_basis(m, n)
-    bwd = homsolve.hom_basis(n, m)
-    for f in fwd:
-        for g in bwd:
-            if not (f @ g).is_zero():
-                return True
-    return False
-
-
 def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     """Exchange graph of the tilting modules over the duplicated algebra.
 
     An arc runs from the set containing x to the set containing y when
     exchanging x for y in their common almost complete part, oriented by
-    Ext^1(y, x) != 0 (solver-checked); each arc also carries a
-    reconstructed exchange sequence 0 -> x -> E -> y -> 0 with E in the
-    closure of the common part plus bar projectives, and the cokernel is
-    matched against y by an explicit isomorphism test.  Parts without
-    exactly two completions are listed in ``defects``.
+    Ext^1(y, x) != 0 (solver-checked); each arc also carries an
+    exchange sequence 0 -> x -> E -> y -> 0 with E in the additive
+    closure of the common part plus bar projectives, certified by
+    ``homsolve.certify_exchange`` from cached Hom bases: the
+    approximation x -> E is injective, dim E = dim x + dim y, and the
+    maps E -> y killing x form a line spanned by a surjection.  Parts
+    without exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
     ids = ctx.pool_ids()
@@ -842,14 +823,15 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
 
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
         members = list(rest) + bar_indices
-        e, cok = homsolve.exchange_sequence(
-            objs[x][1], [objs[k][1] for k in members],
+        e_dims = homsolve.certify_exchange(
+            objs[x][1], [objs[k][1] for k in members], objs[y][1],
             hom_x=[ctx.hom_idx(x, k) for k in members],
-            pool_homs=homsolve.member_homs(members, ctx.hom_idx))
-        if not _certify_iso(cok, objs[y][1]):
+            pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]),
+            hom_y=[ctx.hom_idx(k, y) for k in members])
+        if e_dims is None:
             raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
                                f"complement {ids[y]}")
-        return e.dims_key()
+        return e_dims
 
     arcs, defects = tilt_a.exchange_arcs(ids, ctx.table, ctx.ext1_idx, certify,
                                          [t.indices for t in tilts],
@@ -1075,13 +1057,13 @@ def deep_check_coresolution(ctx: DupContext,
     for t in tiltings:
         members = list(t.indices) + bar_indices
         pool_mods = [objs[k][1] for k in members]
-        pool_homs = homsolve.member_homs(members, ctx.hom_idx)
         for p_idx in bar_indices + ctx.embedded_projective_indices():
             checked += 1
             hom_x = [ctx.hom_idx(p_idx, k) for k in members]
             try:
                 _, y = homsolve.exchange_sequence(
-                    objs[p_idx][1], pool_mods, hom_x=hom_x, pool_homs=pool_homs)
+                    objs[p_idx][1], pool_mods, hom_x=hom_x,
+                    pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]))
             except ValueError as exc:
                 violations.append(f"{t.label()} / {objs[p_idx][0]}: {exc}")
                 continue

@@ -388,7 +388,8 @@ def endo_algebra(ctx: dup.DupContext,
         range(ctx.pool_size(), ctx.pool_size() + ctx.n))
     objs = ctx.objects()
     mods = [objs[k][1] for k in members]
-    homs = homsolve.member_homs(members, ctx.hom_idx)
+    homs = {(a, b): ctx.hom_idx(i, j)
+            for a, i in enumerate(members) for b, j in enumerate(members)}
     return structure_algebra(mods, homs=homs), members
 
 

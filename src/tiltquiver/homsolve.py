@@ -26,7 +26,7 @@ structure maps plus the hooks; no linear algebra happens outside
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .exactlin import (
     Rat,
@@ -103,12 +103,13 @@ class SlotModule:
 class SlotMap:
     """Morphism of slot modules: one matrix per slot (dst_dim x src_dim)."""
 
-    __slots__ = ("src", "dst", "blocks")
+    __slots__ = ("src", "dst", "blocks", "_nonzeros")
 
     def __init__(self, src: SlotModule, dst: SlotModule, blocks: dict[Slot, RatMatrix]):
         self.src = src
         self.dst = dst
         self.blocks = blocks
+        self._nonzeros = None  # memo of _block_nonzeros
         for s in src.slot_keys:
             b = blocks[s]
             if b.shape != (dst.dims[s], src.dims[s]):
@@ -624,10 +625,16 @@ def _map_vec_length(M: SlotModule, N: SlotModule) -> int:
 
 def _block_nonzeros(f: SlotMap) -> list[list[list[tuple[int, Rat]]]]:
     """Per slot (in slot order), per block row: its nonzero (column, entry)s,
-    integral entries as ``int`` (``as_int_if_integral``, inlined)."""
-    return [[[(t, b.numerator if b.denominator == 1 else b) for t, b in enumerate(row) if b]
+    integral entries as ``int`` (``as_int_if_integral``, inlined).
+    Computed once per map, as cached Hom bases are read by many arcs;
+    the lists are shared, so callers only read them."""
+    got = f._nonzeros
+    if got is None:
+        got = f._nonzeros = [
+            [[(t, b.numerator if b.denominator == 1 else b) for t, b in enumerate(row) if b]
              for row in f.blocks[s].data]
             for s in f.src.slot_keys]
+    return got
 
 
 def _composite_row(
@@ -656,7 +663,7 @@ def minimal_left_approximation(
     x: SlotModule,
     pool: Sequence[SlotModule],
     hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_homs: dict[tuple[int, int], list[SlotMap]] | None = None,
+    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
 ) -> list[tuple[int, SlotMap]]:
     """Components of the minimal left approximation of x into add(pool).
 
@@ -669,18 +676,16 @@ def minimal_left_approximation(
 
     which pins the multiplicities of the minimal approximation; the
     selected components together form one.  Optional caches: ``hom_x``
-    = precomputed Hom(x, pool_i), ``pool_homs[(j, i)]`` =
-    Hom(pool_j, pool_i).
+    = precomputed Hom(x, pool_i), ``pool_hom(j, i)`` = Hom(pool_j,
+    pool_i), asked for only when Hom(x, pool_i) and Hom(x, pool_j) are
+    both nonzero.
     """
     r = len(pool)
     if hom_x is None:
         hom_x = [hom_basis(x, P) for P in pool]
-    if pool_homs is None:
-        pool_homs = {}
-        for j in range(r):
-            for i in range(r):
-                if i != j:
-                    pool_homs[(j, i)] = hom_basis(pool[j], pool[i])
+    if pool_hom is None:
+        def pool_hom(j: int, i: int) -> list[SlotMap]:
+            return hom_basis(pool[j], pool[i])
     widths = [x.dims[s] for s in x.slot_keys]
     nonzeros = [[_block_nonzeros(h) for h in homs] for homs in hom_x]
     comps: list[tuple[int, SlotMap]] = []
@@ -692,7 +697,7 @@ def minimal_left_approximation(
         for j in range(r):
             if j == i or not hom_x[j]:
                 continue
-            for g in pool_homs[(j, i)]:
+            for g in pool_hom(j, i):
                 g_nonzeros = _block_nonzeros(g)
                 for h in nonzeros[j]:
                     span.add(_composite_row(g_nonzeros, h, widths))
@@ -719,12 +724,6 @@ def is_left_approximation(
     return True
 
 
-def member_homs(members: Sequence[int], hom) -> dict[tuple[int, int], list[SlotMap]]:
-    """``pool_homs`` for ``exchange_sequence`` from a cached ``hom(i, j)``:
-    ``(a, b) -> hom(members[a], members[b])``."""
-    return {(a, b): hom(i, j) for a, i in enumerate(members) for b, j in enumerate(members)}
-
-
 def approximation_map(
     x: SlotModule, pool: Sequence[SlotModule], comps: Sequence[tuple[int, SlotMap]]
 ) -> tuple[SlotModule, SlotMap]:
@@ -742,11 +741,33 @@ class NoExchangeSequence(ValueError):
     """The minimal left approximation is zero or fails to be injective."""
 
 
+def _approximation(
+    x: SlotModule,
+    pool: Sequence[SlotModule],
+    hom_x: Sequence[list[SlotMap]] | None,
+    pool_hom: Callable[[int, int], list[SlotMap]] | None,
+) -> list[tuple[int, SlotMap]]:
+    """The components of a nonzero, injective minimal left approximation
+    of x into add(pool); raises ``NoExchangeSequence`` otherwise."""
+    comps = minimal_left_approximation(x, pool, hom_x=hom_x, pool_hom=pool_hom)
+    if not comps:
+        raise NoExchangeSequence("empty approximation: x admits no map into the pool")
+    # injective iff the stacked component blocks have full column rank
+    for t, s in enumerate(x.slot_keys):
+        echelon = SparseEchelon(x.dims[s])
+        for _, h in comps:
+            for row in _block_nonzeros(h)[t]:
+                echelon.add(dict(row))
+        if echelon.rank != x.dims[s]:
+            raise NoExchangeSequence("approximation map is not injective")
+    return comps
+
+
 def exchange_sequence(
     x: SlotModule,
     pool: Sequence[SlotModule],
     hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_homs: dict[tuple[int, int], list[SlotMap]] | None = None,
+    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
 ) -> tuple[SlotModule, SlotModule]:
     """Short exact sequence 0 -> x -> E -> y -> 0 from the minimal left
     approximation of x into add(pool).
@@ -755,11 +776,76 @@ def exchange_sequence(
     is zero or fails to be injective, which in the tilting-exchange
     situations this package certifies cannot happen.
     """
-    comps = minimal_left_approximation(x, pool, hom_x=hom_x, pool_homs=pool_homs)
-    if not comps:
-        raise NoExchangeSequence("empty approximation: x admits no map into the pool")
-    E, f = approximation_map(x, pool, comps)
-    if not f.is_injective():
-        raise NoExchangeSequence("approximation map is not injective")
+    E, f = approximation_map(x, pool, _approximation(x, pool, hom_x, pool_hom))
     y, _ = cokernel(f)
     return E, y
+
+
+def certify_exchange(
+    x: SlotModule,
+    pool: Sequence[SlotModule],
+    y: SlotModule,
+    hom_x: Sequence[list[SlotMap]] | None = None,
+    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
+    hom_y: Sequence[list[SlotMap]] | None = None,
+) -> tuple[int, ...] | None:
+    """Certify 0 -> x -> E -> y -> 0 for a given brick y (End y = k),
+    building neither E nor the cokernel of the approximation f: x -> E.
+
+    f is the minimal left approximation of x into add(pool), as in
+    ``exchange_sequence``, and ``hom_y[i]`` is a basis of Hom(pool_i,
+    y).  The certificate:
+
+    1. f is nonzero and injective at every slot (else
+       ``NoExchangeSequence``);
+    2. dim E = dim x + dim y at every slot;
+    3. the maps g: E -> y with g . f = 0, that is Hom(coker f, y), form
+       a line: the combinations of the (basis map) . (projection onto a
+       component) solve one sparse linear system;
+    4. its generator g is onto at every slot.
+
+    Then im f lies in ker g, whose dimension is dim E - dim y = dim im f
+    at every slot, so the sequence is exact and coker f is isomorphic to
+    y.  Returns the slot dimensions of E (in ``dims_key`` order), or
+    None when y is not the cokernel of f.
+    """
+    comps = _approximation(x, pool, hom_x, pool_hom)
+    slots = x.slot_keys
+    e_dims = tuple(sum(pool[i].dims[s] for i, _ in comps) for s in slots)
+    if e_dims != tuple(x.dims[s] + y.dims[s] for s in slots):
+        return None
+    if hom_y is None:
+        hom_y = [hom_basis(P, y) for P in pool]
+    # unknowns: one coefficient per (component k, basis map of Hom(pool_i, y));
+    # equations: one per entry of g . f, the composites' rows transposed
+    terms = [(k, g) for k, (i, _) in enumerate(comps) for g in hom_y[i]]
+    widths = [x.dims[s] for s in slots]
+    h_nonzeros = [_block_nonzeros(h) for _, h in comps]
+    equations: dict[int, dict[int, Rat]] = {}
+    for col, (k, g) in enumerate(terms):
+        for entry, v in _composite_row(_block_nonzeros(g), h_nonzeros[k], widths).items():
+            if v:
+                equations.setdefault(entry, {})[col] = v
+    echelon, pivots = rref_rows(equations.values(), len(terms))
+    solutions = kernel_from_rref(echelon, pivots, len(terms))
+    if len(solutions) != 1:
+        return None
+    # g's block at slot s is the row of its components sum c . g: onto
+    # iff its sparse rows, component k shifted by offs[k], have rank dim y_s
+    coeffs = [(c, k, _block_nonzeros(g)) for (k, g), c in zip(terms, solutions[0]) if c]
+    for t, s in enumerate(slots):
+        offs = [0]
+        for i, _ in comps:
+            offs.append(offs[-1] + pool[i].dims[s])
+        rows: list[dict[int, Rat]] = [{} for _ in range(y.dims[s])]
+        for c, k, g_nonzeros in coeffs:
+            for row, g_row in zip(rows, g_nonzeros[t]):
+                for col, v in g_row:
+                    col += offs[k]
+                    row[col] = row.get(col, 0) + c * v
+        echelon = SparseEchelon(offs[-1])
+        for row in rows:
+            echelon.add(row)
+        if echelon.rank != y.dims[s]:
+            return None
+    return e_dims

@@ -17,7 +17,7 @@ sequences.  All heavy lifting delegates to :mod:`homsolve`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import homsolve
 from .exactlin import RatMatrix
@@ -368,7 +368,7 @@ def exchange_sequence(
     x: Rep,
     m_pool: Sequence[Rep],
     hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_homs: dict[tuple[int, int], list[SlotMap]] | None = None,
+    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
 ) -> tuple[Rep, Rep] | None:
     """0 -> x -> e -> y -> 0 against the pool, or None when there is none.
 
@@ -378,7 +378,7 @@ def exchange_sequence(
     ``homsolve.exchange_sequence``.
     """
     try:
-        e, y = homsolve.exchange_sequence(x, m_pool, hom_x=hom_x, pool_homs=pool_homs)
+        e, y = homsolve.exchange_sequence(x, m_pool, hom_x=hom_x, pool_hom=pool_hom)
     except homsolve.NoExchangeSequence:
         return None
     if y.is_zero():

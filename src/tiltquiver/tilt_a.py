@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from . import homsolve
 from .homsolve import SlotMap, SlotModule
 from .quiver_core import Quiver, named_diagram, orientations
 from .rep_a import (
@@ -369,7 +368,7 @@ def _graph(pool: Pool, size: int) -> TiltingGraph:
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
         got = exchange_sequence(pool.reps[x], [pool.reps[r] for r in rest],
                                 hom_x=[pool.hom(x, r) for r in rest],
-                                pool_homs=homsolve.member_homs(rest, pool.hom))
+                                pool_hom=lambda a, b: pool.hom(rest[a], rest[b]))
         if got is None:
             raise RuntimeError(f"certified arc at {pool.ids[x]} lost its exchange sequence")
         e_rep, y_rep = got

@@ -191,16 +191,40 @@ WRONG_COKERNEL = (
 )
 
 
+# every duplicated arc is offered its own source x as the complement
+WRONG_COMPLEMENT = (
+    "import sys\n"
+    "from tiltquiver import cli, homsolve\n"
+    "certify = homsolve.certify_exchange\n"
+    "homsolve.certify_exchange = lambda x, pool, y, hom_x=None, pool_hom=None, hom_y=None: \\\n"
+    "    certify(x, pool, x, hom_x, pool_hom)\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+
+def _run_script(flags, script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_arc_certificate_is_an_engine_error(flags):
     # the certificate must hold under -O too, where assert statements vanish
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", WRONG_COKERNEL],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _run_script(flags, WRONG_COKERNEL)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "engine error:" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_dup_arc_certificate_is_an_engine_error(flags):
+    proc = _run_script(flags, WRONG_COMPLEMENT)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error:" in proc.stderr
+    assert "is not the expected complement" in proc.stderr
 
 
 @pytest.mark.parametrize("exc", [AssertionError, ArithmeticError, KeyError])

@@ -7,9 +7,14 @@ it replaced: a greedy standard-basis complement, the inverse of the
 completed basis and identity sections for the cokernel; a sum of
 inclusion composites for the approximation map; ``(g @ h).vec()`` for
 the composites.  Inputs are every map the exchange graphs of duplicated
-A3 and D4 (and classical D4) hand to these helpers, plus generated ones.
+A3 and D4 (and classical D4) hand to these helpers, plus generated ones;
+a duplicated arc's exchange map x -> E is rebuilt from the arguments of
+its certificate, ``certify_exchange``, which builds neither E nor the
+cokernel.  That certificate is held to ``exchange_sequence`` and to a
+two-Hom isomorphism test, and must reject wrong complements.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -91,19 +96,35 @@ def assert_cokernel_matches(f):
 # every map the exchange graphs hand over
 
 
-def _recorded(monkeypatch, attr, build):
-    """Run ``build()`` while recording the arguments of ``homsolve.<attr>``."""
-    seen = []
-    original = getattr(homsolve, attr)
+def _recorded(build, *attrs):
+    """Run ``build()`` while recording the calls of ``homsolve.<attr>``
+    for each of ``attrs``: attr -> one {parameter: argument} per call."""
+    seen = {attr: [] for attr in attrs}
 
-    def record(*args):
-        seen.append(args)
-        return original(*args)
+    def recorder(fn, log):
+        signature = inspect.signature(fn)
 
-    monkeypatch.setattr(homsolve, attr, record)
-    build()
-    monkeypatch.setattr(homsolve, attr, original)
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            log.append(bound.arguments)
+            return fn(*args, **kwargs)
+
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for attr in attrs:
+            mp.setattr(homsolve, attr, recorder(getattr(homsolve, attr), seen[attr]))
+        build()
     return seen
+
+
+def _exchange_maps(certificates):
+    """(x, pool, comps) of each recorded ``certify_exchange`` call, its
+    approximation components rebuilt from its own arguments."""
+    return [(c["x"], c["pool"],
+             homsolve.minimal_left_approximation(c["x"], c["pool"], c["hom_x"], c["pool_hom"]))
+            for c in certificates]
 
 
 def _dup_graph(name):
@@ -111,22 +132,28 @@ def _dup_graph(name):
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
-def test_cokernel_matches_dense_reference_on_dup_maps(monkeypatch, name):
-    # the pool's shifted modules (inverse translates) and every arc's
-    # exchange map x -> E go through cokernel; all of them are injective,
-    # so the generated maps below cover the non-injective case
-    calls = _recorded(monkeypatch, "cokernel", _dup_graph(name))
+def test_cokernel_matches_dense_reference_on_dup_maps(name):
+    # the pool's shifted modules (inverse translates) go through cokernel,
+    # and every arc's exchange map x -> E is rebuilt from its certificate;
+    # all of them are injective, so the generated maps below cover the
+    # non-injective case
+    seen = _recorded(_dup_graph(name), "cokernel", "certify_exchange")
+    calls = [c["f"] for c in seen["cokernel"]]
+    calls += [homsolve.approximation_map(x, pool, comps)[1]
+              for x, pool, comps in _exchange_maps(seen["certify_exchange"])]
     graph = _dup_graph(name)()
     assert len(calls) > len(graph.arcs)
-    for (f,) in calls:
+    for f in calls:
         assert_cokernel_matches(f)
 
 
 @pytest.mark.parametrize("build", [_dup_graph("A3"), _dup_graph("D4"),
                                    lambda: tilt_a.tilting_quiver(named_diagram("D4"))],
                          ids=["dup-A3", "dup-D4", "classical-D4"])
-def test_approximation_map_is_the_sum_of_inclusion_composites(monkeypatch, build):
-    calls = _recorded(monkeypatch, "approximation_map", build)
+def test_approximation_map_is_the_sum_of_inclusion_composites(build):
+    seen = _recorded(build, "approximation_map", "certify_exchange")
+    calls = [(c["x"], c["pool"], c["comps"]) for c in seen["approximation_map"]]
+    calls += _exchange_maps(seen["certify_exchange"])
     assert calls
     for x, pool, comps in calls:
         E, f = homsolve.approximation_map(x, pool, comps)
@@ -154,6 +181,117 @@ def test_sparse_composites_match_dense_products():
                     assert [row.get(k, 0) for k in range(length)] == list((g @ h).vec())
                     checked += 1
     assert checked > 20
+
+
+# ---------------------------------------------------------------------------
+# the arc certificate
+
+
+def reference_is_iso(m, n):
+    """Two-Hom isomorphism test for an indecomposable m and a brick n:
+    isomorphic iff f . g != 0 for some g: n -> m and f: m -> n (a
+    nonzero endomorphism of a brick is invertible, so f splits)."""
+    if m.dims_key() != n.dims_key():
+        return False
+    return any(not (f @ g).is_zero()
+               for f in homsolve.hom_basis(m, n) for g in homsolve.hom_basis(n, m))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_certificate_agrees_with_exchange_sequence(name):
+    certificates = _recorded(_dup_graph(name), "certify_exchange")["certify_exchange"]
+    graph = _dup_graph(name)()
+    assert len(certificates) == len(graph.arcs)
+    middles = []
+    for c in certificates:
+        E, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
+        assert homsolve.certify_exchange(**c) == E.dims_key()
+        assert reference_is_iso(cok, c["y"])
+        middles.append(E.dims_key())
+    assert sorted(middles) == sorted(a.e_dims for a in graph.arcs)
+
+
+def test_certificate_accepts_exactly_the_isomorphic_complements():
+    # every pool member (each a brick) offered as the complement of every
+    # duplicated A3 arc: the certificate and the two-Hom test agree
+    members = [m for _, m in dup.build_context(named_diagram("A3")).pool()]
+    certificates = _recorded(_dup_graph("A3"), "certify_exchange")["certify_exchange"]
+    accepted = 0
+    for c in certificates:
+        _, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
+        for z in members:
+            got = homsolve.certify_exchange(c["x"], c["pool"], z, c["hom_x"], c["pool_hom"])
+            assert (got is not None) == reference_is_iso(cok, z)
+            accepted += got is not None
+    assert accepted == len(certificates)
+
+
+def _offer_complement(monkeypatch, make):
+    """Make every duplicated arc certificate test ``make(x, y)`` in place
+    of its complement y, with Hom bases of its own."""
+    original = homsolve.certify_exchange
+
+    def offered(x, pool, y, hom_x=None, pool_hom=None, hom_y=None):
+        return original(x, pool, make(x, y), hom_x, pool_hom)
+
+    monkeypatch.setattr(homsolve, "certify_exchange", offered)
+
+
+def _zero_structure(m):
+    """A module with m's dimensions and every structure map zero."""
+    return m._rebuild(m.dims, {lab: RatMatrix.zeros(*mat.shape)
+                               for lab, mat in m.struct().items()})
+
+
+def _other_dims(x, y):
+    for _, z in dup.build_context(x.quiver).pool():
+        if z.dims_key() != y.dims_key():
+            return z
+    raise AssertionError("no pool member of other dimensions")
+
+
+@pytest.mark.parametrize("make", [
+    _other_dims,
+    # a simple y has zero structure maps already; the others must fail
+    lambda x, y: _zero_structure(y) if y.total_dim > 1 else y,
+], ids=["wrong-dimensions", "zero-structure-maps"])
+def test_certificate_rejects_a_wrong_complement(monkeypatch, make):
+    _offer_complement(monkeypatch, make)
+    with pytest.raises(RuntimeError, match="is not the expected complement"):
+        _dup_graph("A3")()
+
+
+def test_certificate_rejects_a_non_injective_approximation(monkeypatch):
+    original = homsolve.minimal_left_approximation
+
+    def zeroed(*args, **kwargs):
+        return [(i, h.scale(0)) for i, h in original(*args, **kwargs)]
+
+    monkeypatch.setattr(homsolve, "minimal_left_approximation", zeroed)
+    with pytest.raises(homsolve.NoExchangeSequence, match="not injective"):
+        _dup_graph("A2")()
+
+
+def test_certificate_needs_a_brick_complement():
+    # 0 -> S_1 -> P_0 -> S_0 -> 0 certifies; twice that sequence has the
+    # cokernel S_0 + S_0, whose maps from E killing x form no line
+    A2 = named_diagram("A2")
+    s0, s1, p0 = rep_a.simple(A2, 0), rep_a.simple(A2, 1), rep_a.projective(A2, 0)
+    assert homsolve.certify_exchange(s1, [p0], s0) == (1, 1)
+    x = homsolve.direct_sum([s1, s1])[0]
+    y = homsolve.direct_sum([s0, s0])[0]
+    assert homsolve.exchange_sequence(x, [p0])[1].dims == y.dims
+    assert homsolve.certify_exchange(x, [p0], y) is None
+
+
+def test_certificate_needs_a_nonzero_injective_approximation():
+    A2 = named_diagram("A2")
+    p0, s0, s1 = rep_a.projective(A2, 0), rep_a.simple(A2, 0), rep_a.simple(A2, 1)
+    # P_0 -> S_0 is onto, not injective; S_0 maps to nothing in {S_1}
+    with pytest.raises(homsolve.NoExchangeSequence, match="not injective"):
+        homsolve.certify_exchange(p0, [s0], s1)
+    with pytest.raises(homsolve.NoExchangeSequence, match="empty approximation"):
+        homsolve.certify_exchange(s0, [s1], s1)
 
 
 # ---------------------------------------------------------------------------
