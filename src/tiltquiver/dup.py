@@ -179,18 +179,21 @@ class TripleModule(homsolve.SlotModule):
         return sum(self.dims[("b", v)] for v in self.quiver.vertices)
 
     def validate(self) -> None:
-        """Assert the shuffle relations between the path matrices."""
+        """Check the shuffle relations between the path matrices; raises
+        ``RuntimeError`` at the first one that fails."""
         q = self.quiver
         for (u, v), paths in q.all_paths().items():
             for p in paths:
                 for arr in q.out_arrows(v):
                     longer = self.conn[(u, p + (arr.aid,))]
-                    assert longer @ self.top[arr.aid] == self.conn[(u, p)], \
-                        f"last-arrow relation fails at {(u, p)} + {arr.aid}"
+                    if longer @ self.top[arr.aid] != self.conn[(u, p)]:
+                        raise RuntimeError(
+                            f"last-arrow relation fails at {(u, p)} + {arr.aid}")
                 for arr in q.in_arrows(u):
                     longer = self.conn[(arr.source, (arr.aid,) + p)]
-                    assert self.bot[arr.aid] @ longer == self.conn[(u, p)], \
-                        f"first-arrow relation fails at {arr.aid} + {(u, p)}"
+                    if self.bot[arr.aid] @ longer != self.conn[(u, p)]:
+                        raise RuntimeError(
+                            f"first-arrow relation fails at {arr.aid} + {(u, p)}")
 
     def __repr__(self) -> str:
         t = tuple(self.dims[("t", v)] for v in self.quiver.vertices)
@@ -449,7 +452,8 @@ class _NakayamaCache:
             cols.append(vec)
         mat = RatMatrix(cols, cols=len(want)).transpose()
         sol = mat.solve(want)
-        assert sol is not None, "top layer does not lift to a bar morphism"
+        if sol is None:
+            raise RuntimeError("top layer does not lift to a bar morphism")
         out = _zero_triple_map(self.bar[a], self.bar[b])
         for c, h in zip(sol, basis):
             if c:
@@ -489,7 +493,8 @@ def _nu_inverse_component(nk: _NakayamaCache, tag_src: Slot, tag_dst: Slot,
                        for v in q.vertices})
         return SlotMap(src, dst, blocks)
     if ls == "t" and ld == "b":
-        assert h.is_zero(), "no nonzero maps exist from a top injective to a bar module"
+        if not h.is_zero():
+            raise RuntimeError("no nonzero maps exist from a top injective to a bar module")
         return _zero_triple_map(nk.bar[a], nk.embedded_proj[b])
     # top I_a -> top I_b  becomes  bar_a -> bar_b
     u = _top_blocks(h, q)
@@ -513,7 +518,9 @@ def _nu_forward_component(nk: _NakayamaCache, tag_src: Slot, tag_dst: Slot,
                        for v in q.vertices})
         return SlotMap(src, dst, blocks)
     if ls == "t" and ld == "b":
-        assert h.is_zero(), "no nonzero maps exist from a bar module to an embedded projective"
+        if not h.is_zero():
+            raise RuntimeError(
+                "no nonzero maps exist from a bar module to an embedded projective")
         return _zero_triple_map(nk.top_inj[a], nk.embedded_proj[b])
     f = _top_blocks(h, q)
     u = _nu_a_forward(q, a, b, f)
@@ -593,10 +600,12 @@ def shifted_module(q: Quiver, i: int) -> TripleModule:
     module), one-dimensional endomorphism ring, projective dimension 1.
     """
     w = tau_inverse_dup(embed(q, rep_a.injective(q, i)))
-    assert w.top_dim() > 0, "shifted module degenerated into the embedded layer"
-    assert homsolve.end_dim(w) == 1, "shifted module failed to be indecomposable"
-    assert homsolve.projective_dimension(w, cap=2) == 1, \
-        "shifted module has unexpected projective dimension"
+    if w.top_dim() == 0:
+        raise RuntimeError("shifted module degenerated into the embedded layer")
+    if homsolve.end_dim(w) != 1:
+        raise RuntimeError("shifted module failed to be indecomposable")
+    if homsolve.projective_dimension(w, cap=2) != 1:
+        raise RuntimeError("shifted module has unexpected projective dimension")
     return w
 
 
@@ -636,6 +645,9 @@ class DupContext:
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
         self._syz: dict[int, tuple[TripleModule, dict[Slot, int]]] = {}
         self._ext: dict[tuple[int, int], int] = {}
+        self._radical: dict[tuple[int, int, int], tuple] = {}
+        self._composites: dict[tuple[int, int, int], tuple] = {}
+        self._shared: dict[tuple, tuple] = {}  # one copy of each coordinate value
         self._rules_checked = False
 
     # -- canonical families ------------------------------------------------
@@ -715,6 +727,30 @@ class DupContext:
             self._hom[(i, j)] = got
         return got
 
+    def radical_idx(self, x: int, j: int, i: int) -> tuple:
+        """``homsolve.radical_coordinates`` of the composites x -> j -> i,
+        in the cached basis ``hom_idx(x, i)`` (cached)."""
+        key = (x, j, i)
+        got = self._radical.get(key)
+        if got is None:
+            got = homsolve.radical_coordinates(
+                self.objects()[x][1], self.hom_idx(x, j), self.hom_idx(j, i),
+                self.hom_idx(x, i))
+            got = self._radical[key] = self._shared.setdefault(got, got)
+        return got
+
+    def composite_idx(self, x: int, i: int, y: int) -> tuple:
+        """``homsolve.composite_coordinates`` of the composites
+        x -> i -> y over the cached bases, in ``hom_idx(x, y)`` (cached)."""
+        key = (x, i, y)
+        got = self._composites.get(key)
+        if got is None:
+            got = homsolve.composite_coordinates(
+                self.objects()[x][1], self.hom_idx(x, i), self.hom_idx(i, y),
+                self.hom_idx(x, y))
+            got = self._composites[key] = self._shared.setdefault(got, got)
+        return got
+
     def _syzygy_data(self, i: int) -> tuple[TripleModule, dict[Slot, int]]:
         got = self._syz.get(i)
         if got is None:
@@ -736,7 +772,7 @@ class DupContext:
         K, mults = self._syzygy_data(i)
         N = self.objects()[j][1]
         cover_hom = sum(mult * N.dims[s] for s, mult in mults.items())
-        val = (len(homsolve.hom_basis(K, N)) - cover_hom
+        val = (homsolve.hom_dim(K, N) - cover_hom
                + len(self.hom_idx(i, j)))
         if val < 0:
             raise RuntimeError(f"negative Ext^1 between objects {i} and {j}")
@@ -813,8 +849,10 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     closure of the common part plus bar projectives, certified by
     ``homsolve.certify_exchange`` from cached Hom bases: the
     approximation x -> E is injective, dim E = dim x + dim y, and the
-    maps E -> y killing x form a line spanned by a surjection.  Parts
-    without exactly two completions are listed in ``defects``.
+    maps E -> y killing x form a line spanned by a surjection.  The
+    composites both steps need depend only on object indices and are
+    read from ``radical_idx`` and ``composite_idx``.  Parts without
+    exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
     ids = ctx.pool_ids()
@@ -827,7 +865,9 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
             objs[x][1], [objs[k][1] for k in members], objs[y][1],
             hom_x=[ctx.hom_idx(x, k) for k in members],
             pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]),
-            hom_y=[ctx.hom_idx(k, y) for k in members])
+            hom_y=[ctx.hom_idx(k, y) for k in members],
+            radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]),
+            composites=lambda a: ctx.composite_idx(x, members[a], y))
         if e_dims is None:
             raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
                                f"complement {ids[y]}")

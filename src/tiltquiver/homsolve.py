@@ -26,7 +26,7 @@ structure maps plus the hooks; no linear algebra happens outside
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import (
     Rat,
@@ -650,6 +650,8 @@ def _composite_row(
     get = out.get
     base = 0
     for g_rows, h_rows, c in zip(g_nonzeros, h_nonzeros, widths):
+        if not c:
+            continue
         for g_row in g_rows:
             for k, a in g_row:
                 for t, b in h_rows[k]:
@@ -659,11 +661,86 @@ def _composite_row(
     return out
 
 
+def basis_coordinates(
+    basis: Sequence[SlotMap], vecs: Iterable[Mapping[int, Rat]]
+) -> list[tuple[Rat, ...]]:
+    """Coordinates in ``basis`` of maps given as sparse ``vec()`` rows.
+
+    ``basis`` is meant to be a ``hom_basis`` result, the canonical
+    kernel basis of ``kernel_from_rref``: each basis map has entry 1 at
+    its last nonzero entry, its own free column, where every other basis
+    map is zero, so a map's coordinates are its entries there.  Raises
+    ``RuntimeError`` unless the free columns are distinct (so the basis
+    is independent) and every residual vec - sum c_k . b_k is zero (so
+    the coordinates are exact).
+    """
+    rows = [{k: as_int_if_integral(v) for k, v in enumerate(b.vec()) if v} for b in basis]
+    if not all(rows):
+        raise RuntimeError("a Hom basis map is zero")
+    free = [max(row) for row in rows]
+    if len(set(free)) != len(free):
+        raise RuntimeError("Hom basis maps share their last nonzero entry")
+    out = []
+    for vec in vecs:
+        coords = tuple(as_int_if_integral(vec.get(f, 0)) for f in free)
+        residual = dict(vec)
+        for c, row in zip(coords, rows):
+            if c:
+                for col, v in row.items():
+                    residual[col] = residual.get(col, 0) - c * v
+        if any(residual.values()):
+            raise RuntimeError("a map does not lie in the span of its cached Hom basis")
+        out.append(coords)
+    return out
+
+
+def radical_coordinates(
+    x: SlotModule,
+    hom_xj: Sequence[SlotMap],
+    hom_ji: Sequence[SlotMap],
+    hom_xi: Sequence[SlotMap],
+) -> tuple[tuple[Rat, ...], ...]:
+    """The span of the composites x -> P_j -> P_i (g . h, h in ``hom_xj``,
+    g in ``hom_ji``) in coordinates of the basis ``hom_xi`` of
+    Hom(x, P_i): its reduced echelon rows, each of length
+    ``len(hom_xi)``."""
+    if not (hom_xj and hom_ji):
+        return ()
+    widths = [x.dims[s] for s in x.slot_keys]
+    composites = [_composite_row(_block_nonzeros(g), _block_nonzeros(h), widths)
+                  for g in hom_ji for h in hom_xj]
+    d = len(hom_xi)
+    span = SparseEchelon(d)
+    for coords in basis_coordinates(hom_xi, composites):
+        span.add(dict(enumerate(coords)))
+    rows, _ = span.result()
+    return tuple(tuple(as_int_if_integral(row.get(k, 0)) for k in range(d)) for row in rows)
+
+
+def composite_coordinates(
+    x: SlotModule,
+    hom_xi: Sequence[SlotMap],
+    hom_iy: Sequence[SlotMap],
+    hom_xy: Sequence[SlotMap],
+) -> tuple[tuple[tuple[Rat, ...], ...], ...]:
+    """Coordinates of g_l . h_k in the basis ``hom_xy`` of Hom(x, y),
+    for h_k in ``hom_xi`` and g_l in ``hom_iy``: entry [k][l]."""
+    widths = [x.dims[s] for s in x.slot_keys]
+    out = []
+    for h in hom_xi:
+        h_nonzeros = _block_nonzeros(h)
+        out.append(tuple(basis_coordinates(
+            hom_xy, [_composite_row(_block_nonzeros(g), h_nonzeros, widths) for g in hom_iy])))
+    return tuple(out)
+
+
 def minimal_left_approximation(
     x: SlotModule,
     pool: Sequence[SlotModule],
     hom_x: Sequence[list[SlotMap]] | None = None,
     pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
+    *,
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
 ) -> list[tuple[int, SlotMap]]:
     """Components of the minimal left approximation of x into add(pool).
 
@@ -675,35 +752,44 @@ def minimal_left_approximation(
         Hom(x, pool_i) / sum_{j != i} Hom(pool_j, pool_i) . Hom(x, pool_j)
 
     which pins the multiplicities of the minimal approximation; the
-    selected components together form one.  Optional caches: ``hom_x``
+    selected components together form one.  The radical span is taken
+    in coordinates of the basis of Hom(x, pool_i), so each basis map
+    joins iff its unit vector enlarges it.  Optional caches: ``hom_x``
     = precomputed Hom(x, pool_i), ``pool_hom(j, i)`` = Hom(pool_j,
-    pool_i), asked for only when Hom(x, pool_i) and Hom(x, pool_j) are
+    pool_i), ``radical(j, i)`` = ``radical_coordinates`` of the pair;
+    each is asked for only when Hom(x, pool_i) and Hom(x, pool_j) are
     both nonzero.
     """
     r = len(pool)
     if hom_x is None:
         hom_x = [hom_basis(x, P) for P in pool]
-    if pool_hom is None:
-        def pool_hom(j: int, i: int) -> list[SlotMap]:
-            return hom_basis(pool[j], pool[i])
-    widths = [x.dims[s] for s in x.slot_keys]
-    nonzeros = [[_block_nonzeros(h) for h in homs] for homs in hom_x]
+    if radical is None:
+        if pool_hom is None:
+            def pool_hom(j: int, i: int) -> list[SlotMap]:
+                return hom_basis(pool[j], pool[i])
+
+        def radical(j: int, i: int) -> tuple[tuple[Rat, ...], ...]:
+            return radical_coordinates(x, hom_x[j], pool_hom(j, i), hom_x[i])
     comps: list[tuple[int, SlotMap]] = []
     for i in range(r):
-        if not hom_x[i]:
+        d = len(hom_x[i])
+        if not d:
             continue
-        # the radical composites x -> pool_j -> pool_i, as sparse rows
-        span = SparseEchelon(_map_vec_length(x, pool[i]))
+        span = SparseEchelon(d)
         for j in range(r):
             if j == i or not hom_x[j]:
                 continue
-            for g in pool_hom(j, i):
-                g_nonzeros = _block_nonzeros(g)
-                for h in nonzeros[j]:
-                    span.add(_composite_row(g_nonzeros, h, widths))
-        for h in hom_x[i]:
-            if span.add(sparse_row(h.vec())):
-                comps.append((i, h))
+            rows = radical(j, i)
+            if len(rows) == d:  # d independent rows: all of Hom(x, pool_i)
+                break
+            for row in rows:
+                span.add(dict(enumerate(row)))
+            if span.rank == d:
+                break
+        else:
+            for k, h in enumerate(hom_x[i]):
+                if span.add({k: 1}):
+                    comps.append((i, h))
     return comps
 
 
@@ -746,14 +832,18 @@ def _approximation(
     pool: Sequence[SlotModule],
     hom_x: Sequence[list[SlotMap]] | None,
     pool_hom: Callable[[int, int], list[SlotMap]] | None,
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
 ) -> list[tuple[int, SlotMap]]:
     """The components of a nonzero, injective minimal left approximation
     of x into add(pool); raises ``NoExchangeSequence`` otherwise."""
-    comps = minimal_left_approximation(x, pool, hom_x=hom_x, pool_hom=pool_hom)
+    comps = minimal_left_approximation(x, pool, hom_x=hom_x, pool_hom=pool_hom,
+                                       radical=radical)
     if not comps:
         raise NoExchangeSequence("empty approximation: x admits no map into the pool")
     # injective iff the stacked component blocks have full column rank
     for t, s in enumerate(x.slot_keys):
+        if not x.dims[s]:
+            continue
         echelon = SparseEchelon(x.dims[s])
         for _, h in comps:
             for row in _block_nonzeros(h)[t]:
@@ -781,6 +871,47 @@ def exchange_sequence(
     return E, y
 
 
+def exchange_line(
+    x: SlotModule,
+    y: SlotModule,
+    comps: Sequence[tuple[int, SlotMap]],
+    hom_x: Sequence[list[SlotMap]],
+    hom_y: Sequence[list[SlotMap]],
+    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]] | None = None,
+) -> tuple[list[tuple[int, SlotMap]], list[list[Fraction]]]:
+    """The maps g: E -> y with g . f = 0, f: x -> E the approximation
+    with components ``comps`` (each a basis map of ``hom_x[i]``).
+
+    g is a combination of the terms (basis map of Hom(pool_i, y)) .
+    (projection onto component k); returns the terms (k, basis map) and
+    the canonical kernel basis of the coefficients.  The equations are
+    the coordinates of g . f in a basis of Hom(x, y), one row per basis
+    map, read from ``composites(i)`` = ``composite_coordinates`` of
+    Hom(x, pool_i), Hom(pool_i, y) and Hom(x, y) (computed here when not
+    given).  As that coordinate map is injective, the system has the
+    row space, hence the kernel basis, of g . f = 0 taken entrywise.
+    """
+    if composites is None:
+        hom_xy = hom_basis(x, y)
+
+        def composites(i: int) -> tuple[tuple[tuple[Rat, ...], ...], ...]:
+            return composite_coordinates(x, hom_x[i], hom_y[i], hom_xy)
+    terms: list[tuple[int, SlotMap]] = []
+    equations: dict[int, dict[int, Rat]] = {}
+    for k, (i, h) in enumerate(comps):
+        position = next((p for p, b in enumerate(hom_x[i]) if b is h), None)
+        if position is None:
+            raise RuntimeError("an approximation component is not a cached Hom basis map")
+        for g, coords in zip(hom_y[i], composites(i)[position]):
+            col = len(terms)
+            terms.append((k, g))
+            for entry, v in enumerate(coords):
+                if v:
+                    equations.setdefault(entry, {})[col] = v
+    echelon, pivots = rref_rows(equations.values(), len(terms))
+    return terms, kernel_from_rref(echelon, pivots, len(terms))
+
+
 def certify_exchange(
     x: SlotModule,
     pool: Sequence[SlotModule],
@@ -788,6 +919,9 @@ def certify_exchange(
     hom_x: Sequence[list[SlotMap]] | None = None,
     pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
     hom_y: Sequence[list[SlotMap]] | None = None,
+    *,
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
+    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]] | None = None,
 ) -> tuple[int, ...] | None:
     """Certify 0 -> x -> E -> y -> 0 for a given brick y (End y = k),
     building neither E nor the cokernel of the approximation f: x -> E.
@@ -800,40 +934,38 @@ def certify_exchange(
        ``NoExchangeSequence``);
     2. dim E = dim x + dim y at every slot;
     3. the maps g: E -> y with g . f = 0, that is Hom(coker f, y), form
-       a line: the combinations of the (basis map) . (projection onto a
-       component) solve one sparse linear system;
+       a line (``exchange_line``: one linear system in coordinates of a
+       basis of Hom(x, y));
     4. its generator g is onto at every slot.
 
     Then im f lies in ker g, whose dimension is dim E - dim y = dim im f
     at every slot, so the sequence is exact and coker f is isomorphic to
     y.  Returns the slot dimensions of E (in ``dims_key`` order), or
-    None when y is not the cokernel of f.
+    None when y is not the cokernel of f.  The optional caches
+    ``radical`` (of ``minimal_left_approximation``) and ``composites``
+    (of ``exchange_line``) hold coordinates that depend only on the
+    modules, so a caller certifying many arcs over one pool computes
+    them once per (x, pool_j, pool_i) and (x, pool_i, y).
     """
-    comps = _approximation(x, pool, hom_x, pool_hom)
+    if hom_x is None:
+        hom_x = [hom_basis(x, P) for P in pool]
+    comps = _approximation(x, pool, hom_x, pool_hom, radical)
     slots = x.slot_keys
     e_dims = tuple(sum(pool[i].dims[s] for i, _ in comps) for s in slots)
     if e_dims != tuple(x.dims[s] + y.dims[s] for s in slots):
         return None
     if hom_y is None:
         hom_y = [hom_basis(P, y) for P in pool]
-    # unknowns: one coefficient per (component k, basis map of Hom(pool_i, y));
-    # equations: one per entry of g . f, the composites' rows transposed
-    terms = [(k, g) for k, (i, _) in enumerate(comps) for g in hom_y[i]]
-    widths = [x.dims[s] for s in slots]
-    h_nonzeros = [_block_nonzeros(h) for _, h in comps]
-    equations: dict[int, dict[int, Rat]] = {}
-    for col, (k, g) in enumerate(terms):
-        for entry, v in _composite_row(_block_nonzeros(g), h_nonzeros[k], widths).items():
-            if v:
-                equations.setdefault(entry, {})[col] = v
-    echelon, pivots = rref_rows(equations.values(), len(terms))
-    solutions = kernel_from_rref(echelon, pivots, len(terms))
+    terms, solutions = exchange_line(x, y, comps, hom_x, hom_y, composites)
     if len(solutions) != 1:
         return None
     # g's block at slot s is the row of its components sum c . g: onto
     # iff its sparse rows, component k shifted by offs[k], have rank dim y_s
-    coeffs = [(c, k, _block_nonzeros(g)) for (k, g), c in zip(terms, solutions[0]) if c]
+    coeffs = [(as_int_if_integral(c), k, _block_nonzeros(g))
+              for (k, g), c in zip(terms, solutions[0]) if c]
     for t, s in enumerate(slots):
+        if not y.dims[s]:
+            continue
         offs = [0]
         for i, _ in comps:
             offs.append(offs[-1] + pool[i].dims[s])

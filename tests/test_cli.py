@@ -196,7 +196,8 @@ WRONG_COMPLEMENT = (
     "import sys\n"
     "from tiltquiver import cli, homsolve\n"
     "certify = homsolve.certify_exchange\n"
-    "homsolve.certify_exchange = lambda x, pool, y, hom_x=None, pool_hom=None, hom_y=None: \\\n"
+    "homsolve.certify_exchange = lambda x, pool, y, hom_x=None, pool_hom=None, hom_y=None, \\\n"
+    "    **caches: \\\n"
     "    certify(x, pool, x, hom_x, pool_hom)\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )

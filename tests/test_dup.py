@@ -1,5 +1,11 @@
 """Tests for the duplicated-algebra triples and their tilting theory."""
 
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
 
 from tiltquiver import dup, homsolve, rep_a
@@ -228,6 +234,32 @@ def test_graph_regularity_and_connectivity():
         assert not g.defects
 
 
+def _catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.parametrize("name, vertices", [
+    # A_n: the Catalan number C_{n+1}
+    ("A5", _catalan(6)),
+    # D_n: (3n - 2)/n . C(2n - 2, n - 1)
+    ("D5", (3 * 5 - 2) * comb(2 * 5 - 2, 5 - 1) // 5),
+    # E6: the cluster-complex count, no closed form in n
+    ("E6", 833),
+])
+def test_graph_sizes_match_closed_forms(name, vertices):
+    # the cluster-complex counts of the Dynkin types; every vertex has n
+    # neighbours, so an n-regular graph has n . V / 2 arcs
+    assert vertices == {"A5": 132, "D5": 182, "E6": 833}[name]
+    ctx = dup.build_context(named_diagram(name))
+    g = dup.tilting_quiver_dup(ctx)
+    n = ctx.n
+    assert len(g.tiltings) == vertices
+    assert len(g.arcs) == n * vertices // 2
+    assert all(g.out_degree(i) + g.in_degree(i) == n for i in range(vertices))
+    assert g.is_connected()
+    assert not g.defects
+
+
 def test_graph_works_on_a_file_style_quiver():
     q = parse_quiver("vertices 1 2 3\narrow a 2 1\narrow b 2 3\n")
     ctx = dup.build_context(q)
@@ -271,3 +303,29 @@ def test_deep_check_a2():
     rep = dup.deep_check_coresolution(dup.build_context(A2))
     assert rep["status"] == "pass"
     assert rep["stats"]["sequences_checked"] == 20
+
+
+# ---------------------------------------------------------------------------
+# engine checks: exit 2 under python and python -O
+
+# every shifted module is built as the sum of two copies of itself, so its
+# endomorphism ring is no longer one-dimensional
+DECOMPOSABLE_SHIFT = (
+    "import sys\n"
+    "from tiltquiver import cli, dup, homsolve\n"
+    "tau = dup.tau_inverse_dup\n"
+    "dup.tau_inverse_dup = lambda m: homsolve.direct_sum([tau(m), tau(m)])[0]\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_decomposable_shifted_module_is_an_engine_error(flags):
+    src = Path(dup.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", DECOMPOSABLE_SHIFT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error: shifted module failed to be indecomposable" in proc.stderr

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltquiver import dup, homsolve, rep_a, tilt_a
-from tiltquiver.exactlin import RatMatrix
+from tiltquiver.exactlin import RatMatrix, sparse_row
 from tiltquiver.homsolve import LinSpan, SlotMap
 from tiltquiver.quiver_core import named_diagram
 
@@ -228,10 +228,11 @@ def test_certificate_accepts_exactly_the_isomorphic_complements():
 
 def _offer_complement(monkeypatch, make):
     """Make every duplicated arc certificate test ``make(x, y)`` in place
-    of its complement y, with Hom bases of its own."""
+    of its complement y, with Hom bases of its own (the arc's coordinate
+    caches, which belong to y, are dropped too)."""
     original = homsolve.certify_exchange
 
-    def offered(x, pool, y, hom_x=None, pool_hom=None, hom_y=None):
+    def offered(x, pool, y, hom_x=None, pool_hom=None, hom_y=None, **caches):
         return original(x, pool, make(x, y), hom_x, pool_hom)
 
     monkeypatch.setattr(homsolve, "certify_exchange", offered)
@@ -292,6 +293,155 @@ def test_certificate_needs_a_nonzero_injective_approximation():
         homsolve.certify_exchange(p0, [s0], s1)
     with pytest.raises(homsolve.NoExchangeSequence, match="empty approximation"):
         homsolve.certify_exchange(s0, [s1], s1)
+
+
+# ---------------------------------------------------------------------------
+# index-level certificates: coordinates in cached Hom bases
+
+
+def reference_components(x, pool, hom_x, pool_hom):
+    """Minimal left approximation with the radical span taken entrywise,
+    in Hom(x, pool_i) itself rather than in coordinates of its basis."""
+    comps = []
+    for i, P in enumerate(pool):
+        if not hom_x[i]:
+            continue
+        span = LinSpan(homsolve._map_vec_length(x, P))
+        for j in range(len(pool)):
+            if j != i and hom_x[j]:
+                for g in pool_hom(j, i):
+                    for h in hom_x[j]:
+                        span.add((g @ h).vec())
+        for h in hom_x[i]:
+            if span.add(h.vec()):
+                comps.append((i, h))
+    return comps
+
+
+def reference_line(comps, hom_y):
+    """Kernel basis of g . f = 0 taken entrywise: one equation per entry
+    of the composites, one unknown per (component, basis map) term."""
+    terms = [(k, g) for k, (i, _) in enumerate(comps) for g in hom_y[i]]
+    columns = [(g @ comps[k][1]).vec() for k, g in terms]
+    return RatMatrix([list(row) for row in zip(*columns)], cols=len(terms)).kernel_basis()
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
+def test_index_level_certificate_matches_the_uncached_one(name):
+    # every arc: the components chosen from the cached radical coordinates
+    # and the step-3 line from the cached composite coordinates equal the
+    # uncached ones and the entrywise references
+    certificates = _recorded(_dup_graph(name), "certify_exchange")["certify_exchange"]
+    assert len(certificates) == {"A3": 21, "D4": 100, "D5": 455}[name]
+    for c in certificates:
+        x, pool, y, hom_x, pool_hom, hom_y = (
+            c["x"], c["pool"], c["y"], c["hom_x"], c["pool_hom"], c["hom_y"])
+        comps = homsolve.minimal_left_approximation(x, pool, hom_x, pool_hom,
+                                                    radical=c["radical"])
+        assert comps == homsolve.minimal_left_approximation(x, pool, hom_x, pool_hom)
+        if name != "D5":
+            assert comps == reference_components(x, pool, hom_x, pool_hom)
+        terms, line = homsolve.exchange_line(x, y, comps, hom_x, hom_y, c["composites"])
+        assert (terms, line) == homsolve.exchange_line(x, y, comps, hom_x, hom_y)
+        assert line == reference_line(comps, hom_y)
+        assert len(line) == 1
+
+
+def _row(h):
+    return sparse_row(h.vec())
+
+
+def _spurious(h):
+    """2h with 1 added to its first entry: for a map with two or more
+    nonzero entries, no longer a multiple of h."""
+    s = next(s for s in h.src.slot_keys if h.blocks[s].rows and h.blocks[s].cols)
+    data = [[2 * v for v in row] for row in h.blocks[s].data]
+    data[0][0] += 1
+    blocks = {t: (RatMatrix(data, cols=b.cols) if t == s else b.scale(2))
+              for t, b in h.blocks.items()}
+    return SlotMap(h.src, h.dst, blocks)
+
+
+def test_basis_coordinates_read_the_free_columns():
+    ctx = dup.build_context(named_diagram("D4"))
+    r = len(ctx.objects())
+    basis = next(b for b in (ctx.hom_idx(x, i) for x in range(r) for i in range(r))
+                 if len(b) >= 2)
+    combo = _row(basis[0].scale(2) + basis[1].scale(F(-1, 3)))
+    assert homsolve.basis_coordinates(basis, [combo]) == [(2, F(-1, 3)) + (0,) * (len(basis) - 2)]
+    units = homsolve.basis_coordinates(basis, [_row(h) for h in basis])
+    assert units == [tuple(int(k == l) for l in range(len(basis))) for k in range(len(basis))]
+    # a scaled basis has entry 2 at its free columns: the entries read
+    # there leave a nonzero residual
+    doubled = [h.scale(2) for h in basis]
+    with pytest.raises(RuntimeError, match="span of its cached Hom basis"):
+        homsolve.basis_coordinates(doubled, [combo])
+
+
+def test_composite_coordinates_rebuild_the_composites():
+    # every (x, i, y) of duplicated A3: sum_m c_m . b_m over the basis of
+    # Hom(x, y) is g_l . h_k entry for entry
+    ctx = dup.build_context(named_diagram("A3"))
+    objs = [m for _, m in ctx.objects()]
+    r = len(objs)
+    checked = 0
+    for x in range(r):
+        for i in range(r):
+            for y in range(r):
+                coords = ctx.composite_idx(x, i, y)
+                basis = ctx.hom_idx(x, y)
+                for h, row in zip(ctx.hom_idx(x, i), coords):
+                    for g, c in zip(ctx.hom_idx(i, y), row):
+                        rebuilt = SlotMap.zero(objs[x], objs[y])
+                        for cm, b in zip(c, basis):
+                            rebuilt = rebuilt + b.scale(cm)
+                        assert rebuilt.vec() == (g @ h).vec()
+                        checked += 1
+    assert checked > 100
+
+
+def test_exchange_line_reads_each_component_position():
+    # single components x -> pool_i at every basis position, on the
+    # duplicated D4 triples whose composites differ between positions
+    ctx = dup.build_context(named_diagram("D4"))
+    objs = [m for _, m in ctx.objects()]
+    r = len(objs)
+    checked = 0
+    for x in range(r):
+        for i in range(r):
+            hom_x = [ctx.hom_idx(x, i)]
+            for y in range(r):
+                if len(set(ctx.composite_idx(x, i, y))) < 2:
+                    continue
+                hom_y = [ctx.hom_idx(i, y)]
+                for h in hom_x[0]:
+                    comps = [(0, h)]
+                    got = homsolve.exchange_line(objs[x], objs[y], comps, hom_x, hom_y,
+                                                 lambda a: ctx.composite_idx(x, i, y))
+                    assert got == homsolve.exchange_line(objs[x], objs[y], comps, hom_x, hom_y)
+                    assert got[1] == reference_line(comps, hom_y)
+                    checked += 1
+    assert checked >= 42
+
+
+def test_corrupted_cached_basis_raises():
+    # a triple x -> j -> i with nonzero composites and Hom(x, i) a line
+    # whose basis map has two or more nonzero entries; that map is
+    # replaced in the cache by a scaled one with a spurious entry
+    ctx = dup.build_context(named_diagram("A3"))
+    r = len(ctx.objects())
+    x, j, i = next((x, j, i) for x in range(r) for j in range(r) for i in range(r)
+                   if len({x, j, i}) == 3 and len(ctx.hom_idx(x, i)) == 1
+                   and len(_row(ctx.hom_idx(x, i)[0])) >= 2 and ctx.radical_idx(x, j, i))
+    good = ctx.hom_idx(x, i)[0]
+    ctx._hom[(x, i)] = [_spurious(good)]
+    ctx._radical.clear()
+    with pytest.raises(RuntimeError, match="span of its cached Hom basis"):
+        ctx.radical_idx(x, j, i)
+    with pytest.raises(RuntimeError, match="span of its cached Hom basis"):
+        homsolve.basis_coordinates([_spurious(good)], [_row(good)])
+    with pytest.raises(RuntimeError, match="share their last nonzero entry"):
+        homsolve.basis_coordinates([good, good.scale(2)], [_row(good)])
 
 
 # ---------------------------------------------------------------------------
