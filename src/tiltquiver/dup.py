@@ -38,7 +38,6 @@ are forced by the two shuffle relations
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,8 +119,10 @@ class TripleModule(homsolve.SlotModule):
         self.top = top
         self.bot = bot
         self.conn = conn
-        for lab in lay.labels:
-            m = self._mat(lab)
+        self._struct = {lab: (top[lab[1]] if lab[0] == "t" else
+                              bot[lab[1]] if lab[0] == "b" else conn[lab[1:]])
+                        for lab in lay.labels}
+        for lab, m in self._struct.items():
             a, b = lay.ends[lab]
             if m.shape != (self.dims[b], self.dims[a]):
                 raise ValueError(
@@ -129,20 +130,10 @@ class TripleModule(homsolve.SlotModule):
                     f"expected {(self.dims[b], self.dims[a])}"
                 )
 
-    def _mat(self, lab: tuple) -> RatMatrix:
-        if lab[0] == "t":
-            return self.top[lab[1]]
-        if lab[0] == "b":
-            return self.bot[lab[1]]
-        return self.conn[(lab[1], lab[2])]
-
     # -- SlotModule interface ------------------------------------------
 
     def struct(self) -> dict:
-        out: dict = {}
-        for lab in self._lay.labels:
-            out[lab] = self._mat(lab)
-        return out
+        return self._struct
 
     def label_ends(self, label: tuple) -> tuple[Slot, Slot]:
         return self._lay.ends[label]
@@ -1032,54 +1023,29 @@ def global_dimension_dup(ctx: DupContext, cap: int = 4) -> int:
 
 def _decompose_in_add(ctx: DupContext, c: TripleModule,
                       member_indices: Sequence[int]) -> list[int] | None:
-    """Multiplicities making c isomorphic to a sum of the given objects.
+    """Multiplicities making c isomorphic to a sum of the given objects,
+    or None when c is not in their additive closure.
 
-    Solves the hom-count equations (the Gram matrix of a tilting module
-    is invertible), then certifies by exhibiting an isomorphism; returns
-    None when no certified decomposition exists.
+    c lies in add T iff its minimal left add(T)-approximation c -> E is
+    an isomorphism (Auslander-Smalo), that is, injective at every slot
+    with dim E = dim c; the multiplicities are its component counts per
+    member.
     """
+    mults = [0] * len(member_indices)
+    if c.is_zero():
+        return mults
     objs = ctx.objects()
-    k = len(member_indices)
-    gram = RatMatrix.zeros(k, k)
-    for a in range(k):
-        for b in range(k):
-            gram[a, b] = Fraction(len(ctx.hom_idx(member_indices[a],
-                                                  member_indices[b])))
-    rhs = [Fraction(len(homsolve.hom_basis(objs[member_indices[a]][1], c)))
-           for a in range(k)]
-    sol = gram.solve(rhs)
-    if sol is None:
+    members = [objs[k][1] for k in member_indices]
+    try:
+        comps = homsolve.injective_approximation(
+            c, members, [homsolve.hom_basis(c, m) for m in members],
+            lambda a, b: ctx.hom_idx(member_indices[a], member_indices[b]))
+    except homsolve.NoExchangeSequence:
         return None
-    mults = []
-    for x in sol:
-        if x.denominator != 1 or x < 0:
-            return None
-        mults.append(int(x))
-    summands: list[TripleModule] = []
-    for m, idx in zip(mults, member_indices):
-        summands.extend([objs[idx][1]] * m)
-    if not summands:
-        return mults if c.is_zero() else None
-    S, _, _ = homsolve.direct_sum(summands)
-    if S.dims_key() != c.dims_key():
-        return None
-    basis = homsolve.hom_basis(S, c)
-    coeff_patterns: list[list[int]] = [
-        [1] * len(basis),
-        [i + 1 for i in range(len(basis))],
-        [(i + 1) ** 2 for i in range(len(basis))],
-        [(i + 1) ** 3 for i in range(len(basis))],
-    ]
-    rng = random.Random(987654321)
-    for _ in range(40):
-        coeff_patterns.append([rng.randrange(1, 1000) for _ in basis])
-    for pattern in coeff_patterns:
-        f = SlotMap.zero(S, c)
-        for cf, h in zip(pattern, basis):
-            f = f + h.scale(Fraction(cf))
-        if f.is_injective() and f.is_surjective():
-            return mults
-    return None
+    for i, _ in comps:
+        mults[i] += 1
+    e_dims = tuple(sum(members[i].dims[s] for i, _ in comps) for s in c.slot_keys)
+    return mults if e_dims == c.dims_key() else None
 
 
 def deep_check_coresolution(ctx: DupContext,

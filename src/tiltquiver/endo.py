@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import dup, homsolve, tilt_a
-from .exactlin import RatMatrix
+from .exactlin import RatMatrix, sparse_row
 from .homsolve import SlotMap, SlotModule
 
 
@@ -91,14 +91,15 @@ class StructureAlgebra:
                     left = self.multiply_sparse(xy, {z: Fraction(1)})
                     right = self.multiply_sparse({x: Fraction(1)},
                                                  self.multiply(y, z))
-                    assert left == right, f"associativity fails on {(x, y, z)}"
+                    if left != right:
+                        raise RuntimeError(f"associativity fails on {(x, y, z)}")
 
     def assert_unit(self) -> None:
         one = {e: Fraction(1) for e in self.idempotents}
         for x in range(self.dimension):
             t = {x: Fraction(1)}
-            assert self.multiply_sparse(one, t) == t
-            assert self.multiply_sparse(t, one) == t
+            if self.multiply_sparse(one, t) != t or self.multiply_sparse(t, one) != t:
+                raise RuntimeError(f"the sum of the idempotents is no unit at {x}")
 
 
 def structure_algebra(
@@ -110,7 +111,10 @@ def structure_algebra(
     Each summand must have a one-dimensional endomorphism ring; its hom
     basis is replaced by the exact identity so the idempotents are
     on-the-nose.  ``homs[(i, j)]`` may supply precomputed bases of
-    Hom(summand_i, summand_j).
+    Hom(summand_i, summand_j); they must be canonical ``hom_basis``
+    output, as products are read off in coordinates by
+    ``homsolve.basis_coordinates`` (which raises ``RuntimeError`` when
+    one escapes its basis).
     """
     r = len(summands)
     if homs is None:
@@ -141,12 +145,6 @@ def structure_algebra(
             for h in basis:
                 pair_basis[(i, j)].append(len(elements))
                 elements.append(AlgebraElement(i, j, h))
-    # coordinate solvers: columns = vectorized basis of each pair block
-    coord: dict[tuple[int, int], RatMatrix] = {}
-    for (i, j), idxs in pair_basis.items():
-        if idxs:
-            cols = [elements[k].hom.vec() for k in idxs]
-            coord[(i, j)] = RatMatrix(cols, cols=len(cols[0])).transpose()
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for x, ex in enumerate(elements):
         for y, ey in enumerate(elements):
@@ -154,16 +152,9 @@ def structure_algebra(
                 continue
             prod = ey.hom @ ex.hom            # x then y
             idxs = pair_basis[(ex.src, ey.dst)]
-            entry: dict[int, Fraction] = {}
-            if idxs:
-                sol = coord[(ex.src, ey.dst)].solve(prod.vec())
-                assert sol is not None, "product escaped the hom basis"
-                for k, c in zip(idxs, sol):
-                    if c:
-                        entry[k] = c
-            else:
-                assert prod.is_zero()
-            table[(x, y)] = entry
+            (coords,) = homsolve.basis_coordinates(
+                [elements[k].hom for k in idxs], [sparse_row(prod.vec())])
+            table[(x, y)] = {k: Fraction(c) for k, c in zip(idxs, coords) if c}
     return StructureAlgebra(summands, elements, idempotents, pair_basis, table)
 
 
@@ -227,7 +218,8 @@ class BMod(homsolve.SlotModule):
                 want = RatMatrix.zeros(self.dims[ex.src], self.dims[ey.dst])
                 for z, c in alg.multiply(x, y).items():
                     want = want + self._act(z).scale(c)
-                assert got == want, f"action disrespects the product {(x, y)}"
+                if got != want:
+                    raise RuntimeError(f"action disrespects the product {(x, y)}")
 
     def _act(self, e: int) -> RatMatrix:
         el = self.algebra.elements[e]
@@ -308,11 +300,6 @@ def b_module(alg: StructureAlgebra, m: SlotModule) -> BMod:
         have = RatMatrix(cols, cols=m.dims[s]).rank() if cols else 0
         if have != m.dims[s]:
             raise ValueError("module is not generated by the summands")
-    coord: dict[int, RatMatrix] = {}
-    for i in range(r):
-        if homs[i]:
-            cols = [h.vec() for h in homs[i]]
-            coord[i] = RatMatrix(cols, cols=len(cols[0])).transpose()
     dims = {i: len(homs[i]) for i in range(r)}
     action: dict[int, RatMatrix] = {}
     idem = set(alg.idempotents)
@@ -320,15 +307,10 @@ def b_module(alg: StructureAlgebra, m: SlotModule) -> BMod:
         if x in idem:
             continue
         mat = RatMatrix.zeros(dims[ex.src], dims[ex.dst])
-        for col, h in enumerate(homs[ex.dst]):
-            comp = h @ ex.hom              # T_src -> m
-            if dims[ex.src]:
-                sol = coord[ex.src].solve(comp.vec())
-                assert sol is not None, "composition escaped the hom basis"
-                for row, c in enumerate(sol):
-                    mat[row, col] = c
-            else:
-                assert comp.is_zero()
+        comps = [sparse_row((h @ ex.hom).vec()) for h in homs[ex.dst]]  # T_src -> m
+        for col, coords in enumerate(homsolve.basis_coordinates(homs[ex.src], comps)):
+            for row, c in enumerate(coords):
+                mat[row, col] = c
         action[x] = mat
     return BMod(alg, dims, action)
 

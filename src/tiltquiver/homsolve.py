@@ -827,7 +827,7 @@ class NoExchangeSequence(ValueError):
     """The minimal left approximation is zero or fails to be injective."""
 
 
-def _approximation(
+def injective_approximation(
     x: SlotModule,
     pool: Sequence[SlotModule],
     hom_x: Sequence[list[SlotMap]] | None,
@@ -866,7 +866,7 @@ def exchange_sequence(
     is zero or fails to be injective, which in the tilting-exchange
     situations this package certifies cannot happen.
     """
-    E, f = approximation_map(x, pool, _approximation(x, pool, hom_x, pool_hom))
+    E, f = approximation_map(x, pool, injective_approximation(x, pool, hom_x, pool_hom))
     y, _ = cokernel(f)
     return E, y
 
@@ -949,7 +949,7 @@ def certify_exchange(
     """
     if hom_x is None:
         hom_x = [hom_basis(x, P) for P in pool]
-    comps = _approximation(x, pool, hom_x, pool_hom, radical)
+    comps = injective_approximation(x, pool, hom_x, pool_hom, radical)
     slots = x.slot_keys
     e_dims = tuple(sum(pool[i].dims[s] for i, _ in comps) for s in slots)
     if e_dims != tuple(x.dims[s] + y.dims[s] for s in slots):

@@ -405,7 +405,8 @@ def classify(q: Quiver) -> DiagramClass:
         return wild
     if len(branch) == 1:
         arms = _arm_lengths(adj, branch[0])
-        assert arms is not None and len(arms) == 3
+        if arms is None or len(arms) != 3:
+            raise RuntimeError("branch vertex of degree 3 without three arms")
         if arms[0] == 1 and arms[1] == 1:
             return DiagramClass("dynkin", f"D{V}", edges)
         table = {

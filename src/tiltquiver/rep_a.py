@@ -245,9 +245,11 @@ def tau_inverse(m: Rep) -> Rep:
     """
     cur = m
     for v in m.quiver.topological_order():
-        assert cur.quiver.is_source(v), "vertex order stopped being admissible"
+        if not cur.quiver.is_source(v):
+            raise RuntimeError("vertex order stopped being admissible")
         cur = reflect(cur, v)
-    assert cur.quiver == m.quiver
+    if cur.quiver != m.quiver:
+        raise RuntimeError("reflections did not return to the original quiver")
     return cur
 
 
@@ -259,9 +261,11 @@ def tau(m: Rep, direction: str = "forward") -> Rep:
         raise ValueError(f"bad direction {direction!r}")
     cur = m
     for v in reversed(m.quiver.topological_order()):
-        assert cur.quiver.is_sink(v), "vertex order stopped being admissible"
+        if not cur.quiver.is_sink(v):
+            raise RuntimeError("vertex order stopped being admissible")
         cur = reflect(cur, v)
-    assert cur.quiver == m.quiver
+    if cur.quiver != m.quiver:
+        raise RuntimeError("reflections did not return to the original quiver")
     return cur
 
 
@@ -296,14 +300,17 @@ def indecomposables(q: Quiver) -> list[tuple[IndecId, Rep]]:
         cur = projective(q, v)
         while not cur.is_zero():
             dv = cur.dim_vector()
-            assert dv not in found, f"dimension vector collision at {dv}"
+            if dv in found:
+                raise RuntimeError(f"dimension vector collision at {dv}")
             found[dv] = cur
             cur = tau_inverse(cur)
-    assert len(found) == expected, (len(found), expected)
+    if len(found) != expected:
+        raise RuntimeError(f"knitted {len(found)} indecomposables, expected {expected}")
     items = sorted(found.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     out = []
     for dv, rep in items:
-        assert homsolve.end_dim(rep) == 1, f"End at {dv} not one-dimensional"
+        if homsolve.end_dim(rep) != 1:
+            raise RuntimeError(f"End at {dv} not one-dimensional")
         out.append((IndecId("dyn", dv), rep))
     return out
 
@@ -323,16 +330,19 @@ def kronecker_window(w: int) -> list[tuple[IndecId, Rep]]:
     while len(pp) < w + 1:
         pp.append(tau_inverse(pp[-2]))
     for k in range(w + 1):
-        assert pp[k].dim_vector() == (k, k + 1)
+        if pp[k].dim_vector() != (k, k + 1):
+            raise RuntimeError(f"preprojective {k} has dimension vector {pp[k].dim_vector()}")
         out.append((IndecId("pp", (k,)), pp[k]))
     pi = [injective(q, 0), injective(q, 1)]  # dims (1,0), (2,1)
     while len(pi) < w + 1:
         pi.append(tau(pi[-2]))
     for k in range(w + 1):
-        assert pi[k].dim_vector() == (k + 1, k)
+        if pi[k].dim_vector() != (k + 1, k):
+            raise RuntimeError(f"preinjective {k} has dimension vector {pi[k].dim_vector()}")
         out.append((IndecId("pi", (k,)), pi[k]))
-    for _, rep in out:
-        assert homsolve.end_dim(rep) == 1
+    for iid, rep in out:
+        if homsolve.end_dim(rep) != 1:
+            raise RuntimeError(f"End of {iid} not one-dimensional")
     return out
 
 

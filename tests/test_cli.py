@@ -1,5 +1,6 @@
 """CLI behaviour: golden outputs, exit codes, byte-stable reports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -226,6 +227,15 @@ def test_failed_dup_arc_certificate_is_an_engine_error(flags):
     assert proc.stdout == ""
     assert "engine error:" in proc.stderr
     assert "is not the expected complement" in proc.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so every engine check raises
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "tiltquiver").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.parametrize("exc", [AssertionError, ArithmeticError, KeyError])

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from tiltquiver import dup, homsolve, rep_a
+from tiltquiver.exactlin import RatMatrix
 from tiltquiver.quiver_core import named_diagram, parse_quiver
 
 A2 = named_diagram("A2")
@@ -303,6 +305,87 @@ def test_deep_check_a2():
     rep = dup.deep_check_coresolution(dup.build_context(A2))
     assert rep["status"] == "pass"
     assert rep["stats"]["sequences_checked"] == 20
+
+
+# ---------------------------------------------------------------------------
+# add T membership: the minimal left approximation is an isomorphism
+
+
+def _a3_members():
+    ctx = dup.build_context(A3)
+    t = dup.enumerate_tilting_dup(ctx)[0]
+    bars = range(ctx.pool_size(), ctx.pool_size() + ctx.n)
+    return ctx, list(t.indices) + list(bars)
+
+
+def test_sum_of_members_decomposes_with_its_multiplicities():
+    ctx, members = _a3_members()
+    objs = ctx.objects()
+    a, b = objs[members[0]][1], objs[members[1]][1]
+    c, _, _ = homsolve.direct_sum([a, a, b])
+    assert dup._decompose_in_add(ctx, c, members) == [2, 1] + [0] * (len(members) - 2)
+
+
+def test_zero_module_has_zero_multiplicities():
+    ctx, members = _a3_members()
+    zero = ctx.objects()[members[0]][1].zero_like()
+    assert dup._decompose_in_add(ctx, zero, members) == [0] * len(members)
+
+
+def test_summand_from_outside_is_not_in_add():
+    ctx, members = _a3_members()
+    objs = ctx.objects()
+    outside = next(k for k in range(ctx.pool_size()) if k not in members)
+    c, _, _ = homsolve.direct_sum([objs[members[0]][1], objs[outside][1]])
+    assert dup._decompose_in_add(ctx, c, members) is None
+
+
+def test_member_dimensions_without_structure_maps_are_not_in_add():
+    ctx, members = _a3_members()
+    objs = ctx.objects()
+    m = next(objs[k][1] for k in members
+             if any(not mat.is_zero() for mat in objs[k][1].struct().values()))
+    flat = m._rebuild(m.dims, {lab: RatMatrix.zeros(*mat.shape)
+                               for lab, mat in m.struct().items()})
+    assert flat.dims_key() == m.dims_key()
+    assert dup._decompose_in_add(ctx, flat, members) is None
+
+
+def _gram_multiplicities(ctx, c, members):
+    """Multiplicities from the hom-count equations: the Gram matrix of
+    dim Hom(T_a, T_b) over the members, against dim Hom(T_a, c)."""
+    objs = ctx.objects()
+    k = len(members)
+    gram = RatMatrix.zeros(k, k)
+    for a in range(k):
+        for b in range(k):
+            gram[a, b] = len(ctx.hom_idx(members[a], members[b]))
+    rhs = [Fraction(homsolve.hom_dim(objs[members[a]][1], c)) for a in range(k)]
+    sol = gram.solve(rhs)
+    assert sol is not None and all(x.denominator == 1 and x >= 0 for x in sol)
+    return [int(x) for x in sol]
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_add_multiplicities_match_the_gram_solve(name):
+    # every (T, P) of the deep check: the cokernel T1 decomposes, and the
+    # approximation's component counts solve the hom-count equations
+    ctx = dup.build_context(named_diagram(name))
+    objs = ctx.objects()
+    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    checked = 0
+    for t in dup.enumerate_tilting_dup(ctx):
+        members = list(t.indices) + bars
+        pool = [objs[k][1] for k in members]
+        for p in bars + ctx.embedded_projective_indices():
+            _, y = homsolve.exchange_sequence(
+                objs[p][1], pool, hom_x=[ctx.hom_idx(p, k) for k in members],
+                pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]))
+            got = dup._decompose_in_add(ctx, y, members)
+            assert got is not None
+            assert got == _gram_multiplicities(ctx, y, members)
+            checked += 1
+    assert checked == len(dup.enumerate_tilting_dup(ctx)) * 2 * ctx.n
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Tests for endomorphism algebras of tilting modules."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from tiltquiver import dup, endo, homsolve, rep_a
+from tiltquiver.exactlin import RatMatrix
 from tiltquiver.quiver_core import named_diagram
 
 A2 = named_diagram("A2")
@@ -115,6 +122,117 @@ def test_hom_functor_respects_composition():
     for pid, m in ctx.objects():
         bm = endo.b_module(alg, m)
         bm.check_action()
+
+
+# ---------------------------------------------------------------------------
+# coordinates: cached Hom bases against a dense solve
+
+
+def _dense_coordinates(basis, f):
+    """Coordinates of f in ``basis`` from a dense solve, None if it escapes."""
+    if not basis:
+        return [] if f.is_zero() else None
+    cols = [h.vec() for h in basis]
+    return RatMatrix(cols, cols=len(cols[0])).transpose().solve(f.vec())
+
+
+def _dense_table(alg):
+    table = {}
+    for x, ex in enumerate(alg.elements):
+        for y, ey in enumerate(alg.elements):
+            if ex.dst != ey.src:
+                continue
+            idxs = alg.pair_basis[(ex.src, ey.dst)]
+            sol = _dense_coordinates([alg.elements[k].hom for k in idxs],
+                                     ey.hom @ ex.hom)
+            table[(x, y)] = {k: c for k, c in zip(idxs, sol) if c}
+    return table
+
+
+def _dense_action(alg, m):
+    homs = [homsolve.hom_basis(t, m) for t in alg.summands]
+    action = {}
+    for x, ex in enumerate(alg.elements):
+        if x in alg.idempotents:
+            continue
+        mat = RatMatrix.zeros(len(homs[ex.src]), len(homs[ex.dst]))
+        for col, h in enumerate(homs[ex.dst]):
+            for row, c in enumerate(_dense_coordinates(homs[ex.src], h @ ex.hom)):
+                mat[row, col] = c
+        action[x] = mat
+    return action
+
+
+def _assert_dense_coordinates(alg, modules):
+    """The table and the action on every generated module match the
+    dense solve; returns how many modules were generated."""
+    assert alg.table == _dense_table(alg)
+    assert all(isinstance(c, Fraction)
+               for entry in alg.table.values() for c in entry.values())
+    generated = 0
+    for m in modules:
+        try:
+            bm = endo.b_module(alg, m)
+        except ValueError:
+            continue                      # not generated by the summands
+        assert bm.action == _dense_action(alg, m)
+        generated += 1
+    return generated
+
+
+def test_coordinates_match_the_dense_solve_a3():
+    # every pool object, and the sum of the summands: Hom from one summand
+    # into that sum has dimension up to 6, so the actions are not 1 x 1
+    ctx = dup.build_context(A3)
+    objs = [m for _, m in ctx.objects()]
+    generated = 0
+    for t in dup.enumerate_tilting_dup(ctx):
+        alg, _ = endo.endo_algebra(ctx, t)
+        regular, _, _ = homsolve.direct_sum(alg.summands)
+        generated += _assert_dense_coordinates(alg, objs + [regular])
+    assert generated > 14
+
+
+def test_coordinates_match_the_dense_solve_kronecker():
+    # Hom(P_1, P_0) of the double arrow is two-dimensional
+    K = named_diagram("K")
+    mods = [rep_a.projective(K, 0), rep_a.projective(K, 1)]
+    alg = endo.structure_algebra(mods)
+    assert sorted(len(b) for b in alg.pair_basis.values()) == [0, 1, 1, 2]
+    regular, _, _ = homsolve.direct_sum(mods)
+    assert _assert_dense_coordinates(alg, mods + [regular]) == 3
+
+
+# the Hom basis of one pair (a, c) of summands is dropped although a
+# composite a -> b -> c is nonzero, so that product escapes its basis
+ESCAPING_PRODUCT = (
+    "import sys\n"
+    "from tiltquiver import cli, endo\n"
+    "structure_algebra = endo.structure_algebra\n"
+    "def leaky(summands, homs=None):\n"
+    "    homs = dict(homs)\n"
+    "    for (a, b), hs in homs.items():\n"
+    "        for (b2, c), gs in homs.items():\n"
+    "            if b2 == b and len({a, b, c}) == 3 and any(\n"
+    "                    not (g @ h).is_zero() for g in gs for h in hs):\n"
+    "                homs[(a, c)] = []\n"
+    "                return structure_algebra(summands, homs)\n"
+    "    return structure_algebra(summands, homs)\n"
+    "endo.structure_algebra = leaky\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A2']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_product_escaping_its_hom_basis_is_an_engine_error(flags):
+    src = Path(endo.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", ESCAPING_PRODUCT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("engine error: a map does not lie in the span")
 
 
 # ---------------------------------------------------------------------------
