@@ -11,16 +11,16 @@ The bottom copy of the module category of ``A`` embeds as the triples
 ``(0, Y, 0)``; the extra objects of interest here are, per vertex ``a``:
 
 * the projective-injective ``(P_a, I_a, mult)`` ("bar" projective),
-* the shifted module obtained by applying the inverse translate to the
-  embedded injective at ``a``.
+* the shifted module ``W_a``, the inverse translate of the embedded
+  injective at ``a``, built as the cosyzygy (cokernel of the injective
+  envelope) of the embedded projective at ``a``.
 
 Everything homological (hom spaces, Ext^1, covers, envelopes, exchange
 sequences) is delegated to :mod:`tiltquiver.homsolve`; this module
-supplies the triple-specific structure, the Nakayama correspondence
-between canonical projectives and injectives needed for the translates,
-and the tilting combinatorics: enumeration of the basic tilting modules
-containing all bar projectives, their exchange graph, and the checkers
-the command line exposes.  Enumeration and the exchange graph run on the
+supplies the triple-specific structure and the tilting combinatorics:
+enumeration of the basic tilting modules containing all bar projectives,
+their exchange graph, and the checkers the command line exposes.
+Enumeration and the exchange graph run on the
 one engine in :mod:`tiltquiver.tilt_a`, fed with this module's pool,
 ``DupContext.ext1_idx`` and an exchange-sequence certifier.
 
@@ -39,7 +39,6 @@ are forced by the two shuffle relations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -165,9 +164,6 @@ class TripleModule(homsolve.SlotModule):
 
     def top_dim(self) -> int:
         return sum(self.dims[("t", v)] for v in self.quiver.vertices)
-
-    def bottom_dim(self) -> int:
-        return sum(self.dims[("b", v)] for v in self.quiver.vertices)
 
     def validate(self) -> None:
         """Check the shuffle relations between the path matrices; raises
@@ -337,260 +333,19 @@ def triple_pd(m: TripleModule, cap: int = 6) -> int:
     return homsolve.projective_dimension(m, cap=cap)
 
 
-# ---------------------------------------------------------------------------
-# Nakayama correspondence on canonical projectives/injectives
-#
-# The translate of a triple is computed from a minimal projective
-# presentation (forward) or injective copresentation (backward) by
-# moving each canonical component across the Nakayama functor.  The
-# component tags reuse the slot names: tag ("b", a) is the embedded
-# A-projective / its image the bar module; tag ("t", a) is the bar
-# module / its image the top-embedded A-injective.
-
-
-def _top_blocks(h: SlotMap, q: Quiver) -> dict[int, RatMatrix]:
-    return {v: h.blocks[("t", v)] for v in q.vertices}
-
-
-def _bottom_blocks(h: SlotMap, q: Quiver) -> dict[int, RatMatrix]:
-    return {v: h.blocks[("b", v)] for v in q.vertices}
-
-
-def _nu_a_inverse(q: Quiver, a: int, b: int, u: dict[int, RatMatrix]) -> dict[int, RatMatrix]:
-    """Turn a map I_a -> I_b (slotwise matrices) into P_a -> P_b.
-
-    The coefficient of a path z: b ~> a is read off at slot b (the row
-    of the trivial dual path); the result is the sum of the right
-    multiplication operators by those paths.
-    """
-    zs = q.paths_between(b, a)
-    row = u[b]          # (paths b~>b)* x (paths b~>a)*: one row, acyclic
-    out: dict[int, RatMatrix] = {}
-    for v in q.vertices:
-        xs = q.paths_between(a, v)
-        ts = q.paths_between(b, v)
-        t_idx = {p: i for i, p in enumerate(ts)}
-        m = RatMatrix.zeros(len(ts), len(xs))
-        for k, z in enumerate(zs):
-            c = row[0, k]
-            if c == 0:
-                continue
-            for j, x in enumerate(xs):
-                m[t_idx[z + x], j] += c
-        out[v] = m
-    return out
-
-
-def _nu_a_forward(q: Quiver, a: int, b: int, f: dict[int, RatMatrix]) -> dict[int, RatMatrix]:
-    """Turn a map P_a -> P_b (slotwise matrices) into I_a -> I_b."""
-    zs = q.paths_between(b, a)
-    col = f[a]          # (paths b~>a) x (paths a~>a): one column, acyclic
-    out: dict[int, RatMatrix] = {}
-    for w in q.vertices:
-        ps = q.paths_between(w, a)
-        qs = q.paths_between(w, b)
-        p_idx = {p: i for i, p in enumerate(ps)}
-        m = RatMatrix.zeros(len(qs), len(ps))
-        for k, z in enumerate(zs):
-            c = col[k, 0]
-            if c == 0:
-                continue
-            for i, qq in enumerate(qs):
-                m[i, p_idx[qq + z]] += c
-        out[w] = m
-    return out
-
-
-def _zero_triple_map(src: TripleModule, dst: TripleModule) -> SlotMap:
-    return SlotMap.zero(src, dst)
-
-
-class _NakayamaCache:
-    """Per-quiver canonical modules + hom bases between bar projectives."""
-
-    def __init__(self, q: Quiver):
-        self.q = q
-        self.embedded_proj = {a: embed(q, rep_a.projective(q, a)) for a in q.vertices}
-        self.bar = {a: bar_projective(q, a) for a in q.vertices}
-        self.top_inj = {a: embed_top(q, rep_a.injective(q, a)) for a in q.vertices}
-        self._bar_homs: dict[tuple[int, int], list[SlotMap]] = {}
-
-    def bar_homs(self, a: int, b: int) -> list[SlotMap]:
-        got = self._bar_homs.get((a, b))
-        if got is None:
-            got = homsolve.hom_basis(self.bar[a], self.bar[b])
-            self._bar_homs[(a, b)] = got
-        return got
-
-    def lift_bar_map(self, a: int, b: int, top: dict[int, RatMatrix]) -> SlotMap:
-        """The map bar_a -> bar_b with the given top layer.
-
-        The connecting map of a bar module is invertible slot by slot,
-        so the top layer determines the morphism; it is found as a
-        combination of a hom basis.
-        """
-        basis = self.bar_homs(a, b)
-        want: list[Fraction] = []
-        for v in self.q.vertices:
-            for row in top[v].data:
-                want.extend(row)
-        cols = []
-        for h in basis:
-            vec: list[Fraction] = []
-            for v in self.q.vertices:
-                for row in h.blocks[("t", v)].data:
-                    vec.extend(row)
-            cols.append(vec)
-        mat = RatMatrix(cols, cols=len(want)).transpose()
-        sol = mat.solve(want)
-        if sol is None:
-            raise RuntimeError("top layer does not lift to a bar morphism")
-        out = _zero_triple_map(self.bar[a], self.bar[b])
-        for c, h in zip(sol, basis):
-            if c:
-                out = out + h.scale(c)
-        return out
-
-
-_NAKAYAMA: dict[Quiver, _NakayamaCache] = {}
-
-
-def _nakayama(q: Quiver) -> _NakayamaCache:
-    got = _NAKAYAMA.get(q)
-    if got is None:
-        got = _NakayamaCache(q)
-        _NAKAYAMA[q] = got
-    return got
-
-
-def _nu_inverse_component(nk: _NakayamaCache, tag_src: Slot, tag_dst: Slot,
-                          h: SlotMap) -> SlotMap:
-    """Move one injective component map across the inverse Nakayama functor."""
-    q = nk.q
-    (ls, a), (ld, b) = tag_src, tag_dst
-    if ls == "b" and ld == "b":
-        # bar_a -> bar_b  becomes  embedded P_a -> embedded P_b
-        f = _top_blocks(h, q)
-        src, dst = nk.embedded_proj[a], nk.embedded_proj[b]
-        blocks = {("b", v): f[v] for v in q.vertices}
-        blocks.update({("t", v): RatMatrix.zeros(0, 0) for v in q.vertices})
-        return SlotMap(src, dst, blocks)
-    if ls == "b" and ld == "t":
-        # bar_a -> top I_b  becomes  embedded P_a -> bar_b, same matrices
-        f = _top_blocks(h, q)
-        src, dst = nk.embedded_proj[a], nk.bar[b]
-        blocks = {("b", v): f[v] for v in q.vertices}
-        blocks.update({("t", v): RatMatrix.zeros(dst.dims[("t", v)], 0)
-                       for v in q.vertices})
-        return SlotMap(src, dst, blocks)
-    if ls == "t" and ld == "b":
-        if not h.is_zero():
-            raise RuntimeError("no nonzero maps exist from a top injective to a bar module")
-        return _zero_triple_map(nk.bar[a], nk.embedded_proj[b])
-    # top I_a -> top I_b  becomes  bar_a -> bar_b
-    u = _top_blocks(h, q)
-    return nk.lift_bar_map(a, b, _nu_a_inverse(q, a, b, u))
-
-
-def _nu_forward_component(nk: _NakayamaCache, tag_src: Slot, tag_dst: Slot,
-                          h: SlotMap) -> SlotMap:
-    """Move one projective component map across the Nakayama functor."""
-    q = nk.q
-    (ls, a), (ld, b) = tag_src, tag_dst
-    if ls == "b" and ld == "b":
-        f = _bottom_blocks(h, q)
-        return nk.lift_bar_map(a, b, f)
-    if ls == "b" and ld == "t":
-        # embedded P_a -> bar_b  becomes  bar_a -> top I_b, same matrices
-        f = _bottom_blocks(h, q)
-        src, dst = nk.bar[a], nk.top_inj[b]
-        blocks = {("t", v): f[v] for v in q.vertices}
-        blocks.update({("b", v): RatMatrix.zeros(0, src.dims[("b", v)])
-                       for v in q.vertices})
-        return SlotMap(src, dst, blocks)
-    if ls == "t" and ld == "b":
-        if not h.is_zero():
-            raise RuntimeError(
-                "no nonzero maps exist from a bar module to an embedded projective")
-        return _zero_triple_map(nk.top_inj[a], nk.embedded_proj[b])
-    f = _top_blocks(h, q)
-    u = _nu_a_forward(q, a, b, f)
-    src, dst = nk.top_inj[a], nk.top_inj[b]
-    blocks = {("t", v): u[v] for v in q.vertices}
-    blocks.update({("b", v): RatMatrix.zeros(0, 0) for v in q.vertices})
-    return SlotMap(src, dst, blocks)
-
-
-def _transport(nk: _NakayamaCache, g: SlotMap,
-               dec_src: homsolve.SumDecomposition,
-               dec_dst: homsolve.SumDecomposition,
-               forward: bool) -> SlotMap:
-    """Apply the (inverse) Nakayama functor to a map between canonical sums.
-
-    Forward, a cover component tagged ("b", a) is the embedded
-    A-projective and moves to the bar module; ("t", a) is the bar module
-    and moves to the top-embedded injective.  Backward, an envelope
-    component tagged ("b", a) is the bar module moving to the embedded
-    projective; ("t", a) the top-embedded injective moving to the bar.
-    """
-    rule = _nu_forward_component if forward else _nu_inverse_component
-
-    def img(tag: Slot) -> TripleModule:
-        if forward:
-            return nk.bar[tag[1]] if tag[0] == "b" else nk.top_inj[tag[1]]
-        return nk.embedded_proj[tag[1]] if tag[0] == "b" else nk.bar[tag[1]]
-
-    proto = nk.embedded_proj[nk.q.vertices[0]]
-    srcs = [img(t) for t in dec_src.tags]
-    dsts = [img(t) for t in dec_dst.tags]
-    if srcs:
-        S, _, s_proj = homsolve.direct_sum(srcs)
-    else:
-        S, s_proj = proto.zero_like(), []
-    if dsts:
-        D, d_incl, _ = homsolve.direct_sum(dsts)
-    else:
-        D, d_incl = proto.zero_like(), []
-    out = SlotMap.zero(S, D)
-    for l, tl in enumerate(dec_dst.tags):
-        for k, tk in enumerate(dec_src.tags):
-            block = dec_dst.projs[l] @ g @ dec_src.incls[k]
-            moved = rule(nk, tk, tl, block)
-            out = out + (d_incl[l] @ moved @ s_proj[k])
-    return out
-
-
-def tau_inverse_dup(m: TripleModule) -> TripleModule:
-    """Inverse translate: cokernel of the moved injective copresentation."""
-    nk = _nakayama(m.quiver)
-    dec0, emb = homsolve.injective_envelope_parts(m)
-    C, _proj = homsolve.cokernel(emb)
-    dec1, emb1 = homsolve.injective_envelope_parts(C)
-    g = emb1 @ _proj                      # E0 -> E1
-    moved = _transport(nk, g, dec0, dec1, forward=False)
-    out, _ = homsolve.cokernel(moved)
-    return out
-
-
-def tau_dup(m: TripleModule) -> TripleModule:
-    """Forward translate: kernel of the moved projective presentation."""
-    nk = _nakayama(m.quiver)
-    dec0, cover = homsolve.projective_cover_parts(m)
-    K, incl = homsolve.kernel(cover)
-    dec1, cover1 = homsolve.projective_cover_parts(K)
-    g1 = incl @ cover1                    # P1 -> P0
-    moved = _transport(nk, g1, dec1, dec0, forward=True)
-    out, _ = homsolve.kernel(moved)
-    return out
-
-
 def shifted_module(q: Quiver, i: int) -> TripleModule:
-    """Inverse translate of the embedded injective at vertex i.
+    """The shifted module W_i: the inverse translate of the embedded
+    injective I_i, built as the cosyzygy of the embedded projective P_i.
 
-    Certified on construction: nonzero top layer (so never an embedded
-    module), one-dimensional endomorphism ring, projective dimension 1.
+    The inverse Nakayama functor takes the minimal injective
+    copresentation I_i -> E0 -> E1 to the injective envelope of the
+    embedded P_i, and no nonzero map runs from an injective to the
+    embedded I_i, so tau^{-1} I_i is that envelope's cokernel
+    (Auslander-Reiten-Smalo, IV.1-2).  Certified on construction:
+    nonzero top layer (so never an embedded module), one-dimensional
+    endomorphism ring, projective dimension 1.
     """
-    w = tau_inverse_dup(embed(q, rep_a.injective(q, i)))
+    w, _, _ = homsolve.cosyzygy(embed(q, rep_a.projective(q, i)))
     if w.top_dim() == 0:
         raise RuntimeError("shifted module degenerated into the embedded layer")
     if homsolve.end_dim(w) != 1:
@@ -625,10 +380,7 @@ class DupContext:
     def __post_init__(self) -> None:
         q = self.quiver
         self.n = len(q.vertices)
-        nk = _nakayama(q)
-        self.embedded_projectives = nk.embedded_proj
-        self.bar_projectives = nk.bar
-        self.top_injectives = nk.top_inj
+        self.bar_projectives = {a: bar_projective(q, a) for a in q.vertices}
         self._pool: list[tuple[DupPoolId, TripleModule]] | None = None
         self._a_dims: list[tuple[int, ...]] = []
         self._a_ext: dict[tuple[int, int], int] = {}
@@ -746,10 +498,10 @@ class DupContext:
         got = self._syz.get(i)
         if got is None:
             m = self.objects()[i][1]
-            dec, cover = homsolve.projective_cover_parts(m)
+            _, tags, cover = homsolve.projective_cover_parts(m)
             K, _ = homsolve.kernel(cover)
             mults: dict[Slot, int] = {}
-            for tag in dec.tags:
+            for tag in tags:
                 mults[tag] = mults.get(tag, 0) + 1
             got = (K, mults)
             self._syz[i] = got

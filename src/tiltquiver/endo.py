@@ -332,9 +332,9 @@ def projective_resolution(alg: StructureAlgebra, m: BMod,
     if cur.is_zero():
         return {"covers": [], "pd": 0}
     for _ in range(cap + 1):
-        dec, cover = homsolve.projective_cover_parts(cur)
+        _, tags, cover = homsolve.projective_cover_parts(cur)
         mults: dict[int, int] = {}
-        for tag in dec.tags:
+        for tag in tags:
             mults[tag] = mults.get(tag, 0) + 1
         covers.append(mults)
         K, _ = homsolve.kernel(cover)

@@ -26,7 +26,7 @@ structure maps plus the hooks; no linear algebra happens outside
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .exactlin import (
     Rat,
@@ -459,50 +459,31 @@ def top_lifts(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
     return out
 
 
-class SumDecomposition(NamedTuple):
-    """A direct sum remembering its parts (for per-component bookkeeping)."""
-
-    module: SlotModule
-    parts: list[SlotModule]
-    tags: list[Slot]            # which canonical slot each part came from
-    incls: list[SlotMap]
-    projs: list[SlotMap]
-
-
-def projective_cover_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
+def projective_cover_parts(M: SlotModule) -> tuple[SlotModule, list[Slot], SlotMap]:
     """Projective cover P -> M built from lifted top generators.
 
-    The decomposition lists one canonical projective per top generator,
-    tagged by the generator's slot.
+    P is the sum of one canonical projective per top generator; ``tags``
+    lists each generator's slot, in summand order.
     """
     lifts = top_lifts(M)
     if not lifts:
         if not M.is_zero():
             raise RuntimeError("nonzero module with zero top")
         Z = M.zero_like()
-        dec = SumDecomposition(Z, [], [], [], [])
-        return dec, SlotMap.zero(Z, M)
-    comps = [
-        (s, M.projective_for_slot(s), M.yoneda_from_generator(s, v, M))  # type: ignore[attr-defined]
-        for s, v in lifts
-    ]
-    P, incls, projs = direct_sum([p for _, p, _ in comps])
+        return Z, [], SlotMap.zero(Z, M)
+    P = _sum_module([M.projective_for_slot(s) for s, _ in lifts])  # type: ignore[attr-defined]
+    gens = [M.yoneda_from_generator(s, v, M) for s, v in lifts]  # type: ignore[attr-defined]
     # the cover is the row of component maps: hstack their blocks per slot
-    blocks = {
-        s: RatMatrix.hstack([g.blocks[s] for _, _, g in comps])
-        for s in M.slot_keys
-    }
+    blocks = {s: RatMatrix.hstack([g.blocks[s] for g in gens]) for s in M.slot_keys}
     cover = SlotMap(P, M, blocks)
     if not cover.is_surjective():
         raise RuntimeError("cover failed to be surjective")
-    dec = SumDecomposition(P, [p for _, p, _ in comps], [s for s, _, _ in comps],
-                           incls, projs)
-    return dec, cover
+    return P, [s for s, _ in lifts], cover
 
 
 def projective_cover(M: SlotModule) -> tuple[SlotModule, SlotMap]:
-    dec, cover = projective_cover_parts(M)
-    return dec.module, cover
+    P, _, cover = projective_cover_parts(M)
+    return P, cover
 
 
 def syzygy(M: SlotModule) -> tuple[SlotModule, SlotModule, SlotMap]:
@@ -562,50 +543,32 @@ def socle_vectors(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
     return out
 
 
-def injective_envelope_parts(M: SlotModule) -> tuple[SumDecomposition, SlotMap]:
-    """Injective envelope M -> E from functionals dual to a socle basis.
-
-    The decomposition lists one canonical injective per socle line,
-    tagged by the socle slot.
-    """
+def injective_envelope(M: SlotModule) -> tuple[SlotModule, SlotMap]:
+    """Injective envelope M -> E from functionals dual to a socle basis:
+    E is the sum of one canonical injective per socle line."""
     soc = socle_vectors(M)
     if not soc:
         if not M.is_zero():
             raise RuntimeError("nonzero module with zero socle")
         Z = M.zero_like()
-        dec = SumDecomposition(Z, [], [], [], [])
-        return dec, SlotMap.zero(M, Z)
-    comps = []
+        return Z, SlotMap.zero(M, Z)
     by_slot: dict[Slot, list[list[Fraction]]] = {}
     for s, v in soc:
         by_slot.setdefault(s, []).append(v)
+    injs, cogens = [], []
     for s, vecs in by_slot.items():
         # the rows dual to the socle part: functionals vanishing on the
         # complement
         _, inv = complete_basis(vecs, M.dims[s])
         for idx in range(len(vecs)):
-            functional = inv.data[idx][:]
-            comps.append(
-                (s,
-                 M.injective_for_slot(s),  # type: ignore[attr-defined]
-                 M.coyoneda_from_functional(s, functional, M))  # type: ignore[attr-defined]
-            )
-    E, incls, projs = direct_sum([e for _, e, _ in comps])
-    blocks = {
-        s: RatMatrix.vstack([g.blocks[s] for _, _, g in comps])
-        for s in M.slot_keys
-    }
+            injs.append(M.injective_for_slot(s))  # type: ignore[attr-defined]
+            cogens.append(M.coyoneda_from_functional(s, inv.data[idx][:], M))  # type: ignore[attr-defined]
+    E = _sum_module(injs)
+    blocks = {s: RatMatrix.vstack([g.blocks[s] for g in cogens]) for s in M.slot_keys}
     emb = SlotMap(M, E, blocks)
     if not emb.is_injective():
         raise RuntimeError("envelope failed to be injective")
-    dec = SumDecomposition(E, [e for _, e, _ in comps], [s for s, _, _ in comps],
-                           incls, projs)
-    return dec, emb
-
-
-def injective_envelope(M: SlotModule) -> tuple[SlotModule, SlotMap]:
-    dec, emb = injective_envelope_parts(M)
-    return dec.module, emb
+    return E, emb
 
 
 def cosyzygy(M: SlotModule) -> tuple[SlotModule, SlotModule, SlotMap]:

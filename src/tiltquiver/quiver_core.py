@@ -336,9 +336,6 @@ class DiagramClass:
     def is_dynkin(self) -> bool:
         return self.kind == "dynkin"
 
-    def is_euclidean(self) -> bool:
-        return self.kind == "euclidean"
-
 
 def _arm_lengths(adj: dict[int, list[int]], branch: int) -> list[int] | None:
     """Arm lengths of a tree from its unique branch vertex.

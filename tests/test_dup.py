@@ -11,7 +11,7 @@ import pytest
 
 from tiltquiver import dup, homsolve, rep_a
 from tiltquiver.exactlin import RatMatrix
-from tiltquiver.quiver_core import named_diagram, parse_quiver
+from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
 
 A2 = named_diagram("A2")
 A3 = named_diagram("A3")
@@ -116,7 +116,7 @@ def test_embedded_projective_dimension_matches_base():
 
 
 # ---------------------------------------------------------------------------
-# shifted modules and translates
+# shifted modules
 
 
 def test_shifted_modules_a2():
@@ -132,20 +132,51 @@ def test_shifted_modules_a2():
         assert homsolve.projective_dimension(w) == 1
 
 
-def test_translate_roundtrip_recovers_embedded_injective():
-    for q in (A2, A3):
-        for i in q.vertices:
-            w = dup.shifted_module(q, i)
-            back = dup.tau_dup(w)
-            assert back.dims_key() == dup.embed(q, rep_a.injective(q, i)).dims_key()
+def _ar_mismatches(ctx, shifted):
+    """The (i, X) where dim Ext^1(W_i, X) breaks the Auslander-Reiten formula.
+
+    With tau W_i the embedded injective I_i, the formula reads
+    dim Ext^1(W_i, X) = dim Hom(X, I_i) - dim {maps X -> I_i factoring
+    through an injective}.  Every such map factors through the injective
+    envelope X -> E, so the subtracted space is spanned by g . emb for g in
+    Hom(E, I_i).  The left side comes from a syzygy of W_i, the right side
+    from an injective envelope of X; ``shifted`` maps each vertex to the
+    module under test.
+    """
+    q = ctx.quiver
+    envelopes = [(pid, x, *homsolve.injective_envelope(x)) for pid, x in ctx.objects()]
+    bad = []
+    for i in q.vertices:
+        tau_w = dup.embed(q, rep_a.injective(q, i))
+        for pid, x, env, emb in envelopes:
+            through = [(g @ emb).vec() for g in homsolve.hom_basis(env, tau_w)]
+            factored = RatMatrix(through).rank() if through else 0
+            stable = homsolve.hom_dim(x, tau_w) - factored
+            if homsolve.ext1_dim(shifted[i], x) != stable:
+                bad.append((i, str(pid)))
+    return bad
 
 
-def test_translate_kills_injectives_and_projectives():
-    assert dup.tau_inverse_dup(dup.bar_projective(A2, 0)).is_zero()
-    assert dup.tau_inverse_dup(
-        dup.embed_top(A2, rep_a.injective(A2, 1))).is_zero()
-    assert dup.tau_dup(dup.embed(A2, rep_a.projective(A2, 0))).is_zero()
-    assert dup.tau_dup(dup.bar_projective(A2, 1)).is_zero()
+AR_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
+              + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
+              + [("A4", named_diagram("A4"))])
+
+
+@pytest.mark.parametrize("q", [q for _, q in AR_QUIVERS], ids=[n for n, _ in AR_QUIVERS])
+def test_shifted_modules_satisfy_the_ar_formula(q):
+    ctx = dup.build_context(q)
+    assert _ar_mismatches(ctx, {i: ctx.shifted(i) for i in q.vertices}) == []
+
+
+def test_ar_formula_rejects_other_modules():
+    # the oracle has teeth: W_{i+1} in place of W_i, and the cosyzygy of
+    # the embedded injective, both break it
+    ctx = dup.build_context(A3)
+    vs = A3.vertices
+    rotated = {v: ctx.shifted(vs[(k + 1) % len(vs)]) for k, v in enumerate(vs)}
+    assert _ar_mismatches(ctx, rotated)
+    wrong = {v: homsolve.cosyzygy(dup.embed(A3, rep_a.injective(A3, v)))[0] for v in vs}
+    assert _ar_mismatches(ctx, wrong)
 
 
 def test_shift_extension_identity():
@@ -391,13 +422,16 @@ def test_add_multiplicities_match_the_gram_solve(name):
 # ---------------------------------------------------------------------------
 # engine checks: exit 2 under python and python -O
 
-# every shifted module is built as the sum of two copies of itself, so its
-# endomorphism ring is no longer one-dimensional
+# every cosyzygy, and so every shifted module, is built as the sum of two
+# copies of itself, so its endomorphism ring is no longer one-dimensional
 DECOMPOSABLE_SHIFT = (
     "import sys\n"
     "from tiltquiver import cli, dup, homsolve\n"
-    "tau = dup.tau_inverse_dup\n"
-    "dup.tau_inverse_dup = lambda m: homsolve.direct_sum([tau(m), tau(m)])[0]\n"
+    "cosyzygy = homsolve.cosyzygy\n"
+    "def doubled(m):\n"
+    "    c, e, emb = cosyzygy(m)\n"
+    "    return homsolve.direct_sum([c, c])[0], e, emb\n"
+    "homsolve.cosyzygy = doubled\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 

@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tiltquiver import homsolve
+from tiltquiver import homsolve, rep_a
 from tiltquiver.homsolve import (
     cosyzygy,
     end_dim,
@@ -303,3 +307,34 @@ def test_injective_envelope_and_cosyzygy():
 def test_end_dims_on_pool():
     for _, rep in indecomposables(named_diagram("D4")):
         assert end_dim(rep) == 1
+
+
+# ---------------------------------------------------------------------------
+# engine checks: exit 2 under python and python -O
+
+KNIT_FAULTS = {
+    # the A_n root count is off by one, so the knitted total disagrees
+    "root-count": ("rep_a._ROOT_COUNTS['A'] = lambda n: n * (n + 1) // 2 + 1\n",
+                   "engine error: knitted 6 indecomposables, expected 7"),
+    # the inverse translate returns its input, so a dimension vector repeats
+    "repeated-dims": ("rep_a.tau_inverse = lambda m: m\n",
+                      "engine error: dimension vector collision at"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("fault", sorted(KNIT_FAULTS))
+def test_knitting_fault_is_an_engine_error(fault, flags):
+    patch, message = KNIT_FAULTS[fault]
+    script = ("import sys\n"
+              "from tiltquiver import cli, rep_a\n"
+              + patch
+              + "sys.exit(cli.main(['kquiver', '--diagram', 'A3']))\n")
+    src = Path(rep_a.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert message in proc.stderr
