@@ -402,21 +402,6 @@ class DupContext:
                 return mod
         raise KeyError(i)
 
-    def sigma_levels(self) -> list[list[TripleModule]]:
-        """Cosyzygy levels of the embedded projectives (levels 0, 1, 2)."""
-        level = [embed(self.quiver, rep_a.projective(self.quiver, a))
-                 for a in self.quiver.vertices]
-        out = [level]
-        for _ in range(2):
-            nxt = []
-            for m in level:
-                c, _, _ = homsolve.cosyzygy(m)
-                if not c.is_zero():
-                    nxt.append(c)
-            out.append(nxt)
-            level = nxt
-        return out
-
     # -- pool ---------------------------------------------------------------
 
     def pool(self) -> list[tuple[DupPoolId, TripleModule]]:
@@ -428,9 +413,12 @@ class DupContext:
             for iid, rep in inds:
                 items.append((DupPoolId("E", iid), embed(q, rep)))
                 self._a_dims.append(rep.dim_vector())
-            for i, (_, mi) in enumerate(inds):
-                for j, (_, mj) in enumerate(inds):
-                    self._a_ext[(i, j)] = rep_a.ext1_dim(mi, mj)
+            # A Dynkin path algebra is representation-directed, so Hom or
+            # Ext^1 vanishes between indecomposables and dim Ext^1 is the
+            # negative part of the Euler form (Ringel, LNM 1099)
+            for i, di in enumerate(self._a_dims):
+                for j, dj in enumerate(self._a_dims):
+                    self._a_ext[(i, j)] = max(0, -q.euler_form(di, dj))
             for v in q.vertices:
                 items.append((DupPoolId("W", v), shifted_module(q, v)))
             self._pool = items
@@ -582,6 +570,18 @@ def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a
     return [tilt_a.make_tilting(c, ids, mods) for c in tilt_a.cliques(ctx.table, ctx.n)]
 
 
+def _exchange_summands(ctx: DupContext, x: int, members: Sequence[int]) -> tuple[int, ...]:
+    """Object indices of the summands of E, one per component of the
+    minimal left approximation x -> E into add(members), read from the
+    cached ``radical_idx`` coordinates."""
+    objs = ctx.objects()
+    comps = homsolve.minimal_left_approximation(
+        objs[x][1], [objs[k][1] for k in members],
+        [ctx.hom_idx(x, k) for k in members],
+        radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]))
+    return tuple(members[i] for i, _ in comps)
+
+
 def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     """Exchange graph of the tilting modules over the duplicated algebra.
 
@@ -589,31 +589,49 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     exchanging x for y in their common almost complete part, oriented by
     Ext^1(y, x) != 0 (solver-checked); each arc also carries an
     exchange sequence 0 -> x -> E -> y -> 0 with E in the additive
-    closure of the common part plus bar projectives, certified by
-    ``homsolve.certify_exchange`` from cached Hom bases: the
-    approximation x -> E is injective, dim E = dim x + dim y, and the
-    maps E -> y killing x form a line spanned by a surjection.  The
-    composites both steps need depend only on object indices and are
-    read from ``radical_idx`` and ``composite_idx``.  Parts without
-    exactly two completions are listed in ``defects``.
+    closure of the common part plus bar projectives.
+
+    The sequence is certified once per oriented pair (x, y), at the
+    pair's first arc, by ``homsolve.certify_exchange`` from cached Hom
+    bases: the approximation x -> E is injective, dim E = dim x + dim y,
+    and the maps E -> y killing x form a line spanned by a surjection.
+    The composites it needs depend only on object indices and are read
+    from ``radical_idx`` and ``composite_idx``.  Exactness depends only
+    on x, y and the component maps, so the pair's sequence serves every
+    arc whose part contains the summands of E; by Krull-Schmidt that
+    puts E in the part's additive closure, and it is checked per arc.
+    So is dim Ext^1(y, x) = 1, which gives every non-split extension of
+    y by x, the arc's own included, the same middle term (Happel-Unger).
+    Parts without exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
     ids = ctx.pool_ids()
     objs = ctx.objects()
     bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    pairs: dict[tuple[int, int], tuple[tuple[int, ...], frozenset[int]]] = {}
 
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
         members = list(rest) + bar_indices
-        e_dims = homsolve.certify_exchange(
-            objs[x][1], [objs[k][1] for k in members], objs[y][1],
-            hom_x=[ctx.hom_idx(x, k) for k in members],
-            pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]),
-            hom_y=[ctx.hom_idx(k, y) for k in members],
-            radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]),
-            composites=lambda a: ctx.composite_idx(x, members[a], y))
-        if e_dims is None:
-            raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
-                               f"complement {ids[y]}")
+        ext = ctx.ext1_idx(y, x)
+        if ext != 1:
+            raise RuntimeError(f"Ext^1({ids[y]}, {ids[x]}) has dimension {ext}, not 1")
+        got = pairs.get((x, y))
+        if got is None:
+            e_dims = homsolve.certify_exchange(
+                objs[x][1], [objs[k][1] for k in members], objs[y][1],
+                hom_x=[ctx.hom_idx(x, k) for k in members],
+                pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]),
+                hom_y=[ctx.hom_idx(k, y) for k in members],
+                radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]),
+                composites=lambda a: ctx.composite_idx(x, members[a], y))
+            if e_dims is None:
+                raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
+                                   f"complement {ids[y]}")
+            got = pairs[(x, y)] = (e_dims, frozenset(_exchange_summands(ctx, x, members)))
+        e_dims, summands = got
+        if not summands.issubset(members):
+            raise RuntimeError(f"middle term of the exchange of {ids[x]} for {ids[y]} "
+                               f"is not in add of the part {[str(ids[k]) for k in rest]}")
         return e_dims
 
     arcs, defects = tilt_a.exchange_arcs(ids, ctx.table, ctx.ext1_idx, certify,

@@ -7,8 +7,11 @@ symmetric compatibility relation Ext1(X,Y) = Ext1(Y,X) = 0.  The
 exchange graph has the tilting modules as vertices and one arc per
 almost complete module with two complements, oriented along the short
 exact sequence 0 -> X -> E -> Y -> 0 (from the module containing X to
-the one containing Y); the engine certifies every arc twice, once by
-the Ext criterion and once by building the sequence.
+the one containing Y).  The engine orients every arc by the Ext
+criterion and hands it to a certifier for the sequence: the path
+algebra builds the sequence for every arc, the duplicated algebra
+certifies each exchange pair (X, Y) once and checks every arc's almost
+complete part against it.
 
 This module hosts the package's one exchange-graph engine (records,
 clique and complement search, the arc loop ``exchange_arcs``);

@@ -195,17 +195,6 @@ def test_shift_extension_identity():
                 assert ctx.ext1_idx(j, wi) == 0
 
 
-def test_sigma_levels_a2():
-    ctx = dup.build_context(A2)
-    levels = ctx.sigma_levels()
-    assert [m.dims_key() for m in levels[0]] == [(0, 0, 1, 1), (0, 0, 0, 1)]
-    # the first cosyzygies of the embedded projectives are the shifts
-    got = sorted(m.dims_key() for m in levels[1])
-    want = sorted(dup.shifted_module(A2, i).dims_key() for i in A2.vertices)
-    assert got == want
-    assert all(m.dims_key() == (1, 0, 0, 0) for m in levels[2])
-
-
 # ---------------------------------------------------------------------------
 # tilting enumeration
 
@@ -214,6 +203,23 @@ def test_pool_rules_match_solver():
     for q in (A2, A3):
         ctx = dup.build_context(q)
         ctx.validate_rules()  # raises on any disagreement
+
+
+EULER_QUIVERS = ([(f"A3-{k}", q) for k, q in enumerate(orientations("A3"))]
+                 + [(f"D4-{k}", q) for k, q in enumerate(orientations("D4"))]
+                 + [(name, named_diagram(name)) for name in ("A5", "D5", "E6")])
+
+
+@pytest.mark.parametrize("q", [q for _, q in EULER_QUIVERS], ids=[n for n, _ in EULER_QUIVERS])
+def test_euler_ext_table_matches_the_solver(q):
+    # the embedded-pair compatibility rule reads Ext^1 off the Euler form;
+    # a Dynkin path algebra is representation-directed, so it is exact
+    ctx = dup.build_context(q)
+    ctx.pool()
+    inds = [rep for _, rep in rep_a.indecomposables(q)]
+    assert len(ctx._a_ext) == len(inds) ** 2
+    for (i, j), got in ctx._a_ext.items():
+        assert got == rep_a.ext1_dim(inds[i], inds[j])
 
 
 def test_enumerate_a2_exact():
@@ -276,13 +282,14 @@ def _catalan(n):
     ("A5", _catalan(6)),
     # D_n: (3n - 2)/n . C(2n - 2, n - 1)
     ("D5", (3 * 5 - 2) * comb(2 * 5 - 2, 5 - 1) // 5),
-    # E6: the cluster-complex count, no closed form in n
+    # E6, E7: the cluster-complex counts, no closed form in n
     ("E6", 833),
+    ("E7", 4160),
 ])
 def test_graph_sizes_match_closed_forms(name, vertices):
     # the cluster-complex counts of the Dynkin types; every vertex has n
     # neighbours, so an n-regular graph has n . V / 2 arcs
-    assert vertices == {"A5": 132, "D5": 182, "E6": 833}[name]
+    assert vertices == {"A5": 132, "D5": 182, "E6": 833, "E7": 4160}[name]
     ctx = dup.build_context(named_diagram(name))
     g = dup.tilting_quiver_dup(ctx)
     n = ctx.n
@@ -291,6 +298,23 @@ def test_graph_sizes_match_closed_forms(name, vertices):
     assert all(g.out_degree(i) + g.in_degree(i) == n for i in range(vertices))
     assert g.is_connected()
     assert not g.defects
+
+
+@pytest.mark.parametrize("name, pairs", [("A3", 15), ("D4", 52), ("D5", 130)])
+def test_each_exchange_pair_is_certified_once(monkeypatch, name, pairs):
+    seen = []
+    certify = homsolve.certify_exchange
+
+    def counted(x, pool, y, *args, **kwargs):
+        seen.append((x, y))
+        return certify(x, pool, y, *args, **kwargs)
+
+    monkeypatch.setattr(homsolve, "certify_exchange", counted)
+    g = dup.tilting_quiver_dup(dup.build_context(named_diagram(name)))
+    assert len({(a.x, a.y) for a in g.arcs}) == pairs < len(g.arcs)
+    assert len(seen) == pairs
+    # x and y are the context's cached objects, so their ids name the pair
+    assert len({(id(x), id(y)) for x, y in seen}) == pairs
 
 
 def test_graph_works_on_a_file_style_quiver():
@@ -436,13 +460,56 @@ DECOMPOSABLE_SHIFT = (
 )
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_decomposable_shifted_module_is_an_engine_error(flags):
+# every pair claims the whole almost complete part of its first arc as
+# summands of E, which a later arc of the pair, with another part, lacks
+MISSING_SUMMAND = (
+    "import sys\n"
+    "from tiltquiver import cli, dup\n"
+    "summands = dup._exchange_summands\n"
+    "def widened(ctx, x, members):\n"
+    "    return summands(ctx, x, members) + tuple(members)\n"
+    "dup._exchange_summands = widened\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+# every one-dimensional Ext^1 between objects reads as two-dimensional;
+# vanishing, and so compatibility and orientation, is unchanged
+EXT_PLANE = (
+    "import sys\n"
+    "from tiltquiver import cli, dup\n"
+    "ext1_idx = dup.DupContext.ext1_idx\n"
+    "def doubled(self, i, j):\n"
+    "    got = ext1_idx(self, i, j)\n"
+    "    return 2 if got == 1 else got\n"
+    "dup.DupContext.ext1_idx = doubled\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+
+def _run_script(flags, script):
     src = Path(dup.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", DECOMPOSABLE_SHIFT],
+    return subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_decomposable_shifted_module_is_an_engine_error(flags):
+    proc = _run_script(flags, DECOMPOSABLE_SHIFT)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "engine error: shifted module failed to be indecomposable" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("script, message", [
+    (MISSING_SUMMAND, "is not in add of the part"),
+    (EXT_PLANE, "has dimension 2, not 1"),
+], ids=["missing-summand", "ext-plane"])
+def test_exchange_pair_fault_is_an_engine_error(script, message, flags):
+    proc = _run_script(flags, script)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error:" in proc.stderr
+    assert message in proc.stderr

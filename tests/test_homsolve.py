@@ -10,8 +10,10 @@ the composites.  Inputs are every map the exchange graphs of duplicated
 A3 and D4 (and classical D4) hand to these helpers, plus generated ones;
 a duplicated arc's exchange map x -> E is rebuilt from the arguments of
 its certificate, ``certify_exchange``, which builds neither E nor the
-cokernel.  That certificate is held to ``exchange_sequence`` and to a
-two-Hom isomorphism test, and must reject wrong complements.
+cokernel.  The graph certifies each exchange pair (x, y) once, so every
+arc's own arguments are rebuilt from the graph (``_arc_certificates``).
+That certificate is held to ``exchange_sequence`` and to a two-Hom
+isomorphism test, and must reject wrong complements.
 """
 
 import inspect
@@ -120,7 +122,7 @@ def _recorded(build, *attrs):
 
 
 def _exchange_maps(certificates):
-    """(x, pool, comps) of each recorded ``certify_exchange`` call, its
+    """(x, pool, comps) of each ``certify_exchange`` argument set, its
     approximation components rebuilt from its own arguments."""
     return [(c["x"], c["pool"],
              homsolve.minimal_left_approximation(c["x"], c["pool"], c["hom_x"], c["pool_hom"]))
@@ -131,29 +133,60 @@ def _dup_graph(name):
     return lambda: dup.tilting_quiver_dup(dup.build_context(named_diagram(name)))
 
 
+def _arc_certificates(name):
+    """The exchange graph of duplicated ``name`` and, for each of its arcs
+    in order, the ``certify_exchange`` arguments of that arc alone: x,
+    the members of its almost complete part followed by the bar
+    projectives, y, and the graph's cached Hom bases and coordinates."""
+    ctx = dup.build_context(named_diagram(name))
+    graph = dup.tilting_quiver_dup(ctx)
+    objs = ctx.objects()
+    position = {pid: k for k, pid in enumerate(ctx.pool_ids())}
+    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+
+    def arguments(arc):
+        x, y = position[arc.x], position[arc.y]
+        members = [k for k in graph.tiltings[arc.src].indices if k != x] + bars
+        return {
+            "x": objs[x][1],
+            "pool": [objs[k][1] for k in members],
+            "y": objs[y][1],
+            "hom_x": [ctx.hom_idx(x, k) for k in members],
+            "pool_hom": lambda a, b: ctx.hom_idx(members[a], members[b]),
+            "hom_y": [ctx.hom_idx(k, y) for k in members],
+            "radical": lambda a, b: ctx.radical_idx(x, members[a], members[b]),
+            "composites": lambda a: ctx.composite_idx(x, members[a], y),
+        }
+
+    return graph, [arguments(a) for a in graph.arcs]
+
+
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_cokernel_matches_dense_reference_on_dup_maps(name):
     # the pool's shifted modules (inverse translates) go through cokernel,
     # and every arc's exchange map x -> E is rebuilt from its certificate;
     # all of them are injective, so the generated maps below cover the
     # non-injective case
-    seen = _recorded(_dup_graph(name), "cokernel", "certify_exchange")
+    seen = _recorded(_dup_graph(name), "cokernel")
+    graph, certificates = _arc_certificates(name)
     calls = [c["f"] for c in seen["cokernel"]]
     calls += [homsolve.approximation_map(x, pool, comps)[1]
-              for x, pool, comps in _exchange_maps(seen["certify_exchange"])]
-    graph = _dup_graph(name)()
+              for x, pool, comps in _exchange_maps(certificates)]
     assert len(calls) > len(graph.arcs)
     for f in calls:
         assert_cokernel_matches(f)
 
 
-@pytest.mark.parametrize("build", [_dup_graph("A3"), _dup_graph("D4"),
-                                   lambda: tilt_a.tilting_quiver(named_diagram("D4"))],
-                         ids=["dup-A3", "dup-D4", "classical-D4"])
-def test_approximation_map_is_the_sum_of_inclusion_composites(build):
-    seen = _recorded(build, "approximation_map", "certify_exchange")
+@pytest.mark.parametrize("build, name", [
+    (_dup_graph("A3"), "A3"),
+    (_dup_graph("D4"), "D4"),
+    (lambda: tilt_a.tilting_quiver(named_diagram("D4")), None),  # no certify_exchange
+], ids=["dup-A3", "dup-D4", "classical-D4"])
+def test_approximation_map_is_the_sum_of_inclusion_composites(build, name):
+    seen = _recorded(build, "approximation_map")
     calls = [(c["x"], c["pool"], c["comps"]) for c in seen["approximation_map"]]
-    calls += _exchange_maps(seen["certify_exchange"])
+    if name:
+        calls += _exchange_maps(_arc_certificates(name)[1])
     assert calls
     for x, pool, comps in calls:
         E, f = homsolve.approximation_map(x, pool, comps)
@@ -199,23 +232,22 @@ def reference_is_iso(m, n):
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_certificate_agrees_with_exchange_sequence(name):
-    certificates = _recorded(_dup_graph(name), "certify_exchange")["certify_exchange"]
-    graph = _dup_graph(name)()
+    # each arc's own certificate and sequence give that arc's middle term,
+    # though the graph certified only the first arc of each pair (x, y)
+    graph, certificates = _arc_certificates(name)
     assert len(certificates) == len(graph.arcs)
-    middles = []
-    for c in certificates:
+    for arc, c in zip(graph.arcs, certificates):
         E, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
         assert homsolve.certify_exchange(**c) == E.dims_key()
         assert reference_is_iso(cok, c["y"])
-        middles.append(E.dims_key())
-    assert sorted(middles) == sorted(a.e_dims for a in graph.arcs)
+        assert arc.e_dims == E.dims_key()
 
 
 def test_certificate_accepts_exactly_the_isomorphic_complements():
     # every pool member (each a brick) offered as the complement of every
     # duplicated A3 arc: the certificate and the two-Hom test agree
     members = [m for _, m in dup.build_context(named_diagram("A3")).pool()]
-    certificates = _recorded(_dup_graph("A3"), "certify_exchange")["certify_exchange"]
+    _, certificates = _arc_certificates("A3")
     accepted = 0
     for c in certificates:
         _, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
@@ -331,7 +363,7 @@ def test_index_level_certificate_matches_the_uncached_one(name):
     # every arc: the components chosen from the cached radical coordinates
     # and the step-3 line from the cached composite coordinates equal the
     # uncached ones and the entrywise references
-    certificates = _recorded(_dup_graph(name), "certify_exchange")["certify_exchange"]
+    _, certificates = _arc_certificates(name)
     assert len(certificates) == {"A3": 21, "D4": 100, "D5": 455}[name]
     for c in certificates:
         x, pool, y, hom_x, pool_hom, hom_y = (
