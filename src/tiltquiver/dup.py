@@ -196,10 +196,7 @@ class TripleModule(homsolve.SlotModule):
     # A-injective.
 
     def projective_for_slot(self, s: Slot) -> "TripleModule":
-        layer, a = s
-        if layer == "b":
-            return embed(self.quiver, rep_a.projective(self.quiver, a))
-        return bar_projective(self.quiver, a)
+        return slot_projective(self.quiver, s)
 
     def yoneda_from_generator(self, s: Slot, vec, m: "TripleModule") -> SlotMap:
         layer, a = s
@@ -229,7 +226,7 @@ class TripleModule(homsolve.SlotModule):
     def injective_for_slot(self, s: Slot) -> "TripleModule":
         layer, a = s
         if layer == "b":
-            return bar_projective(self.quiver, a)
+            return slot_projective(self.quiver, ("t", a))
         return embed_top(self.quiver, rep_a.injective(self.quiver, a))
 
     def coyoneda_from_functional(self, s: Slot, functional, m: "TripleModule") -> SlotMap:
@@ -284,6 +281,22 @@ def embed_top(q: Quiver, m: Rep) -> TripleModule:
     bot = {a.aid: RatMatrix.zeros(0, 0) for a in q.arrows}
     conn = _zero_conn(q, m.dims, {v: 0 for v in q.vertices})
     return TripleModule(q, dims, dict(m.arrow_maps), bot, conn)
+
+
+_SLOT_PROJECTIVES: dict[tuple[Quiver, Slot], TripleModule] = {}
+
+
+def slot_projective(q: Quiver, s: Slot) -> TripleModule:
+    """The indecomposable projective at slot s, built once per quiver and
+    shared: the embedded A-projective at a bottom slot, the bar projective
+    at a top slot.  Callers must not mutate it."""
+    got = _SLOT_PROJECTIVES.get((q, s))
+    if got is None:
+        layer, a = s
+        got = (embed(q, rep_a.projective(q, a)) if layer == "b"
+               else bar_projective(q, a))
+        _SLOT_PROJECTIVES[(q, s)] = got
+    return got
 
 
 def bar_projective(q: Quiver, a: int) -> TripleModule:
@@ -378,12 +391,9 @@ class DupContext:
     quiver: Quiver
 
     def __post_init__(self) -> None:
-        q = self.quiver
-        self.n = len(q.vertices)
-        self.bar_projectives = {a: bar_projective(q, a) for a in q.vertices}
+        self.n = len(self.quiver.vertices)
         self._pool: list[tuple[DupPoolId, TripleModule]] | None = None
-        self._a_dims: list[tuple[int, ...]] = []
-        self._a_ext: dict[tuple[int, int], int] = {}
+        self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
         self._syz: dict[int, tuple[TripleModule, dict[Slot, int]]] = {}
@@ -408,17 +418,12 @@ class DupContext:
         """Candidate non-bar summands: embedded indecomposables + shifts."""
         if self._pool is None:
             q = self.quiver
-            inds = rep_a.indecomposables(q)
-            items: list[tuple[DupPoolId, TripleModule]] = []
-            for iid, rep in inds:
-                items.append((DupPoolId("E", iid), embed(q, rep)))
-                self._a_dims.append(rep.dim_vector())
-            # A Dynkin path algebra is representation-directed, so Hom or
-            # Ext^1 vanishes between indecomposables and dim Ext^1 is the
-            # negative part of the Euler form (Ringel, LNM 1099)
-            for i, di in enumerate(self._a_dims):
-                for j, dj in enumerate(self._a_dims):
-                    self._a_ext[(i, j)] = max(0, -q.euler_form(di, dj))
+            # the embedded members keep the classical pool's indices, so its
+            # dims and Euler-form Ext^1 table index them directly
+            apool = self._a_pool = tilt_a._dynkin_pool(q)
+            items: list[tuple[DupPoolId, TripleModule]] = [
+                (DupPoolId("E", iid), embed(q, rep))
+                for iid, rep in zip(apool.ids, apool.reps)]
             for v in q.vertices:
                 items.append((DupPoolId("W", v), shifted_module(q, v)))
             self._pool = items
@@ -429,7 +434,7 @@ class DupContext:
         """Pool plus the bar projectives (global hom-cache index space)."""
         if self._objects is None:
             self._objects = self.pool() + [
-                (DupPoolId("B", v), self.bar_projectives[v])
+                (DupPoolId("B", v), slot_projective(self.quiver, ("t", v)))
                 for v in self.quiver.vertices
             ]
         return self._objects
@@ -444,7 +449,7 @@ class DupContext:
     def embedded_projective_indices(self) -> list[int]:
         """Pool positions of the embedded A-projectives (one per vertex)."""
         self.pool()
-        by_dims = {dv: i for i, dv in enumerate(self._a_dims)}
+        by_dims = {dv: i for i, dv in enumerate(self._a_pool.dims)}
         return [
             by_dims[rep_a.projective(self.quiver, a).dim_vector()]
             for a in self.quiver.vertices
@@ -516,9 +521,9 @@ class DupContext:
         """Predicted vanishing of Ext^1(pool_i, pool_j) without the engine."""
         pid, qid = self.pool_ids()[i], self.pool_ids()[j]
         if pid.kind == "W" and qid.kind == "E":
-            return self._a_dims[j][self.quiver.v_pos[pid.key]] == 0
+            return self._a_pool.dims[j][self.quiver.v_pos[pid.key]] == 0
         if pid.kind == "E" and qid.kind == "E":
-            return self._a_ext[(i, j)] == 0
+            return self._a_pool.ext(i, j) == 0
         # E -> W and W -> W never extend
         return True
 
@@ -748,7 +753,7 @@ def verify_shift_completion(ctx: DupContext) -> dict:
     for part in parts:
         dimsum = [0] * n
         for c in part:
-            dv = ctx._a_dims[c]
+            dv = ctx._a_pool.dims[c]
             for k in range(n):
                 dimsum[k] += dv[k]
         zeros = [v for v, pos in ctx.quiver.v_pos.items() if dimsum[pos] == 0]

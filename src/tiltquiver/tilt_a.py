@@ -65,26 +65,32 @@ __all__ = [
 
 
 class Pool:
-    """Indecomposable pool with cached Ext and Hom tables and compatibility."""
+    """Indecomposable pool with its Ext table, a Hom cache and compatibility.
+
+    Precondition: the members are pairwise non-isomorphic bricks from
+    directed components (the indecomposables of a Dynkin quiver, or the
+    double-arrow preprojectives and preinjectives).  Between two such
+    modules Hom or Ext^1 vanishes, so dim Ext^1(X, Y) is the negative part
+    of the Euler form <dim X, dim Y> (Ringel, LNM 1099) and the whole table
+    is read off it.  Each member's rigidity is still checked by the Hom
+    solver.
+    """
 
     def __init__(self, quiver: Quiver, items: Sequence[tuple[IndecId, Rep]]):
         self.quiver = quiver
         self.ids = [iid for iid, _ in items]
         self.reps = [rep for _, rep in items]
         self.index_of = {iid: i for i, iid in enumerate(self.ids)}
-        size = len(items)
-        self._ext = [[None] * size for _ in range(size)]
+        self.dims = [rep.dim_vector() for rep in self.reps]
+        self._ext = [[max(0, -quiver.euler_form(di, dj)) for dj in self.dims]
+                     for di in self.dims]
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
-        for i in range(size):
-            if self.ext(i, i):
-                raise RuntimeError(f"pool member {self.ids[i]} is not rigid")
+        for iid, rep in zip(self.ids, self.reps):
+            if ext1_dim(rep, rep):
+                raise RuntimeError(f"pool member {iid} is not rigid")
 
     def ext(self, i: int, j: int) -> int:
-        e = self._ext[i][j]
-        if e is None:
-            e = ext1_dim(self.reps[i], self.reps[j])
-            self._ext[i][j] = e
-        return e
+        return self._ext[i][j]
 
     def hom(self, i: int, j: int) -> list[SlotMap]:
         got = self._hom.get((i, j))

@@ -220,6 +220,27 @@ def test_failed_arc_certificate_is_an_engine_error(flags):
     assert "engine error:" in proc.stderr
 
 
+# every pool member's rigidity check reports Ext^1(X, X) = 1
+NOT_RIGID = (
+    "import sys\n"
+    "from tiltquiver import cli, tilt_a\n"
+    "tilt_a.ext1_dim = lambda m, n: 1\n"
+    "sys.exit(cli.main({argv!r}))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [["kquiver", "--diagram", "A3"], ["kquiver", "--window", "3"]],
+                         ids=["A3", "window-3"])
+def test_non_rigid_pool_member_is_an_engine_error(argv, flags):
+    # the Ext^1 table comes from the Euler form, the rigidity check from the solver
+    proc = _run_script(flags, NOT_RIGID.format(argv=argv))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error:" in proc.stderr
+    assert "is not rigid" in proc.stderr
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_dup_arc_certificate_is_an_engine_error(flags):
     proc = _run_script(flags, WRONG_COMPLEMENT)

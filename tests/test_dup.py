@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tiltquiver import dup, homsolve, rep_a
+from tiltquiver import dup, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix
 from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
 
@@ -55,6 +55,22 @@ def test_bar_projectives_are_projective_and_injective():
             assert homsolve.projective_dimension(b) == 0
             c, _, _ = homsolve.cosyzygy(b)
             assert c.is_zero()
+
+
+def test_slot_projectives_are_shared_and_never_mutated():
+    ctx = dup.build_context(A3)
+    ctx.validate_rules()
+    dup.tilting_quiver_dup(ctx)
+    for a in A3.vertices:
+        bar, low = dup.slot_projective(A3, ("t", a)), dup.slot_projective(A3, ("b", a))
+        assert ctx.objects()[ctx.pool_size() + A3.v_pos[a]][1] is bar
+        assert ctx.pool()[0][1].projective_for_slot(("b", a)) is low
+        assert ctx.pool()[0][1].injective_for_slot(("b", a)) is bar
+        # the shared copies still equal fresh builds after all that work
+        for got, fresh in ((bar, dup.bar_projective(A3, a)),
+                           (low, dup.embed(A3, rep_a.projective(A3, a)))):
+            assert got.dims == fresh.dims
+            assert got.struct() == fresh.struct()
 
 
 def test_embedding_preserves_hom_dimensions():
@@ -191,7 +207,7 @@ def test_shift_extension_identity():
             for j, pid in enumerate(ids):
                 if pid.kind != "E":
                     continue
-                assert ctx.ext1_idx(wi, j) == ctx._a_dims[j][q.v_pos[i]]
+                assert ctx.ext1_idx(wi, j) == ctx._a_pool.dims[j][q.v_pos[i]]
                 assert ctx.ext1_idx(j, wi) == 0
 
 
@@ -205,21 +221,33 @@ def test_pool_rules_match_solver():
         ctx.validate_rules()  # raises on any disagreement
 
 
-EULER_QUIVERS = ([(f"A3-{k}", q) for k, q in enumerate(orientations("A3"))]
-                 + [(f"D4-{k}", q) for k, q in enumerate(orientations("D4"))]
-                 + [(name, named_diagram(name)) for name in ("A5", "D5", "E6")])
+EULER_POOLS = ([(f"{name}-{k}", name, k) for name in ("A3", "A4", "D4", "D5")
+                for k in range(len(orientations(name)))]
+               + [(name, name, None) for name in ("A5", "D5", "E6")]
+               + [(f"K-w{w}", "K", w) for w in range(1, 13)])
 
 
-@pytest.mark.parametrize("q", [q for _, q in EULER_QUIVERS], ids=[n for n, _ in EULER_QUIVERS])
-def test_euler_ext_table_matches_the_solver(q):
-    # the embedded-pair compatibility rule reads Ext^1 off the Euler form;
-    # a Dynkin path algebra is representation-directed, so it is exact
-    ctx = dup.build_context(q)
-    ctx.pool()
-    inds = [rep for _, rep in rep_a.indecomposables(q)]
-    assert len(ctx._a_ext) == len(inds) ** 2
-    for (i, j), got in ctx._a_ext.items():
-        assert got == rep_a.ext1_dim(inds[i], inds[j])
+@pytest.mark.parametrize("name, key", [(n, k) for _, n, k in EULER_POOLS],
+                         ids=[i for i, _, _ in EULER_POOLS])
+def test_euler_ext_table_matches_the_solver(name, key):
+    # the classical pool reads its Ext^1 table off the Euler form, and the
+    # duplicated compatibility rule reads the same table; the members lie in
+    # directed components, so Hom or Ext^1 vanishes on every pair and the
+    # Euler form gives both dimensions; the Hom solver is the reference
+    if name == "K":
+        pool = tilt_a._kron_pool(key)
+    else:
+        q = named_diagram(name) if key is None else orientations(name)[key]
+        pool = tilt_a._dynkin_pool(q)
+        ctx = dup.build_context(q)
+        ctx.pool()
+        assert ctx._a_pool is pool
+    form = pool.quiver.euler_form
+    for i, x in enumerate(pool.reps):
+        for j, y in enumerate(pool.reps):
+            assert pool.ext(i, j) == rep_a.ext1_dim(x, y)
+            hom = max(0, form(x.dim_vector(), y.dim_vector()))
+            assert rep_a.hom_dim(x, y) == len(homsolve.hom_basis(x, y)) == hom
 
 
 def test_enumerate_a2_exact():
