@@ -396,7 +396,7 @@ class DupContext:
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
-        self._syz: dict[int, tuple[TripleModule, dict[Slot, int]]] = {}
+        self._syz: dict[int, dict[Slot, int]] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._radical: dict[tuple[int, int, int], tuple] = {}
         self._composites: dict[tuple[int, int, int], tuple] = {}
@@ -487,29 +487,40 @@ class DupContext:
             got = self._composites[key] = self._shared.setdefault(got, got)
         return got
 
-    def _syzygy_data(self, i: int) -> tuple[TripleModule, dict[Slot, int]]:
+    def _syzygy_data(self, i: int) -> dict[Slot, int]:
+        """The tops of P1 minus those of P0, per slot, for the projective
+        resolution 0 -> P1 -> P0 -> M -> 0 of object i (cached).
+
+        P0 -> M is the projective cover and P1 = Omega M, certified
+        projective: its own cover must be bijective, else
+        ``RuntimeError``.  Every object has projective dimension at most
+        1, the shifted modules as certified when built."""
         got = self._syz.get(i)
         if got is None:
-            m = self.objects()[i][1]
+            pid, m = self.objects()[i]
             _, tags, cover = homsolve.projective_cover_parts(m)
             K, _ = homsolve.kernel(cover)
-            mults: dict[Slot, int] = {}
+            P1, omega_tags, _ = homsolve.projective_cover_parts(K)
+            if P1.dims != K.dims:
+                raise RuntimeError(f"the syzygy of {pid} is not projective")
+            got = {}
+            for tag in omega_tags:
+                got[tag] = got.get(tag, 0) + 1
             for tag in tags:
-                mults[tag] = mults.get(tag, 0) + 1
-            got = (K, mults)
+                got[tag] = got.get(tag, 0) - 1
             self._syz[i] = got
         return got
 
     def ext1_idx(self, i: int, j: int) -> int:
-        """dim Ext^1 between objects, via one syzygy step (cached)."""
+        """dim Ext^1 between objects (cached).  Hom(-, N) applied to the
+        resolution of ``_syzygy_data`` gives dim Hom(M, N) - dim Hom(P0, N)
+        + dim Hom(P1, N), and dim Hom(P_s, N) = dim N_s (Yoneda)."""
         got = self._ext.get((i, j))
         if got is not None:
             return got
-        K, mults = self._syzygy_data(i)
         N = self.objects()[j][1]
-        cover_hom = sum(mult * N.dims[s] for s, mult in mults.items())
-        val = (homsolve.hom_dim(K, N) - cover_hom
-               + len(self.hom_idx(i, j)))
+        val = (len(self.hom_idx(i, j))
+               + sum(mult * N.dims[s] for s, mult in self._syzygy_data(i).items()))
         if val < 0:
             raise RuntimeError(f"negative Ext^1 between objects {i} and {j}")
         self._ext[(i, j)] = val
@@ -575,18 +586,6 @@ def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a
     return [tilt_a.make_tilting(c, ids, mods) for c in tilt_a.cliques(ctx.table, ctx.n)]
 
 
-def _exchange_summands(ctx: DupContext, x: int, members: Sequence[int]) -> tuple[int, ...]:
-    """Object indices of the summands of E, one per component of the
-    minimal left approximation x -> E into add(members), read from the
-    cached ``radical_idx`` coordinates."""
-    objs = ctx.objects()
-    comps = homsolve.minimal_left_approximation(
-        objs[x][1], [objs[k][1] for k in members],
-        [ctx.hom_idx(x, k) for k in members],
-        radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]))
-    return tuple(members[i] for i, _ in comps)
-
-
 def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     """Exchange graph of the tilting modules over the duplicated algebra.
 
@@ -601,12 +600,14 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     bases: the approximation x -> E is injective, dim E = dim x + dim y,
     and the maps E -> y killing x form a line spanned by a surjection.
     The composites it needs depend only on object indices and are read
-    from ``radical_idx`` and ``composite_idx``.  Exactness depends only
-    on x, y and the component maps, so the pair's sequence serves every
-    arc whose part contains the summands of E; by Krull-Schmidt that
-    puts E in the part's additive closure, and it is checked per arc.
-    So is dim Ext^1(y, x) = 1, which gives every non-split extension of
-    y by x, the arc's own included, the same middle term (Happel-Unger).
+    from ``radical_idx`` and ``composite_idx``.  The summands of E are
+    the targets of the approximation components the certificate returns.
+    Exactness depends only on x, y and the component maps, so the pair's
+    sequence serves every arc whose part contains those summands; by
+    Krull-Schmidt that puts E in the part's additive closure, and it is
+    checked per arc.  So is dim Ext^1(y, x) = 1, which gives every
+    non-split extension of y by x, the arc's own included, the same
+    middle term (Happel-Unger).
     Parts without exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
@@ -622,17 +623,18 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
             raise RuntimeError(f"Ext^1({ids[y]}, {ids[x]}) has dimension {ext}, not 1")
         got = pairs.get((x, y))
         if got is None:
-            e_dims = homsolve.certify_exchange(
+            cert = homsolve.certify_exchange(
                 objs[x][1], [objs[k][1] for k in members], objs[y][1],
                 hom_x=[ctx.hom_idx(x, k) for k in members],
                 pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]),
                 hom_y=[ctx.hom_idx(k, y) for k in members],
                 radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]),
                 composites=lambda a: ctx.composite_idx(x, members[a], y))
-            if e_dims is None:
+            if cert is None:
                 raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
                                    f"complement {ids[y]}")
-            got = pairs[(x, y)] = (e_dims, frozenset(_exchange_summands(ctx, x, members)))
+            got = pairs[(x, y)] = (tuple(cert),
+                                   frozenset(members[i] for i, _ in cert.components))
         e_dims, summands = got
         if not summands.issubset(members):
             raise RuntimeError(f"middle term of the exchange of {ids[x]} for {ids[y]} "

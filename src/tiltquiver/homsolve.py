@@ -67,6 +67,7 @@ class SlotModule:
 
     slot_keys: tuple[Slot, ...]
     dims: dict[Slot, int]
+    _nonzeros = None  # memo of _label_nonzeros
 
     # -- required interface ------------------------------------------------
 
@@ -208,6 +209,32 @@ class LinSpan:
 # morphism spaces
 
 
+def _label_nonzeros(
+    M: SlotModule,
+) -> tuple[tuple[Slot, Slot, list[list[tuple[int, Rat]]], list[list[tuple[int, Rat]]]], ...]:
+    """Per solver label, in ``solver_labels`` order: its ends (a, b) and
+    the nonzero (index, entry)s of each column and of each row of its
+    structure matrix, integral entries as ``int`` (``as_int_if_integral``,
+    inlined).  Computed once per module, as ``_hom_system`` reads them
+    for every partner (modules are not mutated once built); the lists
+    are shared, so callers only read them."""
+    got = M._nonzeros
+    if got is None:
+        out = []
+        st = M.struct()
+        for lab in M.solver_labels():
+            mat = st[lab]
+            rows = [[(k, x.numerator if x.denominator == 1 else x)
+                     for k, x in enumerate(row) if x] for row in mat.data]
+            cols: list[list[tuple[int, Rat]]] = [[] for _ in range(mat.cols)]
+            for i, row in enumerate(rows):
+                for k, x in row:
+                    cols[k].append((i, x))
+            out.append((*M.label_ends(lab), cols, rows))
+        got = M._nonzeros = tuple(out)
+    return got
+
+
 def _hom_system(
     M: SlotModule, N: SlotModule
 ) -> tuple[list[dict[int, Rat]], dict[Slot, int], int]:
@@ -221,8 +248,7 @@ def _hom_system(
     """
     if M.slot_keys != N.slot_keys:
         raise ValueError("modules live on different slot sets")
-    labels = M.solver_labels()
-    if labels != N.solver_labels():
+    if M.solver_labels() != N.solver_labels():
         raise ValueError("modules carry different label sets")
     offs: dict[Slot, int] = {}
     total = 0
@@ -231,27 +257,16 @@ def _hom_system(
         total += N.dims[s] * M.dims[s]
     if total == 0:
         return [], offs, 0
-    ms, ns = M.struct(), N.struct()
     rows: list[dict[int, Rat]] = []
-    for lab in labels:
-        a, b = M.label_ends(lab)
-        P, Q = ms[lab], ns[lab]  # M_a -> M_b and N_a -> N_b
-        mb, ma = M.dims[b], M.dims[a]
-        nb, na = N.dims[b], N.dims[a]
-        # nonzeros of the columns of P and the rows of Q, as ints where
-        # integral so the rows below are built without Fraction arithmetic
-        p_cols = [[(k, as_int_if_integral(P.data[k][j]))
-                   for k in range(mb) if P.data[k][j]] for j in range(ma)]
-        q_rows = [[(k, as_int_if_integral(x)) for k, x in enumerate(Q.data[i]) if x]
-                  for i in range(nb)]
-        for i in range(nb):
+    # the columns of S^M_l: M_a -> M_b and the rows of S^N_l: N_a -> N_b
+    for (a, b, p_cols, _), (_, _, _, q_rows) in zip(_label_nonzeros(M), _label_nonzeros(N)):
+        mb, ma, off_a = M.dims[b], len(p_cols), offs[a]
+        for i, q_row in enumerate(q_rows):
             base_b = offs[b] + i * mb
-            for j in range(ma):
-                row: dict[int, Rat] = {}
-                for k, c in p_cols[j]:
-                    row[base_b + k] = c
-                for k, c in q_rows[i]:
-                    col = offs[a] + k * ma + j
+            for j, p_col in enumerate(p_cols):
+                row: dict[int, Rat] = {base_b + k: c for k, c in p_col}
+                for k, c in q_row:
+                    col = off_a + k * ma + j
                     row[col] = row.get(col, 0) - c
                 if row:
                     rows.append(row)
@@ -272,8 +287,10 @@ def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
         blocks = {}
         for s in M.slot_keys:
             r, c = N.dims[s], M.dims[s]
-            seg = v[offs[s]: offs[s] + r * c]
-            blocks[s] = RatMatrix([seg[i * c:(i + 1) * c] for i in range(r)], cols=c)
+            base = offs[s]
+            # slices of a fresh kernel vector of Fractions
+            blocks[s] = RatMatrix._trusted(
+                [v[base + i * c: base + (i + 1) * c] for i in range(r)], c)
         out.append(SlotMap(M, N, blocks))
     return out
 
@@ -298,30 +315,29 @@ def end_dim(M: SlotModule) -> int:
 def kernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
     """Kernel submodule with its inclusion.
 
-    Slotwise kernel bases; structure maps are transported by expressing
-    S^M(basis vector) in the kernel basis of the target slot, which is
-    solvable exactly because f intertwines the structure maps.
+    Slotwise canonical kernel bases (``kernel_from_rref``): each basis
+    vector has entry 1 at its free column, its last nonzero entry, where
+    the other basis vectors vanish.  A structure map is transported by
+    reading the coordinates of S^M(basis vector) at the free columns of
+    the target slot's basis; f intertwines the structure maps, so the
+    residual is zero, and a nonzero one raises ``RuntimeError``.
     """
     M = f.src
     bases: dict[Slot, RatMatrix] = {}
-    dims: dict[Slot, int] = {}
+    free: dict[Slot, list[int]] = {}
     for s in M.slot_keys:
         vecs = f.blocks[s].kernel_basis()
-        bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()  # columns = basis
-        dims[s] = len(vecs)
+        bases[s] = RatMatrix._trusted(vecs, M.dims[s]).transpose()  # columns = basis
+        free[s] = [max(k for k, x in enumerate(v) if x) for v in vecs]
     struct: dict[Label, RatMatrix] = {}
     for lab, mat in M.struct().items():
         a, b = M.label_ends(lab)
         pushed = mat @ bases[a]  # columns land in ker f_b
-        cols = []
-        for j in range(pushed.cols):
-            col = [pushed[i, j] for i in range(pushed.rows)]
-            x = bases[b].solve(col)
-            if x is None:
-                raise RuntimeError("kernel not preserved: map is not a morphism")
-            cols.append(x)
-        struct[lab] = RatMatrix(cols, cols=dims[b]).transpose() if cols else RatMatrix.zeros(dims[b], 0)
-    K = M._rebuild(dims, struct)
+        coords = RatMatrix._trusted([pushed.data[c] for c in free[b]], pushed.cols)
+        if bases[b] @ coords != pushed:
+            raise RuntimeError("kernel not preserved: map is not a morphism")
+        struct[lab] = coords
+    K = M._rebuild({s: len(free[s]) for s in M.slot_keys}, struct)
     incl = SlotMap(K, M, {s: bases[s] for s in M.slot_keys})
     return K, incl
 
@@ -790,6 +806,21 @@ class NoExchangeSequence(ValueError):
     """The minimal left approximation is zero or fails to be injective."""
 
 
+class ExchangeDims(tuple):
+    """The slot dimensions of a certified middle term E (``dims_key``
+    order), equal to the plain tuple, carrying the components (pool
+    index, basis map x -> pool_i) of the approximation x -> E that the
+    certificate built, so E's summands are read off without a second
+    approximation."""
+
+    components: list[tuple[int, SlotMap]]
+
+    def __new__(cls, dims: Iterable[int], components: list[tuple[int, SlotMap]]):
+        got = super().__new__(cls, dims)
+        got.components = components
+        return got
+
+
 def injective_approximation(
     x: SlotModule,
     pool: Sequence[SlotModule],
@@ -885,7 +916,7 @@ def certify_exchange(
     *,
     radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
     composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]] | None = None,
-) -> tuple[int, ...] | None:
+) -> ExchangeDims | None:
     """Certify 0 -> x -> E -> y -> 0 for a given brick y (End y = k),
     building neither E nor the cokernel of the approximation f: x -> E.
 
@@ -903,8 +934,9 @@ def certify_exchange(
 
     Then im f lies in ker g, whose dimension is dim E - dim y = dim im f
     at every slot, so the sequence is exact and coker f is isomorphic to
-    y.  Returns the slot dimensions of E (in ``dims_key`` order), or
-    None when y is not the cokernel of f.  The optional caches
+    y.  Returns the slot dimensions of E (in ``dims_key`` order) with
+    the components of f (``ExchangeDims``), or None when y is not the
+    cokernel of f.  The optional caches
     ``radical`` (of ``minimal_left_approximation``) and ``composites``
     (of ``exchange_line``) hold coordinates that depend only on the
     modules, so a caller certifying many arcs over one pool computes
@@ -943,4 +975,4 @@ def certify_exchange(
             echelon.add(row)
         if echelon.rank != y.dims[s]:
             return None
-    return e_dims
+    return ExchangeDims(e_dims, comps)

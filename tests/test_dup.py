@@ -211,6 +211,26 @@ def test_shift_extension_identity():
                 assert ctx.ext1_idx(j, wi) == 0
 
 
+YONEDA_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
+                  + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
+                  + [(name, named_diagram(name)) for name in ("A5", "D5")])
+
+
+@pytest.mark.parametrize("q", [q for _, q in YONEDA_QUIVERS],
+                         ids=[n for n, _ in YONEDA_QUIVERS])
+def test_yoneda_ext1_matches_the_generic_route(q):
+    # ext1_idx reads Hom out of each object's projective syzygy by Yoneda;
+    # the reference takes the syzygy and three Hom solves for every pair
+    ctx = dup.build_context(q)
+    objs = [m for _, m in ctx.objects()]
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            assert ctx.ext1_idx(i, j) == homsolve.ext1_dim(x, y), (i, j)
+    # every nonzero syzygy is read by Yoneda (shifted modules have pd 1)
+    assert any(any(mult > 0 for mult in ctx._syzygy_data(i).values())
+               for i in range(len(objs)))
+
+
 # ---------------------------------------------------------------------------
 # tilting enumeration
 
@@ -489,14 +509,17 @@ DECOMPOSABLE_SHIFT = (
 
 
 # every pair claims the whole almost complete part of its first arc as
-# summands of E, which a later arc of the pair, with another part, lacks
+# summands of E, which a later arc of the pair, with another part, lacks:
+# each certificate hands back one more component per pool member
 MISSING_SUMMAND = (
     "import sys\n"
-    "from tiltquiver import cli, dup\n"
-    "summands = dup._exchange_summands\n"
-    "def widened(ctx, x, members):\n"
-    "    return summands(ctx, x, members) + tuple(members)\n"
-    "dup._exchange_summands = widened\n"
+    "from tiltquiver import cli, homsolve\n"
+    "certify = homsolve.certify_exchange\n"
+    "def widened(x, pool, y, *args, **kwargs):\n"
+    "    got = certify(x, pool, y, *args, **kwargs)\n"
+    "    extra = [(i, None) for i in range(len(pool))]\n"
+    "    return homsolve.ExchangeDims(got, got.components + extra)\n"
+    "homsolve.certify_exchange = widened\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -510,6 +533,27 @@ EXT_PLANE = (
     "    got = ext1_idx(self, i, j)\n"
     "    return 2 if got == 1 else got\n"
     "dup.DupContext.ext1_idx = doubled\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+
+# once the pool is built, every kernel gains the top-embedded simple at
+# the first vertex, which is not projective, so the syzygies that Ext^1
+# reads by Yoneda are not projective either
+NON_PROJECTIVE_SYZYGY = (
+    "import sys\n"
+    "from tiltquiver import cli, dup, homsolve, rep_a\n"
+    "kernel, pool = homsolve.kernel, dup.DupContext.pool\n"
+    "def widened(f):\n"
+    "    K, incl = kernel(f)\n"
+    "    q = K.quiver\n"
+    "    simple = dup.embed_top(q, rep_a.simple(q, q.vertices[0]))\n"
+    "    return homsolve.direct_sum([K, simple])[0], incl\n"
+    "def pool_then_widen(self):\n"
+    "    got = pool(self)\n"
+    "    homsolve.kernel = widened\n"
+    "    return got\n"
+    "dup.DupContext.pool = pool_then_widen\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -541,3 +585,12 @@ def test_exchange_pair_fault_is_an_engine_error(script, message, flags):
     assert proc.stdout == ""
     assert "engine error:" in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_projective_syzygy_is_an_engine_error(flags):
+    proc = _run_script(flags, NON_PROJECTIVE_SYZYGY)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error:" in proc.stderr
+    assert "is not projective" in proc.stderr

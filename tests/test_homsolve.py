@@ -13,7 +13,11 @@ its certificate, ``certify_exchange``, which builds neither E nor the
 cokernel.  The graph certifies each exchange pair (x, y) once, so every
 arc's own arguments are rebuilt from the graph (``_arc_certificates``).
 That certificate is held to ``exchange_sequence`` and to a two-Hom
-isomorphism test, and must reject wrong complements.
+isomorphism test, and must reject wrong complements.  ``kernel`` reads
+structure maps at the free columns of canonical kernel bases and is
+held to the per-column solves it replaced; the structure nonzeros that
+``_hom_system`` memoizes per module are held to a fresh read after full
+runs of both engines.
 """
 
 import inspect
@@ -23,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tiltquiver import dup, homsolve, rep_a, tilt_a
+from tiltquiver import cli, dup, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix, sparse_row
 from tiltquiver.homsolve import LinSpan, SlotMap
 from tiltquiver.quiver_core import named_diagram
@@ -476,6 +480,116 @@ def test_corrupted_cached_basis_raises():
         homsolve.basis_coordinates([good, good.scale(2)], [_row(good)])
 
 
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_certificate_returns_its_approximation_components(name):
+    # the graph reads E's summands off these components, with no second
+    # approximation; the arc keeps only the plain dimension tuple
+    graph, certificates = _arc_certificates(name)
+    for arc, c in zip(graph.arcs, certificates):
+        got = homsolve.certify_exchange(**c)
+        comps = homsolve.minimal_left_approximation(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
+        assert got.components == comps
+        assert got == arc.e_dims and type(arc.e_dims) is tuple
+
+
+# ---------------------------------------------------------------------------
+# kernels and the per-module structure nonzeros
+
+
+def reference_kernel(f):
+    """Kernel by the solve route: slotwise canonical kernel bases, each
+    column of a pushed structure map solved in the target slot's basis.
+    Returns the kernel's dims and structure maps and the inclusion blocks."""
+    M = f.src
+    bases, dims = {}, {}
+    for s in M.slot_keys:
+        vecs = f.blocks[s].kernel_basis()
+        bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()
+        dims[s] = len(vecs)
+    struct = {}
+    for lab, mat in M.struct().items():
+        a, b = M.label_ends(lab)
+        pushed = mat @ bases[a]
+        cols = [bases[b].solve([pushed[i, j] for i in range(pushed.rows)])
+                for j in range(pushed.cols)]
+        assert None not in cols
+        struct[lab] = (RatMatrix(cols, cols=dims[b]).transpose() if cols
+                       else RatMatrix.zeros(dims[b], 0))
+    return dims, struct, bases
+
+
+def assert_kernel_matches(f):
+    K, incl = homsolve.kernel(f)
+    dims, struct, bases = reference_kernel(f)
+    assert K.dims == dims
+    assert K.struct() == struct
+    assert incl.blocks == bases
+    assert incl.src is K and incl.dst is f.src
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_kernel_matches_the_solve_route_on_dup_maps(name):
+    # the shifted modules' projective dimension checks and the syzygies
+    # that Ext^1 reads by Yoneda
+    seen = _recorded(_dup_graph(name), "kernel")
+    calls = [c["f"] for c in seen["kernel"]]
+    assert len(calls) >= {"A3": 15, "D4": 24}[name]
+    assert any(not homsolve.kernel(f)[0].is_zero() for f in calls)
+    for f in calls:
+        assert_kernel_matches(f)
+
+
+def reference_label_nonzeros(M):
+    """Per solver label, its ends and the nonzero (index, entry)s of each
+    column and each row of its structure matrix, read afresh from
+    ``struct()``."""
+    out = []
+    for lab in M.solver_labels():
+        mat = M.struct()[lab]
+        cols = [[(i, row[j]) for i, row in enumerate(mat.data) if row[j]]
+                for j in range(mat.cols)]
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
+        out.append((*M.label_ends(lab), cols, rows))
+    return tuple(out)
+
+
+def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
+    # full runs of both engines: every module whose structure nonzeros were
+    # memoized still has them, equal to a fresh read of its current
+    # structure maps, and every Hom basis block is what the validating
+    # constructor builds from the same rows
+    memos, blocks = {}, []
+    label_nonzeros, hom_basis = homsolve._label_nonzeros, homsolve.hom_basis
+
+    def memoized(M):
+        got = label_nonzeros(M)
+        memos[id(M)] = (M, got)
+        return got
+
+    def recorded(M, N):
+        got = hom_basis(M, N)
+        blocks.extend(b for f in got for b in f.blocks.values())
+        return got
+
+    monkeypatch.setattr(homsolve, "_label_nonzeros", memoized)
+    for mod in (homsolve, rep_a):  # rep_a imports hom_basis by name
+        monkeypatch.setattr(mod, "hom_basis", recorded)
+    for argv in (["dup-kquiver", "--diagram", "A3"], ["dup-kquiver", "--diagram", "D4"],
+                 ["kquiver", "--diagram", "D4"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(memos) > 50 and len(blocks) > 1000
+    for M, memo in memos.values():
+        assert M._nonzeros is memo
+        assert memo == reference_label_nonzeros(M)
+        assert all(type(x) is int or x.denominator != 1
+                   for _, _, _, rows in memo for row in rows for _, x in row)
+    for b in blocks:
+        assert all(type(x) is Fraction for row in b.data for x in row)
+        assert len({id(row) for row in b.data}) == b.rows  # no shared rows
+        assert b == RatMatrix(b.data, cols=b.cols)
+
+
 # ---------------------------------------------------------------------------
 # generated inputs
 
@@ -505,6 +619,12 @@ def module_maps(draw):
 def test_cokernel_matches_dense_reference_on_generated_maps(f):
     assume(not f.is_injective())
     assert_cokernel_matches(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(module_maps())
+def test_kernel_matches_the_solve_route_on_generated_maps(f):
+    assert_kernel_matches(f)
 
 
 sparse_rat = st.one_of(st.just(F(0)), st.just(F(0)), st.sampled_from([F(1), F(-1)]),
