@@ -8,14 +8,11 @@ duplicated algebra, where endomorphism rings and homological dimensions
 of the induced tilts can be verified mechanically.
 """
 
-from .exactlin import RatMatrix, image_basis, rank_kernel, solve
+from .exactlin import RatMatrix
 from .quiver_core import Quiver
 
 __all__ = [
     "RatMatrix",
-    "rank_kernel",
-    "solve",
-    "image_basis",
     "Quiver",
 ]
 

@@ -127,6 +127,17 @@ def _load_quiver(args, required: bool = True) -> tuple[Quiver | None, str]:
     return None, ""
 
 
+def _window_or_quiver(args, from_window, from_quiver):
+    """``from_window(W)`` on ``--window W``, else ``from_quiver`` on the
+    loaded quiver; returns the result and the input's description."""
+    if args.window is not None:
+        if getattr(args, "quiver_file", None) or getattr(args, "diagram", None):
+            raise UsageError("--window replaces the quiver; drop -q/--diagram")
+        return from_window(args.window), f"window {args.window}"
+    q, desc = _load_quiver(args)
+    return from_quiver(q), desc
+
+
 def _report(command: str, desc: str, status: str, stats: dict,
             counterexamples: list, **extra) -> dict:
     rep = {
@@ -164,14 +175,7 @@ def cmd_classify(args) -> tuple[dict, list[str]]:
 
 
 def cmd_indec(args) -> tuple[dict, list[str]]:
-    if args.window is not None:
-        if getattr(args, "quiver_file", None) or getattr(args, "diagram", None):
-            raise UsageError("--window replaces the quiver; drop -q/--diagram")
-        items = rep_a.kronecker_window(args.window)
-        desc = f"window {args.window}"
-    else:
-        q, desc = _load_quiver(args)
-        items = rep_a.indecomposables(q)
+    items, desc = _window_or_quiver(args, rep_a.kronecker_window, rep_a.indecomposables)
     lines = [f"indec [{desc}]: pass", f"indecomposables: {len(items)}"]
     lines.extend(f"{iid} dim={_dimstr(rep.dim_vector())}" for iid, rep in items)
     report = _report("indec", desc, "pass",
@@ -190,14 +194,7 @@ def cmd_tilting(args) -> tuple[dict, list[str]]:
 
 
 def cmd_kquiver(args) -> tuple[dict, list[str]]:
-    if args.window is not None:
-        if getattr(args, "quiver_file", None) or getattr(args, "diagram", None):
-            raise UsageError("--window replaces the quiver; drop -q/--diagram")
-        g = tilt_a.kronecker_tilting_quiver(args.window)
-        desc = f"window {args.window}"
-    else:
-        q, desc = _load_quiver(args)
-        g = tilt_a.tilting_quiver(q)
+    g, desc = _window_or_quiver(args, tilt_a.kronecker_tilting_quiver, tilt_a.tilting_quiver)
     status = "window-limited" if g.boundary else "pass"
     stats = _graph_stats(g)
     if g.boundary:
@@ -209,7 +206,7 @@ def cmd_kquiver(args) -> tuple[dict, list[str]]:
 
 def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
     q, desc = _load_quiver(args)
-    ctx = dup.build_context(q)
+    ctx = dup.DupContext(q)
     g = dup.tilting_quiver_dup(ctx)
     violations = list(g.defects)
     stats = {**_graph_stats(g), "degree": ctx.n}
@@ -228,20 +225,21 @@ def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
 def cmd_orientations(args) -> tuple[dict, list[str]]:
     q, desc = _load_quiver(args)
     sweep = tilt_a.orientation_invariance(q)
-    report = _report(
-        "orientations", desc, sweep["status"],
-        {
-            "n": sweep["n"],
-            "orientations": len(sweep["per_orientation"]),
-            "t_constant": sweep["t_constant"],
-            "per_orientation": sweep["per_orientation"],
-        },
-        sweep["violations"],
-    )
+    report = _report("orientations", desc, sweep["status"], _sweep_stats(sweep),
+                     sweep["violations"])
     lines = [f"orientations [{desc}]: {sweep['status']}", _stats_line(report["stats"])]
     lines.extend(_orientation_rows(sweep))
     lines.extend(_ce_lines(report))
     return report, lines
+
+
+def _sweep_stats(sweep: dict) -> dict:
+    return {
+        "n": sweep["n"],
+        "orientations": len(sweep["per_orientation"]),
+        "t_constant": sweep["t_constant"],
+        "per_orientation": sweep["per_orientation"],
+    }
 
 
 def _orientation_rows(sweep: dict) -> list[str]:
@@ -378,12 +376,7 @@ def _verify_identity(q: Quiver) -> dict:
     first = sweep["per_orientation"][0]
     return {
         "status": sweep["status"],
-        "stats": {
-            "n": sweep["n"],
-            "orientations": len(sweep["per_orientation"]),
-            "t_constant": sweep["t_constant"],
-            "per_orientation": sweep["per_orientation"],
-        },
+        "stats": _sweep_stats(sweep),
         "counterexamples": sweep["violations"],
         "identity": {
             "n": sweep["n"],
@@ -407,7 +400,7 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
             raise UsageError(f"--window does not apply to theorem {tok}")
         q, desc = _load_quiver(args)
         if tok in ("3.1", "4.1", "4.2", "4.3"):
-            ctx = dup.build_context(q)
+            ctx = dup.DupContext(q)
         if tok == "3.1":
             result = endo.verify_endo_global_dimension(ctx)
         elif tok == "4.1":
@@ -423,14 +416,8 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
         else:
             result = _verify_identity(q)
     elif tok == "5.4":
-        if args.window is not None:
-            if getattr(args, "quiver_file", None) or getattr(args, "diagram", None):
-                raise UsageError("--window replaces the quiver; drop -q/--diagram")
-            g = tilt_a.kronecker_tilting_quiver(args.window)
-            desc = f"window {args.window}"
-        else:
-            q, desc = _load_quiver(args)
-            g = tilt_a.tilting_quiver(q)
+        g, desc = _window_or_quiver(args, tilt_a.kronecker_tilting_quiver,
+                                    tilt_a.tilting_quiver)
         result = _verify_components_nonsaturated(g)
     else:  # 5.5
         if getattr(args, "quiver_file", None) or getattr(args, "diagram", None):

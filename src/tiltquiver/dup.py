@@ -326,26 +326,6 @@ def bar_projective(q: Quiver, a: int) -> TripleModule:
     return TripleModule(q, dims, dict(P.arrow_maps), dict(I.arrow_maps), conn)
 
 
-def triple_hom(m: TripleModule, n: TripleModule) -> list[SlotMap]:
-    if m.quiver != n.quiver:
-        raise ValueError("modules live over different quivers")
-    return homsolve.hom_basis(m, n)
-
-
-def triple_hom_dim(m: TripleModule, n: TripleModule) -> int:
-    return len(triple_hom(m, n))
-
-
-def triple_ext1(m: TripleModule, n: TripleModule) -> int:
-    if m.quiver != n.quiver:
-        raise ValueError("modules live over different quivers")
-    return homsolve.ext1_dim(m, n)
-
-
-def triple_pd(m: TripleModule, cap: int = 6) -> int:
-    return homsolve.projective_dimension(m, cap=cap)
-
-
 def shifted_module(q: Quiver, i: int) -> TripleModule:
     """The shifted module W_i: the inverse translate of the embedded
     injective I_i, built as the cosyzygy of the embedded projective P_i.
@@ -564,10 +544,6 @@ class DupContext:
         self._rules_checked = True
 
 
-def build_context(q: Quiver) -> DupContext:
-    return DupContext(q)
-
-
 # ---------------------------------------------------------------------------
 # tilting enumeration and the exchange graph
 
@@ -582,8 +558,8 @@ def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a
     if validate:
         ctx.validate_rules()
     ids = ctx.pool_ids()
-    mods = [m for _, m in ctx.pool()]
-    return [tilt_a.make_tilting(c, ids, mods) for c in tilt_a.cliques(ctx.table, ctx.n)]
+    dims = [m.dims_key() for _, m in ctx.pool()]
+    return [tilt_a.make_tilting(c, ids, dims) for c in tilt_a.cliques(ctx.table, ctx.n)]
 
 
 def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
@@ -626,7 +602,6 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
             cert = homsolve.certify_exchange(
                 objs[x][1], [objs[k][1] for k in members], objs[y][1],
                 hom_x=[ctx.hom_idx(x, k) for k in members],
-                pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]),
                 hom_y=[ctx.hom_idx(k, y) for k in members],
                 radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]),
                 composites=lambda a: ctx.composite_idx(x, members[a], y))
@@ -813,10 +788,11 @@ def _decompose_in_add(ctx: DupContext, c: TripleModule,
         return mults
     objs = ctx.objects()
     members = [objs[k][1] for k in member_indices]
+    hom_c = [homsolve.hom_basis(c, m) for m in members]
     try:
         comps = homsolve.injective_approximation(
-            c, members, [homsolve.hom_basis(c, m) for m in members],
-            lambda a, b: ctx.hom_idx(member_indices[a], member_indices[b]))
+            c, hom_c, lambda a, b: homsolve.radical_coordinates(
+                c, hom_c[a], ctx.hom_idx(member_indices[a], member_indices[b]), hom_c[b]))
     except homsolve.NoExchangeSequence:
         return None
     for i, _ in comps:
@@ -842,11 +818,10 @@ def deep_check_coresolution(ctx: DupContext,
         pool_mods = [objs[k][1] for k in members]
         for p_idx in bar_indices + ctx.embedded_projective_indices():
             checked += 1
-            hom_x = [ctx.hom_idx(p_idx, k) for k in members]
             try:
                 _, y = homsolve.exchange_sequence(
-                    objs[p_idx][1], pool_mods, hom_x=hom_x,
-                    pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]))
+                    objs[p_idx][1], pool_mods, [ctx.hom_idx(p_idx, k) for k in members],
+                    lambda a, b: ctx.radical_idx(p_idx, members[a], members[b]))
             except ValueError as exc:
                 violations.append(f"{t.label()} / {objs[p_idx][0]}: {exc}")
                 continue

@@ -437,7 +437,7 @@ def hom_pd_bound(ctx: dup.DupContext, t: tilt_a.Tilting,
         checked += 1
         res = projective_resolution(alg, bm, cap=cap)
         upstairs = res["pd"]
-        downstairs = dup.triple_pd(m)
+        downstairs = homsolve.projective_dimension(m, cap=cap)
         if upstairs is None or upstairs > downstairs:
             violations.append(
                 f"{t.label()}: pd Hom(T, {pid}) = {upstairs} exceeds {downstairs}"

@@ -33,9 +33,6 @@ __all__ = [
     "SparseEchelon",
     "rref_rows",
     "kernel_from_rref",
-    "rank_kernel",
-    "solve",
-    "image_basis",
 ]
 
 
@@ -470,21 +467,3 @@ class RatMatrix:
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return RatMatrix._trusted([row[n:] for row in R.data], n)
-
-
-# ----------------------------------------------------------------------
-# module-level convenience wrappers
-
-
-def rank_kernel(m: RatMatrix) -> tuple[int, list[list[Fraction]]]:
-    """Rank and canonical kernel basis in one echelon pass."""
-    ker = m.kernel_basis()
-    return m.cols - len(ker), ker
-
-
-def solve(m: RatMatrix, rhs: Sequence[Rat]) -> list[Fraction] | None:
-    return m.solve(rhs)
-
-
-def image_basis(m: RatMatrix) -> list[list[Fraction]]:
-    return m.image_basis()

@@ -497,14 +497,9 @@ def projective_cover_parts(M: SlotModule) -> tuple[SlotModule, list[Slot], SlotM
     return P, [s for s, _ in lifts], cover
 
 
-def projective_cover(M: SlotModule) -> tuple[SlotModule, SlotMap]:
-    P, _, cover = projective_cover_parts(M)
-    return P, cover
-
-
 def syzygy(M: SlotModule) -> tuple[SlotModule, SlotModule, SlotMap]:
     """(kernel of cover, cover domain, cover map)."""
-    P, cover = projective_cover(M)
+    P, _, cover = projective_cover_parts(M)
     K, _ = kernel(cover)
     return K, P, cover
 
@@ -714,14 +709,11 @@ def composite_coordinates(
 
 
 def minimal_left_approximation(
-    x: SlotModule,
-    pool: Sequence[SlotModule],
-    hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
-    *,
-    radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
+    hom_x: Sequence[list[SlotMap]],
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]],
 ) -> list[tuple[int, SlotMap]]:
-    """Components of the minimal left approximation of x into add(pool).
+    """Components of the minimal left approximation of x into add(pool),
+    given the bases ``hom_x[i]`` of Hom(x, pool_i).
 
     Pool members must be pairwise non-isomorphic indecomposables with
     one-dimensional endomorphism rings (the caller's responsibility —
@@ -732,23 +724,12 @@ def minimal_left_approximation(
 
     which pins the multiplicities of the minimal approximation; the
     selected components together form one.  The radical span is taken
-    in coordinates of the basis of Hom(x, pool_i), so each basis map
-    joins iff its unit vector enlarges it.  Optional caches: ``hom_x``
-    = precomputed Hom(x, pool_i), ``pool_hom(j, i)`` = Hom(pool_j,
-    pool_i), ``radical(j, i)`` = ``radical_coordinates`` of the pair;
-    each is asked for only when Hom(x, pool_i) and Hom(x, pool_j) are
-    both nonzero.
+    in coordinates of the basis of Hom(x, pool_i): ``radical(j, i)`` is
+    the ``radical_coordinates`` of the pair, asked for only when
+    Hom(x, pool_i) and Hom(x, pool_j) are both nonzero, and each basis
+    map joins iff its unit vector enlarges the span.
     """
-    r = len(pool)
-    if hom_x is None:
-        hom_x = [hom_basis(x, P) for P in pool]
-    if radical is None:
-        if pool_hom is None:
-            def pool_hom(j: int, i: int) -> list[SlotMap]:
-                return hom_basis(pool[j], pool[i])
-
-        def radical(j: int, i: int) -> tuple[tuple[Rat, ...], ...]:
-            return radical_coordinates(x, hom_x[j], pool_hom(j, i), hom_x[i])
+    r = len(hom_x)
     comps: list[tuple[int, SlotMap]] = []
     for i in range(r):
         d = len(hom_x[i])
@@ -823,15 +804,13 @@ class ExchangeDims(tuple):
 
 def injective_approximation(
     x: SlotModule,
-    pool: Sequence[SlotModule],
-    hom_x: Sequence[list[SlotMap]] | None,
-    pool_hom: Callable[[int, int], list[SlotMap]] | None,
-    radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
+    hom_x: Sequence[list[SlotMap]],
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]],
 ) -> list[tuple[int, SlotMap]]:
     """The components of a nonzero, injective minimal left approximation
-    of x into add(pool); raises ``NoExchangeSequence`` otherwise."""
-    comps = minimal_left_approximation(x, pool, hom_x=hom_x, pool_hom=pool_hom,
-                                       radical=radical)
+    of x into add(pool) (arguments as in ``minimal_left_approximation``);
+    raises ``NoExchangeSequence`` otherwise."""
+    comps = minimal_left_approximation(hom_x, radical)
     if not comps:
         raise NoExchangeSequence("empty approximation: x admits no map into the pool")
     # injective iff the stacked component blocks have full column rank
@@ -850,28 +829,27 @@ def injective_approximation(
 def exchange_sequence(
     x: SlotModule,
     pool: Sequence[SlotModule],
-    hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
+    hom_x: Sequence[list[SlotMap]],
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]],
 ) -> tuple[SlotModule, SlotModule]:
     """Short exact sequence 0 -> x -> E -> y -> 0 from the minimal left
-    approximation of x into add(pool).
+    approximation of x into add(pool) (``hom_x`` and ``radical`` as in
+    ``minimal_left_approximation``).
 
     Returns (E, y).  Raises ``NoExchangeSequence`` if the approximation
     is zero or fails to be injective, which in the tilting-exchange
     situations this package certifies cannot happen.
     """
-    E, f = approximation_map(x, pool, injective_approximation(x, pool, hom_x, pool_hom))
+    E, f = approximation_map(x, pool, injective_approximation(x, hom_x, radical))
     y, _ = cokernel(f)
     return E, y
 
 
 def exchange_line(
-    x: SlotModule,
-    y: SlotModule,
     comps: Sequence[tuple[int, SlotMap]],
     hom_x: Sequence[list[SlotMap]],
     hom_y: Sequence[list[SlotMap]],
-    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]] | None = None,
+    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]],
 ) -> tuple[list[tuple[int, SlotMap]], list[list[Fraction]]]:
     """The maps g: E -> y with g . f = 0, f: x -> E the approximation
     with components ``comps`` (each a basis map of ``hom_x[i]``).
@@ -881,15 +859,10 @@ def exchange_line(
     the canonical kernel basis of the coefficients.  The equations are
     the coordinates of g . f in a basis of Hom(x, y), one row per basis
     map, read from ``composites(i)`` = ``composite_coordinates`` of
-    Hom(x, pool_i), Hom(pool_i, y) and Hom(x, y) (computed here when not
-    given).  As that coordinate map is injective, the system has the
-    row space, hence the kernel basis, of g . f = 0 taken entrywise.
+    Hom(x, pool_i), Hom(pool_i, y) and Hom(x, y).  As that coordinate
+    map is injective, the system has the row space, hence the kernel
+    basis, of g . f = 0 taken entrywise.
     """
-    if composites is None:
-        hom_xy = hom_basis(x, y)
-
-        def composites(i: int) -> tuple[tuple[tuple[Rat, ...], ...], ...]:
-            return composite_coordinates(x, hom_x[i], hom_y[i], hom_xy)
     terms: list[tuple[int, SlotMap]] = []
     equations: dict[int, dict[int, Rat]] = {}
     for k, (i, h) in enumerate(comps):
@@ -910,12 +883,10 @@ def certify_exchange(
     x: SlotModule,
     pool: Sequence[SlotModule],
     y: SlotModule,
-    hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
-    hom_y: Sequence[list[SlotMap]] | None = None,
-    *,
-    radical: Callable[[int, int], Sequence[Sequence[Rat]]] | None = None,
-    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]] | None = None,
+    hom_x: Sequence[list[SlotMap]],
+    hom_y: Sequence[list[SlotMap]],
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]],
+    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]],
 ) -> ExchangeDims | None:
     """Certify 0 -> x -> E -> y -> 0 for a given brick y (End y = k),
     building neither E nor the cokernel of the approximation f: x -> E.
@@ -936,22 +907,17 @@ def certify_exchange(
     at every slot, so the sequence is exact and coker f is isomorphic to
     y.  Returns the slot dimensions of E (in ``dims_key`` order) with
     the components of f (``ExchangeDims``), or None when y is not the
-    cokernel of f.  The optional caches
-    ``radical`` (of ``minimal_left_approximation``) and ``composites``
-    (of ``exchange_line``) hold coordinates that depend only on the
-    modules, so a caller certifying many arcs over one pool computes
-    them once per (x, pool_j, pool_i) and (x, pool_i, y).
+    cokernel of f.  ``radical`` (of ``minimal_left_approximation``) and
+    ``composites`` (of ``exchange_line``) hold coordinates that depend
+    only on the modules, so a caller certifying many arcs over one pool
+    computes them once per (x, pool_j, pool_i) and (x, pool_i, y).
     """
-    if hom_x is None:
-        hom_x = [hom_basis(x, P) for P in pool]
-    comps = injective_approximation(x, pool, hom_x, pool_hom, radical)
+    comps = injective_approximation(x, hom_x, radical)
     slots = x.slot_keys
     e_dims = tuple(sum(pool[i].dims[s] for i, _ in comps) for s in slots)
     if e_dims != tuple(x.dims[s] + y.dims[s] for s in slots):
         return None
-    if hom_y is None:
-        hom_y = [hom_basis(P, y) for P in pool]
-    terms, solutions = exchange_line(x, y, comps, hom_x, hom_y, composites)
+    terms, solutions = exchange_line(comps, hom_x, hom_y, composites)
     if len(solutions) != 1:
         return None
     # g's block at slot s is the row of its components sum c . g: onto

@@ -36,7 +36,6 @@ __all__ = [
     "hom_basis",
     "hom_dim",
     "ext1_dim",
-    "minimal_left_approx",
     "exchange_sequence",
 ]
 
@@ -253,12 +252,9 @@ def tau_inverse(m: Rep) -> Rep:
     return cur
 
 
-def tau(m: Rep, direction: str = "forward") -> Rep:
-    """Translate (zero on projectives); direction="inverse" delegates."""
-    if direction == "inverse":
-        return tau_inverse(m)
-    if direction != "forward":
-        raise ValueError(f"bad direction {direction!r}")
+def tau(m: Rep) -> Rep:
+    """Translate: reflect at sinks along a reversed topological order
+    (zero on projectives)."""
     cur = m
     for v in reversed(m.quiver.topological_order()):
         if not cur.quiver.is_sink(v):
@@ -368,27 +364,21 @@ def ext1_dim(m: Rep, n: Rep) -> int:
     return e
 
 
-def minimal_left_approx(x: Rep, pool: Sequence[Rep]) -> tuple[Rep, SlotMap]:
-    """Minimal left approximation of x into add(pool); may be zero."""
-    return homsolve.approximation_map(
-        x, pool, homsolve.minimal_left_approximation(x, pool))
-
-
 def exchange_sequence(
     x: Rep,
     m_pool: Sequence[Rep],
-    hom_x: Sequence[list[SlotMap]] | None = None,
-    pool_hom: Callable[[int, int], list[SlotMap]] | None = None,
+    hom_x: Sequence[list[SlotMap]],
+    radical: Callable[[int, int], Sequence[Sequence[Fraction]]],
 ) -> tuple[Rep, Rep] | None:
     """0 -> x -> e -> y -> 0 against the pool, or None when there is none.
 
     None when the approximation is zero or fails to be injective; raises
     when the cokernel is decomposable (x is then not an exchangeable
-    complement in this context).  The optional Hom caches are those of
+    complement in this context).  ``hom_x`` and ``radical`` are those of
     ``homsolve.exchange_sequence``.
     """
     try:
-        e, y = homsolve.exchange_sequence(x, m_pool, hom_x=hom_x, pool_hom=pool_hom)
+        e, y = homsolve.exchange_sequence(x, m_pool, hom_x, radical)
     except homsolve.NoExchangeSequence:
         return None
     if y.is_zero():

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .homsolve import SlotMap, SlotModule
+from .homsolve import SlotMap, radical_coordinates
 from .quiver_core import Quiver, named_diagram, orientations
 from .rep_a import (
     IndecId,
@@ -294,10 +294,11 @@ def exchange_arcs(
 
 
 def make_tilting(idx: tuple[int, ...], ids: Sequence[Hashable],
-                 mods: Sequence[SlotModule]) -> Tilting:
-    """The tilting record of pool indices ``idx``, summing slot dimensions."""
-    dims = tuple(sum(col) for col in zip(*(mods[i].dims_key() for i in idx)))
-    return Tilting(idx, tuple(ids[i] for i in idx), dims)
+                 dims: Sequence[tuple[int, ...]]) -> Tilting:
+    """The tilting record of pool indices ``idx``; ``dims[i]`` is the
+    dimension vector (``dims_key``) of pool member i."""
+    return Tilting(idx, tuple(ids[i] for i in idx),
+                   tuple(sum(col) for col in zip(*(dims[i] for i in idx))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ def enumerate_tilting(q: Quiver) -> list[Tilting]:
     if q.n == 0:
         return [Tilting((), (), ())]
     pool = _dynkin_pool(q)
-    return [make_tilting(c, pool.ids, pool.reps) for c in cliques(pool.table, q.n)]
+    return [make_tilting(c, pool.ids, pool.dims) for c in cliques(pool.table, q.n)]
 
 
 def complements(q: Quiver, m: Iterable[IndecId | tuple[int, ...]]) -> list[IndecId]:
@@ -353,7 +354,7 @@ def almost_complete_survey(q: Quiver) -> list[AlmostComplete]:
     pool = _dynkin_pool(q)
     out = []
     for rest in cliques(pool.table, q.n - 1):
-        ds = summand_dim_sum(q, [pool.reps[i] for i in rest])
+        ds = tuple(sum(pool.dims[i][k] for i in rest) for k in range(q.n))
         zeros = zero_support(q, ds)
         comps = complement_indices(pool.table, rest)
         out.append(AlmostComplete(
@@ -375,9 +376,11 @@ def _graph(pool: Pool, size: int) -> TiltingGraph:
     by an exchange sequence built from the pool's cached Hom bases."""
 
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
-        got = exchange_sequence(pool.reps[x], [pool.reps[r] for r in rest],
-                                hom_x=[pool.hom(x, r) for r in rest],
-                                pool_hom=lambda a, b: pool.hom(rest[a], rest[b]))
+        x_rep = pool.reps[x]
+        hom_x = [pool.hom(x, r) for r in rest]
+        got = exchange_sequence(x_rep, [pool.reps[r] for r in rest], hom_x=hom_x,
+                                radical=lambda a, b: radical_coordinates(
+                                    x_rep, hom_x[a], pool.hom(rest[a], rest[b]), hom_x[b]))
         if got is None:
             raise RuntimeError(f"certified arc at {pool.ids[x]} lost its exchange sequence")
         e_rep, y_rep = got
@@ -392,7 +395,7 @@ def _graph(pool: Pool, size: int) -> TiltingGraph:
     if defects:
         rest, count = defects[0]
         raise RuntimeError(f"almost complete module {rest} has {count} complements")
-    tilts = [make_tilting(c, pool.ids, pool.reps) for c in vertices]
+    tilts = [make_tilting(c, pool.ids, pool.dims) for c in vertices]
     return TiltingGraph(pool.quiver, pool, tilts, arcs)
 
 
@@ -429,14 +432,6 @@ def zero_support(q: Quiver, dim_sum: Sequence[int]) -> set[int]:
     """Vertices where a summand-set dimension sum vanishes."""
     dv = q.dimvec(dim_sum)
     return {v for v, d in zip(q.vertices, dv) if d == 0}
-
-
-def summand_dim_sum(q: Quiver, reps: Iterable[Rep]) -> tuple[int, ...]:
-    dims = [0] * q.n
-    for r in reps:
-        for k, d in enumerate(r.dim_vector()):
-            dims[k] += d
-    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +489,7 @@ def nonsaturated_tame(w: int) -> NonSaturatedSet:
             if len(comps) != 1:
                 raise RuntimeError("support-restricted module completed ambiguously")
             idx = tuple(sorted(rest + (comps[0],)))
-            t = seen.setdefault(idx, make_tilting(idx, pool.ids, pool.reps))
+            t = seen.setdefault(idx, make_tilting(idx, pool.ids, pool.dims))
             part.append(t)
         parts[x] = part
     delta = sorted(seen.values(), key=lambda t: t.indices)

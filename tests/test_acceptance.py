@@ -20,7 +20,7 @@ _DUP_GRAPHS: dict = {}
 
 def _ctx(name: str) -> dup.DupContext:
     if name not in _CTX:
-        _CTX[name] = dup.build_context(named_diagram(name))
+        _CTX[name] = dup.DupContext(named_diagram(name))
     return _CTX[name]
 
 

@@ -1,14 +1,17 @@
 """CLI behaviour: golden outputs, exit codes, byte-stable reports."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tiltquiver
 from tiltquiver import cli
 
 A2_FILE = "vertices 1 2\narrow a 1 2\n"
@@ -192,14 +195,17 @@ WRONG_COKERNEL = (
 )
 
 
-# every duplicated arc is offered its own source x as the complement
+# every duplicated arc is offered its own source x as the complement, with
+# Hom bases into x and composite coordinates of its own
 WRONG_COMPLEMENT = (
     "import sys\n"
     "from tiltquiver import cli, homsolve\n"
-    "certify = homsolve.certify_exchange\n"
-    "homsolve.certify_exchange = lambda x, pool, y, hom_x=None, pool_hom=None, hom_y=None, \\\n"
-    "    **caches: \\\n"
-    "    certify(x, pool, x, hom_x, pool_hom)\n"
+    "certify, hom_basis = homsolve.certify_exchange, homsolve.hom_basis\n"
+    "def offered(x, pool, y, hom_x, hom_y, radical, composites):\n"
+    "    hom_px, hom_xx = [hom_basis(P, x) for P in pool], hom_basis(x, x)\n"
+    "    return certify(x, pool, x, hom_x, hom_px, radical, lambda i: \\\n"
+    "        homsolve.composite_coordinates(x, hom_x[i], hom_px[i], hom_xx))\n"
+    "homsolve.certify_exchange = offered\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -257,6 +263,17 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+EXPORTING = [module for module in [tiltquiver] + [
+    importlib.import_module(f"tiltquiver.{info.name}")
+    for info in pkgutil.iter_modules(tiltquiver.__path__)] if hasattr(module, "__all__")]
+
+
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    # a deleted name must leave no stale export behind
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 @pytest.mark.parametrize("exc", [AssertionError, ArithmeticError, KeyError])

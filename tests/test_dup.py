@@ -58,7 +58,7 @@ def test_bar_projectives_are_projective_and_injective():
 
 
 def test_slot_projectives_are_shared_and_never_mutated():
-    ctx = dup.build_context(A3)
+    ctx = dup.DupContext(A3)
     ctx.validate_rules()
     dup.tilting_quiver_dup(ctx)
     for a in A3.vertices:
@@ -78,7 +78,7 @@ def test_embedding_preserves_hom_dimensions():
     mods = list(P.values()) + list(I.values()) + list(S.values())
     for m in mods:
         for n in mods:
-            assert dup.triple_hom_dim(dup.embed(A3, m), dup.embed(A3, n)) == \
+            assert homsolve.hom_dim(dup.embed(A3, m), dup.embed(A3, n)) == \
                 rep_a.hom_dim(m, n)
 
 
@@ -86,24 +86,24 @@ def test_embedding_preserves_ext_dimensions():
     pool = rep_a.indecomposables(A3)
     for _, m in pool:
         for _, n in pool:
-            assert dup.triple_ext1(dup.embed(A3, m), dup.embed(A3, n)) == \
+            assert homsolve.ext1_dim(dup.embed(A3, m), dup.embed(A3, n)) == \
                 rep_a.ext1_dim(m, n)
 
 
 def test_hom_oracles_at_the_bar_modules():
     embP0 = dup.embed(A2, rep_a.projective(A2, 0))
     embP1 = dup.embed(A2, rep_a.projective(A2, 1))
-    assert dup.triple_hom_dim(embP1, embP0) == 1
+    assert homsolve.hom_dim(embP1, embP0) == 1
     for a in A2.vertices:
         bar = dup.bar_projective(A2, a)
         embS = dup.embed(A2, rep_a.simple(A2, a))
         # the embedded simple maps into the socle of the bar module;
         # nothing maps the other way (the connecting map is invertible)
-        assert dup.triple_hom_dim(embS, bar) == 1
-        assert dup.triple_hom_dim(bar, embS) == 0
+        assert homsolve.hom_dim(embS, bar) == 1
+        assert homsolve.hom_dim(bar, embS) == 0
     for a in A2.vertices:
         for b in A2.vertices:
-            assert dup.triple_hom_dim(
+            assert homsolve.hom_dim(
                 dup.bar_projective(A2, a), dup.bar_projective(A2, b)
             ) == rep_a.hom_dim(rep_a.projective(A2, a), rep_a.projective(A2, b))
 
@@ -113,14 +113,14 @@ def test_hom_into_embedded_injective_counts_support():
     for i in A3.vertices:
         embI = dup.embed(A3, rep_a.injective(A3, i))
         for _, m in pool:
-            assert dup.triple_hom_dim(dup.embed(A3, m), embI) == \
+            assert homsolve.hom_dim(dup.embed(A3, m), embI) == \
                 m.dim_vector()[A3.v_pos[i]]
 
 
 def test_hom_rejects_mismatched_quivers():
-    with pytest.raises(ValueError):
-        dup.triple_hom(dup.embed(A2, rep_a.simple(A2, 0)),
-                       dup.embed(A3, rep_a.simple(A3, 0)))
+    with pytest.raises(ValueError, match="different slot sets"):
+        homsolve.hom_basis(dup.embed(A2, rep_a.simple(A2, 0)),
+                           dup.embed(A3, rep_a.simple(A3, 0)))
 
 
 def test_embedded_projective_dimension_matches_base():
@@ -180,14 +180,14 @@ AR_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
 
 @pytest.mark.parametrize("q", [q for _, q in AR_QUIVERS], ids=[n for n, _ in AR_QUIVERS])
 def test_shifted_modules_satisfy_the_ar_formula(q):
-    ctx = dup.build_context(q)
+    ctx = dup.DupContext(q)
     assert _ar_mismatches(ctx, {i: ctx.shifted(i) for i in q.vertices}) == []
 
 
 def test_ar_formula_rejects_other_modules():
     # the oracle has teeth: W_{i+1} in place of W_i, and the cosyzygy of
     # the embedded injective, both break it
-    ctx = dup.build_context(A3)
+    ctx = dup.DupContext(A3)
     vs = A3.vertices
     rotated = {v: ctx.shifted(vs[(k + 1) % len(vs)]) for k, v in enumerate(vs)}
     assert _ar_mismatches(ctx, rotated)
@@ -199,7 +199,7 @@ def test_shift_extension_identity():
     # Ext^1(shift_i, embedded M) counts the dimension of M at i,
     # and nothing extends the other way round.
     for q in (A2, A3):
-        ctx = dup.build_context(q)
+        ctx = dup.DupContext(q)
         ids = ctx.pool_ids()
         shift_pos = {pid.key: k for k, pid in enumerate(ids) if pid.kind == "W"}
         for i in q.vertices:
@@ -221,7 +221,7 @@ YONEDA_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
 def test_yoneda_ext1_matches_the_generic_route(q):
     # ext1_idx reads Hom out of each object's projective syzygy by Yoneda;
     # the reference takes the syzygy and three Hom solves for every pair
-    ctx = dup.build_context(q)
+    ctx = dup.DupContext(q)
     objs = [m for _, m in ctx.objects()]
     for i, x in enumerate(objs):
         for j, y in enumerate(objs):
@@ -237,7 +237,7 @@ def test_yoneda_ext1_matches_the_generic_route(q):
 
 def test_pool_rules_match_solver():
     for q in (A2, A3):
-        ctx = dup.build_context(q)
+        ctx = dup.DupContext(q)
         ctx.validate_rules()  # raises on any disagreement
 
 
@@ -259,7 +259,7 @@ def test_euler_ext_table_matches_the_solver(name, key):
     else:
         q = named_diagram(name) if key is None else orientations(name)[key]
         pool = tilt_a._dynkin_pool(q)
-        ctx = dup.build_context(q)
+        ctx = dup.DupContext(q)
         ctx.pool()
         assert ctx._a_pool is pool
     form = pool.quiver.euler_form
@@ -271,7 +271,7 @@ def test_euler_ext_table_matches_the_solver(name, key):
 
 
 def test_enumerate_a2_exact():
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     labels = {t.label() for t in dup.enumerate_tilting_dup(ctx)}
     assert labels == {
         "E(0,1)+E(1,1)",
@@ -284,12 +284,12 @@ def test_enumerate_a2_exact():
 
 def test_enumerate_counts():
     for name, want in (("A2", 5), ("A3", 14), ("A4", 42), ("D4", 50)):
-        ctx = dup.build_context(named_diagram(name))
+        ctx = dup.DupContext(named_diagram(name))
         assert len(dup.enumerate_tilting_dup(ctx)) == want
 
 
 def test_graph_a2_pentagon():
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     g = dup.tilting_quiver_dup(ctx)
     assert len(g.tiltings) == 5 and len(g.arcs) == 5
     assert not g.defects
@@ -311,7 +311,7 @@ def test_graph_a2_pentagon():
 
 def test_graph_regularity_and_connectivity():
     for name, (verts, arcs) in (("A3", (14, 21)), ("A4", (42, 84))):
-        ctx = dup.build_context(named_diagram(name))
+        ctx = dup.DupContext(named_diagram(name))
         g = dup.tilting_quiver_dup(ctx)
         assert (len(g.tiltings), len(g.arcs)) == (verts, arcs)
         n = ctx.n
@@ -338,7 +338,7 @@ def test_graph_sizes_match_closed_forms(name, vertices):
     # the cluster-complex counts of the Dynkin types; every vertex has n
     # neighbours, so an n-regular graph has n . V / 2 arcs
     assert vertices == {"A5": 132, "D5": 182, "E6": 833, "E7": 4160}[name]
-    ctx = dup.build_context(named_diagram(name))
+    ctx = dup.DupContext(named_diagram(name))
     g = dup.tilting_quiver_dup(ctx)
     n = ctx.n
     assert len(g.tiltings) == vertices
@@ -358,7 +358,7 @@ def test_each_exchange_pair_is_certified_once(monkeypatch, name, pairs):
         return certify(x, pool, y, *args, **kwargs)
 
     monkeypatch.setattr(homsolve, "certify_exchange", counted)
-    g = dup.tilting_quiver_dup(dup.build_context(named_diagram(name)))
+    g = dup.tilting_quiver_dup(dup.DupContext(named_diagram(name)))
     assert len({(a.x, a.y) for a in g.arcs}) == pairs < len(g.arcs)
     assert len(seen) == pairs
     # x and y are the context's cached objects, so their ids name the pair
@@ -367,7 +367,7 @@ def test_each_exchange_pair_is_certified_once(monkeypatch, name, pairs):
 
 def test_graph_works_on_a_file_style_quiver():
     q = parse_quiver("vertices 1 2 3\narrow a 2 1\narrow b 2 3\n")
-    ctx = dup.build_context(q)
+    ctx = dup.DupContext(q)
     g = dup.tilting_quiver_dup(ctx)
     assert len(g.tiltings) == 14 and len(g.arcs) == 21
     assert g.is_connected()
@@ -379,13 +379,13 @@ def test_graph_works_on_a_file_style_quiver():
 
 def test_verify_embedding():
     for q in (A2, A3):
-        rep = dup.verify_embedding(dup.build_context(q))
+        rep = dup.verify_embedding(dup.DupContext(q))
         assert rep["status"] == "pass"
         assert not rep["counterexamples"]
 
 
 def test_verify_regularity():
-    rep = dup.verify_regularity(dup.build_context(A3))
+    rep = dup.verify_regularity(dup.DupContext(A3))
     assert rep["status"] == "pass"
     assert rep["stats"] == {"vertices": 14, "arcs": 21, "degree": 3,
                             "connected": True}
@@ -393,19 +393,19 @@ def test_verify_regularity():
 
 def test_verify_shift_completion():
     for q in (A2, A3):
-        rep = dup.verify_shift_completion(dup.build_context(q))
+        rep = dup.verify_shift_completion(dup.DupContext(q))
         assert rep["status"] == "pass"
         assert rep["stats"]["checked_completions"] > 0
 
 
 def test_global_dimension():
-    assert dup.global_dimension_dup(dup.build_context(A2)) == 2
-    assert dup.global_dimension_dup(dup.build_context(A3)) == 3
-    assert dup.global_dimension_dup(dup.build_context(named_diagram("D4"))) == 3
+    assert dup.global_dimension_dup(dup.DupContext(A2)) == 2
+    assert dup.global_dimension_dup(dup.DupContext(A3)) == 3
+    assert dup.global_dimension_dup(dup.DupContext(named_diagram("D4"))) == 3
 
 
 def test_deep_check_a2():
-    rep = dup.deep_check_coresolution(dup.build_context(A2))
+    rep = dup.deep_check_coresolution(dup.DupContext(A2))
     assert rep["status"] == "pass"
     assert rep["stats"]["sequences_checked"] == 20
 
@@ -415,7 +415,7 @@ def test_deep_check_a2():
 
 
 def _a3_members():
-    ctx = dup.build_context(A3)
+    ctx = dup.DupContext(A3)
     t = dup.enumerate_tilting_dup(ctx)[0]
     bars = range(ctx.pool_size(), ctx.pool_size() + ctx.n)
     return ctx, list(t.indices) + list(bars)
@@ -473,7 +473,7 @@ def _gram_multiplicities(ctx, c, members):
 def test_add_multiplicities_match_the_gram_solve(name):
     # every (T, P) of the deep check: the cokernel T1 decomposes, and the
     # approximation's component counts solve the hom-count equations
-    ctx = dup.build_context(named_diagram(name))
+    ctx = dup.DupContext(named_diagram(name))
     objs = ctx.objects()
     bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
     checked = 0
@@ -482,8 +482,8 @@ def test_add_multiplicities_match_the_gram_solve(name):
         pool = [objs[k][1] for k in members]
         for p in bars + ctx.embedded_projective_indices():
             _, y = homsolve.exchange_sequence(
-                objs[p][1], pool, hom_x=[ctx.hom_idx(p, k) for k in members],
-                pool_hom=lambda a, b: ctx.hom_idx(members[a], members[b]))
+                objs[p][1], pool, [ctx.hom_idx(p, k) for k in members],
+                lambda a, b: ctx.radical_idx(p, members[a], members[b]))
             got = dup._decompose_in_add(ctx, y, members)
             assert got is not None
             assert got == _gram_multiplicities(ctx, y, members)

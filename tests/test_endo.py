@@ -74,7 +74,7 @@ def test_regular_projectives_have_simple_tops():
 def test_projective_tilting_algebra_dimension():
     # T = all indecomposable projectives, so B is the algebra itself seen
     # from the other side: dimension 2*dim(A) + dim(A) = 9 for two vertices
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     alg, members = endo.endo_algebra(ctx, projective_tilting(ctx))
     assert alg.dimension == 9
     assert len(alg.idempotents) == 4
@@ -85,7 +85,7 @@ def test_projective_tilting_algebra_dimension():
 
 
 def test_projective_tilting_algebra_matches_duplicated_algebra_a3():
-    ctx = dup.build_context(A3)
+    ctx = dup.DupContext(A3)
     alg, _ = endo.endo_algebra(ctx, projective_tilting(ctx))
     # dim Lambda = 2*dim(A) + dim(D A); a linear three-vertex quiver has
     # a six-dimensional path algebra
@@ -94,7 +94,7 @@ def test_projective_tilting_algebra_matches_duplicated_algebra_a3():
 
 
 def test_b_module_of_summand_is_the_regular_projective():
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     t = projective_tilting(ctx)
     alg, members = endo.endo_algebra(ctx, t)
     objs = ctx.objects()
@@ -108,7 +108,7 @@ def test_b_module_of_summand_is_the_regular_projective():
 
 
 def test_b_module_requires_generation():
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     alg, _ = endo.endo_algebra(ctx, shift_tilting(ctx))
     proj = ctx.objects()[ctx.embedded_projective_indices()[0]][1]
     with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ def test_b_module_requires_generation():
 
 
 def test_hom_functor_respects_composition():
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     t = projective_tilting(ctx)
     alg, _ = endo.endo_algebra(ctx, t)
     for pid, m in ctx.objects():
@@ -183,7 +183,7 @@ def _assert_dense_coordinates(alg, modules):
 def test_coordinates_match_the_dense_solve_a3():
     # every pool object, and the sum of the summands: Hom from one summand
     # into that sum has dimension up to 6, so the actions are not 1 x 1
-    ctx = dup.build_context(A3)
+    ctx = dup.DupContext(A3)
     objs = [m for _, m in ctx.objects()]
     generated = 0
     for t in dup.enumerate_tilting_dup(ctx):
@@ -240,7 +240,7 @@ def test_product_escaping_its_hom_basis_is_an_engine_error(flags):
 
 
 def test_gldim_bound_two_vertices():
-    rep = endo.verify_endo_global_dimension(dup.build_context(A2))
+    rep = endo.verify_endo_global_dimension(dup.DupContext(A2))
     assert rep["status"] == "pass"
     assert rep["stats"]["tilting_modules"] == 5
     assert rep["stats"]["max_global_dimension"] <= 3
@@ -248,7 +248,7 @@ def test_gldim_bound_two_vertices():
 
 
 def test_gldim_bound_three_vertices():
-    rep = endo.verify_endo_global_dimension(dup.build_context(A3))
+    rep = endo.verify_endo_global_dimension(dup.DupContext(A3))
     assert rep["status"] == "pass"
     assert rep["stats"]["tilting_modules"] == 14
     assert rep["stats"]["max_global_dimension"] <= 3
@@ -256,11 +256,11 @@ def test_gldim_bound_three_vertices():
 
 def test_gldim_sweep_rejects_large_rank():
     with pytest.raises(ValueError):
-        endo.verify_endo_global_dimension(dup.build_context(named_diagram("A4")))
+        endo.verify_endo_global_dimension(dup.DupContext(named_diagram("A4")))
 
 
 def test_hom_pd_never_exceeds_module_pd():
-    ctx = dup.build_context(A2)
+    ctx = dup.DupContext(A2)
     for t in dup.enumerate_tilting_dup(ctx):
         rep = endo.hom_pd_bound(ctx, t)
         assert rep["status"] == "pass"

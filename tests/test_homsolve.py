@@ -128,13 +128,12 @@ def _recorded(build, *attrs):
 def _exchange_maps(certificates):
     """(x, pool, comps) of each ``certify_exchange`` argument set, its
     approximation components rebuilt from its own arguments."""
-    return [(c["x"], c["pool"],
-             homsolve.minimal_left_approximation(c["x"], c["pool"], c["hom_x"], c["pool_hom"]))
+    return [(c["x"], c["pool"], homsolve.minimal_left_approximation(c["hom_x"], c["radical"]))
             for c in certificates]
 
 
 def _dup_graph(name):
-    return lambda: dup.tilting_quiver_dup(dup.build_context(named_diagram(name)))
+    return lambda: dup.tilting_quiver_dup(dup.DupContext(named_diagram(name)))
 
 
 def _arc_certificates(name):
@@ -142,7 +141,7 @@ def _arc_certificates(name):
     in order, the ``certify_exchange`` arguments of that arc alone: x,
     the members of its almost complete part followed by the bar
     projectives, y, and the graph's cached Hom bases and coordinates."""
-    ctx = dup.build_context(named_diagram(name))
+    ctx = dup.DupContext(named_diagram(name))
     graph = dup.tilting_quiver_dup(ctx)
     objs = ctx.objects()
     position = {pid: k for k, pid in enumerate(ctx.pool_ids())}
@@ -156,13 +155,49 @@ def _arc_certificates(name):
             "pool": [objs[k][1] for k in members],
             "y": objs[y][1],
             "hom_x": [ctx.hom_idx(x, k) for k in members],
-            "pool_hom": lambda a, b: ctx.hom_idx(members[a], members[b]),
             "hom_y": [ctx.hom_idx(k, y) for k in members],
             "radical": lambda a, b: ctx.radical_idx(x, members[a], members[b]),
             "composites": lambda a: ctx.composite_idx(x, members[a], y),
         }
 
     return graph, [arguments(a) for a in graph.arcs]
+
+
+class FreshHoms:
+    """Hom bases solved here, apart from any context cache: one
+    ``hom_basis`` per pair of module objects, keyed by identity (the
+    modules are kept, so no id is reused)."""
+
+    def __init__(self):
+        self._bases = {}
+
+    def __call__(self, m, n):
+        key = (id(m), id(n))
+        if key not in self._bases:
+            self._bases[key] = (m, n, homsolve.hom_basis(m, n))
+        return self._bases[key][2]
+
+
+def with_complement(c, y, homs):
+    """The certificate arguments ``c`` offered the complement y: the Hom
+    bases into y and the composite coordinates over them from ``homs``."""
+    x, hom_x = c["x"], c["hom_x"]
+    hom_y = [homs(P, y) for P in c["pool"]]
+    hom_xy = homs(x, y)
+    return {**c, "y": y, "hom_y": hom_y, "composites": lambda i: homsolve.composite_coordinates(
+        x, hom_x[i], hom_y[i], hom_xy)}
+
+
+def fresh_arguments(x, pool, y, homs=None):
+    """``certify_exchange`` arguments with every Hom basis taken from
+    ``homs`` (fresh ``hom_basis`` results by default) and the radical
+    and composite coordinates computed over them."""
+    homs = homs or FreshHoms()
+    hom_x = [homs(x, P) for P in pool]
+    c = {"x": x, "pool": pool, "hom_x": hom_x,
+         "radical": lambda j, i: homsolve.radical_coordinates(
+             x, hom_x[j], homs(pool[j], pool[i]), hom_x[i])}
+    return with_complement(c, y, homs)
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
@@ -201,7 +236,7 @@ def test_approximation_map_is_the_sum_of_inclusion_composites(build, name):
 
 
 def test_sparse_composites_match_dense_products():
-    ctx = dup.build_context(named_diagram("A3"))
+    ctx = dup.DupContext(named_diagram("A3"))
     objs = [m for _, m in ctx.objects()]
     x = objs[0]
     widths = [x.dims[s] for s in x.slot_keys]
@@ -241,7 +276,7 @@ def test_certificate_agrees_with_exchange_sequence(name):
     graph, certificates = _arc_certificates(name)
     assert len(certificates) == len(graph.arcs)
     for arc, c in zip(graph.arcs, certificates):
-        E, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
+        E, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["radical"])
         assert homsolve.certify_exchange(**c) == E.dims_key()
         assert reference_is_iso(cok, c["y"])
         assert arc.e_dims == E.dims_key()
@@ -250,13 +285,14 @@ def test_certificate_agrees_with_exchange_sequence(name):
 def test_certificate_accepts_exactly_the_isomorphic_complements():
     # every pool member (each a brick) offered as the complement of every
     # duplicated A3 arc: the certificate and the two-Hom test agree
-    members = [m for _, m in dup.build_context(named_diagram("A3")).pool()]
+    members = [m for _, m in dup.DupContext(named_diagram("A3")).pool()]
     _, certificates = _arc_certificates("A3")
+    homs = FreshHoms()
     accepted = 0
     for c in certificates:
-        _, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
+        _, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["radical"])
         for z in members:
-            got = homsolve.certify_exchange(c["x"], c["pool"], z, c["hom_x"], c["pool_hom"])
+            got = homsolve.certify_exchange(**with_complement(c, z, homs))
             assert (got is not None) == reference_is_iso(cok, z)
             accepted += got is not None
     assert accepted == len(certificates)
@@ -264,12 +300,14 @@ def test_certificate_accepts_exactly_the_isomorphic_complements():
 
 def _offer_complement(monkeypatch, make):
     """Make every duplicated arc certificate test ``make(x, y)`` in place
-    of its complement y, with Hom bases of its own (the arc's coordinate
-    caches, which belong to y, are dropped too)."""
+    of its complement y, with Hom bases into it and composite coordinates
+    of its own (the arc's, which belong to y, are dropped)."""
     original = homsolve.certify_exchange
+    homs = FreshHoms()
 
-    def offered(x, pool, y, hom_x=None, pool_hom=None, hom_y=None, **caches):
-        return original(x, pool, make(x, y), hom_x, pool_hom)
+    def offered(x, pool, y, hom_x, hom_y, radical, composites):
+        c = {"x": x, "pool": pool, "hom_x": hom_x, "radical": radical}
+        return original(**with_complement(c, make(x, y), homs))
 
     monkeypatch.setattr(homsolve, "certify_exchange", offered)
 
@@ -281,7 +319,7 @@ def _zero_structure(m):
 
 
 def _other_dims(x, y):
-    for _, z in dup.build_context(x.quiver).pool():
+    for _, z in dup.DupContext(x.quiver).pool():
         if z.dims_key() != y.dims_key():
             return z
     raise AssertionError("no pool member of other dimensions")
@@ -314,11 +352,12 @@ def test_certificate_needs_a_brick_complement():
     # cokernel S_0 + S_0, whose maps from E killing x form no line
     A2 = named_diagram("A2")
     s0, s1, p0 = rep_a.simple(A2, 0), rep_a.simple(A2, 1), rep_a.projective(A2, 0)
-    assert homsolve.certify_exchange(s1, [p0], s0) == (1, 1)
+    assert homsolve.certify_exchange(**fresh_arguments(s1, [p0], s0)) == (1, 1)
     x = homsolve.direct_sum([s1, s1])[0]
     y = homsolve.direct_sum([s0, s0])[0]
-    assert homsolve.exchange_sequence(x, [p0])[1].dims == y.dims
-    assert homsolve.certify_exchange(x, [p0], y) is None
+    c = fresh_arguments(x, [p0], y)
+    assert homsolve.exchange_sequence(x, [p0], c["hom_x"], c["radical"])[1].dims == y.dims
+    assert homsolve.certify_exchange(**c) is None
 
 
 def test_certificate_needs_a_nonzero_injective_approximation():
@@ -326,18 +365,19 @@ def test_certificate_needs_a_nonzero_injective_approximation():
     p0, s0, s1 = rep_a.projective(A2, 0), rep_a.simple(A2, 0), rep_a.simple(A2, 1)
     # P_0 -> S_0 is onto, not injective; S_0 maps to nothing in {S_1}
     with pytest.raises(homsolve.NoExchangeSequence, match="not injective"):
-        homsolve.certify_exchange(p0, [s0], s1)
+        homsolve.certify_exchange(**fresh_arguments(p0, [s0], s1))
     with pytest.raises(homsolve.NoExchangeSequence, match="empty approximation"):
-        homsolve.certify_exchange(s0, [s1], s1)
+        homsolve.certify_exchange(**fresh_arguments(s0, [s1], s1))
 
 
 # ---------------------------------------------------------------------------
 # index-level certificates: coordinates in cached Hom bases
 
 
-def reference_components(x, pool, hom_x, pool_hom):
+def reference_components(x, pool, hom_x, homs):
     """Minimal left approximation with the radical span taken entrywise,
-    in Hom(x, pool_i) itself rather than in coordinates of its basis."""
+    in Hom(x, pool_i) itself rather than in coordinates of its basis;
+    the maps between pool members come from ``homs``."""
     comps = []
     for i, P in enumerate(pool):
         if not hom_x[i]:
@@ -345,7 +385,7 @@ def reference_components(x, pool, hom_x, pool_hom):
         span = LinSpan(homsolve._map_vec_length(x, P))
         for j in range(len(pool)):
             if j != i and hom_x[j]:
-                for g in pool_hom(j, i):
+                for g in homs(pool[j], pool[i]):
                     for h in hom_x[j]:
                         span.add((g @ h).vec())
         for h in hom_x[i]:
@@ -362,24 +402,32 @@ def reference_line(comps, hom_y):
     return RatMatrix([list(row) for row in zip(*columns)], cols=len(terms)).kernel_basis()
 
 
+def _blocks(pairs):
+    """(index, blocks) of each (index, map) pair, to compare maps that are
+    distinct objects by value."""
+    return [(k, h.blocks) for k, h in pairs]
+
+
 @pytest.mark.parametrize("name", ["A3", "D4", "D5"])
 def test_index_level_certificate_matches_the_uncached_one(name):
     # every arc: the components chosen from the cached radical coordinates
     # and the step-3 line from the cached composite coordinates equal the
-    # uncached ones and the entrywise references
+    # ones computed over fresh Hom bases and the entrywise references
     _, certificates = _arc_certificates(name)
     assert len(certificates) == {"A3": 21, "D4": 100, "D5": 455}[name]
+    homs = FreshHoms()
     for c in certificates:
-        x, pool, y, hom_x, pool_hom, hom_y = (
-            c["x"], c["pool"], c["y"], c["hom_x"], c["pool_hom"], c["hom_y"])
-        comps = homsolve.minimal_left_approximation(x, pool, hom_x, pool_hom,
-                                                    radical=c["radical"])
-        assert comps == homsolve.minimal_left_approximation(x, pool, hom_x, pool_hom)
+        ref = fresh_arguments(c["x"], c["pool"], c["y"], homs)
+        comps = homsolve.minimal_left_approximation(c["hom_x"], c["radical"])
+        ref_comps = homsolve.minimal_left_approximation(ref["hom_x"], ref["radical"])
+        assert _blocks(comps) == _blocks(ref_comps)
         if name != "D5":
-            assert comps == reference_components(x, pool, hom_x, pool_hom)
-        terms, line = homsolve.exchange_line(x, y, comps, hom_x, hom_y, c["composites"])
-        assert (terms, line) == homsolve.exchange_line(x, y, comps, hom_x, hom_y)
-        assert line == reference_line(comps, hom_y)
+            assert comps == reference_components(c["x"], c["pool"], c["hom_x"], homs)
+        terms, line = homsolve.exchange_line(comps, c["hom_x"], c["hom_y"], c["composites"])
+        ref_terms, ref_line = homsolve.exchange_line(ref_comps, ref["hom_x"], ref["hom_y"],
+                                                     ref["composites"])
+        assert _blocks(terms) == _blocks(ref_terms) and line == ref_line
+        assert line == reference_line(comps, c["hom_y"])
         assert len(line) == 1
 
 
@@ -399,7 +447,7 @@ def _spurious(h):
 
 
 def test_basis_coordinates_read_the_free_columns():
-    ctx = dup.build_context(named_diagram("D4"))
+    ctx = dup.DupContext(named_diagram("D4"))
     r = len(ctx.objects())
     basis = next(b for b in (ctx.hom_idx(x, i) for x in range(r) for i in range(r))
                  if len(b) >= 2)
@@ -417,7 +465,7 @@ def test_basis_coordinates_read_the_free_columns():
 def test_composite_coordinates_rebuild_the_composites():
     # every (x, i, y) of duplicated A3: sum_m c_m . b_m over the basis of
     # Hom(x, y) is g_l . h_k entry for entry
-    ctx = dup.build_context(named_diagram("A3"))
+    ctx = dup.DupContext(named_diagram("A3"))
     objs = [m for _, m in ctx.objects()]
     r = len(objs)
     checked = 0
@@ -439,9 +487,10 @@ def test_composite_coordinates_rebuild_the_composites():
 def test_exchange_line_reads_each_component_position():
     # single components x -> pool_i at every basis position, on the
     # duplicated D4 triples whose composites differ between positions
-    ctx = dup.build_context(named_diagram("D4"))
+    ctx = dup.DupContext(named_diagram("D4"))
     objs = [m for _, m in ctx.objects()]
     r = len(objs)
+    homs = FreshHoms()
     checked = 0
     for x in range(r):
         for i in range(r):
@@ -450,12 +499,15 @@ def test_exchange_line_reads_each_component_position():
                 if len(set(ctx.composite_idx(x, i, y))) < 2:
                     continue
                 hom_y = [ctx.hom_idx(i, y)]
-                for h in hom_x[0]:
+                ref = fresh_arguments(objs[x], [objs[i]], objs[y], homs)
+                for h, h_ref in zip(hom_x[0], ref["hom_x"][0]):
                     comps = [(0, h)]
-                    got = homsolve.exchange_line(objs[x], objs[y], comps, hom_x, hom_y,
-                                                 lambda a: ctx.composite_idx(x, i, y))
-                    assert got == homsolve.exchange_line(objs[x], objs[y], comps, hom_x, hom_y)
-                    assert got[1] == reference_line(comps, hom_y)
+                    terms, line = homsolve.exchange_line(
+                        comps, hom_x, hom_y, lambda a: ctx.composite_idx(x, i, y))
+                    ref_terms, ref_line = homsolve.exchange_line(
+                        [(0, h_ref)], ref["hom_x"], ref["hom_y"], ref["composites"])
+                    assert _blocks(terms) == _blocks(ref_terms) and line == ref_line
+                    assert line == reference_line(comps, hom_y)
                     checked += 1
     assert checked >= 42
 
@@ -464,7 +516,7 @@ def test_corrupted_cached_basis_raises():
     # a triple x -> j -> i with nonzero composites and Hom(x, i) a line
     # whose basis map has two or more nonzero entries; that map is
     # replaced in the cache by a scaled one with a spurious entry
-    ctx = dup.build_context(named_diagram("A3"))
+    ctx = dup.DupContext(named_diagram("A3"))
     r = len(ctx.objects())
     x, j, i = next((x, j, i) for x in range(r) for j in range(r) for i in range(r)
                    if len({x, j, i}) == 3 and len(ctx.hom_idx(x, i)) == 1
@@ -487,7 +539,7 @@ def test_certificate_returns_its_approximation_components(name):
     graph, certificates = _arc_certificates(name)
     for arc, c in zip(graph.arcs, certificates):
         got = homsolve.certify_exchange(**c)
-        comps = homsolve.minimal_left_approximation(c["x"], c["pool"], c["hom_x"], c["pool_hom"])
+        comps = homsolve.minimal_left_approximation(c["hom_x"], c["radical"])
         assert got.components == comps
         assert got == arc.e_dims and type(arc.e_dims) is tuple
 
@@ -594,7 +646,7 @@ def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
 # generated inputs
 
 
-A3_OBJECTS = [m for _, m in dup.build_context(named_diagram("A3")).objects()]
+A3_OBJECTS = [m for _, m in dup.DupContext(named_diagram("A3")).objects()]
 
 
 @st.composite
@@ -678,9 +730,10 @@ def _not_a_morphism():
 @pytest.mark.parametrize("fault, call, message", [
     (None, _not_a_morphism, "kernel not preserved"),
     (("top_lifts", lambda M: []),
-     lambda: homsolve.projective_cover(rep_a.simple(A2, 0)), "zero top"),
+     lambda: homsolve.projective_cover_parts(rep_a.simple(A2, 0)), "zero top"),
     (("SlotMap.is_surjective", lambda self: False),
-     lambda: homsolve.projective_cover(rep_a.simple(A2, 0)), "cover failed to be surjective"),
+     lambda: homsolve.projective_cover_parts(rep_a.simple(A2, 0)),
+     "cover failed to be surjective"),
     (("socle_vectors", lambda M: []),
      lambda: homsolve.injective_envelope(rep_a.simple(A2, 0)), "zero socle"),
     (("SlotMap.is_injective", lambda self: False),

@@ -195,7 +195,7 @@ def _engine_pools():
     yield Pool(d4, indecomposables(d4)), 4
     yield Pool(kron, kronecker_window(4)), 2
     for name in ("A3", "D4"):
-        ctx = dup.build_context(named_diagram(name))
+        ctx = dup.DupContext(named_diagram(name))
         yield ctx, ctx.n
 
 
@@ -216,7 +216,7 @@ def test_clique_and_complement_search_match_brute_force():
 
 def test_indexed_degrees_match_arc_counts():
     for g in (tilting_quiver(named_diagram("D4")),
-              dup.tilting_quiver_dup(dup.build_context(A3))):
+              dup.tilting_quiver_dup(dup.DupContext(A3))):
         assert len(g.arcs) > 0
         for i, t in enumerate(g.tiltings):
             assert g.out_degree(i) == sum(1 for a in g.arcs if a.src == i)
