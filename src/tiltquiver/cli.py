@@ -113,7 +113,7 @@ def _graph_lines(g: tilt_a.TiltingGraph, dot: str | None) -> list[str]:
 # input plumbing
 
 
-def _load_quiver(args, required: bool = True) -> tuple[Quiver | None, str]:
+def _load_quiver(args) -> tuple[Quiver, str]:
     file = getattr(args, "quiver_file", None)
     diagram = getattr(args, "diagram", None)
     if file and diagram:
@@ -122,9 +122,7 @@ def _load_quiver(args, required: bool = True) -> tuple[Quiver | None, str]:
         return parse_quiver(Path(file).read_text()), f"file {file}"
     if diagram:
         return named_diagram(diagram), f"diagram {diagram}"
-    if required:
-        raise UsageError("a quiver is required: pass -q FILE or --diagram NAME")
-    return None, ""
+    raise UsageError("a quiver is required: pass -q FILE or --diagram NAME")
 
 
 def _window_or_quiver(args, from_window, from_quiver):
@@ -211,7 +209,7 @@ def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
     violations = list(g.defects)
     stats = {**_graph_stats(g), "degree": ctx.n}
     if args.deep_check:
-        deep = dup.deep_check_coresolution(ctx, g.tiltings)
+        deep = dup.deep_check_coresolution(ctx)
         stats["deep_sequences"] = deep["stats"]["sequences_checked"]
         violations.extend(deep["counterexamples"])
     status = "pass" if not violations else "violation"

@@ -343,7 +343,7 @@ def shifted_module(q: Quiver, i: int) -> TripleModule:
         raise RuntimeError("shifted module degenerated into the embedded layer")
     if homsolve.end_dim(w) != 1:
         raise RuntimeError("shifted module failed to be indecomposable")
-    if homsolve.projective_dimension(w, cap=2) != 1:
+    if homsolve.projective_dimension(w) != 1:
         raise RuntimeError("shifted module has unexpected projective dimension")
     return w
 
@@ -382,6 +382,7 @@ class DupContext:
         self._composites: dict[tuple[int, int, int], tuple] = {}
         self._shared: dict[tuple, tuple] = {}  # one copy of each coordinate value
         self._rules_checked = False
+        self._tiltings: list[tilt_a.Tilting] | None = None
 
     # -- canonical families ------------------------------------------------
 
@@ -472,22 +473,19 @@ class DupContext:
         resolution 0 -> P1 -> P0 -> M -> 0 of object i (cached).
 
         P0 -> M is the projective cover and P1 = Omega M, certified
-        projective: its own cover must be bijective, else
+        projective: the resolution must end within two steps, else
         ``RuntimeError``.  Every object has projective dimension at most
         1, the shifted modules as certified when built."""
         got = self._syz.get(i)
         if got is None:
             pid, m = self.objects()[i]
-            _, tags, cover = homsolve.projective_cover_parts(m)
-            K, _ = homsolve.kernel(cover)
-            P1, omega_tags, _ = homsolve.projective_cover_parts(K)
-            if P1.dims != K.dims:
+            steps = homsolve.projective_resolution(m)
+            if steps is None or len(steps) > 2:
                 raise RuntimeError(f"the syzygy of {pid} is not projective")
             got = {}
-            for tag in omega_tags:
-                got[tag] = got.get(tag, 0) + 1
-            for tag in tags:
-                got[tag] = got.get(tag, 0) - 1
+            for sign, tags in zip((-1, 1), steps):
+                for tag in tags:
+                    got[tag] = got.get(tag, 0) + sign
             self._syz[i] = got
         return got
 
@@ -548,18 +546,21 @@ class DupContext:
 # tilting enumeration and the exchange graph
 
 
-def enumerate_tilting_dup(ctx: DupContext, validate: bool = True) -> list[tilt_a.Tilting]:
-    """All basic tilting modules containing every bar projective.
+def enumerate_tilting_dup(ctx: DupContext) -> list[tilt_a.Tilting]:
+    """All basic tilting modules containing every bar projective, after
+    ``validate_rules`` (enumerated once per context).
 
     A set of n pairwise compatible pool members completes, together with
     the n bar projectives, to a tilting module over the duplicated
     algebra; the bar summands are left implicit everywhere.
     """
-    if validate:
+    if ctx._tiltings is None:
         ctx.validate_rules()
-    ids = ctx.pool_ids()
-    dims = [m.dims_key() for _, m in ctx.pool()]
-    return [tilt_a.make_tilting(c, ids, dims) for c in tilt_a.cliques(ctx.table, ctx.n)]
+        ids = ctx.pool_ids()
+        dims = [m.dims_key() for _, m in ctx.pool()]
+        ctx._tiltings = [tilt_a.make_tilting(c, ids, dims)
+                         for c in tilt_a.cliques(ctx.table, ctx.n)]
+    return ctx._tiltings
 
 
 def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
@@ -757,16 +758,11 @@ def verify_shift_completion(ctx: DupContext) -> dict:
     }
 
 
-def global_dimension_dup(ctx: DupContext, cap: int = 4) -> int:
+def global_dimension_dup(ctx: DupContext) -> int:
     """Global dimension via the projective dimensions of the 2n simples."""
     q = ctx.quiver
-    best = 0
-    for a in q.vertices:
-        s_b = embed(q, rep_a.simple(q, a))
-        s_t = embed_top(q, rep_a.simple(q, a))
-        for s in (s_b, s_t):
-            best = max(best, homsolve.projective_dimension(s, cap=cap))
-    return best
+    return max(homsolve.projective_dimension(layer(q, rep_a.simple(q, a)))
+               for a in q.vertices for layer in (embed, embed_top))
 
 
 # ---------------------------------------------------------------------------
@@ -801,19 +797,16 @@ def _decompose_in_add(ctx: DupContext, c: TripleModule,
     return mults if e_dims == c.dims_key() else None
 
 
-def deep_check_coresolution(ctx: DupContext,
-                            tiltings: Sequence[tilt_a.Tilting] | None = None) -> dict:
+def deep_check_coresolution(ctx: DupContext) -> dict:
     """For each tilting set T and each projective P: a short exact
     sequence 0 -> P -> T0 -> T1 -> 0 with both middle terms in add T
     (bar projectives included), built from the minimal left
     approximation of P."""
-    if tiltings is None:
-        tiltings = enumerate_tilting_dup(ctx)
     objs = ctx.objects()
     bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
     violations: list[str] = []
     checked = 0
-    for t in tiltings:
+    for t in enumerate_tilting_dup(ctx):
         members = list(t.indices) + bar_indices
         pool_mods = [objs[k][1] for k in members]
         for p_idx in bar_indices + ctx.embedded_projective_indices():

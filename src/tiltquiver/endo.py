@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from . import dup, homsolve, tilt_a
 from .exactlin import RatMatrix, sparse_row
-from .homsolve import SlotMap, SlotModule
+from .homsolve import SlotMap, SlotModule, projective_resolution
 
 
 class AlgebraElement(NamedTuple):
@@ -104,45 +104,36 @@ class StructureAlgebra:
 
 def structure_algebra(
     summands: Sequence[SlotModule],
-    homs: dict[tuple[int, int], list[SlotMap]] | None = None,
+    homs: dict[tuple[int, int], list[SlotMap]],
 ) -> StructureAlgebra:
     """End of a direct sum, from hom bases between the summands.
 
     Each summand must have a one-dimensional endomorphism ring; its hom
     basis is replaced by the exact identity so the idempotents are
-    on-the-nose.  ``homs[(i, j)]`` may supply precomputed bases of
-    Hom(summand_i, summand_j); they must be canonical ``hom_basis``
-    output, as products are read off in coordinates by
-    ``homsolve.basis_coordinates`` (which raises ``RuntimeError`` when
-    one escapes its basis).
+    on-the-nose.  ``homs[(i, j)]`` is a basis of Hom(summand_i,
+    summand_j); it must be canonical ``hom_basis`` output, as products
+    are read off in coordinates by ``homsolve.basis_coordinates`` (which
+    raises ``RuntimeError`` when one escapes its basis).
     """
     r = len(summands)
-    if homs is None:
-        homs = {}
     elements: list[AlgebraElement] = []
     idempotents: list[int] = []
     pair_basis: dict[tuple[int, int], list[int]] = {}
     for i in range(r):
         for j in range(r):
             if i == j:
-                ends = homs.get((i, i))
-                if ends is None:
-                    ends = homsolve.hom_basis(summands[i], summands[i])
-                if len(ends) != 1:
+                if len(homs[(i, i)]) != 1:
                     raise ValueError(
                         f"summand {i} has endomorphism ring of dimension "
-                        f"{len(ends)}, expected 1"
+                        f"{len(homs[(i, i)])}, expected 1"
                     )
                 ident = SlotMap.identity(summands[i])
                 pair_basis[(i, i)] = [len(elements)]
                 idempotents.append(len(elements))
                 elements.append(AlgebraElement(i, i, ident))
                 continue
-            basis = homs.get((i, j))
-            if basis is None:
-                basis = homsolve.hom_basis(summands[i], summands[j])
             pair_basis[(i, j)] = []
-            for h in basis:
+            for h in homs[(i, j)]:
                 pair_basis[(i, j)].append(len(elements))
                 elements.append(AlgebraElement(i, j, h))
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -319,40 +310,10 @@ def b_module(alg: StructureAlgebra, m: SlotModule) -> BMod:
 # resolutions and global dimension
 
 
-def projective_resolution(alg: StructureAlgebra, m: BMod,
-                          cap: int = 6) -> dict:
-    """Minimal resolution data: cover multiplicities per step.
-
-    Returns ``{"covers": [...], "pd": int | None}`` where each cover is
-    a dict slot -> multiplicity; ``pd`` is None when the cap was hit
-    before the resolution terminated.
-    """
-    covers: list[dict[int, int]] = []
-    cur: SlotModule = m
-    if cur.is_zero():
-        return {"covers": [], "pd": 0}
-    for _ in range(cap + 1):
-        _, tags, cover = homsolve.projective_cover_parts(cur)
-        mults: dict[int, int] = {}
-        for tag in tags:
-            mults[tag] = mults.get(tag, 0) + 1
-        covers.append(mults)
-        K, _ = homsolve.kernel(cover)
-        if K.is_zero():
-            return {"covers": covers, "pd": len(covers) - 1}
-        cur = K
-    return {"covers": covers, "pd": None}
-
-
-def global_dimension(alg: StructureAlgebra, cap: int = 6) -> int:
+def global_dimension(alg: StructureAlgebra) -> int:
     """Max projective dimension of the simples (raises past the cap)."""
-    best = 0
-    for i in range(len(alg.summands)):
-        res = projective_resolution(alg, simple_module(alg, i), cap=cap)
-        if res["pd"] is None:
-            raise RuntimeError(f"projective dimension of simple {i} exceeds {cap}")
-        best = max(best, res["pd"])
-    return best
+    return max(homsolve.projective_dimension(simple_module(alg, i))
+               for i in range(len(alg.summands)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +333,10 @@ def endo_algebra(ctx: dup.DupContext,
     mods = [objs[k][1] for k in members]
     homs = {(a, b): ctx.hom_idx(i, j)
             for a, i in enumerate(members) for b, j in enumerate(members)}
-    return structure_algebra(mods, homs=homs), members
+    return structure_algebra(mods, homs), members
 
 
-def verify_endo_global_dimension(ctx: dup.DupContext, cap: int = 6) -> dict:
+def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
     """Global dimension of every tilting endomorphism algebra is at most 3.
 
     Also checks the refinement that simples sitting over non-bar
@@ -390,15 +351,15 @@ def verify_endo_global_dimension(ctx: dup.DupContext, cap: int = 6) -> dict:
         alg, members = endo_algebra(ctx, t)
         worst = 0
         for i in range(len(alg.summands)):
-            res = projective_resolution(alg, simple_module(alg, i), cap=cap)
-            pd = res["pd"]
+            steps = projective_resolution(simple_module(alg, i))
             label = str(ctx.objects()[members[i]][0])
-            if pd is None:
+            if steps is None:
                 violations.append(
                     f"{t.label()}: simple over {label} does not resolve "
-                    f"within {cap} steps"
+                    f"within {homsolve._RESOLUTION_CAP} steps"
                 )
                 continue
+            pd = len(steps) - 1
             worst = max(worst, pd)
             if pd > 3:
                 violations.append(
@@ -422,8 +383,7 @@ def verify_endo_global_dimension(ctx: dup.DupContext, cap: int = 6) -> dict:
     }
 
 
-def hom_pd_bound(ctx: dup.DupContext, t: tilt_a.Tilting,
-                 cap: int = 6) -> dict:
+def hom_pd_bound(ctx: dup.DupContext, t: tilt_a.Tilting) -> dict:
     """pd of Hom(T, m) over End(T) never exceeds pd of m, for every pool
     module generated by the summands."""
     alg, members = endo_algebra(ctx, t)
@@ -435,9 +395,9 @@ def hom_pd_bound(ctx: dup.DupContext, t: tilt_a.Tilting,
         except ValueError:
             continue                      # not generated: out of scope
         checked += 1
-        res = projective_resolution(alg, bm, cap=cap)
-        upstairs = res["pd"]
-        downstairs = homsolve.projective_dimension(m, cap=cap)
+        steps = projective_resolution(bm)
+        upstairs = None if steps is None else len(steps) - 1
+        downstairs = homsolve.projective_dimension(m)
         if upstairs is None or upstairs > downstairs:
             violations.append(
                 f"{t.label()}: pd Hom(T, {pid}) = {upstairs} exceeds {downstairs}"

@@ -497,24 +497,37 @@ def projective_cover_parts(M: SlotModule) -> tuple[SlotModule, list[Slot], SlotM
     return P, [s for s, _ in lifts], cover
 
 
-def syzygy(M: SlotModule) -> tuple[SlotModule, SlotModule, SlotMap]:
-    """(kernel of cover, cover domain, cover map)."""
-    P, _, cover = projective_cover_parts(M)
-    K, _ = kernel(cover)
-    return K, P, cover
+_RESOLUTION_CAP = 6
 
 
-def projective_dimension(M: SlotModule, cap: int = 12) -> int:
+def projective_resolution(M: SlotModule) -> list[list[Slot]] | None:
+    """Minimal projective resolution of M, step by step: the slot tags of
+    each cover's top generators, or None when it has not ended after
+    ``_RESOLUTION_CAP + 1`` covers.
+
+    A cover with the dimensions of the module it covers is bijective (it
+    is onto), so that module is projective and the resolution ends there;
+    no zero kernel is built.  The zero module resolves in one empty step.
+    """
+    steps: list[list[Slot]] = []
+    cur = M
+    for _ in range(_RESOLUTION_CAP + 1):
+        P, tags, cover = projective_cover_parts(cur)
+        steps.append(tags)
+        if P.dims == cur.dims:
+            return steps
+        cur, _ = kernel(cover)
+    return None
+
+
+def projective_dimension(M: SlotModule) -> int:
     """Length of the minimal projective resolution (module must be nonzero)."""
     if M.is_zero():
         raise ValueError("projective dimension of the zero module")
-    cur = M
-    for d in range(cap + 1):
-        om, _, _ = syzygy(cur)
-        if om.is_zero():
-            return d
-        cur = om
-    raise RuntimeError(f"projective dimension exceeds cap {cap}")
+    steps = projective_resolution(M)
+    if steps is None:
+        raise RuntimeError(f"projective dimension exceeds cap {_RESOLUTION_CAP}")
+    return len(steps) - 1
 
 
 def ext1_dim(M: SlotModule, N: SlotModule) -> int:
@@ -523,7 +536,8 @@ def ext1_dim(M: SlotModule, N: SlotModule) -> int:
     Hom(-, N) applied to 0 -> K -> P -> M -> 0 gives
     ext1 = dim Hom(K, N) - dim Hom(P, N) + dim Hom(M, N).
     """
-    K, P, _ = syzygy(M)
+    P, _, cover = projective_cover_parts(M)
+    K, _ = kernel(cover)
     if K.is_zero():
         return 0
     return hom_dim(K, N) - hom_dim(P, N) + hom_dim(M, N)

@@ -172,6 +172,32 @@ def test_deep_check_runs(capsys):
     assert "deep_sequences=20" in out
 
 
+@pytest.mark.parametrize("theorem", ["3.1", "4.1"])
+def test_deep_check_enumerates_the_tilting_modules_once(capsys, monkeypatch, theorem):
+    # the theorem's checker and the deep check share one clique search of
+    # size n on the duplicated compatibility table
+    contexts, searches = [], []
+    post_init, cliques = cli.dup.DupContext.__post_init__, cli.tilt_a.cliques
+
+    def recorded_context(self):
+        post_init(self)
+        contexts.append(self)
+
+    def recorded_search(table, size):
+        searches.append((table, size))
+        return cliques(table, size)
+
+    monkeypatch.setattr(cli.dup.DupContext, "__post_init__", recorded_context)
+    monkeypatch.setattr(cli.tilt_a, "cliques", recorded_search)
+    code, out, _ = run(capsys, "verify", "--theorem", theorem,
+                       "--diagram", "A3", "--deep-check")
+    assert code == 0
+    assert "deep_sequences=" in out
+    (ctx,) = contexts
+    assert [size for table, size in searches
+            if table is ctx.table and size == ctx.n] == [3]
+
+
 def test_violation_exit_code(capsys, monkeypatch):
     def fake(ctx):
         return {"status": "violation", "stats": {},

@@ -25,6 +25,12 @@ def projective_tilting(ctx):
     raise AssertionError("projective tilting set missing from enumeration")
 
 
+def hom_bases(mods):
+    """Canonical Hom bases between every ordered pair of the summands."""
+    return {(i, j): homsolve.hom_basis(a, b)
+            for i, a in enumerate(mods) for j, b in enumerate(mods)}
+
+
 def shift_tilting(ctx):
     for t in dup.enumerate_tilting_dup(ctx):
         if all(i.kind == "W" for i in t.ids):
@@ -39,7 +45,7 @@ def shift_tilting(ctx):
 def test_endomorphism_algebra_of_projective_generator():
     # two vertices, one arrow: 1 + 1 + 1 basis morphisms
     mods = [rep_a.projective(A2, 0), rep_a.projective(A2, 1)]
-    alg = endo.structure_algebra(mods)
+    alg = endo.structure_algebra(mods, hom_bases(mods))
     assert alg.dimension == 3
     assert len(alg.idempotents) == 2
     alg.assert_associative()
@@ -51,19 +57,18 @@ def test_scalar_corner_requirement():
     double, _, _ = homsolve.direct_sum(
         [rep_a.projective(A2, 0), rep_a.projective(A2, 0)])
     with pytest.raises(ValueError):
-        endo.structure_algebra([double])
+        endo.structure_algebra([double], hom_bases([double]))
 
 
 def test_regular_projectives_have_simple_tops():
     mods = [rep_a.projective(A2, 0), rep_a.projective(A2, 1)]
-    alg = endo.structure_algebra(mods)
+    alg = endo.structure_algebra(mods, hom_bases(mods))
     for i in range(2):
         P = endo.regular_projective(alg, i)
         assert P.dims[i] == 1
         lifts = homsolve.top_lifts(P)
         assert len(lifts) == 1 and lifts[0][0] == i
-        res = endo.projective_resolution(alg, P)
-        assert res == {"covers": [{i: 1}], "pd": 0}
+        assert endo.projective_resolution(P) == [[i]]
         P.check_action()
 
 
@@ -102,8 +107,7 @@ def test_b_module_of_summand_is_the_regular_projective():
         bm = endo.b_module(alg, objs[k][1])
         P = endo.regular_projective(alg, i)
         assert bm.dims == P.dims
-        res = endo.projective_resolution(alg, bm)
-        assert res["pd"] == 0
+        assert endo.projective_resolution(bm) == [[i]]
         bm.check_action()
 
 
@@ -197,7 +201,7 @@ def test_coordinates_match_the_dense_solve_kronecker():
     # Hom(P_1, P_0) of the double arrow is two-dimensional
     K = named_diagram("K")
     mods = [rep_a.projective(K, 0), rep_a.projective(K, 1)]
-    alg = endo.structure_algebra(mods)
+    alg = endo.structure_algebra(mods, hom_bases(mods))
     assert sorted(len(b) for b in alg.pair_basis.values()) == [0, 1, 1, 2]
     regular, _, _ = homsolve.direct_sum(mods)
     assert _assert_dense_coordinates(alg, mods + [regular]) == 3
@@ -209,7 +213,7 @@ ESCAPING_PRODUCT = (
     "import sys\n"
     "from tiltquiver import cli, endo\n"
     "structure_algebra = endo.structure_algebra\n"
-    "def leaky(summands, homs=None):\n"
+    "def leaky(summands, homs):\n"
     "    homs = dict(homs)\n"
     "    for (a, b), hs in homs.items():\n"
     "        for (b2, c), gs in homs.items():\n"

@@ -27,10 +27,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tiltquiver import cli, dup, homsolve, rep_a, tilt_a
+from tiltquiver import cli, dup, endo, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix, sparse_row
 from tiltquiver.homsolve import LinSpan, SlotMap
-from tiltquiver.quiver_core import named_diagram
+from tiltquiver.quiver_core import named_diagram, orientations
 
 F = Fraction
 
@@ -581,14 +581,98 @@ def assert_kernel_matches(f):
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_kernel_matches_the_solve_route_on_dup_maps(name):
-    # the shifted modules' projective dimension checks and the syzygies
-    # that Ext^1 reads by Yoneda
-    seen = _recorded(_dup_graph(name), "kernel")
+    # the shifted modules' projective dimension checks, the syzygies that
+    # Ext^1 reads by Yoneda and the resolutions of the 2n simples
+    def build():
+        ctx = dup.DupContext(named_diagram(name))
+        dup.tilting_quiver_dup(ctx)
+        dup.global_dimension_dup(ctx)
+
+    seen = _recorded(build, "kernel")
     calls = [c["f"] for c in seen["kernel"]]
     assert len(calls) >= {"A3": 15, "D4": 24}[name]
     assert any(not homsolve.kernel(f)[0].is_zero() for f in calls)
     for f in calls:
         assert_kernel_matches(f)
+
+
+def reference_resolution(M):
+    """Cover, then kernel, until the kernel vanishes: the slot tags of
+    each cover's top generators, or None after 7 covers."""
+    steps = []
+    for _ in range(7):
+        _, tags, cover = homsolve.projective_cover_parts(M)
+        steps.append(tags)
+        M, _ = homsolve.kernel(cover)
+        if M.is_zero():
+            return steps
+    return None
+
+
+RESOLVED_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
+                    + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
+                    + [(name, named_diagram(name)) for name in ("A5", "D5")])
+
+
+@pytest.mark.parametrize("q", [q for _, q in RESOLVED_QUIVERS],
+                         ids=[n for n, _ in RESOLVED_QUIVERS])
+def test_resolution_matches_the_kernel_loop_on_dup_objects(q):
+    # every object has projective dimension at most 1, and the shifted
+    # modules exactly 1
+    lengths = set()
+    for _, m in dup.DupContext(q).objects():
+        steps = homsolve.projective_resolution(m)
+        assert steps == reference_resolution(m)
+        lengths.add(len(steps))
+    assert lengths == {1, 2}
+
+
+def test_resolution_matches_the_kernel_loop_on_endomorphism_algebras():
+    # the simples and regular projectives of every End(T) over duplicated A3
+    ctx = dup.DupContext(named_diagram("A3"))
+    lengths = set()
+    for t in dup.enumerate_tilting_dup(ctx):
+        alg, _ = endo.endo_algebra(ctx, t)
+        for i in range(len(alg.summands)):
+            simple = endo.simple_module(alg, i)
+            steps = homsolve.projective_resolution(simple)
+            assert steps == reference_resolution(simple)
+            lengths.add(len(steps))
+            regular = endo.regular_projective(alg, i)
+            assert homsolve.projective_resolution(regular) \
+                == reference_resolution(regular) == [[i]]
+    assert lengths == {1, 2, 3, 4}
+
+
+def test_resolution_of_a_projective_builds_no_kernel(monkeypatch):
+    kernels = []
+    kernel = homsolve.kernel
+    monkeypatch.setattr(homsolve, "kernel", lambda f: kernels.append(f) or kernel(f))
+    A3 = named_diagram("A3")
+    for v in A3.vertices:
+        for top, P in ((v, rep_a.projective(A3, v)),
+                       (("b", v), dup.slot_projective(A3, ("b", v))),
+                       (("t", v), dup.slot_projective(A3, ("t", v)))):
+            assert homsolve.projective_resolution(P) == [[top]]
+            assert homsolve.projective_dimension(P) == 0
+    assert kernels == []
+    # the zero module resolves in one empty step
+    assert homsolve.projective_resolution(rep_a.simple(A3, 0).zero_like()) == [[]]
+
+
+def test_resolution_gives_up_past_the_cap(monkeypatch):
+    # a kernel that never vanishes: the non-projective simple S_0 of A2
+    A2 = named_diagram("A2")
+    simple = rep_a.simple(A2, 0)
+    covers = []
+    cover_parts = homsolve.projective_cover_parts
+    monkeypatch.setattr(homsolve, "kernel", lambda f: (simple, None))
+    monkeypatch.setattr(homsolve, "projective_cover_parts",
+                        lambda M: covers.append(M) or cover_parts(M))
+    assert homsolve.projective_resolution(simple) is None
+    assert len(covers) == 7
+    with pytest.raises(RuntimeError, match="exceeds cap 6"):
+        homsolve.projective_dimension(simple)
 
 
 def reference_label_nonzeros(M):

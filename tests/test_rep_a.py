@@ -16,7 +16,7 @@ from tiltquiver.homsolve import (
     minimal_left_approximation,
     projective_cover_parts,
     projective_dimension,
-    syzygy,
+    projective_resolution,
 )
 from tiltquiver.quiver_core import named_diagram, parse_quiver
 from tiltquiver.rep_a import (
@@ -291,8 +291,9 @@ def test_projective_cover_and_syzygy():
     cov, tags, cover = projective_cover_parts(S[0])
     assert tags == [0]
     assert dv(cov) == (1, 1)
-    om, _, _ = syzygy(S[0])
+    om, _ = homsolve.kernel(cover)
     assert dv(om) == (0, 1)
+    assert projective_resolution(S[0]) == [[0], [1]]
     assert projective_dimension(S[0]) == 1
     assert projective_dimension(P[0]) == 0
 

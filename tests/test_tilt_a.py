@@ -235,6 +235,7 @@ class _ThreeComplements:
 
     def __init__(self):
         self.reps = [simple(self.quiver, 0)] * 3
+        self._tiltings = None  # the tilting list dup.enumerate_tilting_dup keeps
 
     def ext(self, i, j):
         raise AssertionError("no arc may be oriented")
