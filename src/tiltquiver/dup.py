@@ -12,11 +12,12 @@ The bottom copy of the module category of ``A`` embeds as the triples
 
 * the projective-injective ``(P_a, I_a, mult)`` ("bar" projective),
 * the shifted module ``W_a``, the inverse translate of the embedded
-  injective at ``a``, built as the cosyzygy (cokernel of the injective
-  envelope) of the embedded projective at ``a``.
+  injective at ``a``, built as the cokernel of the minimal left
+  approximation of the embedded projective at ``a`` by bar projectives
+  (its injective envelope).
 
-Everything homological (hom spaces, Ext^1, covers, envelopes, exchange
-sequences) is delegated to :mod:`tiltquiver.homsolve`; this module
+Everything homological (hom spaces, Ext^1, covers, exchange sequences)
+is delegated to :mod:`tiltquiver.homsolve`; this module
 supplies the triple-specific structure and the tilting combinatorics:
 enumeration of the basic tilting modules containing all bar projectives,
 their exchange graph, and the checkers the command line exposes.
@@ -187,13 +188,13 @@ class TripleModule(homsolve.SlotModule):
         b = tuple(self.dims[("b", v)] for v in self.quiver.vertices)
         return f"Triple(top={t}, bottom={b})"
 
-    # -- hooks for covers / envelopes ------------------------------------
+    # -- hooks for covers ------------------------------------------------
     #
-    # Projectives: the simple at bottom slot a is covered by the embedded
-    # A-projective at a; the simple at top slot a by the bar projective.
-    # Injectives: the simple at bottom slot a has envelope the bar
-    # projective (its socle), the simple at top slot a the top-embedded
-    # A-injective.
+    # The simple at bottom slot a is covered by the embedded A-projective
+    # at a, the simple at top slot a by the bar projective.  The bar
+    # projectives are also the indecomposable injectives with socle in
+    # the bottom layer, so the injective envelope of a module with socle
+    # there is its minimal left approximation by bar projectives.
 
     def projective_for_slot(self, s: Slot) -> "TripleModule":
         return slot_projective(self.quiver, s)
@@ -222,37 +223,6 @@ class TripleModule(homsolve.SlotModule):
             blocks[("b", u)] = (RatMatrix(cols, cols=m.dims[("b", u)]).transpose()
                                 if cols else RatMatrix.zeros(m.dims[("b", u)], 0))
         return SlotMap(P, m, blocks)
-
-    def injective_for_slot(self, s: Slot) -> "TripleModule":
-        layer, a = s
-        if layer == "b":
-            return slot_projective(self.quiver, ("t", a))
-        return embed_top(self.quiver, rep_a.injective(self.quiver, a))
-
-    def coyoneda_from_functional(self, s: Slot, functional, m: "TripleModule") -> SlotMap:
-        layer, a = s
-        q = self.quiver
-        J = self.injective_for_slot(s)
-        blocks: dict[Slot, RatMatrix] = {}
-        if layer == "t":
-            zeta = RatMatrix([list(functional)], cols=m.dims[("t", a)])
-            tr = m.top_rep()
-            for w in q.vertices:
-                rows = [(zeta @ tr.path_action(w, p)).data[0]
-                        for p in q.paths_between(w, a)]
-                blocks[("t", w)] = RatMatrix(rows, cols=m.dims[("t", w)])
-                blocks[("b", w)] = RatMatrix.zeros(0, m.dims[("b", w)])
-            return SlotMap(m, J, blocks)
-        zeta = RatMatrix([list(functional)], cols=m.dims[("b", a)])
-        br = m.bottom_rep()
-        for u in q.vertices:
-            rows = [(zeta @ br.path_action(u, z)).data[0]
-                    for z in q.paths_between(u, a)]
-            blocks[("b", u)] = RatMatrix(rows, cols=m.dims[("b", u)])
-        for v in q.vertices:
-            rows = [(zeta @ m.conn[(a, y)]).data[0] for y in q.paths_between(a, v)]
-            blocks[("t", v)] = RatMatrix(rows, cols=m.dims[("t", v)])
-        return SlotMap(m, J, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +298,28 @@ def bar_projective(q: Quiver, a: int) -> TripleModule:
 
 def shifted_module(q: Quiver, i: int) -> TripleModule:
     """The shifted module W_i: the inverse translate of the embedded
-    injective I_i, built as the cosyzygy of the embedded projective P_i.
+    injective I_i, built as the cokernel of the injective envelope of
+    the embedded projective P_i.
 
     The inverse Nakayama functor takes the minimal injective
     copresentation I_i -> E0 -> E1 to the injective envelope of the
     embedded P_i, and no nonzero map runs from an injective to the
     embedded I_i, so tau^{-1} I_i is that envelope's cokernel
-    (Auslander-Reiten-Smalo, IV.1-2).  Certified on construction:
-    nonzero top layer (so never an embedded module), one-dimensional
-    endomorphism ring, projective dimension 1.
+    (Auslander-Reiten-Smalo, IV.1-2).  The socle of P_i lies in the
+    bottom layer, so its envelope is its minimal left approximation by
+    the bar projectives, and W_i the cokernel of that exchange sequence.
+    Certified on construction: nonzero top layer (so never an embedded
+    module), one-dimensional endomorphism ring, projective dimension 1.
     """
-    w, _, _ = homsolve.cosyzygy(embed(q, rep_a.projective(q, i)))
+    x = embed(q, rep_a.projective(q, i))
+    bars = [slot_projective(q, ("t", a)) for a in q.vertices]
+    hom_x = [homsolve.hom_basis(x, b) for b in bars]
+    try:
+        _, w = homsolve.exchange_sequence(
+            x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
+                x, hom_x[a], homsolve.hom_basis(bars[a], bars[b]), hom_x[b]))
+    except homsolve.NoExchangeSequence as exc:
+        raise RuntimeError(f"envelope of the embedded projective at {i}: {exc}") from exc
     if w.top_dim() == 0:
         raise RuntimeError("shifted module degenerated into the embedded layer")
     if homsolve.end_dim(w) != 1:

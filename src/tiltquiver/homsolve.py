@@ -11,12 +11,13 @@ here, written once:
 * morphism spaces (``hom_basis``) and their dimensions (``hom_dim``) from
   the intertwining equations, assembled as sparse rows,
 * kernels, cokernels and direct sums that stay inside the category,
-* radical / top / socle, projective covers and injective envelopes
-  (via small per-class hooks for the canonical projectives/injectives),
-* syzygies, projective dimension, Ext^1 via a cover,
+* radical / top and projective covers (via small per-class hooks for
+  the canonical projectives),
+* projective resolutions, projective dimension, Ext^1 via a cover,
 * minimal left approximations into an additive subcategory spanned by
   indecomposables with one-dimensional endomorphism rings, and the
-  short exact exchange sequence an approximation generates.
+  short exact exchange sequence an approximation generates (into add
+  of the injectives, the approximation is the injective envelope).
 
 The concrete classes subclass :class:`SlotModule` and provide the
 structure maps plus the hooks; no linear algebra happens outside
@@ -59,10 +60,9 @@ class SlotModule:
     ``_rebuild(dims, struct)``
         a new instance of the same kind from transported data.
 
-    Optional hooks, needed only for radical/socle based computations:
-    ``radical_labels()``, ``projective_for_slot(s)``,
-    ``yoneda_from_generator(s, vec, M)``, ``injective_for_slot(s)``,
-    ``coyoneda_from_functional(s, functional, M)``.
+    Optional hooks, needed only for radical based computations (tops,
+    covers, resolutions): ``radical_labels()``, ``projective_for_slot(s)``,
+    ``yoneda_from_generator(s, vec, M)``.
     """
 
     slot_keys: tuple[Slot, ...]
@@ -391,18 +391,6 @@ def cokernel_projection(mat: RatMatrix) -> tuple[list[int], RatMatrix]:
     return comp, RatMatrix(proj, cols=d)
 
 
-def complete_basis(vecs: list[list[Fraction]], dim: int) -> tuple[list[int], RatMatrix]:
-    """Complete independent vectors by standard basis vectors (the greedy
-    complement of ``_reverse_echelon``); return those indices and the
-    inverse of the basis matrix whose columns are ``vecs``, then the
-    standard vectors."""
-    comp, _ = _reverse_echelon(vecs, dim)
-    if dim == 0:
-        return comp, RatMatrix.zeros(0, 0)
-    std = RatMatrix.identity(dim).data
-    return comp, RatMatrix(list(vecs) + [std[i] for i in comp], cols=dim).transpose().inverse()
-
-
 def cokernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
     """Cokernel with its projection, using greedy standard-basis complements."""
     N = f.dst
@@ -455,7 +443,7 @@ def direct_sum(mods: Sequence[SlotModule]) -> tuple[SlotModule, list[SlotMap], l
 
 
 # ---------------------------------------------------------------------------
-# radical / top / socle and covers / envelopes
+# radical / top and covers
 
 
 def top_lifts(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
@@ -541,66 +529,6 @@ def ext1_dim(M: SlotModule, N: SlotModule) -> int:
     if K.is_zero():
         return 0
     return hom_dim(K, N) - hom_dim(P, N) + hom_dim(M, N)
-
-
-def socle_vectors(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
-    """Canonical basis of the socle: joint kernel of all radical maps out."""
-    st = M.struct()
-    by_src: dict[Slot, list[RatMatrix]] = {s: [] for s in M.slot_keys}
-    for lab in M.radical_labels():  # type: ignore[attr-defined]
-        a, _ = M.label_ends(lab)
-        by_src[a].append(st[lab])
-    out: list[tuple[Slot, list[Fraction]]] = []
-    for s in M.slot_keys:
-        d = M.dims[s]
-        if d == 0:
-            continue
-        mats = by_src[s]
-        if mats:
-            stacked = RatMatrix.vstack(mats)
-            for v in stacked.kernel_basis():
-                out.append((s, v))
-        else:
-            for i in range(d):
-                e = [Fraction(0)] * d
-                e[i] = Fraction(1)
-                out.append((s, e))
-    return out
-
-
-def injective_envelope(M: SlotModule) -> tuple[SlotModule, SlotMap]:
-    """Injective envelope M -> E from functionals dual to a socle basis:
-    E is the sum of one canonical injective per socle line."""
-    soc = socle_vectors(M)
-    if not soc:
-        if not M.is_zero():
-            raise RuntimeError("nonzero module with zero socle")
-        Z = M.zero_like()
-        return Z, SlotMap.zero(M, Z)
-    by_slot: dict[Slot, list[list[Fraction]]] = {}
-    for s, v in soc:
-        by_slot.setdefault(s, []).append(v)
-    injs, cogens = [], []
-    for s, vecs in by_slot.items():
-        # the rows dual to the socle part: functionals vanishing on the
-        # complement
-        _, inv = complete_basis(vecs, M.dims[s])
-        for idx in range(len(vecs)):
-            injs.append(M.injective_for_slot(s))  # type: ignore[attr-defined]
-            cogens.append(M.coyoneda_from_functional(s, inv.data[idx][:], M))  # type: ignore[attr-defined]
-    E = _sum_module(injs)
-    blocks = {s: RatMatrix.vstack([g.blocks[s] for g in cogens]) for s in M.slot_keys}
-    emb = SlotMap(M, E, blocks)
-    if not emb.is_injective():
-        raise RuntimeError("envelope failed to be injective")
-    return E, emb
-
-
-def cosyzygy(M: SlotModule) -> tuple[SlotModule, SlotModule, SlotMap]:
-    """(cokernel of envelope, envelope codomain, envelope map)."""
-    E, emb = injective_envelope(M)
-    C, _ = cokernel(emb)
-    return C, E, emb
 
 
 # ---------------------------------------------------------------------------

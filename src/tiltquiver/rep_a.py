@@ -106,7 +106,7 @@ class Rep(homsolve.SlotModule):
     def __repr__(self) -> str:
         return f"Rep{self.dim_vector()}"
 
-    # -- hooks for covers / envelopes ------------------------------------
+    # -- hooks for covers ------------------------------------------------
 
     def projective_for_slot(self, v: int) -> "Rep":
         return projective(self.quiver, v)
@@ -119,21 +119,6 @@ class Rep(homsolve.SlotModule):
             blocks[w] = (RatMatrix(cols, cols=m.dims[w]).transpose()
                          if cols else RatMatrix.zeros(m.dims[w], 0))
         return SlotMap(projective(self.quiver, v), m, blocks)
-
-    def injective_for_slot(self, v: int) -> "Rep":
-        return injective(self.quiver, v)
-
-    def coyoneda_from_functional(self, v: int, functional: Sequence[Fraction], m: "Rep") -> SlotMap:
-        """Morphism m -> I_v induced by a functional on the slot at v."""
-        zeta = RatMatrix([list(functional)], cols=m.dims[v])
-        blocks: dict[int, RatMatrix] = {}
-        for w in self.quiver.vertices:
-            rows = [
-                (zeta @ m.path_action(w, p)).data[0]
-                for p in self.quiver.paths_between(w, v)
-            ]
-            blocks[w] = RatMatrix(rows, cols=m.dims[w])
-        return SlotMap(m, injective(self.quiver, v), blocks)
 
 
 # ---------------------------------------------------------------------------

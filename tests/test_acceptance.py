@@ -200,10 +200,8 @@ def test_criterion_12_cross_engine_suites():
         _ctx(name).validate_rules()
     # (d) functor never raises projective dimension on generated modules
     for name in ("A2", "A3"):
-        ctx = _ctx(name)
-        for t in dup.enumerate_tilting_dup(ctx):
-            rep = endo.hom_pd_bound(ctx, t)
-            assert rep["status"] == "pass", (name, t.label(), rep)
+        rep = endo.hom_pd_bound(_ctx(name))
+        assert rep["status"] == "pass", (name, rep)
     # (e) handshake: degree total equals twice the arc count, every graph
     for name in ("A2", "A3", "A4", "D4"):
         g = tilt_a.tilting_quiver(named_diagram(name))

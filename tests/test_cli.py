@@ -381,11 +381,12 @@ def test_missing_quiver_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_over_cap_rank(capsys):
-    code, _, err = run(capsys, "verify", "--theorem", "3.1",
+def test_theorem_3_1_runs_past_rank_three(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "3.1",
                        "--diagram", "A4")
-    assert code == 2
-    assert "rank" in err
+    assert code == 0
+    assert "theorem 3.1 [diagram A4]: pass" in out
+    assert "max_global_dimension=3 tilting_modules=42" in out
 
 
 def test_quiver_file_roundtrip(capsys, tmp_path):

@@ -49,12 +49,17 @@ def test_bar_projective_a2():
 
 
 def test_bar_projectives_are_projective_and_injective():
+    # Ext^1(-, bar) vanishes on the 2n simples, so on every module (by
+    # composition series), and on every object in particular
     for q in (A2, A3):
+        ctx = dup.DupContext(q)
+        simples = [layer(q, rep_a.simple(q, a)) for a in q.vertices
+                   for layer in (dup.embed, dup.embed_top)]
         for a in q.vertices:
             b = dup.bar_projective(q, a)
             assert homsolve.projective_dimension(b) == 0
-            c, _, _ = homsolve.cosyzygy(b)
-            assert c.is_zero()
+            for x in simples + [x for _, x in ctx.objects()]:
+                assert homsolve.ext1_dim(x, b) == 0
 
 
 def test_slot_projectives_are_shared_and_never_mutated():
@@ -65,7 +70,6 @@ def test_slot_projectives_are_shared_and_never_mutated():
         bar, low = dup.slot_projective(A3, ("t", a)), dup.slot_projective(A3, ("b", a))
         assert ctx.objects()[ctx.pool_size() + A3.v_pos[a]][1] is bar
         assert ctx.pool()[0][1].projective_for_slot(("b", a)) is low
-        assert ctx.pool()[0][1].injective_for_slot(("b", a)) is bar
         # the shared copies still equal fresh builds after all that work
         for got, fresh in ((bar, dup.bar_projective(A3, a)),
                            (low, dup.embed(A3, rep_a.projective(A3, a)))):
@@ -148,23 +152,33 @@ def test_shifted_modules_a2():
         assert homsolve.projective_dimension(w) == 1
 
 
+def _approximation_by_injectives(q, x):
+    """A left add(inj)-approximation x -> E: every basis map of x into
+    each indecomposable injective, the n bar projectives (socle in the
+    bottom layer) and the n top-embedded A-injectives, stacked."""
+    injectives = ([dup.slot_projective(q, ("t", a)) for a in q.vertices]
+                  + [dup.embed_top(q, rep_a.injective(q, a)) for a in q.vertices])
+    comps = [(k, h) for k, inj in enumerate(injectives) for h in homsolve.hom_basis(x, inj)]
+    return homsolve.approximation_map(x, injectives, comps)
+
+
 def _ar_mismatches(ctx, shifted):
     """The (i, X) where dim Ext^1(W_i, X) breaks the Auslander-Reiten formula.
 
     With tau W_i the embedded injective I_i, the formula reads
     dim Ext^1(W_i, X) = dim Hom(X, I_i) - dim {maps X -> I_i factoring
-    through an injective}.  Every such map factors through the injective
-    envelope X -> E, so the subtracted space is spanned by g . emb for g in
-    Hom(E, I_i).  The left side comes from a syzygy of W_i, the right side
-    from an injective envelope of X; ``shifted`` maps each vertex to the
-    module under test.
+    through an injective}.  Every such map factors through any left
+    add(inj)-approximation X -> E, so the subtracted space is spanned by
+    g . f for g in Hom(E, I_i).  The left side comes from a syzygy of W_i,
+    the right side from the approximation of ``_approximation_by_injectives``;
+    ``shifted`` maps each vertex to the module under test.
     """
     q = ctx.quiver
-    envelopes = [(pid, x, *homsolve.injective_envelope(x)) for pid, x in ctx.objects()]
+    approximations = [(pid, x, *_approximation_by_injectives(q, x)) for pid, x in ctx.objects()]
     bad = []
     for i in q.vertices:
         tau_w = dup.embed(q, rep_a.injective(q, i))
-        for pid, x, env, emb in envelopes:
+        for pid, x, env, emb in approximations:
             through = [(g @ emb).vec() for g in homsolve.hom_basis(env, tau_w)]
             factored = RatMatrix(through).rank() if through else 0
             stable = homsolve.hom_dim(x, tau_w) - factored
@@ -184,14 +198,24 @@ def test_shifted_modules_satisfy_the_ar_formula(q):
     assert _ar_mismatches(ctx, {i: ctx.shifted(i) for i in q.vertices}) == []
 
 
+def _bar_cokernel(q, m):
+    """The cokernel of the minimal left approximation of the embedded m
+    by the bar projectives."""
+    x = dup.embed(q, m)
+    bars = [dup.slot_projective(q, ("t", a)) for a in q.vertices]
+    hom_x = [homsolve.hom_basis(x, b) for b in bars]
+    return homsolve.exchange_sequence(x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
+        x, hom_x[a], homsolve.hom_basis(bars[a], bars[b]), hom_x[b]))[1]
+
+
 def test_ar_formula_rejects_other_modules():
-    # the oracle has teeth: W_{i+1} in place of W_i, and the cosyzygy of
-    # the embedded injective, both break it
+    # the oracle has teeth: W_{i+1} in place of W_i, and the cokernel of
+    # the bar approximation of the embedded injective, both break it
     ctx = dup.DupContext(A3)
     vs = A3.vertices
     rotated = {v: ctx.shifted(vs[(k + 1) % len(vs)]) for k, v in enumerate(vs)}
     assert _ar_mismatches(ctx, rotated)
-    wrong = {v: homsolve.cosyzygy(dup.embed(A3, rep_a.injective(A3, v)))[0] for v in vs}
+    wrong = {v: _bar_cokernel(A3, rep_a.injective(A3, v)) for v in vs}
     assert _ar_mismatches(ctx, wrong)
 
 
@@ -325,11 +349,41 @@ def _catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
+def _clusters(name):
+    """The number of clusters of type A_n or D_n (Fomin-Zelevinsky):
+    C_{n+1} for A_n, (3n - 2)/n . C(2n - 2, n - 1) for D_n."""
+    n = int(name[1:])
+    return _catalan(n + 1) if name[0] == "A" else (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+
+
+def _positive_clusters(name):
+    """The number of positive clusters of type A_n or D_n: C_n for A_n,
+    (3n - 4)/n . C(2n - 3, n - 1) for D_n."""
+    n = int(name[1:])
+    return _catalan(n) if name[0] == "A" else (3 * n - 4) * comb(2 * n - 3, n - 1) // n
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5"])
+def test_classical_counts_match_closed_forms_on_every_orientation(name):
+    # the tilting modules over A are the positive clusters, whatever the
+    # orientation; the closed form shares no code with the engine
+    want = _positive_clusters(name)
+    for q in orientations(name):
+        assert len(tilt_a.enumerate_tilting(q)) == want, q
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4"])
+def test_dup_counts_match_closed_forms_on_every_orientation(name):
+    # the tilting modules over the duplicated algebra that contain every
+    # bar projective are the clusters, whatever the orientation
+    want = _clusters(name)
+    for q in orientations(name):
+        assert len(dup.enumerate_tilting_dup(dup.DupContext(q))) == want, q
+
+
 @pytest.mark.parametrize("name, vertices", [
-    # A_n: the Catalan number C_{n+1}
-    ("A5", _catalan(6)),
-    # D_n: (3n - 2)/n . C(2n - 2, n - 1)
-    ("D5", (3 * 5 - 2) * comb(2 * 5 - 2, 5 - 1) // 5),
+    ("A5", _clusters("A5")),
+    ("D5", _clusters("D5")),
     # E6, E7: the cluster-complex counts, no closed form in n
     ("E6", 833),
     ("E7", 4160),
@@ -402,6 +456,7 @@ def test_global_dimension():
     assert dup.global_dimension_dup(dup.DupContext(A2)) == 2
     assert dup.global_dimension_dup(dup.DupContext(A3)) == 3
     assert dup.global_dimension_dup(dup.DupContext(named_diagram("D4"))) == 3
+    assert dup.global_dimension_dup(dup.DupContext(named_diagram("D5"))) == 3
 
 
 def test_deep_check_a2():
@@ -494,16 +549,29 @@ def test_add_multiplicities_match_the_gram_solve(name):
 # ---------------------------------------------------------------------------
 # engine checks: exit 2 under python and python -O
 
-# every cosyzygy, and so every shifted module, is built as the sum of two
-# copies of itself, so its endomorphism ring is no longer one-dimensional
+# every exchange sequence, and so every shifted module, ends in the sum of
+# two copies of its cokernel, whose endomorphism ring is not one-dimensional
 DECOMPOSABLE_SHIFT = (
     "import sys\n"
+    "from tiltquiver import cli, homsolve\n"
+    "exchange_sequence = homsolve.exchange_sequence\n"
+    "def doubled(*args):\n"
+    "    e, y = exchange_sequence(*args)\n"
+    "    return e, homsolve.direct_sum([y, y])[0]\n"
+    "homsolve.exchange_sequence = doubled\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+# once the pool build starts, every minimal left approximation is empty,
+# so the injective envelopes that build the shifted modules are too
+EMPTY_ENVELOPE = (
+    "import sys\n"
     "from tiltquiver import cli, dup, homsolve\n"
-    "cosyzygy = homsolve.cosyzygy\n"
-    "def doubled(m):\n"
-    "    c, e, emb = cosyzygy(m)\n"
-    "    return homsolve.direct_sum([c, c])[0], e, emb\n"
-    "homsolve.cosyzygy = doubled\n"
+    "pool = dup.DupContext.pool\n"
+    "def pool_without_approximations(self):\n"
+    "    homsolve.minimal_left_approximation = lambda hom_x, radical: []\n"
+    "    return pool(self)\n"
+    "dup.DupContext.pool = pool_without_approximations\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -572,6 +640,15 @@ def test_decomposable_shifted_module_is_an_engine_error(flags):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "engine error: shifted module failed to be indecomposable" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_empty_envelope_is_an_engine_error(flags):
+    proc = _run_script(flags, EMPTY_ENVELOPE)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert ("engine error: envelope of the embedded projective at 0: "
+            "empty approximation") in proc.stderr
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

@@ -258,14 +258,26 @@ def test_gldim_bound_three_vertices():
     assert rep["stats"]["max_global_dimension"] <= 3
 
 
-def test_gldim_sweep_rejects_large_rank():
-    with pytest.raises(ValueError):
-        endo.verify_endo_global_dimension(dup.DupContext(named_diagram("A4")))
+@pytest.mark.parametrize("name, count", [("A4", 42), ("D4", 50)])
+def test_gldim_bound_four_vertices(name, count):
+    rep = endo.verify_endo_global_dimension(dup.DupContext(named_diagram(name)))
+    assert rep["status"] == "pass", rep["counterexamples"]
+    assert rep["stats"]["tilting_modules"] == count
+    assert rep["stats"]["max_global_dimension"] == 3
 
 
-def test_hom_pd_never_exceeds_module_pd():
-    ctx = dup.DupContext(A2)
-    for t in dup.enumerate_tilting_dup(ctx):
-        rep = endo.hom_pd_bound(ctx, t)
+def test_hom_pd_never_exceeds_module_pd(monkeypatch):
+    # one sweep over the tilting modules; each object generated by some
+    # of them is resolved downstairs once, not once per tilting module
+    for q, checked, objects in ((A2, 27, 7), (A3, 121, 12)):
+        ctx = dup.DupContext(q)
+        dup.enumerate_tilting_dup(ctx)  # its Ext^1 table resolves every object
+        seen = []
+        resolve = homsolve.projective_resolution
+        monkeypatch.setattr(homsolve, "projective_resolution",
+                            lambda m: seen.append(m) or resolve(m))
+        rep = endo.hom_pd_bound(ctx)
+        monkeypatch.undo()
         assert rep["status"] == "pass"
-        assert rep["stats"]["modules_checked"] >= 1 + ctx.n
+        assert rep["stats"]["modules_checked"] == checked
+        assert len(seen) == len({id(m) for m in seen}) == objects

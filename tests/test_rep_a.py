@@ -8,7 +8,6 @@ import pytest
 
 from tiltquiver import homsolve, rep_a
 from tiltquiver.homsolve import (
-    cosyzygy,
     end_dim,
     ext1_dim as generic_ext1,
     hom_basis,
@@ -302,15 +301,6 @@ def test_generic_ext_matches_euler_version():
     pool = [rep for _, rep in indecomposables(A3)]
     for x, y in itertools.product(pool, repeat=2):
         assert generic_ext1(x, y) == ext1_dim(x, y)
-
-
-def test_injective_envelope_and_cosyzygy():
-    P, I, S = canonical_modules(A2)
-    cs, env, _ = cosyzygy(P[1])
-    assert dv(env) == (1, 1)   # envelope is the big injective
-    assert dv(cs) == (1, 0)    # matches the inverse translate of P at the sink
-    cs2, env2, _ = cosyzygy(S[0])
-    assert dv(env2) == (1, 0) and cs2.is_zero()
 
 
 def test_end_dims_on_pool():
