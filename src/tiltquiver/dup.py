@@ -40,7 +40,7 @@ are forced by the two shuffle relations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 from . import homsolve, rep_a, tilt_a
@@ -296,6 +296,23 @@ def bar_projective(q: Quiver, a: int) -> TripleModule:
     return TripleModule(q, dims, dict(P.arrow_maps), dict(I.arrow_maps), conn)
 
 
+@cache
+def _bar_hom(q: Quiver, a: int, b: int) -> list[SlotMap]:
+    """Hom basis from the bar projective at vertex position a to the one
+    at b, solved once per quiver and shared: callers must not mutate it."""
+    return homsolve.hom_basis(*(slot_projective(q, ("t", q.vertices[k])) for k in (a, b)))
+
+
+def _bar_cokernel(q: Quiver, m: Rep) -> TripleModule:
+    """The cokernel of the minimal left approximation of the embedded m by
+    the bar projectives; ``homsolve.NoExchangeSequence`` if there is none."""
+    x = embed(q, m)
+    bars = [slot_projective(q, ("t", a)) for a in q.vertices]
+    hom_x = [homsolve.hom_basis(x, b) for b in bars]
+    return homsolve.exchange_sequence(x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
+        x, hom_x[a], _bar_hom(q, a, b), hom_x[b]))[1]
+
+
 def shifted_module(q: Quiver, i: int) -> TripleModule:
     """The shifted module W_i: the inverse translate of the embedded
     injective I_i, built as the cokernel of the injective envelope of
@@ -311,13 +328,8 @@ def shifted_module(q: Quiver, i: int) -> TripleModule:
     Certified on construction: nonzero top layer (so never an embedded
     module), one-dimensional endomorphism ring, projective dimension 1.
     """
-    x = embed(q, rep_a.projective(q, i))
-    bars = [slot_projective(q, ("t", a)) for a in q.vertices]
-    hom_x = [homsolve.hom_basis(x, b) for b in bars]
     try:
-        _, w = homsolve.exchange_sequence(
-            x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
-                x, hom_x[a], homsolve.hom_basis(bars[a], bars[b]), hom_x[b]))
+        w = _bar_cokernel(q, rep_a.projective(q, i))
     except homsolve.NoExchangeSequence as exc:
         raise RuntimeError(f"envelope of the embedded projective at {i}: {exc}") from exc
     if w.top_dim() == 0:
@@ -357,7 +369,7 @@ class DupContext:
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
-        self._syz: dict[int, dict[Slot, int]] = {}
+        self._resolutions: dict[int, list[list[Slot]]] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._radical: dict[tuple[int, int, int], tuple] = {}
         self._composites: dict[tuple[int, int, int], tuple] = {}
@@ -449,37 +461,30 @@ class DupContext:
             got = self._composites[key] = self._shared.setdefault(got, got)
         return got
 
-    def _syzygy_data(self, i: int) -> dict[Slot, int]:
-        """The tops of P1 minus those of P0, per slot, for the projective
-        resolution 0 -> P1 -> P0 -> M -> 0 of object i (cached).
-
-        P0 -> M is the projective cover and P1 = Omega M, certified
-        projective: the resolution must end within two steps, else
-        ``RuntimeError``.  Every object has projective dimension at most
-        1, the shifted modules as certified when built."""
-        got = self._syz.get(i)
+    def resolution(self, i: int) -> list[list[Slot]]:
+        """The minimal projective resolution 0 -> P1 -> P0 -> M -> 0 of
+        object i, as the top tags of each cover (cached).  Every object
+        has projective dimension at most 1, the shifted modules as
+        certified when built: a longer resolution raises ``RuntimeError``."""
+        got = self._resolutions.get(i)
         if got is None:
             pid, m = self.objects()[i]
-            steps = homsolve.projective_resolution(m)
-            if steps is None or len(steps) > 2:
+            got = homsolve.projective_resolution(m)
+            if got is None or len(got) > 2:
                 raise RuntimeError(f"the syzygy of {pid} is not projective")
-            got = {}
-            for sign, tags in zip((-1, 1), steps):
-                for tag in tags:
-                    got[tag] = got.get(tag, 0) + sign
-            self._syz[i] = got
+            self._resolutions[i] = got
         return got
 
     def ext1_idx(self, i: int, j: int) -> int:
         """dim Ext^1 between objects (cached).  Hom(-, N) applied to the
-        resolution of ``_syzygy_data`` gives dim Hom(M, N) - dim Hom(P0, N)
+        ``resolution`` of M gives dim Hom(M, N) - dim Hom(P0, N)
         + dim Hom(P1, N), and dim Hom(P_s, N) = dim N_s (Yoneda)."""
         got = self._ext.get((i, j))
         if got is not None:
             return got
         N = self.objects()[j][1]
-        val = (len(self.hom_idx(i, j))
-               + sum(mult * N.dims[s] for s, mult in self._syzygy_data(i).items()))
+        val = len(self.hom_idx(i, j)) + sum(
+            sign * N.dims[s] for sign, tags in zip((-1, 1), self.resolution(i)) for s in tags)
         if val < 0:
             raise RuntimeError(f"negative Ext^1 between objects {i} and {j}")
         self._ext[(i, j)] = val

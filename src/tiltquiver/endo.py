@@ -384,8 +384,7 @@ def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
 def hom_pd_bound(ctx: dup.DupContext) -> dict:
     """pd of Hom(T, m) over End(T) never exceeds pd of m, for every
     tilting module T and every object m generated by its summands; the
-    pd of each m is resolved once, the first time it is in scope."""
-    downstairs: dict[int, int] = {}
+    pd of m is read off the context's cached ``resolution``."""
     violations: list[str] = []
     checked = 0
     for t in dup.enumerate_tilting_dup(ctx):
@@ -398,11 +397,10 @@ def hom_pd_bound(ctx: dup.DupContext) -> dict:
             checked += 1
             steps = projective_resolution(bm)
             upstairs = None if steps is None else len(steps) - 1
-            if k not in downstairs:
-                downstairs[k] = homsolve.projective_dimension(m)
-            if upstairs is None or upstairs > downstairs[k]:
+            downstairs = len(ctx.resolution(k)) - 1
+            if upstairs is None or upstairs > downstairs:
                 violations.append(
-                    f"{t.label()}: pd Hom(T, {pid}) = {upstairs} exceeds {downstairs[k]}"
+                    f"{t.label()}: pd Hom(T, {pid}) = {upstairs} exceeds {downstairs}"
                 )
     return {
         "status": "pass" if not violations else "violation",

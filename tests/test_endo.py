@@ -267,17 +267,18 @@ def test_gldim_bound_four_vertices(name, count):
 
 
 def test_hom_pd_never_exceeds_module_pd(monkeypatch):
-    # one sweep over the tilting modules; each object generated by some
-    # of them is resolved downstairs once, not once per tilting module
+    # one sweep over the tilting modules; the downstairs pd is read off
+    # the context's cached resolution, so no object is resolved twice
     for q, checked, objects in ((A2, 27, 7), (A3, 121, 12)):
         ctx = dup.DupContext(q)
-        dup.enumerate_tilting_dup(ctx)  # its Ext^1 table resolves every object
+        ids = {id(m) for _, m in ctx.objects()}  # the pool's certificates run here
         seen = []
         resolve = homsolve.projective_resolution
         monkeypatch.setattr(homsolve, "projective_resolution",
-                            lambda m: seen.append(m) or resolve(m))
+                            lambda m: seen.append(id(m)) or resolve(m))
         rep = endo.hom_pd_bound(ctx)
         monkeypatch.undo()
         assert rep["status"] == "pass"
         assert rep["stats"]["modules_checked"] == checked
-        assert len(seen) == len({id(m) for m in seen}) == objects
+        resolved = [k for k in seen if k in ids]
+        assert len(resolved) == len(set(resolved)) == objects
