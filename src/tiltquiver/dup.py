@@ -65,13 +65,8 @@ class _Layout(NamedTuple):
     path_end: dict[ConnKey, int]
 
 
-_LAYOUTS: dict[Quiver, _Layout] = {}
-
-
+@cache
 def _layout(q: Quiver) -> _Layout:
-    got = _LAYOUTS.get(q)
-    if got is not None:
-        return got
     slot_keys = tuple(("t", v) for v in q.vertices) + tuple(("b", v) for v in q.vertices)
     labels: list[tuple] = []
     ends: dict = {}
@@ -92,9 +87,7 @@ def _layout(q: Quiver) -> _Layout:
     for lab in labels:
         if lab[0] == "m" and lab[1] in sources and path_end[(lab[1], lab[2])] in sinks:
             solver.append(lab)
-    lay = _Layout(slot_keys, tuple(labels), ends, tuple(solver), path_end)
-    _LAYOUTS[q] = lay
-    return lay
+    return _Layout(slot_keys, tuple(labels), ends, tuple(solver), path_end)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +134,6 @@ class TripleModule(homsolve.SlotModule):
     def solver_labels(self) -> tuple[tuple, ...]:
         return self._lay.solver
 
-    def radical_labels(self) -> tuple[tuple, ...]:
-        return self._lay.labels
-
     def _rebuild(self, dims, struct) -> "TripleModule":
         top = {a.aid: struct[("t", a.aid)] for a in self.quiver.arrows}
         bot = {a.aid: struct[("b", a.aid)] for a in self.quiver.arrows}
@@ -154,14 +144,6 @@ class TripleModule(homsolve.SlotModule):
         return TripleModule(self.quiver, dict(dims), top, bot, conn)
 
     # -- convenience -----------------------------------------------------
-
-    def top_rep(self) -> Rep:
-        dims = {v: self.dims[("t", v)] for v in self.quiver.vertices}
-        return Rep(self.quiver, dims, self.top)
-
-    def bottom_rep(self) -> Rep:
-        dims = {v: self.dims[("b", v)] for v in self.quiver.vertices}
-        return Rep(self.quiver, dims, self.bot)
 
     def top_dim(self) -> int:
         return sum(self.dims[("t", v)] for v in self.quiver.vertices)
@@ -188,41 +170,24 @@ class TripleModule(homsolve.SlotModule):
         b = tuple(self.dims[("b", v)] for v in self.quiver.vertices)
         return f"Triple(top={t}, bottom={b})"
 
-    # -- hooks for covers ------------------------------------------------
+    # -- hook for covers ------------------------------------------------
     #
     # The simple at bottom slot a is covered by the embedded A-projective
-    # at a, the simple at top slot a by the bar projective.  The bar
-    # projectives are also the indecomposable injectives with socle in
-    # the bottom layer, so the injective envelope of a module with socle
-    # there is its minimal left approximation by bar projectives.
+    # at a, whose basis at ("b", w) is the bottom-layer paths a ~> w; the
+    # simple at top slot a by the bar projective, whose basis is the
+    # top-layer paths a ~> w at ("t", w) and, at ("b", u), dual to the
+    # paths z: u ~> a, reached by the connecting label ("m", u, z).
 
-    def projective_for_slot(self, s: Slot) -> "TripleModule":
-        return slot_projective(self.quiver, s)
-
-    def yoneda_from_generator(self, s: Slot, vec, m: "TripleModule") -> SlotMap:
+    def projective_for_slot(self, s: Slot) -> tuple["TripleModule", dict[Slot, list[tuple]]]:
         layer, a = s
         q = self.quiver
-        P = self.projective_for_slot(s)
-        blocks: dict[Slot, RatMatrix] = {}
-        if layer == "b":
-            br = m.bottom_rep()
-            for w in q.vertices:
-                cols = [br.path_action(a, p).apply(vec) for p in q.paths_between(a, w)]
-                blocks[("b", w)] = (RatMatrix(cols, cols=m.dims[("b", w)]).transpose()
-                                    if cols else RatMatrix.zeros(m.dims[("b", w)], 0))
-                blocks[("t", w)] = RatMatrix.zeros(m.dims[("t", w)], 0)
-            return SlotMap(P, m, blocks)
-        tr = m.top_rep()
+        words: dict[Slot, list[tuple]] = {}
         for w in q.vertices:
-            cols = [tr.path_action(a, p).apply(vec) for p in q.paths_between(a, w)]
-            blocks[("t", w)] = (RatMatrix(cols, cols=m.dims[("t", w)]).transpose()
-                                if cols else RatMatrix.zeros(m.dims[("t", w)], 0))
-        for u in q.vertices:
-            # dual-basis element of a path z: u ~> a goes to conn[(u, z)](vec)
-            cols = [m.conn[(u, z)].apply(vec) for z in q.paths_between(u, a)]
-            blocks[("b", u)] = (RatMatrix(cols, cols=m.dims[("b", u)]).transpose()
-                                if cols else RatMatrix.zeros(m.dims[("b", u)], 0))
-        return SlotMap(P, m, blocks)
+            paths = [tuple((layer, x) for x in p) for p in q.paths_between(a, w)]
+            words[("t", w)] = paths if layer == "t" else []
+            words[("b", w)] = paths if layer == "b" else [
+                (("m", w, z),) for z in q.paths_between(w, a)]
+        return slot_projective(q, s), words
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +218,13 @@ def embed_top(q: Quiver, m: Rep) -> TripleModule:
     return TripleModule(q, dims, dict(m.arrow_maps), bot, conn)
 
 
-_SLOT_PROJECTIVES: dict[tuple[Quiver, Slot], TripleModule] = {}
-
-
+@cache
 def slot_projective(q: Quiver, s: Slot) -> TripleModule:
     """The indecomposable projective at slot s, built once per quiver and
     shared: the embedded A-projective at a bottom slot, the bar projective
     at a top slot.  Callers must not mutate it."""
-    got = _SLOT_PROJECTIVES.get((q, s))
-    if got is None:
-        layer, a = s
-        got = (embed(q, rep_a.projective(q, a)) if layer == "b"
-               else bar_projective(q, a))
-        _SLOT_PROJECTIVES[(q, s)] = got
-    return got
+    layer, a = s
+    return embed(q, rep_a.projective(q, a)) if layer == "b" else bar_projective(q, a)
 
 
 def bar_projective(q: Quiver, a: int) -> TripleModule:
@@ -326,7 +284,9 @@ def shifted_module(q: Quiver, i: int) -> TripleModule:
     bottom layer, so its envelope is its minimal left approximation by
     the bar projectives, and W_i the cokernel of that exchange sequence.
     Certified on construction: nonzero top layer (so never an embedded
-    module), one-dimensional endomorphism ring, projective dimension 1.
+    module) and one-dimensional endomorphism ring; its projective
+    dimension 1 is certified by ``DupContext.resolution``, which resolves
+    it once for Ext^1.
     """
     try:
         w = _bar_cokernel(q, rep_a.projective(q, i))
@@ -336,8 +296,6 @@ def shifted_module(q: Quiver, i: int) -> TripleModule:
         raise RuntimeError("shifted module degenerated into the embedded layer")
     if homsolve.end_dim(w) != 1:
         raise RuntimeError("shifted module failed to be indecomposable")
-    if homsolve.projective_dimension(w) != 1:
-        raise RuntimeError("shifted module has unexpected projective dimension")
     return w
 
 
@@ -464,12 +422,14 @@ class DupContext:
     def resolution(self, i: int) -> list[list[Slot]]:
         """The minimal projective resolution 0 -> P1 -> P0 -> M -> 0 of
         object i, as the top tags of each cover (cached).  Every object
-        has projective dimension at most 1, the shifted modules as
-        certified when built: a longer resolution raises ``RuntimeError``."""
+        has projective dimension at most 1 and the shifted modules exactly
+        1; any other length raises ``RuntimeError``."""
         got = self._resolutions.get(i)
         if got is None:
             pid, m = self.objects()[i]
             got = homsolve.projective_resolution(m)
+            if pid.kind == "W" and (got is None or len(got) != 2):
+                raise RuntimeError("shifted module has unexpected projective dimension")
             if got is None or len(got) > 2:
                 raise RuntimeError(f"the syzygy of {pid} is not projective")
             self._resolutions[i] = got
@@ -797,13 +757,9 @@ def deep_check_coresolution(ctx: DupContext) -> dict:
         pool_mods = [objs[k][1] for k in members]
         for p_idx in bar_indices + ctx.embedded_projective_indices():
             checked += 1
-            try:
-                _, y = homsolve.exchange_sequence(
-                    objs[p_idx][1], pool_mods, [ctx.hom_idx(p_idx, k) for k in members],
-                    lambda a, b: ctx.radical_idx(p_idx, members[a], members[b]))
-            except ValueError as exc:
-                violations.append(f"{t.label()} / {objs[p_idx][0]}: {exc}")
-                continue
+            _, y = homsolve.exchange_sequence(
+                objs[p_idx][1], pool_mods, [ctx.hom_idx(p_idx, k) for k in members],
+                lambda a, b: ctx.radical_idx(p_idx, members[a], members[b]))
             if _decompose_in_add(ctx, y, members) is None:
                 violations.append(
                     f"{t.label()} / {objs[p_idx][0]}: cokernel not in add T"

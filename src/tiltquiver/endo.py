@@ -188,11 +188,6 @@ class BMod(homsolve.SlotModule):
     def solver_labels(self) -> tuple[int, ...]:
         return tuple(self._labels())
 
-    def radical_labels(self) -> tuple[int, ...]:
-        # corners are scalar, so the radical is spanned by the
-        # cross-summand basis morphisms
-        return tuple(self._labels())
-
     def _rebuild(self, dims, struct) -> "BMod":
         return BMod(self.algebra, dict(dims), dict(struct))
 
@@ -221,25 +216,16 @@ class BMod(homsolve.SlotModule):
     def __repr__(self) -> str:
         return f"BMod{tuple(self.dims[s] for s in self.slot_keys)}"
 
-    # -- hooks -------------------------------------------------------------
+    # -- hook for covers --------------------------------------------------
 
-    def projective_for_slot(self, s: int) -> "BMod":
-        return regular_projective(self.algebra, s)
-
-    def yoneda_from_generator(self, s: int, vec, m: "BMod") -> SlotMap:
+    def projective_for_slot(self, s: int) -> tuple["BMod", dict[int, list[tuple[int, ...]]]]:
+        """Be_s with its basis words: the basis morphisms T_j -> T_s, the
+        idempotent as the empty word."""
         alg = self.algebra
-        P = regular_projective(alg, s)
-        blocks: dict[int, RatMatrix] = {}
-        for j in range(len(alg.summands)):
-            cols = []
-            for e in alg.pair_basis[(j, s)]:
-                if e in alg.idempotents:
-                    cols.append(list(vec))
-                else:
-                    cols.append(m.action[e].apply(vec))
-            blocks[j] = (RatMatrix(cols, cols=m.dims[j]).transpose()
-                         if cols else RatMatrix.zeros(m.dims[j], 0))
-        return SlotMap(P, m, blocks)
+        idem = set(alg.idempotents)
+        return regular_projective(alg, s), {
+            j: [() if e in idem else (e,) for e in alg.pair_basis[(j, s)]]
+            for j in self.slot_keys}
 
 
 def regular_projective(alg: StructureAlgebra, i: int) -> BMod:

@@ -11,8 +11,11 @@ here, written once:
 * morphism spaces (``hom_basis``) and their dimensions (``hom_dim``) from
   the intertwining equations, assembled as sparse rows,
 * kernels, cokernels and direct sums that stay inside the category,
-* radical / top and projective covers (via small per-class hooks for
-  the canonical projectives),
+* radical / top and projective covers, each cover block filled from
+  the Yoneda isomorphism Hom(P_s, M) = M_s: the generator of P_s goes to
+  a top lift, and every basis vector of P_s to the image of that lift
+  under the label word that reaches it (one per-class hook,
+  ``projective_for_slot``),
 * projective resolutions, projective dimension, Ext^1 via a cover,
 * minimal left approximations into an additive subcategory spanned by
   indecomposables with one-dimensional endomorphism rings, and the
@@ -20,7 +23,7 @@ here, written once:
   of the injectives, the approximation is the injective envelope).
 
 The concrete classes subclass :class:`SlotModule` and provide the
-structure maps plus the hooks; no linear algebra happens outside
+structure maps plus the cover hook; no linear algebra happens outside
 ``exactlin``.
 """
 
@@ -60,9 +63,14 @@ class SlotModule:
     ``_rebuild(dims, struct)``
         a new instance of the same kind from transported data.
 
-    Optional hooks, needed only for radical based computations (tops,
-    covers, resolutions): ``radical_labels()``, ``projective_for_slot(s)``,
-    ``yoneda_from_generator(s, vec, M)``.
+    Every corner is scalar, so the radical is spanned by the images of
+    all labels of ``struct()``.  One optional hook, needed only for
+    covers and resolutions:
+
+    ``projective_for_slot(s)``
+        ``(P_s, words)``: the indecomposable projective at slot s and,
+        per slot w, the label words that carry P_s's generator to its
+        basis vectors at w, in basis order (labels apply left to right).
     """
 
     slot_keys: tuple[Slot, ...]
@@ -450,10 +458,8 @@ def top_lifts(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
     """Standard-basis lifts of a basis of M / rad M, slot by slot: the
     greedy complement of the span of all radical images."""
     images: dict[Slot, list[tuple[Fraction, ...]]] = {s: [] for s in M.slot_keys}
-    st = M.struct()
-    for lab in M.radical_labels():  # type: ignore[attr-defined]
-        _, b = M.label_ends(lab)
-        images[b].extend(zip(*st[lab].data))  # the columns
+    for lab, mat in M.struct().items():
+        images[M.label_ends(lab)[1]].extend(zip(*mat.data))  # the columns
     out: list[tuple[Slot, list[Fraction]]] = []
     for s in M.slot_keys:
         for i in _reverse_echelon(images[s], M.dims[s])[0]:
@@ -467,7 +473,10 @@ def projective_cover_parts(M: SlotModule) -> tuple[SlotModule, list[Slot], SlotM
     """Projective cover P -> M built from lifted top generators.
 
     P is the sum of one canonical projective per top generator; ``tags``
-    lists each generator's slot, in summand order.
+    lists each generator's slot, in summand order.  The component at a
+    generator v in M_s sends the basis vector of P_s reached by a label
+    word to the image of v under that word (Yoneda, Auslander-Reiten-
+    Smalo II.1), so each slot's block is filled column by column.
     """
     lifts = top_lifts(M)
     if not lifts:
@@ -475,10 +484,20 @@ def projective_cover_parts(M: SlotModule) -> tuple[SlotModule, list[Slot], SlotM
             raise RuntimeError("nonzero module with zero top")
         Z = M.zero_like()
         return Z, [], SlotMap.zero(Z, M)
-    P = _sum_module([M.projective_for_slot(s) for s, _ in lifts])  # type: ignore[attr-defined]
-    gens = [M.yoneda_from_generator(s, v, M) for s, v in lifts]  # type: ignore[attr-defined]
-    # the cover is the row of component maps: hstack their blocks per slot
-    blocks = {s: RatMatrix.hstack([g.blocks[s] for g in gens]) for s in M.slot_keys}
+    projectives = {s: M.projective_for_slot(s) for s, _ in lifts}  # type: ignore[attr-defined]
+    P = _sum_module([projectives[s][0] for s, _ in lifts])
+    st = M.struct()
+    cols: dict[Slot, list[list[Fraction]]] = {w: [] for w in M.slot_keys}
+    for s, v in lifts:
+        for w, words in projectives[s][1].items():
+            for word in words:
+                vec = v
+                for lab in word:
+                    vec = st[lab].apply(vec)
+                cols[w].append(vec)
+    blocks = {w: RatMatrix._trusted([[c[r] for c in cols[w]] for r in range(M.dims[w])],
+                                    len(cols[w]))
+              for w in M.slot_keys}
     cover = SlotMap(P, M, blocks)
     if not cover.is_surjective():
         raise RuntimeError("cover failed to be surjective")
@@ -725,8 +744,12 @@ def approximation_map(
     return E, SlotMap(x, E, blocks)
 
 
-class NoExchangeSequence(ValueError):
-    """The minimal left approximation is zero or fails to be injective."""
+class NoExchangeSequence(RuntimeError):
+    """The minimal left approximation is zero or fails to be injective.
+
+    Callers that expect one (every exchange this package certifies) let
+    it through as an engine error; a caller asking whether a module lies
+    in add of a pool catches it."""
 
 
 class ExchangeDims(tuple):

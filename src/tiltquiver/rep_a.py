@@ -85,9 +85,6 @@ class Rep(homsolve.SlotModule):
     def solver_labels(self) -> tuple[str, ...]:
         return tuple(a.aid for a in self.quiver.arrows)
 
-    def radical_labels(self) -> tuple[str, ...]:
-        return self.solver_labels()
-
     def _rebuild(self, dims, struct) -> "Rep":
         return Rep(self.quiver, dims, struct)
 
@@ -96,29 +93,15 @@ class Rep(homsolve.SlotModule):
     def dim_vector(self) -> tuple[int, ...]:
         return self.dims_key()
 
-    def path_action(self, start: int, path: tuple[str, ...]) -> RatMatrix:
-        """Composite matrix of a path out of ``start`` (identity if empty)."""
-        m = RatMatrix.identity(self.dims[start])
-        for aid in path:
-            m = self.arrow_maps[aid] @ m
-        return m
-
     def __repr__(self) -> str:
         return f"Rep{self.dim_vector()}"
 
-    # -- hooks for covers ------------------------------------------------
+    # -- hook for covers ---------------------------------------------------
 
-    def projective_for_slot(self, v: int) -> "Rep":
-        return projective(self.quiver, v)
-
-    def yoneda_from_generator(self, v: int, vec: Sequence[Fraction], m: "Rep") -> SlotMap:
-        """Morphism P_v -> m sending the trivial-path generator to vec."""
-        blocks: dict[int, RatMatrix] = {}
-        for w in self.quiver.vertices:
-            cols = [m.path_action(v, p).apply(vec) for p in self.quiver.paths_between(v, w)]
-            blocks[w] = (RatMatrix(cols, cols=m.dims[w]).transpose()
-                         if cols else RatMatrix.zeros(m.dims[w], 0))
-        return SlotMap(projective(self.quiver, v), m, blocks)
+    def projective_for_slot(self, v: int) -> tuple["Rep", dict[int, list[tuple[str, ...]]]]:
+        """P_v with its basis words: the paths v ~> w, arrow ids as labels."""
+        q = self.quiver
+        return projective(q, v), {w: q.paths_between(v, w) for w in q.vertices}
 
 
 # ---------------------------------------------------------------------------

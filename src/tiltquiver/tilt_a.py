@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .homsolve import SlotMap, radical_coordinates
@@ -110,20 +110,14 @@ class Pool:
         return len(self.ids)
 
 
-_POOLS: dict[Quiver, Pool] = {}
-_KRON_POOLS: dict[int, Pool] = {}
-
-
+@cache
 def _dynkin_pool(q: Quiver) -> Pool:
-    if q not in _POOLS:
-        _POOLS[q] = Pool(q, indecomposables(q))
-    return _POOLS[q]
+    return Pool(q, indecomposables(q))
 
 
+@cache
 def _kron_pool(w: int) -> Pool:
-    if w not in _KRON_POOLS:
-        _KRON_POOLS[w] = Pool(named_diagram("K"), kronecker_window(w))
-    return _KRON_POOLS[w]
+    return Pool(named_diagram("K"), kronecker_window(w))
 
 
 class Tilting(NamedTuple):

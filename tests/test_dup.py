@@ -69,7 +69,7 @@ def test_slot_projectives_are_shared_and_never_mutated():
     for a in A3.vertices:
         bar, low = dup.slot_projective(A3, ("t", a)), dup.slot_projective(A3, ("b", a))
         assert ctx.objects()[ctx.pool_size() + A3.v_pos[a]][1] is bar
-        assert ctx.pool()[0][1].projective_for_slot(("b", a)) is low
+        assert ctx.pool()[0][1].projective_for_slot(("b", a))[0] is low
         # the shared copies still equal fresh builds after all that work
         for got, fresh in ((bar, dup.bar_projective(A3, a)),
                            (low, dup.embed(A3, rep_a.projective(A3, a)))):
@@ -615,11 +615,40 @@ NON_PROJECTIVE_SYZYGY = (
 )
 
 
-def _run_script(flags, script):
+# once the pool is built, every approximation component is the zero map,
+# so no exchange sequence the engine goes on to certify exists; that is a
+# fault of the engine, not a counterexample and not an input error
+ZERO_APPROXIMATION = (
+    "import sys\n"
+    "from tiltquiver import cli, dup, homsolve\n"
+    "approximation, pool = homsolve.minimal_left_approximation, dup.DupContext.pool\n"
+    "def zeroed(*args, **kwargs):\n"
+    "    return [(i, homsolve.SlotMap.zero(h.src, h.dst))\n"
+    "            for i, h in approximation(*args, **kwargs)]\n"
+    "def pool_then_zero(self):\n"
+    "    got = pool(self)\n"
+    "    homsolve.minimal_left_approximation = zeroed\n"
+    "    return got\n"
+    "dup.DupContext.pool = pool_then_zero\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+# every shifted module comes out as the bar projective at its vertex,
+# which passes the checks made on construction but has projective
+# dimension 0, not 1
+PROJECTIVE_SHIFT = (
+    "import sys\n"
+    "from tiltquiver import cli, dup\n"
+    "dup.shifted_module = lambda q, i: dup.slot_projective(q, ('t', i))\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+
+def _run_script(flags, script, *argv):
     src = Path(dup.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *flags, "-c", script],
+    return subprocess.run([sys.executable, *flags, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -660,3 +689,37 @@ def test_non_projective_syzygy_is_an_engine_error(flags):
     assert proc.stdout == ""
     assert "engine error:" in proc.stderr
     assert "is not projective" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "3.1", "--diagram", "A2", "--deep-check"],
+    ["dup-kquiver", "--diagram", "A2"],
+], ids=["deep-check", "exchange-graph"])
+def test_missing_exchange_sequence_is_an_engine_error(argv, flags):
+    proc = _run_script(flags, ZERO_APPROXIMATION, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("engine error: approximation map is not injective")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_shifted_module_of_wrong_projective_dimension_is_an_engine_error(flags):
+    proc = _run_script(flags, PROJECTIVE_SHIFT)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "engine error: shifted module has unexpected projective dimension" in proc.stderr
+
+
+def test_each_object_is_resolved_once(monkeypatch):
+    # the shifted modules' projective dimension is certified by the
+    # resolution Ext^1 reads, not by a second one
+    resolved = []
+    resolve = homsolve.projective_resolution
+    monkeypatch.setattr(homsolve, "projective_resolution",
+                        lambda m: resolved.append(m) or resolve(m))
+    ctx = dup.DupContext(A3)
+    ctx.validate_rules()
+    objects = [m for _, m in ctx.objects()]
+    assert len({id(m) for m in resolved}) == len(resolved) == ctx.pool_size()
+    assert all(any(m is o for o in objects) for m in resolved)

@@ -17,7 +17,9 @@ isomorphism test, and must reject wrong complements.  ``kernel`` reads
 structure maps at the free columns of canonical kernel bases and is
 held to the per-column solves it replaced; the structure nonzeros that
 ``_hom_system`` memoizes per module are held to a fresh read after full
-runs of both engines.
+runs of both engines.  The projective covers, filled from the Yoneda
+words of ``projective_for_slot``, are held to the identity on every
+slot projective and to the solved Hom(P_s, M) generator by generator.
 """
 
 import inspect
@@ -583,8 +585,8 @@ def assert_kernel_matches(f):
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_kernel_matches_the_solve_route_on_dup_maps(name):
-    # the shifted modules' projective dimension checks, the syzygies that
-    # Ext^1 reads by Yoneda and the resolutions of the 2n simples
+    # the syzygies that Ext^1 reads by Yoneda (each object resolved once,
+    # the shifted modules among them) and the resolutions of the 2n simples
     def build():
         ctx = dup.DupContext(named_diagram(name))
         dup.tilting_quiver_dup(ctx)
@@ -592,7 +594,7 @@ def test_kernel_matches_the_solve_route_on_dup_maps(name):
 
     seen = _recorded(build, "kernel")
     calls = [c["f"] for c in seen["kernel"]]
-    assert len(calls) >= {"A3": 15, "D4": 24}[name]
+    assert len(calls) >= {"A3": 14, "D4": 25}[name]
     assert any(not homsolve.kernel(f)[0].is_zero() for f in calls)
     for f in calls:
         assert_kernel_matches(f)
@@ -726,6 +728,124 @@ def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
         assert all(type(x) is Fraction for row in b.data for x in row)
         assert len({id(row) for row in b.data}) == b.rows  # no shared rows
         assert b == RatMatrix(b.data, cols=b.cols)
+
+
+# ---------------------------------------------------------------------------
+# projective covers from the Yoneda words of ``projective_for_slot``
+
+
+COVER_QUIVERS = [q for name in ("A3", "D4") for q in orientations(name)]
+KRONECKER = named_diagram("K")  # two paths between its vertices: word order shows
+
+
+def _end_algebras(name):
+    ctx = dup.DupContext(named_diagram(name))
+    return [endo.endo_algebra(ctx, t)[0] for t in dup.enumerate_tilting_dup(ctx)]
+
+
+def _slot_projectives(kind):
+    """(slot, P_slot) for every slot projective of one module class: Rep
+    and TripleModule on every orientation of A3 and D4 and on the
+    double-arrow quiver, BMod on every End T over duplicated A3."""
+    quivers = COVER_QUIVERS + [KRONECKER]
+    if kind == "Rep":
+        return [(v, rep_a.projective(q, v)) for q in quivers for v in q.vertices]
+    if kind == "TripleModule":
+        return [((layer, v), dup.slot_projective(q, (layer, v)))
+                for q in quivers for v in q.vertices for layer in "tb"]
+    return [(i, endo.regular_projective(alg, i))
+            for alg in _end_algebras("A3") for i in range(len(alg.summands))]
+
+
+def _covered_modules(kind):
+    """Modules of one class whose covers are checked generator by
+    generator: the classical indecomposables and the duplicated objects
+    on every orientation of A3 and D4 (and the double-arrow window 3),
+    and the simples of every End T over duplicated A3 and D4 with their
+    syzygies."""
+    if kind == "Rep":
+        return [m for q in COVER_QUIVERS for _, m in rep_a.indecomposables(q)] + [
+            m for _, m in rep_a.kronecker_window(3)]
+    if kind == "TripleModule":
+        return [m for q in COVER_QUIVERS for _, m in dup.DupContext(q).objects()]
+    out = []
+    for alg in _end_algebras("A3") + _end_algebras("D4"):
+        for i in range(len(alg.summands)):
+            m = endo.simple_module(alg, i)
+            while not m.is_zero():
+                out.append(m)
+                m, _ = homsolve.kernel(homsolve.projective_cover_parts(m)[2])
+    return out
+
+
+def _cover_of_a_projective_is_the_identity(s, P):
+    _, tags, cover = homsolve.projective_cover_parts(P)
+    return tags == [s] and all(cover.blocks[w] == RatMatrix.identity(P.dims[w])
+                               for w in P.slot_keys)
+
+
+def _cover_components_are_morphisms(M):
+    """Each generator's component P_s -> M of the cover lies in the span
+    of ``hom_basis(P_s, M)``."""
+    _, tags, cover = homsolve.projective_cover_parts(M)
+    start = dict.fromkeys(M.slot_keys, 0)
+    for s in tags:
+        P = M.projective_for_slot(s)[0]
+        g = SlotMap(P, M, {w: cover.blocks[w].columns(range(start[w], start[w] + P.dims[w]))
+                           for w in M.slot_keys})
+        for w in M.slot_keys:
+            start[w] += P.dims[w]
+        span = LinSpan(len(g.vec()))
+        for h in homsolve.hom_basis(P, M):
+            span.add(h.vec())
+        if not span.contains(g.vec()):
+            return False
+    return True
+
+
+COVER_KINDS = ["Rep", "TripleModule", "BMod"]
+
+
+@pytest.mark.parametrize("kind", COVER_KINDS)
+def test_cover_of_each_slot_projective_is_the_identity(kind):
+    # the words list P_s's basis in its own order
+    cases = _slot_projectives(kind)
+    assert len(cases) >= 24
+    for s, P in cases:
+        assert _cover_of_a_projective_is_the_identity(s, P), (s, P)
+
+
+@pytest.mark.parametrize("kind", COVER_KINDS)
+def test_cover_components_are_module_maps(kind):
+    mods = _covered_modules(kind)
+    assert any(max(m.dims.values()) > 1 for m in mods)
+    for M in mods:
+        assert _cover_components_are_morphisms(M), M
+
+
+@pytest.mark.parametrize("cls, kind", [(rep_a.Rep, "Rep"), (dup.TripleModule, "TripleModule")])
+def test_reversed_words_break_the_cover(monkeypatch, cls, kind):
+    # a word of two or more labels read right to left lands on the wrong
+    # basis vector or does not compose at all; End T's words have at most
+    # one label, so only the quiver classes can be told apart this way
+    hook = cls.projective_for_slot
+
+    def reversed_words(self, s):
+        P, words = hook(self, s)
+        return P, {w: [word[::-1] for word in ws] for w, ws in words.items()}
+
+    monkeypatch.setattr(cls, "projective_for_slot", reversed_words)
+
+    def holds(check, *args):
+        try:
+            return check(*args)
+        except ValueError:  # a reversed word that does not compose
+            return False
+
+    assert not (all(holds(_cover_of_a_projective_is_the_identity, s, P)
+                     for s, P in _slot_projectives(kind))
+                and all(holds(_cover_components_are_morphisms, M)
+                        for M in _covered_modules(kind)))
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ class _ThreeComplements:
 
 def test_disallowed_complement_count(monkeypatch):
     stub = _ThreeComplements()
-    monkeypatch.setitem(tilt_a._POOLS, stub.quiver, stub)
+    monkeypatch.setattr(tilt_a, "_dynkin_pool", lambda q: stub)
     with pytest.raises(RuntimeError, match="has 3 complements"):
         tilting_quiver(stub.quiver)
     g = dup.tilting_quiver_dup(stub)
