@@ -25,23 +25,23 @@ Enumeration and the exchange graph run on the
 one engine in :mod:`tiltquiver.tilt_a`, fed with this module's pool,
 ``DupContext.ext1_idx`` and an exchange-sequence certifier.
 
-A triple is stored with one matrix per path of the quiver: for a path
-``p`` from ``u`` to ``v`` the matrix ``conn[(u, p)]`` maps the top space
-at ``v`` to the bottom space at ``u`` (the action of the dual-basis
-element of ``p`` under ``phi``).  Storing every path makes restriction
-along quiver symmetries and the hom equations purely local; only the
-matrices of maximal paths enter the morphism solver, since the others
-are forced by the two shuffle relations
-
-    conn[(u, p)] . X_alpha = conn[(u, q)]      p = q then alpha (last)
-    Y_alpha . conn[(u, p)] = conn[(w, q)]      p = alpha then q (first)
+The duplicated algebra is a bound quiver algebra, and a triple is
+stored as a representation of its quiver (``_layout``): each arrow of
+the quiver in both layers, ``("t", a)`` and ``("b", a)``, and one
+connecting arrow ``("m", s, p)`` per maximal path ``p: s ~> e`` (the top
+of DA as a bimodule), from the top space at ``e`` to the bottom space
+at ``s``.  The relations are those of the dual path basis: for paths
+``r: s ~> w`` and ``y: a ~> e``, the top arrows of ``y``, then the
+connecting arrow of ``p``, then the bottom arrows of ``r`` act as the
+dual of ``z: w ~> a`` when ``p = r z y``, and as zero when ``p`` does
+not factor so.  ``validate`` checks them through the projectives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import homsolve, rep_a, tilt_a
 from .exactlin import RatMatrix
@@ -50,44 +50,33 @@ from .quiver_core import Quiver
 from .rep_a import Rep
 
 Slot = tuple[str, int]
-ConnKey = tuple[int, tuple[str, ...]]
 
 
 # ---------------------------------------------------------------------------
-# slot / label layout (one per quiver, cached)
+# the duplicated quiver (one per quiver, cached)
 
 
 class _Layout(NamedTuple):
     slot_keys: tuple[Slot, ...]
-    labels: tuple[tuple, ...]
-    ends: dict
-    solver: tuple[tuple, ...]
-    path_end: dict[ConnKey, int]
+    ends: dict  # arrow label -> (source slot, target slot), in label order
 
 
 @cache
 def _layout(q: Quiver) -> _Layout:
+    """The slots and arrows of the duplicated quiver: each arrow of q in
+    both layers, then one connecting arrow ``("m", s, p)`` per maximal
+    path p: s ~> e (s a source, e a sink, so an isolated vertex's trivial
+    path counts), from ("t", e) to ("b", s)."""
     slot_keys = tuple(("t", v) for v in q.vertices) + tuple(("b", v) for v in q.vertices)
-    labels: list[tuple] = []
     ends: dict = {}
-    path_end: dict[ConnKey, int] = {}
     for a in q.arrows:
-        labels.append(("t", a.aid))
-        ends[("t", a.aid)] = (("t", a.source), ("t", a.target))
-        labels.append(("b", a.aid))
-        ends[("b", a.aid)] = (("b", a.source), ("b", a.target))
-    for (u, v), paths in q.all_paths().items():
-        for p in paths:
-            lab = ("m", u, p)
-            labels.append(lab)
-            ends[lab] = (("t", v), ("b", u))
-            path_end[(u, p)] = v
-    solver = [lab for lab in labels if lab[0] in ("t", "b")]
-    sources, sinks = set(q.sources()), set(q.sinks())
-    for lab in labels:
-        if lab[0] == "m" and lab[1] in sources and path_end[(lab[1], lab[2])] in sinks:
-            solver.append(lab)
-    return _Layout(slot_keys, tuple(labels), ends, tuple(solver), path_end)
+        for layer in ("t", "b"):
+            ends[(layer, a.aid)] = ((layer, a.source), (layer, a.target))
+    for (s, e), paths in q.all_paths().items():
+        if q.is_source(s) and q.is_sink(e):
+            for p in paths:
+                ends[("m", s, p)] = (("t", e), ("b", s))
+    return _Layout(slot_keys, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -95,28 +84,21 @@ def _layout(q: Quiver) -> _Layout:
 
 
 class TripleModule(homsolve.SlotModule):
-    """Module over the duplicated algebra: top/bottom reps + path matrices.
+    """Module over the duplicated algebra, a representation of its quiver:
+    ``dims`` maps slots ``("t", v)`` / ``("b", v)`` to dimensions and
+    ``struct`` each arrow of ``_layout(quiver)``, and nothing else, to its
+    matrix; the stored dict follows the layout's order."""
 
-    ``dims`` maps slots ``("t", v)`` / ``("b", v)`` to dimensions; the
-    structure carries one matrix per arrow in each layer and one matrix
-    per path for the connecting map.
-    """
-
-    def __init__(self, quiver: Quiver, dims: dict[Slot, int],
-                 top: dict[str, RatMatrix], bot: dict[str, RatMatrix],
-                 conn: dict[ConnKey, RatMatrix]):
+    def __init__(self, quiver: Quiver, dims: dict[Slot, int], struct: dict[tuple, RatMatrix]):
         self.quiver = quiver
         self._lay = lay = _layout(quiver)
         self.slot_keys = lay.slot_keys
         self.dims = {s: dims.get(s, 0) for s in lay.slot_keys}
-        self.top = top
-        self.bot = bot
-        self.conn = conn
-        self._struct = {lab: (top[lab[1]] if lab[0] == "t" else
-                              bot[lab[1]] if lab[0] == "b" else conn[lab[1:]])
-                        for lab in lay.labels}
-        for lab, m in self._struct.items():
-            a, b = lay.ends[lab]
+        if len(struct) != len(lay.ends):
+            raise ValueError(f"{len(struct)} structure maps for {len(lay.ends)} arrows")
+        self._struct = {}
+        for lab, (a, b) in lay.ends.items():
+            m = self._struct[lab] = struct[lab]
             if m.shape != (self.dims[b], self.dims[a]):
                 raise ValueError(
                     f"label {lab}: matrix shape {m.shape}, "
@@ -131,17 +113,8 @@ class TripleModule(homsolve.SlotModule):
     def label_ends(self, label: tuple) -> tuple[Slot, Slot]:
         return self._lay.ends[label]
 
-    def solver_labels(self) -> tuple[tuple, ...]:
-        return self._lay.solver
-
     def _rebuild(self, dims, struct) -> "TripleModule":
-        top = {a.aid: struct[("t", a.aid)] for a in self.quiver.arrows}
-        bot = {a.aid: struct[("b", a.aid)] for a in self.quiver.arrows}
-        conn = {}
-        for (u, v), paths in self.quiver.all_paths().items():
-            for p in paths:
-                conn[(u, p)] = struct[("m", u, p)]
-        return TripleModule(self.quiver, dict(dims), top, bot, conn)
+        return TripleModule(self.quiver, dims, struct)
 
     # -- convenience -----------------------------------------------------
 
@@ -149,21 +122,13 @@ class TripleModule(homsolve.SlotModule):
         return sum(self.dims[("t", v)] for v in self.quiver.vertices)
 
     def validate(self) -> None:
-        """Check the shuffle relations between the path matrices; raises
-        ``RuntimeError`` at the first one that fails."""
-        q = self.quiver
-        for (u, v), paths in q.all_paths().items():
-            for p in paths:
-                for arr in q.out_arrows(v):
-                    longer = self.conn[(u, p + (arr.aid,))]
-                    if longer @ self.top[arr.aid] != self.conn[(u, p)]:
-                        raise RuntimeError(
-                            f"last-arrow relation fails at {(u, p)} + {arr.aid}")
-                for arr in q.in_arrows(u):
-                    longer = self.conn[(arr.source, (arr.aid,) + p)]
-                    if self.bot[arr.aid] @ longer != self.conn[(u, p)]:
-                        raise RuntimeError(
-                            f"first-arrow relation fails at {arr.aid} + {(u, p)}")
+        """Check the relations of the duplicated algebra, raising
+        ``RuntimeError`` at the first slot where one fails: Hom(P_s, M) is
+        the part of M_s that the relations at s kill, so they hold iff
+        dim Hom(P_s, M) = dim M_s at every slot (Yoneda)."""
+        for s in self.slot_keys:
+            if homsolve.hom_dim(slot_projective(self.quiver, s), self) != self.dims[s]:
+                raise RuntimeError(f"a relation of the duplicated algebra fails at {s}")
 
     def __repr__(self) -> str:
         t = tuple(self.dims[("t", v)] for v in self.quiver.vertices)
@@ -171,51 +136,66 @@ class TripleModule(homsolve.SlotModule):
         return f"Triple(top={t}, bottom={b})"
 
     # -- hook for covers ------------------------------------------------
-    #
-    # The simple at bottom slot a is covered by the embedded A-projective
-    # at a, whose basis at ("b", w) is the bottom-layer paths a ~> w; the
-    # simple at top slot a by the bar projective, whose basis is the
-    # top-layer paths a ~> w at ("t", w) and, at ("b", u), dual to the
-    # paths z: u ~> a, reached by the connecting label ("m", u, z).
 
     def projective_for_slot(self, s: Slot) -> tuple["TripleModule", dict[Slot, list[tuple]]]:
-        layer, a = s
-        q = self.quiver
-        words: dict[Slot, list[tuple]] = {}
-        for w in q.vertices:
-            paths = [tuple((layer, x) for x in p) for p in q.paths_between(a, w)]
-            words[("t", w)] = paths if layer == "t" else []
-            words[("b", w)] = paths if layer == "b" else [
-                (("m", w, z),) for z in q.paths_between(w, a)]
-        return slot_projective(q, s), words
+        return slot_projective(self.quiver, s), _slot_words(self.quiver, s)
+
+
+@cache
+def _slot_words(q: Quiver, s: Slot) -> dict[Slot, list[tuple]]:
+    """The label words of ``slot_projective(q, s)``, built once per quiver
+    and shared.  At ("b", a) its basis at ("b", w) is the bottom paths
+    a ~> w; at ("t", a), the top paths a ~> w at ("t", w) and, at ("b",
+    w), the duals of the paths z: w ~> a, reached by the top arrows of y:
+    a ~> e (e the first sink a reaches), the connecting arrow of r z y,
+    then the bottom arrows of r: u ~> w (u the first source reaching w)."""
+    layer, a = s
+    if layer == "t":
+        y = q.paths_between(a, next(e for e in q.sinks() if q.paths_between(a, e)))[0]
+    words: dict[Slot, list[tuple]] = {}
+    for w in q.vertices:
+        paths = [tuple((layer, x) for x in p) for p in q.paths_between(a, w)]
+        if layer == "b":
+            words[("t", w)], words[("b", w)] = [], paths
+            continue
+        u = next(u for u in q.sources() if q.paths_between(u, w))
+        r = q.paths_between(u, w)[0]
+        words[("t", w)] = paths
+        words[("b", w)] = [tuple(("t", x) for x in y) + (("m", u, r + z + y),)
+                           + tuple(("b", x) for x in r) for z in q.paths_between(w, a)]
+    return words
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def _zero_conn(q: Quiver, tdims: dict[int, int], bdims: dict[int, int]) -> dict[ConnKey, RatMatrix]:
-    conn = {}
-    for (u, v), paths in q.all_paths().items():
-        for p in paths:
-            conn[(u, p)] = RatMatrix.zeros(bdims[u], tdims[v])
-    return conn
+def _triple(q: Quiver, top: Rep | None, bot: Rep | None,
+            conn: Callable[[int, tuple[str, ...], int], RatMatrix] | None = None) -> TripleModule:
+    """The triple with layers ``top`` and ``bot`` (None: zero) and the
+    connecting matrices ``conn(s, p, e)`` of the maximal paths p: s ~> e
+    (zero without ``conn``)."""
+    dims = {(layer, v): rep.dims[v] for layer, rep in (("t", top), ("b", bot))
+            if rep is not None for v in q.vertices}
+    struct = {}
+    for lab, ((_, e), (_, s)) in _layout(q).ends.items():
+        if lab[0] == "m":
+            struct[lab] = (conn(s, lab[2], e) if conn else
+                           RatMatrix.zeros(dims.get(("b", s), 0), dims.get(("t", e), 0)))
+        else:
+            rep = top if lab[0] == "t" else bot
+            struct[lab] = RatMatrix.zeros(0, 0) if rep is None else rep.arrow_maps[lab[1]]
+    return TripleModule(q, dims, struct)
 
 
 def embed(q: Quiver, m: Rep) -> TripleModule:
     """The A-module m placed in the bottom layer, zero connecting map."""
-    dims = {("b", v): m.dims[v] for v in q.vertices}
-    top = {a.aid: RatMatrix.zeros(0, 0) for a in q.arrows}
-    conn = _zero_conn(q, {v: 0 for v in q.vertices}, m.dims)
-    return TripleModule(q, dims, top, dict(m.arrow_maps), conn)
+    return _triple(q, None, m)
 
 
 def embed_top(q: Quiver, m: Rep) -> TripleModule:
     """The A-module m placed in the top layer, zero bottom."""
-    dims = {("t", v): m.dims[v] for v in q.vertices}
-    bot = {a.aid: RatMatrix.zeros(0, 0) for a in q.arrows}
-    conn = _zero_conn(q, m.dims, {v: 0 for v in q.vertices})
-    return TripleModule(q, dims, dict(m.arrow_maps), bot, conn)
+    return _triple(q, m, None)
 
 
 @cache
@@ -231,27 +211,15 @@ def bar_projective(q: Quiver, a: int) -> TripleModule:
     """The projective-injective triple (P_a, I_a, multiplication).
 
     Top basis at v: paths a ~> v.  Bottom basis at u: dual to paths
-    u ~> a.  The matrix of a path p: u ~> v sends the top basis path y
-    to the dual path r whenever p traverses r then y.
+    u ~> a.  The connecting arrow of a maximal path p: s ~> e sends the
+    top basis path y to the dual path r whenever p traverses r then y.
     """
-    P = rep_a.projective(q, a)
-    I = rep_a.injective(q, a)
-    dims = {}
-    for v in q.vertices:
-        dims[("t", v)] = P.dims[v]
-        dims[("b", v)] = I.dims[v]
-    conn = {}
-    for (u, v), paths in q.all_paths().items():
-        rpaths = q.paths_between(u, a)     # bottom dual basis at u
-        ypaths = q.paths_between(a, v)     # top basis at v
-        for p in paths:
-            m = RatMatrix.zeros(len(rpaths), len(ypaths))
-            for i, r in enumerate(rpaths):
-                for j, y in enumerate(ypaths):
-                    if r + y == p:
-                        m[i, j] = 1
-            conn[(u, p)] = m
-    return TripleModule(q, dims, dict(P.arrow_maps), dict(I.arrow_maps), conn)
+    def conn(s: int, p: tuple[str, ...], e: int) -> RatMatrix:
+        ys = q.paths_between(a, e)
+        return RatMatrix([[int(r + y == p) for y in ys] for r in q.paths_between(s, a)],
+                         cols=len(ys))
+
+    return _triple(q, rep_a.projective(q, a), rep_a.injective(q, a), conn)
 
 
 @cache

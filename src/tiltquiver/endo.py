@@ -53,6 +53,7 @@ class StructureAlgebra:
         self.idempotents = idempotents
         self.pair_basis = pair_basis
         self.table = table
+        self.projectives: dict[int, BMod] = {}  # regular_projective, shared
 
     @property
     def dimension(self) -> int:
@@ -166,13 +167,12 @@ class BMod(homsolve.SlotModule):
         self.algebra = algebra
         self.slot_keys = tuple(range(len(algebra.summands)))
         self.dims = {s: dims.get(s, 0) for s in self.slot_keys}
-        self.action = action
-        for e in self._labels():
+        self.action = {e: action[e] for e in self._labels()}  # in element order
+        for e, m in self.action.items():
             el = self.algebra.elements[e]
             want = (self.dims[el.src], self.dims[el.dst])
-            if action[e].shape != want:
-                raise ValueError(f"element {e}: action shape {action[e].shape}, "
-                                 f"expected {want}")
+            if m.shape != want:
+                raise ValueError(f"element {e}: action shape {m.shape}, expected {want}")
 
     def _labels(self) -> list[int]:
         idem = set(self.algebra.idempotents)
@@ -184,9 +184,6 @@ class BMod(homsolve.SlotModule):
     def label_ends(self, label: int) -> tuple[int, int]:
         el = self.algebra.elements[label]
         return el.dst, el.src
-
-    def solver_labels(self) -> tuple[int, ...]:
-        return tuple(self._labels())
 
     def _rebuild(self, dims, struct) -> "BMod":
         return BMod(self.algebra, dict(dims), dict(struct))
@@ -219,11 +216,14 @@ class BMod(homsolve.SlotModule):
     # -- hook for covers --------------------------------------------------
 
     def projective_for_slot(self, s: int) -> tuple["BMod", dict[int, list[tuple[int, ...]]]]:
-        """Be_s with its basis words: the basis morphisms T_j -> T_s, the
-        idempotent as the empty word."""
+        """Be_s, built once per algebra and shared (callers must not
+        mutate it), with its basis words: the basis morphisms T_j -> T_s,
+        the idempotent as the empty word."""
         alg = self.algebra
         idem = set(alg.idempotents)
-        return regular_projective(alg, s), {
+        if s not in alg.projectives:
+            alg.projectives[s] = regular_projective(alg, s)
+        return alg.projectives[s], {
             j: [() if e in idem else (e,) for e in alg.pair_basis[(j, s)]]
             for j in self.slot_keys}
 

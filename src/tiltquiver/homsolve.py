@@ -54,12 +54,11 @@ class SlotModule:
     (dict slot -> dimension) and implement:
 
     ``struct()``
-        dict label -> RatMatrix, every structure map of the module;
+        dict label -> RatMatrix in an order the constructor fixes, one
+        structure map per generator of the algebra (an arrow, or a basis
+        element), so their intertwining equations cut out Hom;
     ``label_ends(label)``
         (source slot, destination slot) of a label;
-    ``solver_labels()``
-        the sublist of labels whose intertwining equations already cut
-        out the morphism space (redundant equations may be dropped);
     ``_rebuild(dims, struct)``
         a new instance of the same kind from transported data.
 
@@ -83,9 +82,6 @@ class SlotModule:
         raise NotImplementedError
 
     def label_ends(self, label: Label) -> tuple[Slot, Slot]:
-        raise NotImplementedError
-
-    def solver_labels(self) -> tuple[Label, ...]:
         raise NotImplementedError
 
     def _rebuild(self, dims: dict[Slot, int], struct: dict[Label, RatMatrix]) -> "SlotModule":
@@ -220,7 +216,7 @@ class LinSpan:
 def _label_nonzeros(
     M: SlotModule,
 ) -> tuple[tuple[Slot, Slot, list[list[tuple[int, Rat]]], list[list[tuple[int, Rat]]]], ...]:
-    """Per solver label, in ``solver_labels`` order: its ends (a, b) and
+    """Per label, in ``struct()`` order: its ends (a, b) and
     the nonzero (index, entry)s of each column and of each row of its
     structure matrix, integral entries as ``int`` (``as_int_if_integral``,
     inlined).  Computed once per module, as ``_hom_system`` reads them
@@ -229,9 +225,7 @@ def _label_nonzeros(
     got = M._nonzeros
     if got is None:
         out = []
-        st = M.struct()
-        for lab in M.solver_labels():
-            mat = st[lab]
+        for lab, mat in M.struct().items():
             rows = [[(k, x.numerator if x.denominator == 1 else x)
                      for k, x in enumerate(row) if x] for row in mat.data]
             cols: list[list[tuple[int, Rat]]] = [[] for _ in range(mat.cols)]
@@ -250,13 +244,13 @@ def _hom_system(
 
     Unknowns are the entries of one matrix f_s: M_s -> N_s per slot,
     row-major, slot blocks in slot order (``offs[s]`` is where slot s
-    starts; ``total`` unknowns in all).  Each solver label l: a -> b
-    contributes the equations f_b @ S^M_l - S^N_l @ f_a = 0, one row per
-    entry, holding at most dim M_b + dim N_a nonzeros.
+    starts; ``total`` unknowns in all).  Each label l: a -> b of
+    ``struct()`` contributes the equations f_b @ S^M_l - S^N_l @ f_a = 0,
+    one row per entry, holding at most dim M_b + dim N_a nonzeros.
     """
     if M.slot_keys != N.slot_keys:
         raise ValueError("modules live on different slot sets")
-    if M.solver_labels() != N.solver_labels():
+    if list(M.struct()) != list(N.struct()):
         raise ValueError("modules carry different label sets")
     offs: dict[Slot, int] = {}
     total = 0

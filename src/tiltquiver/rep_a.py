@@ -82,9 +82,6 @@ class Rep(homsolve.SlotModule):
         a = self.quiver.arrows[self.quiver.arrow_pos[label]]
         return a.source, a.target
 
-    def solver_labels(self) -> tuple[str, ...]:
-        return tuple(a.aid for a in self.quiver.arrows)
-
     def _rebuild(self, dims, struct) -> "Rep":
         return Rep(self.quiver, dims, struct)
 

@@ -29,11 +29,69 @@ def dims(m):
 
 def test_solver_labels_are_maximal_paths_only():
     lay = dup._layout(A2)
-    m_labels = [lab for lab in lay.solver if lab[0] == "m"]
+    m_labels = [lab for lab in lay.ends if lab[0] == "m"]
     assert m_labels == [("m", 0, ("e0",))]
-    # but every path carries a stored matrix
-    all_m = [lab for lab in lay.labels if lab[0] == "m"]
-    assert len(all_m) == 3
+
+
+# the seed-1 E6 input of the benchmark's dup-e6 workload
+E6_SEED1 = """vertices 0 1 2 3 4 5
+arrow a583 0 4
+arrow a879 5 3
+arrow a560 0 5
+arrow a607 3 2
+arrow a767 1 5
+"""
+
+
+def _maximal_paths(q):
+    """(start, path) of every path that no arrow extends at either end."""
+    return [(u, p) for (u, v), paths in q.all_paths().items() for p in paths
+            if not q.in_arrows(u) and not q.out_arrows(v)]
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4"])
+def test_every_object_is_a_module_over_the_duplicated_quiver(name):
+    # it stores each arrow in both layers, then one arrow per maximal
+    # path, and satisfies the relations
+    for q in orientations(name):
+        want = [(layer, a.aid) for a in q.arrows for layer in ("t", "b")]
+        want += [("m", u, p) for u, p in _maximal_paths(q)]
+        for _, m in dup.DupContext(q).objects():
+            assert list(m.struct()) == want
+            m.validate()
+
+
+def test_stored_label_counts_on_e6_and_e8():
+    # one label per arrow in each layer plus one per maximal path
+    for q, want in ((parse_quiver(E6_SEED1), 13), (named_diagram("E8"), 16)):
+        assert len(dup.slot_projective(q, ("t", q.vertices[0])).struct()) == want
+
+
+def _triple_of(q, dims, ones):
+    """The triple with slot dimensions ``dims`` (at most 1 each), the
+    labels in ``ones`` acting as 1 and every other label as 0."""
+    return dup.TripleModule(q, dims, {
+        lab: RatMatrix.identity(1) if lab in ones
+        else RatMatrix.zeros(dims.get(b, 0), dims.get(a, 0))
+        for lab, (a, b) in dup._layout(q).ends.items()})
+
+
+def test_relation_check_is_complete():
+    # 0 <-a- 1 -b-> 2: the bottom arrow a after the connecting arrow of
+    # the maximal path b is the dual of no path, so it must act as zero
+    q = parse_quiver("vertices 0 1 2\narrow a 1 0\narrow b 1 2\n")
+    dims = {("t", 2): 1, ("b", 1): 1}
+    _triple_of(q, dims, {("m", 1, ("b",))}).validate()
+    with pytest.raises(RuntimeError, match="relation"):
+        _triple_of(q, {**dims, ("b", 0): 1}, {("m", 1, ("b",)), ("b", "a")}).validate()
+    # 0 -a-> 1 <-b- 2: both maximal paths end at 1, where a after the
+    # connecting arrow of a and b after that of b are the same dual
+    q = parse_quiver("vertices 0 1 2\narrow a 0 1\narrow b 2 1\n")
+    dims = {("t", 1): 1, ("b", 0): 1, ("b", 1): 1, ("b", 2): 1}
+    both = {("m", 0, ("a",)), ("b", "a"), ("m", 2, ("b",)), ("b", "b")}
+    _triple_of(q, dims, both).validate()
+    with pytest.raises(RuntimeError, match="relation"):
+        _triple_of(q, dims, both - {("b", "b")}).validate()
 
 
 def test_bar_projective_a2():
@@ -44,8 +102,8 @@ def test_bar_projective_a2():
     assert dims(b0) == ((1, 1), (1, 0))
     assert dims(b1) == ((0, 1), (1, 1))
     # the connecting matrix along the arrow path is the nonzero one
-    assert not b0.conn[(0, ("e0",))].is_zero()
-    assert not b1.conn[(0, ("e0",))].is_zero()
+    assert not b0.struct()[("m", 0, ("e0",))].is_zero()
+    assert not b1.struct()[("m", 0, ("e0",))].is_zero()
 
 
 def test_bar_projectives_are_projective_and_injective():
@@ -146,7 +204,7 @@ def test_shifted_modules_a2():
     w1.validate()
     assert dims(w0) == ((0, 1), (0, 0))
     assert dims(w1) == ((0, 1), (1, 0))
-    assert not w1.conn[(0, ("e0",))].is_zero()
+    assert not w1.struct()[("m", 0, ("e0",))].is_zero()
     for w in (w0, w1):
         assert homsolve.end_dim(w) == 1
         assert homsolve.projective_dimension(w) == 1

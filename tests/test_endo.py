@@ -282,3 +282,22 @@ def test_hom_pd_never_exceeds_module_pd(monkeypatch):
         assert rep["stats"]["modules_checked"] == checked
         resolved = [k for k in seen if k in ids]
         assert len(resolved) == len(set(resolved)) == objects
+
+
+def test_each_regular_projective_is_built_once(monkeypatch):
+    # both checks over duplicated A3 cover many modules over each of their
+    # algebras: Be_s is built at most once per (algebra, s), shared, and
+    # still equals a fresh build afterwards
+    builds = []
+    build = endo.regular_projective
+    monkeypatch.setattr(endo, "regular_projective",
+                        lambda alg, s: builds.append((alg, s)) or build(alg, s))
+    ctx = dup.DupContext(A3)
+    assert endo.verify_endo_global_dimension(ctx)["status"] == "pass"
+    assert endo.hom_pd_bound(ctx)["status"] == "pass"
+    monkeypatch.undo()
+    assert builds and len(builds) == len(set(builds))
+    for alg, s in builds:
+        fresh = build(alg, s)
+        assert alg.projectives[s].dims == fresh.dims
+        assert alg.projectives[s].struct() == fresh.struct()

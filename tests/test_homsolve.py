@@ -680,12 +680,11 @@ def test_resolution_gives_up_past_the_cap(monkeypatch):
 
 
 def reference_label_nonzeros(M):
-    """Per solver label, its ends and the nonzero (index, entry)s of each
+    """Per label, its ends and the nonzero (index, entry)s of each
     column and each row of its structure matrix, read afresh from
     ``struct()``."""
     out = []
-    for lab in M.solver_labels():
-        mat = M.struct()[lab]
+    for lab, mat in M.struct().items():
         cols = [[(i, row[j]) for i, row in enumerate(mat.data) if row[j]]
                 for j in range(mat.cols)]
         rows = [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
