@@ -5,24 +5,29 @@ one-dimensional endomorphism ring), the endomorphism algebra of their
 sum is presented by structure constants on the union of hom bases, with
 the product of two morphisms being "first, then second" — so that the
 functor Hom(T, -) lands in *left* modules: an algebra element x acts on
-a family of morphisms by precomposition.
+a family of morphisms by precomposition.  The constants are coordinates
+of composites in the Hom bases, read per triple of summands; over the
+duplicated algebra they come from ``DupContext.composite_idx``, so each
+triple of objects is composed once per context, not once per algebra.
 
-Left modules over such an algebra are again slot-graded: one slot per
-summand (the image of the corresponding identity idempotent), one
-action matrix per non-identity basis morphism.  That makes the whole
-homological toolbox of :mod:`tiltquiver.homsolve` available once more;
-projective covers, syzygies and global dimension come for free.  The
-checker of interest bounds the global dimension of every endomorphism
-algebra arising from the duplicated-algebra tilting modules by three.
+The simples of such an algebra are resolved in free coordinates
+(``simple_resolution``): each syzygy is a subspace of the projective
+before it, and no module is built.  The checker of interest bounds the
+global dimension of every endomorphism algebra arising from the
+duplicated-algebra tilting modules by three.  Left modules (``BMod``)
+are slot-graded, one slot per summand and one action matrix per
+non-identity basis morphism, so :mod:`tiltquiver.homsolve` resolves
+them too: Hom(T, m) for ``hom_pd_bound``, and the simples as the
+reference route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import dup, homsolve, tilt_a
-from .exactlin import RatMatrix, sparse_row
+from .exactlin import Rat, RatMatrix, SparseEchelon, rref_rows, sparse_row
 from .homsolve import SlotMap, SlotModule, projective_resolution
 
 
@@ -54,6 +59,9 @@ class StructureAlgebra:
         self.pair_basis = pair_basis
         self.table = table
         self.projectives: dict[int, BMod] = {}  # regular_projective, shared
+        # the basis of Be_s: every morphism h: T_j -> T_s, at slot j
+        self.column = {s: [h for h, el in enumerate(elements) if el.dst == s]
+                       for s in range(len(self.summands))}
 
     @property
     def dimension(self) -> int:
@@ -66,55 +74,23 @@ class StructureAlgebra:
             return {}
         return self.table[(x, y)]
 
-    def multiply_sparse(self, a: dict[int, Fraction],
-                        b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for x, cx in a.items():
-            for y, cy in b.items():
-                for z, cz in self.multiply(x, y).items():
-                    c = out.get(z, Fraction(0)) + cx * cy * cz
-                    if c:
-                        out[z] = c
-                    elif z in out:
-                        del out[z]
-        return out
-
-    def assert_associative(self) -> None:
-        dim = self.dimension
-        for x in range(dim):
-            for y in range(dim):
-                if self.elements[x].dst != self.elements[y].src:
-                    continue
-                xy = self.multiply(x, y)
-                for z in range(dim):
-                    if self.elements[y].dst != self.elements[z].src:
-                        continue
-                    left = self.multiply_sparse(xy, {z: Fraction(1)})
-                    right = self.multiply_sparse({x: Fraction(1)},
-                                                 self.multiply(y, z))
-                    if left != right:
-                        raise RuntimeError(f"associativity fails on {(x, y, z)}")
-
-    def assert_unit(self) -> None:
-        one = {e: Fraction(1) for e in self.idempotents}
-        for x in range(self.dimension):
-            t = {x: Fraction(1)}
-            if self.multiply_sparse(one, t) != t or self.multiply_sparse(t, one) != t:
-                raise RuntimeError(f"the sum of the idempotents is no unit at {x}")
-
 
 def structure_algebra(
     summands: Sequence[SlotModule],
     homs: dict[tuple[int, int], list[SlotMap]],
+    composites: Callable[[int, int, int], Sequence[Sequence[Sequence[Rat]]]],
 ) -> StructureAlgebra:
     """End of a direct sum, from hom bases between the summands.
 
-    Each summand must have a one-dimensional endomorphism ring; its hom
-    basis is replaced by the exact identity so the idempotents are
-    on-the-nose.  ``homs[(i, j)]`` is a basis of Hom(summand_i,
-    summand_j); it must be canonical ``hom_basis`` output, as products
-    are read off in coordinates by ``homsolve.basis_coordinates`` (which
-    raises ``RuntimeError`` when one escapes its basis).
+    Each summand must have a one-dimensional endomorphism ring, whose
+    hom basis must be the identity (as ``hom_basis`` returns it, else
+    ``RuntimeError``), so products with an idempotent are written directly.
+    ``homs[(a, b)]`` is a basis of Hom(summand_a, summand_b), and
+    ``composites(a, b, c)[k][l]`` holds the coordinates of g_l . h_k
+    (h_k in ``homs[(a, b)]``, g_l in ``homs[(b, c)]``) in ``homs[(a, c)]``,
+    as ``homsolve.composite_coordinates`` or ``DupContext.composite_idx``
+    return them.  Coordinates that do not fit the bases raise
+    ``RuntimeError``.
     """
     r = len(summands)
     elements: list[AlgebraElement] = []
@@ -128,25 +104,33 @@ def structure_algebra(
                         f"summand {i} has endomorphism ring of dimension "
                         f"{len(homs[(i, i)])}, expected 1"
                     )
-                ident = SlotMap.identity(summands[i])
+                e = homs[(i, i)][0]               # lam * identity: End is k
+                s = next(s for s in summands[i].slot_keys if summands[i].dims[s])
+                if e.blocks[s][0, 0] != 1:
+                    raise RuntimeError(f"the Hom basis of End(summand {i}) is not the identity")
                 pair_basis[(i, i)] = [len(elements)]
                 idempotents.append(len(elements))
-                elements.append(AlgebraElement(i, i, ident))
+                elements.append(AlgebraElement(i, i, e))
                 continue
             pair_basis[(i, j)] = []
             for h in homs[(i, j)]:
                 pair_basis[(i, j)].append(len(elements))
                 elements.append(AlgebraElement(i, j, h))
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for x, ex in enumerate(elements):
-        for y, ey in enumerate(elements):
-            if ex.dst != ey.src:
-                continue
-            prod = ey.hom @ ex.hom            # x then y
-            idxs = pair_basis[(ex.src, ey.dst)]
-            (coords,) = homsolve.basis_coordinates(
-                [elements[k].hom for k in idxs], [sparse_row(prod.vec())])
-            table[(x, y)] = {k: Fraction(c) for k, c in zip(idxs, coords) if c}
+    for (a, b), xs in pair_basis.items():
+        for c in range(r):
+            ys, zs = pair_basis[(b, c)], pair_basis[(a, c)]
+            if a == b or b == c:                  # x or y is an idempotent
+                table.update(((x, y), {y if a == b else x: Fraction(1)})
+                             for x in xs for y in ys)
+            elif xs and ys:
+                coords = composites(a, b, c)      # x then y
+                if [len(row) for row in coords] != [len(ys)] * len(xs) or any(
+                        len(cs) != len(zs) for row in coords for cs in row):
+                    raise RuntimeError(f"composite coordinates of summands {(a, b, c)} "
+                                       "do not fit their Hom bases")
+                table.update(((x, y), {z: Fraction(v) for z, v in zip(zs, cs) if v})
+                             for x, row in zip(xs, coords) for y, cs in zip(ys, row))
     return StructureAlgebra(summands, elements, idempotents, pair_basis, table)
 
 
@@ -187,28 +171,6 @@ class BMod(homsolve.SlotModule):
 
     def _rebuild(self, dims, struct) -> "BMod":
         return BMod(self.algebra, dict(dims), dict(struct))
-
-    def check_action(self) -> None:
-        """Spot-check: acting by x then y equals acting by the product."""
-        alg = self.algebra
-        for x in range(alg.dimension):
-            ex = alg.elements[x]
-            for y in range(alg.dimension):
-                ey = alg.elements[y]
-                if ex.dst != ey.src:
-                    continue
-                got = self._act(x) @ self._act(y)
-                want = RatMatrix.zeros(self.dims[ex.src], self.dims[ey.dst])
-                for z, c in alg.multiply(x, y).items():
-                    want = want + self._act(z).scale(c)
-                if got != want:
-                    raise RuntimeError(f"action disrespects the product {(x, y)}")
-
-    def _act(self, e: int) -> RatMatrix:
-        el = self.algebra.elements[e]
-        if e in self.algebra.idempotents:
-            return RatMatrix.identity(self.dims[el.src])
-        return self.action[e]
 
     def __repr__(self) -> str:
         return f"BMod{tuple(self.dims[s] for s in self.slot_keys)}"
@@ -296,10 +258,82 @@ def b_module(alg: StructureAlgebra, m: SlotModule) -> BMod:
 # resolutions and global dimension
 
 
+def _apply(cols: dict[int, dict[int, Rat]], v: dict[int, Rat]) -> dict[int, Rat]:
+    """The image of a sparse vector under the map with sparse columns ``cols``."""
+    out: dict[int, Rat] = {}
+    for f, c in v.items():
+        for k, d in cols[f].items():
+            out[k] = out.get(k, 0) + c * d
+    return out
+
+
+def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
+    """``homsolve.projective_resolution(simple_module(alg, i))``, computed
+    in free coordinates without building a module.
+
+    Omega^1 = rad P_i, and each later syzygy, is a list of sparse vectors
+    in the free module F, the sum of the P_s = Be_s over ``tags``: the
+    basis vector h: T_j -> T_s of the g-th summand, at slot j, is column
+    g * dim B + h, and x: T_a -> T_b sends it to x*h (``alg.table``).  A
+    syzygy is the kernel of the cover ``cols`` before it.  Each step
+    checks that this cover kills the syzygy's radical images, takes their
+    greedy complement as top generators, and checks that the new cover
+    is onto (by rank) and kills the next syzygy.
+    """
+    idem, dim = set(alg.idempotents), alg.dimension
+    tags, steps = [i], [[i]]
+    cols = {h: {0: 1} if h in idem else {} for h in alg.column[i]}      # P_i -> S_i
+    syzygy = [{h: 1} for h in alg.column[i] if h not in idem]
+    for _ in range(homsolve._RESOLUTION_CAP):
+        if not syzygy:
+            return steps
+        images: dict[tuple[int, int], dict[int, Rat]] = {}
+        top, slots = SparseEchelon(len(tags) * dim), []
+        for t, v in enumerate(syzygy):
+            slots.append(alg.elements[min(v) % dim].src)
+            for x in alg.column[slots[t]]:
+                if x in idem:
+                    continue
+                out = images[(x, t)] = {}
+                for k, c in v.items():
+                    g, h = divmod(k, dim)
+                    for z, d in alg.table[(x, h)].items():
+                        out[g * dim + z] = out.get(g * dim + z, 0) + c * d
+                if any(_apply(cols, out).values()):
+                    raise RuntimeError(f"a radical image leaves a syzygy of simple {i}")
+                top.add(out)
+        gens = sorted((slots[t], t) for t, v in enumerate(syzygy) if top.add(v))
+        tags = [a for a, _ in gens]
+        steps.append(tags)
+        # the cover sends h in the g-th summand P_a, with generator v, to h*v
+        cols = {g * dim + h: syzygy[t] if h in idem else images[(h, t)]
+                for g, (a, t) in enumerate(gens) for h in alg.column[a]}
+        rows: dict[int, dict[int, Rat]] = {}
+        for f, vec in cols.items():
+            for k, c in vec.items():
+                rows.setdefault(k, {})[f] = c
+        echelon, pivots = rref_rows(rows.values(), len(tags) * dim)
+        if len(pivots) != len(syzygy):
+            raise RuntimeError(f"the cover of a syzygy of simple {i} is not onto")
+        # kernel_from_rref's canonical basis, sparse and over cols alone
+        pivot_set = set(pivots)
+        kernel = {f: {f: 1} for f in cols if f not in pivot_set}
+        for row, p in zip(echelon, pivots):
+            for f, c in row.items():
+                if f != p:
+                    kernel[f][p] = -c
+        syzygy = list(kernel.values())
+        if any(any(_apply(cols, v).values()) for v in syzygy):
+            raise RuntimeError(f"the cover of a syzygy of simple {i} misses its kernel")
+    return None if syzygy else steps
+
+
 def global_dimension(alg: StructureAlgebra) -> int:
     """Max projective dimension of the simples (raises past the cap)."""
-    return max(homsolve.projective_dimension(simple_module(alg, i))
-               for i in range(len(alg.summands)))
+    steps = [simple_resolution(alg, i) for i in range(len(alg.summands))]
+    if None in steps:
+        raise RuntimeError(f"projective dimension exceeds cap {homsolve._RESOLUTION_CAP}")
+    return max(len(s) - 1 for s in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +353,9 @@ def endo_algebra(ctx: dup.DupContext,
     mods = [objs[k][1] for k in members]
     homs = {(a, b): ctx.hom_idx(i, j)
             for a, i in enumerate(members) for b, j in enumerate(members)}
-    return structure_algebra(mods, homs), members
+    return structure_algebra(
+        mods, homs, lambda a, b, c: ctx.composite_idx(members[a], members[b], members[c])
+    ), members
 
 
 def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
@@ -335,7 +371,7 @@ def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
         alg, members = endo_algebra(ctx, t)
         worst = 0
         for i in range(len(alg.summands)):
-            steps = projective_resolution(simple_module(alg, i))
+            steps = simple_resolution(alg, i)
             label = str(ctx.objects()[members[i]][0])
             if steps is None:
                 violations.append(

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from tiltquiver import dup, endo, homsolve, rep_a
-from tiltquiver.exactlin import RatMatrix
-from tiltquiver.quiver_core import named_diagram
+from tiltquiver.exactlin import RatMatrix, rref_rows
+from tiltquiver.quiver_core import named_diagram, orientations
 
 A2 = named_diagram("A2")
 A3 = named_diagram("A3")
@@ -31,6 +31,64 @@ def hom_bases(mods):
             for i, a in enumerate(mods) for j, b in enumerate(mods)}
 
 
+def composites_over(mods, homs):
+    """``structure_algebra``'s composites, read off ``homs`` directly."""
+    return lambda a, b, c: homsolve.composite_coordinates(
+        mods[a], homs[(a, b)], homs[(b, c)], homs[(a, c)])
+
+
+def end_of_sum(mods):
+    """End of the sum of ``mods`` without a context."""
+    homs = hom_bases(mods)
+    return endo.structure_algebra(mods, homs, composites_over(mods, homs))
+
+
+def multiply_sparse(alg, a, b):
+    """The product of two sparse combinations of basis elements."""
+    out = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            for z, cz in alg.multiply(x, y).items():
+                out[z] = out.get(z, Fraction(0)) + cx * cy * cz
+    return {z: c for z, c in out.items() if c}
+
+
+def assert_associative(alg):
+    for x in range(alg.dimension):
+        for y in range(alg.dimension):
+            xy = alg.multiply(x, y)
+            for z in range(alg.dimension):
+                left = multiply_sparse(alg, xy, {z: Fraction(1)})
+                right = multiply_sparse(alg, {x: Fraction(1)}, alg.multiply(y, z))
+                assert left == right, (x, y, z)
+
+
+def assert_unit(alg):
+    one = {e: Fraction(1) for e in alg.idempotents}
+    for x in range(alg.dimension):
+        t = {x: Fraction(1)}
+        assert multiply_sparse(alg, one, t) == t == multiply_sparse(alg, t, one), x
+
+
+def check_action(bm):
+    """Acting by x then y equals acting by the product x*y."""
+    alg = bm.algebra
+
+    def act(e):
+        if e in alg.idempotents:
+            return RatMatrix.identity(bm.dims[alg.elements[e].src])
+        return bm.action[e]
+
+    for x, ex in enumerate(alg.elements):
+        for y, ey in enumerate(alg.elements):
+            if ex.dst != ey.src:
+                continue
+            want = RatMatrix.zeros(bm.dims[ex.src], bm.dims[ey.dst])
+            for z, c in alg.multiply(x, y).items():
+                want = want + act(z).scale(c)
+            assert act(x) @ act(y) == want, (x, y)
+
+
 def shift_tilting(ctx):
     for t in dup.enumerate_tilting_dup(ctx):
         if all(i.kind == "W" for i in t.ids):
@@ -45,11 +103,11 @@ def shift_tilting(ctx):
 def test_endomorphism_algebra_of_projective_generator():
     # two vertices, one arrow: 1 + 1 + 1 basis morphisms
     mods = [rep_a.projective(A2, 0), rep_a.projective(A2, 1)]
-    alg = endo.structure_algebra(mods, hom_bases(mods))
+    alg = end_of_sum(mods)
     assert alg.dimension == 3
     assert len(alg.idempotents) == 2
-    alg.assert_associative()
-    alg.assert_unit()
+    assert_associative(alg)
+    assert_unit(alg)
     assert endo.global_dimension(alg) == 1
 
 
@@ -57,19 +115,19 @@ def test_scalar_corner_requirement():
     double, _, _ = homsolve.direct_sum(
         [rep_a.projective(A2, 0), rep_a.projective(A2, 0)])
     with pytest.raises(ValueError):
-        endo.structure_algebra([double], hom_bases([double]))
+        end_of_sum([double])
 
 
 def test_regular_projectives_have_simple_tops():
     mods = [rep_a.projective(A2, 0), rep_a.projective(A2, 1)]
-    alg = endo.structure_algebra(mods, hom_bases(mods))
+    alg = end_of_sum(mods)
     for i in range(2):
         P = endo.regular_projective(alg, i)
         assert P.dims[i] == 1
         lifts = homsolve.top_lifts(P)
         assert len(lifts) == 1 and lifts[0][0] == i
         assert endo.projective_resolution(P) == [[i]]
-        P.check_action()
+        check_action(P)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +141,8 @@ def test_projective_tilting_algebra_dimension():
     alg, members = endo.endo_algebra(ctx, projective_tilting(ctx))
     assert alg.dimension == 9
     assert len(alg.idempotents) == 4
-    alg.assert_associative()
-    alg.assert_unit()
+    assert_associative(alg)
+    assert_unit(alg)
     # same global dimension as the duplicated algebra itself
     assert endo.global_dimension(alg) == dup.global_dimension_dup(ctx) == 2
 
@@ -108,7 +166,7 @@ def test_b_module_of_summand_is_the_regular_projective():
         P = endo.regular_projective(alg, i)
         assert bm.dims == P.dims
         assert endo.projective_resolution(bm) == [[i]]
-        bm.check_action()
+        check_action(bm)
 
 
 def test_b_module_requires_generation():
@@ -125,7 +183,7 @@ def test_hom_functor_respects_composition():
     alg, _ = endo.endo_algebra(ctx, t)
     for pid, m in ctx.objects():
         bm = endo.b_module(alg, m)
-        bm.check_action()
+        check_action(bm)
 
 
 # ---------------------------------------------------------------------------
@@ -201,42 +259,136 @@ def test_coordinates_match_the_dense_solve_kronecker():
     # Hom(P_1, P_0) of the double arrow is two-dimensional
     K = named_diagram("K")
     mods = [rep_a.projective(K, 0), rep_a.projective(K, 1)]
-    alg = endo.structure_algebra(mods, hom_bases(mods))
+    alg = end_of_sum(mods)
     assert sorted(len(b) for b in alg.pair_basis.values()) == [0, 1, 1, 2]
     regular, _, _ = homsolve.direct_sum(mods)
     assert _assert_dense_coordinates(alg, mods + [regular]) == 3
 
 
 # the Hom basis of one pair (a, c) of summands is dropped although a
-# composite a -> b -> c is nonzero, so that product escapes its basis
+# composite a -> b -> c is nonzero, so that product escapes its basis;
+# the composites are read either over the leaky bases or from the context
 ESCAPING_PRODUCT = (
     "import sys\n"
-    "from tiltquiver import cli, endo\n"
+    "from tiltquiver import cli, endo, homsolve\n"
     "structure_algebra = endo.structure_algebra\n"
-    "def leaky(summands, homs):\n"
+    "def leaky(summands, homs, composites):\n"
     "    homs = dict(homs)\n"
+    "    if OWN_BASES:\n"
+    "        composites = lambda a, b, c: homsolve.composite_coordinates(\n"
+    "            summands[a], homs[(a, b)], homs[(b, c)], homs[(a, c)])\n"
     "    for (a, b), hs in homs.items():\n"
     "        for (b2, c), gs in homs.items():\n"
     "            if b2 == b and len({a, b, c}) == 3 and any(\n"
     "                    not (g @ h).is_zero() for g in gs for h in hs):\n"
     "                homs[(a, c)] = []\n"
-    "                return structure_algebra(summands, homs)\n"
-    "    return structure_algebra(summands, homs)\n"
+    "                return structure_algebra(summands, homs, composites)\n"
+    "    return structure_algebra(summands, homs, composites)\n"
     "endo.structure_algebra = leaky\n"
     "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A2']))\n"
 )
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_product_escaping_its_hom_basis_is_an_engine_error(flags):
+def run_cli_script(flags, script):
     src = Path(endo.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", ESCAPING_PRODUCT],
+    return subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def assert_engine_error(proc, message="engine error:"):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("engine error: a map does not lie in the span")
+    assert proc.stderr.startswith(message), proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_product_escaping_its_hom_basis_is_an_engine_error(flags):
+    proc = run_cli_script(flags, "OWN_BASES = True\n" + ESCAPING_PRODUCT)
+    assert_engine_error(proc, "engine error: a map does not lie in the span")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_composites_that_do_not_fit_their_bases_are_an_engine_error(flags):
+    # the same dropped basis, with the context's composites still read
+    # over the full one: their coordinate tuples are too long
+    proc = run_cli_script(flags, "OWN_BASES = False\n" + ESCAPING_PRODUCT)
+    assert_engine_error(proc, "engine error: composite coordinates of summands")
+
+
+# ---------------------------------------------------------------------------
+# the simples of End T, resolved in free coordinates
+
+
+def test_cached_tables_and_free_resolutions_match_the_module_route():
+    # every orientation of duplicated A3 and D4, and A4: the table read
+    # from the context's composites equals the dense products, and each
+    # simple resolves as the generic module loop resolves it
+    algebras, lengths = 0, set()
+    for q in orientations("A3") + orientations("D4") + [named_diagram("A4")]:
+        ctx = dup.DupContext(q)
+        for t in dup.enumerate_tilting_dup(ctx):
+            alg, _ = endo.endo_algebra(ctx, t)
+            assert alg.table == _dense_table(alg)
+            for i in range(len(alg.summands)):
+                steps = endo.simple_resolution(alg, i)
+                assert steps == homsolve.projective_resolution(endo.simple_module(alg, i))
+                lengths.add(len(steps))
+            algebras += 1
+    assert algebras == 4 * 14 + len(orientations("D4")) * 50 + 42
+    assert lengths == {1, 2, 3, 4}                # pd 0, 1, 2 and 3 all occur
+
+
+def _dropping_one_cover_column(call):
+    """``rref_rows`` that zeroes the first nonzero column of its call-th
+    system, a cover of some syzygy inside ``simple_resolution``."""
+    calls = []
+
+    def faulty(rows, ncols):
+        rows = list(rows)
+        calls.append(None)
+        if len(calls) == call and rows:
+            col = min(k for row in rows for k, v in row.items() if v)
+            rows = [{k: v for k, v in row.items() if k != col} for row in rows]
+        return rref_rows(rows, ncols)
+    return faulty
+
+
+def test_every_dropped_cover_column_is_an_engine_error(monkeypatch):
+    ctx = dup.DupContext(A2)
+    assert endo.verify_endo_global_dimension(ctx)["status"] == "pass"
+    covers = []
+    monkeypatch.setattr(endo, "rref_rows",
+                        lambda rows, ncols: covers.append(None) or rref_rows(rows, ncols))
+    endo.verify_endo_global_dimension(ctx)
+    assert len(covers) > 10
+    for call in range(1, len(covers) + 1):
+        monkeypatch.setattr(endo, "rref_rows", _dropping_one_cover_column(call))
+        with pytest.raises(RuntimeError, match="the cover of a syzygy of simple"):
+            endo.verify_endo_global_dimension(ctx)
+
+
+DROPPED_COVER_COLUMN = (
+    "import sys\n"
+    "from tiltquiver import cli, endo\n"
+    "from tiltquiver.exactlin import rref_rows\n"
+    "calls = []\n"
+    "def faulty(rows, ncols):\n"
+    "    rows = list(rows)\n"
+    "    calls.append(None)\n"
+    "    if len(calls) == 1:\n"
+    "        col = min(k for row in rows for k, v in row.items() if v)\n"
+    "        rows = [{k: v for k, v in row.items() if k != col} for row in rows]\n"
+    "    return rref_rows(rows, ncols)\n"
+    "endo.rref_rows = faulty\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A2']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_dropped_cover_column_exits_with_an_engine_error(flags):
+    assert_engine_error(run_cli_script(flags, DROPPED_COVER_COLUMN))
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +437,21 @@ def test_hom_pd_never_exceeds_module_pd(monkeypatch):
 
 
 def test_each_regular_projective_is_built_once(monkeypatch):
-    # both checks over duplicated A3 cover many modules over each of their
-    # algebras: Be_s is built at most once per (algebra, s), shared, and
-    # still equals a fresh build afterwards
-    builds = []
-    build = endo.regular_projective
+    # the global dimension sweep over duplicated A3 builds no module over
+    # End T; hom_pd_bound covers many modules over each of its algebras:
+    # Be_s is built at most once per (algebra, s), shared, and still
+    # equals a fresh build afterwards
+    builds, simples = [], []
+    build, simple = endo.regular_projective, endo.simple_module
     monkeypatch.setattr(endo, "regular_projective",
                         lambda alg, s: builds.append((alg, s)) or build(alg, s))
+    monkeypatch.setattr(endo, "simple_module",
+                        lambda alg, s: simples.append((alg, s)) or simple(alg, s))
     ctx = dup.DupContext(A3)
     assert endo.verify_endo_global_dimension(ctx)["status"] == "pass"
+    assert builds == simples == []
     assert endo.hom_pd_bound(ctx)["status"] == "pass"
+    assert simples == []
     monkeypatch.undo()
     assert builds and len(builds) == len(set(builds))
     for alg, s in builds:
