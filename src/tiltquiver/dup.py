@@ -39,7 +39,6 @@ not factor so.  ``validate`` checks them through the projectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -283,14 +282,12 @@ class DupPoolId(NamedTuple):
         return f"{self.kind}{self.key}"
 
 
-@dataclass
 class DupContext:
     """Canonical data of a duplicated path algebra, with hom/ext caches."""
 
-    quiver: Quiver
-
-    def __post_init__(self) -> None:
-        self.n = len(self.quiver.vertices)
+    def __init__(self, quiver: Quiver) -> None:
+        self.quiver = quiver
+        self.n = len(quiver.vertices)
         self._pool: list[tuple[DupPoolId, TripleModule]] | None = None
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
@@ -683,10 +680,31 @@ def global_dimension_dup(ctx: DupContext) -> int:
 # deep check: every projective coresolves in add of each tilting module
 
 
-def _decompose_in_add(ctx: DupContext, c: TripleModule,
-                      member_indices: Sequence[int]) -> list[int] | None:
+def _add_lookups(ctx: DupContext, c: TripleModule) -> tuple[
+        Callable[[int], list[SlotMap]], Callable[[int, int], tuple]]:
+    """The two lookups ``_decompose_in_add`` reads for c, keyed by object
+    index and solved once each: the Hom basis of Hom(c, object k), and
+    the ``radical_coordinates`` of the composites c -> k_a -> k_b in
+    the basis of Hom(c, k_b)."""
+    objs = ctx.objects()
+
+    @cache
+    def hom(k: int) -> list[SlotMap]:
+        return homsolve.hom_basis(c, objs[k][1])
+
+    @cache
+    def radical(a: int, b: int) -> tuple:
+        return homsolve.radical_coordinates(c, hom(a), ctx.hom_idx(a, b), hom(b))
+
+    return hom, radical
+
+
+def _decompose_in_add(ctx: DupContext, c: TripleModule, member_indices: Sequence[int],
+                      hom: Callable[[int], list[SlotMap]],
+                      radical: Callable[[int, int], tuple]) -> list[int] | None:
     """Multiplicities making c isomorphic to a sum of the given objects,
-    or None when c is not in their additive closure.
+    or None when c is not in their additive closure; ``hom`` and
+    ``radical`` are c's lookups by object index (``_add_lookups``).
 
     c lies in add T iff its minimal left add(T)-approximation c -> E is
     an isomorphism (Auslander-Smalo), that is, injective at every slot
@@ -696,18 +714,17 @@ def _decompose_in_add(ctx: DupContext, c: TripleModule,
     mults = [0] * len(member_indices)
     if c.is_zero():
         return mults
-    objs = ctx.objects()
-    members = [objs[k][1] for k in member_indices]
-    hom_c = [homsolve.hom_basis(c, m) for m in members]
     try:
         comps = homsolve.injective_approximation(
-            c, hom_c, lambda a, b: homsolve.radical_coordinates(
-                c, hom_c[a], ctx.hom_idx(member_indices[a], member_indices[b]), hom_c[b]))
+            c, [hom(k) for k in member_indices],
+            lambda a, b: radical(member_indices[a], member_indices[b]))
     except homsolve.NoExchangeSequence:
         return None
     for i, _ in comps:
         mults[i] += 1
-    e_dims = tuple(sum(members[i].dims[s] for i, _ in comps) for s in c.slot_keys)
+    objs = ctx.objects()
+    e_dims = tuple(sum(objs[member_indices[i]][1].dims[s] for i, _ in comps)
+                   for s in c.slot_keys)
     return mults if e_dims == c.dims_key() else None
 
 
@@ -715,25 +732,45 @@ def deep_check_coresolution(ctx: DupContext) -> dict:
     """For each tilting set T and each projective P: a short exact
     sequence 0 -> P -> T0 -> T1 -> 0 with both middle terms in add T
     (bar projectives included), built from the minimal left
-    approximation of P."""
+    approximation of P.
+
+    The approximation P -> T0 is computed for every pair, from the
+    cached Hom bases and ``radical_idx``; its components are cached
+    basis maps, so (P, the object index and basis position of each
+    component) determines the map, and its cokernel T1 is built once per
+    such key, with T1's ``_add_lookups``.  Every pair then decides T1 in
+    add T on its own.  The loop runs projective by projective, gathers
+    the pairs of each key and drops a cokernel once its pairs are
+    decided, so one cokernel's lookups are held at a time;
+    counterexamples come in (T, P) order.
+    """
     objs = ctx.objects()
+    tilts = enumerate_tilting_dup(ctx)
     bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
-    violations: list[str] = []
-    checked = 0
-    for t in enumerate_tilting_dup(ctx):
-        members = list(t.indices) + bar_indices
-        pool_mods = [objs[k][1] for k in members]
-        for p_idx in bar_indices + ctx.embedded_projective_indices():
-            checked += 1
-            _, y = homsolve.exchange_sequence(
-                objs[p_idx][1], pool_mods, [ctx.hom_idx(p_idx, k) for k in members],
+    projectives = bar_indices + ctx.embedded_projective_indices()
+    failed: list[tuple[int, int]] = []
+    for p_pos, p_idx in enumerate(projectives):
+        p = objs[p_idx][1]
+        # key -> (members and approximation of its first pair, its pairs)
+        shared: dict[tuple, tuple[list[int], list, list[int]]] = {}
+        for t_pos, t in enumerate(tilts):
+            members = list(t.indices) + bar_indices
+            comps = homsolve.injective_approximation(
+                p, [ctx.hom_idx(p_idx, k) for k in members],
                 lambda a, b: ctx.radical_idx(p_idx, members[a], members[b]))
-            if _decompose_in_add(ctx, y, members) is None:
-                violations.append(
-                    f"{t.label()} / {objs[p_idx][0]}: cokernel not in add T"
-                )
+            key = (p_idx, tuple((members[i], homsolve.basis_position(
+                ctx.hom_idx(p_idx, members[i]), h)) for i, h in comps))
+            shared.setdefault(key, (members, comps, []))[2].append(t_pos)
+        for members, comps, t_positions in shared.values():
+            _, f = homsolve.approximation_map(p, [objs[k][1] for k in members], comps)
+            y, _ = homsolve.cokernel(f)
+            hom, radical = _add_lookups(ctx, y)
+            failed.extend((t_pos, p_pos) for t_pos in t_positions if _decompose_in_add(
+                ctx, y, list(tilts[t_pos].indices) + bar_indices, hom, radical) is None)
     return {
-        "status": "pass" if not violations else "violation",
-        "stats": {"sequences_checked": checked},
-        "counterexamples": violations,
+        "status": "pass" if not failed else "violation",
+        "stats": {"sequences_checked": len(tilts) * len(projectives)},
+        "counterexamples": [
+            f"{tilts[t].label()} / {objs[projectives[p]][0]}: cokernel not in add T"
+            for t, p in sorted(failed)],
     }

@@ -45,14 +45,15 @@ class StructureAlgebra:
     ``elements`` lists the basis; positions in ``idempotents`` are the
     identity morphisms of the summands (one per summand, so the corners
     are one-dimensional by construction).  ``table[(x, y)]`` expands the
-    product x*y = (y after x) in the basis, as a sparse coefficient map.
+    product x*y = (y after x) in the basis, as a sparse coefficient map
+    (ints where integral).
     """
 
     def __init__(self, summands: Sequence[SlotModule],
                  elements: list[AlgebraElement],
                  idempotents: list[int],
                  pair_basis: dict[tuple[int, int], list[int]],
-                 table: dict[tuple[int, int], dict[int, Fraction]]):
+                 table: dict[tuple[int, int], dict[int, Rat]]):
         self.summands = list(summands)
         self.elements = elements
         self.idempotents = idempotents
@@ -67,7 +68,7 @@ class StructureAlgebra:
     def dimension(self) -> int:
         return len(self.elements)
 
-    def multiply(self, x: int, y: int) -> dict[int, Fraction]:
+    def multiply(self, x: int, y: int) -> dict[int, Rat]:
         """Product of two basis elements, sparse over the basis."""
         ex, ey = self.elements[x], self.elements[y]
         if ex.dst != ey.src:
@@ -89,8 +90,8 @@ def structure_algebra(
     ``composites(a, b, c)[k][l]`` holds the coordinates of g_l . h_k
     (h_k in ``homs[(a, b)]``, g_l in ``homs[(b, c)]``) in ``homs[(a, c)]``,
     as ``homsolve.composite_coordinates`` or ``DupContext.composite_idx``
-    return them.  Coordinates that do not fit the bases raise
-    ``RuntimeError``.
+    return them (ints where integral); the table keeps them as they come.
+    Coordinates that do not fit the bases raise ``RuntimeError``.
     """
     r = len(summands)
     elements: list[AlgebraElement] = []
@@ -116,12 +117,12 @@ def structure_algebra(
             for h in homs[(i, j)]:
                 pair_basis[(i, j)].append(len(elements))
                 elements.append(AlgebraElement(i, j, h))
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Rat]] = {}
     for (a, b), xs in pair_basis.items():
         for c in range(r):
             ys, zs = pair_basis[(b, c)], pair_basis[(a, c)]
             if a == b or b == c:                  # x or y is an idempotent
-                table.update(((x, y), {y if a == b else x: Fraction(1)})
+                table.update(((x, y), {y if a == b else x: 1})
                              for x in xs for y in ys)
             elif xs and ys:
                 coords = composites(a, b, c)      # x then y
@@ -129,7 +130,7 @@ def structure_algebra(
                         len(cs) != len(zs) for row in coords for cs in row):
                     raise RuntimeError(f"composite coordinates of summands {(a, b, c)} "
                                        "do not fit their Hom bases")
-                table.update(((x, y), {z: Fraction(v) for z, v in zip(zs, cs) if v})
+                table.update(((x, y), {z: v for z, v in zip(zs, cs) if v})
                              for x, row in zip(xs, coords) for y, cs in zip(ys, row))
     return StructureAlgebra(summands, elements, idempotents, pair_basis, table)
 

@@ -804,6 +804,15 @@ def exchange_sequence(
     return E, y
 
 
+def basis_position(basis: Sequence[SlotMap], h: SlotMap) -> int:
+    """The position of the approximation component h in its cached Hom
+    basis (``RuntimeError`` if it is not one of the basis maps)."""
+    for position, b in enumerate(basis):
+        if b is h:
+            return position
+    raise RuntimeError("an approximation component is not a cached Hom basis map")
+
+
 def exchange_line(
     comps: Sequence[tuple[int, SlotMap]],
     hom_x: Sequence[list[SlotMap]],
@@ -825,10 +834,7 @@ def exchange_line(
     terms: list[tuple[int, SlotMap]] = []
     equations: dict[int, dict[int, Rat]] = {}
     for k, (i, h) in enumerate(comps):
-        position = next((p for p, b in enumerate(hom_x[i]) if b is h), None)
-        if position is None:
-            raise RuntimeError("an approximation component is not a cached Hom basis map")
-        for g, coords in zip(hom_y[i], composites(i)[position]):
+        for g, coords in zip(hom_y[i], composites(i)[basis_position(hom_x[i], h)]):
             col = len(terms)
             terms.append((k, g))
             for entry, v in enumerate(coords):

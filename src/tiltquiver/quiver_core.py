@@ -11,7 +11,6 @@ enumeration of all orientations of a Dynkin tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -320,8 +319,7 @@ def parse_quiver(text: str) -> Quiver:
 # classification
 
 
-@dataclass(frozen=True)
-class DiagramClass:
+class DiagramClass(NamedTuple):
     """Trichotomy of a connected underlying graph.
 
     kind is "dynkin", "euclidean" or "wild"; name is e.g. "A3", "D4",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -132,8 +131,7 @@ class Tilting(NamedTuple):
         return "+".join(str(i) for i in self.ids)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Exchange of x for y; ``e_dims`` is the middle term of 0 -> x -> E -> y -> 0."""
 
     src: int
@@ -151,18 +149,19 @@ class Saturation(NamedTuple):
     dim_criterion: bool
 
 
-@dataclass
 class TiltingGraph:
-    """Exchange graph; ``pool`` is a ``Pool`` or a ``dup.DupContext``."""
+    """Exchange graph; ``pool`` is a ``Pool`` or a ``dup.DupContext``;
+    ``boundary`` holds the window-limited vertices and ``defects`` the
+    disallowed complement counts."""
 
-    quiver: Quiver
-    pool: object
-    tiltings: list[Tilting]
-    arcs: list[Arc]
-    boundary: set[int] = field(default_factory=set)  # window-limited vertices
-    defects: list[str] = field(default_factory=list)  # disallowed complement counts
-
-    def __post_init__(self) -> None:
+    def __init__(self, quiver: Quiver, pool: object, tiltings: list[Tilting],
+                 arcs: list[Arc], defects: Sequence[str] = ()) -> None:
+        self.quiver = quiver
+        self.pool = pool
+        self.tiltings = tiltings
+        self.arcs = arcs
+        self.boundary: set[int] = set()
+        self.defects = list(defects)
         self._position = {t.indices: i for i, t in enumerate(self.tiltings)}
         self._out = Counter(a.src for a in self.arcs)
         self._in = Counter(a.dst for a in self.arcs)
@@ -432,8 +431,7 @@ def zero_support(q: Quiver, dim_sum: Sequence[int]) -> set[int]:
 # tame non-saturated analysis
 
 
-@dataclass
-class NonSaturatedSet:
+class NonSaturatedSet(NamedTuple):
     window: int
     parts: dict[int, list[Tilting]]      # deleted vertex -> completions
     delta: list[Tilting]

@@ -177,17 +177,17 @@ def test_deep_check_enumerates_the_tilting_modules_once(capsys, monkeypatch, the
     # the theorem's checker and the deep check share one clique search of
     # size n on the duplicated compatibility table
     contexts, searches = [], []
-    post_init, cliques = cli.dup.DupContext.__post_init__, cli.tilt_a.cliques
+    init, cliques = cli.dup.DupContext.__init__, cli.tilt_a.cliques
 
-    def recorded_context(self):
-        post_init(self)
+    def recorded_context(self, quiver):
+        init(self, quiver)
         contexts.append(self)
 
     def recorded_search(table, size):
         searches.append((table, size))
         return cliques(table, size)
 
-    monkeypatch.setattr(cli.dup.DupContext, "__post_init__", recorded_context)
+    monkeypatch.setattr(cli.dup.DupContext, "__init__", recorded_context)
     monkeypatch.setattr(cli.tilt_a, "cliques", recorded_search)
     code, out, _ = run(capsys, "verify", "--theorem", theorem,
                        "--diagram", "A3", "--deep-check")
@@ -338,6 +338,53 @@ def test_closed_stdout_keeps_exit_code_and_json(tmp_path):
     assert proc.wait(timeout=300) == 0, err
     assert "Traceback" not in err
     assert json.loads(report.read_text())["status"] == "pass"
+
+
+def test_the_cli_imports_without_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 15 ms on
+    # the start of every command
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tiltquiver.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _plain(v) -> bool:
+    """v holds only JSON values, tuples and the two id types ``_jsonable``
+    writes as their names."""
+    if isinstance(v, (cli.IndecId, cli.dup.DupPoolId)):
+        return True
+    if type(v) is dict:
+        return all(type(k) in (str, int) and _plain(x) for k, x in v.items())
+    if type(v) in (list, tuple):
+        return all(_plain(x) for x in v)
+    return v is None or type(v) in (bool, int, str)
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --diagram D4", "indec --window 3", "tilting --diagram A3",
+    "kquiver --window 4", "dup-kquiver --diagram A2 --deep-check",
+    "orientations --diagram A3", "verify --theorem 5.4 --window 4",
+    "verify --theorem 5.5 --window 6", "verify --theorem 3.1 --diagram A2 --deep-check",
+    *(f"verify --theorem {tok} --diagram A2"
+      for tok in ("4.1", "4.2", "4.3", "5.1", "5.2", "5.6")),
+])
+def test_reports_hold_no_records(capsys, monkeypatch, argv):
+    # _jsonable writes a tuple as a list and any other object as its str,
+    # so a record (a named tuple or a class) reaching a report would write
+    # JSON that depends on how the record is defined
+    reports = []
+    report = cli._report
+    monkeypatch.setattr(cli, "_report", lambda *a, **k: reports.append(report(*a, **k))
+                        or reports[-1])
+    code, _, _ = run(capsys, *argv.split())
+    assert code == 0
+    (got,) = reports
+    assert _plain(got)
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,11 @@ def test_deep_check_a2():
 # add T membership: the minimal left approximation is an isomorphism
 
 
+def _decompose(ctx, c, members):
+    """``_decompose_in_add`` over fresh lookups for c."""
+    return dup._decompose_in_add(ctx, c, members, *dup._add_lookups(ctx, c))
+
+
 def _a3_members():
     ctx = dup.DupContext(A3)
     t = dup.enumerate_tilting_dup(ctx)[0]
@@ -528,13 +533,13 @@ def test_sum_of_members_decomposes_with_its_multiplicities():
     objs = ctx.objects()
     a, b = objs[members[0]][1], objs[members[1]][1]
     c, _, _ = homsolve.direct_sum([a, a, b])
-    assert dup._decompose_in_add(ctx, c, members) == [2, 1] + [0] * (len(members) - 2)
+    assert _decompose(ctx, c, members) == [2, 1] + [0] * (len(members) - 2)
 
 
 def test_zero_module_has_zero_multiplicities():
     ctx, members = _a3_members()
     zero = ctx.objects()[members[0]][1].zero_like()
-    assert dup._decompose_in_add(ctx, zero, members) == [0] * len(members)
+    assert _decompose(ctx, zero, members) == [0] * len(members)
 
 
 def test_summand_from_outside_is_not_in_add():
@@ -542,7 +547,7 @@ def test_summand_from_outside_is_not_in_add():
     objs = ctx.objects()
     outside = next(k for k in range(ctx.pool_size()) if k not in members)
     c, _, _ = homsolve.direct_sum([objs[members[0]][1], objs[outside][1]])
-    assert dup._decompose_in_add(ctx, c, members) is None
+    assert _decompose(ctx, c, members) is None
 
 
 def test_member_dimensions_without_structure_maps_are_not_in_add():
@@ -553,7 +558,7 @@ def test_member_dimensions_without_structure_maps_are_not_in_add():
     flat = m._rebuild(m.dims, {lab: RatMatrix.zeros(*mat.shape)
                                for lab, mat in m.struct().items()})
     assert flat.dims_key() == m.dims_key()
-    assert dup._decompose_in_add(ctx, flat, members) is None
+    assert _decompose(ctx, flat, members) is None
 
 
 def _gram_multiplicities(ctx, c, members):
@@ -571,26 +576,138 @@ def _gram_multiplicities(ctx, c, members):
     return [int(x) for x in sol]
 
 
-@pytest.mark.parametrize("name", ["A3", "D4"])
-def test_add_multiplicities_match_the_gram_solve(name):
-    # every (T, P) of the deep check: the cokernel T1 decomposes, and the
-    # approximation's component counts solve the hom-count equations
-    ctx = dup.DupContext(named_diagram(name))
+def _per_pair_cokernels(ctx):
+    """Every (T, P) of the deep check in its order, T's position, P's
+    object index, T's members and the cokernel T1, each from its own
+    exchange sequence."""
     objs = ctx.objects()
     bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
-    checked = 0
-    for t in dup.enumerate_tilting_dup(ctx):
+    for t_pos, t in enumerate(dup.enumerate_tilting_dup(ctx)):
         members = list(t.indices) + bars
         pool = [objs[k][1] for k in members]
         for p in bars + ctx.embedded_projective_indices():
             _, y = homsolve.exchange_sequence(
                 objs[p][1], pool, [ctx.hom_idx(p, k) for k in members],
                 lambda a, b: ctx.radical_idx(p, members[a], members[b]))
-            got = dup._decompose_in_add(ctx, y, members)
-            assert got is not None
-            assert got == _gram_multiplicities(ctx, y, members)
-            checked += 1
+            yield t_pos, p, members, y
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_add_multiplicities_match_the_gram_solve(name):
+    # every (T, P) of the deep check: the cokernel T1 decomposes, and the
+    # approximation's component counts solve the hom-count equations
+    ctx = dup.DupContext(named_diagram(name))
+    checked = 0
+    for _, _, members, y in _per_pair_cokernels(ctx):
+        got = _decompose(ctx, y, members)
+        assert got is not None
+        assert got == _gram_multiplicities(ctx, y, members)
+        checked += 1
     assert checked == len(dup.enumerate_tilting_dup(ctx)) * 2 * ctx.n
+
+
+# ---------------------------------------------------------------------------
+# the deep check shares one cokernel per (projective, approximation)
+
+
+def _shared_decompositions(monkeypatch, ctx):
+    """Run the deep check and return its report and the multiplicities
+    it found, keyed by (T's position, P's object index)."""
+    tilts = dup.enumerate_tilting_dup(ctx)
+    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    position = {tuple(t.indices) + tuple(bars): t_pos for t_pos, t in enumerate(tilts)}
+    calls = []
+    decompose = dup._decompose_in_add
+
+    def recorded(ctx, c, members, hom, radical):
+        got = decompose(ctx, c, members, hom, radical)
+        calls.append((position[tuple(members)], got))
+        return got
+
+    monkeypatch.setattr(dup, "_decompose_in_add", recorded)
+    report = dup.deep_check_coresolution(ctx)
+    # projective by projective, each T once per projective
+    found = {}
+    for p_pos, p in enumerate(bars + ctx.embedded_projective_indices()):
+        block = calls[p_pos * len(tilts):(p_pos + 1) * len(tilts)]
+        assert sorted(t_pos for t_pos, _ in block) == list(range(len(tilts)))
+        found.update(((t_pos, p), got) for t_pos, got in block)
+    assert len(calls) == len(found)
+    return report, found
+
+
+@pytest.mark.parametrize("q", orientations("A3") + [named_diagram("D4")],
+                         ids=[f"A3-{k}" for k in range(4)] + ["D4"])
+def test_shared_deep_check_matches_the_per_pair_route(monkeypatch, q):
+    ctx = dup.DupContext(q)
+    want = {(t_pos, p): _decompose(ctx, y, members)
+            for t_pos, p, members, y in _per_pair_cokernels(ctx)}
+    report, found = _shared_decompositions(monkeypatch, ctx)
+    assert found == want
+    assert None not in want.values()
+    assert report["status"] == "pass"
+    assert report["stats"]["sequences_checked"] == len(want)
+
+
+def _sharing_keys(ctx):
+    """The deep check's key of every (T's position, P's object index): P
+    and the object index and basis position of each component of its
+    minimal left add(T)-approximation."""
+    objs = ctx.objects()
+    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    keys = {}
+    for t_pos, t in enumerate(dup.enumerate_tilting_dup(ctx)):
+        members = list(t.indices) + bars
+        for p in bars + ctx.embedded_projective_indices():
+            comps = homsolve.injective_approximation(
+                objs[p][1], [ctx.hom_idx(p, k) for k in members],
+                lambda a, b: ctx.radical_idx(p, members[a], members[b]))
+            keys[(t_pos, p)] = (p, tuple(
+                (members[i], next(pos for pos, b in enumerate(ctx.hom_idx(p, members[i]))
+                                  if b is h)) for i, h in comps))
+    return keys
+
+
+@pytest.mark.parametrize("name, count", [("A3", 17), ("D4", 49), ("D5", 140)])
+def test_one_cokernel_per_projective_and_approximation(monkeypatch, name, count):
+    ctx = dup.DupContext(named_diagram(name))
+    keys = _sharing_keys(ctx)
+    built = []
+    cokernel = homsolve.cokernel
+    monkeypatch.setattr(homsolve, "cokernel", lambda f: built.append(f) or cokernel(f))
+    report = dup.deep_check_coresolution(ctx)
+    assert report["status"] == "pass"
+    assert len(built) == len(set(keys.values())) == count
+    assert report["stats"]["sequences_checked"] == len(keys) > count
+
+
+def test_every_pair_of_a_shared_faulty_cokernel_is_reported(monkeypatch):
+    # a cokernel that comes out without its structure maps is not in add T
+    # for the pairs that share it: one line per pair, in (T, P) order
+    ctx = dup.DupContext(A3)
+    objs = ctx.objects()
+    tilts = dup.enumerate_tilting_dup(ctx)
+    cokernel = homsolve.cokernel
+
+    def flattened(f):
+        c, proj = cokernel(f)
+        return c._rebuild(c.dims, {lab: RatMatrix.zeros(*mat.shape)
+                                   for lab, mat in c.struct().items()}), proj
+
+    keys = _sharing_keys(ctx)
+    monkeypatch.setattr(homsolve, "cokernel", flattened)
+    failing = [(t_pos, p) for t_pos, p, members, y in _per_pair_cokernels(ctx)
+               if _decompose(ctx, y, members) is None]
+    built = []
+    monkeypatch.setattr(homsolve, "cokernel", lambda f: built.append(f) or flattened(f))
+    report = dup.deep_check_coresolution(ctx)
+    assert report["status"] == "violation"
+    assert report["counterexamples"] == [
+        f"{tilts[t_pos].label()} / {objs[p][0]}: cokernel not in add T"
+        for t_pos, p in failing]
+    # some faulty cokernels serve several pairs, each reported
+    assert len(built) == 17
+    assert len(failing) > len({keys[pair] for pair in failing})
 
 
 # ---------------------------------------------------------------------------
