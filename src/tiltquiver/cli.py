@@ -517,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report, lines = _HANDLERS[args.command](args)
+        if getattr(args, "json", None):
+            payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+            Path(args.json).write_text(payload)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -527,9 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"engine error: {exc}", file=sys.stderr)
         return 2
     print(f"time: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    if getattr(args, "json", None):
-        payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-        Path(args.json).write_text(payload)
     try:
         for line in lines:
             print(line)

@@ -192,11 +192,6 @@ def embed(q: Quiver, m: Rep) -> TripleModule:
     return _triple(q, None, m)
 
 
-def embed_top(q: Quiver, m: Rep) -> TripleModule:
-    """The A-module m placed in the top layer, zero bottom."""
-    return _triple(q, m, None)
-
-
 @cache
 def slot_projective(q: Quiver, s: Slot) -> TripleModule:
     """The indecomposable projective at slot s, built once per quiver and
@@ -299,15 +294,6 @@ class DupContext:
         self._shared: dict[tuple, tuple] = {}  # one copy of each coordinate value
         self._rules_checked = False
         self._tiltings: list[tilt_a.Tilting] | None = None
-
-    # -- canonical families ------------------------------------------------
-
-    def shifted(self, i: int) -> TripleModule:
-        pool = self.pool()
-        for pid, mod in pool:
-            if pid.kind == "W" and pid.key == i:
-                return mod
-        raise KeyError(i)
 
     # -- pool ---------------------------------------------------------------
 
@@ -667,13 +653,6 @@ def verify_shift_completion(ctx: DupContext) -> dict:
         },
         "counterexamples": violations,
     }
-
-
-def global_dimension_dup(ctx: DupContext) -> int:
-    """Global dimension via the projective dimensions of the 2n simples."""
-    q = ctx.quiver
-    return max(homsolve.projective_dimension(layer(q, rep_a.simple(q, a)))
-               for a in q.vertices for layer in (embed, embed_top))
 
 
 # ---------------------------------------------------------------------------

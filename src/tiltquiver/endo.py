@@ -14,21 +14,19 @@ The simples of such an algebra are resolved in free coordinates
 (``simple_resolution``): each syzygy is a subspace of the projective
 before it, and no module is built.  The checker of interest bounds the
 global dimension of every endomorphism algebra arising from the
-duplicated-algebra tilting modules by three.  Left modules (``BMod``)
-are slot-graded, one slot per summand and one action matrix per
-non-identity basis morphism, so :mod:`tiltquiver.homsolve` resolves
-them too: Hom(T, m) for ``hom_pd_bound``, and the simples as the
-reference route.
+duplicated-algebra tilting modules by three.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import dup, homsolve, tilt_a
-from .exactlin import Rat, RatMatrix, SparseEchelon, rref_rows, sparse_row
-from .homsolve import SlotMap, SlotModule, projective_resolution
+from .exactlin import Rat, SparseEchelon, rref_rows
+from .homsolve import SlotMap, SlotModule
+
+# unused here: the benchmark's endo.projective_resolution span patches this name
+from .homsolve import projective_resolution  # noqa: F401
 
 
 class AlgebraElement(NamedTuple):
@@ -59,7 +57,6 @@ class StructureAlgebra:
         self.idempotents = idempotents
         self.pair_basis = pair_basis
         self.table = table
-        self.projectives: dict[int, BMod] = {}  # regular_projective, shared
         # the basis of Be_s: every morphism h: T_j -> T_s, at slot j
         self.column = {s: [h for h, el in enumerate(elements) if el.dst == s]
                        for s in range(len(self.summands))}
@@ -67,13 +64,6 @@ class StructureAlgebra:
     @property
     def dimension(self) -> int:
         return len(self.elements)
-
-    def multiply(self, x: int, y: int) -> dict[int, Rat]:
-        """Product of two basis elements, sparse over the basis."""
-        ex, ey = self.elements[x], self.elements[y]
-        if ex.dst != ey.src:
-            return {}
-        return self.table[(x, y)]
 
 
 def structure_algebra(
@@ -136,127 +126,7 @@ def structure_algebra(
 
 
 # ---------------------------------------------------------------------------
-# left modules
-
-
-class BMod(homsolve.SlotModule):
-    """Left module over a structure algebra: one slot per summand.
-
-    A basis morphism x: T_a -> T_b acts by precomposition, i.e. from
-    slot b to slot a; the identity idempotents are the slot grading and
-    carry no stored matrix.
-    """
-
-    def __init__(self, algebra: StructureAlgebra, dims: dict[int, int],
-                 action: dict[int, RatMatrix]):
-        self.algebra = algebra
-        self.slot_keys = tuple(range(len(algebra.summands)))
-        self.dims = {s: dims.get(s, 0) for s in self.slot_keys}
-        self.action = {e: action[e] for e in self._labels()}  # in element order
-        for e, m in self.action.items():
-            el = self.algebra.elements[e]
-            want = (self.dims[el.src], self.dims[el.dst])
-            if m.shape != want:
-                raise ValueError(f"element {e}: action shape {m.shape}, expected {want}")
-
-    def _labels(self) -> list[int]:
-        idem = set(self.algebra.idempotents)
-        return [e for e in range(self.algebra.dimension) if e not in idem]
-
-    def struct(self) -> dict[int, RatMatrix]:
-        return self.action
-
-    def label_ends(self, label: int) -> tuple[int, int]:
-        el = self.algebra.elements[label]
-        return el.dst, el.src
-
-    def _rebuild(self, dims, struct) -> "BMod":
-        return BMod(self.algebra, dict(dims), dict(struct))
-
-    def __repr__(self) -> str:
-        return f"BMod{tuple(self.dims[s] for s in self.slot_keys)}"
-
-    # -- hook for covers --------------------------------------------------
-
-    def projective_for_slot(self, s: int) -> tuple["BMod", dict[int, list[tuple[int, ...]]]]:
-        """Be_s, built once per algebra and shared (callers must not
-        mutate it), with its basis words: the basis morphisms T_j -> T_s,
-        the idempotent as the empty word."""
-        alg = self.algebra
-        idem = set(alg.idempotents)
-        if s not in alg.projectives:
-            alg.projectives[s] = regular_projective(alg, s)
-        return alg.projectives[s], {
-            j: [() if e in idem else (e,) for e in alg.pair_basis[(j, s)]]
-            for j in self.slot_keys}
-
-
-def regular_projective(alg: StructureAlgebra, i: int) -> BMod:
-    """The projective Be_i: slot j is spanned by the morphisms T_j -> T_i;
-    the action matrices are read off the multiplication table."""
-    dims = {j: len(alg.pair_basis[(j, i)]) for j in range(len(alg.summands))}
-    action: dict[int, RatMatrix] = {}
-    idem = set(alg.idempotents)
-    for x, ex in enumerate(alg.elements):
-        if x in idem:
-            continue
-        src_block = alg.pair_basis[(ex.dst, i)]
-        dst_block = alg.pair_basis[(ex.src, i)]
-        pos = {e: k for k, e in enumerate(dst_block)}
-        m = RatMatrix.zeros(len(dst_block), len(src_block))
-        for col, h in enumerate(src_block):
-            for z, c in alg.multiply(x, h).items():
-                m[pos[z], col] = c
-        action[x] = m
-    return BMod(alg, dims, action)
-
-
-def simple_module(alg: StructureAlgebra, i: int) -> BMod:
-    """One-dimensional module concentrated at the i-th idempotent."""
-    dims = {j: (1 if j == i else 0) for j in range(len(alg.summands))}
-    action: dict[int, RatMatrix] = {}
-    idem = set(alg.idempotents)
-    for x, ex in enumerate(alg.elements):
-        if x in idem:
-            continue
-        action[x] = RatMatrix.zeros(dims[ex.src], dims[ex.dst])
-    return BMod(alg, dims, action)
-
-
-def b_module(alg: StructureAlgebra, m: SlotModule) -> BMod:
-    """Hom(T, m) as a left module over End(T): slot i = Hom(T_i, m).
-
-    Requires m to be generated by the summands: the joint evaluation
-    map from a sum of summand copies onto m must be surjective.
-    """
-    r = len(alg.summands)
-    homs = [homsolve.hom_basis(alg.summands[i], m) for i in range(r)]
-    # generation check, slot by slot of the underlying module
-    for s in m.slot_keys:
-        cols: list[list[Fraction]] = []
-        for basis in homs:
-            for h in basis:
-                cols.extend(h.blocks[s].transpose().data)
-        have = RatMatrix(cols, cols=m.dims[s]).rank() if cols else 0
-        if have != m.dims[s]:
-            raise ValueError("module is not generated by the summands")
-    dims = {i: len(homs[i]) for i in range(r)}
-    action: dict[int, RatMatrix] = {}
-    idem = set(alg.idempotents)
-    for x, ex in enumerate(alg.elements):
-        if x in idem:
-            continue
-        mat = RatMatrix.zeros(dims[ex.src], dims[ex.dst])
-        comps = [sparse_row((h @ ex.hom).vec()) for h in homs[ex.dst]]  # T_src -> m
-        for col, coords in enumerate(homsolve.basis_coordinates(homs[ex.src], comps)):
-            for row, c in enumerate(coords):
-                mat[row, col] = c
-        action[x] = mat
-    return BMod(alg, dims, action)
-
-
-# ---------------------------------------------------------------------------
-# resolutions and global dimension
+# resolutions of the simples
 
 
 def _apply(cols: dict[int, dict[int, Rat]], v: dict[int, Rat]) -> dict[int, Rat]:
@@ -269,8 +139,9 @@ def _apply(cols: dict[int, dict[int, Rat]], v: dict[int, Rat]) -> dict[int, Rat]
 
 
 def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
-    """``homsolve.projective_resolution(simple_module(alg, i))``, computed
-    in free coordinates without building a module.
+    """The minimal projective resolution of the simple at the i-th
+    idempotent, as ``homsolve.projective_resolution`` gives it for the
+    module, computed in free coordinates without building a module.
 
     Omega^1 = rad P_i, and each later syzygy, is a list of sparse vectors
     in the free module F, the sum of the P_s = Be_s over ``tags``: the
@@ -327,14 +198,6 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
         if any(any(_apply(cols, v).values()) for v in syzygy):
             raise RuntimeError(f"the cover of a syzygy of simple {i} misses its kernel")
     return None if syzygy else steps
-
-
-def global_dimension(alg: StructureAlgebra) -> int:
-    """Max projective dimension of the simples (raises past the cap)."""
-    steps = [simple_resolution(alg, i) for i in range(len(alg.summands))]
-    if None in steps:
-        raise RuntimeError(f"projective dimension exceeds cap {homsolve._RESOLUTION_CAP}")
-    return max(len(s) - 1 for s in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +263,5 @@ def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
             "max_global_dimension": max(gldims) if gldims else 0,
             "global_dimensions": gldims,
         },
-        "counterexamples": violations,
-    }
-
-
-def hom_pd_bound(ctx: dup.DupContext) -> dict:
-    """pd of Hom(T, m) over End(T) never exceeds pd of m, for every
-    tilting module T and every object m generated by its summands; the
-    pd of m is read off the context's cached ``resolution``."""
-    violations: list[str] = []
-    checked = 0
-    for t in dup.enumerate_tilting_dup(ctx):
-        alg, _ = endo_algebra(ctx, t)
-        for k, (pid, m) in enumerate(ctx.objects()):
-            try:
-                bm = b_module(alg, m)
-            except ValueError:
-                continue                      # not generated: out of scope
-            checked += 1
-            steps = projective_resolution(bm)
-            upstairs = None if steps is None else len(steps) - 1
-            downstairs = len(ctx.resolution(k)) - 1
-            if upstairs is None or upstairs > downstairs:
-                violations.append(
-                    f"{t.label()}: pd Hom(T, {pid}) = {upstairs} exceeds {downstairs}"
-                )
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {"modules_checked": checked},
         "counterexamples": violations,
     }

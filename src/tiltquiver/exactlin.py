@@ -10,10 +10,13 @@ All elimination goes through one sparse kernel, :class:`SparseEchelon`:
 an incremental Gauss-Jordan on rows stored as ``{column: entry}`` dicts
 that never touches a zero entry and keeps integral entries as ``int``, so
 the 0/±1 systems the package builds stay in machine-word arithmetic.
-:func:`rref_rows` runs it over a batch of rows; :class:`RatMatrix` stores
-its entries densely and converts to and from sparse rows around the
-kernel; ``homsolve`` feeds it the intertwining systems of Hom spaces
-directly, without a dense matrix.
+:func:`rref_rows` runs it over a batch of rows and
+:func:`kernel_from_rref` reads a kernel basis off its result.
+:class:`RatMatrix` stores the structure maps and morphism blocks of
+modules densely, with the products, stacking and column selection the
+engine assembles them with, and hands its rows to the kernel for rank
+and kernel bases; ``homsolve`` feeds the kernel the intertwining systems
+of Hom spaces directly, without a dense matrix.
 
 Echelon-based outputs are *canonical*: the reduced row echelon form of a
 matrix is unique, so the order in which the kernel picks its pivots
@@ -203,11 +206,10 @@ def kernel_from_rref(
 class RatMatrix:
     """Rational matrix stored densely (row-major list of lists of Fraction).
 
-    ``data`` stays a dense list of lists for element access, arithmetic
+    ``data`` stays a dense list of lists for element access, products
     and block assembly; the echelon methods (``rref``, ``rank``,
-    ``kernel_basis``, ``solve``, ``image_basis``, ``inverse``) hand the
-    nonzero entries to the sparse kernel :func:`rref_rows` and read its
-    result back.
+    ``kernel_basis``) hand the nonzero entries to the sparse kernel
+    :func:`rref_rows` and read its result back.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -251,21 +253,6 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls._trusted([[_ZERO] * cols for _ in range(rows)], cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        m = cls.zeros(n, n)
-        one = Fraction(1)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
-
-    @classmethod
-    def column(cls, entries: Sequence[Rat]) -> "RatMatrix":
-        return cls([[x] for x in entries], cols=1)
-
-    def copy(self) -> "RatMatrix":
-        return RatMatrix._trusted([row[:] for row in self.data], self.cols)
-
     # ------------------------------------------------------------------
     # basic protocol
 
@@ -286,9 +273,6 @@ class RatMatrix:
             and self.data == other.data
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"RatMatrix.zeros({self.rows}, {self.cols})"
@@ -299,34 +283,8 @@ class RatMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
     # ------------------------------------------------------------------
     # arithmetic
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return RatMatrix._trusted(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.cols,
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        return RatMatrix._trusted(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.cols,
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._trusted([[-x for x in row] for row in self.data], self.cols)
-
-    def scale(self, c: Rat) -> "RatMatrix":
-        c = _frac(c)
-        return RatMatrix._trusted([[c * x for x in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Matrix product self @ other."""
@@ -428,42 +386,3 @@ class RatMatrix:
         """Canonical basis of the right kernel (see :func:`kernel_from_rref`)."""
         rows, pivots = self._echelon()
         return kernel_from_rref(rows, pivots, self.cols)
-
-    def solve(self, rhs: Sequence[Rat]) -> list[Fraction] | None:
-        """One solution of ``self @ x = rhs`` or None if inconsistent.
-
-        Free variables are set to zero, which pins down the output
-        uniquely.  Raises on a length mismatch — that is a programming
-        error, not an unsolvable system.
-        """
-        if len(rhs) != self.rows:
-            raise ValueError(f"rhs length {len(rhs)} != rows {self.rows}")
-        n = self.cols
-        aug = (sparse_row(row + [b]) for row, b in zip(self.data, rhs))
-        rows, pivots = rref_rows(aug, n + 1)
-        if pivots and pivots[-1] == n:
-            return None  # a row reduced to [0 ... 0 | 1]
-        x = [_ZERO] * n
-        for row, p in zip(rows, pivots):
-            x[p] = row.get(n, _ZERO)
-        return x
-
-    def image_basis(self) -> list[list[Fraction]]:
-        """Canonical echelon basis of the column space.
-
-        Computed as the nonzero rows of ``rref(self^T)``; two matrices
-        with the same column space give literally equal output.
-        """
-        R, pivots = self.transpose().rref()
-        return [R.data[i][:] for i in range(len(pivots))]
-
-    def inverse(self) -> "RatMatrix":
-        """Inverse of a square matrix (raises on singular input)."""
-        if self.rows != self.cols:
-            raise ValueError(f"inverse of non-square {self.shape}")
-        n = self.rows
-        aug = RatMatrix.hstack([self, RatMatrix.identity(n)])
-        R, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RatMatrix._trusted([row[n:] for row in R.data], n)

@@ -3,24 +3,26 @@
 Several module categories in this package have the same shape: a module
 is a family of finite dimensional rational vector spaces indexed by
 *slots*, together with *labeled* structure maps between slots.  Quiver
-representations (slots = vertices, labels = arrows), the triples over
-the duplicated algebra and the modules over a computed endomorphism
-algebra all fit.  Everything that only depends on that shape lives
-here, written once:
+representations (slots = vertices, labels = arrows) and the triples over
+the duplicated algebra both fit.  Everything that only depends on that
+shape lives here, written once:
 
 * morphism spaces (``hom_basis``) and their dimensions (``hom_dim``) from
-  the intertwining equations, assembled as sparse rows,
-* kernels, cokernels and direct sums that stay inside the category,
+  the intertwining equations, assembled as sparse rows, and coordinates
+  of maps and composites in a cached Hom basis,
+* kernels and cokernels that stay inside the category,
 * radical / top and projective covers, each cover block filled from
   the Yoneda isomorphism Hom(P_s, M) = M_s: the generator of P_s goes to
   a top lift, and every basis vector of P_s to the image of that lift
   under the label word that reaches it (one per-class hook,
   ``projective_for_slot``),
-* projective resolutions, projective dimension, Ext^1 via a cover,
+* minimal projective resolutions, read as the slot tags of each cover,
 * minimal left approximations into an additive subcategory spanned by
-  indecomposables with one-dimensional endomorphism rings, and the
-  short exact exchange sequence an approximation generates (into add
-  of the injectives, the approximation is the injective envelope).
+  indecomposables with one-dimensional endomorphism rings, the short
+  exact exchange sequence an approximation generates (into add of the
+  injectives, the approximation is the injective envelope), and the
+  certificate of such a sequence that builds neither its middle term
+  nor its cokernel.
 
 The concrete classes subclass :class:`SlotModule` and provide the
 structure maps plus the cover hook; no linear algebra happens outside
@@ -37,10 +39,8 @@ from .exactlin import (
     RatMatrix,
     SparseEchelon,
     as_int_if_integral,
-    dense_row,
     kernel_from_rref,
     rref_rows,
-    sparse_row,
 )
 
 Label = Hashable
@@ -130,34 +130,6 @@ class SlotMap:
             {s: RatMatrix.zeros(dst.dims[s], src.dims[s]) for s in src.slot_keys},
         )
 
-    @classmethod
-    def identity(cls, m: SlotModule) -> "SlotMap":
-        return cls(m, m, {s: RatMatrix.identity(m.dims[s]) for s in m.slot_keys})
-
-    def __matmul__(self, inner: "SlotMap") -> "SlotMap":
-        """Composition self . inner (apply ``inner`` first)."""
-        if inner.dst is not self.src and inner.dst.dims != self.src.dims:
-            raise ValueError("composition endpoint mismatch")
-        return SlotMap(
-            inner.src, self.dst,
-            {s: self.blocks[s] @ inner.blocks[s] for s in self.src.slot_keys},
-        )
-
-    def __add__(self, other: "SlotMap") -> "SlotMap":
-        return SlotMap(
-            self.src, self.dst,
-            {s: self.blocks[s] + other.blocks[s] for s in self.src.slot_keys},
-        )
-
-    def __sub__(self, other: "SlotMap") -> "SlotMap":
-        return SlotMap(
-            self.src, self.dst,
-            {s: self.blocks[s] - other.blocks[s] for s in self.src.slot_keys},
-        )
-
-    def scale(self, c) -> "SlotMap":
-        return SlotMap(self.src, self.dst, {s: self.blocks[s].scale(c) for s in self.blocks})
-
     def vec(self) -> tuple[Fraction, ...]:
         """Flatten all blocks (slot order, row-major) for rank arguments."""
         out: list[Fraction] = []
@@ -166,47 +138,8 @@ class SlotMap:
                 out.extend(row)
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks.values())
-
-    def is_injective(self) -> bool:
-        return all(b.rank() == b.cols for b in self.blocks.values())
-
     def is_surjective(self) -> bool:
         return all(b.rank() == b.rows for b in self.blocks.values())
-
-
-# ---------------------------------------------------------------------------
-# incremental rational span
-
-
-class LinSpan:
-    """Row span with incremental insertion, for greedy independence tests."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self._echelon = SparseEchelon(length)
-
-    @property
-    def dim(self) -> int:
-        return self._echelon.rank
-
-    @property
-    def rows(self) -> list[list[Fraction]]:
-        """The reduced echelon basis of the span, as dense vectors."""
-        return [dense_row(row, self.length) for row in self._echelon.result()[0]]
-
-    def _sparse(self, vec: Sequence[Fraction]) -> dict[int, Fraction]:
-        if len(vec) != self.length:
-            raise ValueError("length mismatch")
-        return sparse_row(vec)
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Insert vec; True iff it enlarged the span."""
-        return self._echelon.add(self._sparse(vec))
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not self._echelon.reduce(self._sparse(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -410,38 +343,13 @@ def cokernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
 
 
 def _sum_module(mods: Sequence[SlotModule]) -> SlotModule:
-    """The direct sum module alone: block-diagonal structure maps."""
+    """The direct sum of modules: block-diagonal structure maps."""
     proto = mods[0]
     dims = {s: sum(m.dims[s] for m in mods) for s in proto.slot_keys}
     structs = [m.struct() for m in mods]
     struct = {lab: RatMatrix.block_diagonal([st[lab] for st in structs])
               for lab in structs[0]}
     return proto._rebuild(dims, struct)
-
-
-def direct_sum(mods: Sequence[SlotModule]) -> tuple[SlotModule, list[SlotMap], list[SlotMap]]:
-    """Direct sum with inclusion and projection maps (at least one summand)."""
-    if not mods:
-        raise ValueError("direct_sum of nothing; use zero_like for a zero module")
-    S = _sum_module(mods)
-    slots, dims = S.slot_keys, S.dims
-    incls, projs = [], []
-    offset = {s: 0 for s in slots}
-    for m in mods:
-        inc_blocks, prj_blocks = {}, {}
-        for s in slots:
-            inc = RatMatrix.zeros(dims[s], m.dims[s])
-            prj = RatMatrix.zeros(m.dims[s], dims[s])
-            for i in range(m.dims[s]):
-                inc[offset[s] + i, i] = 1
-                prj[i, offset[s] + i] = 1
-            inc_blocks[s] = inc
-            prj_blocks[s] = prj
-        incls.append(SlotMap(m, S, inc_blocks))
-        projs.append(SlotMap(S, m, prj_blocks))
-        for s in slots:
-            offset[s] += m.dims[s]
-    return S, incls, projs
 
 
 # ---------------------------------------------------------------------------
@@ -521,35 +429,8 @@ def projective_resolution(M: SlotModule) -> list[list[Slot]] | None:
     return None
 
 
-def projective_dimension(M: SlotModule) -> int:
-    """Length of the minimal projective resolution (module must be nonzero)."""
-    if M.is_zero():
-        raise ValueError("projective dimension of the zero module")
-    steps = projective_resolution(M)
-    if steps is None:
-        raise RuntimeError(f"projective dimension exceeds cap {_RESOLUTION_CAP}")
-    return len(steps) - 1
-
-
-def ext1_dim(M: SlotModule, N: SlotModule) -> int:
-    """dim Ext^1(M, N) from one syzygy step.
-
-    Hom(-, N) applied to 0 -> K -> P -> M -> 0 gives
-    ext1 = dim Hom(K, N) - dim Hom(P, N) + dim Hom(M, N).
-    """
-    P, _, cover = projective_cover_parts(M)
-    K, _ = kernel(cover)
-    if K.is_zero():
-        return 0
-    return hom_dim(K, N) - hom_dim(P, N) + hom_dim(M, N)
-
-
 # ---------------------------------------------------------------------------
 # approximations and exchange sequences
-
-
-def _map_vec_length(M: SlotModule, N: SlotModule) -> int:
-    return sum(N.dims[s] * M.dims[s] for s in M.slot_keys)
 
 
 def _block_nonzeros(f: SlotMap) -> list[list[list[tuple[int, Rat]]]]:
@@ -706,23 +587,6 @@ def minimal_left_approximation(
                 if span.add({k: 1}):
                     comps.append((i, h))
     return comps
-
-
-def is_left_approximation(
-    x: SlotModule, comps: Sequence[tuple[int, SlotMap]], pool: Sequence[SlotModule]
-) -> bool:
-    """Check the defining property: Hom(E, P) -> Hom(x, P) onto for all P."""
-    for P in pool:
-        target = hom_basis(x, P)
-        span = LinSpan(_map_vec_length(x, P))
-        got = 0
-        for i, f in comps:
-            for g in hom_basis(pool[i], P):
-                if span.add((g @ f).vec()):
-                    got += 1
-        if got != len(target):
-            return False
-    return True
 
 
 def approximation_map(

@@ -27,7 +27,6 @@ from .quiver_core import Quiver, classify, named_diagram
 __all__ = [
     "Rep",
     "IndecId",
-    "canonical_modules",
     "reflect",
     "tau",
     "tau_inverse",
@@ -102,16 +101,7 @@ class Rep(homsolve.SlotModule):
 
 
 # ---------------------------------------------------------------------------
-# canonical modules
-
-
-def simple(q: Quiver, a: int) -> Rep:
-    dims = {v: (1 if v == a else 0) for v in q.vertices}
-    maps = {
-        arr.aid: RatMatrix.zeros(dims[arr.target], dims[arr.source])
-        for arr in q.arrows
-    }
-    return Rep(q, dims, maps)
+# projectives and injectives
 
 
 def projective(q: Quiver, a: int) -> Rep:
@@ -144,15 +134,6 @@ def injective(q: Quiver, a: int) -> Rep:
             m[i, src_idx[(arr.aid,) + p]] = 1
         maps[arr.aid] = m
     return Rep(q, dims, maps)
-
-
-def canonical_modules(q: Quiver) -> tuple[dict[int, Rep], dict[int, Rep], dict[int, Rep]]:
-    """(projectives, injectives, simples), each indexed by vertex."""
-    return (
-        {v: projective(q, v) for v in q.vertices},
-        {v: injective(q, v) for v in q.vertices},
-        {v: simple(q, v) for v in q.vertices},
-    )
 
 
 # ---------------------------------------------------------------------------

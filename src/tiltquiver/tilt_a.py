@@ -24,7 +24,6 @@ is flagged window-limited instead of being trusted.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
@@ -52,7 +51,6 @@ __all__ = [
     "exchange_arcs",
     "make_tilting",
     "enumerate_tilting",
-    "complements",
     "AlmostComplete",
     "almost_complete_survey",
     "tilting_quiver",
@@ -79,7 +77,6 @@ class Pool:
         self.quiver = quiver
         self.ids = [iid for iid, _ in items]
         self.reps = [rep for _, rep in items]
-        self.index_of = {iid: i for i, iid in enumerate(self.ids)}
         self.dims = [rep.dim_vector() for rep in self.reps]
         self._ext = [[max(0, -quiver.euler_form(di, dj)) for dj in self.dims]
                      for di in self.dims]
@@ -310,23 +307,6 @@ def enumerate_tilting(q: Quiver) -> list[Tilting]:
         return [Tilting((), (), ())]
     pool = _dynkin_pool(q)
     return [make_tilting(c, pool.ids, pool.dims) for c in cliques(pool.table, q.n)]
-
-
-def complements(q: Quiver, m: Iterable[IndecId | tuple[int, ...]]) -> list[IndecId]:
-    """All indecomposables completing an almost complete tilting module."""
-    pool = _dynkin_pool(q)
-    idx = []
-    for item in m:
-        iid = item if isinstance(item, IndecId) else IndecId("dyn", tuple(item))
-        if iid not in pool.index_of:
-            raise ValueError(f"unknown summand {iid}")
-        idx.append(pool.index_of[iid])
-    if len(set(idx)) != len(idx) or len(idx) != q.n - 1:
-        raise ValueError(f"need {q.n - 1} distinct summands, got {idx}")
-    if any(b not in pool.table[a] for a, b in itertools.combinations(idx, 2)):
-        raise ValueError("summand set is not partial tilting")
-    got = complement_indices(pool.table, idx)
-    return [pool.ids[c] for c in got]
 
 
 class AlmostComplete(NamedTuple):

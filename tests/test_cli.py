@@ -428,6 +428,17 @@ def test_missing_quiver_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+def test_unwritable_report_file_is_an_input_error(capsys, tmp_path, flag):
+    # a report or graph file that cannot be written: one line on stderr,
+    # nothing on stdout, exit 2 (not 1, the code of a violation)
+    code, out, err = run(capsys, "kquiver", "--diagram", "A2",
+                         flag, str(tmp_path / "missing" / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_theorem_3_1_runs_past_rank_three(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "3.1",
                        "--diagram", "A4")

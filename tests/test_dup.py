@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import reference as ref
 from tiltquiver import dup, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix
 from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
@@ -71,7 +72,7 @@ def _triple_of(q, dims, ones):
     """The triple with slot dimensions ``dims`` (at most 1 each), the
     labels in ``ones`` acting as 1 and every other label as 0."""
     return dup.TripleModule(q, dims, {
-        lab: RatMatrix.identity(1) if lab in ones
+        lab: RatMatrix([[1]]) if lab in ones
         else RatMatrix.zeros(dims.get(b, 0), dims.get(a, 0))
         for lab, (a, b) in dup._layout(q).ends.items()})
 
@@ -102,8 +103,8 @@ def test_bar_projective_a2():
     assert dims(b0) == ((1, 1), (1, 0))
     assert dims(b1) == ((0, 1), (1, 1))
     # the connecting matrix along the arrow path is the nonzero one
-    assert not b0.struct()[("m", 0, ("e0",))].is_zero()
-    assert not b1.struct()[("m", 0, ("e0",))].is_zero()
+    assert b0.struct()[("m", 0, ("e0",))].rank() == 1
+    assert b1.struct()[("m", 0, ("e0",))].rank() == 1
 
 
 def test_bar_projectives_are_projective_and_injective():
@@ -111,13 +112,13 @@ def test_bar_projectives_are_projective_and_injective():
     # composition series), and on every object in particular
     for q in (A2, A3):
         ctx = dup.DupContext(q)
-        simples = [layer(q, rep_a.simple(q, a)) for a in q.vertices
-                   for layer in (dup.embed, dup.embed_top)]
+        simples = [layer(q, ref.simple(q, a)) for a in q.vertices
+                   for layer in (dup.embed, ref.embed_top)]
         for a in q.vertices:
             b = dup.bar_projective(q, a)
-            assert homsolve.projective_dimension(b) == 0
+            assert ref.projective_dimension(b) == 0
             for x in simples + [x for _, x in ctx.objects()]:
-                assert homsolve.ext1_dim(x, b) == 0
+                assert ref.ext1_dim(x, b) == 0
 
 
 def test_slot_projectives_are_shared_and_never_mutated():
@@ -136,7 +137,7 @@ def test_slot_projectives_are_shared_and_never_mutated():
 
 
 def test_embedding_preserves_hom_dimensions():
-    P, I, S = rep_a.canonical_modules(A3)
+    P, I, S = ref.canonical_modules(A3)
     mods = list(P.values()) + list(I.values()) + list(S.values())
     for m in mods:
         for n in mods:
@@ -148,7 +149,7 @@ def test_embedding_preserves_ext_dimensions():
     pool = rep_a.indecomposables(A3)
     for _, m in pool:
         for _, n in pool:
-            assert homsolve.ext1_dim(dup.embed(A3, m), dup.embed(A3, n)) == \
+            assert ref.ext1_dim(dup.embed(A3, m), dup.embed(A3, n)) == \
                 rep_a.ext1_dim(m, n)
 
 
@@ -158,7 +159,7 @@ def test_hom_oracles_at_the_bar_modules():
     assert homsolve.hom_dim(embP1, embP0) == 1
     for a in A2.vertices:
         bar = dup.bar_projective(A2, a)
-        embS = dup.embed(A2, rep_a.simple(A2, a))
+        embS = dup.embed(A2, ref.simple(A2, a))
         # the embedded simple maps into the socle of the bar module;
         # nothing maps the other way (the connecting map is invertible)
         assert homsolve.hom_dim(embS, bar) == 1
@@ -181,15 +182,15 @@ def test_hom_into_embedded_injective_counts_support():
 
 def test_hom_rejects_mismatched_quivers():
     with pytest.raises(ValueError, match="different slot sets"):
-        homsolve.hom_basis(dup.embed(A2, rep_a.simple(A2, 0)),
-                           dup.embed(A3, rep_a.simple(A3, 0)))
+        homsolve.hom_basis(dup.embed(A2, ref.simple(A2, 0)),
+                           dup.embed(A3, ref.simple(A3, 0)))
 
 
 def test_embedded_projective_dimension_matches_base():
     for _, m in rep_a.indecomposables(A3):
         em = dup.embed(A3, m)
-        want = homsolve.projective_dimension(m)
-        assert homsolve.projective_dimension(em) == want
+        want = ref.projective_dimension(m)
+        assert ref.projective_dimension(em) == want
         assert want <= 1
 
 
@@ -204,10 +205,10 @@ def test_shifted_modules_a2():
     w1.validate()
     assert dims(w0) == ((0, 1), (0, 0))
     assert dims(w1) == ((0, 1), (1, 0))
-    assert not w1.struct()[("m", 0, ("e0",))].is_zero()
+    assert w1.struct()[("m", 0, ("e0",))].rank() == 1
     for w in (w0, w1):
         assert homsolve.end_dim(w) == 1
-        assert homsolve.projective_dimension(w) == 1
+        assert ref.projective_dimension(w) == 1
 
 
 def _approximation_by_injectives(q, x):
@@ -215,7 +216,7 @@ def _approximation_by_injectives(q, x):
     each indecomposable injective, the n bar projectives (socle in the
     bottom layer) and the n top-embedded A-injectives, stacked."""
     injectives = ([dup.slot_projective(q, ("t", a)) for a in q.vertices]
-                  + [dup.embed_top(q, rep_a.injective(q, a)) for a in q.vertices])
+                  + [ref.embed_top(q, rep_a.injective(q, a)) for a in q.vertices])
     comps = [(k, h) for k, inj in enumerate(injectives) for h in homsolve.hom_basis(x, inj)]
     return homsolve.approximation_map(x, injectives, comps)
 
@@ -237,10 +238,10 @@ def _ar_mismatches(ctx, shifted):
     for i in q.vertices:
         tau_w = dup.embed(q, rep_a.injective(q, i))
         for pid, x, env, emb in approximations:
-            through = [(g @ emb).vec() for g in homsolve.hom_basis(env, tau_w)]
+            through = [ref.compose(g, emb).vec() for g in homsolve.hom_basis(env, tau_w)]
             factored = RatMatrix(through).rank() if through else 0
             stable = homsolve.hom_dim(x, tau_w) - factored
-            if homsolve.ext1_dim(shifted[i], x) != stable:
+            if ref.ext1_dim(shifted[i], x) != stable:
                 bad.append((i, str(pid)))
     return bad
 
@@ -250,10 +251,15 @@ AR_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
               + [("A4", named_diagram("A4"))])
 
 
+def _shifted(ctx):
+    """The shifted module W_i of each vertex i, read from the pool."""
+    return {pid.key: m for pid, m in ctx.pool() if pid.kind == "W"}
+
+
 @pytest.mark.parametrize("q", [q for _, q in AR_QUIVERS], ids=[n for n, _ in AR_QUIVERS])
 def test_shifted_modules_satisfy_the_ar_formula(q):
     ctx = dup.DupContext(q)
-    assert _ar_mismatches(ctx, {i: ctx.shifted(i) for i in q.vertices}) == []
+    assert _ar_mismatches(ctx, _shifted(ctx)) == []
 
 
 def test_ar_formula_rejects_other_modules():
@@ -261,7 +267,7 @@ def test_ar_formula_rejects_other_modules():
     # the bar approximation of the embedded injective, both break it
     ctx = dup.DupContext(A3)
     vs = A3.vertices
-    rotated = {v: ctx.shifted(vs[(k + 1) % len(vs)]) for k, v in enumerate(vs)}
+    rotated = {v: _shifted(ctx)[vs[(k + 1) % len(vs)]] for k, v in enumerate(vs)}
     assert _ar_mismatches(ctx, rotated)
     wrong = {v: dup._bar_cokernel(A3, rep_a.injective(A3, v)) for v in vs}
     assert _ar_mismatches(ctx, wrong)
@@ -297,7 +303,7 @@ def test_yoneda_ext1_matches_the_generic_route(q):
     objs = [m for _, m in ctx.objects()]
     for i, x in enumerate(objs):
         for j, y in enumerate(objs):
-            assert ctx.ext1_idx(i, j) == homsolve.ext1_dim(x, y), (i, j)
+            assert ctx.ext1_idx(i, j) == ref.ext1_dim(x, y), (i, j)
     # every nonzero syzygy is read by Yoneda (shifted modules have pd 1)
     assert any(len(ctx.resolution(i)) == 2 for i in range(len(objs)))
 
@@ -500,10 +506,10 @@ def test_verify_shift_completion():
 
 
 def test_global_dimension():
-    assert dup.global_dimension_dup(dup.DupContext(A2)) == 2
-    assert dup.global_dimension_dup(dup.DupContext(A3)) == 3
-    assert dup.global_dimension_dup(dup.DupContext(named_diagram("D4"))) == 3
-    assert dup.global_dimension_dup(dup.DupContext(named_diagram("D5"))) == 3
+    assert ref.global_dimension_dup(dup.DupContext(A2)) == 2
+    assert ref.global_dimension_dup(dup.DupContext(A3)) == 3
+    assert ref.global_dimension_dup(dup.DupContext(named_diagram("D4"))) == 3
+    assert ref.global_dimension_dup(dup.DupContext(named_diagram("D5"))) == 3
 
 
 def test_deep_check_a2():
@@ -532,7 +538,7 @@ def test_sum_of_members_decomposes_with_its_multiplicities():
     ctx, members = _a3_members()
     objs = ctx.objects()
     a, b = objs[members[0]][1], objs[members[1]][1]
-    c, _, _ = homsolve.direct_sum([a, a, b])
+    c, _, _ = ref.direct_sum([a, a, b])
     assert _decompose(ctx, c, members) == [2, 1] + [0] * (len(members) - 2)
 
 
@@ -546,7 +552,7 @@ def test_summand_from_outside_is_not_in_add():
     ctx, members = _a3_members()
     objs = ctx.objects()
     outside = next(k for k in range(ctx.pool_size()) if k not in members)
-    c, _, _ = homsolve.direct_sum([objs[members[0]][1], objs[outside][1]])
+    c, _, _ = ref.direct_sum([objs[members[0]][1], objs[outside][1]])
     assert _decompose(ctx, c, members) is None
 
 
@@ -554,7 +560,7 @@ def test_member_dimensions_without_structure_maps_are_not_in_add():
     ctx, members = _a3_members()
     objs = ctx.objects()
     m = next(objs[k][1] for k in members
-             if any(not mat.is_zero() for mat in objs[k][1].struct().values()))
+             if any(mat.rank() for mat in objs[k][1].struct().values()))
     flat = m._rebuild(m.dims, {lab: RatMatrix.zeros(*mat.shape)
                                for lab, mat in m.struct().items()})
     assert flat.dims_key() == m.dims_key()
@@ -571,7 +577,7 @@ def _gram_multiplicities(ctx, c, members):
         for b in range(k):
             gram[a, b] = len(ctx.hom_idx(members[a], members[b]))
     rhs = [Fraction(homsolve.hom_dim(objs[members[a]][1], c)) for a in range(k)]
-    sol = gram.solve(rhs)
+    sol = ref.solve(gram, rhs)
     assert sol is not None and all(x.denominator == 1 and x >= 0 for x in sol)
     return [int(x) for x in sol]
 
@@ -717,11 +723,12 @@ def test_every_pair_of_a_shared_faulty_cokernel_is_reported(monkeypatch):
 # two copies of its cokernel, whose endomorphism ring is not one-dimensional
 DECOMPOSABLE_SHIFT = (
     "import sys\n"
+    "from reference import direct_sum\n"
     "from tiltquiver import cli, homsolve\n"
     "exchange_sequence = homsolve.exchange_sequence\n"
     "def doubled(*args):\n"
     "    e, y = exchange_sequence(*args)\n"
-    "    return e, homsolve.direct_sum([y, y])[0]\n"
+    "    return e, direct_sum([y, y])[0]\n"
     "homsolve.exchange_sequence = doubled\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
@@ -774,13 +781,13 @@ EXT_PLANE = (
 # reads by Yoneda are not projective either
 NON_PROJECTIVE_SYZYGY = (
     "import sys\n"
-    "from tiltquiver import cli, dup, homsolve, rep_a\n"
+    "from reference import direct_sum, embed_top, simple\n"
+    "from tiltquiver import cli, dup, homsolve\n"
     "kernel, pool = homsolve.kernel, dup.DupContext.pool\n"
     "def widened(f):\n"
     "    K, incl = kernel(f)\n"
     "    q = K.quiver\n"
-    "    simple = dup.embed_top(q, rep_a.simple(q, q.vertices[0]))\n"
-    "    return homsolve.direct_sum([K, simple])[0], incl\n"
+    "    return direct_sum([K, embed_top(q, simple(q, q.vertices[0]))])[0], incl\n"
     "def pool_then_widen(self):\n"
     "    got = pool(self)\n"
     "    homsolve.kernel = widened\n"
@@ -822,7 +829,8 @@ PROJECTIVE_SHIFT = (
 def _run_script(flags, script, *argv):
     src = Path(dup.__file__).resolve().parents[1]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(src), str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *flags, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=300)
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import gauss_jordan, identity, image_basis, inverse, solve
 from tiltquiver import homsolve
 from tiltquiver.exactlin import (
     RatMatrix,
     rref_rows,
 )
-from tiltquiver.homsolve import LinSpan
 from tiltquiver.quiver_core import named_diagram
 from tiltquiver.rep_a import indecomposables, kronecker_window
 
@@ -36,7 +36,7 @@ def test_shape_and_ragged():
 
 def test_matmul_identity_assoc():
     a = mat([[1, 2], [3, 4]])
-    i2 = RatMatrix.identity(2)
+    i2 = identity(2)
     assert a @ i2 == a
     assert i2 @ a == a
     b = mat([[0, 1], [1, 1]])
@@ -48,7 +48,7 @@ def test_apply_matches_matmul():
     a = mat([[1, 2, 3], [0, 1, 4]])
     v = [F(1), F(-1), F(2)]
     assert a.apply(v) == [F(5), F(7)]
-    col = a @ RatMatrix.column(v)
+    col = a @ RatMatrix([[x] for x in v], cols=1)
     assert [col[i, 0] for i in range(2)] == a.apply(v)
 
 
@@ -75,7 +75,7 @@ def test_rref_fractions_exact():
     m = mat([[F(1, 3), F(1, 7)], [F(2, 5), F(3, 11)]])
     R, piv = m.rref()
     assert piv == [0, 1]
-    assert R == RatMatrix.identity(2)
+    assert R == identity(2)
 
 
 def test_kernel_known():
@@ -88,20 +88,20 @@ def test_kernel_known():
 
 def test_solve_cases():
     m = mat([[1, 1], [0, 1]])
-    assert m.solve([3, 1]) == [F(2), F(1)]
+    assert solve(m, [3, 1]) == [F(2), F(1)]
     inconsistent = mat([[1, 1], [1, 1]])
-    assert inconsistent.solve([0, 1]) is None
-    assert inconsistent.solve([2, 2]) == [F(2), F(0)]  # free var pinned to 0
+    assert solve(inconsistent, [0, 1]) is None
+    assert solve(inconsistent, [2, 2]) == [F(2), F(0)]  # free var pinned to 0
     with pytest.raises(ValueError):
-        m.solve([1, 2, 3])
+        solve(m, [1, 2, 3])
 
 
 def test_image_basis_canonical():
     # same column space, different presentations -> identical bases
     a = mat([[1, 2], [1, 2], [0, 0]])
     b = mat([[3], [3], [0]])
-    assert a.image_basis() == b.image_basis() == [[F(1), F(1), F(0)]]
-    assert RatMatrix.zeros(3, 2).image_basis() == []
+    assert image_basis(a) == image_basis(b) == [[F(1), F(1), F(0)]]
+    assert image_basis(RatMatrix.zeros(3, 2)) == []
 
 
 # ------------------------------------------------------- hom-system oracle
@@ -161,7 +161,7 @@ def test_solve_round_trip(m, data):
         st.lists(rat, min_size=m.cols, max_size=m.cols), label="x"
     )
     rhs = m.apply(x)
-    got = m.solve(rhs)
+    got = solve(m, rhs)
     assert got is not None
     assert m.apply(got) == rhs
 
@@ -176,56 +176,31 @@ def test_rref_idempotent(m):
 
 def test_inverse():
     a = mat([[1, 2], [3, 5]])
-    assert a @ a.inverse() == RatMatrix.identity(2)
-    assert a.inverse() @ a == RatMatrix.identity(2)
+    assert a @ inverse(a) == identity(2)
+    assert inverse(a) @ a == identity(2)
     with pytest.raises(ValueError):
-        mat([[1, 2], [2, 4]]).inverse()
+        inverse(mat([[1, 2], [2, 4]]))
     with pytest.raises(ValueError):
-        mat([[1, 2, 3]]).inverse()
+        inverse(mat([[1, 2, 3]]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_image_basis_spans_columns(m):
-    basis = m.image_basis()
+    basis = image_basis(m)
     assert len(basis) == m.rank()
     if basis:
         B = RatMatrix(basis).transpose()  # columns = basis vectors
         for j in range(m.cols):
             col = [m[i, j] for i in range(m.rows)]
-            assert B.solve(col) is not None
+            assert solve(B, col) is not None
 
 
 # ------------------------------------------------- differential: the kernel
 # RatMatrix.rref runs on the sparse kernel; these tests hold it to two
-# independent implementations: the dense Gauss-Jordan the package used
-# before the kernel, and sympy's exact rref (a test-only dependency).
-
-
-def dense_rref(data, ncols):
-    """Reference: dense Gauss-Jordan, first nonzero entry as pivot."""
-    m = [[F(x) for x in row] for row in data]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            inv = F(1) / pv
-            m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+# independent implementations: the dense Gauss-Jordan of
+# ``reference.gauss_jordan``, and sympy's exact rref (a test-only
+# dependency).  The reference's own helpers are pinned to sympy too.
 
 
 # mostly zeros, so zero rows and columns and rank drops are common
@@ -264,7 +239,7 @@ def sympy():
 @given(shaped_matrices())
 def test_rref_matches_dense_reference(m):
     R, piv = m.rref()
-    want, want_piv = dense_rref(m.data, m.cols)
+    want, want_piv = gauss_jordan(m.data, m.cols)
     assert R.shape == m.shape
     assert R.data == want  # every row, the zero rows included
     assert piv == want_piv
@@ -287,7 +262,7 @@ def test_rref_matches_sympy(sympy, m):
 @settings(max_examples=100, deadline=None)
 @given(shaped_matrices())
 def test_rank_kernel_match_dense_reference(m):
-    R, piv = dense_rref(m.data, m.cols)
+    R, piv = gauss_jordan(m.data, m.cols)
     want = []  # one vector per free column, as the dense routine gave it
     for f in (c for c in range(m.cols) if c not in piv):
         v = [F(0)] * m.cols
@@ -309,20 +284,6 @@ def test_rref_rows_sparse_input():
         rref_rows([{3: 1}], 3)
 
 
-# --------------------------------------------------- incremental row span
-
-
-def test_linspan_contains_checks_length():
-    span = LinSpan(3)
-    assert span.add([F(1), F(0), F(0)])
-    assert span.contains([F(2), F(0), F(0)])
-    assert not span.contains([F(0), F(1), F(0)])
-    with pytest.raises(ValueError, match="length mismatch"):
-        span.contains([F(0), F(0)])
-    with pytest.raises(ValueError, match="length mismatch"):
-        span.add([F(0), F(0)])
-
-
 # ---------------------------------------------------- hom spaces, rank only
 
 
@@ -336,9 +297,9 @@ def test_hom_dim_matches_hom_basis(pool):
 
 
 # ------------------------------------------- results built without checks
-# zeros, identity, arithmetic, transpose, stacking, rref and inverse wrap
-# their rows without the public constructor's conversion and width
-# check; each result must be what that constructor would have built.
+# zeros, transpose, stacking, products and rref wrap their rows without
+# the public constructor's conversion and width check; each result must
+# be what that constructor would have built.
 
 
 def validated(m):
@@ -364,20 +325,14 @@ def test_empty_shapes_keep_their_width():
 
 
 @settings(max_examples=150, deadline=None)
-@given(shaped_matrices(), shaped_matrices(), st.fractions(-3, 3, max_denominator=4))
-def test_internal_results_equal_validated_construction(m, n, c):
+@given(shaped_matrices(), shaped_matrices())
+def test_internal_results_equal_validated_construction(m, n):
     r, k = m.shape
     same = RatMatrix([[x + 1 for x in row] for row in m.data], cols=k)
     # n cut or padded to k rows, so that m @ rhs is defined
     rhs = RatMatrix(n.data[:k] + [[F(1)] * n.cols] * max(0, k - n.rows), cols=n.cols)
     results = {
         "zeros": RatMatrix.zeros(r, k),
-        "identity": RatMatrix.identity(k),
-        "copy": m.copy(),
-        "add": m + same,
-        "sub": m - same,
-        "neg": -m,
-        "scale": m.scale(c),
         "transpose": m.transpose(),
         "rref": m.rref()[0],
         "vstack": RatMatrix.vstack([m, same, RatMatrix.zeros(0, k)]),
@@ -390,10 +345,6 @@ def test_internal_results_equal_validated_construction(m, n, c):
         assert got == validated(got), name
     # and each holds the entries its definition gives
     assert results["transpose"].data == [[m.data[i][j] for i in range(r)] for j in range(k)]
-    assert results["add"].data == [[2 * x + 1 for x in row] for row in m.data]
-    assert results["sub"].data == [[F(-1)] * k for _ in range(r)]
-    assert results["neg"].data == [[-x for x in row] for row in m.data]
-    assert results["scale"].data == [[c * x for x in row] for row in m.data]
     assert results["vstack"].data == m.data + same.data
     assert results["hstack"].data == [a + b for a, b in zip(m.data, same.data)]
     assert results["columns"].data == [row[::-1] for row in m.data]
@@ -405,7 +356,51 @@ def test_internal_results_equal_validated_construction(m, n, c):
     assert all(x == 0 for row in bd.data[r:] for x in row[:k])
     assert results["matmul"].data == [[sum((row[t] * rhs.data[t][j] for t in range(k)), F(0))
                            for j in range(rhs.cols)] for row in m.data]
-    if r == k and m.rank() == k:
-        inv = m.inverse()
-        assert inv == validated(inv)
-        assert m @ inv == RatMatrix.identity(k)
+
+
+# ------------------------------------------- the reference helpers vs sympy
+
+
+def to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.data for x in row])
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def sympy_solution(sympy, m, rhs):
+    """sympy's parametric solution with every parameter 0, or None."""
+    try:
+        sol, params = to_sympy(sympy, m).gauss_jordan_solve(
+            sympy.Matrix(m.rows, 1, [sympy.Rational(v.numerator, v.denominator) for v in rhs]))
+    except ValueError:  # no solution
+        return None
+    sol = sol.subs({t: 0 for t in params})
+    return [from_sympy(sol[j]) for j in range(m.cols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=shaped_matrices(), data=st.data())
+def test_reference_helpers_match_sympy(sympy, m, data):
+    # solve pins the free variables to 0, on consistent right-hand sides
+    # m @ x and on arbitrary ones, which are often inconsistent
+    x = data.draw(st.lists(sparse_rat, min_size=m.cols, max_size=m.cols), label="x")
+    y = data.draw(st.lists(sparse_rat, min_size=m.rows, max_size=m.rows), label="y")
+    for rhs in (m.apply(x), y):
+        assert solve(m, rhs) == sympy_solution(sympy, m, rhs)
+    # image_basis: the nonzero rows of sympy's rref of the transpose
+    R, piv = to_sympy(sympy, m).T.rref()
+    assert image_basis(m) == [[from_sympy(R[i, j]) for j in range(m.rows)]
+                              for i in range(len(piv))]
+    # identity and inverse
+    assert identity(m.cols).data == [[from_sympy(v) for v in row]
+                                     for row in sympy.eye(m.cols).tolist()]
+    if m.rows == m.cols:
+        if to_sympy(sympy, m).det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+        else:
+            assert inverse(m).data == [[from_sympy(v) for v in row]
+                                       for row in to_sympy(sympy, m).inv().tolist()]

@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
+from reference import complements, simple
 from tiltquiver import dup, tilt_a
 from tiltquiver.quiver_core import named_diagram
-from tiltquiver.rep_a import IndecId, indecomposables, kronecker_window, simple
+from tiltquiver.rep_a import indecomposables, kronecker_window
 from tiltquiver.tilt_a import (
     Pool,
     cliques,
     compatibility_table,
     complement_indices,
-    complements,
     enumerate_tilting,
     kronecker_tilting_quiver,
     nonsaturated_tame,
