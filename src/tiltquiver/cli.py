@@ -93,20 +93,35 @@ def _graph_stats(g: tilt_a.TiltingGraph) -> dict:
     return {"vertices": len(g.tiltings), "arcs": len(g.arcs), "connected": g.is_connected()}
 
 
-def _graph_lines(g: tilt_a.TiltingGraph, dot: str | None) -> list[str]:
-    """Vertex labels (window rim marked), arcs, and the optional DOT export."""
+def _graph_lines(g: tilt_a.TiltingGraph, dot: str | None) -> tuple[list[str], dict[str, str]]:
+    """Vertex labels (window rim marked) and arcs, and the files to write:
+    the DOT text under its path when ``dot`` is given."""
     labels = [t.label() for t in g.tiltings]
     lines = [lab + (" (window rim)" if i in g.boundary else "")
              for i, lab in enumerate(labels)]
     lines.extend(f"{labels[a.src]} -> {labels[a.dst]}" for a in g.arcs)
-    if dot:
-        text = ["digraph K {"]
-        text.extend(f'  "{lab}";' for lab in labels)
-        text.extend(f'  "{labels[a.src]}" -> "{labels[a.dst]}";' for a in g.arcs)
-        text.append("}")
-        Path(dot).write_text("\n".join(text) + "\n")
-        lines.append(f"dot written: {dot}")
-    return lines
+    if not dot:
+        return lines, {}
+    text = ["digraph K {"]
+    text.extend(f'  "{lab}";' for lab in labels)
+    text.extend(f'  "{labels[a.src]}" -> "{labels[a.dst]}";' for a in g.arcs)
+    text.append("}")
+    lines.append(f"dot written: {dot}")
+    return lines, {dot: "\n".join(text) + "\n"}
+
+
+def _write_all(files: dict[str, str]) -> None:
+    """Write each file, or none: on an ``OSError`` the files already
+    written are removed before it propagates."""
+    written = []
+    try:
+        for path, text in files.items():
+            Path(path).write_text(text)
+            written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +168,7 @@ def _report(command: str, desc: str, status: str, stats: dict,
 # subcommands
 
 
-def cmd_classify(args) -> tuple[dict, list[str]]:
+def cmd_classify(args) -> tuple[dict, list[str], dict[str, str]]:
     q, desc = _load_quiver(args)
     classes = []
     lines = [f"quiver: {q.n} vertices, {len(q.arrows)} arrows"]
@@ -169,40 +184,40 @@ def cmd_classify(args) -> tuple[dict, list[str]]:
     rep = _report("classify", desc, "pass",
                   {"vertices": q.n, "arrows": len(q.arrows), "classes": classes},
                   [])
-    return rep, [f"classify [{desc}]: pass"] + lines
+    return rep, [f"classify [{desc}]: pass"] + lines, {}
 
 
-def cmd_indec(args) -> tuple[dict, list[str]]:
+def cmd_indec(args) -> tuple[dict, list[str], dict[str, str]]:
     items, desc = _window_or_quiver(args, rep_a.kronecker_window, rep_a.indecomposables)
     lines = [f"indec [{desc}]: pass", f"indecomposables: {len(items)}"]
     lines.extend(f"{iid} dim={_dimstr(rep.dim_vector())}" for iid, rep in items)
     report = _report("indec", desc, "pass",
                      {"indecomposables": len(items)}, [])
-    return report, lines
+    return report, lines, {}
 
 
-def cmd_tilting(args) -> tuple[dict, list[str]]:
+def cmd_tilting(args) -> tuple[dict, list[str], dict[str, str]]:
     q, desc = _load_quiver(args)
     tilts = tilt_a.enumerate_tilting(q)
     lines = [f"tilting [{desc}]: pass", f"tilting modules: {len(tilts)}"]
     lines.extend(f"{t.label()} dim={_dimstr(t.dim_sum)}" for t in tilts)
     report = _report("tilting", desc, "pass",
                      {"tilting_modules": len(tilts)}, [])
-    return report, lines
+    return report, lines, {}
 
 
-def cmd_kquiver(args) -> tuple[dict, list[str]]:
+def cmd_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
     g, desc = _window_or_quiver(args, tilt_a.kronecker_tilting_quiver, tilt_a.tilting_quiver)
     status = "window-limited" if g.boundary else "pass"
     stats = _graph_stats(g)
     if g.boundary:
         stats["boundary_vertices"] = len(g.boundary)
-    lines = [f"kquiver [{desc}]: {status}", _stats_line(stats)]
-    lines.extend(_graph_lines(g, args.dot))
-    return _report("kquiver", desc, status, stats, []), lines
+    graph, files = _graph_lines(g, args.dot)
+    lines = [f"kquiver [{desc}]: {status}", _stats_line(stats)] + graph
+    return _report("kquiver", desc, status, stats, []), lines, files
 
 
-def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
+def cmd_dup_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
     q, desc = _load_quiver(args)
     ctx = dup.DupContext(q)
     g = dup.tilting_quiver_dup(ctx)
@@ -214,13 +229,13 @@ def cmd_dup_kquiver(args) -> tuple[dict, list[str]]:
         violations.extend(deep["counterexamples"])
     status = "pass" if not violations else "violation"
     report = _report("dup-kquiver", desc, status, stats, violations)
-    lines = [f"dup-kquiver [{desc}]: {status}", _stats_line(stats)]
-    lines.extend(_graph_lines(g, args.dot))
+    graph, files = _graph_lines(g, args.dot)
+    lines = [f"dup-kquiver [{desc}]: {status}", _stats_line(stats)] + graph
     lines.extend(_ce_lines(report))
-    return report, lines
+    return report, lines, files
 
 
-def cmd_orientations(args) -> tuple[dict, list[str]]:
+def cmd_orientations(args) -> tuple[dict, list[str], dict[str, str]]:
     q, desc = _load_quiver(args)
     sweep = tilt_a.orientation_invariance(q)
     report = _report("orientations", desc, sweep["status"], _sweep_stats(sweep),
@@ -228,7 +243,7 @@ def cmd_orientations(args) -> tuple[dict, list[str]]:
     lines = [f"orientations [{desc}]: {sweep['status']}", _stats_line(report["stats"])]
     lines.extend(_orientation_rows(sweep))
     lines.extend(_ce_lines(report))
-    return report, lines
+    return report, lines, {}
 
 
 def _sweep_stats(sweep: dict) -> dict:
@@ -387,7 +402,7 @@ def _verify_identity(q: Quiver) -> dict:
     }
 
 
-def cmd_verify(args) -> tuple[dict, list[str]]:
+def cmd_verify(args) -> tuple[dict, list[str], dict[str, str]]:
     tok = args.theorem
     deep_ok = tok in ("3.1", "4.1", "4.2", "4.3")
     if args.deep_check and not deep_ok:
@@ -445,7 +460,7 @@ def cmd_verify(args) -> tuple[dict, list[str]]:
     if tok == "5.6":
         lines.extend(_orientation_rows({"per_orientation": stats["per_orientation"]}))
     lines.extend(_ce_lines(report))
-    return report, lines
+    return report, lines, {}
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +531,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        report, lines = _HANDLERS[args.command](args)
+        report, lines, files = _HANDLERS[args.command](args)
         if getattr(args, "json", None):
-            payload = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-            Path(args.json).write_text(payload)
+            files[args.json] = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        _write_all(files)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

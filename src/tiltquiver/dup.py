@@ -16,13 +16,14 @@ The bottom copy of the module category of ``A`` embeds as the triples
   approximation of the embedded projective at ``a`` by bar projectives
   (its injective envelope).
 
-Everything homological (hom spaces, Ext^1, covers, exchange sequences)
-is delegated to :mod:`tiltquiver.homsolve`; this module
+Hom spaces and exchange sequences are delegated to
+:mod:`tiltquiver.homsolve`, and Ext^1 is read off each object's
+presentation of length one (``DupContext.ext1_idx``); this module
 supplies the triple-specific structure and the tilting combinatorics:
 enumeration of the basic tilting modules containing all bar projectives,
 their exchange graph, and the checkers the command line exposes.
-Enumeration and the exchange graph run on the
-one engine in :mod:`tiltquiver.tilt_a`, fed with this module's pool,
+Enumeration and the exchange graph run on the one engine in
+:mod:`tiltquiver.tilt_a`, fed with this module's pool,
 ``DupContext.ext1_idx`` and an exchange-sequence certifier.
 
 The duplicated algebra is a bound quiver algebra, and a triple is
@@ -117,9 +118,6 @@ class TripleModule(homsolve.SlotModule):
 
     # -- convenience -----------------------------------------------------
 
-    def top_dim(self) -> int:
-        return sum(self.dims[("t", v)] for v in self.quiver.vertices)
-
     def validate(self) -> None:
         """Check the relations of the duplicated algebra, raising
         ``RuntimeError`` at the first slot where one fails: Hom(P_s, M) is
@@ -133,36 +131,6 @@ class TripleModule(homsolve.SlotModule):
         t = tuple(self.dims[("t", v)] for v in self.quiver.vertices)
         b = tuple(self.dims[("b", v)] for v in self.quiver.vertices)
         return f"Triple(top={t}, bottom={b})"
-
-    # -- hook for covers ------------------------------------------------
-
-    def projective_for_slot(self, s: Slot) -> tuple["TripleModule", dict[Slot, list[tuple]]]:
-        return slot_projective(self.quiver, s), _slot_words(self.quiver, s)
-
-
-@cache
-def _slot_words(q: Quiver, s: Slot) -> dict[Slot, list[tuple]]:
-    """The label words of ``slot_projective(q, s)``, built once per quiver
-    and shared.  At ("b", a) its basis at ("b", w) is the bottom paths
-    a ~> w; at ("t", a), the top paths a ~> w at ("t", w) and, at ("b",
-    w), the duals of the paths z: w ~> a, reached by the top arrows of y:
-    a ~> e (e the first sink a reaches), the connecting arrow of r z y,
-    then the bottom arrows of r: u ~> w (u the first source reaching w)."""
-    layer, a = s
-    if layer == "t":
-        y = q.paths_between(a, next(e for e in q.sinks() if q.paths_between(a, e)))[0]
-    words: dict[Slot, list[tuple]] = {}
-    for w in q.vertices:
-        paths = [tuple((layer, x) for x in p) for p in q.paths_between(a, w)]
-        if layer == "b":
-            words[("t", w)], words[("b", w)] = [], paths
-            continue
-        u = next(u for u in q.sources() if q.paths_between(u, w))
-        r = q.paths_between(u, w)[0]
-        words[("t", w)] = paths
-        words[("b", w)] = [tuple(("t", x) for x in y) + (("m", u, r + z + y),)
-                           + tuple(("b", x) for x in r) for z in q.paths_between(w, a)]
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +214,16 @@ def shifted_module(q: Quiver, i: int) -> TripleModule:
     bottom layer, so its envelope is its minimal left approximation by
     the bar projectives, and W_i the cokernel of that exchange sequence.
     Certified on construction: nonzero top layer (so never an embedded
-    module) and one-dimensional endomorphism ring; its projective
-    dimension 1 is certified by ``DupContext.resolution``, which resolves
-    it once for Ext^1.
+    module) and one-dimensional endomorphism ring.  Its projective
+    dimension is 1 by construction: 0 -> P_i -> E -> W_i -> 0 is exact
+    (the approximation is certified injective), and E, a sum of bar
+    projectives, does not contain P_i, so the sequence does not split.
     """
     try:
         w = _bar_cokernel(q, rep_a.projective(q, i))
     except homsolve.NoExchangeSequence as exc:
         raise RuntimeError(f"envelope of the embedded projective at {i}: {exc}") from exc
-    if w.top_dim() == 0:
+    if not any(w.dims[("t", v)] for v in q.vertices):
         raise RuntimeError("shifted module degenerated into the embedded layer")
     if homsolve.end_dim(w) != 1:
         raise RuntimeError("shifted module failed to be indecomposable")
@@ -272,8 +241,6 @@ class DupPoolId(NamedTuple):
     key: object
 
     def __str__(self) -> str:
-        if self.kind == "E":
-            return f"E{self.key}"
         return f"{self.kind}{self.key}"
 
 
@@ -287,7 +254,6 @@ class DupContext:
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
-        self._resolutions: dict[int, list[list[Slot]]] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._radical: dict[tuple[int, int, int], tuple] = {}
         self._composites: dict[tuple[int, int, int], tuple] = {}
@@ -370,32 +336,31 @@ class DupContext:
             got = self._composites[key] = self._shared.setdefault(got, got)
         return got
 
-    def resolution(self, i: int) -> list[list[Slot]]:
-        """The minimal projective resolution 0 -> P1 -> P0 -> M -> 0 of
-        object i, as the top tags of each cover (cached).  Every object
-        has projective dimension at most 1 and the shifted modules exactly
-        1; any other length raises ``RuntimeError``."""
-        got = self._resolutions.get(i)
-        if got is None:
-            pid, m = self.objects()[i]
-            got = homsolve.projective_resolution(m)
-            if pid.kind == "W" and (got is None or len(got) != 2):
-                raise RuntimeError("shifted module has unexpected projective dimension")
-            if got is None or len(got) > 2:
-                raise RuntimeError(f"the syzygy of {pid} is not projective")
-            self._resolutions[i] = got
-        return got
-
     def ext1_idx(self, i: int, j: int) -> int:
-        """dim Ext^1 between objects (cached).  Hom(-, N) applied to the
-        ``resolution`` of M gives dim Hom(M, N) - dim Hom(P0, N)
-        + dim Hom(P1, N), and dim Hom(P_s, N) = dim N_s (Yoneda)."""
+        """dim Ext^1 between objects (cached), read off a projective
+        presentation 0 -> P1 -> P0 -> M -> 0 of object i that needs no
+        computing: as dim Hom(P_s, N) = dim N_s (Yoneda), dim Ext^1(M, N)
+        = dim Hom(M, N) - <dim M_L, dim N_L> + delta, with <,> the Euler
+        form of A on one layer L.  An embedded M = (0, Y, 0) has A's
+        standard resolution, embedded (Ringel, LNM 1099): L is the
+        bottom, delta = 0.  W_i has 0 -> P_i -> E -> W_i -> 0
+        (``shifted_module``), E a sum of bar projectives with W_i's top
+        layer, and dim Hom(bar P_a, N) = N_(t, a) = <dim P_a, dim N_top>:
+        L is the top, delta = dim N_(b, i).  A bar projective resolves by
+        itself: L is the top and delta = 0, which gives 0.
+        """
         got = self._ext.get((i, j))
         if got is not None:
             return got
-        N = self.objects()[j][1]
-        val = len(self.hom_idx(i, j)) + sum(
-            sign * N.dims[s] for sign, tags in zip((-1, 1), self.resolution(i)) for s in tags)
+        objs = self.objects()
+        pid, M = objs[i]
+        N = objs[j][1]
+        vs = self.quiver.vertices
+        layer = "b" if pid.kind == "E" else "t"
+        val = len(self.hom_idx(i, j)) - self.quiver.euler_form(
+            [M.dims[(layer, v)] for v in vs], [N.dims[(layer, v)] for v in vs])
+        if pid.kind == "W":
+            val += N.dims[("b", pid.key)]
         if val < 0:
             raise RuntimeError(f"negative Ext^1 between objects {i} and {j}")
         self._ext[(i, j)] = val

@@ -12,7 +12,10 @@ triple of objects is composed once per context, not once per algebra.
 
 The simples of such an algebra are resolved in free coordinates
 (``simple_resolution``): each syzygy is a subspace of the projective
-before it, and no module is built.  The checker of interest bounds the
+before it, and no module is built.  These are the only projective
+resolutions the package computes; each object over the duplicated
+algebra comes with one of length at most one
+(``dup.DupContext.ext1_idx``).  The checker of interest bounds the
 global dimension of every endomorphism algebra arising from the
 duplicated-algebra tilting modules by three.
 """
@@ -21,12 +24,9 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence
 
-from . import dup, homsolve, tilt_a
+from . import dup, tilt_a
 from .exactlin import Rat, SparseEchelon, rref_rows
 from .homsolve import SlotMap, SlotModule
-
-# unused here: the benchmark's endo.projective_resolution span patches this name
-from .homsolve import projective_resolution  # noqa: F401
 
 
 class AlgebraElement(NamedTuple):
@@ -138,10 +138,13 @@ def _apply(cols: dict[int, dict[int, Rat]], v: dict[int, Rat]) -> dict[int, Rat]
     return out
 
 
+_RESOLUTION_CAP = 6
+
+
 def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
     """The minimal projective resolution of the simple at the i-th
-    idempotent, as ``homsolve.projective_resolution`` gives it for the
-    module, computed in free coordinates without building a module.
+    idempotent: the summand tags of each cover's top generators, or None
+    after ``_RESOLUTION_CAP + 1`` covers, computed in free coordinates.
 
     Omega^1 = rad P_i, and each later syzygy, is a list of sparse vectors
     in the free module F, the sum of the P_s = Be_s over ``tags``: the
@@ -156,7 +159,7 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
     tags, steps = [i], [[i]]
     cols = {h: {0: 1} if h in idem else {} for h in alg.column[i]}      # P_i -> S_i
     syzygy = [{h: 1} for h in alg.column[i] if h not in idem]
-    for _ in range(homsolve._RESOLUTION_CAP):
+    for _ in range(_RESOLUTION_CAP):
         if not syzygy:
             return steps
         images: dict[tuple[int, int], dict[int, Rat]] = {}
@@ -200,6 +203,9 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
     return None if syzygy else steps
 
 
+# unused here: the benchmark's endo.projective_resolution span patches this name
+projective_resolution = simple_resolution
+
 # ---------------------------------------------------------------------------
 # duplicated-algebra front ends
 
@@ -240,7 +246,7 @@ def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
             if steps is None:
                 violations.append(
                     f"{t.label()}: simple over {label} does not resolve "
-                    f"within {homsolve._RESOLUTION_CAP} steps"
+                    f"within {_RESOLUTION_CAP} steps"
                 )
                 continue
             pd = len(steps) - 1

@@ -10,13 +10,7 @@ shape lives here, written once:
 * morphism spaces (``hom_basis``) and their dimensions (``hom_dim``) from
   the intertwining equations, assembled as sparse rows, and coordinates
   of maps and composites in a cached Hom basis,
-* kernels and cokernels that stay inside the category,
-* radical / top and projective covers, each cover block filled from
-  the Yoneda isomorphism Hom(P_s, M) = M_s: the generator of P_s goes to
-  a top lift, and every basis vector of P_s to the image of that lift
-  under the label word that reaches it (one per-class hook,
-  ``projective_for_slot``),
-* minimal projective resolutions, read as the slot tags of each cover,
+* cokernels that stay inside the category,
 * minimal left approximations into an additive subcategory spanned by
   indecomposables with one-dimensional endomorphism rings, the short
   exact exchange sequence an approximation generates (into add of the
@@ -24,9 +18,12 @@ shape lives here, written once:
   certificate of such a sequence that builds neither its middle term
   nor its cokernel.
 
-The concrete classes subclass :class:`SlotModule` and provide the
-structure maps plus the cover hook; no linear algebra happens outside
-``exactlin``.
+Covers, kernels and module resolutions are not needed: every object
+whose Ext^1 the package reads comes with a projective presentation of
+length one (``dup.DupContext.ext1_idx``), and ``endo`` resolves the
+simples of End T in free coordinates.  The concrete classes subclass
+:class:`SlotModule` and provide the structure maps; no linear algebra
+happens outside ``exactlin``.
 """
 
 from __future__ import annotations
@@ -61,15 +58,6 @@ class SlotModule:
         (source slot, destination slot) of a label;
     ``_rebuild(dims, struct)``
         a new instance of the same kind from transported data.
-
-    Every corner is scalar, so the radical is spanned by the images of
-    all labels of ``struct()``.  One optional hook, needed only for
-    covers and resolutions:
-
-    ``projective_for_slot(s)``
-        ``(P_s, words)``: the indecomposable projective at slot s and,
-        per slot w, the label words that carry P_s's generator to its
-        basis vectors at w, in basis order (labels apply left to right).
     """
 
     slot_keys: tuple[Slot, ...]
@@ -99,11 +87,6 @@ class SlotModule:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def zero_like(self) -> "SlotModule":
-        dims = {s: 0 for s in self.slot_keys}
-        struct = {l: RatMatrix.zeros(0, 0) for l in self.struct()}
-        return self._rebuild(dims, struct)
-
 
 class SlotMap:
     """Morphism of slot modules: one matrix per slot (dst_dim x src_dim)."""
@@ -123,13 +106,6 @@ class SlotMap:
                     f"expected {(dst.dims[s], src.dims[s])}"
                 )
 
-    @classmethod
-    def zero(cls, src: SlotModule, dst: SlotModule) -> "SlotMap":
-        return cls(
-            src, dst,
-            {s: RatMatrix.zeros(dst.dims[s], src.dims[s]) for s in src.slot_keys},
-        )
-
     def vec(self) -> tuple[Fraction, ...]:
         """Flatten all blocks (slot order, row-major) for rank arguments."""
         out: list[Fraction] = []
@@ -137,10 +113,6 @@ class SlotMap:
             for row in self.blocks[s].data:
                 out.extend(row)
         return tuple(out)
-
-    def is_surjective(self) -> bool:
-        return all(b.rank() == b.rows for b in self.blocks.values())
-
 
 # ---------------------------------------------------------------------------
 # morphism spaces
@@ -247,82 +219,39 @@ def end_dim(M: SlotModule) -> int:
 # kernels, cokernels, sums
 
 
-def kernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
-    """Kernel submodule with its inclusion.
-
-    Slotwise canonical kernel bases (``kernel_from_rref``): each basis
-    vector has entry 1 at its free column, its last nonzero entry, where
-    the other basis vectors vanish.  A structure map is transported by
-    reading the coordinates of S^M(basis vector) at the free columns of
-    the target slot's basis; f intertwines the structure maps, so the
-    residual is zero, and a nonzero one raises ``RuntimeError``.
-    """
-    M = f.src
-    bases: dict[Slot, RatMatrix] = {}
-    free: dict[Slot, list[int]] = {}
-    for s in M.slot_keys:
-        vecs = f.blocks[s].kernel_basis()
-        bases[s] = RatMatrix._trusted(vecs, M.dims[s]).transpose()  # columns = basis
-        free[s] = [max(k for k, x in enumerate(v) if x) for v in vecs]
-    struct: dict[Label, RatMatrix] = {}
-    for lab, mat in M.struct().items():
-        a, b = M.label_ends(lab)
-        pushed = mat @ bases[a]  # columns land in ker f_b
-        coords = RatMatrix._trusted([pushed.data[c] for c in free[b]], pushed.cols)
-        if bases[b] @ coords != pushed:
-            raise RuntimeError("kernel not preserved: map is not a morphism")
-        struct[lab] = coords
-    K = M._rebuild({s: len(free[s]) for s in M.slot_keys}, struct)
-    incl = SlotMap(K, M, {s: bases[s] for s in M.slot_keys})
-    return K, incl
-
-
-def _reverse_echelon(
-    vecs: Iterable[Sequence[Rat]], dim: int
-) -> tuple[list[int], list[tuple[int, dict[int, Fraction]]]]:
-    """Echelon form of the span of ``vecs`` with the columns reversed.
-
-    Returns the complement (the columns that are not pivots, ascending)
-    and the reduced rows as ``(pivot, {column: entry})`` pairs: each row
-    is 1 at its pivot, which is its largest column, and holds no other
-    pivot column.  The complement is the greedy standard-basis one:
-    scanning c = 0, 1, ..., e_c is taken iff it lies outside the span
-    plus the e_c' taken before it.  (A pivot p has its row, e_p plus
-    columns below p, in the span; a non-pivot c cannot be reached, since
-    a combination of rows is nonzero at its largest pivot.)
-    """
-    top = dim - 1
-    echelon = SparseEchelon(dim)
-    for v in vecs:
-        echelon.add({top - j: x for j, x in enumerate(v) if x})
-    rows, pivots = echelon.result()
-    pivot_set = {top - p for p in pivots}
-    complement = [c for c in range(dim) if c not in pivot_set]
-    return complement, [(top - p, {top - j: x for j, x in row.items()})
-                        for row, p in zip(rows, pivots)]
-
-
 def cokernel_projection(mat: RatMatrix) -> tuple[list[int], RatMatrix]:
     """Projection of the target of ``mat`` onto the greedy standard-basis
     complement of its image, along the image.
 
+    The image is brought to echelon form with the columns reversed: each
+    reduced row r_p is 1 at its pivot p, its largest column, and holds no
+    other pivot column.  The columns that are not pivots form the greedy
+    complement: scanning c = 0, 1, ..., e_c is taken iff it lies outside
+    the image plus the e_c' taken before it.  (A pivot p has its row, e_p
+    plus columns below p, in the image; a non-pivot c cannot be reached,
+    since a combination of rows is nonzero at its largest pivot.)
     Returns the complement columns and the projection, one row per
-    complement column c: e_c - sum_p r_p[c] e_p over the reduced rows
-    r_p of the image (see ``_reverse_echelon``).  The projection onto a
+    complement column c: e_c - sum_p r_p[c] e_p.  The projection onto a
     fixed complement along a fixed subspace is unique.
     """
     d = mat.rows
-    comp, reduced = _reverse_echelon(zip(*mat.data), d)
+    top = d - 1
+    echelon = SparseEchelon(d)
+    for v in zip(*mat.data):  # the columns
+        echelon.add({top - j: x for j, x in enumerate(v) if x})
+    rows, pivots = echelon.result()
+    pivot_set = {top - p for p in pivots}
+    comp = [c for c in range(d) if c not in pivot_set]
     zero, one = Fraction(0), Fraction(1)
     proj = [[zero] * d for _ in comp]
     at = {}
     for k, c in enumerate(comp):
         proj[k][c] = one
         at[c] = k
-    for p, row in reduced:
-        for c, x in row.items():
-            if c != p:
-                proj[at[c]][p] = -x
+    for row, p in zip(rows, pivots):
+        for j, x in row.items():
+            if j != p:
+                proj[at[top - j]][top - p] = -x
     return comp, RatMatrix(proj, cols=d)
 
 
@@ -350,83 +279,6 @@ def _sum_module(mods: Sequence[SlotModule]) -> SlotModule:
     struct = {lab: RatMatrix.block_diagonal([st[lab] for st in structs])
               for lab in structs[0]}
     return proto._rebuild(dims, struct)
-
-
-# ---------------------------------------------------------------------------
-# radical / top and covers
-
-
-def top_lifts(M: SlotModule) -> list[tuple[Slot, list[Fraction]]]:
-    """Standard-basis lifts of a basis of M / rad M, slot by slot: the
-    greedy complement of the span of all radical images."""
-    images: dict[Slot, list[tuple[Fraction, ...]]] = {s: [] for s in M.slot_keys}
-    for lab, mat in M.struct().items():
-        images[M.label_ends(lab)[1]].extend(zip(*mat.data))  # the columns
-    out: list[tuple[Slot, list[Fraction]]] = []
-    for s in M.slot_keys:
-        for i in _reverse_echelon(images[s], M.dims[s])[0]:
-            v = [Fraction(0)] * M.dims[s]
-            v[i] = Fraction(1)
-            out.append((s, v))
-    return out
-
-
-def projective_cover_parts(M: SlotModule) -> tuple[SlotModule, list[Slot], SlotMap]:
-    """Projective cover P -> M built from lifted top generators.
-
-    P is the sum of one canonical projective per top generator; ``tags``
-    lists each generator's slot, in summand order.  The component at a
-    generator v in M_s sends the basis vector of P_s reached by a label
-    word to the image of v under that word (Yoneda, Auslander-Reiten-
-    Smalo II.1), so each slot's block is filled column by column.
-    """
-    lifts = top_lifts(M)
-    if not lifts:
-        if not M.is_zero():
-            raise RuntimeError("nonzero module with zero top")
-        Z = M.zero_like()
-        return Z, [], SlotMap.zero(Z, M)
-    projectives = {s: M.projective_for_slot(s) for s, _ in lifts}  # type: ignore[attr-defined]
-    P = _sum_module([projectives[s][0] for s, _ in lifts])
-    st = M.struct()
-    cols: dict[Slot, list[list[Fraction]]] = {w: [] for w in M.slot_keys}
-    for s, v in lifts:
-        for w, words in projectives[s][1].items():
-            for word in words:
-                vec = v
-                for lab in word:
-                    vec = st[lab].apply(vec)
-                cols[w].append(vec)
-    blocks = {w: RatMatrix._trusted([[c[r] for c in cols[w]] for r in range(M.dims[w])],
-                                    len(cols[w]))
-              for w in M.slot_keys}
-    cover = SlotMap(P, M, blocks)
-    if not cover.is_surjective():
-        raise RuntimeError("cover failed to be surjective")
-    return P, [s for s, _ in lifts], cover
-
-
-_RESOLUTION_CAP = 6
-
-
-def projective_resolution(M: SlotModule) -> list[list[Slot]] | None:
-    """Minimal projective resolution of M, step by step: the slot tags of
-    each cover's top generators, or None when it has not ended after
-    ``_RESOLUTION_CAP + 1`` covers.
-
-    A cover with the dimensions of the module it covers is bijective (it
-    is onto), so that module is projective and the resolution ends there;
-    no zero kernel is built.  The zero module resolves in one empty step.
-    """
-    steps: list[list[Slot]] = []
-    cur = M
-    for _ in range(_RESOLUTION_CAP + 1):
-        P, tags, cover = projective_cover_parts(cur)
-        steps.append(tags)
-        if P.dims == cur.dims:
-            return steps
-        cur, _ = kernel(cover)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +444,8 @@ def minimal_left_approximation(
 def approximation_map(
     x: SlotModule, pool: Sequence[SlotModule], comps: Sequence[tuple[int, SlotMap]]
 ) -> tuple[SlotModule, SlotMap]:
-    """The map x -> E into the sum of the chosen components (zero if none)."""
-    if not comps:
-        z = x.zero_like()
-        return z, SlotMap.zero(x, z)
+    """The map x -> E into the sum of the chosen components, at least one
+    (``injective_approximation`` returns them)."""
     # the sum of inclusion . component: the component blocks, stacked
     E = _sum_module([pool[i] for i, _ in comps])
     blocks = {s: RatMatrix.vstack([h.blocks[s] for _, h in comps]) for s in x.slot_keys}

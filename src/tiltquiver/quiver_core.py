@@ -101,12 +101,6 @@ class Quiver:
     def is_source(self, v: int) -> bool:
         return not self.in_arrows(v)
 
-    def sinks(self) -> list[int]:
-        return [v for v in self.vertices if self.is_sink(v)]
-
-    def sources(self) -> list[int]:
-        return [v for v in self.vertices if self.is_source(v)]
-
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
 

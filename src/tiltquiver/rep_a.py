@@ -92,13 +92,6 @@ class Rep(homsolve.SlotModule):
     def __repr__(self) -> str:
         return f"Rep{self.dim_vector()}"
 
-    # -- hook for covers ---------------------------------------------------
-
-    def projective_for_slot(self, v: int) -> tuple["Rep", dict[int, list[tuple[str, ...]]]]:
-        """P_v with its basis words: the paths v ~> w, arrow ids as labels."""
-        q = self.quiver
-        return projective(q, v), {w: q.paths_between(v, w) for w in q.vertices}
-
 
 # ---------------------------------------------------------------------------
 # projectives and injectives

@@ -8,16 +8,18 @@ lives here:
   ``gauss_jordan``, so that they share no elimination code with the
   sparse kernel they check;
 * morphism arithmetic of slot modules (``compose``, ``add``, ``scale``,
-  ``is_zero``, ``is_injective``), direct sums, and the generic Ext^1 and
-  projective dimension of a module through one cover;
+  ``is_zero``, ``is_injective``, ``is_surjective``), zero modules and
+  maps, and direct sums;
 * the simples, the canonical modules and the top embedding used as
   fixtures, the global dimension of the duplicated algebra (2n simples
   resolved as modules), and the complements of an almost complete
   tilting module;
 * left modules over the endomorphism algebra of a tilting module
   (``BMod``): its regular projectives and simples, Hom(T, m) as such a
-  module, its global dimension, and the check that Hom(T, -) never
-  raises projective dimension.
+  module, and its global dimension;
+* the cover route, which the package does not need: kernels, projective
+  covers (one hook per module kind, ``PROJECTIVES``), resolutions, the
+  generic Ext^1, and the check that Hom(T, -) never raises pd.
 """
 
 from fractions import Fraction
@@ -127,19 +129,37 @@ def is_injective(f):
     return all(b.rank() == b.cols for b in f.blocks.values())
 
 
+def is_surjective(f):
+    return all(b.rank() == b.rows for b in f.blocks.values())
+
+
+def zero_module(M):
+    """The zero module on the slots and labels of M."""
+    return M._rebuild(dict.fromkeys(M.slot_keys, 0),
+                      {lab: RatMatrix.zeros(0, 0) for lab in M.struct()})
+
+
+def zero_map(M, N):
+    return SlotMap(M, N, {s: RatMatrix.zeros(N.dims[s], M.dims[s]) for s in M.slot_keys})
+
+
 def map_vec_length(M, N):
     """The length of ``vec()`` of a map M -> N."""
     return sum(N.dims[s] * M.dims[s] for s in M.slot_keys)
 
 
+def sum_module(mods):
+    """The direct sum of at least one module: block-diagonal structure maps."""
+    structs = [m.struct() for m in mods]
+    return mods[0]._rebuild(
+        {s: sum(m.dims[s] for m in mods) for s in mods[0].slot_keys},
+        {lab: RatMatrix.block_diagonal([st[lab] for st in structs]) for lab in structs[0]})
+
+
 def direct_sum(mods):
     """The direct sum of at least one module, with its inclusions and projections."""
-    proto = mods[0]
-    slots = proto.slot_keys
-    dims = {s: sum(m.dims[s] for m in mods) for s in slots}
-    structs = [m.struct() for m in mods]
-    S = proto._rebuild(dims, {lab: RatMatrix.block_diagonal([st[lab] for st in structs])
-                              for lab in structs[0]})
+    S = sum_module(mods)
+    slots, dims = S.slot_keys, S.dims
     incls, projs = [], []
     offset = dict.fromkeys(slots, 0)
     for m in mods:
@@ -152,26 +172,6 @@ def direct_sum(mods):
         incls.append(SlotMap(m, S, inc))
         projs.append(SlotMap(S, m, prj))
     return S, incls, projs
-
-
-def ext1_dim(M, N):
-    """dim Ext^1(M, N) from 0 -> K -> P -> M -> 0: Hom(-, N) gives
-    dim Hom(K, N) - dim Hom(P, N) + dim Hom(M, N)."""
-    P, _, cover = homsolve.projective_cover_parts(M)
-    K, _ = homsolve.kernel(cover)
-    if K.is_zero():
-        return 0
-    return homsolve.hom_dim(K, N) - homsolve.hom_dim(P, N) + homsolve.hom_dim(M, N)
-
-
-def projective_dimension(M):
-    """Length of the minimal projective resolution of a nonzero module."""
-    if M.is_zero():
-        raise ValueError("projective dimension of the zero module")
-    steps = homsolve.projective_resolution(M)
-    if steps is None:
-        raise RuntimeError("projective dimension exceeds cap 6")
-    return len(steps) - 1
 
 
 def is_left_approximation(x, comps, pool):
@@ -274,15 +274,6 @@ class BMod(SlotModule):
     def _rebuild(self, dims, struct):
         return BMod(self.algebra, dict(dims), dict(struct))
 
-    def projective_for_slot(self, s):
-        """Be_s, shared per (algebra, s), with its words: the basis
-        morphisms T_j -> T_s, the idempotent as the empty word."""
-        alg = self.algebra
-        idem = set(alg.idempotents)
-        return shared_projective(alg, s), {
-            j: [() if e in idem else (e,) for e in alg.pair_basis[(j, s)]]
-            for j in self.slot_keys}
-
 
 @cache
 def shared_projective(alg, s):
@@ -358,11 +349,170 @@ def global_dimension(alg):
     return max(len(s) - 1 for s in steps)
 
 
+# ---------------------------------------------------------------------------
+# the cover route: covers, kernels and resolutions
+#
+# A projective hook returns (P_s, words): the indecomposable projective at
+# slot s and, per slot w, the label words that carry its generator to its
+# basis vectors at w, in basis order (labels apply left to right).
+
+
+def rep_projective(M, v):
+    """P_v, its words the paths v ~> w (arrow ids are the labels)."""
+    q = M.quiver
+    return rep_a.projective(q, v), {w: q.paths_between(v, w) for w in q.vertices}
+
+
+@cache
+def slot_words(q, s):
+    """The words of ``dup.slot_projective(q, s)``.  At ("b", a): the bottom
+    paths a ~> w.  At ("t", a): the top paths a ~> w, and at ("b", w) the
+    duals of the paths z: w ~> a, reached by the top arrows of y: a ~> e
+    (e the first sink a reaches), the connecting arrow of r z y, then the
+    bottom arrows of r: u ~> w (u the first source reaching w)."""
+    layer, a = s
+    if layer == "t":
+        e = next(e for e in q.vertices if q.is_sink(e) and q.paths_between(a, e))
+        y = q.paths_between(a, e)[0]
+    words = {}
+    for w in q.vertices:
+        paths = [tuple((layer, x) for x in p) for p in q.paths_between(a, w)]
+        if layer == "b":
+            words[("t", w)], words[("b", w)] = [], paths
+            continue
+        u = next(u for u in q.vertices if q.is_source(u) and q.paths_between(u, w))
+        r = q.paths_between(u, w)[0]
+        words[("t", w)] = paths
+        words[("b", w)] = [tuple(("t", x) for x in y) + (("m", u, r + z + y),)
+                           + tuple(("b", x) for x in r) for z in q.paths_between(w, a)]
+    return words
+
+
+def triple_projective(M, s):
+    return dup.slot_projective(M.quiver, s), slot_words(M.quiver, s)
+
+
+def bmod_projective(M, s):
+    """Be_s, shared per (algebra, s), its words the basis morphisms
+    T_j -> T_s, the idempotent as the empty word."""
+    alg = M.algebra
+    idem = set(alg.idempotents)
+    return shared_projective(alg, s), {
+        j: [() if e in idem else (e,) for e in alg.pair_basis[(j, s)]] for j in M.slot_keys}
+
+
+PROJECTIVES = {Rep: rep_projective, dup.TripleModule: triple_projective, BMod: bmod_projective}
+
+
+def top_lifts(M):
+    """Standard-basis lifts of a basis of M / rad M, slot by slot: e_i
+    joins iff it enlarges the span of the images of all labels (every
+    corner is scalar) and of the lifts before it."""
+    images = {s: [] for s in M.slot_keys}
+    for lab, mat in M.struct().items():
+        images[M.label_ends(lab)[1]].extend(zip(*mat.data))  # the columns
+    out = []
+    for s in M.slot_keys:
+        span = SparseEchelon(M.dims[s])
+        for v in images[s]:
+            span.add(sparse_row(v))
+        out.extend((s, [F(int(k == i)) for k in range(M.dims[s])])
+                   for i in range(M.dims[s]) if span.add({i: 1}))
+    return out
+
+
+def projective_cover_parts(M):
+    """Projective cover P -> M, one projective per lifted top generator
+    (``tags``: their slots).  The component at a generator v in M_s sends
+    the basis vector of P_s reached by a word to the image of v under that
+    word (Yoneda, Auslander-Reiten-Smalo II.1)."""
+    lifts = top_lifts(M)
+    if not lifts:
+        if not M.is_zero():
+            raise RuntimeError("nonzero module with zero top")
+        Z = zero_module(M)
+        return Z, [], zero_map(Z, M)
+    projectives = {s: PROJECTIVES[type(M)](M, s) for s, _ in lifts}
+    P = sum_module([projectives[s][0] for s, _ in lifts])
+    st = M.struct()
+    cols = {w: [] for w in M.slot_keys}
+    for s, v in lifts:
+        for w, words in projectives[s][1].items():
+            for word in words:
+                vec = v
+                for lab in word:
+                    vec = st[lab].apply(vec)
+                cols[w].append(vec)
+    cover = SlotMap(P, M, {w: RatMatrix([[c[r] for c in cols[w]] for r in range(M.dims[w])],
+                                        cols=len(cols[w])) for w in M.slot_keys})
+    if not is_surjective(cover):
+        raise RuntimeError("cover failed to be surjective")
+    return P, [s for s, _ in lifts], cover
+
+
+def kernel(f):
+    """Kernel submodule with its inclusion, on slotwise canonical kernel
+    bases (each vector is 1 at its last nonzero entry, its free column,
+    where the others vanish): a structure map is transported by reading
+    pushed basis vectors at the target's free columns, and a nonzero
+    residual raises ``RuntimeError``."""
+    M = f.src
+    bases, free = {}, {}
+    for s in M.slot_keys:
+        vecs = f.blocks[s].kernel_basis()
+        bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()  # columns = basis
+        free[s] = [max(k for k, x in enumerate(v) if x) for v in vecs]
+    struct = {}
+    for lab, mat in M.struct().items():
+        a, b = M.label_ends(lab)
+        pushed = mat @ bases[a]  # columns land in ker f_b
+        struct[lab] = RatMatrix([pushed.data[c] for c in free[b]], cols=pushed.cols)
+        if bases[b] @ struct[lab] != pushed:
+            raise RuntimeError("kernel not preserved: map is not a morphism")
+    K = M._rebuild({s: len(free[s]) for s in M.slot_keys}, struct)
+    return K, SlotMap(K, M, bases)
+
+
+def projective_resolution(M):
+    """Minimal projective resolution of M: the ``tags`` of each cover, or
+    None when 7 covers do not end it.  A cover with the dimensions of the
+    module it covers is bijective, so the resolution ends there and the
+    zero module resolves in one empty step."""
+    steps, cur = [], M
+    for _ in range(7):
+        P, tags, cover = projective_cover_parts(cur)
+        steps.append(tags)
+        if P.dims == cur.dims:
+            return steps
+        cur, _ = kernel(cover)
+    return None
+
+
+def ext1_dim(M, N):
+    """dim Ext^1(M, N) from 0 -> K -> P -> M -> 0: Hom(-, N) gives
+    dim Hom(K, N) - dim Hom(P, N) + dim Hom(M, N)."""
+    P, _, cover = projective_cover_parts(M)
+    K, _ = kernel(cover)
+    if K.is_zero():
+        return 0
+    return homsolve.hom_dim(K, N) - homsolve.hom_dim(P, N) + homsolve.hom_dim(M, N)
+
+
+def projective_dimension(M):
+    """Length of the minimal projective resolution of a nonzero module."""
+    if M.is_zero():
+        raise ValueError("projective dimension of the zero module")
+    steps = projective_resolution(M)
+    if steps is None:
+        raise RuntimeError("projective dimension exceeds cap 6")
+    return len(steps) - 1
+
+
 def hom_pd_bound(ctx):
     """pd Hom(T, m) over End T is at most pd m, for every tilting module T
-    and every object m its summands generate; pd m is read off the
-    context's cached resolution."""
-    violations, checked = [], 0
+    and every object m its summands generate; pd m is resolved once per
+    object."""
+    violations, checked, downstairs = [], 0, {}
     for t in dup.enumerate_tilting_dup(ctx):
         alg, _ = endo.endo_algebra(ctx, t)
         for k, (pid, m) in enumerate(ctx.objects()):
@@ -371,10 +521,12 @@ def hom_pd_bound(ctx):
             except ValueError:
                 continue
             checked += 1
-            steps = homsolve.projective_resolution(bm)
+            steps = projective_resolution(bm)
             upstairs = None if steps is None else len(steps) - 1
-            downstairs = len(ctx.resolution(k)) - 1
-            if upstairs is None or upstairs > downstairs:
-                violations.append(f"{t.label()}: pd Hom(T, {pid}) = {upstairs} exceeds {downstairs}")
+            if k not in downstairs:
+                downstairs[k] = projective_dimension(m)
+            if upstairs is None or upstairs > downstairs[k]:
+                violations.append(f"{t.label()}: pd Hom(T, {pid}) = {upstairs} "
+                                  f"exceeds {downstairs[k]}")
     return {"status": "violation" if violations else "pass",
             "stats": {"modules_checked": checked}, "counterexamples": violations}

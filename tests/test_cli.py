@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import reference as ref
 import tiltquiver
 from tiltquiver import cli
 
@@ -314,12 +315,15 @@ def test_engine_exceptions_exit_2(capsys, monkeypatch, exc):
 
 
 def test_homsolve_fault_is_an_engine_error(capsys, monkeypatch):
-    # a cover that finds no top for a nonzero module: RuntimeError, exit 2
-    monkeypatch.setattr(cli.dup.homsolve, "top_lifts", lambda M: [])
+    # Hom bases whose maps are all doubled: the coordinates of composites
+    # read at the free columns no longer rebuild them, RuntimeError, exit 2
+    hom_basis = cli.dup.homsolve.hom_basis
+    monkeypatch.setattr(cli.dup.homsolve, "hom_basis",
+                        lambda M, N: [ref.scale(f, 2) for f in hom_basis(M, N)])
     code, out, err = run(capsys, "dup-kquiver", "--diagram", "A2")
     assert code == 2
     assert out == ""
-    assert err.startswith("engine error: nonzero module with zero top")
+    assert err.startswith("engine error: a map does not lie in the span of its cached Hom basis")
 
 
 def test_closed_stdout_keeps_exit_code_and_json(tmp_path):
@@ -431,12 +435,16 @@ def test_missing_quiver_file(capsys, tmp_path):
 @pytest.mark.parametrize("flag", ["--json", "--dot"])
 def test_unwritable_report_file_is_an_input_error(capsys, tmp_path, flag):
     # a report or graph file that cannot be written: one line on stderr,
-    # nothing on stdout, exit 2 (not 1, the code of a violation)
+    # nothing on stdout, exit 2 (not 1, the code of a violation), and the
+    # other of --json and --dot, though writable, is not left behind
+    other = tmp_path / "other"
     code, out, err = run(capsys, "kquiver", "--diagram", "A2",
-                         flag, str(tmp_path / "missing" / "out"))
+                         flag, str(tmp_path / "missing" / "out"),
+                         {"--json": "--dot", "--dot": "--json"}[flag], str(other))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not other.exists()
 
 
 def test_theorem_3_1_runs_past_rank_three(capsys):

@@ -128,7 +128,7 @@ def test_slot_projectives_are_shared_and_never_mutated():
     for a in A3.vertices:
         bar, low = dup.slot_projective(A3, ("t", a)), dup.slot_projective(A3, ("b", a))
         assert ctx.objects()[ctx.pool_size() + A3.v_pos[a]][1] is bar
-        assert ctx.pool()[0][1].projective_for_slot(("b", a))[0] is low
+        assert ref.triple_projective(ctx.pool()[0][1], ("b", a))[0] is low
         # the shared copies still equal fresh builds after all that work
         for got, fresh in ((bar, dup.bar_projective(A3, a)),
                            (low, dup.embed(A3, rep_a.projective(A3, a)))):
@@ -291,21 +291,57 @@ def test_shift_extension_identity():
 
 YONEDA_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
                   + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
-                  + [(name, named_diagram(name)) for name in ("A5", "D5")])
+                  + [(name, named_diagram(name)) for name in ("A5", "D5")]
+                  + [("E6_SEED1", parse_quiver(E6_SEED1))])
+
+
+def _ext1_mismatches(ctx):
+    """The ordered object pairs where ``ctx.ext1_idx`` and the reference's
+    cover route, a syzygy and three Hom solves, disagree."""
+    objs = [m for _, m in ctx.objects()]
+    return [(i, j) for i, x in enumerate(objs) for j, y in enumerate(objs)
+            if ctx.ext1_idx(i, j) != ref.ext1_dim(x, y)]
 
 
 @pytest.mark.parametrize("q", [q for _, q in YONEDA_QUIVERS],
                          ids=[n for n, _ in YONEDA_QUIVERS])
 def test_yoneda_ext1_matches_the_generic_route(q):
-    # ext1_idx reads Hom out of each object's projective syzygy by Yoneda;
-    # the reference takes the syzygy and three Hom solves for every pair
+    # ext1_idx reads A's Euler form off each object's presentation of
+    # length one and Hom(P_s, N) = N_s by Yoneda; the reference shares
+    # none of it
     ctx = dup.DupContext(q)
-    objs = [m for _, m in ctx.objects()]
-    for i, x in enumerate(objs):
-        for j, y in enumerate(objs):
-            assert ctx.ext1_idx(i, j) == ref.ext1_dim(x, y), (i, j)
-    # every nonzero syzygy is read by Yoneda (shifted modules have pd 1)
-    assert any(len(ctx.resolution(i)) == 2 for i in range(len(objs)))
+    assert _ext1_mismatches(ctx) == []
+    # the shifted modules' extra term is read: some Ext^1(W_i, -) is nonzero
+    assert any(ctx.ext1_idx(i, j) for i, (pid, _) in enumerate(ctx.objects())
+               if pid.kind == "W" for j in range(ctx.pool_size()))
+
+
+# mutations of ext1_idx, each a wrapper around the real one: the shifted
+# modules lose their term dim N_(b, i), or an embedded object is read on
+# the top layer, where it is zero, so A's Euler form drops out
+DROPPED_DELTA = (
+    "def mutated(self, i, j):\n"
+    "    pid, n = self.objects()[i][0], self.objects()[j][1]\n"
+    "    return ext1_idx(self, i, j) - (n.dims[('b', pid.key)] if pid.kind == 'W' else 0)\n"
+)
+EMBEDDED_ON_TOP = (
+    "def mutated(self, i, j):\n"
+    "    (pid, m), n = self.objects()[i], self.objects()[j][1]\n"
+    "    form = self.quiver.euler_form(*([x.dims[('b', v)] for v in self.quiver.vertices]\n"
+    "                                    for x in (m, n)))\n"
+    "    return ext1_idx(self, i, j) + (form if pid.kind == 'E' else 0)\n"
+)
+EXT1_MUTATIONS = [(DROPPED_DELTA, "(W0, E(1,0,0))"),
+                  (EMBEDDED_ON_TOP, "(E(0,0,1), E(0,0,1))")]
+
+
+@pytest.mark.parametrize("mutation", [m for m, _ in EXT1_MUTATIONS],
+                         ids=["dropped-delta", "embedded-on-top"])
+def test_ext1_mutations_fail_the_oracle(monkeypatch, mutation):
+    scope = {"ext1_idx": dup.DupContext.ext1_idx}
+    exec(mutation, scope)
+    monkeypatch.setattr(dup.DupContext, "ext1_idx", scope["mutated"])
+    assert _ext1_mismatches(dup.DupContext(A3))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +580,7 @@ def test_sum_of_members_decomposes_with_its_multiplicities():
 
 def test_zero_module_has_zero_multiplicities():
     ctx, members = _a3_members()
-    zero = ctx.objects()[members[0]][1].zero_like()
+    zero = ref.zero_module(ctx.objects()[members[0]][1])
     assert _decompose(ctx, zero, members) == [0] * len(members)
 
 
@@ -776,36 +812,16 @@ EXT_PLANE = (
 )
 
 
-# once the pool is built, every kernel gains the top-embedded simple at
-# the first vertex, which is not projective, so the syzygies that Ext^1
-# reads by Yoneda are not projective either
-NON_PROJECTIVE_SYZYGY = (
-    "import sys\n"
-    "from reference import direct_sum, embed_top, simple\n"
-    "from tiltquiver import cli, dup, homsolve\n"
-    "kernel, pool = homsolve.kernel, dup.DupContext.pool\n"
-    "def widened(f):\n"
-    "    K, incl = kernel(f)\n"
-    "    q = K.quiver\n"
-    "    return direct_sum([K, embed_top(q, simple(q, q.vertices[0]))])[0], incl\n"
-    "def pool_then_widen(self):\n"
-    "    got = pool(self)\n"
-    "    homsolve.kernel = widened\n"
-    "    return got\n"
-    "dup.DupContext.pool = pool_then_widen\n"
-    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
-)
-
-
 # once the pool is built, every approximation component is the zero map,
 # so no exchange sequence the engine goes on to certify exists; that is a
 # fault of the engine, not a counterexample and not an input error
 ZERO_APPROXIMATION = (
     "import sys\n"
+    "from reference import zero_map\n"
     "from tiltquiver import cli, dup, homsolve\n"
     "approximation, pool = homsolve.minimal_left_approximation, dup.DupContext.pool\n"
     "def zeroed(*args, **kwargs):\n"
-    "    return [(i, homsolve.SlotMap.zero(h.src, h.dst))\n"
+    "    return [(i, zero_map(h.src, h.dst))\n"
     "            for i, h in approximation(*args, **kwargs)]\n"
     "def pool_then_zero(self):\n"
     "    got = pool(self)\n"
@@ -817,7 +833,8 @@ ZERO_APPROXIMATION = (
 
 # every shifted module comes out as the bar projective at its vertex,
 # which passes the checks made on construction but has projective
-# dimension 0, not 1
+# dimension 0, not 1: Ext^1 read off W_i's presentation is then wrong,
+# and the compatibility rules catch it
 PROJECTIVE_SHIFT = (
     "import sys\n"
     "from tiltquiver import cli, dup\n"
@@ -866,15 +883,6 @@ def test_exchange_pair_fault_is_an_engine_error(script, message, flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_non_projective_syzygy_is_an_engine_error(flags):
-    proc = _run_script(flags, NON_PROJECTIVE_SYZYGY)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert "engine error:" in proc.stderr
-    assert "is not projective" in proc.stderr
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("argv", [
     ["verify", "--theorem", "3.1", "--diagram", "A2", "--deep-check"],
     ["dup-kquiver", "--diagram", "A2"],
@@ -891,18 +899,22 @@ def test_shifted_module_of_wrong_projective_dimension_is_an_engine_error(flags):
     proc = _run_script(flags, PROJECTIVE_SHIFT)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert "engine error: shifted module has unexpected projective dimension" in proc.stderr
+    assert ("engine error: compatibility rule disagrees with the solver on (W0, W0)"
+            in proc.stderr)
 
 
-def test_each_object_is_resolved_once(monkeypatch):
-    # the shifted modules' projective dimension is certified by the
-    # resolution Ext^1 reads, not by a second one
-    resolved = []
-    resolve = homsolve.projective_resolution
-    monkeypatch.setattr(homsolve, "projective_resolution",
-                        lambda m: resolved.append(m) or resolve(m))
-    ctx = dup.DupContext(A3)
-    ctx.validate_rules()
-    objects = [m for _, m in ctx.objects()]
-    assert len({id(m) for m in resolved}) == len(resolved) == ctx.pool_size()
-    assert all(any(m is o for o in objects) for m in resolved)
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("mutation, pair", EXT1_MUTATIONS,
+                         ids=["dropped-delta", "embedded-on-top"])
+def test_ext1_mutation_is_an_engine_error(flags, mutation, pair):
+    script = ("import sys\n"
+              "from tiltquiver import cli, dup\n"
+              "ext1_idx = dup.DupContext.ext1_idx\n"
+              + mutation +
+              "dup.DupContext.ext1_idx = mutated\n"
+              "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n")
+    proc = _run_script(flags, script)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert (f"engine error: compatibility rule disagrees with the solver on {pair}"
+            in proc.stderr)

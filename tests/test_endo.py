@@ -127,9 +127,9 @@ def test_regular_projectives_have_simple_tops():
     for i in range(2):
         P = ref.regular_projective(alg, i)
         assert P.dims[i] == 1
-        lifts = homsolve.top_lifts(P)
+        lifts = ref.top_lifts(P)
         assert len(lifts) == 1 and lifts[0][0] == i
-        assert homsolve.projective_resolution(P) == [[i]]
+        assert ref.projective_resolution(P) == [[i]]
         check_action(P)
 
 
@@ -168,7 +168,7 @@ def test_b_module_of_summand_is_the_regular_projective():
         bm = ref.b_module(alg, objs[k][1])
         P = ref.regular_projective(alg, i)
         assert bm.dims == P.dims
-        assert homsolve.projective_resolution(bm) == [[i]]
+        assert ref.projective_resolution(bm) == [[i]]
         check_action(bm)
 
 
@@ -339,7 +339,7 @@ def test_cached_tables_and_free_resolutions_match_the_module_route():
             assert alg.table == _dense_table(alg)
             for i in range(len(alg.summands)):
                 steps = endo.simple_resolution(alg, i)
-                assert steps == homsolve.projective_resolution(ref.simple_module(alg, i))
+                assert steps == ref.projective_resolution(ref.simple_module(alg, i))
                 lengths.add(len(steps))
             algebras += 1
     assert algebras == 4 * 14 + len(orientations("D4")) * 50 + 42
@@ -425,14 +425,14 @@ def test_gldim_bound_four_vertices(name, count):
 
 
 def test_hom_pd_never_exceeds_module_pd(monkeypatch):
-    # one sweep over the tilting modules; the downstairs pd is read off
-    # the context's cached resolution, so no object is resolved twice
+    # one sweep over the tilting modules; the downstairs pd is resolved
+    # once per object, not once per tilting module
     for q, checked, objects in ((A2, 27, 7), (A3, 121, 12)):
         ctx = dup.DupContext(q)
         ids = {id(m) for _, m in ctx.objects()}  # the pool's certificates run here
         seen = []
-        resolve = homsolve.projective_resolution
-        monkeypatch.setattr(homsolve, "projective_resolution",
+        resolve = ref.projective_resolution
+        monkeypatch.setattr(ref, "projective_resolution",
                             lambda m: seen.append(id(m)) or resolve(m))
         rep = ref.hom_pd_bound(ctx)
         monkeypatch.undo()

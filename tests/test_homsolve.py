@@ -13,13 +13,13 @@ its certificate, ``certify_exchange``, which builds neither E nor the
 cokernel.  The graph certifies each exchange pair (x, y) once, so every
 arc's own arguments are rebuilt from the graph (``_arc_certificates``).
 That certificate is held to ``exchange_sequence`` and to a two-Hom
-isomorphism test, and must reject wrong complements.  ``kernel`` reads
-structure maps at the free columns of canonical kernel bases and is
-held to the per-column solves it replaced; the structure nonzeros that
-``_hom_system`` memoizes per module are held to a fresh read after full
-runs of both engines.  The projective covers, filled from the Yoneda
-words of ``projective_for_slot``, are held to the identity on every
-slot projective and to the solved Hom(P_s, M) generator by generator.
+isomorphism test, and must reject wrong complements.  The structure
+nonzeros that ``_hom_system`` memoizes per module are held to a fresh
+read after full runs of both engines.  The oracles' cover route
+(``tests/reference.py``) is checked too: its ``kernel`` against
+per-column solves, its covers, filled from the Yoneda words of one hook
+per module kind, against the identity on every slot projective and the
+solved Hom(P_s, M) generator by generator.
 """
 
 import inspect
@@ -81,7 +81,7 @@ def reference_cokernel(f):
 
 def reference_approximation_map(x, pool, comps):
     E, incls, _ = ref.direct_sum([pool[i] for i, _ in comps])
-    f = SlotMap.zero(x, E)
+    f = ref.zero_map(x, E)
     for (_, h), inc in zip(comps, incls):
         f = ref.add(f, ref.compose(inc, h))
     return E, f
@@ -99,9 +99,9 @@ def assert_cokernel_matches(f):
 # every map the exchange graphs hand over
 
 
-def _recorded(build, *attrs):
-    """Run ``build()`` while recording the calls of ``homsolve.<attr>``
-    for each of ``attrs``: attr -> one {parameter: argument} per call."""
+def _recorded(build, *attrs, owner=homsolve):
+    """Run ``build()`` while recording the calls of ``owner.<attr>`` for
+    each of ``attrs``: attr -> one {parameter: argument} per call."""
     seen = {attr: [] for attr in attrs}
 
     def recorder(fn, log):
@@ -117,7 +117,7 @@ def _recorded(build, *attrs):
 
     with pytest.MonkeyPatch.context() as mp:
         for attr in attrs:
-            mp.setattr(homsolve, attr, recorder(getattr(homsolve, attr), seen[attr]))
+            mp.setattr(owner, attr, recorder(getattr(owner, attr), seen[attr]))
         build()
     return seen
 
@@ -475,7 +475,7 @@ def test_composite_coordinates_rebuild_the_composites():
                 basis = ctx.hom_idx(x, y)
                 for h, row in zip(ctx.hom_idx(x, i), coords):
                     for g, c in zip(ctx.hom_idx(i, y), row):
-                        rebuilt = SlotMap.zero(objs[x], objs[y])
+                        rebuilt = ref.zero_map(objs[x], objs[y])
                         for cm, b in zip(c, basis):
                             rebuilt = ref.add(rebuilt, ref.scale(b, cm))
                         assert rebuilt.vec() == ref.compose(g, h).vec()
@@ -544,7 +544,7 @@ def test_certificate_returns_its_approximation_components(name):
 
 
 # ---------------------------------------------------------------------------
-# kernels and the per-module structure nonzeros
+# the reference's kernels and resolutions; the structure nonzeros
 
 
 def reference_kernel(f):
@@ -570,7 +570,7 @@ def reference_kernel(f):
 
 
 def assert_kernel_matches(f):
-    K, incl = homsolve.kernel(f)
+    K, incl = ref.kernel(f)
     dims, struct, bases = reference_kernel(f)
     assert K.dims == dims
     assert K.struct() == struct
@@ -580,17 +580,17 @@ def assert_kernel_matches(f):
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_kernel_matches_the_solve_route_on_dup_maps(name):
-    # the syzygies that Ext^1 reads by Yoneda (each object resolved once,
-    # the shifted modules among them) and the resolutions of the 2n simples
+    # the syzygies of every pool member (the shifted modules among them)
+    # and the resolutions of the 2n simples
     def build():
         ctx = dup.DupContext(named_diagram(name))
-        dup.tilting_quiver_dup(ctx)
+        for _, m in ctx.pool():
+            ref.projective_resolution(m)
         ref.global_dimension_dup(ctx)
 
-    seen = _recorded(build, "kernel")
-    calls = [c["f"] for c in seen["kernel"]]
+    calls = [c["f"] for c in _recorded(build, "kernel", owner=ref)["kernel"]]
     assert len(calls) >= {"A3": 14, "D4": 25}[name]
-    assert any(not homsolve.kernel(f)[0].is_zero() for f in calls)
+    assert any(not ref.kernel(f)[0].is_zero() for f in calls)
     for f in calls:
         assert_kernel_matches(f)
 
@@ -600,9 +600,9 @@ def reference_resolution(M):
     each cover's top generators, or None after 7 covers."""
     steps = []
     for _ in range(7):
-        _, tags, cover = homsolve.projective_cover_parts(M)
+        _, tags, cover = ref.projective_cover_parts(M)
         steps.append(tags)
-        M, _ = homsolve.kernel(cover)
+        M, _ = ref.kernel(cover)
         if M.is_zero():
             return steps
     return None
@@ -620,7 +620,7 @@ def test_resolution_matches_the_kernel_loop_on_dup_objects(q):
     # modules exactly 1
     lengths = set()
     for _, m in dup.DupContext(q).objects():
-        steps = homsolve.projective_resolution(m)
+        steps = ref.projective_resolution(m)
         assert steps == reference_resolution(m)
         lengths.add(len(steps))
     assert lengths == {1, 2}
@@ -634,29 +634,29 @@ def test_resolution_matches_the_kernel_loop_on_endomorphism_algebras():
         alg, _ = endo.endo_algebra(ctx, t)
         for i in range(len(alg.summands)):
             simple = ref.simple_module(alg, i)
-            steps = homsolve.projective_resolution(simple)
+            steps = ref.projective_resolution(simple)
             assert steps == reference_resolution(simple)
             lengths.add(len(steps))
             regular = ref.regular_projective(alg, i)
-            assert homsolve.projective_resolution(regular) \
+            assert ref.projective_resolution(regular) \
                 == reference_resolution(regular) == [[i]]
     assert lengths == {1, 2, 3, 4}
 
 
 def test_resolution_of_a_projective_builds_no_kernel(monkeypatch):
     kernels = []
-    kernel = homsolve.kernel
-    monkeypatch.setattr(homsolve, "kernel", lambda f: kernels.append(f) or kernel(f))
+    kernel = ref.kernel
+    monkeypatch.setattr(ref, "kernel", lambda f: kernels.append(f) or kernel(f))
     A3 = named_diagram("A3")
     for v in A3.vertices:
         for top, P in ((v, rep_a.projective(A3, v)),
                        (("b", v), dup.slot_projective(A3, ("b", v))),
                        (("t", v), dup.slot_projective(A3, ("t", v)))):
-            assert homsolve.projective_resolution(P) == [[top]]
+            assert ref.projective_resolution(P) == [[top]]
             assert ref.projective_dimension(P) == 0
     assert kernels == []
     # the zero module resolves in one empty step
-    assert homsolve.projective_resolution(ref.simple(A3, 0).zero_like()) == [[]]
+    assert ref.projective_resolution(ref.zero_module(ref.simple(A3, 0))) == [[]]
 
 
 def test_resolution_gives_up_past_the_cap(monkeypatch):
@@ -664,11 +664,11 @@ def test_resolution_gives_up_past_the_cap(monkeypatch):
     A2 = named_diagram("A2")
     simple = ref.simple(A2, 0)
     covers = []
-    cover_parts = homsolve.projective_cover_parts
-    monkeypatch.setattr(homsolve, "kernel", lambda f: (simple, None))
-    monkeypatch.setattr(homsolve, "projective_cover_parts",
+    cover_parts = ref.projective_cover_parts
+    monkeypatch.setattr(ref, "kernel", lambda f: (simple, None))
+    monkeypatch.setattr(ref, "projective_cover_parts",
                         lambda M: covers.append(M) or cover_parts(M))
-    assert homsolve.projective_resolution(simple) is None
+    assert ref.projective_resolution(simple) is None
     assert len(covers) == 7
     with pytest.raises(RuntimeError, match="exceeds cap 6"):
         ref.projective_dimension(simple)
@@ -725,7 +725,7 @@ def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# projective covers from the Yoneda words of ``projective_for_slot``
+# the reference's projective covers, from the Yoneda words of its hooks
 
 
 COVER_QUIVERS = [q for name in ("A3", "D4") for q in orientations(name)]
@@ -768,12 +768,12 @@ def _covered_modules(kind):
             m = ref.simple_module(alg, i)
             while not m.is_zero():
                 out.append(m)
-                m, _ = homsolve.kernel(homsolve.projective_cover_parts(m)[2])
+                m, _ = ref.kernel(ref.projective_cover_parts(m)[2])
     return out
 
 
 def _cover_of_a_projective_is_the_identity(s, P):
-    _, tags, cover = homsolve.projective_cover_parts(P)
+    _, tags, cover = ref.projective_cover_parts(P)
     return tags == [s] and all(cover.blocks[w] == ref.identity(P.dims[w])
                                for w in P.slot_keys)
 
@@ -781,10 +781,10 @@ def _cover_of_a_projective_is_the_identity(s, P):
 def _cover_components_are_morphisms(M):
     """Each generator's component P_s -> M of the cover lies in the span
     of ``hom_basis(P_s, M)``."""
-    _, tags, cover = homsolve.projective_cover_parts(M)
+    _, tags, cover = ref.projective_cover_parts(M)
     start = dict.fromkeys(M.slot_keys, 0)
     for s in tags:
-        P = M.projective_for_slot(s)[0]
+        P = ref.PROJECTIVES[type(M)](M, s)[0]
         g = SlotMap(P, M, {w: cover.blocks[w].columns(range(start[w], start[w] + P.dims[w]))
                            for w in M.slot_keys})
         for w in M.slot_keys:
@@ -822,13 +822,13 @@ def test_reversed_words_break_the_cover(monkeypatch, cls, kind):
     # a word of two or more labels read right to left lands on the wrong
     # basis vector or does not compose at all; End T's words have at most
     # one label, so only the quiver classes can be told apart this way
-    hook = cls.projective_for_slot
+    hook = ref.PROJECTIVES[cls]
 
-    def reversed_words(self, s):
-        P, words = hook(self, s)
+    def reversed_words(M, s):
+        P, words = hook(M, s)
         return P, {w: [word[::-1] for word in ws] for w, ws in words.items()}
 
-    monkeypatch.setattr(cls, "projective_for_slot", reversed_words)
+    monkeypatch.setitem(ref.PROJECTIVES, cls, reversed_words)
 
     def holds(check, *args):
         try:
@@ -860,7 +860,7 @@ def module_maps(draw):
     M, N = module(), module()
     basis = homsolve.hom_basis(M, N)
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
-    f = SlotMap.zero(M, N)
+    f = ref.zero_map(M, N)
     for c, b in zip(coeffs, basis):
         f = ref.add(f, ref.scale(b, c))
     return f
@@ -911,22 +911,20 @@ def _not_a_morphism():
     blocks = {v: (ref.identity(p.dims[v]) if v == 1
                   else RatMatrix.zeros(p.dims[v], p.dims[v]))
               for v in p.slot_keys}
-    return homsolve.kernel(SlotMap(p, p, blocks))
+    return ref.kernel(SlotMap(p, p, blocks))
 
 
 @pytest.mark.parametrize("fault, call, message", [
     (None, _not_a_morphism, "kernel not preserved"),
     (("top_lifts", lambda M: []),
-     lambda: homsolve.projective_cover_parts(ref.simple(A2, 0)), "zero top"),
-    (("SlotMap.is_surjective", lambda self: False),
-     lambda: homsolve.projective_cover_parts(ref.simple(A2, 0)),
+     lambda: ref.projective_cover_parts(ref.simple(A2, 0)), "zero top"),
+    (("is_surjective", lambda f: False),
+     lambda: ref.projective_cover_parts(ref.simple(A2, 0)),
      "cover failed to be surjective"),
 ])
 def test_engine_checks_raise_runtime_error(monkeypatch, fault, call, message):
+    # the reference's checks too: a faulty oracle must not pass silently
     if fault is not None:
-        name, replacement = fault
-        owner, _, attr = name.rpartition(".")
-        monkeypatch.setattr(getattr(homsolve, owner) if owner else homsolve,
-                            attr, replacement)
+        monkeypatch.setattr(ref, *fault)
     with pytest.raises(RuntimeError, match=message):
         call()

@@ -46,8 +46,8 @@ def test_parse_errors():
 
 def test_sinks_sources_topo():
     q = parse_quiver("vertices 1 2 3\narrow a 1 2\narrow b 2 3\n")
-    assert q.sinks() == [3]
-    assert q.sources() == [1]
+    assert [v for v in q.vertices if q.is_sink(v)] == [3]
+    assert [v for v in q.vertices if q.is_source(v)] == [1]
     assert q.topological_order() == (1, 2, 3)
 
 

@@ -20,12 +20,12 @@ PACKAGE = Path(cli.__file__).resolve().parent
 ALLOWED = {
     "exactlin.RatMatrix.rref": "the benchmark's exactlin.rref span patches it",
     "exactlin.dense_row": "rref's dense rows",
+    "exactlin.RatMatrix.__eq__": "value equality of the dense matrix, which tests compare by",
+    "exactlin.RatMatrix.apply": "the dense matrix-vector product, which tests check against",
+    "exactlin.RatMatrix.rank": "the dense rank, which tests check against",
     "homsolve.SlotModule.struct": "abstract stub of the slot-module protocol",
     "homsolve.SlotModule.label_ends": "abstract stub of the slot-module protocol",
     "homsolve.SlotModule._rebuild": "abstract stub of the slot-module protocol",
-    "homsolve.SlotModule.zero_like": "the zero module of a cover or an empty approximation",
-    "homsolve.SlotMap.zero": "the zero map of a cover or an empty approximation",
-    "rep_a.Rep.projective_for_slot": "the cover hook of a representation, which tests call",
     "dup.TripleModule.validate": "the relation check, which reads the private quiver layout",
     "tilt_a.AlmostComplete.label": "the text of a complement-count violation",
     "quiver_core.Quiver.tits_form": "the Tits form of the public Quiver",
