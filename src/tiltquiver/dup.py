@@ -40,11 +40,13 @@ not factor so.  ``validate`` checks them through the projectives.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, cached_property
-from typing import Callable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import homsolve, rep_a, tilt_a
-from .exactlin import RatMatrix
+from .exactlin import Rat, RatMatrix, SparseEchelon, as_int_if_integral
 from .homsolve import SlotMap
 from .quiver_core import Quiver
 from .rep_a import Rep
@@ -624,97 +626,164 @@ def verify_shift_completion(ctx: DupContext) -> dict:
 # deep check: every projective coresolves in add of each tilting module
 
 
-def _add_lookups(ctx: DupContext, c: TripleModule) -> tuple[
-        Callable[[int], list[SlotMap]], Callable[[int, int], tuple]]:
-    """The two lookups ``_decompose_in_add`` reads for c, keyed by object
-    index and solved once each: the Hom basis of Hom(c, object k), and
-    the ``radical_coordinates`` of the composites c -> k_a -> k_b in
-    the basis of Hom(c, k_b)."""
+def deep_check_projectives(ctx: DupContext) -> list[int]:
+    """The deep check's projectives by object index: bars, then embedded."""
+    return list(range(ctx.pool_size(), ctx.pool_size() + ctx.n)) + ctx.embedded_projective_indices()
+
+
+def _cokernel_in_add(ctx: DupContext, p: int, comps: tuple[tuple[int, int], ...]
+                     ) -> Callable[[list[int]], list[int] | None]:
+    """The add T test of T1 = coker(f: P -> T0), f the approximation of
+    the projective object p with components ``comps`` (object index m_c,
+    position of h_c in ``hom_idx(p, m_c)``).  A map T0 -> k is a vector
+    over the bases ``hom_idx(m_c, k)``; Hom(-, k) is left exact, so
+    Hom(T1, k) is the kernel of precomposition with f (``hom``, by
+    ``homsolve.exchange_line``).  T1 is in add T iff its minimal left
+    add(T)-approximation is injective with dim E = dim T1
+    (Auslander-Smalo, ``decide``).  Returns the test: component counts
+    per member, or None, certified by recomputing every composite block
+    the verdict read (``RuntimeError`` on a mismatch)."""
     objs = ctx.objects()
+    slots = objs[p][1].slot_keys
+    # per slot, where each component starts in T0, then T0's dimension
+    offsets = {s: list(accumulate((objs[m][1].dims[s] for m, _ in comps), initial=0))
+               for s in slots}
+    dims = tuple(offsets[s][-1] - objs[p][1].dims[s] for s in slots)
+    hom_p = [ctx.hom_idx(p, m) for m, _ in comps]
+    f_maps = [(c, hom_p[c][pos]) for c, (_, pos) in enumerate(comps)]
 
     @cache
-    def hom(k: int) -> list[SlotMap]:
-        return homsolve.hom_basis(c, objs[k][1])
+    def hom(k: int) -> tuple[dict[int, dict[int, Rat]], list[tuple[int, int]]]:
+        """The canonical kernel basis by free column, its last nonzero
+        entry, and each column's (component, basis position)."""
+        columns = [(c, l) for c, (m, _) in enumerate(comps) for l in range(len(ctx.hom_idx(m, k)))]
+        if not ctx.hom_idx(p, k):                 # every map T0 -> k kills P
+            return {col: {col: 1} for col in range(len(columns))}, columns
+        _, kernel = homsolve.exchange_line(f_maps, hom_p, [ctx.hom_idx(m, k) for m, _ in comps],
+                                           lambda c: ctx.composite_idx(p, comps[c][0], k))
+        basis = [{col: as_int_if_integral(x) for col, x in enumerate(v) if x} for v in kernel]
+        return {max(vec): vec for vec in basis}, columns
 
     @cache
-    def radical(a: int, b: int) -> tuple:
-        return homsolve.radical_coordinates(c, hom(a), ctx.hom_idx(a, b), hom(b))
+    def radical(j: int, i: int) -> tuple:
+        """``homsolve.radical_coordinates`` of T1 -> j -> i in ``hom(i)``,
+        each composite lifted through ``composite_idx(m_c, j, i)``."""
+        (phis, columns), (basis, _) = hom(j), hom(i)
+        starts = list(accumulate((len(ctx.hom_idx(m, i)) for m, _ in comps), initial=0))
+        span = SparseEchelon(len(basis))
+        for q in range(len(ctx.hom_idx(j, i))):
+            for phi in phis.values():
+                lift: dict[int, Rat] = {}
+                for col, a in phi.items():
+                    c, l = columns[col]
+                    for z, v in enumerate(ctx.composite_idx(comps[c][0], j, i)[l][q], starts[c]):
+                        if v:
+                            lift[z] = lift.get(z, 0) + a * v
+                coords = [lift.get(f, 0) for f in basis]
+                for x, vec in zip(coords, basis.values()):
+                    for f, v in vec.items() if x else ():
+                        lift[f] = lift.get(f, 0) - x * v
+                if any(lift.values()):
+                    raise RuntimeError(f"deep check: a composite leaves Hom(T1, {i})")
+                span.add(dict(enumerate(coords)))
+        rows, _ = span.result()
+        return tuple(tuple(as_int_if_integral(row.get(n, 0)) for n in range(len(basis)))
+                     for row in rows)
 
-    return hom, radical
+    @cache
+    def decide(support: tuple[int, ...]) -> Counter | None:
+        """The test on the members with Hom(T1, k) nonzero.  T1 -> E is
+        injective iff its lift G: T0 -> E, built from Hom basis maps, has
+        rank dim T0_s - dim P_s at every slot s; G . f = 0 is checked."""
+        found = homsolve.minimal_left_approximation(
+            [list(hom(k)[0]) for k in support], lambda a, b: radical(support[a], support[b]))
+        tops = tuple((support[i], f) for i, f in found)
+        if tuple(sum(objs[k][1].dims[s] for k, _ in tops) for s in slots) != dims:
+            return None
+        f_blocks = [homsolve._block_nonzeros(h) for _, h in f_maps]
+        for t, s in enumerate(slots):
+            offs, echelon = offsets[s], SparseEchelon(offsets[s][-1])
+            f_rows = [row for h in f_blocks for row in h[t]]          # f_s, T0_s x P_s
+            for k, f in tops:
+                basis, columns = hom(k)
+                block: list[dict[int, Rat]] = [{} for _ in range(objs[k][1].dims[s])]
+                for col, a in basis[f].items():
+                    c, l = columns[col]
+                    g = homsolve._block_nonzeros(ctx.hom_idx(comps[c][0], k)[l])
+                    for out, g_row in zip(block, g[t]):
+                        for u, v in g_row:
+                            out[offs[c] + u] = out.get(offs[c] + u, 0) + a * v
+                for row in block:
+                    gf: dict[int, Rat] = {}
+                    for u, a in row.items():
+                        for w, v in f_rows[u]:
+                            gf[w] = gf.get(w, 0) + a * v
+                    if any(gf.values()):
+                        raise RuntimeError(f"deep check: a map T1 -> {k} does not kill P")
+                    echelon.add(row)
+            if echelon.rank != offs[-1] - objs[p][1].dims[s]:
+                return None
+        return Counter(k for k, _ in tops)
 
-
-def _decompose_in_add(ctx: DupContext, c: TripleModule, member_indices: Sequence[int],
-                      hom: Callable[[int], list[SlotMap]],
-                      radical: Callable[[int, int], tuple]) -> list[int] | None:
-    """Multiplicities making c isomorphic to a sum of the given objects,
-    or None when c is not in their additive closure; ``hom`` and
-    ``radical`` are c's lookups by object index (``_add_lookups``).
-
-    c lies in add T iff its minimal left add(T)-approximation c -> E is
-    an isomorphism (Auslander-Smalo), that is, injective at every slot
-    with dim E = dim c; the multiplicities are its component counts per
-    member.
-    """
-    mults = [0] * len(member_indices)
-    if c.is_zero():
-        return mults
-    try:
-        comps = homsolve.injective_approximation(
-            c, [hom(k) for k in member_indices],
-            lambda a, b: radical(member_indices[a], member_indices[b]))
-    except homsolve.NoExchangeSequence:
+    def multiplicities(members: list[int]) -> list[int] | None:
+        if not any(dims):                         # the injective f keeps dimensions
+            return [0] * len(members)
+        support = tuple(k for k in members if hom(k)[0])
+        counts = decide(support)
+        if counts is not None:
+            return [counts[k] for k in members]
+        # a None is certified: the blocks that hom, then radical, read
+        for x, i, y in sorted({(p, m, k) for m, _ in comps for k in members}
+                              | {(m, j, k) for m, _ in comps for j in support for k in support}):
+            if ctx.composite_idx(x, i, y) != homsolve.composite_coordinates(
+                    objs[x][1], ctx.hom_idx(x, i), ctx.hom_idx(i, y), ctx.hom_idx(x, y)):
+                raise RuntimeError(f"deep check: cached composites of objects {(x, i, y)} "
+                                   "disagree with their maps")
         return None
-    for i, _ in comps:
-        mults[i] += 1
+
+    return multiplicities
+
+
+def coresolutions(ctx: DupContext) -> Iterator[tuple[int, int, list[int] | None]]:
+    """(t, p, multiplicities of T's members, bars last, in T1, or None),
+    projective by projective (``deep_check_projectives``), each tilting
+    set once per P; T1 = coker(P -> T0), the minimal left approximation
+    computed once per support (members k with Hom(P, k) nonzero) and
+    tested once per key (P, components) by ``_cokernel_in_add``."""
     objs = ctx.objects()
-    e_dims = tuple(sum(objs[member_indices[i]][1].dims[s] for i, _ in comps)
-                   for s in c.slot_keys)
-    return mults if e_dims == c.dims_key() else None
+    tilts = enumerate_tilting_dup(ctx)
+    projectives = deep_check_projectives(ctx)
+    bar_indices = projectives[:ctx.n]
+    for p_pos, p in enumerate(projectives):
+        keys: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        pairs: dict[tuple[tuple[int, int], ...], list[int]] = {}
+        for t_pos, t in enumerate(tilts):
+            support = tuple(k for k in t.indices + tuple(bar_indices) if ctx.hom_idx(p, k))
+            if support not in keys:
+                comps = homsolve.injective_approximation(
+                    objs[p][1], [ctx.hom_idx(p, k) for k in support],
+                    lambda a, b: ctx.radical_idx(p, support[a], support[b]))
+                keys[support] = tuple((support[i], homsolve.basis_position(
+                    ctx.hom_idx(p, support[i]), h)) for i, h in comps)
+            pairs.setdefault(keys[support], []).append(t_pos)
+        for key, t_positions in pairs.items():                # one key's caches at a time
+            in_add = _cokernel_in_add(ctx, p, key)
+            for t_pos in t_positions:
+                yield t_pos, p_pos, in_add(list(tilts[t_pos].indices) + bar_indices)
 
 
 def deep_check_coresolution(ctx: DupContext) -> dict:
-    """For each tilting set T and each projective P: a short exact
-    sequence 0 -> P -> T0 -> T1 -> 0 with both middle terms in add T
-    (bar projectives included), built from the minimal left
-    approximation of P.
-
-    The approximation P -> T0 is computed for every pair, from the
-    cached Hom bases and ``radical_idx``; its components are cached
-    basis maps, so (P, the object index and basis position of each
-    component) determines the map, and its cokernel T1 is built once per
-    such key, with T1's ``_add_lookups``.  Every pair then decides T1 in
-    add T on its own.  The loop runs projective by projective, gathers
-    the pairs of each key and drops a cokernel once its pairs are
-    decided, so one cokernel's lookups are held at a time;
-    counterexamples come in (T, P) order.
-    """
+    """For each tilting set T and projective P, 0 -> P -> T0 -> T1 -> 0
+    with T0, T1 in add T (bar projectives included), by ``coresolutions``;
+    counterexamples come in (T, P) order."""
     objs = ctx.objects()
     tilts = enumerate_tilting_dup(ctx)
-    bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
-    projectives = bar_indices + ctx.embedded_projective_indices()
-    failed: list[tuple[int, int]] = []
-    for p_pos, p_idx in enumerate(projectives):
-        p = objs[p_idx][1]
-        # key -> (members and approximation of its first pair, its pairs)
-        shared: dict[tuple, tuple[list[int], list, list[int]]] = {}
-        for t_pos, t in enumerate(tilts):
-            members = list(t.indices) + bar_indices
-            comps = homsolve.injective_approximation(
-                p, [ctx.hom_idx(p_idx, k) for k in members],
-                lambda a, b: ctx.radical_idx(p_idx, members[a], members[b]))
-            key = (p_idx, tuple((members[i], homsolve.basis_position(
-                ctx.hom_idx(p_idx, members[i]), h)) for i, h in comps))
-            shared.setdefault(key, (members, comps, []))[2].append(t_pos)
-        for members, comps, t_positions in shared.values():
-            _, f = homsolve.approximation_map(p, [objs[k][1] for k in members], comps)
-            y, _ = homsolve.cokernel(f)
-            hom, radical = _add_lookups(ctx, y)
-            failed.extend((t_pos, p_pos) for t_pos in t_positions if _decompose_in_add(
-                ctx, y, list(tilts[t_pos].indices) + bar_indices, hom, radical) is None)
+    projectives = deep_check_projectives(ctx)
+    failed = sorted((t, p) for t, p, mults in coresolutions(ctx) if mults is None)
     return {
         "status": "pass" if not failed else "violation",
         "stats": {"sequences_checked": len(tilts) * len(projectives)},
         "counterexamples": [
             f"{tilts[t].label()} / {objs[projectives[p]][0]}: cokernel not in add T"
-            for t, p in sorted(failed)],
+            for t, p in failed],
     }

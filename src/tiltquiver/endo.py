@@ -5,10 +5,10 @@ one-dimensional endomorphism ring), the endomorphism algebra of their
 sum is presented by structure constants on the union of hom bases, with
 the product of two morphisms being "first, then second" — so that the
 functor Hom(T, -) lands in *left* modules: an algebra element x acts on
-a family of morphisms by precomposition.  The constants are coordinates
-of composites in the Hom bases, read per triple of summands; over the
-duplicated algebra they come from ``DupContext.composite_idx``, so each
-triple of objects is composed once per context, not once per algebra.
+a family of morphisms by precomposition.  The constants are blocks of
+composite coordinates per triple of summands, over the duplicated algebra
+``DupContext.composite_idx``, shared by every algebra of a context; an
+algebra records only where each pair of summands starts in its basis.
 
 The simples of such an algebra are resolved in free coordinates
 (``simple_resolution``): each syzygy is a subspace of the projective
@@ -40,26 +40,27 @@ class AlgebraElement(NamedTuple):
 class StructureAlgebra:
     """Basic algebra with scalar corners, given by structure constants.
 
-    ``elements`` lists the basis; positions in ``idempotents`` are the
-    identity morphisms of the summands (one per summand, so the corners
-    are one-dimensional by construction).  ``table[(x, y)]`` expands the
-    product x*y = (y after x) in the basis, as a sparse coefficient map
-    (ints where integral).
+    ``elements`` lists the basis pair by pair: ``pair_basis[(a, b)]`` is
+    the range of Hom(T_a, T_b), the identity alone when a = b
+    (``idempotents``).  ``composites(a, b, c)[k][l]`` expands x*y = (y
+    after x), x and y the k-th and l-th maps of pairs (a, b) and (b, c),
+    in the basis of pair (a, c) (a dense tuple, ints where integral).
     """
 
     def __init__(self, summands: Sequence[SlotModule],
                  elements: list[AlgebraElement],
-                 idempotents: list[int],
-                 pair_basis: dict[tuple[int, int], list[int]],
-                 table: dict[tuple[int, int], dict[int, Rat]]):
+                 pair_basis: dict[tuple[int, int], range],
+                 composites: Callable[[int, int, int], Sequence[Sequence[Sequence[Rat]]]]):
         self.summands = list(summands)
         self.elements = elements
-        self.idempotents = idempotents
         self.pair_basis = pair_basis
-        self.table = table
+        self.composites = composites
+        r = len(self.summands)
+        self.idempotents = [pair_basis[(i, i)].start for i in range(r)]
         # the basis of Be_s: every morphism h: T_j -> T_s, at slot j
-        self.column = {s: [h for h, el in enumerate(elements) if el.dst == s]
-                       for s in range(len(self.summands))}
+        self.column: dict[int, list[int]] = {s: [] for s in range(r)}
+        for (_, s), basis in pair_basis.items():
+            self.column[s].extend(basis)
 
     @property
     def dimension(self) -> int:
@@ -80,49 +81,25 @@ def structure_algebra(
     ``composites(a, b, c)[k][l]`` holds the coordinates of g_l . h_k
     (h_k in ``homs[(a, b)]``, g_l in ``homs[(b, c)]``) in ``homs[(a, c)]``,
     as ``homsolve.composite_coordinates`` or ``DupContext.composite_idx``
-    return them (ints where integral); the table keeps them as they come.
-    Coordinates that do not fit the bases raise ``RuntimeError``.
+    return them (ints where integral).  No product table is built:
+    ``simple_resolution`` reads the products it needs from the blocks.
     """
     r = len(summands)
     elements: list[AlgebraElement] = []
-    idempotents: list[int] = []
-    pair_basis: dict[tuple[int, int], list[int]] = {}
+    pair_basis: dict[tuple[int, int], range] = {}
     for i in range(r):
         for j in range(r):
+            hs = homs[(i, j)]
             if i == j:
-                if len(homs[(i, i)]) != 1:
-                    raise ValueError(
-                        f"summand {i} has endomorphism ring of dimension "
-                        f"{len(homs[(i, i)])}, expected 1"
-                    )
-                e = homs[(i, i)][0]               # lam * identity: End is k
+                if len(hs) != 1:
+                    raise ValueError(f"summand {i} has End of dimension {len(hs)}, expected 1")
                 s = next(s for s in summands[i].slot_keys if summands[i].dims[s])
-                if e.blocks[s][0, 0] != 1:
+                if hs[0].blocks[s][0, 0] != 1:       # lam * identity: End is k
                     raise RuntimeError(f"the Hom basis of End(summand {i}) is not the identity")
-                pair_basis[(i, i)] = [len(elements)]
-                idempotents.append(len(elements))
-                elements.append(AlgebraElement(i, i, e))
-                continue
-            pair_basis[(i, j)] = []
-            for h in homs[(i, j)]:
-                pair_basis[(i, j)].append(len(elements))
+            pair_basis[(i, j)] = range(len(elements), len(elements) + len(hs))
+            for h in hs:
                 elements.append(AlgebraElement(i, j, h))
-    table: dict[tuple[int, int], dict[int, Rat]] = {}
-    for (a, b), xs in pair_basis.items():
-        for c in range(r):
-            ys, zs = pair_basis[(b, c)], pair_basis[(a, c)]
-            if a == b or b == c:                  # x or y is an idempotent
-                table.update(((x, y), {y if a == b else x: 1})
-                             for x in xs for y in ys)
-            elif xs and ys:
-                coords = composites(a, b, c)      # x then y
-                if [len(row) for row in coords] != [len(ys)] * len(xs) or any(
-                        len(cs) != len(zs) for row in coords for cs in row):
-                    raise RuntimeError(f"composite coordinates of summands {(a, b, c)} "
-                                       "do not fit their Hom bases")
-                table.update(((x, y), {z: v for z, v in zip(zs, cs) if v})
-                             for x, row in zip(xs, coords) for y, cs in zip(ys, row))
-    return StructureAlgebra(summands, elements, idempotents, pair_basis, table)
+    return StructureAlgebra(summands, elements, pair_basis, composites)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +110,11 @@ def _apply(cols: dict[int, dict[int, Rat]], v: dict[int, Rat]) -> dict[int, Rat]
     """The image of a sparse vector under the map with sparse columns ``cols``."""
     out: dict[int, Rat] = {}
     for f, c in v.items():
-        for k, d in cols[f].items():
+        col = cols.get(f)
+        if col is None:
+            raise RuntimeError("composite coordinates do not fit their Hom bases: "
+                               f"a product leaves the free module at column {f}")
+        for k, d in col.items():
             out[k] = out.get(k, 0) + c * d
     return out
 
@@ -149,13 +130,15 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
     Omega^1 = rad P_i, and each later syzygy, is a list of sparse vectors
     in the free module F, the sum of the P_s = Be_s over ``tags``: the
     basis vector h: T_j -> T_s of the g-th summand, at slot j, is column
-    g * dim B + h, and x: T_a -> T_b sends it to x*h (``alg.table``).  A
-    syzygy is the kernel of the cover ``cols`` before it.  Each step
-    checks that this cover kills the syzygy's radical images, takes their
-    greedy complement as top generators, and checks that the new cover
-    is onto (by rank) and kills the next syzygy.
+    g * dim B + h, and x: T_a -> T_j sends it to x*h, read off the shared
+    block of (a, j, s) at the pairs' offsets.  A syzygy is the kernel of
+    the cover ``cols`` before it.  Each step checks that this cover kills
+    the syzygy's radical images, takes their greedy complement as top
+    generators, and checks that the new cover is onto (by rank) and kills
+    the next syzygy.
     """
     idem, dim = set(alg.idempotents), alg.dimension
+    els, pairs, composites = alg.elements, alg.pair_basis, alg.composites
     tags, steps = [i], [[i]]
     cols = {h: {0: 1} if h in idem else {} for h in alg.column[i]}      # P_i -> S_i
     syzygy = [{h: 1} for h in alg.column[i] if h not in idem]
@@ -165,15 +148,32 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
         images: dict[tuple[int, int], dict[int, Rat]] = {}
         top, slots = SparseEchelon(len(tags) * dim), []
         for t, v in enumerate(syzygy):
-            slots.append(alg.elements[min(v) % dim].src)
-            for x in alg.column[slots[t]]:
-                if x in idem:
+            j = els[min(v) % dim].src
+            slots.append(j)
+            unit = pairs[(j, j)].start
+            for x in alg.column[j]:
+                a = els[x].src
+                if a == j:                            # the idempotent e_j
                     continue
                 out = images[(x, t)] = {}
-                for k, c in v.items():
-                    g, h = divmod(k, dim)
-                    for z, d in alg.table[(x, h)].items():
-                        out[g * dim + z] = out.get(g * dim + z, 0) + c * d
+                for f, c in v.items():
+                    g, h = divmod(f, dim)
+                    if h == unit:                     # x * e_j = x
+                        f = g * dim + x
+                        out[f] = out.get(f, 0) + c
+                        continue
+                    b = tags[g]                       # h: T_j -> T_b, x*h in pair (a, b)
+                    block, xs, hs, zs = (composites(a, j, b), pairs[(a, j)], pairs[(j, b)],
+                                         pairs[(a, b)])
+                    row = block[x - xs.start] if x in xs and len(block) == len(xs) else ()
+                    cs = row[h - hs.start] if h in hs and len(row) == len(hs) else None
+                    if cs is None or len(cs) != len(zs):
+                        raise RuntimeError(f"composite coordinates of summands {(a, j, b)} "
+                                           "do not fit their Hom bases")
+                    base = zs.start + g * dim
+                    for z, d in enumerate(cs):
+                        if d:
+                            out[base + z] = out.get(base + z, 0) + c * d
                 if any(_apply(cols, out).values()):
                     raise RuntimeError(f"a radical image leaves a syzygy of simple {i}")
                 top.add(out)
@@ -244,30 +244,21 @@ def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
             steps = simple_resolution(alg, i)
             label = str(ctx.objects()[members[i]][0])
             if steps is None:
-                violations.append(
-                    f"{t.label()}: simple over {label} does not resolve "
-                    f"within {_RESOLUTION_CAP} steps"
-                )
+                violations.append(f"{t.label()}: simple over {label} does not resolve "
+                                  f"within {_RESOLUTION_CAP} steps")
                 continue
             pd = len(steps) - 1
             worst = max(worst, pd)
             if pd > 3:
-                violations.append(
-                    f"{t.label()}: simple over {label} has projective "
-                    f"dimension {pd}"
-                )
+                violations.append(f"{t.label()}: simple over {label} has projective "
+                                  f"dimension {pd}")
             if i < len(t.indices) and pd > 2:
-                violations.append(
-                    f"{t.label()}: simple over non-bar summand {label} has "
-                    f"projective dimension {pd} > 2"
-                )
+                violations.append(f"{t.label()}: simple over non-bar summand {label} has "
+                                  f"projective dimension {pd} > 2")
         gldims.append(worst)
     return {
         "status": "pass" if not violations else "violation",
-        "stats": {
-            "tilting_modules": len(tilts),
-            "max_global_dimension": max(gldims) if gldims else 0,
-            "global_dimensions": gldims,
-        },
+        "stats": {"tilting_modules": len(tilts), "max_global_dimension": max(gldims, default=0),
+                  "global_dimensions": gldims},
         "counterexamples": violations,
     }

@@ -19,11 +19,16 @@ lives here:
   module, and its global dimension;
 * the cover route, which the package does not need: kernels, projective
   covers (one hook per module kind, ``PROJECTIVES``), resolutions, the
-  generic Ext^1, and the check that Hom(T, -) never raises pd.
+  generic Ext^1, and the check that Hom(T, -) never raises pd;
+* the routes the package no longer takes: the deep check's cokernel
+  modules with the Hom bases solved out of them (``deep_check_cokernels``),
+  and the per-algebra multiplication table of End T (``structure_table``).
 """
 
+import importlib
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 from tiltquiver import dup, endo, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix, SparseEchelon, sparse_row
@@ -31,6 +36,17 @@ from tiltquiver.homsolve import SlotMap, SlotModule
 from tiltquiver.rep_a import IndecId, Rep
 
 F = Fraction
+
+
+def clear_caches():
+    """Drop every function cache in the package, so that each cached
+    builder runs again whatever ran before."""
+    package = Path(dup.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        mod = importlib.import_module(f"tiltquiver.{path.stem}")
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +205,22 @@ def is_left_approximation(x, comps, pool):
 # ---------------------------------------------------------------------------
 # fixtures over the path algebra and the duplicated algebra
 
+# the benchmark's seed-1 inputs (perfbench/workloads.py: quiver_text with
+# random.Random(1)), the first files of the endo-a3 and dup-e6 workloads
+A3_SEED1 = """# A3, seeded orientation and relabelling
+vertices 0 1 2
+arrow a361 2 1
+arrow a220 0 2
+"""
+
+E6_SEED1 = """vertices 0 1 2 3 4 5
+arrow a583 0 4
+arrow a879 5 3
+arrow a560 0 5
+arrow a607 3 2
+arrow a767 1 5
+"""
+
 
 def simple(q, a):
     dims = {v: int(v == a) for v in q.vertices}
@@ -237,14 +269,132 @@ def complements(q, m):
 
 
 # ---------------------------------------------------------------------------
+# the deep check's cokernel route: one cokernel module per (P, approximation)
+
+
+def add_lookups(ctx, c):
+    """The two lookups ``decompose_in_add`` reads for the module c, keyed
+    by object index and solved once each: the Hom basis of Hom(c, object
+    k), and the ``radical_coordinates`` of the composites c -> k_a -> k_b
+    in the basis of Hom(c, k_b)."""
+    objs = ctx.objects()
+
+    @cache
+    def hom(k):
+        return homsolve.hom_basis(c, objs[k][1])
+
+    @cache
+    def radical(a, b):
+        return homsolve.radical_coordinates(c, hom(a), ctx.hom_idx(a, b), hom(b))
+
+    return hom, radical
+
+
+def decompose_in_add(ctx, c, member_indices, hom, radical):
+    """Multiplicities making c isomorphic to a sum of the given objects,
+    or None when c is not in their additive closure; ``hom`` and
+    ``radical`` are c's lookups by object index (``add_lookups``).  c
+    lies in add T iff its minimal left add(T)-approximation c -> E is
+    injective at every slot with dim E = dim c (Auslander-Smalo)."""
+    mults = [0] * len(member_indices)
+    if c.is_zero():
+        return mults
+    try:
+        comps = homsolve.injective_approximation(
+            c, [hom(k) for k in member_indices],
+            lambda a, b: radical(member_indices[a], member_indices[b]))
+    except homsolve.NoExchangeSequence:
+        return None
+    for i, _ in comps:
+        mults[i] += 1
+    objs = ctx.objects()
+    e_dims = tuple(sum(objs[member_indices[i]][1].dims[s] for i, _ in comps)
+                   for s in c.slot_keys)
+    return mults if e_dims == c.dims_key() else None
+
+
+def deep_check_cokernels(ctx, drop=None):
+    """{(T's position, P's position): multiplicities or None} of every
+    pair of the deep check, in the order of ``dup.coresolutions``, by the
+    cokernel route: the minimal left add(T)-approximation P -> T0 of each
+    pair, one cokernel module per (P, components), and the Hom bases out
+    of it solved.  ``drop`` removes that object from every T."""
+    objs = ctx.objects()
+    projectives = dup.deep_check_projectives(ctx)
+    bars = projectives[:ctx.n]
+    out = {}
+    for p_pos, p in enumerate(projectives):
+        shared = {}
+        for t_pos, t in enumerate(dup.enumerate_tilting_dup(ctx)):
+            members = [k for k in list(t.indices) + bars if k != drop]
+            comps = homsolve.injective_approximation(
+                objs[p][1], [ctx.hom_idx(p, k) for k in members],
+                lambda a, b: ctx.radical_idx(p, members[a], members[b]))
+            key = tuple((members[i], homsolve.basis_position(ctx.hom_idx(p, members[i]), h))
+                        for i, h in comps)
+            if key not in shared:
+                _, f = homsolve.approximation_map(
+                    objs[p][1], [objs[k][1] for k in members], comps)
+                y, _ = homsolve.cokernel(f)
+                shared[key] = y, add_lookups(ctx, y)
+            y, lookups = shared[key]
+            out[(t_pos, p_pos)] = decompose_in_add(ctx, y, members, *lookups)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # left modules over End T
 
 
+def structure_table(summands, homs, composites):
+    """The multiplication table of ``endo.structure_algebra(summands, homs,
+    composites)``, built as the package once built it: ``table[(x, y)]``
+    expands x*y (y after x), for every x and y with T_dst of x = T_src of
+    y, as a sparse coefficient map; ``RuntimeError`` if a block does not
+    fit the bases."""
+    r = len(summands)
+    pair_basis, count = {}, 0
+    for i in range(r):
+        for j in range(r):
+            pair_basis[(i, j)] = list(range(count, count + len(homs[(i, j)])))
+            count += len(homs[(i, j)])
+    table = {}
+    for (a, b), xs in pair_basis.items():
+        for c in range(r):
+            ys, zs = pair_basis[(b, c)], pair_basis[(a, c)]
+            if a == b or b == c:                  # x or y is an idempotent
+                table.update(((x, y), {y if a == b else x: 1}) for x in xs for y in ys)
+            elif xs and ys:
+                coords = composites(a, b, c)      # x then y
+                if [len(row) for row in coords] != [len(ys)] * len(xs) or any(
+                        len(cs) != len(zs) for row in coords for cs in row):
+                    raise RuntimeError(f"composite coordinates of summands {(a, b, c)} "
+                                       "do not fit their Hom bases")
+                table.update(((x, y), {z: v for z, v in zip(zs, cs) if v})
+                             for x, row in zip(xs, coords) for y, cs in zip(ys, row))
+    return table
+
+
 def multiply(alg, x, y):
-    """The product x*y (y after x) of two basis elements, sparse."""
-    if alg.elements[x].dst != alg.elements[y].src:
+    """The product x*y (y after x) of two basis elements, sparse, read
+    from the algebra's shared block at the offsets of its pairs."""
+    (a, b, _), (b2, c, _) = alg.elements[x], alg.elements[y]
+    if b != b2:
         return {}
-    return alg.table[(x, y)]
+    if a == b or b == c:                          # x or y is an idempotent
+        return {y if a == b else x: 1}
+    xs, ys, zs = (alg.pair_basis[pair] for pair in ((a, b), (b, c), (a, c)))
+    coords = alg.composites(a, b, c)[x - xs.start][y - ys.start]
+    assert len(coords) == len(zs)
+    return {zs.start + z: v for z, v in enumerate(coords) if v}
+
+
+def blocks_table(alg):
+    """Every product of ``alg`` read through its shared blocks, keyed as
+    ``structure_table`` keys them."""
+    return {(x, y): multiply(alg, x, y)
+            for x, ex in enumerate(alg.elements) for y, ey in enumerate(alg.elements)
+            if ex.dst == ey.src}
 
 
 class BMod(SlotModule):

@@ -34,16 +34,6 @@ def test_solver_labels_are_maximal_paths_only():
     assert m_labels == [("m", 0, ("e0",))]
 
 
-# the seed-1 E6 input of the benchmark's dup-e6 workload
-E6_SEED1 = """vertices 0 1 2 3 4 5
-arrow a583 0 4
-arrow a879 5 3
-arrow a560 0 5
-arrow a607 3 2
-arrow a767 1 5
-"""
-
-
 def _maximal_paths(q):
     """(start, path) of every path that no arrow extends at either end."""
     return [(u, p) for (u, v), paths in q.all_paths().items() for p in paths
@@ -64,7 +54,7 @@ def test_every_object_is_a_module_over_the_duplicated_quiver(name):
 
 def test_stored_label_counts_on_e6_and_e8():
     # one label per arrow in each layer plus one per maximal path
-    for q, want in ((parse_quiver(E6_SEED1), 13), (named_diagram("E8"), 16)):
+    for q, want in ((parse_quiver(ref.E6_SEED1), 13), (named_diagram("E8"), 16)):
         assert len(dup.slot_projective(q, ("t", q.vertices[0])).struct()) == want
 
 
@@ -292,7 +282,7 @@ def test_shift_extension_identity():
 YONEDA_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
                   + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
                   + [(name, named_diagram(name)) for name in ("A5", "D5")]
-                  + [("E6_SEED1", parse_quiver(E6_SEED1))])
+                  + [("E6_SEED1", parse_quiver(ref.E6_SEED1))])
 
 
 def _ext1_mismatches(ctx):
@@ -559,8 +549,8 @@ def test_deep_check_a2():
 
 
 def _decompose(ctx, c, members):
-    """``_decompose_in_add`` over fresh lookups for c."""
-    return dup._decompose_in_add(ctx, c, members, *dup._add_lookups(ctx, c))
+    """The reference's ``decompose_in_add`` over fresh lookups for c."""
+    return ref.decompose_in_add(ctx, c, members, *ref.add_lookups(ctx, c))
 
 
 def _a3_members():
@@ -619,19 +609,19 @@ def _gram_multiplicities(ctx, c, members):
 
 
 def _per_pair_cokernels(ctx):
-    """Every (T, P) of the deep check in its order, T's position, P's
-    object index, T's members and the cokernel T1, each from its own
+    """Every (T, P) of the deep check, T's position, P's position among
+    the projectives, T's members and the cokernel T1, each from its own
     exchange sequence."""
     objs = ctx.objects()
-    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    projectives = dup.deep_check_projectives(ctx)
     for t_pos, t in enumerate(dup.enumerate_tilting_dup(ctx)):
-        members = list(t.indices) + bars
+        members = list(t.indices) + projectives[:ctx.n]
         pool = [objs[k][1] for k in members]
-        for p in bars + ctx.embedded_projective_indices():
+        for p_pos, p in enumerate(projectives):
             _, y = homsolve.exchange_sequence(
                 objs[p][1], pool, [ctx.hom_idx(p, k) for k in members],
                 lambda a, b: ctx.radical_idx(p, members[a], members[b]))
-            yield t_pos, p, members, y
+            yield t_pos, p_pos, members, y
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
@@ -649,46 +639,49 @@ def test_add_multiplicities_match_the_gram_solve(name):
 
 
 # ---------------------------------------------------------------------------
-# the deep check shares one cokernel per (projective, approximation)
-
-
-def _shared_decompositions(monkeypatch, ctx):
-    """Run the deep check and return its report and the multiplicities
-    it found, keyed by (T's position, P's object index)."""
-    tilts = dup.enumerate_tilting_dup(ctx)
-    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
-    position = {tuple(t.indices) + tuple(bars): t_pos for t_pos, t in enumerate(tilts)}
-    calls = []
-    decompose = dup._decompose_in_add
-
-    def recorded(ctx, c, members, hom, radical):
-        got = decompose(ctx, c, members, hom, radical)
-        calls.append((position[tuple(members)], got))
-        return got
-
-    monkeypatch.setattr(dup, "_decompose_in_add", recorded)
-    report = dup.deep_check_coresolution(ctx)
-    # projective by projective, each T once per projective
-    found = {}
-    for p_pos, p in enumerate(bars + ctx.embedded_projective_indices()):
-        block = calls[p_pos * len(tilts):(p_pos + 1) * len(tilts)]
-        assert sorted(t_pos for t_pos, _ in block) == list(range(len(tilts)))
-        found.update(((t_pos, p), got) for t_pos, got in block)
-    assert len(calls) == len(found)
-    return report, found
+# the deep check at the index level: one coordinate cokernel per
+# (projective, approximation), no cokernel module
 
 
 @pytest.mark.parametrize("q", orientations("A3") + [named_diagram("D4")],
                          ids=[f"A3-{k}" for k in range(4)] + ["D4"])
-def test_shared_deep_check_matches_the_per_pair_route(monkeypatch, q):
+def test_shared_deep_check_matches_the_per_pair_route(q):
     ctx = dup.DupContext(q)
-    want = {(t_pos, p): _decompose(ctx, y, members)
-            for t_pos, p, members, y in _per_pair_cokernels(ctx)}
-    report, found = _shared_decompositions(monkeypatch, ctx)
+    want = {(t_pos, p_pos): _decompose(ctx, y, members)
+            for t_pos, p_pos, members, y in _per_pair_cokernels(ctx)}
+    found, order = {}, []
+    for t_pos, p_pos, mults in dup.coresolutions(ctx):
+        assert (t_pos, p_pos) not in found
+        found[(t_pos, p_pos)] = mults
+        order.append((p_pos, t_pos))
     assert found == want
+    # projective by projective, each T once per projective: one
+    # projective's keys are held at a time
+    n_tilts = len(dup.enumerate_tilting_dup(ctx))
+    assert [p for p, _ in order] == sorted(p for p, _ in order)
+    for p_pos in range(len(dup.deep_check_projectives(ctx))):
+        assert sorted(t for p, t in order if p == p_pos) == list(range(n_tilts))
     assert None not in want.values()
+    report = dup.deep_check_coresolution(ctx)
     assert report["status"] == "pass"
     assert report["stats"]["sequences_checked"] == len(want)
+
+
+COKERNEL_ROUTE_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
+                          + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
+                          + [("D5", named_diagram("D5")),
+                             ("E6_SEED1", parse_quiver(ref.E6_SEED1))])
+
+
+@pytest.mark.parametrize("q", [q for _, q in COKERNEL_ROUTE_QUIVERS],
+                         ids=[name for name, _ in COKERNEL_ROUTE_QUIVERS])
+def test_coresolutions_match_the_cokernel_route(q):
+    # the multiplicities of every (T, P), or None, equal those of the
+    # cokernel modules with the Hom bases solved out of them
+    ctx = dup.DupContext(q)
+    want = ref.deep_check_cokernels(ctx)
+    assert {(t, p): mults for t, p, mults in dup.coresolutions(ctx)} == want
+    assert None not in want.values()
 
 
 def _sharing_keys(ctx):
@@ -696,11 +689,11 @@ def _sharing_keys(ctx):
     and the object index and basis position of each component of its
     minimal left add(T)-approximation."""
     objs = ctx.objects()
-    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    projectives = dup.deep_check_projectives(ctx)
     keys = {}
     for t_pos, t in enumerate(dup.enumerate_tilting_dup(ctx)):
-        members = list(t.indices) + bars
-        for p in bars + ctx.embedded_projective_indices():
+        members = list(t.indices) + projectives[:ctx.n]
+        for p in projectives:
             comps = homsolve.injective_approximation(
                 objs[p][1], [ctx.hom_idx(p, k) for k in members],
                 lambda a, b: ctx.radical_idx(p, members[a], members[b]))
@@ -712,44 +705,20 @@ def _sharing_keys(ctx):
 
 @pytest.mark.parametrize("name, count", [("A3", 17), ("D4", 49), ("D5", 140)])
 def test_one_cokernel_per_projective_and_approximation(monkeypatch, name, count):
+    # one add T test per key, and no cokernel module at all
     ctx = dup.DupContext(named_diagram(name))
     keys = _sharing_keys(ctx)
-    built = []
-    cokernel = homsolve.cokernel
-    monkeypatch.setattr(homsolve, "cokernel", lambda f: built.append(f) or cokernel(f))
+    built, modules = [], []
+    in_add = dup._cokernel_in_add
+    monkeypatch.setattr(dup, "_cokernel_in_add", lambda ctx, p, comps: built.append(
+        (p, comps)) or in_add(ctx, p, comps))
+    monkeypatch.setattr(homsolve, "cokernel", lambda f: modules.append(f))
     report = dup.deep_check_coresolution(ctx)
     assert report["status"] == "pass"
-    assert len(built) == len(set(keys.values())) == count
+    assert len(built) == len(set(built)) == len(set(keys.values())) == count
+    assert set(built) == set(keys.values())
+    assert modules == []
     assert report["stats"]["sequences_checked"] == len(keys) > count
-
-
-def test_every_pair_of_a_shared_faulty_cokernel_is_reported(monkeypatch):
-    # a cokernel that comes out without its structure maps is not in add T
-    # for the pairs that share it: one line per pair, in (T, P) order
-    ctx = dup.DupContext(A3)
-    objs = ctx.objects()
-    tilts = dup.enumerate_tilting_dup(ctx)
-    cokernel = homsolve.cokernel
-
-    def flattened(f):
-        c, proj = cokernel(f)
-        return c._rebuild(c.dims, {lab: RatMatrix.zeros(*mat.shape)
-                                   for lab, mat in c.struct().items()}), proj
-
-    keys = _sharing_keys(ctx)
-    monkeypatch.setattr(homsolve, "cokernel", flattened)
-    failing = [(t_pos, p) for t_pos, p, members, y in _per_pair_cokernels(ctx)
-               if _decompose(ctx, y, members) is None]
-    built = []
-    monkeypatch.setattr(homsolve, "cokernel", lambda f: built.append(f) or flattened(f))
-    report = dup.deep_check_coresolution(ctx)
-    assert report["status"] == "violation"
-    assert report["counterexamples"] == [
-        f"{tilts[t_pos].label()} / {objs[p][0]}: cokernel not in add T"
-        for t_pos, p in failing]
-    # some faulty cokernels serve several pairs, each reported
-    assert len(built) == 17
-    assert len(failing) > len({keys[pair] for pair in failing})
 
 
 # ---------------------------------------------------------------------------
@@ -918,3 +887,129 @@ def test_ext1_mutation_is_an_engine_error(flags, mutation, pair):
     assert proc.stdout == ""
     assert (f"engine error: compatibility rule disagrees with the solver on {pair}"
             in proc.stderr)
+
+
+# once the deep check starts, the composite block of the objects in argv[1]
+# has its first nonzero coordinate zeroed, at every read
+CORRUPTED_COMPOSITE = (
+    "import sys\n"
+    "from tiltquiver import cli, dup\n"
+    "key = tuple(map(int, sys.argv[1].split(',')))\n"
+    "composite_idx, deep_check = dup.DupContext.composite_idx, dup.deep_check_coresolution\n"
+    "corrupted = {}\n"
+    "def read(self, x, i, y):\n"
+    "    got = composite_idx(self, x, i, y)\n"
+    "    if 'on' in corrupted and (x, i, y) == key:\n"
+    "        rows = [[list(cs) for cs in row] for row in got]\n"
+    "        cs = next(cs for row in rows for cs in row if any(cs))\n"
+    "        cs[next(z for z, v in enumerate(cs) if v)] = 0\n"
+    "        got = tuple(tuple(map(tuple, row)) for row in rows)\n"
+    "    return got\n"
+    "def deep(ctx):\n"
+    "    corrupted['on'] = True\n"
+    "    return deep_check(ctx)\n"
+    "dup.DupContext.composite_idx = read\n"
+    "dup.deep_check_coresolution = deep\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A3', '--deep-check']))\n"
+)
+
+
+def _corrupted_deep_checks(q):
+    """Each composite block the deep check over q reads, with each of its
+    coordinates changed in turn (a nonzero one zeroed, a zero one set to
+    1): (the block's objects, the deep check's report, or the message of
+    its RuntimeError)."""
+    ctx = dup.DupContext(q)
+    composite_idx = dup.DupContext.composite_idx
+    read = {}
+    dup.DupContext.composite_idx = lambda self, x, i, y: read.setdefault(
+        (x, i, y), composite_idx(self, x, i, y))
+    try:
+        assert dup.deep_check_coresolution(ctx)["status"] == "pass"
+        for key, block in read.items():
+            for a, row in enumerate(block):
+                for b, cs in enumerate(row):
+                    for z, v in enumerate(cs):
+                        rows = [[list(cs) for cs in row] for row in block]
+                        rows[a][b][z] = 0 if v else 1
+                        bad = tuple(tuple(map(tuple, row)) for row in rows)
+                        dup.DupContext.composite_idx = (
+                            lambda self, x, i, y, key=key, bad=bad:
+                            bad if (x, i, y) == key else composite_idx(self, x, i, y))
+                        try:
+                            yield key, dup.deep_check_coresolution(ctx)
+                        except RuntimeError as e:
+                            yield key, str(e)
+    finally:
+        dup.DupContext.composite_idx = composite_idx
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_no_corrupted_composite_reads_as_a_counterexample(name):
+    # every coordinate the deep check reads, changed: an engine error, or
+    # the clean report when the change misses what the verdicts use; some
+    # errors come from certifying a "not in add T" verdict
+    clean = dup.deep_check_coresolution(dup.DupContext(named_diagram(name)))
+    outcomes = list(_corrupted_deep_checks(named_diagram(name)))
+    assert all(isinstance(got, str) or got == clean for _, got in outcomes)
+    assert sum("disagree with their maps" in got for _, got in outcomes
+               if isinstance(got, str)) >= 4
+    if name == "A3":
+        assert len(outcomes) == 45 and all(isinstance(got, str) for _, got in outcomes)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("route", ["first", "certificate"])
+def test_corrupted_composite_in_the_deep_check_is_an_engine_error(flags, route):
+    # the first block the deep check reads, and one whose corruption makes
+    # a cokernel look outside add T until the None is certified
+    outcomes = list(_corrupted_deep_checks(A3))
+    key = outcomes[0][0] if route == "first" else next(
+        key for key, got in outcomes if isinstance(got, str) and "disagree" in got)
+    proc = _run_script(flags, CORRUPTED_COMPOSITE, ",".join(map(str, key)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("engine error:")
+    if route == "certificate":
+        assert "disagree with their maps" in proc.stderr
+
+
+# the deep check runs on every tilting set with the object of pool
+# position argv[1] dropped: an almost complete set is no tilting module,
+# and some of its cokernels are not in add T
+DROPPED_MEMBER = (
+    "import sys\n"
+    "from tiltquiver import cli, dup\n"
+    "drop = int(sys.argv[1])\n"
+    "deep_check, enumerate_tilting = dup.deep_check_coresolution, dup.enumerate_tilting_dup\n"
+    "def dropped(ctx):\n"
+    "    dup.enumerate_tilting_dup = lambda ctx: [\n"
+    "        t._replace(indices=tuple(k for k in t.indices if k != drop))\n"
+    "        for t in enumerate_tilting(ctx)]\n"
+    "    return deep_check(ctx)\n"
+    "dup.deep_check_coresolution = dropped\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A3', '--deep-check']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_dropped_member_is_reported_as_the_cokernel_route_reports_it(flags):
+    # a genuine negative: one line per failing (T, P), in (T, P) order,
+    # exactly the pairs whose cokernel module is not in add T, and exit 1
+    ctx = dup.DupContext(A3)
+    objs = ctx.objects()
+    tilts = dup.enumerate_tilting_dup(ctx)
+    projectives = dup.deep_check_projectives(ctx)
+    drop = next(k for k, pid in enumerate(ctx.pool_ids()) if str(pid) == "E(1,1,1)")
+    failing = sorted(pair for pair, mults in ref.deep_check_cokernels(ctx, drop).items()
+                     if mults is None)
+    proc = _run_script(flags, DROPPED_MEMBER, str(drop))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "theorem 3.1 [diagram A3]: violation"
+    assert lines[2:] == [
+        f"counterexample: {tilts[t].label()} / {objs[projectives[p]][0]}: cokernel not in add T"
+        for t, p in failing]
+    # several tilting sets, and several projectives of one of them
+    assert len({t for t, _ in failing}) > 1
+    assert len(failing) > len({t for t, _ in failing})

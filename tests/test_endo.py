@@ -1,5 +1,6 @@
 """Tests for endomorphism algebras of tilting modules."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import reference as ref
-from tiltquiver import dup, endo, homsolve, rep_a
+from tiltquiver import cli, dup, endo, homsolve, rep_a
 from tiltquiver.exactlin import RatMatrix, rref_rows
-from tiltquiver.quiver_core import named_diagram, orientations
+from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
 
 A2 = named_diagram("A2")
 A3 = named_diagram("A3")
@@ -229,12 +230,14 @@ def _dense_action(alg, m):
 
 
 def _assert_dense_coordinates(alg, modules):
-    """The table and the action on every generated module match the
-    dense solve; returns how many modules were generated."""
-    assert alg.table == _dense_table(alg)
+    """The table read through the shared blocks and the action on every
+    generated module match the dense solve; returns how many modules were
+    generated."""
+    table = ref.blocks_table(alg)
+    assert table == _dense_table(alg)
     # the coordinates as the Hom caches return them: ints where integral
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for entry in alg.table.values() for c in entry.values())
+               for entry in table.values() for c in entry.values())
     generated = 0
     for m in modules:
         try:
@@ -323,20 +326,102 @@ def test_composites_that_do_not_fit_their_bases_are_an_engine_error(flags):
     assert_engine_error(proc, "engine error: composite coordinates of summands")
 
 
+# every End T records the offset of its first pair of distinct summands
+# with a nonzero Hom one position on, so the shared blocks of that pair
+# are read at a wrong offset
+SHIFTED_OFFSET = (
+    "import sys\n"
+    "from tiltquiver import cli, endo\n"
+    "structure_algebra = endo.structure_algebra\n"
+    "def shifted(summands, homs, composites):\n"
+    "    alg = structure_algebra(summands, homs, composites)\n"
+    "    pair = next(p for p, basis in alg.pair_basis.items() if p[0] != p[1] and basis)\n"
+    "    basis = alg.pair_basis[pair]\n"
+    "    alg.pair_basis[pair] = range(basis.start + SHIFT, basis.stop + SHIFT)\n"
+    "    return alg\n"
+    "endo.structure_algebra = shifted\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A3', '--deep-check']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_block_read_at_a_wrong_offset_is_an_engine_error(flags, shift):
+    assert_engine_error(run_cli_script(flags, f"SHIFT = {shift}\n" + SHIFTED_OFFSET))
+
+
+def test_block_reads_at_every_wrong_offset_are_engine_errors():
+    # each pair of distinct summands of every End T over duplicated A3,
+    # recorded one position on or back in turn
+    ctx = dup.DupContext(A3)
+    shifted = 0
+    for t in dup.enumerate_tilting_dup(ctx):
+        alg, _ = endo.endo_algebra(ctx, t)
+        for pair, basis in list(alg.pair_basis.items()):
+            if pair[0] == pair[1] or not basis:
+                continue
+            for shift in (1, -1):
+                alg.pair_basis[pair] = range(basis.start + shift, basis.stop + shift)
+                with pytest.raises(RuntimeError):
+                    for i in range(len(alg.summands)):
+                        endo.simple_resolution(alg, i)
+                shifted += 1
+            alg.pair_basis[pair] = basis
+    assert shifted > 100
+
+
+def test_theorem_sweep_and_deep_check_counts(monkeypatch, capsys, tmp_path):
+    # the seed-1 A3 file: the sweep builds 14 algebras and resolves 84
+    # simples; the deep check solves no Hom system of its own, so the run
+    # needs only the 158 Hom bases between the objects
+    ref.clear_caches()
+    calls = {"hom_basis": 0, "structure_algebra": 0, "simple_resolution": 0}
+    for module, name in ((homsolve, "hom_basis"), (endo, "structure_algebra"),
+                         (endo, "simple_resolution")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "a3.quiver"
+    path.write_text(ref.A3_SEED1)
+    assert cli.main(["verify", "--theorem", "3.1", "--deep-check", "-q", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"theorem 3.1 [file {path}]: pass\n")
+    assert calls == {"hom_basis": 158, "structure_algebra": 14, "simple_resolution": 84}
+
+
 # ---------------------------------------------------------------------------
 # the simples of End T, resolved in free coordinates
 
 
+def _shared_and_reference_tables(ctx, t):
+    """End T of the tilting set t, its table read through the context's
+    shared blocks, and the table the per-algebra builder makes of the same
+    Hom bases and composites."""
+    alg, members = endo.endo_algebra(ctx, t)
+    homs = {(a, b): ctx.hom_idx(i, j)
+            for a, i in enumerate(members) for b, j in enumerate(members)}
+    built = ref.structure_table(alg.summands, homs, lambda a, b, c: ctx.composite_idx(
+        members[a], members[b], members[c]))
+    return alg, ref.blocks_table(alg), built
+
+
+# the digest of every simple's resolution steps over the seed-1 E6 file,
+# algebra by algebra in enumeration order, as the per-algebra table
+# route computed them
+E6_STEPS_SHA256 = "ffc412e3d82b729e1c17e3954a99586ac3e80fad9ee95b7c603e1956b7ec1f71"
+
+
 def test_cached_tables_and_free_resolutions_match_the_module_route():
     # every orientation of duplicated A3 and D4, and A4: the table read
-    # from the context's composites equals the dense products, and each
-    # simple resolves as the generic module loop resolves it
+    # through the context's shared blocks equals the per-algebra builder's
+    # and the dense products, and each simple resolves as the generic
+    # module loop resolves it
     algebras, lengths = 0, set()
     for q in orientations("A3") + orientations("D4") + [named_diagram("A4")]:
         ctx = dup.DupContext(q)
         for t in dup.enumerate_tilting_dup(ctx):
-            alg, _ = endo.endo_algebra(ctx, t)
-            assert alg.table == _dense_table(alg)
+            alg, table, built = _shared_and_reference_tables(ctx, t)
+            assert table == built == _dense_table(alg)
             for i in range(len(alg.summands)):
                 steps = endo.simple_resolution(alg, i)
                 assert steps == ref.projective_resolution(ref.simple_module(alg, i))
@@ -344,6 +429,18 @@ def test_cached_tables_and_free_resolutions_match_the_module_route():
             algebras += 1
     assert algebras == 4 * 14 + len(orientations("D4")) * 50 + 42
     assert lengths == {1, 2, 3, 4}                # pd 0, 1, 2 and 3 all occur
+    # the seed-1 E6 file: the tables agree, and the steps of every simple
+    # are those the per-algebra table gave
+    ctx = dup.DupContext(parse_quiver(ref.E6_SEED1))
+    digest = hashlib.sha256()
+    tilts = dup.enumerate_tilting_dup(ctx)
+    for t in tilts:
+        alg, table, built = _shared_and_reference_tables(ctx, t)
+        assert table == built
+        for i in range(len(alg.summands)):
+            digest.update(repr(endo.simple_resolution(alg, i)).encode())
+    assert len(tilts) == 833
+    assert digest.hexdigest() == E6_STEPS_SHA256
 
 
 def _dropping_one_cover_column(call):

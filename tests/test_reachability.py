@@ -9,10 +9,10 @@ need lives in ``tests/reference.py``.
 """
 
 import ast
-import importlib
 import sys
 from pathlib import Path
 
+import reference as ref
 from tiltquiver import cli
 
 PACKAGE = Path(cli.__file__).resolve().parent
@@ -87,16 +87,6 @@ def definitions():
     return out
 
 
-def clear_caches():
-    """Drop every function cache in the package, so that each cached
-    builder runs again whatever ran before."""
-    for path in PACKAGE.glob("*.py"):
-        mod = importlib.import_module(f"tiltquiver.{path.stem}")
-        for value in vars(mod).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-
-
 def test_every_definition_is_reached(tmp_path, capsys):
     entered = set()
 
@@ -105,7 +95,7 @@ def test_every_definition_is_reached(tmp_path, capsys):
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno))
 
-    clear_caches()
+    ref.clear_caches()
     sys.setprofile(profile)
     try:
         for argv in commands(tmp_path):
