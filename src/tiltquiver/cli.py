@@ -10,18 +10,25 @@ Exit codes: 0 for pass or window-limited results, 1 when a verifier
 found a violation, 2 for usage or input errors and engine failures.  A
 reader that closes standard output early (``| head``) changes neither
 the exit code nor the JSON report, which is written before printing.
+
+A command imports only what it runs: the duplicated-algebra modules
+load in the handlers that use them, and ``json`` only when a report or
+a structured counterexample is written.  The process entry ``entry``
+freezes the heap the imports left behind, so the cyclic collector does
+not walk it again on every full collection; ``main`` itself leaves the
+collector as it is, for callers that run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 import time
 from pathlib import Path
 
-from . import dup, endo, rep_a, tilt_a
+from . import rep_a, tilt_a
 from .quiver_core import (
     Quiver,
     QuiverSyntaxError,
@@ -58,7 +65,9 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, (IndecId, dup.DupPoolId)):
+    from .dup import DupPoolId
+
+    if isinstance(v, (IndecId, DupPoolId)):
         return str(v)
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
@@ -84,7 +93,12 @@ def _stats_line(stats: dict) -> str:
 def _ce_lines(report: dict) -> list[str]:
     out = []
     for c in report.get("counterexamples", []):
-        text = c if isinstance(c, str) else json.dumps(_jsonable(c), sort_keys=True)
+        if isinstance(c, str):
+            text = c
+        else:
+            import json
+
+            text = json.dumps(_jsonable(c), sort_keys=True)
         out.append(f"counterexample: {text}")
     return out
 
@@ -218,6 +232,8 @@ def cmd_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
 
 
 def cmd_dup_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
+    from . import dup
+
     q, desc = _load_quiver(args)
     ctx = dup.DupContext(q)
     g = dup.tilting_quiver_dup(ctx)
@@ -403,6 +419,8 @@ def _verify_identity(q: Quiver) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, list[str], dict[str, str]]:
+    from . import dup, endo
+
     tok = args.theorem
     deep_ok = tok in ("3.1", "4.1", "4.2", "4.3")
     if args.deep_check and not deep_ok:
@@ -533,6 +551,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report, lines, files = _HANDLERS[args.command](args)
         if getattr(args, "json", None):
+            import json
+
             files[args.json] = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
         _write_all(files)
     except UsageError as exc:
@@ -558,5 +578,12 @@ def main(argv: list[str] | None = None) -> int:
     return _EXIT.get(report["status"], 2)
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run ``main`` as the whole process: freeze what start-up allocated,
+    then exit with its code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

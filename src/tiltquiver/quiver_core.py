@@ -10,7 +10,6 @@ enumeration of all orientations of a Dynkin tree.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -264,6 +263,8 @@ def parse_quiver(text: str) -> Quiver:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
+
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

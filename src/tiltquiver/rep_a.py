@@ -225,8 +225,9 @@ def indecomposables(q: Quiver) -> list[tuple[IndecId, Rep]]:
     for comp in q.components():
         dc = classify(comp)
         if not dc.is_dynkin():
+            kind = f"{dc.kind}/{dc.name}" if dc.name else dc.kind
             raise ValueError(
-                f"component of type {dc.kind}/{dc.name}; finite-type enumeration "
+                f"component of type {kind}; finite-type enumeration "
                 "needs Dynkin components (use kronecker_window for the double arrow)"
             )
         expected += _ROOT_COUNTS[dc.name[0]](int(dc.name[1:]))

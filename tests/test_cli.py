@@ -1,6 +1,7 @@
 """CLI behaviour: golden outputs, exit codes, byte-stable reports."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import reference as ref
 import tiltquiver
-from tiltquiver import cli
+from tiltquiver import cli, dup
 
 A2_FILE = "vertices 1 2\narrow a 1 2\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,7 +179,7 @@ def test_deep_check_enumerates_the_tilting_modules_once(capsys, monkeypatch, the
     # the theorem's checker and the deep check share one clique search of
     # size n on the duplicated compatibility table
     contexts, searches = [], []
-    init, cliques = cli.dup.DupContext.__init__, cli.tilt_a.cliques
+    init, cliques = dup.DupContext.__init__, cli.tilt_a.cliques
 
     def recorded_context(self, quiver):
         init(self, quiver)
@@ -188,7 +189,7 @@ def test_deep_check_enumerates_the_tilting_modules_once(capsys, monkeypatch, the
         searches.append((table, size))
         return cliques(table, size)
 
-    monkeypatch.setattr(cli.dup.DupContext, "__init__", recorded_context)
+    monkeypatch.setattr(dup.DupContext, "__init__", recorded_context)
     monkeypatch.setattr(cli.tilt_a, "cliques", recorded_search)
     code, out, _ = run(capsys, "verify", "--theorem", theorem,
                        "--diagram", "A3", "--deep-check")
@@ -203,7 +204,7 @@ def test_violation_exit_code(capsys, monkeypatch):
     def fake(ctx):
         return {"status": "violation", "stats": {},
                 "counterexamples": ["made up"]}
-    monkeypatch.setattr(cli.dup, "verify_regularity", fake)
+    monkeypatch.setattr(dup, "verify_regularity", fake)
     code, out, _ = run(capsys, "verify", "--theorem", "4.2",
                        "--diagram", "A2")
     assert code == 1
@@ -317,8 +318,8 @@ def test_engine_exceptions_exit_2(capsys, monkeypatch, exc):
 def test_homsolve_fault_is_an_engine_error(capsys, monkeypatch):
     # Hom bases whose maps are all doubled: the coordinates of composites
     # read at the free columns no longer rebuild them, RuntimeError, exit 2
-    hom_basis = cli.dup.homsolve.hom_basis
-    monkeypatch.setattr(cli.dup.homsolve, "hom_basis",
+    hom_basis = dup.homsolve.hom_basis
+    monkeypatch.setattr(dup.homsolve, "hom_basis",
                         lambda M, N: [ref.scale(f, 2) for f in hom_basis(M, N)])
     code, out, err = run(capsys, "dup-kquiver", "--diagram", "A2")
     assert code == 2
@@ -346,21 +347,41 @@ def test_closed_stdout_keeps_exit_code_and_json(tmp_path):
 
 def test_the_cli_imports_without_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, about 15 ms on
-    # the start of every command
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tiltquiver.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=60)
+    # the start of every command; json and the duplicated-algebra modules
+    # load only in the commands that use them.  -S keeps the modules that
+    # site-packages hooks import out of the count.
+    proc = _run_script(["-S"], "import sys, tiltquiver.cli; print(sorted("
+                       "{'dataclasses', 'inspect', 'json', 'tiltquiver.dup', 'tiltquiver.endo'}"
+                       " & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_process_entry_freezes_before_main():
+    # the freeze must come after the imports and before the command runs
+    script = ("import gc\n"
+              "from tiltquiver import cli\n"
+              "print(gc.get_freeze_count())\n"
+              "cli.main = lambda: print(gc.get_freeze_count())\n"
+              "cli.entry()\n")
+    proc = _run_script([], script)
+    assert proc.returncode == 0, proc.stderr
+    before, during = map(int, proc.stdout.split())
+    assert before == 0 < during
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # tests, the benchmark's tracer and library callers run main in process
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "kquiver", "--diagram", "A2")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def _plain(v) -> bool:
     """v holds only JSON values, tuples and the two id types ``_jsonable``
     writes as their names."""
-    if isinstance(v, (cli.IndecId, cli.dup.DupPoolId)):
+    if isinstance(v, (cli.IndecId, dup.DupPoolId)):
         return True
     if type(v) is dict:
         return all(type(k) in (str, int) and _plain(x) for k, x in v.items())
@@ -430,6 +451,22 @@ def test_malformed_quiver_file(capsys, tmp_path):
 def test_missing_quiver_file(capsys, tmp_path):
     code, _, err = run(capsys, "tilting", "-q", str(tmp_path / "nope"))
     assert code == 2
+
+
+# the 4-vertex wild quiver with arrows 1->2, 1->3, 1->4, 4->2 has no name
+@pytest.mark.parametrize("text, kind", [
+    ("vertices 1 2 3 4\narrow a 1 2\narrow b 1 3\narrow c 1 4\narrow d 4 2\n", "wild;"),
+    ("vertices 1 2 3 4 5\narrow a 1 2\narrow b 1 3\narrow c 1 4\narrow d 1 5\n",
+     "euclidean/~D4;"),
+])
+def test_non_dynkin_component_is_named_without_none(capsys, tmp_path, text, kind):
+    f = tmp_path / "q.quiver"
+    f.write_text(text)
+    code, out, err = run(capsys, "kquiver", "-q", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: component of type {kind} ")
+    assert "None" not in err
 
 
 @pytest.mark.parametrize("flag", ["--json", "--dot"])
