@@ -65,9 +65,9 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
-    from .dup import DupPoolId
-
-    if isinstance(v, (IndecId, DupPoolId)):
+    # a report holds a DupPoolId only if dup is loaded: never import it here
+    dup = sys.modules.get(f"{__package__}.dup")
+    if isinstance(v, IndecId) or (dup is not None and isinstance(v, dup.DupPoolId)):
         return str(v)
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}

@@ -186,19 +186,37 @@ def bar_projective(q: Quiver, a: int) -> TripleModule:
     return _triple(q, rep_a.projective(q, a), rep_a.injective(q, a), conn)
 
 
+def _checked_hom(m: TripleModule, n: TripleModule, dim: int, pair: str) -> list[SlotMap]:
+    """``homsolve.hom_basis(m, n)`` for a pair whose Hom dimension ``dim``
+    is known without it: no solve when dim is 0, and ``RuntimeError``
+    unless the solved basis has exactly dim maps."""
+    if not dim:
+        return []
+    got = homsolve.hom_basis(m, n)
+    if len(got) != dim:
+        raise RuntimeError(f"the Hom basis of {pair} has {len(got)} maps, not {dim}")
+    return got
+
+
 @cache
 def _bar_hom(q: Quiver, a: int, b: int) -> list[SlotMap]:
     """Hom basis from the bar projective at vertex position a to the one
-    at b, solved once per quiver and shared: callers must not mutate it."""
-    return homsolve.hom_basis(*(slot_projective(q, ("t", q.vertices[k])) for k in (a, b)))
+    at b, solved once per quiver and shared: callers must not mutate it.
+    Its dimension is the target's at slot (t, a) (Yoneda)."""
+    src, dst = (slot_projective(q, ("t", q.vertices[k])) for k in (a, b))
+    return _checked_hom(src, dst, dst.dims[("t", q.vertices[a])],
+                        f"(B{q.vertices[a]}, B{q.vertices[b]})")
 
 
 def _bar_cokernel(q: Quiver, m: Rep) -> TripleModule:
     """The cokernel of the minimal left approximation of the embedded m by
-    the bar projectives; ``homsolve.NoExchangeSequence`` if there is none."""
+    the bar projectives; ``homsolve.NoExchangeSequence`` if there is none.
+    Hom(m, bar P_a) has dimension m_a: the bar P_a is the injective hull
+    of the simple at slot (b, a)."""
     x = embed(q, m)
     bars = [slot_projective(q, ("t", a)) for a in q.vertices]
-    hom_x = [homsolve.hom_basis(x, b) for b in bars]
+    hom_x = [_checked_hom(x, b, m.dims[a], f"(embedded {m.dim_vector()}, B{a})")
+             for a, b in zip(q.vertices, bars)]
     return homsolve.exchange_sequence(x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
         x, hom_x[a], _bar_hom(q, a, b), hom_x[b]))[1]
 
@@ -256,6 +274,7 @@ class DupContext:
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
+        self._hom_dim: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._radical: dict[tuple[int, int, int], tuple] = {}
         self._composites: dict[tuple[int, int, int], tuple] = {}
@@ -306,12 +325,33 @@ class DupContext:
             for a in self.quiver.vertices
         ]
 
-    def hom_idx(self, i: int, j: int) -> list[SlotMap]:
-        got = self._hom.get((i, j))
+    def hom_dim_idx(self, i: int, j: int) -> int:
+        """dim Hom(object i, object j) (cached): the rank of the
+        intertwining system (``homsolve.hom_dim``), with no basis."""
+        got = self._hom_dim.get((i, j))
         if got is None:
             objs = self.objects()
-            got = homsolve.hom_basis(objs[i][1], objs[j][1])
-            self._hom[(i, j)] = got
+            got = self._hom_dim[(i, j)] = homsolve.hom_dim(objs[i][1], objs[j][1])
+        return got
+
+    def hom_idx(self, i: int, j: int) -> list[SlotMap]:
+        """Basis of Hom(object i, object j) (cached), for the certificates
+        that read its maps.  Its dimension is fixed first, by a route that
+        builds no basis: dim N_(t, a) from a bar projective P_a, the
+        projective at slot (t, a) (Yoneda); dim M_(b, a) into one, as P_a
+        is also the injective hull of the simple at (b, a); otherwise
+        ``hom_dim_idx``.  A zero dimension gives the empty basis with no
+        solve; a solved basis of any other length is a ``RuntimeError``."""
+        got = self._hom.get((i, j))
+        if got is None:
+            (pid, m), (qid, n) = self.objects()[i], self.objects()[j]
+            if pid.kind == "B":
+                dim = n.dims[("t", pid.key)]
+            elif qid.kind == "B":
+                dim = m.dims[("b", qid.key)]
+            else:
+                dim = self.hom_dim_idx(i, j)
+            got = self._hom[(i, j)] = _checked_hom(m, n, dim, f"({pid}, {qid})")
         return got
 
     def radical_idx(self, x: int, j: int, i: int) -> tuple:
@@ -338,6 +378,17 @@ class DupContext:
             got = self._composites[key] = self._shared.setdefault(got, got)
         return got
 
+    @cached_property
+    def _euler_rows(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Per object M, the layer L that ``ext1_idx`` reads and the Euler
+        row of dim M_L, so that <dim M_L, e> is a dot product with e."""
+        vs = self.quiver.vertices
+        rows = []
+        for pid, m in self.objects():
+            layer = "b" if pid.kind == "E" else "t"
+            rows.append((layer, self.quiver.euler_row([m.dims[(layer, v)] for v in vs])))
+        return rows
+
     def ext1_idx(self, i: int, j: int) -> int:
         """dim Ext^1 between objects (cached), read off a projective
         presentation 0 -> P1 -> P0 -> M -> 0 of object i that needs no
@@ -349,20 +400,19 @@ class DupContext:
         (``shifted_module``), E a sum of bar projectives with W_i's top
         layer, and dim Hom(bar P_a, N) = N_(t, a) = <dim P_a, dim N_top>:
         L is the top, delta = dim N_(b, i).  A bar projective resolves by
-        itself: L is the top and delta = 0, which gives 0.
+        itself: L is the top and delta = 0, which gives 0.  dim Hom(M, N)
+        is the rank-only ``hom_dim_idx``, and <dim M_L, -> is M's row of
+        ``_euler_rows``: no Hom basis is built.
         """
         got = self._ext.get((i, j))
         if got is not None:
             return got
-        objs = self.objects()
-        pid, M = objs[i]
-        N = objs[j][1]
-        vs = self.quiver.vertices
-        layer = "b" if pid.kind == "E" else "t"
-        val = len(self.hom_idx(i, j)) - self.quiver.euler_form(
-            [M.dims[(layer, v)] for v in vs], [N.dims[(layer, v)] for v in vs])
+        pid, n = self.objects()[i][0], self.objects()[j][1]
+        layer, row = self._euler_rows[i]
+        val = self.hom_dim_idx(i, j) - sum(
+            r * n.dims[(layer, v)] for r, v in zip(row, self.quiver.vertices))
         if pid.kind == "W":
-            val += N.dims[("b", pid.key)]
+            val += n.dims[("b", pid.key)]
         if val < 0:
             raise RuntimeError(f"negative Ext^1 between objects {i} and {j}")
         self._ext[(i, j)] = val
@@ -388,7 +438,12 @@ class DupContext:
         return tilt_a.compatibility_table(self.pool_size(), self.compatible)
 
     def validate_rules(self) -> None:
-        """Cross-check every predicted Ext vanishing against the solver."""
+        """Cross-check every predicted Ext vanishing against the solver,
+        ``ext1_idx`` on every ordered pool pair.  That reads rank-only Hom
+        dimensions, so the check builds no Hom basis: the certificates
+        that follow solve only the bases they read (``hom_idx``), and a
+        basis between pool members is checked against its rank found
+        here."""
         if self._rules_checked:
             return
         r = len(self.pool())

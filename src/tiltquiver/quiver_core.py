@@ -240,6 +240,15 @@ class Quiver:
             total -= dv[self.v_pos[arr.source]] * ev[self.v_pos[arr.target]]
         return total
 
+    def euler_row(self, d: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
+        """The row r with euler_form(d, e) = sum r_v e_v for every e: d_v
+        minus d at the source of each arrow into v."""
+        dv = self.dimvec(d)
+        row = list(dv)
+        for arr in self.arrows:
+            row[self.v_pos[arr.target]] -= dv[self.v_pos[arr.source]]
+        return tuple(row)
+
     def tits_form(self, d: Mapping[int, int] | Sequence[int]) -> int:
         return self.euler_form(d, d)
 

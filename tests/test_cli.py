@@ -357,6 +357,18 @@ def test_the_cli_imports_without_dataclasses():
     assert proc.stdout == "[]\n"
 
 
+def test_a_classical_json_report_does_not_load_the_duplicated_algebra(tmp_path):
+    # the JSON writer recognises a DupPoolId only when dup is already
+    # loaded; a classical report holds none
+    report = tmp_path / "r.json"
+    proc = _run_script(["-S"], "import sys; from tiltquiver import cli\n"
+                       f"code = cli.main(['kquiver', '--diagram', 'A3', '--json', {str(report)!r}])\n"
+                       "print(code, 'tiltquiver.dup' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert json.loads(report.read_text())["status"] == "pass"
+
+
 def test_the_process_entry_freezes_before_main():
     # the freeze must come after the imports and before the command runs
     script = ("import gc\n"

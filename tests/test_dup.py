@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import reference as ref
-from tiltquiver import dup, homsolve, rep_a, tilt_a
+from tiltquiver import cli, dup, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix
 from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
 
@@ -1013,3 +1013,108 @@ def test_dropped_member_is_reported_as_the_cokernel_route_reports_it(flags):
     # several tilting sets, and several projectives of one of them
     assert len({t for t, _ in failing}) > 1
     assert len(failing) > len({t for t, _ in failing})
+
+
+# ---------------------------------------------------------------------------
+# every Hom basis checked against a dimension known without it
+
+
+@pytest.mark.parametrize("q", [q for _, q in YONEDA_QUIVERS],
+                         ids=[n for n, _ in YONEDA_QUIVERS])
+def test_free_hom_dimensions_match_the_solved_bases(q):
+    # Hom(bar P_a, X) = X_(t, a) by Yoneda and Hom(X, bar P_a) = X_(b, a),
+    # bar P_a being the injective hull of the simple at (b, a); between
+    # pool members the rank-only dimension is the basis length
+    ctx = dup.DupContext(q)
+    objs = [m for _, m in ctx.objects()]
+    for a in q.vertices:
+        bar = dup.slot_projective(q, ("t", a))
+        for x in objs:
+            assert len(homsolve.hom_basis(bar, x)) == x.dims[("t", a)]
+            assert len(homsolve.hom_basis(x, bar)) == x.dims[("b", a)]
+    r = ctx.pool_size()
+    for i in range(r):
+        for j in range(r):
+            assert ctx.hom_dim_idx(i, j) == len(homsolve.hom_basis(objs[i], objs[j]))
+
+
+HOM_FAULTS = {"drop": lambda basis: basis[:-1], "duplicate": lambda basis: basis + basis[-1:]}
+SWEEP_COMMANDS = [["dup-kquiver"], ["verify", "--theorem", "3.1", "--deep-check"],
+                  ["verify", "--theorem", "4.3"]]
+
+
+def _hom_fault_outcomes(monkeypatch, capsys, path, fault):
+    """(object pair, command, exit code, stdout) for each ordered object
+    pair of the quiver file at ``path`` and each sweep command, run in
+    process with ``homsolve.hom_basis`` faulted on that pair once the
+    context's objects exist; the clean runs come first, with pair None."""
+    hom_basis, objects = homsolve.hom_basis, dup.DupContext.objects
+    target, pair = [None], []
+
+    def faulted(m, n):
+        got = hom_basis(m, n)
+        return fault(got) if pair and m is pair[0] and n is pair[1] else got
+
+    def recorded(self):
+        objs = objects(self)
+        if target[0] is not None and not pair:
+            pair.extend(objs[k][1] for k in target[0])
+        return objs
+
+    monkeypatch.setattr(homsolve, "hom_basis", faulted)
+    monkeypatch.setattr(dup.DupContext, "objects", recorded)
+    size = len(dup.DupContext(parse_quiver(path.read_text())).objects())
+    for key in [None] + [(i, j) for i in range(size) for j in range(size)]:
+        for argv in SWEEP_COMMANDS:
+            ref.clear_caches()
+            target[0] = key
+            pair.clear()
+            code = cli.main(argv + ["-q", str(path)])
+            yield key, " ".join(argv), code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fault", HOM_FAULTS)
+def test_no_faulted_hom_basis_reads_as_a_verdict(monkeypatch, capsys, tmp_path, fault):
+    # a dropped or duplicated map in any one Hom basis between objects, bars
+    # included: each command prints its clean report, or fails with exit 2
+    path = tmp_path / "a3.quiver"
+    path.write_text(ref.A3_SEED1)
+    outcomes = list(_hom_fault_outcomes(monkeypatch, capsys, path, HOM_FAULTS[fault]))
+    clean = {cmd: (code, out) for key, cmd, code, out in outcomes if key is None}
+    assert all(code == 0 for code, _ in clean.values())
+    faulted = [(key, cmd, code, out) for key, cmd, code, out in outcomes if key is not None]
+    assert len(faulted) == 144 * len(SWEEP_COMMANDS)
+    assert [(key, cmd) for key, cmd, code, out in faulted
+            if (code, out) != clean[cmd] and (code, out) != (2, "")] == []
+    # the checks fire where a command reads a basis; theorem 4.3 reads
+    # only Ext^1, whose Hom dimensions are rank-only
+    assert {cmd for _, cmd, code, _ in faulted if code == 2} == {
+        "dup-kquiver", "verify --theorem 3.1 --deep-check"}
+
+
+# once the context's objects exist, every Hom basis solved from a bar
+# projective loses its last map
+BAR_SOURCE_DROP = (
+    "import sys\n"
+    "from tiltquiver import cli, dup, homsolve\n"
+    "hom_basis, objects = homsolve.hom_basis, dup.DupContext.objects\n"
+    "bars = set()\n"
+    "def dropped(m, n):\n"
+    "    got = hom_basis(m, n)\n"
+    "    return got[:-1] if id(m) in bars else got\n"
+    "def recorded(self):\n"
+    "    objs = objects(self)\n"
+    "    bars.update(id(m) for pid, m in objs if pid.kind == 'B')\n"
+    "    return objs\n"
+    "homsolve.hom_basis = dropped\n"
+    "dup.DupContext.objects = recorded\n"
+    "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_dropped_map_from_a_bar_projective_is_an_engine_error(flags):
+    proc = _run_script(flags, BAR_SOURCE_DROP)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("engine error: the Hom basis of (B")

@@ -372,12 +372,15 @@ def test_block_reads_at_every_wrong_offset_are_engine_errors():
 
 def test_theorem_sweep_and_deep_check_counts(monkeypatch, capsys, tmp_path):
     # the seed-1 A3 file: the sweep builds 14 algebras and resolves 84
-    # simples; the deep check solves no Hom system of its own, so the run
-    # needs only the 158 Hom bases between the objects
+    # simples; the deep check solves no Hom system of its own.  The rule
+    # check reads 81 rank-only Hom dimensions, one per ordered pool pair
+    # (15 more are End and rigidity checks of the pool's members), and a
+    # Hom basis is solved only where a certificate, or the build of a
+    # shifted module, reads a nonzero one: 57 bases
     ref.clear_caches()
-    calls = {"hom_basis": 0, "structure_algebra": 0, "simple_resolution": 0}
-    for module, name in ((homsolve, "hom_basis"), (endo, "structure_algebra"),
-                         (endo, "simple_resolution")):
+    calls = {"hom_basis": 0, "hom_dim": 0, "structure_algebra": 0, "simple_resolution": 0}
+    for module, name in ((homsolve, "hom_basis"), (homsolve, "hom_dim"),
+                         (endo, "structure_algebra"), (endo, "simple_resolution")):
         def counted(*args, fn=getattr(module, name), name=name):
             calls[name] += 1
             return fn(*args)
@@ -386,7 +389,8 @@ def test_theorem_sweep_and_deep_check_counts(monkeypatch, capsys, tmp_path):
     path.write_text(ref.A3_SEED1)
     assert cli.main(["verify", "--theorem", "3.1", "--deep-check", "-q", str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"theorem 3.1 [file {path}]: pass\n")
-    assert calls == {"hom_basis": 158, "structure_algebra": 14, "simple_resolution": 84}
+    assert calls == {"hom_basis": 57, "hom_dim": 96, "structure_algebra": 14,
+                     "simple_resolution": 84}
 
 
 # ---------------------------------------------------------------------------

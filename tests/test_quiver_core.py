@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltquiver.quiver_core import (
     Quiver,
@@ -78,6 +80,26 @@ def test_euler_form_a2():
     assert both == q.euler_form(d1, e) + q.euler_form(d2, e)
     with pytest.raises(ValueError):
         q.euler_form((1, 2, 3), (1, 1))
+
+
+CATALOGUE = ["A1", "A4", "A8", "D4", "D6", "D8", "E6", "E7", "E8", "K"]
+
+
+@st.composite
+def quiver_and_two_vectors(draw):
+    name = draw(st.sampled_from(CATALOGUE))
+    q = named_diagram(name) if name == "K" else draw(st.sampled_from(orientations(name)))
+    vector = st.lists(st.integers(-5, 9), min_size=q.n, max_size=q.n)
+    return q, draw(vector), draw(vector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quiver_and_two_vectors())
+def test_euler_row_is_the_form_against_the_first_vector(case):
+    # the duplicated Ext^1 reads <d, e> as the dot product of d's Euler row with e
+    q, d, e = case
+    row = q.euler_row(d)
+    assert sum(r * x for r, x in zip(row, e)) == q.euler_form(d, e)
 
 
 def test_delete_vertex():
