@@ -26,7 +26,6 @@ import gc
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import rep_a, tilt_a
 from .quiver_core import (
@@ -130,11 +129,13 @@ def _write_all(files: dict[str, str]) -> None:
     written = []
     try:
         for path, text in files.items():
-            Path(path).write_text(text)
+            with open(path, "w") as f:
+                f.write(text)
             written.append(path)
     except OSError:
         for path in written:
-            Path(path).unlink(missing_ok=True)
+            if os.path.exists(path):
+                os.remove(path)
         raise
 
 
@@ -148,7 +149,8 @@ def _load_quiver(args) -> tuple[Quiver, str]:
     if file and diagram:
         raise UsageError("choose one of -q FILE and --diagram")
     if file:
-        return parse_quiver(Path(file).read_text()), f"file {file}"
+        with open(file) as f:
+            return parse_quiver(f.read()), f"file {file}"
     if diagram:
         return named_diagram(diagram), f"diagram {diagram}"
     raise UsageError("a quiver is required: pass -q FILE or --diagram NAME")

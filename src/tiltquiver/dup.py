@@ -264,21 +264,18 @@ class DupPoolId(NamedTuple):
         return f"{self.kind}{self.key}"
 
 
-class DupContext:
-    """Canonical data of a duplicated path algebra, with hom/ext caches."""
+class DupContext(homsolve.IndexCache):
+    """Canonical data of a duplicated path algebra, with hom/ext caches by ``objects()`` index."""
 
     def __init__(self, quiver: Quiver) -> None:
+        super().__init__()
         self.quiver = quiver
         self.n = len(quiver.vertices)
         self._pool: list[tuple[DupPoolId, TripleModule]] | None = None
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
-        self._hom: dict[tuple[int, int], list[SlotMap]] = {}
         self._hom_dim: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int], int] = {}
-        self._radical: dict[tuple[int, int, int], tuple] = {}
-        self._composites: dict[tuple[int, int, int], tuple] = {}
-        self._shared: dict[tuple, tuple] = {}  # one copy of each coordinate value
         self._rules_checked = False
         self._tiltings: list[tilt_a.Tilting] | None = None
 
@@ -308,6 +305,9 @@ class DupContext:
                 for v in self.quiver.vertices
             ]
         return self._objects
+
+    def module(self, i: int) -> TripleModule:
+        return self.objects()[i][1]
 
     def pool_size(self) -> int:
         return len(self.pool())
@@ -352,30 +352,6 @@ class DupContext:
             else:
                 dim = self.hom_dim_idx(i, j)
             got = self._hom[(i, j)] = _checked_hom(m, n, dim, f"({pid}, {qid})")
-        return got
-
-    def radical_idx(self, x: int, j: int, i: int) -> tuple:
-        """``homsolve.radical_coordinates`` of the composites x -> j -> i,
-        in the cached basis ``hom_idx(x, i)`` (cached)."""
-        key = (x, j, i)
-        got = self._radical.get(key)
-        if got is None:
-            got = homsolve.radical_coordinates(
-                self.objects()[x][1], self.hom_idx(x, j), self.hom_idx(j, i),
-                self.hom_idx(x, i))
-            got = self._radical[key] = self._shared.setdefault(got, got)
-        return got
-
-    def composite_idx(self, x: int, i: int, y: int) -> tuple:
-        """``homsolve.composite_coordinates`` of the composites
-        x -> i -> y over the cached bases, in ``hom_idx(x, y)`` (cached)."""
-        key = (x, i, y)
-        got = self._composites.get(key)
-        if got is None:
-            got = homsolve.composite_coordinates(
-                self.objects()[x][1], self.hom_idx(x, i), self.hom_idx(i, y),
-                self.hom_idx(x, y))
-            got = self._composites[key] = self._shared.setdefault(got, got)
         return got
 
     @cached_property

@@ -7,9 +7,11 @@ representations (slots = vertices, labels = arrows) and the triples over
 the duplicated algebra both fit.  Everything that only depends on that
 shape lives here, written once:
 
-* morphism spaces (``hom_basis``) and their dimensions (``hom_dim``) from
-  the intertwining equations, assembled as sparse rows, and coordinates
-  of maps and composites in a cached Hom basis,
+* morphism spaces (``hom_basis``) and their dimensions (``hom_dim``, and
+  ``end_dim`` once per module) from the intertwining equations, assembled
+  as sparse rows, and coordinates of maps and composites in a cached Hom
+  basis, kept by object index in ``IndexCache``, which the pools of both
+  exchange engines subclass (``tilt_a.Pool``, ``dup.DupContext``),
 * cokernels that stay inside the category,
 * minimal left approximations into an additive subcategory spanned by
   indecomposables with one-dimensional endomorphism rings, the short
@@ -63,6 +65,7 @@ class SlotModule:
     slot_keys: tuple[Slot, ...]
     dims: dict[Slot, int]
     _nonzeros = None  # memo of _label_nonzeros
+    _end_dim = None  # memo of end_dim
 
     # -- required interface ------------------------------------------------
 
@@ -212,7 +215,12 @@ def hom_dim(M: SlotModule, N: SlotModule) -> int:
 
 
 def end_dim(M: SlotModule) -> int:
-    return hom_dim(M, M)
+    """dim End(M), solved once per module and kept on it (modules are not
+    mutated once built), so every End check of a module shares one solve."""
+    got = M._end_dim
+    if got is None:
+        got = M._end_dim = hom_dim(M, M)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +402,39 @@ def composite_coordinates(
         out.append(tuple(basis_coordinates(
             hom_xy, [_composite_row(_block_nonzeros(g), h_nonzeros, widths) for g in hom_iy])))
     return tuple(out)
+
+
+class IndexCache:
+    """Hom data between a fixed list of objects, keyed by object index: a
+    subclass supplies object i as ``module(i)`` and a basis of Hom(object
+    i, object j), kept in ``_hom``, as ``hom_idx(i, j)``; the coordinates
+    read over those bases are cached here, one copy of each value."""
+
+    def __init__(self) -> None:
+        self._hom: dict[tuple[int, int], list[SlotMap]] = {}
+        self._radical: dict[tuple[int, int, int], tuple] = {}
+        self._composites: dict[tuple[int, int, int], tuple] = {}
+        self._shared: dict[tuple, tuple] = {}
+
+    def radical_idx(self, x: int, j: int, i: int) -> tuple:
+        """``radical_coordinates`` of the composites x -> j -> i, in the
+        basis ``hom_idx(x, i)`` (cached)."""
+        got = self._radical.get((x, j, i))
+        if got is None:
+            got = radical_coordinates(self.module(x), self.hom_idx(x, j), self.hom_idx(j, i),
+                                      self.hom_idx(x, i))
+            got = self._radical[(x, j, i)] = self._shared.setdefault(got, got)
+        return got
+
+    def composite_idx(self, x: int, i: int, y: int) -> tuple:
+        """``composite_coordinates`` of the composites x -> i -> y, in the
+        basis ``hom_idx(x, y)`` (cached)."""
+        got = self._composites.get((x, i, y))
+        if got is None:
+            got = composite_coordinates(self.module(x), self.hom_idx(x, i), self.hom_idx(i, y),
+                                        self.hom_idx(x, y))
+            got = self._composites[(x, i, y)] = self._shared.setdefault(got, got)
+        return got
 
 
 def minimal_left_approximation(

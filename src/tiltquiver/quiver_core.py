@@ -10,6 +10,7 @@ enumeration of all orientations of a Dynkin tree.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -173,8 +174,10 @@ class Quiver:
             raise ValueError(f"unknown vertex {x}")
         return self.induced([v for v in self.vertices if v != x])
 
+    @cache
     def reverse_at(self, v: int) -> "Quiver":
-        """Reverse every arrow incident to v (the quiver-level reflection)."""
+        """Reverse every arrow incident to v (the quiver-level reflection),
+        shared per (quiver, v): quivers are immutable and hash by value."""
         if v not in self.v_pos:
             raise ValueError(f"unknown vertex {v}")
         flipped = [

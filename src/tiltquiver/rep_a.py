@@ -33,7 +33,6 @@ __all__ = [
     "indecomposables",
     "kronecker_window",
     "hom_basis",
-    "hom_dim",
     "ext1_dim",
     "exchange_sequence",
 ]
@@ -286,15 +285,12 @@ def kronecker_window(w: int) -> list[tuple[IndecId, Rep]]:
 # Hom / Ext and approximations
 
 
-def hom_dim(m: Rep, n: Rep) -> int:
+def ext1_dim(m: Rep, n: Rep) -> int:
+    """dim Ext^1 over a hereditary algebra: dim Hom minus the bilinear form.
+    Ext^1(m, m) reads the End dimension ``homsolve.end_dim`` keeps on m."""
     if m.quiver != n.quiver:
         raise ValueError("representations over different quivers")
-    return homsolve.hom_dim(m, n)
-
-
-def ext1_dim(m: Rep, n: Rep) -> int:
-    """dim Ext^1 over a hereditary algebra: dim Hom minus the bilinear form."""
-    h = hom_dim(m, n)
+    h = homsolve.end_dim(m) if m is n else homsolve.hom_dim(m, n)
     e = h - m.quiver.euler_form(m.dim_vector(), n.dim_vector())
     if e < 0:
         raise ArithmeticError(

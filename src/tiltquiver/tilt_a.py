@@ -28,7 +28,7 @@ from collections import Counter
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .homsolve import SlotMap, radical_coordinates
+from .homsolve import IndexCache, SlotMap
 from .quiver_core import Quiver, named_diagram, orientations
 from .rep_a import (
     IndecId,
@@ -61,26 +61,27 @@ __all__ = [
 ]
 
 
-class Pool:
-    """Indecomposable pool with its Ext table, a Hom cache and compatibility.
+class Pool(IndexCache):
+    """Indecomposable pool with its Ext table, index-level Hom caches and compatibility.
 
     Precondition: the members are pairwise non-isomorphic bricks from
     directed components (the indecomposables of a Dynkin quiver, or the
     double-arrow preprojectives and preinjectives).  Between two such
     modules Hom or Ext^1 vanishes, so dim Ext^1(X, Y) is the negative part
     of the Euler form <dim X, dim Y> (Ringel, LNM 1099) and the whole table
-    is read off it.  Each member's rigidity is still checked by the Hom
-    solver.
+    is read off it, one Euler row per member.  Each member's rigidity is
+    checked by ``ext1_dim``, which reads the End dimension the knitting
+    solved (``homsolve.end_dim``).
     """
 
     def __init__(self, quiver: Quiver, items: Sequence[tuple[IndecId, Rep]]):
+        super().__init__()
         self.quiver = quiver
         self.ids = [iid for iid, _ in items]
         self.reps = [rep for _, rep in items]
         self.dims = [rep.dim_vector() for rep in self.reps]
-        self._ext = [[max(0, -quiver.euler_form(di, dj)) for dj in self.dims]
-                     for di in self.dims]
-        self._hom: dict[tuple[int, int], list[SlotMap]] = {}
+        self._ext = [[max(0, -sum(r * e for r, e in zip(row, dj))) for dj in self.dims]
+                     for row in map(quiver.euler_row, self.dims)]
         for iid, rep in zip(self.ids, self.reps):
             if ext1_dim(rep, rep):
                 raise RuntimeError(f"pool member {iid} is not rigid")
@@ -88,11 +89,13 @@ class Pool:
     def ext(self, i: int, j: int) -> int:
         return self._ext[i][j]
 
-    def hom(self, i: int, j: int) -> list[SlotMap]:
+    def module(self, i: int) -> Rep:
+        return self.reps[i]
+
+    def hom_idx(self, i: int, j: int) -> list[SlotMap]:
         got = self._hom.get((i, j))
         if got is None:
-            got = hom_basis(self.reps[i], self.reps[j])
-            self._hom[(i, j)] = got
+            got = self._hom[(i, j)] = hom_basis(self.reps[i], self.reps[j])
         return got
 
     def compatible(self, i: int, j: int) -> bool:
@@ -346,14 +349,13 @@ def almost_complete_survey(q: Quiver) -> list[AlmostComplete]:
 
 def _graph(pool: Pool, size: int) -> TiltingGraph:
     """Exchange graph on all tilting modules of the pool, each arc certified
-    by an exchange sequence built from the pool's cached Hom bases."""
+    by an exchange sequence from the pool's index-level caches (``hom_idx``,
+    ``radical_idx``), so arcs sharing a triple of members compose it once."""
 
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
-        x_rep = pool.reps[x]
-        hom_x = [pool.hom(x, r) for r in rest]
-        got = exchange_sequence(x_rep, [pool.reps[r] for r in rest], hom_x=hom_x,
-                                radical=lambda a, b: radical_coordinates(
-                                    x_rep, hom_x[a], pool.hom(rest[a], rest[b]), hom_x[b]))
+        got = exchange_sequence(pool.reps[x], [pool.reps[r] for r in rest],
+                                hom_x=[pool.hom_idx(x, r) for r in rest],
+                                radical=lambda a, b: pool.radical_idx(x, rest[a], rest[b]))
         if got is None:
             raise RuntimeError(f"certified arc at {pool.ids[x]} lost its exchange sequence")
         e_rep, y_rep = got

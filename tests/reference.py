@@ -39,14 +39,16 @@ F = Fraction
 
 
 def clear_caches():
-    """Drop every function cache in the package, so that each cached
-    builder runs again whatever ran before."""
+    """Drop every function and method cache in the package, so that each
+    cached builder runs again whatever ran before."""
     package = Path(dup.__file__).resolve().parent
     for path in package.glob("*.py"):
         mod = importlib.import_module(f"tiltquiver.{path.stem}")
         for value in vars(mod).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+            methods = vars(value).values() if isinstance(value, type) else ()
+            for fn in (value, *methods):
+                if callable(getattr(fn, "cache_clear", None)):
+                    fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,8 @@ def is_left_approximation(x, comps, pool):
 # fixtures over the path algebra and the duplicated algebra
 
 # the benchmark's seed-1 inputs (perfbench/workloads.py: quiver_text with
-# random.Random(1)), the first files of the endo-a3 and dup-e6 workloads
+# random.Random(1)), the first files of the endo-a3, dup-e6 and
+# classical-d6 workloads
 A3_SEED1 = """# A3, seeded orientation and relabelling
 vertices 0 1 2
 arrow a361 2 1
@@ -219,6 +222,15 @@ arrow a879 5 3
 arrow a560 0 5
 arrow a607 3 2
 arrow a767 1 5
+"""
+
+D6_SEED1 = """# D6, seeded orientation and relabelling
+vertices 0 1 2 3 4 5
+arrow a583 0 4
+arrow a879 5 3
+arrow a560 0 5
+arrow a607 5 2
+arrow a767 1 4
 """
 
 

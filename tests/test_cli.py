@@ -61,6 +61,8 @@ def test_kquiver_a2_golden(capsys):
     "dup-kquiver --diagram A3",
     "verify --theorem 4.1 --diagram A3",
     "verify --theorem 5.2 --diagram D4",
+    "orientations --diagram A3",
+    "orientations --diagram D4",
 ])
 def test_full_stdout_golden(capsys, argv):
     # tests/golden/<argv without dashes, dots and spaces as _>.txt
@@ -348,10 +350,11 @@ def test_closed_stdout_keeps_exit_code_and_json(tmp_path):
 def test_the_cli_imports_without_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, about 15 ms on
     # the start of every command; json and the duplicated-algebra modules
-    # load only in the commands that use them.  -S keeps the modules that
-    # site-packages hooks import out of the count.
+    # load only in the commands that use them, and files are read and
+    # written with open, not pathlib (about 2.3 ms).  -S keeps the modules
+    # that site-packages hooks import out of the count.
     proc = _run_script(["-S"], "import sys, tiltquiver.cli; print(sorted("
-                       "{'dataclasses', 'inspect', 'json', 'tiltquiver.dup', 'tiltquiver.endo'}"
+                       "{'dataclasses', 'inspect', 'json', 'pathlib', 'tiltquiver.dup', 'tiltquiver.endo'}"
                        " & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -218,3 +218,15 @@ def test_orientations_accepts_quiver_and_class():
         orientations(named_diagram("K"))
     with pytest.raises(ValueError):
         orientations("Z9")
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_reversal_is_shared_by_equal_quivers_and_undone_by_a_second(name):
+    # quivers are immutable and hash by value, so equal quivers share one
+    # reversed quiver per vertex
+    for q in orientations(name):
+        twin = Quiver(q.vertices, q.arrows)
+        for v in q.vertices:
+            flipped = q.reverse_at(v)
+            assert twin is not q and twin.reverse_at(v) is flipped
+            assert flipped != q and flipped.reverse_at(v) == q

@@ -22,14 +22,14 @@ from tiltquiver import homsolve, rep_a
 from tiltquiver.homsolve import (
     end_dim,
     hom_basis,
+    hom_dim,
     minimal_left_approximation,
 )
-from tiltquiver.quiver_core import named_diagram, parse_quiver
+from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
 from tiltquiver.rep_a import (
     Rep,
     exchange_sequence,
     ext1_dim,
-    hom_dim,
     indecomposables,
     injective,
     kronecker_window,
@@ -341,3 +341,12 @@ def test_knitting_fault_is_an_engine_error(fault, flags):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_translates_return_to_the_original_quiver(name):
+    # each reflection runs over the shared reversed quiver (Quiver.reverse_at)
+    for q in orientations(name):
+        for _, m in indecomposables(q):
+            assert tau_inverse(m).quiver == m.quiver
+            assert tau(m).quiver == m.quiver

@@ -1,10 +1,13 @@
 import itertools
+from collections import Counter
+from functools import cache
 
 import pytest
 
+import reference as ref
 from reference import complements, simple
-from tiltquiver import dup, tilt_a
-from tiltquiver.quiver_core import named_diagram
+from tiltquiver import dup, homsolve, tilt_a
+from tiltquiver.quiver_core import named_diagram, parse_quiver
 from tiltquiver.rep_a import indecomposables, kronecker_window
 from tiltquiver.tilt_a import (
     Pool,
@@ -330,3 +333,59 @@ def test_orientation_invariance_rank_one():
 def test_orientation_invariance_cap():
     with pytest.raises(ValueError):
         orientation_invariance("E6")
+
+
+# ------------------------------------------------------------- index caches
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "window 6"])
+def test_cached_radicals_match_fresh_ones(name):
+    # every arc reads the radicals of its approximation from the pool's
+    # index cache; each must be the coordinates over freshly solved bases
+    graph = (kronecker_tilting_quiver(6) if name == "window 6"
+             else tilting_quiver(named_diagram(name)))
+    pool = graph.pool
+    cached = set(pool._radical)
+    position = {iid: k for k, iid in enumerate(pool.ids)}
+
+    @cache
+    def fresh(i, j):
+        return homsolve.hom_basis(pool.reps[i], pool.reps[j])
+
+    triples = set()
+    for arc in graph.arcs:
+        x = position[arc.x]
+        rest = [k for k in graph.tiltings[arc.src].indices if k != x]
+        for j, i in itertools.permutations(rest, 2):
+            triples.add((x, j, i))
+            assert pool.radical_idx(x, j, i) == homsolve.radical_coordinates(
+                pool.reps[x], fresh(x, j), fresh(j, i), fresh(x, i))
+    assert cached <= triples
+
+
+def test_classical_radicals_are_composed_once_per_triple(monkeypatch):
+    # the seed-1 D6 file: the arcs read 3566 radicals of 585 triples
+    ref.clear_caches()
+    reads, composed = Counter(), []
+    radical_idx, radical_coordinates = homsolve.IndexCache.radical_idx, homsolve.radical_coordinates
+    monkeypatch.setattr(homsolve.IndexCache, "radical_idx",
+                        lambda self, *key: reads.update([key]) or radical_idx(self, *key))
+    monkeypatch.setattr(homsolve, "radical_coordinates",
+                        lambda *args: composed.append(args) or radical_coordinates(*args))
+    tilting_quiver(parse_quiver(ref.D6_SEED1))
+    assert (sum(reads.values()), len(reads), len(composed)) == (3566, 585, 585)
+
+
+@pytest.mark.parametrize("build", [lambda: tilt_a._dynkin_pool(named_diagram("D5")),
+                                   lambda: tilt_a._kron_pool(6)], ids=["D5", "window 6"])
+def test_a_pool_solves_each_members_end_once(monkeypatch, build):
+    # the knitting's brick check solves each member's End; the pool's
+    # rigidity check reads it back from homsolve.end_dim
+    ref.clear_caches()
+    solved = []
+    hom_dim = homsolve.hom_dim
+    monkeypatch.setattr(homsolve, "hom_dim",
+                        lambda m, n: solved.append((m, n)) or hom_dim(m, n))
+    pool = build()
+    assert all(m is n for m, n in solved)
+    assert sorted(id(m) for m, _ in solved) == sorted(id(rep) for rep in pool.reps)
