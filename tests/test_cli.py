@@ -55,21 +55,39 @@ def test_kquiver_a2_golden(capsys):
     )
 
 
+# every theorem token, and the --json report of each verify run and of
+# one orientation sweep, pinned before the checkers shared one report shape
+JSON_GOLDENS = {
+    "verify --theorem 3.1 --diagram A3 --deep-check",
+    "verify --theorem 4.1 --diagram A3",
+    "verify --theorem 4.2 --diagram A3",
+    "verify --theorem 4.3 --diagram A3",
+    "verify --theorem 5.1 --diagram D4",
+    "verify --theorem 5.2 --diagram D4",
+    "verify --theorem 5.4 --window 4",
+    "verify --theorem 5.5 --window 6",
+    "verify --theorem 5.6 --diagram A3",
+    "orientations --diagram A3",
+}
+
+
 @pytest.mark.parametrize("argv", [
     "kquiver --diagram A4",
     "kquiver --window 6",
     "dup-kquiver --diagram A3",
-    "verify --theorem 4.1 --diagram A3",
-    "verify --theorem 5.2 --diagram D4",
-    "orientations --diagram A3",
     "orientations --diagram D4",
+    *sorted(JSON_GOLDENS),
 ])
-def test_full_stdout_golden(capsys, argv):
-    # tests/golden/<argv without dashes, dots and spaces as _>.txt
+def test_full_stdout_golden(capsys, tmp_path, argv):
+    # tests/golden/<argv without dashes, dots and spaces as _>.txt, and .json
     name = argv.replace("--", "").replace(".", "_").replace(" ", "_")
-    code, out, _ = run(capsys, *argv.split())
+    report = tmp_path / "r.json"
+    extra = ["--json", str(report)] if argv in JSON_GOLDENS else []
+    code, out, _ = run(capsys, *argv.split(), *extra)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+    if extra:
+        assert report.read_text() == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_dup_kquiver_pentagon_dot(capsys, tmp_path):
