@@ -38,7 +38,24 @@ from .quiver_core import (
 from .rep_a import IndecId
 
 DIAGRAMS = ("A2", "A3", "A4", "A5", "D4", "D5")
-THEOREMS = ("3.1", "4.1", "4.2", "4.3", "5.1", "5.2", "5.4", "5.5", "5.6")
+
+# theorem token -> (input, checker module, checker name).  The input is
+# "dup" (a DupContext, the one input --deep-check applies to), "quiver",
+# "graph" (the exchange graph of --window W or of a quiver) or "window"
+# (--window W, default 6); --window applies to the last two.  The checker
+# is looked up when it runs, once its module, and only that, is imported.
+_THEOREMS = {
+    "3.1": ("dup", "endo", "verify_endo_global_dimension"),
+    "4.1": ("dup", "dup", "verify_embedding"),
+    "4.2": ("dup", "dup", "verify_regularity"),
+    "4.3": ("dup", "dup", "verify_shift_completion"),
+    "5.1": ("quiver", "cli", "_verify_complement_counts"),
+    "5.2": ("quiver", "cli", "_verify_saturation_rule"),
+    "5.4": ("graph", "cli", "_verify_components_nonsaturated"),
+    "5.5": ("window", "cli", "_verify_tame_delta"),
+    "5.6": ("quiver", "cli", "_verify_identity"),
+}
+THEOREMS = tuple(_THEOREMS)
 
 _EXIT = {"pass": 0, "window-limited": 0, "violation": 1, "error": 2}
 
@@ -167,17 +184,10 @@ def _window_or_quiver(args, from_window, from_quiver):
     return from_quiver(q), desc
 
 
-def _report(command: str, desc: str, status: str, stats: dict,
-            counterexamples: list, **extra) -> dict:
-    rep = {
-        "command": command,
-        "quiver": desc,
-        "status": status,
-        "stats": stats,
-        "counterexamples": counterexamples,
-    }
-    rep.update(extra)
-    return rep
+def _report(command: str, desc: str, result: dict, **extra) -> dict:
+    """The command's report: a ``tilt_a.verdict`` (and what its checker
+    added) under the command and input names."""
+    return {"command": command, "quiver": desc, **result, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +207,8 @@ def cmd_classify(args) -> tuple[dict, list[str], dict[str, str]]:
             cls = classify(comp)
             classes.append(f"{cls.kind} {cls.name or '-'}")
             lines.append(f"component {list(comp.vertices)}: {classes[-1]}")
-    rep = _report("classify", desc, "pass",
-                  {"vertices": q.n, "arrows": len(q.arrows), "classes": classes},
-                  [])
+    rep = _report("classify", desc, tilt_a.verdict(
+        [], {"vertices": q.n, "arrows": len(q.arrows), "classes": classes}))
     return rep, [f"classify [{desc}]: pass"] + lines, {}
 
 
@@ -207,8 +216,7 @@ def cmd_indec(args) -> tuple[dict, list[str], dict[str, str]]:
     items, desc = _window_or_quiver(args, rep_a.kronecker_window, rep_a.indecomposables)
     lines = [f"indec [{desc}]: pass", f"indecomposables: {len(items)}"]
     lines.extend(f"{iid} dim={_dimstr(rep.dim_vector())}" for iid, rep in items)
-    report = _report("indec", desc, "pass",
-                     {"indecomposables": len(items)}, [])
+    report = _report("indec", desc, tilt_a.verdict([], {"indecomposables": len(items)}))
     return report, lines, {}
 
 
@@ -217,20 +225,19 @@ def cmd_tilting(args) -> tuple[dict, list[str], dict[str, str]]:
     tilts = tilt_a.enumerate_tilting(q)
     lines = [f"tilting [{desc}]: pass", f"tilting modules: {len(tilts)}"]
     lines.extend(f"{t.label()} dim={_dimstr(t.dim_sum)}" for t in tilts)
-    report = _report("tilting", desc, "pass",
-                     {"tilting_modules": len(tilts)}, [])
+    report = _report("tilting", desc, tilt_a.verdict([], {"tilting_modules": len(tilts)}))
     return report, lines, {}
 
 
 def cmd_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
-    g, desc = _window_or_quiver(args, tilt_a.kronecker_tilting_quiver, tilt_a.tilting_quiver)
-    status = "window-limited" if g.boundary else "pass"
-    stats = _graph_stats(g)
+    g, desc = _graph_input(args)
+    result = tilt_a.verdict([], _graph_stats(g))
     if g.boundary:
-        stats["boundary_vertices"] = len(g.boundary)
+        result["stats"]["boundary_vertices"] = len(g.boundary)
+        result["status"] = "window-limited"
     graph, files = _graph_lines(g, args.dot)
-    lines = [f"kquiver [{desc}]: {status}", _stats_line(stats)] + graph
-    return _report("kquiver", desc, status, stats, []), lines, files
+    lines = [f"kquiver [{desc}]: {result['status']}", _stats_line(result["stats"])] + graph
+    return _report("kquiver", desc, result), lines, files
 
 
 def cmd_dup_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
@@ -239,43 +246,39 @@ def cmd_dup_kquiver(args) -> tuple[dict, list[str], dict[str, str]]:
     q, desc = _load_quiver(args)
     ctx = dup.DupContext(q)
     g = dup.tilting_quiver_dup(ctx)
-    violations = list(g.defects)
-    stats = {**_graph_stats(g), "degree": ctx.n}
+    result = tilt_a.verdict(list(g.defects), {**_graph_stats(g), "degree": ctx.n})
     if args.deep_check:
-        deep = dup.deep_check_coresolution(ctx)
-        stats["deep_sequences"] = deep["stats"]["sequences_checked"]
-        violations.extend(deep["counterexamples"])
-    status = "pass" if not violations else "violation"
-    report = _report("dup-kquiver", desc, status, stats, violations)
+        result = _deep_checked(ctx, result)
+    report = _report("dup-kquiver", desc, result)
     graph, files = _graph_lines(g, args.dot)
-    lines = [f"dup-kquiver [{desc}]: {status}", _stats_line(stats)] + graph
+    lines = [f"dup-kquiver [{desc}]: {report['status']}", _stats_line(report["stats"])] + graph
     lines.extend(_ce_lines(report))
     return report, lines, files
 
 
+def _deep_checked(ctx, result: dict) -> dict:
+    """``result`` with the deep check of ``ctx`` merged in: its sequences
+    counted as ``deep_sequences``, its counterexamples appended, and the
+    status set by ``tilt_a.verdict``."""
+    from . import dup
+
+    deep = dup.deep_check_coresolution(ctx)
+    return tilt_a.verdict(result["counterexamples"] + deep["counterexamples"],
+                          {**result["stats"], "deep_sequences": deep["stats"]["sequences_checked"]})
+
+
 def cmd_orientations(args) -> tuple[dict, list[str], dict[str, str]]:
     q, desc = _load_quiver(args)
-    sweep = tilt_a.orientation_invariance(q)
-    report = _report("orientations", desc, sweep["status"], _sweep_stats(sweep),
-                     sweep["violations"])
-    lines = [f"orientations [{desc}]: {sweep['status']}", _stats_line(report["stats"])]
-    lines.extend(_orientation_rows(sweep))
+    report = _report("orientations", desc, tilt_a.orientation_invariance(q))
+    lines = [f"orientations [{desc}]: {report['status']}", _stats_line(report["stats"])]
+    lines.extend(_orientation_rows(report["stats"]))
     lines.extend(_ce_lines(report))
     return report, lines, {}
 
 
-def _sweep_stats(sweep: dict) -> dict:
-    return {
-        "n": sweep["n"],
-        "orientations": len(sweep["per_orientation"]),
-        "t_constant": sweep["t_constant"],
-        "per_orientation": sweep["per_orientation"],
-    }
-
-
-def _orientation_rows(sweep: dict) -> list[str]:
+def _orientation_rows(stats: dict) -> list[str]:
     rows = []
-    for e in sweep["per_orientation"]:
+    for e in stats["per_orientation"]:
         arrows = ",".join(f"({u},{v})" for u, v in e["arrows"])
         rows.append(
             f"orientation {e['orientation']}: arrows={arrows} "
@@ -285,7 +288,7 @@ def _orientation_rows(sweep: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# per-claim verifiers
+# per-claim verifiers, each returning a ``tilt_a.verdict``
 
 
 def _verify_complement_counts(q: Quiver) -> dict:
@@ -300,15 +303,8 @@ def _verify_complement_counts(q: Quiver) -> dict:
             violations.append(
                 f"{rec.label()} is {kind} with {len(rec.complements)} complements"
             )
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {
-            "almost_complete": len(survey),
-            "sincere": sincere,
-            "non_sincere": len(survey) - sincere,
-        },
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {"almost_complete": len(survey), "sincere": sincere,
+                                       "non_sincere": len(survey) - sincere})
 
 
 def _verify_saturation_rule(q: Quiver) -> dict:
@@ -330,11 +326,8 @@ def _verify_saturation_rule(q: Quiver) -> dict:
             violations.append(f"{name} is not a vertex of the exchange graph")
         elif g.saturation(hits[0]).saturated:
             violations.append(f"{name} is saturated")
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {"tilting_modules": len(g.tiltings), "saturated": saturated},
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {"tilting_modules": len(g.tiltings),
+                                       "saturated": saturated})
 
 
 def _verify_components_nonsaturated(g: tilt_a.TiltingGraph) -> dict:
@@ -351,22 +344,12 @@ def _verify_components_nonsaturated(g: tilt_a.TiltingGraph) -> dict:
             violations.append(
                 f"component of {g.tiltings[comp[0]].label()} is fully saturated"
             )
-    if violations:
-        status = "violation"
-    elif limited:
-        status = "window-limited"
-    else:
-        status = "pass"
-    return {
-        "status": status,
-        "stats": {
-            "components": len(comps),
-            "vertices": len(g.tiltings),
-            "boundary_vertices": len(g.boundary),
-            "unresolved_components": limited,
-        },
-        "counterexamples": violations,
-    }
+    result = tilt_a.verdict(violations, {"components": len(comps), "vertices": len(g.tiltings),
+                                         "boundary_vertices": len(g.boundary),
+                                         "unresolved_components": limited})
+    if limited and not violations:
+        result["status"] = "window-limited"
+    return result
 
 
 def _verify_tame_delta(w: int) -> dict:
@@ -389,96 +372,69 @@ def _verify_tame_delta(w: int) -> dict:
             "deleted-vertex construction disagrees with saturation flags: "
             + "; ".join(t.label() for t in ns.interior_nonsaturated)
         )
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {
-            "window": w,
-            "delta": [t.label() for t in ns.delta],
-            "parts": {str(v): [t.label() for t in part]
-                      for v, part in sorted(ns.parts.items())},
-            "interior_nonsaturated": len(ns.interior_nonsaturated),
-        },
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {
+        "window": w,
+        "delta": [t.label() for t in ns.delta],
+        "parts": {str(v): [t.label() for t in part] for v, part in sorted(ns.parts.items())},
+        "interior_nonsaturated": len(ns.interior_nonsaturated),
+    })
 
 
 def _verify_identity(q: Quiver) -> dict:
-    sweep = tilt_a.orientation_invariance(q)
-    first = sweep["per_orientation"][0]
-    return {
-        "status": sweep["status"],
-        "stats": _sweep_stats(sweep),
-        "counterexamples": sweep["violations"],
-        "identity": {
-            "n": sweep["n"],
-            "s": first["s"],
-            "t": first["t"],
-            "m": first["m"],
-            "lhs": first["lhs"],
-            "rhs": first["rhs"],
-        },
-    }
+    """The orientation sweep's verdict, with the counting identity of the
+    first orientation."""
+    result = tilt_a.orientation_invariance(q)
+    first = result["stats"]["per_orientation"][0]
+    result["identity"] = {"n": result["stats"]["n"],
+                          **{k: first[k] for k in ("s", "t", "m", "lhs", "rhs")}}
+    return result
+
+
+def _quiver_input(args) -> tuple[Quiver, str]:
+    if args.window is not None:
+        raise UsageError(f"--window does not apply to theorem {args.theorem}")
+    return _load_quiver(args)
+
+
+def _dup_input(args):
+    from . import dup
+
+    q, desc = _quiver_input(args)
+    return dup.DupContext(q), desc
+
+
+def _graph_input(args) -> tuple[tilt_a.TiltingGraph, str]:
+    return _window_or_quiver(args, tilt_a.kronecker_tilting_quiver, tilt_a.tilting_quiver)
+
+
+def _window_input(args) -> tuple[int, str]:
+    if args.quiver_file or args.diagram:
+        raise UsageError(f"theorem {args.theorem} is the double-arrow case; use --window")
+    w = 6 if args.window is None else args.window
+    return w, f"window {w}"
+
+
+_INPUTS = {"dup": _dup_input, "quiver": _quiver_input, "graph": _graph_input,
+           "window": _window_input}
 
 
 def cmd_verify(args) -> tuple[dict, list[str], dict[str, str]]:
-    from . import dup, endo
-
     tok = args.theorem
-    deep_ok = tok in ("3.1", "4.1", "4.2", "4.3")
-    if args.deep_check and not deep_ok:
+    kind, module, name = _THEOREMS[tok]
+    if args.deep_check and kind != "dup":
         raise UsageError(f"--deep-check does not apply to theorem {tok}")
-    ctx = None
-    if tok in ("3.1", "4.1", "4.2", "4.3", "5.1", "5.2", "5.6"):
-        if getattr(args, "window", None) is not None:
-            raise UsageError(f"--window does not apply to theorem {tok}")
-        q, desc = _load_quiver(args)
-        if tok in ("3.1", "4.1", "4.2", "4.3"):
-            ctx = dup.DupContext(q)
-        if tok == "3.1":
-            result = endo.verify_endo_global_dimension(ctx)
-        elif tok == "4.1":
-            result = dup.verify_embedding(ctx)
-        elif tok == "4.2":
-            result = dup.verify_regularity(ctx)
-        elif tok == "4.3":
-            result = dup.verify_shift_completion(ctx)
-        elif tok == "5.1":
-            result = _verify_complement_counts(q)
-        elif tok == "5.2":
-            result = _verify_saturation_rule(q)
-        else:
-            result = _verify_identity(q)
-    elif tok == "5.4":
-        g, desc = _window_or_quiver(args, tilt_a.kronecker_tilting_quiver,
-                                    tilt_a.tilting_quiver)
-        result = _verify_components_nonsaturated(g)
-    else:  # 5.5
-        if getattr(args, "quiver_file", None) or getattr(args, "diagram", None):
-            raise UsageError("theorem 5.5 is the double-arrow case; use --window")
-        w = args.window if args.window is not None else 6
-        desc = f"window {w}"
-        result = _verify_tame_delta(w)
-    status = result["status"]
-    stats = dict(result["stats"])
-    counterexamples = list(result["counterexamples"])
+    subject, desc = _INPUTS[kind](args)
+    home = sys.modules[__name__] if module == "cli" else getattr(
+        __import__(__package__, fromlist=[module]), module)
+    result = getattr(home, name)(subject)
     if args.deep_check:
-        deep = dup.deep_check_coresolution(ctx)
-        stats["deep_sequences"] = deep["stats"]["sequences_checked"]
-        counterexamples.extend(deep["counterexamples"])
-        if deep["status"] != "pass" and status == "pass":
-            status = deep["status"]
-    report = _report("verify", desc, status, stats, counterexamples,
-                     theorem=tok)
-    if "identity" in result:
-        report["identity"] = result["identity"]
-    lines = [f"theorem {tok} [{desc}]: {status}", _stats_line(stats)]
+        result = _deep_checked(subject, result)
+    report = _report("verify", desc, result, theorem=tok)
+    lines = [f"theorem {tok} [{desc}]: {report['status']}", _stats_line(report["stats"])]
     if "identity" in report:
         i = report["identity"]
-        lines.append(
-            f"identity: 2*t + m = {i['lhs']} = n*s = {i['rhs']}"
-        )
-    if tok == "5.6":
-        lines.extend(_orientation_rows({"per_orientation": stats["per_orientation"]}))
+        lines.append(f"identity: 2*t + m = {i['lhs']} = n*s = {i['rhs']}")
+        lines.extend(_orientation_rows(report["stats"]))
     lines.extend(_ce_lines(report))
     return report, lines, {}
 

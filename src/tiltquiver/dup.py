@@ -186,26 +186,14 @@ def bar_projective(q: Quiver, a: int) -> TripleModule:
     return _triple(q, rep_a.projective(q, a), rep_a.injective(q, a), conn)
 
 
-def _checked_hom(m: TripleModule, n: TripleModule, dim: int, pair: str) -> list[SlotMap]:
-    """``homsolve.hom_basis(m, n)`` for a pair whose Hom dimension ``dim``
-    is known without it: no solve when dim is 0, and ``RuntimeError``
-    unless the solved basis has exactly dim maps."""
-    if not dim:
-        return []
-    got = homsolve.hom_basis(m, n)
-    if len(got) != dim:
-        raise RuntimeError(f"the Hom basis of {pair} has {len(got)} maps, not {dim}")
-    return got
-
-
 @cache
 def _bar_hom(q: Quiver, a: int, b: int) -> list[SlotMap]:
     """Hom basis from the bar projective at vertex position a to the one
     at b, solved once per quiver and shared: callers must not mutate it.
     Its dimension is the target's at slot (t, a) (Yoneda)."""
     src, dst = (slot_projective(q, ("t", q.vertices[k])) for k in (a, b))
-    return _checked_hom(src, dst, dst.dims[("t", q.vertices[a])],
-                        f"(B{q.vertices[a]}, B{q.vertices[b]})")
+    return homsolve.checked_hom(src, dst, dst.dims[("t", q.vertices[a])],
+                                (f"B{q.vertices[a]}", f"B{q.vertices[b]}"))
 
 
 def _bar_cokernel(q: Quiver, m: Rep) -> TripleModule:
@@ -215,7 +203,7 @@ def _bar_cokernel(q: Quiver, m: Rep) -> TripleModule:
     of the simple at slot (b, a)."""
     x = embed(q, m)
     bars = [slot_projective(q, ("t", a)) for a in q.vertices]
-    hom_x = [_checked_hom(x, b, m.dims[a], f"(embedded {m.dim_vector()}, B{a})")
+    hom_x = [homsolve.checked_hom(x, b, m.dims[a], (f"embedded {m.dim_vector()}", f"B{a}"))
              for a, b in zip(q.vertices, bars)]
     return homsolve.exchange_sequence(x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
         x, hom_x[a], _bar_hom(q, a, b), hom_x[b]))[1]
@@ -351,7 +339,7 @@ class DupContext(homsolve.IndexCache):
                 dim = m.dims[("b", qid.key)]
             else:
                 dim = self.hom_dim_idx(i, j)
-            got = self._hom[(i, j)] = _checked_hom(m, n, dim, f"({pid}, {qid})")
+            got = self._hom[(i, j)] = homsolve.checked_hom(m, n, dim, (pid, qid))
         return got
 
     @cached_property
@@ -452,8 +440,9 @@ def enumerate_tilting_dup(ctx: DupContext) -> list[tilt_a.Tilting]:
     if ctx._tiltings is None:
         ctx.validate_rules()
         ids = ctx.pool_ids()
+        names = [str(pid) for pid in ids]
         dims = [m.dims_key() for _, m in ctx.pool()]
-        ctx._tiltings = [tilt_a.make_tilting(c, ids, dims)
+        ctx._tiltings = [tilt_a.make_tilting(c, ids, names, dims)
                          for c in tilt_a.cliques(ctx.table, ctx.n)]
     return ctx._tiltings
 
@@ -526,7 +515,8 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
 
 
 def verify_embedding(ctx: DupContext) -> dict:
-    """The classical exchange graph sits inside the duplicated one.
+    """The classical exchange graph sits inside the duplicated one, as a
+    ``tilt_a.verdict``.
 
     Maps each tilting module over A to its embedded image, checks the
     map is a bijection onto the all-embedded vertices, and that arcs
@@ -562,22 +552,18 @@ def verify_embedding(ctx: DupContext) -> dict:
         violations.append(f"arc {missing} lost under embedding")
     for extra in sorted(dup_arcs_embedded - a_arcs):
         violations.append(f"arc {extra} between embedded vertices has no source arc")
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {
-            "classical_vertices": len(kA.tiltings),
-            "classical_arcs": len(kA.arcs),
-            "dup_vertices": len(dup.tiltings),
-            "dup_arcs": len(dup.arcs),
-            "embedded_vertices": len(embedded_vertices),
-        },
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {
+        "classical_vertices": len(kA.tiltings),
+        "classical_arcs": len(kA.arcs),
+        "dup_vertices": len(dup.tiltings),
+        "dup_arcs": len(dup.arcs),
+        "embedded_vertices": len(embedded_vertices),
+    })
 
 
 def verify_regularity(ctx: DupContext) -> dict:
     """Every vertex of the duplicated exchange graph has total degree n,
-    and the graph is connected."""
+    and the graph is connected (a ``tilt_a.verdict``)."""
     dup = tilting_quiver_dup(ctx)
     n = ctx.n
     violations = list(dup.defects)
@@ -588,20 +574,12 @@ def verify_regularity(ctx: DupContext) -> dict:
     connected = dup.is_connected()
     if not connected:
         violations.append("exchange graph is not connected")
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {
-            "vertices": len(dup.tiltings),
-            "arcs": len(dup.arcs),
-            "degree": n,
-            "connected": connected,
-        },
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {"vertices": len(dup.tiltings), "arcs": len(dup.arcs),
+                                       "degree": n, "connected": connected})
 
 
 def verify_shift_completion(ctx: DupContext) -> dict:
-    """Shift completion criterion, solver-checked.
+    """Shift completion criterion, solver-checked, as a ``tilt_a.verdict``.
 
     For every almost complete embedded part M (n-1 pairwise compatible
     embedded indecomposables) and every vertex i: M + shift(i) is
@@ -643,14 +621,8 @@ def verify_shift_completion(ctx: DupContext) -> dict:
                     f"{'+'.join(str(ids[c]) for c in part)} with W{v}: "
                     f"support rule says {predicted}, solver says {actual}"
                 )
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {
-            "almost_complete_parts": len(parts),
-            "checked_completions": checked,
-        },
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {"almost_complete_parts": len(parts),
+                                       "checked_completions": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -805,16 +777,13 @@ def coresolutions(ctx: DupContext) -> Iterator[tuple[int, int, list[int] | None]
 
 def deep_check_coresolution(ctx: DupContext) -> dict:
     """For each tilting set T and projective P, 0 -> P -> T0 -> T1 -> 0
-    with T0, T1 in add T (bar projectives included), by ``coresolutions``;
-    counterexamples come in (T, P) order."""
+    with T0, T1 in add T (bar projectives included), by ``coresolutions``,
+    as a ``tilt_a.verdict`` whose counterexamples come in (T, P) order."""
     objs = ctx.objects()
     tilts = enumerate_tilting_dup(ctx)
     projectives = deep_check_projectives(ctx)
     failed = sorted((t, p) for t, p, mults in coresolutions(ctx) if mults is None)
-    return {
-        "status": "pass" if not failed else "violation",
-        "stats": {"sequences_checked": len(tilts) * len(projectives)},
-        "counterexamples": [
-            f"{tilts[t].label()} / {objs[projectives[p]][0]}: cokernel not in add T"
-            for t, p in failed],
-    }
+    return tilt_a.verdict(
+        [f"{tilts[t].label()} / {objs[projectives[p]][0]}: cokernel not in add T"
+         for t, p in failed],
+        {"sequences_checked": len(tilts) * len(projectives)})

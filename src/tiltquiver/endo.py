@@ -229,12 +229,14 @@ def endo_algebra(ctx: dup.DupContext,
 
 
 def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
-    """Global dimension of every tilting endomorphism algebra is at most 3.
+    """Global dimension of every tilting endomorphism algebra is at most 3,
+    as a ``tilt_a.verdict``.
 
     Also checks the refinement that simples sitting over non-bar
     summands resolve in length at most 2.
     """
     tilts = dup.enumerate_tilting_dup(ctx)
+    objs = ctx.objects()
     violations: list[str] = []
     gldims: list[int] = []
     for t in tilts:
@@ -242,23 +244,19 @@ def verify_endo_global_dimension(ctx: dup.DupContext) -> dict:
         worst = 0
         for i in range(len(alg.summands)):
             steps = simple_resolution(alg, i)
-            label = str(ctx.objects()[members[i]][0])
             if steps is None:
-                violations.append(f"{t.label()}: simple over {label} does not resolve "
-                                  f"within {_RESOLUTION_CAP} steps")
+                violations.append(f"{t.label()}: simple over {objs[members[i]][0]} does not "
+                                  f"resolve within {_RESOLUTION_CAP} steps")
                 continue
             pd = len(steps) - 1
             worst = max(worst, pd)
             if pd > 3:
-                violations.append(f"{t.label()}: simple over {label} has projective "
-                                  f"dimension {pd}")
+                violations.append(f"{t.label()}: simple over {objs[members[i]][0]} has "
+                                  f"projective dimension {pd}")
             if i < len(t.indices) and pd > 2:
-                violations.append(f"{t.label()}: simple over non-bar summand {label} has "
-                                  f"projective dimension {pd} > 2")
+                violations.append(f"{t.label()}: simple over non-bar summand "
+                                  f"{objs[members[i]][0]} has projective dimension {pd} > 2")
         gldims.append(worst)
-    return {
-        "status": "pass" if not violations else "violation",
-        "stats": {"tilting_modules": len(tilts), "max_global_dimension": max(gldims, default=0),
-                  "global_dimensions": gldims},
-        "counterexamples": violations,
-    }
+    return tilt_a.verdict(violations, {"tilting_modules": len(tilts),
+                                       "max_global_dimension": max(gldims, default=0),
+                                       "global_dimensions": gldims})

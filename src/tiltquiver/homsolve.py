@@ -7,8 +7,9 @@ representations (slots = vertices, labels = arrows) and the triples over
 the duplicated algebra both fit.  Everything that only depends on that
 shape lives here, written once:
 
-* morphism spaces (``hom_basis``) and their dimensions (``hom_dim``, and
-  ``end_dim`` once per module) from the intertwining equations, assembled
+* morphism spaces (``hom_basis``, or ``checked_hom`` against a dimension
+  known without it) and their dimensions (``hom_dim``, and ``end_dim``
+  once per module) from the intertwining equations, assembled
   as sparse rows, and coordinates of maps and composites in a cached Hom
   basis, kept by object index in ``IndexCache``, which the pools of both
   exchange engines subclass (``tilt_a.Pool``, ``dup.DupContext``),
@@ -203,6 +204,19 @@ def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
                 [v[base + i * c: base + (i + 1) * c] for i in range(r)], c)
         out.append(SlotMap(M, N, blocks))
     return out
+
+
+def checked_hom(M: SlotModule, N: SlotModule, dim: int, pair: tuple) -> list[SlotMap]:
+    """``hom_basis(M, N)`` for a pair whose Hom dimension ``dim`` is known
+    without it: no solve when dim is 0, and ``RuntimeError``, naming M and
+    N by ``pair``, unless the solved basis has exactly dim maps."""
+    if not dim:
+        return []
+    got = hom_basis(M, N)
+    if len(got) != dim:
+        raise RuntimeError(f"the Hom basis of ({pair[0]}, {pair[1]}) has {len(got)} maps, "
+                           f"not {dim}")
+    return got
 
 
 def hom_dim(M: SlotModule, N: SlotModule) -> int:

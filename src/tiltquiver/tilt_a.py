@@ -28,14 +28,13 @@ from collections import Counter
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .homsolve import IndexCache, SlotMap
+from .homsolve import IndexCache, SlotMap, checked_hom
 from .quiver_core import Quiver, named_diagram, orientations
 from .rep_a import (
     IndecId,
     Rep,
     exchange_sequence,
     ext1_dim,
-    hom_basis,
     indecomposables,
     kronecker_window,
 )
@@ -58,6 +57,7 @@ __all__ = [
     "zero_support",
     "nonsaturated_tame",
     "orientation_invariance",
+    "verdict",
 ]
 
 
@@ -68,20 +68,23 @@ class Pool(IndexCache):
     directed components (the indecomposables of a Dynkin quiver, or the
     double-arrow preprojectives and preinjectives).  Between two such
     modules Hom or Ext^1 vanishes, so dim Ext^1(X, Y) is the negative part
-    of the Euler form <dim X, dim Y> (Ringel, LNM 1099) and the whole table
-    is read off it, one Euler row per member.  Each member's rigidity is
-    checked by ``ext1_dim``, which reads the End dimension the knitting
-    solved (``homsolve.end_dim``).
+    of the Euler form <dim X, dim Y> (Ringel, LNM 1099) and dim Hom(X, Y)
+    its positive part: the Ext table and each Hom basis's dimension are
+    read off one Euler row per member.  Each member's rigidity is checked
+    by ``ext1_dim``, which reads the End dimension the knitting solved
+    (``homsolve.end_dim``).  ``names`` holds each member's label, built once.
     """
 
     def __init__(self, quiver: Quiver, items: Sequence[tuple[IndecId, Rep]]):
         super().__init__()
         self.quiver = quiver
         self.ids = [iid for iid, _ in items]
+        self.names = [str(iid) for iid in self.ids]
         self.reps = [rep for _, rep in items]
         self.dims = [rep.dim_vector() for rep in self.reps]
+        self._rows = [quiver.euler_row(d) for d in self.dims]
         self._ext = [[max(0, -sum(r * e for r, e in zip(row, dj))) for dj in self.dims]
-                     for row in map(quiver.euler_row, self.dims)]
+                     for row in self._rows]
         for iid, rep in zip(self.ids, self.reps):
             if ext1_dim(rep, rep):
                 raise RuntimeError(f"pool member {iid} is not rigid")
@@ -93,9 +96,13 @@ class Pool(IndexCache):
         return self.reps[i]
 
     def hom_idx(self, i: int, j: int) -> list[SlotMap]:
+        """Basis of Hom(member i, member j) (cached), solved only when its
+        dimension max(0, <dim i, dim j>) is nonzero and checked against it."""
         got = self._hom.get((i, j))
         if got is None:
-            got = self._hom[(i, j)] = hom_basis(self.reps[i], self.reps[j])
+            dim = max(0, sum(r * e for r, e in zip(self._rows[i], self.dims[j])))
+            got = self._hom[(i, j)] = checked_hom(self.reps[i], self.reps[j], dim,
+                                                  (self.ids[i], self.ids[j]))
         return got
 
     def compatible(self, i: int, j: int) -> bool:
@@ -121,14 +128,16 @@ def _kron_pool(w: int) -> Pool:
 
 class Tilting(NamedTuple):
     """A basic tilting module, as sorted pool indices plus bookkeeping
-    (bar summands of the duplicated algebra stay implicit)."""
+    (bar summands of the duplicated algebra stay implicit); ``names`` are
+    the summands' labels, shared with the pool."""
 
     indices: tuple[int, ...]
     ids: tuple[Hashable, ...]
+    names: tuple[str, ...]
     dim_sum: tuple[int, ...]
 
     def label(self) -> str:
-        return "+".join(str(i) for i in self.ids)
+        return "+".join(self.names)
 
 
 class Arc(NamedTuple):
@@ -212,6 +221,14 @@ class TiltingGraph:
         return len(self.weak_components()) <= 1
 
 
+def verdict(violations: list, stats: dict) -> dict:
+    """The report every claim checker returns: its ``stats``, the
+    ``violations`` as its counterexamples, and status ``pass`` when there
+    are none, else ``violation``."""
+    return {"status": "violation" if violations else "pass", "stats": stats,
+            "counterexamples": violations}
+
+
 # ---------------------------------------------------------------------------
 # the exchange-graph engine (shared with dup)
 
@@ -286,11 +303,12 @@ def exchange_arcs(
     return arcs, defects
 
 
-def make_tilting(idx: tuple[int, ...], ids: Sequence[Hashable],
+def make_tilting(idx: tuple[int, ...], ids: Sequence[Hashable], names: Sequence[str],
                  dims: Sequence[tuple[int, ...]]) -> Tilting:
-    """The tilting record of pool indices ``idx``; ``dims[i]`` is the
-    dimension vector (``dims_key``) of pool member i."""
-    return Tilting(idx, tuple(ids[i] for i in idx),
+    """The tilting record of pool indices ``idx``; ``names[i]`` is the
+    label and ``dims[i]`` the dimension vector (``dims_key``) of pool
+    member i."""
+    return Tilting(idx, tuple(ids[i] for i in idx), tuple(names[i] for i in idx),
                    tuple(sum(col) for col in zip(*(dims[i] for i in idx))))
 
 
@@ -307,9 +325,9 @@ def enumerate_tilting(q: Quiver) -> list[Tilting]:
     deleted-vertex counting uniform.
     """
     if q.n == 0:
-        return [Tilting((), (), ())]
+        return [Tilting((), (), (), ())]
     pool = _dynkin_pool(q)
-    return [make_tilting(c, pool.ids, pool.dims) for c in cliques(pool.table, q.n)]
+    return [make_tilting(c, pool.ids, pool.names, pool.dims) for c in cliques(pool.table, q.n)]
 
 
 class AlmostComplete(NamedTuple):
@@ -370,14 +388,14 @@ def _graph(pool: Pool, size: int) -> TiltingGraph:
     if defects:
         rest, count = defects[0]
         raise RuntimeError(f"almost complete module {rest} has {count} complements")
-    tilts = [make_tilting(c, pool.ids, pool.dims) for c in vertices]
+    tilts = [make_tilting(c, pool.ids, pool.names, pool.dims) for c in vertices]
     return TiltingGraph(pool.quiver, pool, tilts, arcs)
 
 
 def tilting_quiver(q: Quiver) -> TiltingGraph:
     """Exchange graph of all tilting modules (Dynkin components only)."""
     if q.n == 0:
-        return TiltingGraph(q, Pool(q, []), [Tilting((), (), ())], [])
+        return TiltingGraph(q, Pool(q, []), [Tilting((), (), (), ())], [])
     return _graph(_dynkin_pool(q), q.n)
 
 
@@ -463,7 +481,7 @@ def nonsaturated_tame(w: int) -> NonSaturatedSet:
             if len(comps) != 1:
                 raise RuntimeError("support-restricted module completed ambiguously")
             idx = tuple(sorted(rest + (comps[0],)))
-            t = seen.setdefault(idx, make_tilting(idx, pool.ids, pool.dims))
+            t = seen.setdefault(idx, make_tilting(idx, pool.ids, pool.names, pool.dims))
             part.append(t)
         parts[x] = part
     delta = sorted(seen.values(), key=lambda t: t.indices)
@@ -481,7 +499,8 @@ def nonsaturated_tame(w: int) -> NonSaturatedSet:
 
 
 def orientation_invariance(diagram: str | Quiver) -> dict:
-    """Per-orientation (s, t) table with the deleted-vertex identity.
+    """Per-orientation (s, t) table with the deleted-vertex identity, as a
+    ``verdict``.
 
     For every orientation of the given Dynkin diagram: s counts tilting
     modules, t counts exchange arcs, and m sums the deleted-vertex
@@ -511,10 +530,5 @@ def orientation_invariance(diagram: str | Quiver) -> dict:
             violations.append({"orientation": k, "reason": "identity", **entry})
     if len(t_seen) != 1:
         violations.append({"reason": "arc count varies", "values": sorted(t_seen)})
-    return {
-        "n": n,
-        "per_orientation": per,
-        "t_constant": len(t_seen) == 1,
-        "violations": violations,
-        "status": "pass" if not violations else "violation",
-    }
+    return verdict(violations, {"n": n, "orientations": len(per),
+                                "t_constant": len(t_seen) == 1, "per_orientation": per})

@@ -86,12 +86,12 @@ def test_criterion_02_three_vertex_orientations():
 def test_criterion_03_counting_identity():
     for name in ("A2", "A3", "A4", "D4"):
         sweep = tilt_a.orientation_invariance(name)
-        assert sweep["status"] == "pass", (name, sweep["violations"])
-        assert sweep["t_constant"]
-        for e in sweep["per_orientation"]:
+        assert sweep["status"] == "pass", (name, sweep["counterexamples"])
+        assert sweep["stats"]["t_constant"]
+        for e in sweep["stats"]["per_orientation"]:
             assert e["lhs"] == e["rhs"]
             assert e["lhs"] == 2 * e["t"] + e["m"]
-            assert e["rhs"] == sweep["n"] * e["s"]
+            assert e["rhs"] == sweep["stats"]["n"] * e["s"]
     print("criterion 3: PASS — arc count orientation-free and 2t+m=ns "
           "on A2, A3, A4, D4")
 

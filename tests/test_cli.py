@@ -232,6 +232,19 @@ def test_violation_exit_code(capsys, monkeypatch):
     assert "counterexample: made up" in out
 
 
+@pytest.mark.parametrize("argv", ["dup-kquiver --diagram A2 --deep-check",
+                                  "verify --theorem 4.2 --diagram A2 --deep-check"])
+def test_deep_check_violation_exit_code(capsys, monkeypatch, argv):
+    # both commands merge the deep check's verdict into their own
+    monkeypatch.setattr(dup, "deep_check_coresolution", lambda ctx: cli.tilt_a.verdict(
+        ["made up deep"], {"sequences_checked": 20}))
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 1
+    assert out.splitlines()[0].endswith(" [diagram A2]: violation")
+    assert "deep_sequences=20" in out
+    assert out.endswith("counterexample: made up deep\n")
+
+
 # ---------------------------------------------------------------------------
 # engine failures: exit 2, never a pass or a violation
 
@@ -293,6 +306,34 @@ def test_non_rigid_pool_member_is_an_engine_error(argv, flags):
     assert proc.stdout == ""
     assert "engine error:" in proc.stderr
     assert "is not rigid" in proc.stderr
+
+
+# the first nonempty Hom basis solved loses its last map, or repeats it
+BAD_CLASSICAL_BASIS = (
+    "import sys\n"
+    "from tiltquiver import cli, homsolve\n"
+    "hom_basis, faults = homsolve.hom_basis, [1]\n"
+    "def faulty(M, N):\n"
+    "    got = hom_basis(M, N)\n"
+    "    if got and faults:\n"
+    "        faults.pop()\n"
+    "        got = {fault}\n"
+    "    return got\n"
+    "homsolve.hom_basis = faulty\n"
+    "sys.exit(cli.main({argv!r}))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("fault", ["got[:-1]", "got + got[-1:]"], ids=["drop", "duplicate"])
+@pytest.mark.parametrize("argv", [["kquiver", "--diagram", "A3"], ["kquiver", "--window", "4"]],
+                         ids=["A3", "window-4"])
+def test_faulty_classical_hom_basis_is_an_engine_error(argv, fault, flags):
+    # Pool.hom_idx knows each dimension from the Euler form before it solves
+    proc = _run_script(flags, BAD_CLASSICAL_BASIS.format(fault=fault, argv=argv))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("engine error: the Hom basis of (")
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -380,14 +421,20 @@ def test_the_cli_imports_without_dataclasses():
 
 def test_a_classical_json_report_does_not_load_the_duplicated_algebra(tmp_path):
     # the JSON writer recognises a DupPoolId only when dup is already
-    # loaded; a classical report holds none
-    report = tmp_path / "r.json"
-    proc = _run_script(["-S"], "import sys; from tiltquiver import cli\n"
-                       f"code = cli.main(['kquiver', '--diagram', 'A3', '--json', {str(report)!r}])\n"
-                       "print(code, 'tiltquiver.dup' in sys.modules)")
+    # loaded; a classical report holds none, and verify imports only the
+    # module of its theorem's checker
+    runs = ["kquiver --diagram A3", *(f"verify --theorem {tok} --diagram D4"
+                                      for tok in ("5.1", "5.2", "5.4", "5.6")),
+            "verify --theorem 5.5 --window 4"]
+    script = "import sys; from tiltquiver import cli\n"
+    for k, argv in enumerate(runs):
+        script += (f"code = cli.main({argv.split()!r} + ['--json', {str(tmp_path / str(k))!r}])\n"
+                   "print(code, 'tiltquiver.dup' in sys.modules, 'tiltquiver.endo' in sys.modules)\n")
+    proc = _run_script(["-S"], script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
-    assert json.loads(report.read_text())["status"] == "pass"
+    assert [line for line in proc.stdout.splitlines() if line[0].isdigit()] == ["0 False False"] * 6
+    for k in range(len(runs)):
+        assert json.loads((tmp_path / str(k)).read_text())["status"] == "pass"
 
 
 def test_the_process_entry_freezes_before_main():

@@ -315,17 +315,17 @@ def test_nonsaturated_tame():
 
 def test_orientation_invariance_small():
     rep = orientation_invariance("A2")
-    assert rep["status"] == "pass" and rep["t_constant"]
-    assert all((e["s"], e["t"], e["m"]) == (2, 1, 2) for e in rep["per_orientation"])
+    assert rep["status"] == "pass" and rep["stats"]["t_constant"]
+    assert all((e["s"], e["t"], e["m"]) == (2, 1, 2) for e in rep["stats"]["per_orientation"])
     rep3 = orientation_invariance("A3")
-    assert all((e["s"], e["t"], e["m"]) == (5, 5, 5) for e in rep3["per_orientation"])
-    assert len(rep3["per_orientation"]) == 4
+    assert all((e["s"], e["t"], e["m"]) == (5, 5, 5) for e in rep3["stats"]["per_orientation"])
+    assert rep3["stats"]["orientations"] == len(rep3["stats"]["per_orientation"]) == 4
 
 
 def test_orientation_invariance_rank_one():
     rep = orientation_invariance("A1")
     assert rep["status"] == "pass"
-    assert rep["per_orientation"][0] == {
+    assert rep["stats"]["per_orientation"][0] == {
         "orientation": 0, "arrows": [], "s": 1, "t": 0, "m": 1, "lhs": 1, "rhs": 1,
     }
 
