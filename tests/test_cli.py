@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -88,6 +89,43 @@ def test_full_stdout_golden(capsys, tmp_path, argv):
     assert out == (GOLDEN / f"{name}.txt").read_text()
     if extra:
         assert report.read_text() == (GOLDEN / f"{name}.json").read_text()
+
+
+# sha256 of the stdout and of the --dot file of an exchange graph on a
+# seed-1 input (read from E6.quiver or D6.quiver in the working directory,
+# since stdout names the file), and of the stdout of the D5 orientation
+# sweep, which searches cliques on 16 orientations and their deleted-vertex
+# quivers
+SEEDED_DIGESTS = {
+    "dup-kquiver E6_SEED1": (
+        "b719f1936fe0c733681f07b4556184b657fb230ab8281d1a5f9d1a705a392591",
+        "e3b2f6704a9f3141eb250e56b865ec2b9562dacc13711a6d9ed0cac60b9de342"),
+    "kquiver D6_SEED1": (
+        "12adbde027631d7a187ba6009117e6f968a53a56129451174240d4bb2168e60d",
+        "899d13f11c670324a39bafd5c18750ed7acff22bb175a15cc43841e6509fc84c"),
+}
+D5_SWEEP_SHA256 = "142751c62953625b85eeb188f3b9905731dccfa14c489e21983364d3162e858f"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_DIGESTS))
+def test_seeded_graph_digests(capsys, tmp_path, monkeypatch, case):
+    command, fixture = case.split()
+    name = fixture.split("_")[0] + ".quiver"
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(getattr(ref, fixture))
+    code, out, _ = run(capsys, command, "-q", name, "--dot", "graph.dot")
+    assert code == 0
+    assert (_sha256(out), _sha256(Path("graph.dot").read_text())) == SEEDED_DIGESTS[case]
+
+
+def test_d5_orientation_sweep_digest(capsys):
+    code, out, _ = run(capsys, "orientations", "--diagram", "D5")
+    assert code == 0
+    assert _sha256(out) == D5_SWEEP_SHA256
 
 
 def test_dup_kquiver_pentagon_dot(capsys, tmp_path):

@@ -227,23 +227,25 @@ def test_indexed_degrees_match_arc_counts():
             assert g.index_of(t) == i
 
 
-class _ThreeComplements:
-    """Rank-one pool of three members, serving both callers of the engine:
-    its only almost complete part (the empty one) has three complements."""
+class _IncompatiblePool:
+    """Rank-one pool of pairwise incompatible members, serving both callers
+    of the engine: its only almost complete part (the empty one) has every
+    member as a complement.  ``ext`` is the Ext^1 both engines orient by."""
 
     quiver = named_diagram("A1")
     n = 1
-    ids = ["X", "Y", "Z"]
-    table = compatibility_table(3, lambda i, j: False)
 
-    def __init__(self):
-        self.reps = [simple(self.quiver, 0)] * 3
+    def __init__(self, size, ext):
+        self.ids = ["XYZ"[i] for i in range(size)]
+        self.table = compatibility_table(size, lambda i, j: False)
+        self.reps = [simple(self.quiver, 0)] * size
+        self.ext = self.ext1_idx = ext
         self._tiltings = None  # the tilting list dup.enumerate_tilting_dup keeps
 
-    def ext(self, i, j):
-        raise AssertionError("no arc may be oriented")
+    def hom(self, i, j):
+        raise AssertionError("no arc may be certified")
 
-    hom = ext1_idx = hom_idx = ext
+    hom_idx = hom
 
     def validate_rules(self):
         pass
@@ -257,17 +259,32 @@ class _ThreeComplements:
         return self.ids
 
     def pool_size(self):
-        return 3
+        return len(self.ids)
+
+
+def _unoriented(i, j):
+    raise AssertionError("no arc may be oriented")
 
 
 def test_disallowed_complement_count(monkeypatch):
-    stub = _ThreeComplements()
+    stub = _IncompatiblePool(3, _unoriented)
     monkeypatch.setattr(tilt_a, "_dynkin_pool", lambda q: stub)
     with pytest.raises(RuntimeError, match="has 3 complements"):
         tilting_quiver(stub.quiver)
     g = dup.tilting_quiver_dup(stub)
     assert g.defects == ["almost complete part [] has 3 completions"]
     assert len(g.tiltings) == 3 and g.arcs == []
+
+
+@pytest.mark.parametrize("ext", [0, 1], ids=["split-both-ways", "nonsplit-both-ways"])
+def test_unorientable_exchange(monkeypatch, ext):
+    # the only part has two complements with Ext^1 zero, or nonzero, both ways
+    stub = _IncompatiblePool(2, lambda i, j: ext)
+    monkeypatch.setattr(tilt_a, "_dynkin_pool", lambda q: stub)
+    with pytest.raises(RuntimeError, match="^cannot orient the exchange of X / Y$"):
+        tilting_quiver(stub.quiver)
+    with pytest.raises(RuntimeError, match="^cannot orient the exchange of X / Y$"):
+        dup.tilting_quiver_dup(stub)
 
 
 # ------------------------------------------------------------- kronecker
