@@ -398,7 +398,7 @@ class DupContext(homsolve.IndexCache):
         return self._rule_ext_zero(i, j) and self._rule_ext_zero(j, i)
 
     @cached_property
-    def table(self) -> list[frozenset[int]]:
+    def table(self) -> list[int]:
         return tilt_a.compatibility_table(self.pool_size(), self.compatible)
 
     def validate_rules(self) -> None:
@@ -465,10 +465,11 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     the targets of the approximation components the certificate returns.
     Exactness depends only on x, y and the component maps, so the pair's
     sequence serves every arc whose part contains those summands; by
-    Krull-Schmidt that puts E in the part's additive closure, and it is
-    checked per arc.  So is dim Ext^1(y, x) = 1, which gives every
-    non-split extension of y by x, the arc's own included, the same
-    middle term (Happel-Unger).
+    Krull-Schmidt that puts E in the part's additive closure, and every
+    arc checks that its part holds the pair's non-bar summands.  The
+    pair's first arc also checks dim Ext^1(y, x) = 1, which gives every
+    non-split extension of y by x, each later arc's own included, the
+    same middle term (Happel-Unger).
     Parts without exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
@@ -478,12 +479,12 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     pairs: dict[tuple[int, int], tuple[tuple[int, ...], frozenset[int]]] = {}
 
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
-        members = list(rest) + bar_indices
-        ext = ctx.ext1_idx(y, x)
-        if ext != 1:
-            raise RuntimeError(f"Ext^1({ids[y]}, {ids[x]}) has dimension {ext}, not 1")
         got = pairs.get((x, y))
         if got is None:
+            ext = ctx.ext1_idx(y, x)
+            if ext != 1:
+                raise RuntimeError(f"Ext^1({ids[y]}, {ids[x]}) has dimension {ext}, not 1")
+            members = list(rest) + bar_indices
             cert = homsolve.certify_exchange(
                 objs[x][1], [objs[k][1] for k in members], objs[y][1],
                 hom_x=[ctx.hom_idx(x, k) for k in members],
@@ -493,10 +494,10 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
             if cert is None:
                 raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
                                    f"complement {ids[y]}")
-            got = pairs[(x, y)] = (tuple(cert),
-                                   frozenset(members[i] for i, _ in cert.components))
+            got = pairs[(x, y)] = (tuple(cert), frozenset(
+                rest[i] for i, _ in cert.components if i < len(rest)))
         e_dims, summands = got
-        if not summands.issubset(members):
+        if not summands.issubset(rest):
             raise RuntimeError(f"middle term of the exchange of {ids[x]} for {ids[y]} "
                                f"is not in add of the part {[str(ids[k]) for k in rest]}")
         return e_dims

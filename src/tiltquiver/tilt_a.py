@@ -14,8 +14,11 @@ certifies each exchange pair (X, Y) once and checks every arc's almost
 complete part against it.
 
 This module hosts the package's one exchange-graph engine (records,
-clique and complement search, the arc loop ``exchange_arcs``);
-:mod:`tiltquiver.dup` runs it with its own pool, Ext and certifier.
+clique and complement search, the arc loop ``exchange_arcs``), run on
+bit masks: row i of ``compatibility_table`` is an int with bit j set
+when members i and j are compatible, and clique, complement and part
+sets are ANDs of rows.  :mod:`tiltquiver.dup` runs it with its own
+pool, Ext and certifier.
 
 The same machinery runs on the double-arrow (tame) quiver restricted to
 a preprojective/preinjective window; everything touching the window rim
@@ -109,7 +112,7 @@ class Pool(IndexCache):
         return self.ext(i, j) == 0 and self.ext(j, i) == 0
 
     @cached_property
-    def table(self) -> list[frozenset[int]]:
+    def table(self) -> list[int]:
         return compatibility_table(len(self), self.compatible)
 
     def __len__(self) -> int:
@@ -233,72 +236,91 @@ def verdict(violations: list, stats: dict) -> dict:
 # the exchange-graph engine (shared with dup)
 
 
-def compatibility_table(size: int, compatible: Callable[[int, int], bool]
-                        ) -> list[frozenset[int]]:
-    """Row i: every other pool index j with compatible(i, j)."""
-    return [frozenset(j for j in range(size) if j != i and compatible(i, j))
+def compatibility_table(size: int, compatible: Callable[[int, int], bool]) -> list[int]:
+    """Row i: the bit mask of every other pool index j with compatible(i, j)."""
+    return [sum(1 << j for j in range(size) if j != i and compatible(i, j))
             for i in range(size)]
 
 
-def cliques(table: Sequence[frozenset[int]], size: int) -> list[tuple[int, ...]]:
+def cliques(table: Sequence[int], size: int) -> list[tuple[int, ...]]:
     """All ascending pairwise-compatible index tuples of the given size,
-    in lexicographic order."""
+    in lexicographic order: each step takes the lowest candidate bit and
+    keeps the higher candidates in its row, while enough remain."""
     out: list[tuple[int, ...]] = []
 
-    def rec(chosen: tuple[int, ...], cands: list[int]) -> None:
+    def rec(chosen: tuple[int, ...], cands: int) -> None:
         if len(chosen) == size:
             out.append(chosen)
             return
         need = size - len(chosen)
-        for k, i in enumerate(cands):
-            if len(cands) - k < need:
-                break
-            row = table[i]
-            rec(chosen + (i,), [j for j in cands[k + 1:] if j in row])
+        while cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            rec(chosen + (i,), cands & table[i])
 
-    rec((), list(range(len(table))))
+    rec((), (1 << len(table)) - 1)
     return out
 
 
-def complement_indices(table: Sequence[frozenset[int]], rest: Sequence[int]) -> list[int]:
+def complement_indices(table: Sequence[int], rest: Sequence[int]) -> list[int]:
     """Every pool index outside ``rest`` compatible with all of it."""
-    return sorted(set(range(len(table))).intersection(*(table[r] for r in rest)))
+    comps = (1 << len(table)) - 1
+    for r in rest:
+        comps &= table[r]
+    return [j for j in range(len(table)) if comps >> j & 1]
 
 
 def exchange_arcs(
     ids: Sequence[Hashable],
-    table: Sequence[frozenset[int]],
+    table: Sequence[int],
     ext: Callable[[int, int], int],
     certify: Callable[[int, int, tuple[int, ...]], tuple[int, ...]],
     vertices: Sequence[tuple[int, ...]],
     allowed: frozenset[int],
 ) -> tuple[list[Arc], list[tuple[tuple[int, ...], int]]]:
-    """Certified arcs between the given vertices, sorted by (src, dst).
+    """Certified arcs between the given ascending vertices, sorted by (src, dst).
 
-    Visits every almost complete part of a vertex once.  A part with two
-    complements x, y gives one arc, oriented by Ext^1(y, x) != 0;
-    ``certify(x, y, rest)`` raises ``RuntimeError`` unless the exchange
-    sequence 0 -> x -> E -> y -> 0 holds, and returns the dimensions of
-    E.  Complement counts not in ``allowed`` come back as defects.
+    Visits every almost complete part of a vertex once, in first-seen
+    order.  A part with two complements x, y gives one arc, oriented by
+    Ext^1(y, x) != 0; ``certify(x, y, rest)`` raises ``RuntimeError``
+    unless the exchange sequence 0 -> x -> E -> y -> 0 holds, and returns
+    the dimensions of E.  Complement counts not in ``allowed`` come back
+    as defects.  Vertices and parts are keyed by bit mask; the part's
+    tuple ``rest`` is built only for an arc or a defect.
     """
-    position = {c: i for i, c in enumerate(vertices)}
+    masks = [sum(1 << j for j in t) for t in vertices]
+    position = {m: k for k, m in enumerate(masks)}
+    everyone = (1 << len(table)) - 1
     arcs: list[Arc] = []
     defects: list[tuple[tuple[int, ...], int]] = []
-    parts = dict.fromkeys(tuple(j for j in t if j != drop) for t in vertices for drop in t)
-    for rest in parts:
-        comps = complement_indices(table, rest)
-        if len(comps) not in allowed:
-            defects.append((rest, len(comps)))
-        if len(comps) != 2:
-            continue
-        c1, c2 = comps
-        e12, e21 = ext(c1, c2), ext(c2, c1)
-        if (e12 == 0) == (e21 == 0):
-            raise RuntimeError(f"cannot orient the exchange of {ids[c1]} / {ids[c2]}")
-        x, y = (c2, c1) if e12 else (c1, c2)
-        arcs.append(Arc(position[tuple(sorted(rest + (x,)))],
-                        position[tuple(sorted(rest + (y,)))],
-                        ids[x], ids[y], certify(x, y, rest)))
+    seen: set[int] = set()
+    for t, mask in zip(vertices, masks):
+        for drop in t:
+            part = mask ^ 1 << drop
+            if part in seen:
+                continue
+            seen.add(part)
+            comps = everyone
+            for j in t:
+                if j != drop:
+                    comps &= table[j]
+            count = comps.bit_count()
+            if count != 2 and count in allowed:
+                continue
+            rest = tuple(j for j in t if j != drop)
+            if count not in allowed:
+                defects.append((rest, count))
+            if count != 2:
+                continue
+            low = comps & -comps
+            c1, c2 = low.bit_length() - 1, (comps ^ low).bit_length() - 1
+            e12, e21 = ext(c1, c2), ext(c2, c1)
+            if (e12 == 0) == (e21 == 0):
+                raise RuntimeError(f"cannot orient the exchange of {ids[c1]} / {ids[c2]}")
+            x, y = (c2, c1) if e12 else (c1, c2)
+            arcs.append(Arc(position[part | 1 << x], position[part | 1 << y],
+                            ids[x], ids[y], certify(x, y, rest)))
     arcs.sort(key=lambda a: (a.src, a.dst))
     return arcs, defects
 

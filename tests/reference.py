@@ -22,7 +22,10 @@ lives here:
   generic Ext^1, and the check that Hom(T, -) never raises pd;
 * the routes the package no longer takes: the deep check's cokernel
   modules with the Hom bases solved out of them (``deep_check_cokernels``),
-  and the per-algebra multiplication table of End T (``structure_table``).
+  the per-algebra multiplication table of End T (``structure_table``), and
+  the exchange-graph engine on frozenset rows and candidate lists
+  (``compatibility_table``, ``cliques``, ``complement_indices``,
+  ``exchange_arcs``) that the bit-mask engine of ``tilt_a`` replaced.
 """
 
 import importlib
@@ -692,3 +695,63 @@ def hom_pd_bound(ctx):
                                   f"exceeds {downstairs[k]}")
     return {"status": "violation" if violations else "pass",
             "stats": {"modules_checked": checked}, "counterexamples": violations}
+
+
+# ---------------------------------------------------------------------------
+# the exchange-graph engine on frozenset rows and candidate lists
+
+
+def compatibility_table(size, compatible):
+    """Row i: the frozenset of every other index j with compatible(i, j)."""
+    return [frozenset(j for j in range(size) if j != i and compatible(i, j))
+            for i in range(size)]
+
+
+def cliques(table, size):
+    """All ascending pairwise-compatible index tuples of the given size,
+    in lexicographic order, by filtering a candidate list."""
+    out = []
+
+    def rec(chosen, cands):
+        if len(chosen) == size:
+            out.append(chosen)
+            return
+        need = size - len(chosen)
+        for k, i in enumerate(cands):
+            if len(cands) - k < need:
+                break
+            row = table[i]
+            rec(chosen + (i,), [j for j in cands[k + 1:] if j in row])
+
+    rec((), list(range(len(table))))
+    return out
+
+
+def complement_indices(table, rest):
+    """Every index outside ``rest`` compatible with all of it."""
+    return sorted(set(range(len(table))).intersection(*(table[r] for r in rest)))
+
+
+def exchange_arcs(ids, table, ext, certify, vertices, allowed):
+    """``tilt_a.exchange_arcs`` with parts and vertices keyed by tuple:
+    every almost complete part in first-seen order, its complements
+    listed, one certified arc per part with two of them."""
+    position = {c: i for i, c in enumerate(vertices)}
+    arcs, defects = [], []
+    parts = dict.fromkeys(tuple(j for j in t if j != drop) for t in vertices for drop in t)
+    for rest in parts:
+        comps = complement_indices(table, rest)
+        if len(comps) not in allowed:
+            defects.append((rest, len(comps)))
+        if len(comps) != 2:
+            continue
+        c1, c2 = comps
+        e12, e21 = ext(c1, c2), ext(c2, c1)
+        if (e12 == 0) == (e21 == 0):
+            raise RuntimeError(f"cannot orient the exchange of {ids[c1]} / {ids[c2]}")
+        x, y = (c2, c1) if e12 else (c1, c2)
+        arcs.append(tilt_a.Arc(position[tuple(sorted(rest + (x,)))],
+                               position[tuple(sorted(rest + (y,)))],
+                               ids[x], ids[y], certify(x, y, rest)))
+    arcs.sort(key=lambda a: (a.src, a.dst))
+    return arcs, defects

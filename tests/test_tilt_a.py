@@ -3,6 +3,8 @@ from collections import Counter
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from reference import complements, simple
@@ -15,6 +17,7 @@ from tiltquiver.tilt_a import (
     compatibility_table,
     complement_indices,
     enumerate_tilting,
+    exchange_arcs,
     kronecker_tilting_quiver,
     nonsaturated_tame,
     orientation_invariance,
@@ -217,6 +220,45 @@ def test_clique_and_complement_search_match_brute_force():
             assert complement_indices(pool.table, rest) == brute
 
 
+@st.composite
+def _relations(draw):
+    """A random symmetric relation on up to 14 members, as (size, compatible):
+    each pair is related with a drawn density."""
+    size, density = draw(st.integers(0, 14)), draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(size), 2))
+    edges = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    related = {p for p, e in zip(pairs, edges) if e < density}
+    return size, lambda i, j: (min(i, j), max(i, j)) in related
+
+
+def _recording(calls):
+    def certify(x, y, rest):
+        calls.append((x, y, rest))
+        return (x, y, len(calls))
+    return certify
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations(), st.integers(1, 5), st.sampled_from([{2}, {1, 2}]))
+def test_mask_engine_matches_the_frozenset_oracle(relation, size, allowed):
+    n, compatible = relation
+    table, oracle = compatibility_table(n, compatible), ref.compatibility_table(n, compatible)
+    assert table == [sum(1 << j for j in row) for row in oracle]
+    for k in range(6):
+        assert cliques(table, k) == ref.cliques(oracle, k)
+    for rest in cliques(table, size - 1):
+        assert complement_indices(table, rest) == ref.complement_indices(oracle, rest)
+    ids = [f"m{i}" for i in range(n)]
+    vertices = cliques(table, size)
+    got_calls, want_calls = [], []
+    got = exchange_arcs(ids, table, lambda i, j: int(i < j), _recording(got_calls),
+                        vertices, frozenset(allowed))
+    want = ref.exchange_arcs(ids, oracle, lambda i, j: int(i < j),
+                             _recording(want_calls), vertices, frozenset(allowed))
+    assert got == want
+    assert got_calls == want_calls
+
+
 def test_indexed_degrees_match_arc_counts():
     for g in (tilting_quiver(named_diagram("D4")),
               dup.tilting_quiver_dup(dup.DupContext(A3))):
@@ -236,7 +278,7 @@ class _IncompatiblePool:
     n = 1
 
     def __init__(self, size, ext):
-        self.ids = ["XYZ"[i] for i in range(size)]
+        self.ids = list("XYZ"[:size])
         self.table = compatibility_table(size, lambda i, j: False)
         self.reps = [simple(self.quiver, 0)] * size
         self.ext = self.ext1_idx = ext
