@@ -507,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
+        dot, report_file = getattr(args, "dot", None), getattr(args, "json", None)
+        if dot and report_file and os.path.realpath(dot) == os.path.realpath(report_file):
+            raise UsageError("--dot and --json name the same file")
         report, lines, files = _HANDLERS[args.command](args)
         if getattr(args, "json", None):
             import json

@@ -26,12 +26,12 @@ Enumeration and the exchange graph run on the one engine in
 :mod:`tiltquiver.tilt_a`, fed with this module's pool,
 ``DupContext.ext1_idx`` and an exchange-sequence certifier.
 
-The duplicated algebra is a bound quiver algebra, and a triple is
-stored as a representation of its quiver (``_layout``): each arrow of
-the quiver in both layers, ``("t", a)`` and ``("b", a)``, and one
-connecting arrow ``("m", s, p)`` per maximal path ``p: s ~> e`` (the top
-of DA as a bimodule), from the top space at ``e`` to the bottom space
-at ``s``.  The relations are those of the dual path basis: for paths
+The duplicated algebra is a bound quiver algebra, and a triple is a
+``homsolve.Rep``, the one module class, over the layout of its quiver
+(``_layout``): each arrow of the quiver in both layers, ``("t", a)``
+and ``("b", a)``, and one connecting arrow ``("m", s, p)`` per maximal
+path ``p: s ~> e`` (the top of DA as a bimodule), from the top space at
+``e`` to the bottom space at ``s``.  The relations are those of the dual path basis: for paths
 ``r: s ~> w`` and ``y: a ~> e``, the top arrows of ``y``, then the
 connecting arrow of ``p``, then the bottom arrows of ``r`` act as the
 dual of ``z: w ~> a`` when ``p = r z y``, and as zero when ``p`` does
@@ -47,9 +47,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import homsolve, rep_a, tilt_a
 from .exactlin import Rat, RatMatrix, SparseEchelon, as_int_if_integral
-from .homsolve import SlotMap
+from .homsolve import Layout, Rep, SlotMap
 from .quiver_core import Quiver
-from .rep_a import Rep
 
 Slot = tuple[str, int]
 
@@ -58,13 +57,8 @@ Slot = tuple[str, int]
 # the duplicated quiver (one per quiver, cached)
 
 
-class _Layout(NamedTuple):
-    slot_keys: tuple[Slot, ...]
-    ends: dict  # arrow label -> (source slot, target slot), in label order
-
-
 @cache
-def _layout(q: Quiver) -> _Layout:
+def _layout(q: Quiver) -> Layout:
     """The slots and arrows of the duplicated quiver: each arrow of q in
     both layers, then one connecting arrow ``("m", s, p)`` per maximal
     path p: s ~> e (s a source, e a sink, so an isolated vertex's trivial
@@ -78,61 +72,17 @@ def _layout(q: Quiver) -> _Layout:
         if q.is_source(s) and q.is_sink(e):
             for p in paths:
                 ends[("m", s, p)] = (("t", e), ("b", s))
-    return _Layout(slot_keys, ends)
+    return Layout(slot_keys, ends)
 
 
-# ---------------------------------------------------------------------------
-# the module class
-
-
-class TripleModule(homsolve.SlotModule):
-    """Module over the duplicated algebra, a representation of its quiver:
-    ``dims`` maps slots ``("t", v)`` / ``("b", v)`` to dimensions and
-    ``struct`` each arrow of ``_layout(quiver)``, and nothing else, to its
-    matrix; the stored dict follows the layout's order."""
-
-    def __init__(self, quiver: Quiver, dims: dict[Slot, int], struct: dict[tuple, RatMatrix]):
-        self.quiver = quiver
-        self._lay = lay = _layout(quiver)
-        self.slot_keys = lay.slot_keys
-        self.dims = {s: dims.get(s, 0) for s in lay.slot_keys}
-        if len(struct) != len(lay.ends):
-            raise ValueError(f"{len(struct)} structure maps for {len(lay.ends)} arrows")
-        self._struct = {}
-        for lab, (a, b) in lay.ends.items():
-            m = self._struct[lab] = struct[lab]
-            if m.shape != (self.dims[b], self.dims[a]):
-                raise ValueError(
-                    f"label {lab}: matrix shape {m.shape}, "
-                    f"expected {(self.dims[b], self.dims[a])}"
-                )
-
-    # -- SlotModule interface ------------------------------------------
-
-    def struct(self) -> dict:
-        return self._struct
-
-    def label_ends(self, label: tuple) -> tuple[Slot, Slot]:
-        return self._lay.ends[label]
-
-    def _rebuild(self, dims, struct) -> "TripleModule":
-        return TripleModule(self.quiver, dims, struct)
-
-    # -- convenience -----------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the relations of the duplicated algebra, raising
-        ``RuntimeError`` at the first slot where one fails: Hom(P_s, M) is
-        the part of M_s that the relations at s kill, so they hold iff
-        dim Hom(P_s, M) = dim M_s at every slot (Yoneda)."""
-        for s in self.slot_keys:
-            if homsolve.hom_dim(slot_projective(self.quiver, s), self) != self.dims[s]:
-                raise RuntimeError(f"a relation of the duplicated algebra fails at {s}")
-
-    def __repr__(self) -> str:
-        t = tuple(self.dims[("t", v)] for v in self.quiver.vertices)
-        b = tuple(self.dims[("b", v)] for v in self.quiver.vertices)
-        return f"Triple(top={t}, bottom={b})"
+def validate(m: Rep) -> None:
+    """Check the relations of the duplicated algebra on the triple m,
+    raising ``RuntimeError`` at the first slot where one fails: Hom(P_s,
+    m) is the part of m_s that the relations at s kill, so they hold iff
+    dim Hom(P_s, m) = dim m_s at every slot (Yoneda)."""
+    for s in m.slot_keys:
+        if homsolve.hom_dim(slot_projective(m.quiver, s), m) != m.dims[s]:
+            raise RuntimeError(f"a relation of the duplicated algebra fails at {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,30 +90,31 @@ class TripleModule(homsolve.SlotModule):
 
 
 def _triple(q: Quiver, top: Rep | None, bot: Rep | None,
-            conn: Callable[[int, tuple[str, ...], int], RatMatrix] | None = None) -> TripleModule:
+            conn: Callable[[int, tuple[str, ...], int], RatMatrix] | None = None) -> Rep:
     """The triple with layers ``top`` and ``bot`` (None: zero) and the
     connecting matrices ``conn(s, p, e)`` of the maximal paths p: s ~> e
     (zero without ``conn``)."""
     dims = {(layer, v): rep.dims[v] for layer, rep in (("t", top), ("b", bot))
             if rep is not None for v in q.vertices}
-    struct = {}
-    for lab, ((_, e), (_, s)) in _layout(q).ends.items():
+    lay = _layout(q)
+    maps = {}
+    for lab, ((_, e), (_, s)) in lay.ends.items():
         if lab[0] == "m":
-            struct[lab] = (conn(s, lab[2], e) if conn else
-                           RatMatrix.zeros(dims.get(("b", s), 0), dims.get(("t", e), 0)))
+            maps[lab] = (conn(s, lab[2], e) if conn else
+                         RatMatrix.zeros(dims.get(("b", s), 0), dims.get(("t", e), 0)))
         else:
             rep = top if lab[0] == "t" else bot
-            struct[lab] = RatMatrix.zeros(0, 0) if rep is None else rep.arrow_maps[lab[1]]
-    return TripleModule(q, dims, struct)
+            maps[lab] = RatMatrix.zeros(0, 0) if rep is None else rep.maps[lab[1]]
+    return Rep(q, lay, dims, maps)
 
 
-def embed(q: Quiver, m: Rep) -> TripleModule:
+def embed(q: Quiver, m: Rep) -> Rep:
     """The A-module m placed in the bottom layer, zero connecting map."""
     return _triple(q, None, m)
 
 
 @cache
-def slot_projective(q: Quiver, s: Slot) -> TripleModule:
+def slot_projective(q: Quiver, s: Slot) -> Rep:
     """The indecomposable projective at slot s, built once per quiver and
     shared: the embedded A-projective at a bottom slot, the bar projective
     at a top slot.  Callers must not mutate it."""
@@ -171,7 +122,7 @@ def slot_projective(q: Quiver, s: Slot) -> TripleModule:
     return embed(q, rep_a.projective(q, a)) if layer == "b" else bar_projective(q, a)
 
 
-def bar_projective(q: Quiver, a: int) -> TripleModule:
+def bar_projective(q: Quiver, a: int) -> Rep:
     """The projective-injective triple (P_a, I_a, multiplication).
 
     Top basis at v: paths a ~> v.  Bottom basis at u: dual to paths
@@ -196,7 +147,7 @@ def _bar_hom(q: Quiver, a: int, b: int) -> list[SlotMap]:
                                 (f"B{q.vertices[a]}", f"B{q.vertices[b]}"))
 
 
-def _bar_cokernel(q: Quiver, m: Rep) -> TripleModule:
+def _bar_cokernel(q: Quiver, m: Rep) -> Rep:
     """The cokernel of the minimal left approximation of the embedded m by
     the bar projectives; ``homsolve.NoExchangeSequence`` if there is none.
     Hom(m, bar P_a) has dimension m_a: the bar P_a is the injective hull
@@ -209,7 +160,7 @@ def _bar_cokernel(q: Quiver, m: Rep) -> TripleModule:
         x, hom_x[a], _bar_hom(q, a, b), hom_x[b]))[1]
 
 
-def shifted_module(q: Quiver, i: int) -> TripleModule:
+def shifted_module(q: Quiver, i: int) -> Rep:
     """The shifted module W_i: the inverse translate of the embedded
     injective I_i, built as the cokernel of the injective envelope of
     the embedded projective P_i.
@@ -259,9 +210,9 @@ class DupContext(homsolve.IndexCache):
         super().__init__()
         self.quiver = quiver
         self.n = len(quiver.vertices)
-        self._pool: list[tuple[DupPoolId, TripleModule]] | None = None
+        self._pool: list[tuple[DupPoolId, Rep]] | None = None
         self._a_pool: tilt_a.Pool | None = None
-        self._objects: list[tuple[DupPoolId, TripleModule]] | None = None
+        self._objects: list[tuple[DupPoolId, Rep]] | None = None
         self._hom_dim: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._rules_checked = False
@@ -269,14 +220,14 @@ class DupContext(homsolve.IndexCache):
 
     # -- pool ---------------------------------------------------------------
 
-    def pool(self) -> list[tuple[DupPoolId, TripleModule]]:
+    def pool(self) -> list[tuple[DupPoolId, Rep]]:
         """Candidate non-bar summands: embedded indecomposables + shifts."""
         if self._pool is None:
             q = self.quiver
             # the embedded members keep the classical pool's indices, so its
             # dims and Euler-form Ext^1 table index them directly
             apool = self._a_pool = tilt_a._dynkin_pool(q)
-            items: list[tuple[DupPoolId, TripleModule]] = [
+            items: list[tuple[DupPoolId, Rep]] = [
                 (DupPoolId("E", iid), embed(q, rep))
                 for iid, rep in zip(apool.ids, apool.reps)]
             for v in q.vertices:
@@ -285,7 +236,7 @@ class DupContext(homsolve.IndexCache):
             self._ids = [pid for pid, _ in items]
         return self._pool
 
-    def objects(self) -> list[tuple[DupPoolId, TripleModule]]:
+    def objects(self) -> list[tuple[DupPoolId, Rep]]:
         """Pool plus the bar projectives (global hom-cache index space)."""
         if self._objects is None:
             self._objects = self.pool() + [
@@ -294,7 +245,7 @@ class DupContext(homsolve.IndexCache):
             ]
         return self._objects
 
-    def module(self, i: int) -> TripleModule:
+    def module(self, i: int) -> Rep:
         return self.objects()[i][1]
 
     def pool_size(self) -> int:
@@ -441,7 +392,7 @@ def enumerate_tilting_dup(ctx: DupContext) -> list[tilt_a.Tilting]:
         ctx.validate_rules()
         ids = ctx.pool_ids()
         names = [str(pid) for pid in ids]
-        dims = [m.dims_key() for _, m in ctx.pool()]
+        dims = [m.dim_vector() for _, m in ctx.pool()]
         ctx._tiltings = [tilt_a.make_tilting(c, ids, names, dims)
                          for c in tilt_a.cliques(ctx.table, ctx.n)]
     return ctx._tiltings

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import dup, tilt_a
 from .exactlin import Rat, SparseEchelon, rref_rows
-from .homsolve import SlotMap, SlotModule
+from .homsolve import Rep, SlotMap
 
 
 class AlgebraElement(NamedTuple):
@@ -47,7 +47,7 @@ class StructureAlgebra:
     in the basis of pair (a, c) (a dense tuple, ints where integral).
     """
 
-    def __init__(self, summands: Sequence[SlotModule],
+    def __init__(self, summands: Sequence[Rep],
                  elements: list[AlgebraElement],
                  pair_basis: dict[tuple[int, int], range],
                  composites: Callable[[int, int, int], Sequence[Sequence[Sequence[Rat]]]]):
@@ -68,7 +68,7 @@ class StructureAlgebra:
 
 
 def structure_algebra(
-    summands: Sequence[SlotModule],
+    summands: Sequence[Rep],
     homs: dict[tuple[int, int], list[SlotMap]],
     composites: Callable[[int, int, int], Sequence[Sequence[Sequence[Rat]]]],
 ) -> StructureAlgebra:

@@ -1,11 +1,13 @@
-"""Generic homological machinery for slot-graded linear modules.
+"""Generic homological machinery for representations of a quiver layout.
 
-Several module categories in this package have the same shape: a module
-is a family of finite dimensional rational vector spaces indexed by
-*slots*, together with *labeled* structure maps between slots.  Quiver
-representations (slots = vertices, labels = arrows) and the triples over
-the duplicated algebra both fit.  Everything that only depends on that
-shape lives here, written once:
+Every module in this package is a representation of a bound quiver
+(Assem-Simson-Skowronski vol. 1, ch. III): one finite dimensional
+rational vector space per *slot* and one matrix per *arrow label*
+between slots, stored as :class:`Rep` over a shared :class:`Layout`.
+Modules over the path algebra (``rep_a``: slots = vertices, labels =
+arrows) and over the duplicated algebra (``dup._layout``) are the same
+class on two layouts.  Everything that only depends on that shape lives
+here, written once:
 
 * morphism spaces (``hom_basis``, or ``checked_hom`` against a dimension
   known without it) and their dimensions (``hom_dim``, and ``end_dim``
@@ -24,15 +26,14 @@ shape lives here, written once:
 Covers, kernels and module resolutions are not needed: every object
 whose Ext^1 the package reads comes with a projective presentation of
 length one (``dup.DupContext.ext1_idx``), and ``endo`` resolves the
-simples of End T in free coordinates.  The concrete classes subclass
-:class:`SlotModule` and provide the structure maps; no linear algebra
-happens outside ``exactlin``.
+simples of End T in free coordinates.  No linear algebra happens outside
+``exactlin``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import (
     Rat,
@@ -47,57 +48,64 @@ Label = Hashable
 Slot = Hashable
 
 
-class SlotModule:
-    """Base class: dims per slot + labeled structure maps.
-
-    Subclasses must set ``slot_keys`` (shared, ordered) and ``dims``
-    (dict slot -> dimension) and implement:
-
-    ``struct()``
-        dict label -> RatMatrix in an order the constructor fixes, one
-        structure map per generator of the algebra (an arrow, or a basis
-        element), so their intertwining equations cut out Hom;
-    ``label_ends(label)``
-        (source slot, destination slot) of a label;
-    ``_rebuild(dims, struct)``
-        a new instance of the same kind from transported data.
-    """
+class Layout(NamedTuple):
+    """The slots of a quiver's representations, in order, and each arrow
+    label's (source slot, target slot), in label order; built once per
+    quiver and shared by its modules."""
 
     slot_keys: tuple[Slot, ...]
-    dims: dict[Slot, int]
+    ends: dict[Label, tuple[Slot, Slot]]
+
+
+class Rep:
+    """A representation of ``layout``: ``dims`` maps each slot to its
+    dimension (a slot left out is 0) and ``maps`` each arrow label l: a ->
+    b, in label order, to its dims[b] x dims[a] matrix; ``quiver`` is
+    what the layout was built from.  The maps' intertwining equations cut
+    out Hom.  Modules are not mutated once built."""
+
     _nonzeros = None  # memo of _label_nonzeros
     _end_dim = None  # memo of end_dim
 
-    # -- required interface ------------------------------------------------
-
-    def struct(self) -> dict[Label, RatMatrix]:
-        raise NotImplementedError
-
-    def label_ends(self, label: Label) -> tuple[Slot, Slot]:
-        raise NotImplementedError
-
-    def _rebuild(self, dims: dict[Slot, int], struct: dict[Label, RatMatrix]) -> "SlotModule":
-        raise NotImplementedError
-
-    # -- shared helpers ------------------------------------------------------
+    def __init__(self, quiver, layout: Layout, dims: Mapping[Slot, int],
+                 maps: Mapping[Label, RatMatrix]):
+        self.quiver = quiver
+        self.layout = layout
+        self.slot_keys = layout.slot_keys
+        self.dims = {s: dims.get(s, 0) for s in layout.slot_keys}
+        ends = layout.ends
+        if not dims.keys() <= self.dims.keys():
+            raise ValueError(f"dimensions at slots outside the layout: {dict(dims)}")
+        if maps.keys() != ends.keys():
+            raise ValueError(f"labels {sorted(map(repr, maps.keys() ^ ends.keys()))} are not "
+                             "both a map and an arrow of the layout")
+        self.maps = {}
+        for lab, (a, b) in ends.items():
+            m = self.maps[lab] = maps[lab]
+            if m.shape != (self.dims[b], self.dims[a]):
+                raise ValueError(f"arrow {lab!r}: map shape {m.shape}, "
+                                 f"expected {(self.dims[b], self.dims[a])}")
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def dims_key(self) -> tuple[int, ...]:
+    def dim_vector(self) -> tuple[int, ...]:
         return tuple(self.dims[s] for s in self.slot_keys)
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
+    def __repr__(self) -> str:
+        return f"Rep{self.dim_vector()}"
+
 
 class SlotMap:
-    """Morphism of slot modules: one matrix per slot (dst_dim x src_dim)."""
+    """Morphism of representations: one matrix per slot (dst_dim x src_dim)."""
 
     __slots__ = ("src", "dst", "blocks", "_nonzeros")
 
-    def __init__(self, src: SlotModule, dst: SlotModule, blocks: dict[Slot, RatMatrix]):
+    def __init__(self, src: Rep, dst: Rep, blocks: dict[Slot, RatMatrix]):
         self.src = src
         self.dst = dst
         self.blocks = blocks
@@ -123,44 +131,45 @@ class SlotMap:
 
 
 def _label_nonzeros(
-    M: SlotModule,
+    M: Rep,
 ) -> tuple[tuple[Slot, Slot, list[list[tuple[int, Rat]]], list[list[tuple[int, Rat]]]], ...]:
-    """Per label, in ``struct()`` order: its ends (a, b) and
+    """Per label, in layout order: its ends (a, b) and
     the nonzero (index, entry)s of each column and of each row of its
-    structure matrix, integral entries as ``int`` (``as_int_if_integral``,
+    matrix, integral entries as ``int`` (``as_int_if_integral``,
     inlined).  Computed once per module, as ``_hom_system`` reads them
     for every partner (modules are not mutated once built); the lists
     are shared, so callers only read them."""
     got = M._nonzeros
     if got is None:
         out = []
-        for lab, mat in M.struct().items():
+        ends = M.layout.ends
+        for lab, mat in M.maps.items():
             rows = [[(k, x.numerator if x.denominator == 1 else x)
                      for k, x in enumerate(row) if x] for row in mat.data]
             cols: list[list[tuple[int, Rat]]] = [[] for _ in range(mat.cols)]
             for i, row in enumerate(rows):
                 for k, x in row:
                     cols[k].append((i, x))
-            out.append((*M.label_ends(lab), cols, rows))
+            out.append((*ends[lab], cols, rows))
         got = M._nonzeros = tuple(out)
     return got
 
 
 def _hom_system(
-    M: SlotModule, N: SlotModule
+    M: Rep, N: Rep
 ) -> tuple[list[dict[int, Rat]], dict[Slot, int], int]:
     """Intertwining equations of Hom(M, N) as sparse rows.
 
     Unknowns are the entries of one matrix f_s: M_s -> N_s per slot,
     row-major, slot blocks in slot order (``offs[s]`` is where slot s
     starts; ``total`` unknowns in all).  Each label l: a -> b of
-    ``struct()`` contributes the equations f_b @ S^M_l - S^N_l @ f_a = 0,
+    the layout contributes the equations f_b @ S^M_l - S^N_l @ f_a = 0,
     one row per entry, holding at most dim M_b + dim N_a nonzeros.
     """
-    if M.slot_keys != N.slot_keys:
-        raise ValueError("modules live on different slot sets")
-    if list(M.struct()) != list(N.struct()):
-        raise ValueError("modules carry different label sets")
+    lay, other = M.layout, N.layout
+    if other is not lay and (other.slot_keys, list(other.ends.items())) != (
+            lay.slot_keys, list(lay.ends.items())):
+        raise ValueError("modules live on different quiver layouts")
     offs: dict[Slot, int] = {}
     total = 0
     for s in M.slot_keys:
@@ -184,7 +193,7 @@ def _hom_system(
     return rows, offs, total
 
 
-def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
+def hom_basis(M: Rep, N: Rep) -> list[SlotMap]:
     """Basis of the space of module morphisms M -> N.
 
     The canonical kernel basis of the intertwining system (see
@@ -206,7 +215,7 @@ def hom_basis(M: SlotModule, N: SlotModule) -> list[SlotMap]:
     return out
 
 
-def checked_hom(M: SlotModule, N: SlotModule, dim: int, pair: tuple) -> list[SlotMap]:
+def checked_hom(M: Rep, N: Rep, dim: int, pair: tuple) -> list[SlotMap]:
     """``hom_basis(M, N)`` for a pair whose Hom dimension ``dim`` is known
     without it: no solve when dim is 0, and ``RuntimeError``, naming M and
     N by ``pair``, unless the solved basis has exactly dim maps."""
@@ -219,7 +228,7 @@ def checked_hom(M: SlotModule, N: SlotModule, dim: int, pair: tuple) -> list[Slo
     return got
 
 
-def hom_dim(M: SlotModule, N: SlotModule) -> int:
+def hom_dim(M: Rep, N: Rep) -> int:
     """dim Hom(M, N) from the rank of the intertwining system alone."""
     rows, _, total = _hom_system(M, N)
     echelon = SparseEchelon(total)
@@ -228,7 +237,7 @@ def hom_dim(M: SlotModule, N: SlotModule) -> int:
     return total - echelon.rank
 
 
-def end_dim(M: SlotModule) -> int:
+def end_dim(M: Rep) -> int:
     """dim End(M), solved once per module and kept on it (modules are not
     mutated once built), so every End check of a module shares one solve."""
     got = M._end_dim
@@ -277,30 +286,26 @@ def cokernel_projection(mat: RatMatrix) -> tuple[list[int], RatMatrix]:
     return comp, RatMatrix(proj, cols=d)
 
 
-def cokernel(f: SlotMap) -> tuple[SlotModule, SlotMap]:
+def cokernel(f: SlotMap) -> tuple[Rep, SlotMap]:
     """Cokernel with its projection, using greedy standard-basis complements."""
     N = f.dst
     comps: dict[Slot, list[int]] = {}
     projs: dict[Slot, RatMatrix] = {}
     for s in N.slot_keys:
         comps[s], projs[s] = cokernel_projection(f.blocks[s])
-    struct: dict[Label, RatMatrix] = {}
-    for lab, mat in N.struct().items():
-        a, b = N.label_ends(lab)
-        struct[lab] = projs[b] @ mat.columns(comps[a])
-    C = N._rebuild({s: len(comps[s]) for s in N.slot_keys}, struct)
+    maps = {lab: projs[b] @ N.maps[lab].columns(comps[a])
+            for lab, (a, b) in N.layout.ends.items()}
+    C = Rep(N.quiver, N.layout, {s: len(comps[s]) for s in N.slot_keys}, maps)
     proj = SlotMap(N, C, projs)
     return C, proj
 
 
-def _sum_module(mods: Sequence[SlotModule]) -> SlotModule:
-    """The direct sum of modules: block-diagonal structure maps."""
+def _sum_module(mods: Sequence[Rep]) -> Rep:
+    """The direct sum of modules on one layout: block-diagonal maps."""
     proto = mods[0]
     dims = {s: sum(m.dims[s] for m in mods) for s in proto.slot_keys}
-    structs = [m.struct() for m in mods]
-    struct = {lab: RatMatrix.block_diagonal([st[lab] for st in structs])
-              for lab in structs[0]}
-    return proto._rebuild(dims, struct)
+    return Rep(proto.quiver, proto.layout, dims, {
+        lab: RatMatrix.block_diagonal([m.maps[lab] for m in mods]) for lab in proto.maps})
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +384,7 @@ def basis_coordinates(
 
 
 def radical_coordinates(
-    x: SlotModule,
+    x: Rep,
     hom_xj: Sequence[SlotMap],
     hom_ji: Sequence[SlotMap],
     hom_xi: Sequence[SlotMap],
@@ -402,7 +407,7 @@ def radical_coordinates(
 
 
 def composite_coordinates(
-    x: SlotModule,
+    x: Rep,
     hom_xi: Sequence[SlotMap],
     hom_iy: Sequence[SlotMap],
     hom_xy: Sequence[SlotMap],
@@ -497,8 +502,8 @@ def minimal_left_approximation(
 
 
 def approximation_map(
-    x: SlotModule, pool: Sequence[SlotModule], comps: Sequence[tuple[int, SlotMap]]
-) -> tuple[SlotModule, SlotMap]:
+    x: Rep, pool: Sequence[Rep], comps: Sequence[tuple[int, SlotMap]]
+) -> tuple[Rep, SlotMap]:
     """The map x -> E into the sum of the chosen components, at least one
     (``injective_approximation`` returns them)."""
     # the sum of inclusion . component: the component blocks, stacked
@@ -516,7 +521,7 @@ class NoExchangeSequence(RuntimeError):
 
 
 class ExchangeDims(tuple):
-    """The slot dimensions of a certified middle term E (``dims_key``
+    """The slot dimensions of a certified middle term E (``dim_vector``
     order), equal to the plain tuple, carrying the components (pool
     index, basis map x -> pool_i) of the approximation x -> E that the
     certificate built, so E's summands are read off without a second
@@ -531,7 +536,7 @@ class ExchangeDims(tuple):
 
 
 def injective_approximation(
-    x: SlotModule,
+    x: Rep,
     hom_x: Sequence[list[SlotMap]],
     radical: Callable[[int, int], Sequence[Sequence[Rat]]],
 ) -> list[tuple[int, SlotMap]]:
@@ -555,11 +560,11 @@ def injective_approximation(
 
 
 def exchange_sequence(
-    x: SlotModule,
-    pool: Sequence[SlotModule],
+    x: Rep,
+    pool: Sequence[Rep],
     hom_x: Sequence[list[SlotMap]],
     radical: Callable[[int, int], Sequence[Sequence[Rat]]],
-) -> tuple[SlotModule, SlotModule]:
+) -> tuple[Rep, Rep]:
     """Short exact sequence 0 -> x -> E -> y -> 0 from the minimal left
     approximation of x into add(pool) (``hom_x`` and ``radical`` as in
     ``minimal_left_approximation``).
@@ -614,9 +619,9 @@ def exchange_line(
 
 
 def certify_exchange(
-    x: SlotModule,
-    pool: Sequence[SlotModule],
-    y: SlotModule,
+    x: Rep,
+    pool: Sequence[Rep],
+    y: Rep,
     hom_x: Sequence[list[SlotMap]],
     hom_y: Sequence[list[SlotMap]],
     radical: Callable[[int, int], Sequence[Sequence[Rat]]],
@@ -639,7 +644,7 @@ def certify_exchange(
 
     Then im f lies in ker g, whose dimension is dim E - dim y = dim im f
     at every slot, so the sequence is exact and coker f is isomorphic to
-    y.  Returns the slot dimensions of E (in ``dims_key`` order) with
+    y.  Returns the slot dimensions of E (in ``dim_vector`` order) with
     the components of f (``ExchangeDims``), or None when y is not the
     cokernel of f.  ``radical`` (of ``minimal_left_approximation``) and
     ``composites`` (of ``exchange_line``) hold coordinates that depend

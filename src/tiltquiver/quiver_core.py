@@ -270,8 +270,10 @@ def parse_quiver(text: str) -> Quiver:
         arrow a 1 2
         arrow b 2 3
 
-    JSON format: an object with keys "vertices" (list of ints) and
-    "arrows" (list of [id, source, target] triples).
+    JSON format, as strict as the line format: an object with keys
+    "vertices" (a non-empty list of integers) and "arrows" (a list of
+    [id, source, target], a string and two integers; no value is
+    converted, so a float or a bool is rejected).
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -282,14 +284,19 @@ def parse_quiver(text: str) -> Quiver:
         except json.JSONDecodeError as exc:
             raise QuiverSyntaxError(f"bad JSON quiver: {exc}") from None
         if not isinstance(obj, dict) or "vertices" not in obj or "arrows" not in obj:
-            raise QuiverSyntaxError('JSON quiver needs keys "vertices" and "arrows"')
-        try:
-            arrows = [(str(a[0]), int(a[1]), int(a[2])) for a in obj["arrows"]]
-            return Quiver([int(v) for v in obj["vertices"]], arrows)
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            if isinstance(exc, QuiverSyntaxError):
-                raise
-            raise QuiverSyntaxError(f"bad JSON quiver: {exc}") from None
+            raise QuiverSyntaxError('bad JSON quiver: needs keys "vertices" and "arrows"')
+        vertices, arrows = obj["vertices"], obj["arrows"]
+        if not (isinstance(vertices, list) and vertices and all(type(v) is int for v in vertices)):
+            raise QuiverSyntaxError(f"bad JSON quiver: vertices {json.dumps(vertices)} "
+                                    "are not a non-empty list of integers")
+        if not isinstance(arrows, list):
+            raise QuiverSyntaxError(f"bad JSON quiver: arrows {json.dumps(arrows)} are not a list")
+        for a in arrows:
+            if not (isinstance(a, list) and len(a) == 3 and isinstance(a[0], str)
+                    and type(a[1]) is int and type(a[2]) is int):
+                raise QuiverSyntaxError(f"bad JSON quiver: arrow {json.dumps(a)} is not "
+                                        "[id, source, target] with integer ends")
+        return Quiver(vertices, arrows)
 
     vertices: list[int] | None = None
     arrows: list[tuple[str, int, int]] = []

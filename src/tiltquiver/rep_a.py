@@ -1,10 +1,12 @@
 """Modules over the path algebra of an acyclic quiver.
 
 A representation assigns a rational vector space to every vertex and a
-matrix to every arrow.  Conventions, fixed once and used everywhere:
-paths act on the left, a path (a1, a2, ...) applies a1 first, the
-projective at vertex a has basis the paths starting at a, the injective
-at a is dual to the paths ending at a.
+matrix to every arrow: a ``homsolve.Rep``, the one module class, over
+the quiver's ``layout`` (slots = vertices, labels = arrow ids).
+Conventions, fixed once and used everywhere: paths act on the left, a
+path (a1, a2, ...) applies a1 first, the projective at vertex a has
+basis the paths starting at a, the injective at a is dual to the paths
+ending at a.
 
 On top of the raw data the module provides reflection functors at sinks
 and sources, the translate built by composing them along a topological
@@ -17,15 +19,17 @@ sequences.  All heavy lifting delegates to :mod:`homsolve`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Sequence
 
 from . import homsolve
 from .exactlin import RatMatrix
-from .homsolve import SlotMap, hom_basis
+from .homsolve import Layout, Rep, SlotMap, hom_basis
 from .quiver_core import Quiver, classify, named_diagram
 
 __all__ = [
     "Rep",
+    "layout",
     "IndecId",
     "reflect",
     "tau",
@@ -54,42 +58,11 @@ class IndecId(NamedTuple):
         raise ValueError(f"bad IndecId kind {self.kind}")
 
 
-class Rep(homsolve.SlotModule):
-    """Representation: slots = vertices, labels = arrow ids."""
-
-    def __init__(self, quiver: Quiver, dims: Mapping[int, int] | Sequence[int],
-                 arrow_maps: Mapping[str, RatMatrix]):
-        self.quiver = quiver
-        dv = quiver.dimvec(dims)
-        self.slot_keys = quiver.vertices
-        self.dims = {v: dv[i] for i, v in enumerate(quiver.vertices)}
-        self.arrow_maps: dict[str, RatMatrix] = {}
-        for a in quiver.arrows:
-            m = arrow_maps[a.aid]
-            want = (self.dims[a.target], self.dims[a.source])
-            if m.shape != want:
-                raise ValueError(f"arrow {a.aid}: map shape {m.shape}, expected {want}")
-            self.arrow_maps[a.aid] = m
-
-    # -- SlotModule interface ------------------------------------------
-
-    def struct(self) -> dict[str, RatMatrix]:
-        return self.arrow_maps
-
-    def label_ends(self, label: str) -> tuple[int, int]:
-        a = self.quiver.arrows[self.quiver.arrow_pos[label]]
-        return a.source, a.target
-
-    def _rebuild(self, dims, struct) -> "Rep":
-        return Rep(self.quiver, dims, struct)
-
-    # -- convenience -----------------------------------------------------
-
-    def dim_vector(self) -> tuple[int, ...]:
-        return self.dims_key()
-
-    def __repr__(self) -> str:
-        return f"Rep{self.dim_vector()}"
+@cache
+def layout(q: Quiver) -> Layout:
+    """The layout of q's representations, one per quiver: its vertices,
+    and each arrow id's (source, target) in arrow order."""
+    return Layout(q.vertices, {a.aid: (a.source, a.target) for a in q.arrows})
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +81,7 @@ def projective(q: Quiver, a: int) -> Rep:
         for j, p in enumerate(src_paths):
             m[idx[p + (arr.aid,)], j] = 1
         maps[arr.aid] = m
-    return Rep(q, dims, maps)
+    return Rep(q, layout(q), dims, maps)
 
 
 def injective(q: Quiver, a: int) -> Rep:
@@ -125,7 +98,7 @@ def injective(q: Quiver, a: int) -> Rep:
         for i, p in enumerate(dst_paths):
             m[i, src_idx[(arr.aid,) + p]] = 1
         maps[arr.aid] = m
-    return Rep(q, dims, maps)
+    return Rep(q, layout(q), dims, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +115,10 @@ def reflect(r: Rep, v: int) -> Rep:
     q = r.quiver
     new_q = q.reverse_at(v)
     new_dims = dict(r.dims)
-    new_maps = dict(r.arrow_maps)
+    new_maps = dict(r.maps)
     if q.is_sink(v):
         ins = q.in_arrows(v)
-        blocks = [r.arrow_maps[a.aid] for a in ins]
+        blocks = [r.maps[a.aid] for a in ins]
         big = (RatMatrix.hstack(blocks) if blocks
                else RatMatrix.zeros(r.dims[v], 0))
         kb = big.kernel_basis()
@@ -159,7 +132,7 @@ def reflect(r: Rep, v: int) -> Rep:
             off += d
     elif q.is_source(v):
         outs = q.out_arrows(v)
-        blocks = [r.arrow_maps[a.aid] for a in outs]
+        blocks = [r.maps[a.aid] for a in outs]
         big = (RatMatrix.vstack(blocks) if blocks
                else RatMatrix.zeros(0, r.dims[v]))
         comp, proj = homsolve.cokernel_projection(big)
@@ -171,7 +144,7 @@ def reflect(r: Rep, v: int) -> Rep:
             off += d
     else:
         raise ValueError(f"vertex {v} is neither a sink nor a source")
-    return Rep(new_q, new_dims, new_maps)
+    return Rep(new_q, layout(new_q), new_dims, new_maps)
 
 
 def tau_inverse(m: Rep) -> Rep:

@@ -328,7 +328,7 @@ def exchange_arcs(
 def make_tilting(idx: tuple[int, ...], ids: Sequence[Hashable], names: Sequence[str],
                  dims: Sequence[tuple[int, ...]]) -> Tilting:
     """The tilting record of pool indices ``idx``; ``names[i]`` is the
-    label and ``dims[i]`` the dimension vector (``dims_key``) of pool
+    label and ``dims[i]`` the dimension vector (``dim_vector``) of pool
     member i."""
     return Tilting(idx, tuple(ids[i] for i in idx), tuple(names[i] for i in idx),
                    tuple(sum(col) for col in zip(*(dims[i] for i in idx))))

@@ -7,16 +7,17 @@ lives here:
   ``inverse``) on a small dense Gauss-Jordan of their own,
   ``gauss_jordan``, so that they share no elimination code with the
   sparse kernel they check;
-* morphism arithmetic of slot modules (``compose``, ``add``, ``scale``,
+* morphism arithmetic of representations (``compose``, ``add``, ``scale``,
   ``is_zero``, ``is_injective``, ``is_surjective``), zero modules and
   maps, and direct sums;
 * the simples, the canonical modules and the top embedding used as
   fixtures, the global dimension of the duplicated algebra (2n simples
   resolved as modules), and the complements of an almost complete
   tilting module;
-* left modules over the endomorphism algebra of a tilting module
-  (``BMod``): its regular projectives and simples, Hom(T, m) as such a
-  module, and its global dimension;
+* left modules over the endomorphism algebra of a tilting module, each a
+  ``Rep`` over ``b_layout`` with the algebra as its quiver: its regular
+  projectives and simples, Hom(T, m) as such a module, and its global
+  dimension;
 * the cover route, which the package does not need: kernels, projective
   covers (one hook per module kind, ``PROJECTIVES``), resolutions, the
   generic Ext^1, and the check that Hom(T, -) never raises pd;
@@ -35,8 +36,8 @@ from pathlib import Path
 
 from tiltquiver import dup, endo, homsolve, rep_a, tilt_a
 from tiltquiver.exactlin import RatMatrix, SparseEchelon, sparse_row
-from tiltquiver.homsolve import SlotMap, SlotModule
-from tiltquiver.rep_a import IndecId, Rep
+from tiltquiver.homsolve import Layout, Rep, SlotMap
+from tiltquiver.rep_a import IndecId
 
 F = Fraction
 
@@ -156,8 +157,7 @@ def is_surjective(f):
 
 def zero_module(M):
     """The zero module on the slots and labels of M."""
-    return M._rebuild(dict.fromkeys(M.slot_keys, 0),
-                      {lab: RatMatrix.zeros(0, 0) for lab in M.struct()})
+    return Rep(M.quiver, M.layout, {}, {lab: RatMatrix.zeros(0, 0) for lab in M.maps})
 
 
 def zero_map(M, N):
@@ -171,10 +171,9 @@ def map_vec_length(M, N):
 
 def sum_module(mods):
     """The direct sum of at least one module: block-diagonal structure maps."""
-    structs = [m.struct() for m in mods]
-    return mods[0]._rebuild(
-        {s: sum(m.dims[s] for m in mods) for s in mods[0].slot_keys},
-        {lab: RatMatrix.block_diagonal([st[lab] for st in structs]) for lab in structs[0]})
+    M = mods[0]
+    return Rep(M.quiver, M.layout, {s: sum(m.dims[s] for m in mods) for s in M.slot_keys},
+               {lab: RatMatrix.block_diagonal([m.maps[lab] for m in mods]) for lab in M.maps})
 
 
 def direct_sum(mods):
@@ -239,8 +238,8 @@ arrow a767 1 4
 
 def simple(q, a):
     dims = {v: int(v == a) for v in q.vertices}
-    return Rep(q, dims, {arr.aid: RatMatrix.zeros(dims[arr.target], dims[arr.source])
-                         for arr in q.arrows})
+    return Rep(q, rep_a.layout(q), dims, {
+        arr.aid: RatMatrix.zeros(dims[arr.target], dims[arr.source]) for arr in q.arrows})
 
 
 def canonical_modules(q):
@@ -255,12 +254,10 @@ def embed_top(q, m):
     labels of ``dup.embed``'s triple, the top arrows acting as m's."""
     bottom = dup.embed(q, m)
     dims = {("t", v): d for v, d in m.dims.items()}
-    struct = {}
-    for lab in bottom.struct():
-        a, b = bottom.label_ends(lab)
-        struct[lab] = (m.arrow_maps[lab[1]] if lab[0] == "t"
-                       else RatMatrix.zeros(dims.get(b, 0), dims.get(a, 0)))
-    return dup.TripleModule(q, dims, struct)
+    maps = {lab: m.maps[lab[1]] if lab[0] == "t"
+            else RatMatrix.zeros(dims.get(b, 0), dims.get(a, 0))
+            for lab, (a, b) in bottom.layout.ends.items()}
+    return Rep(q, bottom.layout, dims, maps)
 
 
 def global_dimension_dup(ctx):
@@ -325,7 +322,7 @@ def decompose_in_add(ctx, c, member_indices, hom, radical):
     objs = ctx.objects()
     e_dims = tuple(sum(objs[member_indices[i]][1].dims[s] for i, _ in comps)
                    for s in c.slot_keys)
-    return mults if e_dims == c.dims_key() else None
+    return mults if e_dims == c.dim_vector() else None
 
 
 def deep_check_cokernels(ctx, drop=None):
@@ -412,32 +409,15 @@ def blocks_table(alg):
             if ex.dst == ey.src}
 
 
-class BMod(SlotModule):
-    """Left module over a structure algebra: one slot per summand.  A
-    basis morphism x: T_a -> T_b acts by precomposition, from slot b to
-    slot a; the idempotents are the grading and carry no matrix."""
-
-    def __init__(self, algebra, dims, action):
-        self.algebra = algebra
-        self.slot_keys = tuple(range(len(algebra.summands)))
-        self.dims = {s: dims.get(s, 0) for s in self.slot_keys}
-        idem = set(algebra.idempotents)
-        self.action = {e: action[e] for e in range(algebra.dimension) if e not in idem}
-        for e, m in self.action.items():
-            el = algebra.elements[e]
-            want = (self.dims[el.src], self.dims[el.dst])
-            if m.shape != want:
-                raise ValueError(f"element {e}: action shape {m.shape}, expected {want}")
-
-    def struct(self):
-        return self.action
-
-    def label_ends(self, label):
-        el = self.algebra.elements[label]
-        return el.dst, el.src
-
-    def _rebuild(self, dims, struct):
-        return BMod(self.algebra, dict(dims), dict(struct))
+@cache
+def b_layout(algebra):
+    """The layout of left modules over a structure algebra: one slot per
+    summand, and each basis morphism x: T_a -> T_b but the idempotents
+    (the grading, which carries no matrix) acting by precomposition,
+    from slot b to slot a."""
+    idem = set(algebra.idempotents)
+    return Layout(tuple(range(len(algebra.summands))),
+                  {e: (el.dst, el.src) for e, el in enumerate(algebra.elements) if e not in idem})
 
 
 @cache
@@ -472,13 +452,13 @@ def regular_projective(alg, i):
             for z, c in multiply(alg, x, h).items():
                 yield pos[z], col, c
 
-    return BMod(alg, dims, _action(alg, dims, entries))
+    return Rep(alg, b_layout(alg), dims, _action(alg, dims, entries))
 
 
 def simple_module(alg, i):
     """One-dimensional module at the i-th idempotent."""
     dims = {j: int(j == i) for j in range(len(alg.summands))}
-    return BMod(alg, dims, _action(alg, dims, lambda x: ()))
+    return Rep(alg, b_layout(alg), dims, _action(alg, dims, lambda x: ()))
 
 
 def b_module(alg, m):
@@ -503,7 +483,7 @@ def b_module(alg, m):
             for row, c in enumerate(coords):
                 yield row, col, c
 
-    return BMod(alg, dims, _action(alg, dims, entries))
+    return Rep(alg, b_layout(alg), dims, _action(alg, dims, entries))
 
 
 def global_dimension(alg):
@@ -560,13 +540,21 @@ def triple_projective(M, s):
 def bmod_projective(M, s):
     """Be_s, shared per (algebra, s), its words the basis morphisms
     T_j -> T_s, the idempotent as the empty word."""
-    alg = M.algebra
+    alg = M.quiver
     idem = set(alg.idempotents)
     return shared_projective(alg, s), {
         j: [() if e in idem else (e,) for e in alg.pair_basis[(j, s)]] for j in M.slot_keys}
 
 
-PROJECTIVES = {Rep: rep_projective, dup.TripleModule: triple_projective, BMod: bmod_projective}
+PROJECTIVES = {"Rep": rep_projective, "TripleModule": triple_projective, "BMod": bmod_projective}
+
+
+def kind(M):
+    """The ``PROJECTIVES`` key of M: a module over A, over the duplicated
+    algebra, or over a structure algebra."""
+    if isinstance(M.quiver, endo.StructureAlgebra):
+        return "BMod"
+    return "TripleModule" if M.layout == dup._layout(M.quiver) else "Rep"
 
 
 def top_lifts(M):
@@ -574,8 +562,8 @@ def top_lifts(M):
     joins iff it enlarges the span of the images of all labels (every
     corner is scalar) and of the lifts before it."""
     images = {s: [] for s in M.slot_keys}
-    for lab, mat in M.struct().items():
-        images[M.label_ends(lab)[1]].extend(zip(*mat.data))  # the columns
+    for lab, mat in M.maps.items():
+        images[M.layout.ends[lab][1]].extend(zip(*mat.data))  # the columns
     out = []
     for s in M.slot_keys:
         span = SparseEchelon(M.dims[s])
@@ -597,9 +585,9 @@ def projective_cover_parts(M):
             raise RuntimeError("nonzero module with zero top")
         Z = zero_module(M)
         return Z, [], zero_map(Z, M)
-    projectives = {s: PROJECTIVES[type(M)](M, s) for s, _ in lifts}
+    projectives = {s: PROJECTIVES[kind(M)](M, s) for s, _ in lifts}
     P = sum_module([projectives[s][0] for s, _ in lifts])
-    st = M.struct()
+    st = M.maps
     cols = {w: [] for w in M.slot_keys}
     for s, v in lifts:
         for w, words in projectives[s][1].items():
@@ -628,13 +616,13 @@ def kernel(f):
         bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()  # columns = basis
         free[s] = [max(k for k, x in enumerate(v) if x) for v in vecs]
     struct = {}
-    for lab, mat in M.struct().items():
-        a, b = M.label_ends(lab)
+    for lab, mat in M.maps.items():
+        a, b = M.layout.ends[lab]
         pushed = mat @ bases[a]  # columns land in ker f_b
         struct[lab] = RatMatrix([pushed.data[c] for c in free[b]], cols=pushed.cols)
         if bases[b] @ struct[lab] != pushed:
             raise RuntimeError("kernel not preserved: map is not a morphism")
-    K = M._rebuild({s: len(free[s]) for s in M.slot_keys}, struct)
+    K = Rep(M.quiver, M.layout, {s: len(free[s]) for s in M.slot_keys}, struct)
     return K, SlotMap(K, M, bases)
 
 

@@ -550,6 +550,27 @@ def test_usage_errors(capsys, tmp_path):
         assert err
 
 
+def test_dot_and_json_on_one_file_is_a_usage_error(capsys, tmp_path):
+    # the report would overwrite the graph that stdout says was written:
+    # rejected before any work, with nothing on stdout and nothing written
+    f = tmp_path / "same.out"
+    (tmp_path / "link.out").symlink_to(f)
+    for other in (f, tmp_path / "." / "same.out", tmp_path / "link.out"):
+        code, out, err = run(capsys, "kquiver", "--diagram", "A2",
+                             "--dot", str(f), "--json", str(other))
+        assert (code, out) == (2, "")
+        assert err == "error: --dot and --json name the same file\n"
+        assert not f.exists()
+
+
+def test_mistyped_json_quiver_file(capsys, tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text('{"vertices": [1, 2], "arrows": [["a", 1.9, 2]]}')
+    code, out, err = run(capsys, "tilting", "-q", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad JSON quiver: ") and err.count("\n") == 1
+
+
 def test_both_quiver_sources_rejected(capsys, tmp_path):
     f = tmp_path / "a.quiver"
     f.write_text(A2_FILE)

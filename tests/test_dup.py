@@ -48,20 +48,20 @@ def test_every_object_is_a_module_over_the_duplicated_quiver(name):
         want = [(layer, a.aid) for a in q.arrows for layer in ("t", "b")]
         want += [("m", u, p) for u, p in _maximal_paths(q)]
         for _, m in dup.DupContext(q).objects():
-            assert list(m.struct()) == want
-            m.validate()
+            assert list(m.maps) == want
+            dup.validate(m)
 
 
 def test_stored_label_counts_on_e6_and_e8():
     # one label per arrow in each layer plus one per maximal path
     for q, want in ((parse_quiver(ref.E6_SEED1), 13), (named_diagram("E8"), 16)):
-        assert len(dup.slot_projective(q, ("t", q.vertices[0])).struct()) == want
+        assert len(dup.slot_projective(q, ("t", q.vertices[0])).maps) == want
 
 
 def _triple_of(q, dims, ones):
     """The triple with slot dimensions ``dims`` (at most 1 each), the
     labels in ``ones`` acting as 1 and every other label as 0."""
-    return dup.TripleModule(q, dims, {
+    return homsolve.Rep(q, dup._layout(q), dims, {
         lab: RatMatrix([[1]]) if lab in ones
         else RatMatrix.zeros(dims.get(b, 0), dims.get(a, 0))
         for lab, (a, b) in dup._layout(q).ends.items()})
@@ -72,29 +72,29 @@ def test_relation_check_is_complete():
     # the maximal path b is the dual of no path, so it must act as zero
     q = parse_quiver("vertices 0 1 2\narrow a 1 0\narrow b 1 2\n")
     dims = {("t", 2): 1, ("b", 1): 1}
-    _triple_of(q, dims, {("m", 1, ("b",))}).validate()
+    dup.validate(_triple_of(q, dims, {("m", 1, ("b",))}))
     with pytest.raises(RuntimeError, match="relation"):
-        _triple_of(q, {**dims, ("b", 0): 1}, {("m", 1, ("b",)), ("b", "a")}).validate()
+        dup.validate(_triple_of(q, {**dims, ("b", 0): 1}, {("m", 1, ("b",)), ("b", "a")}))
     # 0 -a-> 1 <-b- 2: both maximal paths end at 1, where a after the
     # connecting arrow of a and b after that of b are the same dual
     q = parse_quiver("vertices 0 1 2\narrow a 0 1\narrow b 2 1\n")
     dims = {("t", 1): 1, ("b", 0): 1, ("b", 1): 1, ("b", 2): 1}
     both = {("m", 0, ("a",)), ("b", "a"), ("m", 2, ("b",)), ("b", "b")}
-    _triple_of(q, dims, both).validate()
+    dup.validate(_triple_of(q, dims, both))
     with pytest.raises(RuntimeError, match="relation"):
-        _triple_of(q, dims, both - {("b", "b")}).validate()
+        dup.validate(_triple_of(q, dims, both - {("b", "b")}))
 
 
 def test_bar_projective_a2():
     b0 = dup.bar_projective(A2, 0)
     b1 = dup.bar_projective(A2, 1)
-    b0.validate()
-    b1.validate()
+    dup.validate(b0)
+    dup.validate(b1)
     assert dims(b0) == ((1, 1), (1, 0))
     assert dims(b1) == ((0, 1), (1, 1))
     # the connecting matrix along the arrow path is the nonzero one
-    assert b0.struct()[("m", 0, ("e0",))].rank() == 1
-    assert b1.struct()[("m", 0, ("e0",))].rank() == 1
+    assert b0.maps[("m", 0, ("e0",))].rank() == 1
+    assert b1.maps[("m", 0, ("e0",))].rank() == 1
 
 
 def test_bar_projectives_are_projective_and_injective():
@@ -123,7 +123,7 @@ def test_slot_projectives_are_shared_and_never_mutated():
         for got, fresh in ((bar, dup.bar_projective(A3, a)),
                            (low, dup.embed(A3, rep_a.projective(A3, a)))):
             assert got.dims == fresh.dims
-            assert got.struct() == fresh.struct()
+            assert got.maps == fresh.maps
 
 
 def test_embedding_preserves_hom_dimensions():
@@ -171,7 +171,7 @@ def test_hom_into_embedded_injective_counts_support():
 
 
 def test_hom_rejects_mismatched_quivers():
-    with pytest.raises(ValueError, match="different slot sets"):
+    with pytest.raises(ValueError, match="different quiver layouts"):
         homsolve.hom_basis(dup.embed(A2, ref.simple(A2, 0)),
                            dup.embed(A3, ref.simple(A3, 0)))
 
@@ -191,11 +191,11 @@ def test_embedded_projective_dimension_matches_base():
 def test_shifted_modules_a2():
     w0 = dup.shifted_module(A2, 0)
     w1 = dup.shifted_module(A2, 1)
-    w0.validate()
-    w1.validate()
+    dup.validate(w0)
+    dup.validate(w1)
     assert dims(w0) == ((0, 1), (0, 0))
     assert dims(w1) == ((0, 1), (1, 0))
-    assert w1.struct()[("m", 0, ("e0",))].rank() == 1
+    assert w1.maps[("m", 0, ("e0",))].rank() == 1
     for w in (w0, w1):
         assert homsolve.end_dim(w) == 1
         assert ref.projective_dimension(w) == 1
@@ -586,10 +586,10 @@ def test_member_dimensions_without_structure_maps_are_not_in_add():
     ctx, members = _a3_members()
     objs = ctx.objects()
     m = next(objs[k][1] for k in members
-             if any(mat.rank() for mat in objs[k][1].struct().values()))
-    flat = m._rebuild(m.dims, {lab: RatMatrix.zeros(*mat.shape)
-                               for lab, mat in m.struct().items()})
-    assert flat.dims_key() == m.dims_key()
+             if any(mat.rank() for mat in objs[k][1].maps.values()))
+    flat = homsolve.Rep(m.quiver, m.layout, m.dims,
+                        {lab: RatMatrix.zeros(*mat.shape) for lab, mat in m.maps.items()})
+    assert flat.dim_vector() == m.dim_vector()
     assert _decompose(ctx, flat, members) is None
 
 

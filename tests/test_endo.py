@@ -74,12 +74,12 @@ def assert_unit(alg):
 
 def check_action(bm):
     """Acting by x then y equals acting by the product x*y."""
-    alg = bm.algebra
+    alg = bm.quiver
 
     def act(e):
         if e in alg.idempotents:
             return ref.identity(bm.dims[alg.elements[e].src])
-        return bm.action[e]
+        return bm.maps[e]
 
     for x, ex in enumerate(alg.elements):
         for y, ey in enumerate(alg.elements):
@@ -244,7 +244,7 @@ def _assert_dense_coordinates(alg, modules):
             bm = ref.b_module(alg, m)
         except ValueError:
             continue                      # not generated by the summands
-        assert bm.action == _dense_action(alg, m)
+        assert bm.maps == _dense_action(alg, m)
         generated += 1
     return generated
 
@@ -560,4 +560,4 @@ def test_each_regular_projective_is_built_once(monkeypatch):
     for alg, s in builds:
         fresh = build(alg, s)
         assert ref.shared_projective(alg, s).dims == fresh.dims
-        assert ref.shared_projective(alg, s).struct() == fresh.struct()
+        assert ref.shared_projective(alg, s).maps == fresh.maps

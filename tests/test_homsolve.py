@@ -73,8 +73,8 @@ def reference_cokernel(f):
         std = ref.identity(N.dims[s]).data
         sections[s] = RatMatrix([std[i] for i in comp], cols=N.dims[s]).transpose()
     struct = {}
-    for lab, mat in N.struct().items():
-        a, b = N.label_ends(lab)
+    for lab, mat in N.maps.items():
+        a, b = N.layout.ends[lab]
         struct[lab] = projs[b] @ mat @ sections[a]
     return dims, struct, projs
 
@@ -91,7 +91,7 @@ def assert_cokernel_matches(f):
     C, proj = homsolve.cokernel(f)
     dims, struct, projs = reference_cokernel(f)
     assert C.dims == dims
-    assert C.struct() == struct
+    assert C.maps == struct
     assert proj.blocks == projs
 
 
@@ -228,7 +228,7 @@ def test_approximation_map_is_the_sum_of_inclusion_composites(build, name):
         E, f = homsolve.approximation_map(x, pool, comps)
         E_ref, f_ref = reference_approximation_map(x, pool, comps)
         assert E.dims == E_ref.dims
-        assert E.struct() == E_ref.struct()
+        assert E.maps == E_ref.maps
         assert f.blocks == f_ref.blocks
 
 
@@ -260,7 +260,7 @@ def reference_is_iso(m, n):
     """Two-Hom isomorphism test for an indecomposable m and a brick n:
     isomorphic iff f . g != 0 for some g: n -> m and f: m -> n (a
     nonzero endomorphism of a brick is invertible, so f splits)."""
-    if m.dims_key() != n.dims_key():
+    if m.dim_vector() != n.dim_vector():
         return False
     return any(not ref.is_zero(ref.compose(f, g))
                for f in homsolve.hom_basis(m, n) for g in homsolve.hom_basis(n, m))
@@ -274,9 +274,9 @@ def test_certificate_agrees_with_exchange_sequence(name):
     assert len(certificates) == len(graph.arcs)
     for arc, c in zip(graph.arcs, certificates):
         E, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["radical"])
-        assert homsolve.certify_exchange(**c) == E.dims_key()
+        assert homsolve.certify_exchange(**c) == E.dim_vector()
         assert reference_is_iso(cok, c["y"])
-        assert arc.e_dims == E.dims_key()
+        assert arc.e_dims == E.dim_vector()
 
 
 def test_certificate_accepts_exactly_the_isomorphic_complements():
@@ -309,15 +309,34 @@ def _offer_complement(monkeypatch, make):
     monkeypatch.setattr(homsolve, "certify_exchange", offered)
 
 
+def test_one_constructor_checks_every_label_and_shape():
+    # modules over A3 and over duplicated A3 share the check: a map of the
+    # wrong shape, a missing label and an extra one are each refused, and
+    # so is a dimension at a slot outside the layout
+    a3 = named_diagram("A3")
+    for m in (rep_a.projective(a3, 0), dup.bar_projective(a3, 0)):
+        (lab, mat), (other, _) = list(m.maps.items())[:2]
+        for dims, maps in ((m.dims, {**m.maps, lab: RatMatrix.zeros(mat.rows + 1, mat.cols)}),
+                           (m.dims, {k: v for k, v in m.maps.items() if k != lab}),
+                           (m.dims, {**m.maps, ("extra", other): m.maps[other]}),
+                           ({**m.dims, "extra": 0}, m.maps)):
+            with pytest.raises(ValueError):
+                homsolve.Rep(m.quiver, m.layout, dims, maps)
+        # maps given in any order are stored in the layout's
+        got = homsolve.Rep(m.quiver, m.layout, m.dims, dict(reversed(m.maps.items())))
+        assert list(got.maps.items()) == list(m.maps.items())
+        assert list(got.maps) == list(m.layout.ends)
+
+
 def _zero_structure(m):
     """A module with m's dimensions and every structure map zero."""
-    return m._rebuild(m.dims, {lab: RatMatrix.zeros(*mat.shape)
-                               for lab, mat in m.struct().items()})
+    return homsolve.Rep(m.quiver, m.layout, m.dims,
+                        {lab: RatMatrix.zeros(*mat.shape) for lab, mat in m.maps.items()})
 
 
 def _other_dims(x, y):
     for _, z in dup.DupContext(x.quiver).pool():
-        if z.dims_key() != y.dims_key():
+        if z.dim_vector() != y.dim_vector():
             return z
     raise AssertionError("no pool member of other dimensions")
 
@@ -558,8 +577,8 @@ def reference_kernel(f):
         bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()
         dims[s] = len(vecs)
     struct = {}
-    for lab, mat in M.struct().items():
-        a, b = M.label_ends(lab)
+    for lab, mat in M.maps.items():
+        a, b = M.layout.ends[lab]
         pushed = mat @ bases[a]
         cols = [ref.solve(bases[b], [pushed[i, j] for i in range(pushed.rows)])
                 for j in range(pushed.cols)]
@@ -573,7 +592,7 @@ def assert_kernel_matches(f):
     K, incl = ref.kernel(f)
     dims, struct, bases = reference_kernel(f)
     assert K.dims == dims
-    assert K.struct() == struct
+    assert K.maps == struct
     assert incl.blocks == bases
     assert incl.src is K and incl.dst is f.src
 
@@ -679,11 +698,11 @@ def reference_label_nonzeros(M):
     column and each row of its structure matrix, read afresh from
     ``struct()``."""
     out = []
-    for lab, mat in M.struct().items():
+    for lab, mat in M.maps.items():
         cols = [[(i, row[j]) for i, row in enumerate(mat.data) if row[j]]
                 for j in range(mat.cols)]
         rows = [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
-        out.append((*M.label_ends(lab), cols, rows))
+        out.append((*M.layout.ends[lab], cols, rows))
     return tuple(out)
 
 
@@ -738,9 +757,11 @@ def _end_algebras(name):
 
 
 def _slot_projectives(kind):
-    """(slot, P_slot) for every slot projective of one module class: Rep
-    and TripleModule on every orientation of A3 and D4 and on the
-    double-arrow quiver, BMod on every End T over duplicated A3."""
+    """(slot, P_slot) for every slot projective of one kind of module
+    (``ref.kind``): over A ("Rep") and over the duplicated algebra
+    ("TripleModule") on every orientation of A3 and D4 and on the
+    double-arrow quiver, over End T ("BMod") on every End T over
+    duplicated A3."""
     quivers = COVER_QUIVERS + [KRONECKER]
     if kind == "Rep":
         return [(v, rep_a.projective(q, v)) for q in quivers for v in q.vertices]
@@ -752,7 +773,7 @@ def _slot_projectives(kind):
 
 
 def _covered_modules(kind):
-    """Modules of one class whose covers are checked generator by
+    """Modules of one kind whose covers are checked generator by
     generator: the classical indecomposables and the duplicated objects
     on every orientation of A3 and D4 (and the double-arrow window 3),
     and the simples of every End T over duplicated A3 and D4 with their
@@ -784,7 +805,7 @@ def _cover_components_are_morphisms(M):
     _, tags, cover = ref.projective_cover_parts(M)
     start = dict.fromkeys(M.slot_keys, 0)
     for s in tags:
-        P = ref.PROJECTIVES[type(M)](M, s)[0]
+        P = ref.PROJECTIVES[ref.kind(M)](M, s)[0]
         g = SlotMap(P, M, {w: cover.blocks[w].columns(range(start[w], start[w] + P.dims[w]))
                            for w in M.slot_keys})
         for w in M.slot_keys:
@@ -817,18 +838,19 @@ def test_cover_components_are_module_maps(kind):
         assert _cover_components_are_morphisms(M), M
 
 
-@pytest.mark.parametrize("cls, kind", [(rep_a.Rep, "Rep"), (dup.TripleModule, "TripleModule")])
-def test_reversed_words_break_the_cover(monkeypatch, cls, kind):
+@pytest.mark.parametrize("kind", ["Rep", "TripleModule"],
+                         ids=["Rep-Rep", "TripleModule-TripleModule"])
+def test_reversed_words_break_the_cover(monkeypatch, kind):
     # a word of two or more labels read right to left lands on the wrong
     # basis vector or does not compose at all; End T's words have at most
-    # one label, so only the quiver classes can be told apart this way
-    hook = ref.PROJECTIVES[cls]
+    # one label, so only the quiver kinds can be told apart this way
+    hook = ref.PROJECTIVES[kind]
 
     def reversed_words(M, s):
         P, words = hook(M, s)
         return P, {w: [word[::-1] for word in ws] for w, ws in words.items()}
 
-    monkeypatch.setitem(ref.PROJECTIVES, cls, reversed_words)
+    monkeypatch.setitem(ref.PROJECTIVES, kind, reversed_words)
 
     def holds(check, *args):
         try:

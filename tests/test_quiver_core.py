@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,93 @@ def test_parse_errors():
         parse_quiver("vertices 1 2\nloop a 1 2\n")
     with pytest.raises(QuiverSyntaxError):
         parse_quiver("vertices 1 2\narrow a 1 1\n")  # loop = 1-cycle
+
+
+BAD_JSON_QUIVERS = {
+    "float-vertex": '{"vertices": [1.5, 2], "arrows": []}',
+    "string-vertices": '{"vertices": "12", "arrows": []}',
+    "bool-vertex": '{"vertices": [true, 2], "arrows": []}',
+    "float-endpoint": '{"vertices": [1, 2], "arrows": [["a", 1.9, 2]]}',
+    "string-endpoint": '{"vertices": [1, 2], "arrows": [["a", "1", 2]]}',
+    "null-id": '{"vertices": [1, 2], "arrows": [[null, 1, 2]]}',
+    "four-elements": '{"vertices": [1, 2], "arrows": [["a", 1, 2, 2]]}',
+    "no-vertex": '{"vertices": [], "arrows": []}',
+    "arrows-object": '{"vertices": [1, 2], "arrows": {"a": 1}}',
+    "no-arrows-key": '{"vertices": [1, 2]}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_JSON_QUIVERS.values(), ids=BAD_JSON_QUIVERS)
+def test_json_quiver_converts_no_value(text):
+    # the JSON form is as strict as the line format: each value has its
+    # JSON type, and nothing is coerced into a vertex or an arrow
+    with pytest.raises(QuiverSyntaxError, match="^bad JSON quiver: "):
+        parse_quiver(text)
+
+
+# arrow ids and the line format's tokens: no whitespace, no comment sign
+ARROW_IDS = st.text(st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def acyclic_quivers(draw):
+    """(vertices, arrows) of a random acyclic quiver: distinct vertex
+    labels in a random declared order, arrows running forward along a
+    random order of the vertices, parallel arrows allowed."""
+    vertices = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6, unique=True))
+    order = draw(st.permutations(vertices))
+    forward = [(i, j) for j in range(len(order)) for i in range(j)]
+    ends = draw(st.lists(st.sampled_from(forward), max_size=7)) if forward else []
+    ids = draw(st.lists(ARROW_IDS, min_size=len(ends), max_size=len(ends), unique=True))
+    return vertices, [[aid, order[i], order[j]] for aid, (i, j) in zip(ids, ends)]
+
+
+def _line_format(vertices, arrows):
+    lines = ["# drawn", "vertices " + " ".join(map(str, vertices)), ""]
+    return "\n".join(lines + [f"arrow {a} {s} {t}  # id, source, target" for a, s, t in arrows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(acyclic_quivers())
+def test_line_and_json_formats_parse_to_one_quiver(case):
+    vertices, arrows = case
+    q = parse_quiver(_line_format(vertices, arrows))
+    assert parse_quiver(json.dumps({"vertices": vertices, "arrows": arrows})) == q
+    assert q == Quiver(vertices, arrows)
+    assert [list(a) for a in q.arrows] == arrows
+
+
+def _values_except(*kinds):
+    """JSON values of every type but ``kinds``."""
+    values = {"int": st.integers(-3, 3), "float": st.floats(allow_nan=False),
+              "bool": st.booleans(), "str": st.text(max_size=2), "null": st.none(),
+              "list": st.lists(st.integers(-3, 3), max_size=4),
+              "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)}
+    return st.one_of([v for k, v in values.items() if k not in kinds])
+
+
+@st.composite
+def mistyped_json_quivers(draw):
+    """The JSON form of a random acyclic quiver with one value replaced by
+    one of another JSON type: the vertex list, a vertex, the arrow list,
+    an arrow, or an arrow's id or endpoint."""
+    vertices, arrows = draw(acyclic_quivers())
+    obj = {"vertices": vertices, "arrows": arrows}
+    spots = [(obj, "vertices", "list"), (obj, "arrows", "list")]
+    spots += [(vertices, k, "int") for k in range(len(vertices))]
+    spots += [(arrows, k, "list") for k in range(len(arrows))]
+    spots += [(a, k, "str" if k == 0 else "int") for a in arrows for k in range(3)]
+    where, key, kind = draw(st.sampled_from(spots))
+    where[key] = draw(_values_except(kind))
+    return json.dumps(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mistyped_json_quivers())
+def test_a_mistyped_json_quiver_is_a_syntax_error(text):
+    with pytest.raises(QuiverSyntaxError, match="^bad JSON quiver: "):
+        parse_quiver(text)
 
 
 def test_sinks_sources_topo():

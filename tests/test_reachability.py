@@ -23,16 +23,12 @@ ALLOWED = {
     "exactlin.RatMatrix.__eq__": "value equality of the dense matrix, which tests compare by",
     "exactlin.RatMatrix.apply": "the dense matrix-vector product, which tests check against",
     "exactlin.RatMatrix.rank": "the dense rank, which tests check against",
-    "homsolve.SlotModule.struct": "abstract stub of the slot-module protocol",
-    "homsolve.SlotModule.label_ends": "abstract stub of the slot-module protocol",
-    "homsolve.SlotModule._rebuild": "abstract stub of the slot-module protocol",
-    "dup.TripleModule.validate": "the relation check, which reads the private quiver layout",
+    "dup.validate": "the relation check, which reads the private quiver layout",
     "tilt_a.AlmostComplete.label": "the text of a complement-count violation",
     "quiver_core.Quiver.tits_form": "the Tits form of the public Quiver",
     "exactlin.RatMatrix.__repr__": "debugging output",
     "quiver_core.Quiver.__repr__": "debugging output",
-    "rep_a.Rep.__repr__": "debugging output",
-    "dup.TripleModule.__repr__": "debugging output",
+    "homsolve.Rep.__repr__": "debugging output",
     "cli.entry": "process entry, covered by a subprocess test",
 }
 

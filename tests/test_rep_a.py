@@ -111,7 +111,7 @@ def test_hom_a3_projective_to_quotient():
     # full projective onto its length-two quotient
     P, _, _ = canonical_modules(A3)
     from tiltquiver.exactlin import RatMatrix
-    quot = Rep(A3, (1, 1, 0), {
+    quot = Rep(A3, rep_a.layout(A3), {0: 1, 1: 1}, {
         "e0": RatMatrix([[1]]),
         "e1": RatMatrix.zeros(0, 1),
     })
