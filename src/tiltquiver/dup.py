@@ -24,7 +24,8 @@ enumeration of the basic tilting modules containing all bar projectives,
 their exchange graph, and the checkers the command line exposes.
 Enumeration and the exchange graph run on the one engine in
 :mod:`tiltquiver.tilt_a`, fed with this module's pool,
-``DupContext.ext1_idx`` and an exchange-sequence certifier.
+``DupContext.ext1_idx`` and an exchange-sequence certifier, the add test
+``homsolve.cokernel_in_add`` that the deep check runs too.
 
 The duplicated algebra is a bound quiver algebra, and a triple is a
 ``homsolve.Rep``, the one module class, over the layout of its quiver
@@ -40,13 +41,11 @@ not factor so.  ``validate`` checks them through the projectives.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, cached_property
-from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from . import homsolve, rep_a, tilt_a
-from .exactlin import Rat, RatMatrix, SparseEchelon, as_int_if_integral
+from .exactlin import RatMatrix
 from .homsolve import Layout, Rep, SlotMap
 from .quiver_core import Quiver
 
@@ -408,19 +407,18 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     closure of the common part plus bar projectives.
 
     The sequence is certified once per oriented pair (x, y), at the
-    pair's first arc, by ``homsolve.certify_exchange`` from cached Hom
-    bases: the approximation x -> E is injective, dim E = dim x + dim y,
-    and the maps E -> y killing x form a line spanned by a surjection.
-    The composites it needs depend only on object indices and are read
-    from ``radical_idx`` and ``composite_idx``.  The summands of E are
-    the targets of the approximation components the certificate returns.
-    Exactness depends only on x, y and the component maps, so the pair's
-    sequence serves every arc whose part contains those summands; by
-    Krull-Schmidt that puts E in the part's additive closure, and every
-    arc checks that its part holds the pair's non-bar summands.  The
-    pair's first arc also checks dim Ext^1(y, x) = 1, which gives every
-    non-split extension of y by x, each later arc's own included, the
-    same middle term (Happel-Unger).
+    pair's first arc, from cached Hom bases: the approximation x -> E is
+    injective (``homsolve.approximation_key``) and its cokernel is y,
+    ``homsolve.cokernel_in_add(ctx, x, key)([y]) == [1]``, the deep
+    check's add test.  Its composites depend only on object indices
+    (``radical_idx``, ``composite_idx``).  E's dimensions and summands
+    are read off the key.  Exactness depends only on x, y and the
+    component maps, so the pair's sequence serves every arc whose part
+    contains those summands; by Krull-Schmidt that puts E in the part's
+    additive closure, and every arc checks that its part holds the pair's
+    non-bar summands.  The pair's first arc also checks dim Ext^1(y, x) =
+    1, which gives every non-split extension of y by x, each later arc's
+    own included, the same middle term (Happel-Unger).
     Parts without exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
@@ -435,18 +433,13 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
             ext = ctx.ext1_idx(y, x)
             if ext != 1:
                 raise RuntimeError(f"Ext^1({ids[y]}, {ids[x]}) has dimension {ext}, not 1")
-            members = list(rest) + bar_indices
-            cert = homsolve.certify_exchange(
-                objs[x][1], [objs[k][1] for k in members], objs[y][1],
-                hom_x=[ctx.hom_idx(x, k) for k in members],
-                hom_y=[ctx.hom_idx(k, y) for k in members],
-                radical=lambda a, b: ctx.radical_idx(x, members[a], members[b]),
-                composites=lambda a: ctx.composite_idx(x, members[a], y))
-            if cert is None:
+            key = homsolve.approximation_key(ctx, x, list(rest) + bar_indices)
+            if homsolve.cokernel_in_add(ctx, x, key)([y]) != [1]:
                 raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
                                    f"complement {ids[y]}")
-            got = pairs[(x, y)] = (tuple(cert), frozenset(
-                rest[i] for i, _ in cert.components if i < len(rest)))
+            got = pairs[(x, y)] = (
+                tuple(map(sum, zip(*(objs[k][1].dim_vector() for k, _ in key)))),
+                frozenset(k for k, _ in key if k < bar_indices[0]))
         e_dims, summands = got
         if not summands.issubset(rest):
             raise RuntimeError(f"middle term of the exchange of {ids[x]} for {ids[y]} "
@@ -586,126 +579,12 @@ def deep_check_projectives(ctx: DupContext) -> list[int]:
     return list(range(ctx.pool_size(), ctx.pool_size() + ctx.n)) + ctx.embedded_projective_indices()
 
 
-def _cokernel_in_add(ctx: DupContext, p: int, comps: tuple[tuple[int, int], ...]
-                     ) -> Callable[[list[int]], list[int] | None]:
-    """The add T test of T1 = coker(f: P -> T0), f the approximation of
-    the projective object p with components ``comps`` (object index m_c,
-    position of h_c in ``hom_idx(p, m_c)``).  A map T0 -> k is a vector
-    over the bases ``hom_idx(m_c, k)``; Hom(-, k) is left exact, so
-    Hom(T1, k) is the kernel of precomposition with f (``hom``, by
-    ``homsolve.exchange_line``).  T1 is in add T iff its minimal left
-    add(T)-approximation is injective with dim E = dim T1
-    (Auslander-Smalo, ``decide``).  Returns the test: component counts
-    per member, or None, certified by recomputing every composite block
-    the verdict read (``RuntimeError`` on a mismatch)."""
-    objs = ctx.objects()
-    slots = objs[p][1].slot_keys
-    # per slot, where each component starts in T0, then T0's dimension
-    offsets = {s: list(accumulate((objs[m][1].dims[s] for m, _ in comps), initial=0))
-               for s in slots}
-    dims = tuple(offsets[s][-1] - objs[p][1].dims[s] for s in slots)
-    hom_p = [ctx.hom_idx(p, m) for m, _ in comps]
-    f_maps = [(c, hom_p[c][pos]) for c, (_, pos) in enumerate(comps)]
-
-    @cache
-    def hom(k: int) -> tuple[dict[int, dict[int, Rat]], list[tuple[int, int]]]:
-        """The canonical kernel basis by free column, its last nonzero
-        entry, and each column's (component, basis position)."""
-        columns = [(c, l) for c, (m, _) in enumerate(comps) for l in range(len(ctx.hom_idx(m, k)))]
-        if not ctx.hom_idx(p, k):                 # every map T0 -> k kills P
-            return {col: {col: 1} for col in range(len(columns))}, columns
-        _, kernel = homsolve.exchange_line(f_maps, hom_p, [ctx.hom_idx(m, k) for m, _ in comps],
-                                           lambda c: ctx.composite_idx(p, comps[c][0], k))
-        basis = [{col: as_int_if_integral(x) for col, x in enumerate(v) if x} for v in kernel]
-        return {max(vec): vec for vec in basis}, columns
-
-    @cache
-    def radical(j: int, i: int) -> tuple:
-        """``homsolve.radical_coordinates`` of T1 -> j -> i in ``hom(i)``,
-        each composite lifted through ``composite_idx(m_c, j, i)``."""
-        (phis, columns), (basis, _) = hom(j), hom(i)
-        starts = list(accumulate((len(ctx.hom_idx(m, i)) for m, _ in comps), initial=0))
-        span = SparseEchelon(len(basis))
-        for q in range(len(ctx.hom_idx(j, i))):
-            for phi in phis.values():
-                lift: dict[int, Rat] = {}
-                for col, a in phi.items():
-                    c, l = columns[col]
-                    for z, v in enumerate(ctx.composite_idx(comps[c][0], j, i)[l][q], starts[c]):
-                        if v:
-                            lift[z] = lift.get(z, 0) + a * v
-                coords = [lift.get(f, 0) for f in basis]
-                for x, vec in zip(coords, basis.values()):
-                    for f, v in vec.items() if x else ():
-                        lift[f] = lift.get(f, 0) - x * v
-                if any(lift.values()):
-                    raise RuntimeError(f"deep check: a composite leaves Hom(T1, {i})")
-                span.add(dict(enumerate(coords)))
-        rows, _ = span.result()
-        return tuple(tuple(as_int_if_integral(row.get(n, 0)) for n in range(len(basis)))
-                     for row in rows)
-
-    @cache
-    def decide(support: tuple[int, ...]) -> Counter | None:
-        """The test on the members with Hom(T1, k) nonzero.  T1 -> E is
-        injective iff its lift G: T0 -> E, built from Hom basis maps, has
-        rank dim T0_s - dim P_s at every slot s; G . f = 0 is checked."""
-        found = homsolve.minimal_left_approximation(
-            [list(hom(k)[0]) for k in support], lambda a, b: radical(support[a], support[b]))
-        tops = tuple((support[i], f) for i, f in found)
-        if tuple(sum(objs[k][1].dims[s] for k, _ in tops) for s in slots) != dims:
-            return None
-        f_blocks = [homsolve._block_nonzeros(h) for _, h in f_maps]
-        for t, s in enumerate(slots):
-            offs, echelon = offsets[s], SparseEchelon(offsets[s][-1])
-            f_rows = [row for h in f_blocks for row in h[t]]          # f_s, T0_s x P_s
-            for k, f in tops:
-                basis, columns = hom(k)
-                block: list[dict[int, Rat]] = [{} for _ in range(objs[k][1].dims[s])]
-                for col, a in basis[f].items():
-                    c, l = columns[col]
-                    g = homsolve._block_nonzeros(ctx.hom_idx(comps[c][0], k)[l])
-                    for out, g_row in zip(block, g[t]):
-                        for u, v in g_row:
-                            out[offs[c] + u] = out.get(offs[c] + u, 0) + a * v
-                for row in block:
-                    gf: dict[int, Rat] = {}
-                    for u, a in row.items():
-                        for w, v in f_rows[u]:
-                            gf[w] = gf.get(w, 0) + a * v
-                    if any(gf.values()):
-                        raise RuntimeError(f"deep check: a map T1 -> {k} does not kill P")
-                    echelon.add(row)
-            if echelon.rank != offs[-1] - objs[p][1].dims[s]:
-                return None
-        return Counter(k for k, _ in tops)
-
-    def multiplicities(members: list[int]) -> list[int] | None:
-        if not any(dims):                         # the injective f keeps dimensions
-            return [0] * len(members)
-        support = tuple(k for k in members if hom(k)[0])
-        counts = decide(support)
-        if counts is not None:
-            return [counts[k] for k in members]
-        # a None is certified: the blocks that hom, then radical, read
-        for x, i, y in sorted({(p, m, k) for m, _ in comps for k in members}
-                              | {(m, j, k) for m, _ in comps for j in support for k in support}):
-            if ctx.composite_idx(x, i, y) != homsolve.composite_coordinates(
-                    objs[x][1], ctx.hom_idx(x, i), ctx.hom_idx(i, y), ctx.hom_idx(x, y)):
-                raise RuntimeError(f"deep check: cached composites of objects {(x, i, y)} "
-                                   "disagree with their maps")
-        return None
-
-    return multiplicities
-
-
 def coresolutions(ctx: DupContext) -> Iterator[tuple[int, int, list[int] | None]]:
     """(t, p, multiplicities of T's members, bars last, in T1, or None),
     projective by projective (``deep_check_projectives``), each tilting
     set once per P; T1 = coker(P -> T0), the minimal left approximation
     computed once per support (members k with Hom(P, k) nonzero) and
-    tested once per key (P, components) by ``_cokernel_in_add``."""
-    objs = ctx.objects()
+    tested once per key (P, components) by ``homsolve.cokernel_in_add``."""
     tilts = enumerate_tilting_dup(ctx)
     projectives = deep_check_projectives(ctx)
     bar_indices = projectives[:ctx.n]
@@ -715,14 +594,10 @@ def coresolutions(ctx: DupContext) -> Iterator[tuple[int, int, list[int] | None]
         for t_pos, t in enumerate(tilts):
             support = tuple(k for k in t.indices + tuple(bar_indices) if ctx.hom_idx(p, k))
             if support not in keys:
-                comps = homsolve.injective_approximation(
-                    objs[p][1], [ctx.hom_idx(p, k) for k in support],
-                    lambda a, b: ctx.radical_idx(p, support[a], support[b]))
-                keys[support] = tuple((support[i], homsolve.basis_position(
-                    ctx.hom_idx(p, support[i]), h)) for i, h in comps)
+                keys[support] = homsolve.approximation_key(ctx, p, support)
             pairs.setdefault(keys[support], []).append(t_pos)
         for key, t_positions in pairs.items():                # one key's caches at a time
-            in_add = _cokernel_in_add(ctx, p, key)
+            in_add = homsolve.cokernel_in_add(ctx, p, key)
             for t_pos in t_positions:
                 yield t_pos, p_pos, in_add(list(tilts[t_pos].indices) + bar_indices)
 

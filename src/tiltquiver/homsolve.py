@@ -19,9 +19,11 @@ here, written once:
 * minimal left approximations into an additive subcategory spanned by
   indecomposables with one-dimensional endomorphism rings, the short
   exact exchange sequence an approximation generates (into add of the
-  injectives, the approximation is the injective envelope), and the
-  certificate of such a sequence that builds neither its middle term
-  nor its cokernel.
+  injectives, the approximation is the injective envelope), and one
+  certificate over an ``IndexCache``, ``cokernel_in_add``, that decides
+  whether the cokernel of an approximation lies in add of given objects
+  while building neither the middle term nor the cokernel: it certifies
+  the duplicated exchange sequences and the deep check alike.
 
 Covers, kernels and module resolutions are not needed: every object
 whose Ext^1 the package reads comes with a projective presentation of
@@ -32,7 +34,10 @@ simples of End T in free coordinates.  No linear algebra happens outside
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactlin import (
@@ -91,7 +96,7 @@ class Rep:
         return sum(self.dims.values())
 
     def dim_vector(self) -> tuple[int, ...]:
-        return tuple(self.dims[s] for s in self.slot_keys)
+        return tuple(self.dims.values())  # built in slot order
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
@@ -520,21 +525,6 @@ class NoExchangeSequence(RuntimeError):
     in add of a pool catches it."""
 
 
-class ExchangeDims(tuple):
-    """The slot dimensions of a certified middle term E (``dim_vector``
-    order), equal to the plain tuple, carrying the components (pool
-    index, basis map x -> pool_i) of the approximation x -> E that the
-    certificate built, so E's summands are read off without a second
-    approximation."""
-
-    components: list[tuple[int, SlotMap]]
-
-    def __new__(cls, dims: Iterable[int], components: list[tuple[int, SlotMap]]):
-        got = super().__new__(cls, dims)
-        got.components = components
-        return got
-
-
 def injective_approximation(
     x: Rep,
     hom_x: Sequence[list[SlotMap]],
@@ -618,66 +608,139 @@ def exchange_line(
     return terms, kernel_from_rref(echelon, pivots, len(terms))
 
 
-def certify_exchange(
-    x: Rep,
-    pool: Sequence[Rep],
-    y: Rep,
-    hom_x: Sequence[list[SlotMap]],
-    hom_y: Sequence[list[SlotMap]],
-    radical: Callable[[int, int], Sequence[Sequence[Rat]]],
-    composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]],
-) -> ExchangeDims | None:
-    """Certify 0 -> x -> E -> y -> 0 for a given brick y (End y = k),
-    building neither E nor the cokernel of the approximation f: x -> E.
+def approximation_key(ctx: IndexCache, x: int, members: Sequence[int]
+                      ) -> tuple[tuple[int, int], ...]:
+    """The injective minimal left approximation f: x -> E of object x into
+    add of the objects ``members`` (``injective_approximation`` over
+    ``ctx``), as a key naming f: per component, its target's object index
+    and its position in the cached basis ``ctx.hom_idx(x, target)``."""
+    comps = injective_approximation(ctx.module(x), [ctx.hom_idx(x, k) for k in members],
+                                    lambda a, b: ctx.radical_idx(x, members[a], members[b]))
+    return tuple((members[i], basis_position(ctx.hom_idx(x, members[i]), h)) for i, h in comps)
 
-    f is the minimal left approximation of x into add(pool), as in
-    ``exchange_sequence``, and ``hom_y[i]`` is a basis of Hom(pool_i,
-    y).  The certificate:
 
-    1. f is nonzero and injective at every slot (else
-       ``NoExchangeSequence``);
-    2. dim E = dim x + dim y at every slot;
-    3. the maps g: E -> y with g . f = 0, that is Hom(coker f, y), form
-       a line (``exchange_line``: one linear system in coordinates of a
-       basis of Hom(x, y));
-    4. its generator g is onto at every slot.
+def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
+                    ) -> Callable[[Sequence[int]], list[int] | None]:
+    """The add test of C = coker(f: x -> E), f named by ``key``
+    (``approximation_key``), from the cached Hom bases and composites of
+    ``ctx``; neither E nor C is built.  A map E -> k is a vector over the
+    bases ``hom_idx(m_c, k)``; Hom(-, k) is left exact, so Hom(C, k) is
+    the kernel of precomposition with f (``hom``, by ``exchange_line``).
+    C is in add of some objects iff its minimal left approximation into
+    their sum is injective with target of dimension dim C
+    (Auslander-Smalo, ``decide``).  Returns the test: the multiplicity in
+    C of each given object, or None, a verdict certified by recomputing
+    every composite block it read (``RuntimeError`` on a mismatch).  The
+    deep check tests coker(P -> T0) against the summands of T; an
+    exchange pair (x, y) holds iff the test of [y] gives [1], that is,
+    iff 0 -> x -> E -> y -> 0 is exact."""
+    mod = ctx.module
+    targets = [mod(m).dim_vector() for m, _ in key]         # E's summands
+    dims = tuple(sum(col) - w for col, w in zip(zip(*targets), mod(x).dim_vector()))  # C's
+    hom_x = [ctx.hom_idx(x, m) for m, _ in key]
+    f_maps = [(c, hom_x[c][pos]) for c, (_, pos) in enumerate(key)]
 
-    Then im f lies in ker g, whose dimension is dim E - dim y = dim im f
-    at every slot, so the sequence is exact and coker f is isomorphic to
-    y.  Returns the slot dimensions of E (in ``dim_vector`` order) with
-    the components of f (``ExchangeDims``), or None when y is not the
-    cokernel of f.  ``radical`` (of ``minimal_left_approximation``) and
-    ``composites`` (of ``exchange_line``) hold coordinates that depend
-    only on the modules, so a caller certifying many arcs over one pool
-    computes them once per (x, pool_j, pool_i) and (x, pool_i, y).
-    """
-    comps = injective_approximation(x, hom_x, radical)
-    slots = x.slot_keys
-    e_dims = tuple(sum(pool[i].dims[s] for i, _ in comps) for s in slots)
-    if e_dims != tuple(x.dims[s] + y.dims[s] for s in slots):
-        return None
-    terms, solutions = exchange_line(comps, hom_x, hom_y, composites)
-    if len(solutions) != 1:
-        return None
-    # g's block at slot s is the row of its components sum c . g: onto
-    # iff its sparse rows, component k shifted by offs[k], have rank dim y_s
-    coeffs = [(as_int_if_integral(c), k, _block_nonzeros(g))
-              for (k, g), c in zip(terms, solutions[0]) if c]
-    for t, s in enumerate(slots):
-        if not y.dims[s]:
-            continue
-        offs = [0]
-        for i, _ in comps:
-            offs.append(offs[-1] + pool[i].dims[s])
-        rows: list[dict[int, Rat]] = [{} for _ in range(y.dims[s])]
-        for c, k, g_nonzeros in coeffs:
-            for row, g_row in zip(rows, g_nonzeros[t]):
-                for col, v in g_row:
-                    col += offs[k]
-                    row[col] = row.get(col, 0) + c * v
-        echelon = SparseEchelon(offs[-1])
-        for row in rows:
-            echelon.add(row)
-        if echelon.rank != y.dims[s]:
+    @cache
+    def hom(k: int) -> tuple[dict[int, dict[int, Rat]], list[tuple[int, int]]]:
+        """The canonical kernel basis by free column, its last nonzero
+        entry, and each column's (component, basis position)."""
+        columns = [(c, l) for c, (m, _) in enumerate(key) for l in range(len(ctx.hom_idx(m, k)))]
+        if not ctx.hom_idx(x, k):                 # every map E -> k kills x
+            return {col: {col: 1} for col in range(len(columns))}, columns
+        _, kernel = exchange_line(f_maps, hom_x, [ctx.hom_idx(m, k) for m, _ in key],
+                                  lambda c: ctx.composite_idx(x, key[c][0], k))
+        basis = [{col: as_int_if_integral(v) for col, v in enumerate(vec) if v}
+                 for vec in kernel]
+        return {max(vec): vec for vec in basis}, columns
+
+    @cache
+    def radical(j: int, i: int) -> tuple:
+        """``radical_coordinates`` of C -> j -> i in ``hom(i)``, each
+        composite lifted through ``composite_idx(m_c, j, i)``."""
+        (phis, columns), (basis, _) = hom(j), hom(i)
+        starts = list(accumulate((len(ctx.hom_idx(m, i)) for m, _ in key), initial=0))
+        span = SparseEchelon(len(basis))
+        for q in range(len(ctx.hom_idx(j, i))):
+            for phi in phis.values():
+                lift: dict[int, Rat] = {}
+                for col, a in phi.items():
+                    c, l = columns[col]
+                    for z, v in enumerate(ctx.composite_idx(key[c][0], j, i)[l][q], starts[c]):
+                        if v:
+                            lift[z] = lift.get(z, 0) + a * v
+                coords = [lift.get(f, 0) for f in basis]
+                for a, vec in zip(coords, basis.values()):
+                    for f, v in vec.items() if a else ():
+                        lift[f] = lift.get(f, 0) - a * v
+                if any(lift.values()):
+                    raise RuntimeError(f"a composite leaves Hom(coker, {i})")
+                span.add(dict(enumerate(coords)))
+        rows, _ = span.result()
+        return tuple(tuple(as_int_if_integral(row.get(n, 0)) for n in range(len(basis)))
+                     for row in rows)
+
+    @cache
+    def decide(support: tuple[int, ...]) -> Counter | None:
+        """The test on the objects k with Hom(C, k) nonzero.  C -> E' is
+        injective iff its lift G: E -> E', built from Hom basis maps, has
+        rank dim E_s - dim x_s at every slot s; G . f = 0 is checked."""
+        found = minimal_left_approximation(
+            [list(hom(k)[0]) for k in support], lambda a, b: radical(support[a], support[b]))
+        # per component C -> k: k, its dims and the terms of its lift, each
+        # a coefficient, a component c of E and the basis map m_c -> k
+        lifts = []
+        for i, f in found:
+            k = support[i]
+            basis, columns = hom(k)
+            terms = []
+            for col, a in basis[f].items():
+                c, l = columns[col]
+                terms.append((a, c, _block_nonzeros(ctx.hom_idx(key[c][0], k)[l])))
+            lifts.append((k, mod(k).dim_vector(), terms))
+        if tuple(map(sum, zip(*(d for _, d, _ in lifts)))) != dims:
             return None
-    return ExchangeDims(e_dims, comps)
+        f_blocks = [_block_nonzeros(h) for _, h in f_maps]
+        for t, n in enumerate(dims):
+            if not n:                             # no rows, and E_s - x_s = 0
+                continue
+            # where each component starts in E_s, then dim E_s
+            offs = list(accumulate((d[t] for d in targets), initial=0))
+            echelon = SparseEchelon(offs[-1])
+            f_rows = [row for h in f_blocks for row in h[t]]          # f_s, E_s x x_s
+            for k, d, terms in lifts:
+                block: list[dict[int, Rat]] = [{} for _ in range(d[t])]
+                for a, c, g in terms:
+                    off = offs[c]
+                    for out, g_row in zip(block, g[t]):
+                        for u, v in g_row:
+                            out[off + u] = out.get(off + u, 0) + a * v
+                for row in block:
+                    gf: dict[int, Rat] = {}
+                    for u, a in row.items():
+                        for w, v in f_rows[u]:
+                            gf[w] = gf.get(w, 0) + a * v
+                    if any(gf.values()):
+                        raise RuntimeError(f"a map from the cokernel to {k} does not kill "
+                                           "the approximated object")
+                    echelon.add(row)
+            if echelon.rank != n:
+                return None
+        return Counter(k for k, _, _ in lifts)
+
+    def multiplicities(members: Sequence[int]) -> list[int] | None:
+        if not any(dims):                         # the injective f keeps dimensions
+            return [0] * len(members)
+        support = tuple(k for k in members if hom(k)[0])
+        counts = decide(support)
+        if counts is not None:
+            return [counts[k] for k in members]
+        # a None is certified: the blocks that hom, then radical, read
+        for a, i, b in sorted({(x, m, k) for m, _ in key for k in members}
+                              | {(m, j, k) for m, _ in key for j in support for k in support}):
+            if ctx.composite_idx(a, i, b) != composite_coordinates(
+                    mod(a), ctx.hom_idx(a, i), ctx.hom_idx(i, b), ctx.hom_idx(a, b)):
+                raise RuntimeError(f"cached composites of objects {(a, i, b)} "
+                                   "disagree with their maps")
+        return None
+
+    return multiplicities

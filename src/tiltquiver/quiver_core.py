@@ -270,21 +270,23 @@ def parse_quiver(text: str) -> Quiver:
         arrow a 1 2
         arrow b 2 3
 
-    JSON format, as strict as the line format: an object with keys
-    "vertices" (a non-empty list of integers) and "arrows" (a list of
-    [id, source, target], a string and two integers; no value is
-    converted, so a float or a bool is rejected).
+    JSON format, as strict as the line format: an object with exactly
+    the keys "vertices" (a non-empty list of integers) and "arrows" (a
+    list of [id, source, target], a string and two integers; no value is
+    converted, so a float or a bool is rejected).  Text that starts with
+    "{" or "[" is read as JSON.
     """
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         import json
 
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise QuiverSyntaxError(f"bad JSON quiver: {exc}") from None
-        if not isinstance(obj, dict) or "vertices" not in obj or "arrows" not in obj:
-            raise QuiverSyntaxError('bad JSON quiver: needs keys "vertices" and "arrows"')
+        if not isinstance(obj, dict) or obj.keys() != {"vertices", "arrows"}:
+            raise QuiverSyntaxError('bad JSON quiver: needs an object with exactly the keys '
+                                    '"vertices" and "arrows"')
         vertices, arrows = obj["vertices"], obj["arrows"]
         if not (isinstance(vertices, list) and vertices and all(type(v) is int for v in vertices)):
             raise QuiverSyntaxError(f"bad JSON quiver: vertices {json.dumps(vertices)} "

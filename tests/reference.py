@@ -21,6 +21,8 @@ lives here:
 * the cover route, which the package does not need: kernels, projective
   covers (one hook per module kind, ``PROJECTIVES``), resolutions, the
   generic Ext^1, and the check that Hom(T, -) never raises pd;
+* ``FreshCache``, an ``IndexCache`` over free-standing modules with
+  freshly solved Hom bases;
 * the routes the package no longer takes: the deep check's cokernel
   modules with the Hom bases solved out of them (``deep_check_cokernels``),
   the per-algebra multiplication table of End T (``structure_table``), and
@@ -323,6 +325,25 @@ def decompose_in_add(ctx, c, member_indices, hom, radical):
     e_dims = tuple(sum(objs[member_indices[i]][1].dims[s] for i, _ in comps)
                    for s in c.slot_keys)
     return mults if e_dims == c.dim_vector() else None
+
+
+class FreshCache(homsolve.IndexCache):
+    """An ``IndexCache`` over the modules ``mods``, by list position, its
+    Hom bases fresh ``hom_basis`` results: the package's certificates run
+    on it over free-standing modules, apart from any context's cache."""
+
+    def __init__(self, mods):
+        super().__init__()
+        self.mods = list(mods)
+
+    def module(self, i):
+        return self.mods[i]
+
+    def hom_idx(self, i, j):
+        got = self._hom.get((i, j))
+        if got is None:
+            got = self._hom[(i, j)] = homsolve.hom_basis(self.mods[i], self.mods[j])
+        return got
 
 
 def deep_check_cokernels(ctx, drop=None):

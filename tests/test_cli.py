@@ -294,17 +294,13 @@ WRONG_COKERNEL = (
 )
 
 
-# every duplicated arc is offered its own source x as the complement, with
-# Hom bases into x and composite coordinates of its own
+# every duplicated arc's certificate tests its own source x as the
+# complement, in place of y
 WRONG_COMPLEMENT = (
     "import sys\n"
     "from tiltquiver import cli, homsolve\n"
-    "certify, hom_basis = homsolve.certify_exchange, homsolve.hom_basis\n"
-    "def offered(x, pool, y, hom_x, hom_y, radical, composites):\n"
-    "    hom_px, hom_xx = [hom_basis(P, x) for P in pool], hom_basis(x, x)\n"
-    "    return certify(x, pool, x, hom_x, hom_px, radical, lambda i: \\\n"
-    "        homsolve.composite_coordinates(x, hom_x[i], hom_px[i], hom_xx))\n"
-    "homsolve.certify_exchange = offered\n"
+    "in_add = homsolve.cokernel_in_add\n"
+    "homsolve.cokernel_in_add = lambda ctx, x, key: lambda members: in_add(ctx, x, key)([x])\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 

@@ -484,18 +484,22 @@ def test_graph_sizes_match_closed_forms(name, vertices):
 @pytest.mark.parametrize("name, pairs", [("A3", 15), ("D4", 52), ("D5", 130)])
 def test_each_exchange_pair_is_certified_once(monkeypatch, name, pairs):
     seen = []
-    certify = homsolve.certify_exchange
+    in_add = homsolve.cokernel_in_add
 
-    def counted(x, pool, y, *args, **kwargs):
-        seen.append((x, y))
-        return certify(x, pool, y, *args, **kwargs)
+    def counted(ctx, x, key):
+        test = in_add(ctx, x, key)
 
-    monkeypatch.setattr(homsolve, "certify_exchange", counted)
+        def tested(members):
+            seen.append((x, tuple(members)))
+            return test(members)
+        return tested
+
+    monkeypatch.setattr(homsolve, "cokernel_in_add", counted)
     g = dup.tilting_quiver_dup(dup.DupContext(named_diagram(name)))
     assert len({(a.x, a.y) for a in g.arcs}) == pairs < len(g.arcs)
-    assert len(seen) == pairs
-    # x and y are the context's cached objects, so their ids name the pair
-    assert len({(id(x), id(y)) for x, y in seen}) == pairs
+    # each test is of the one complement y, by object index
+    assert len(seen) == len(set(seen)) == pairs
+    assert all(len(members) == 1 for _, members in seen)
 
 
 def test_graph_works_on_a_file_style_quiver():
@@ -709,8 +713,8 @@ def test_one_cokernel_per_projective_and_approximation(monkeypatch, name, count)
     ctx = dup.DupContext(named_diagram(name))
     keys = _sharing_keys(ctx)
     built, modules = [], []
-    in_add = dup._cokernel_in_add
-    monkeypatch.setattr(dup, "_cokernel_in_add", lambda ctx, p, comps: built.append(
+    in_add = homsolve.cokernel_in_add
+    monkeypatch.setattr(homsolve, "cokernel_in_add", lambda ctx, p, comps: built.append(
         (p, comps)) or in_add(ctx, p, comps))
     monkeypatch.setattr(homsolve, "cokernel", lambda f: modules.append(f))
     report = dup.deep_check_coresolution(ctx)
@@ -754,16 +758,17 @@ EMPTY_ENVELOPE = (
 
 # every pair claims the whole almost complete part of its first arc as
 # summands of E, which a later arc of the pair, with another part, lacks:
-# each certificate hands back one more component per pool member
+# each approximation key gains one component per member, which the add
+# test does not see
 MISSING_SUMMAND = (
     "import sys\n"
     "from tiltquiver import cli, homsolve\n"
-    "certify = homsolve.certify_exchange\n"
-    "def widened(x, pool, y, *args, **kwargs):\n"
-    "    got = certify(x, pool, y, *args, **kwargs)\n"
-    "    extra = [(i, None) for i in range(len(pool))]\n"
-    "    return homsolve.ExchangeDims(got, got.components + extra)\n"
-    "homsolve.certify_exchange = widened\n"
+    "approximation_key, in_add = homsolve.approximation_key, homsolve.cokernel_in_add\n"
+    "def widened(ctx, x, members):\n"
+    "    return approximation_key(ctx, x, members) + tuple((k, None) for k in members)\n"
+    "homsolve.approximation_key = widened\n"
+    "homsolve.cokernel_in_add = lambda ctx, x, key: in_add(\n"
+    "    ctx, x, tuple(c for c in key if c[1] is not None))\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -972,6 +977,52 @@ def test_corrupted_composite_in_the_deep_check_is_an_engine_error(flags, route):
     assert proc.stderr.startswith("engine error:")
     if route == "certificate":
         assert "disagree with their maps" in proc.stderr
+
+
+# every coordinate of every composite block that dup-kquiver on the
+# diagram argv[1] reads, changed in turn, by + 1 and by a 0 <-> 1 flip, at
+# every read of its block: each run must be an engine error; prints the
+# number of coordinates, then each run that was not
+CORRUPTED_ARC_COMPOSITES = (
+    "import contextlib, io, sys\n"
+    "from tiltquiver import cli, dup\n"
+    "argv = ['dup-kquiver', '--diagram', sys.argv[1]]\n"
+    "composite_idx, read = dup.DupContext.composite_idx, {}\n"
+    "dup.DupContext.composite_idx = lambda self, x, i, y: read.setdefault(\n"
+    "    (x, i, y), composite_idx(self, x, i, y))\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    if cli.main(argv) != 0:\n"
+    "        sys.exit('the clean run fails')\n"
+    "faults, count = {}, 0\n"
+    "for key, block in read.items():\n"
+    "    for a, row in enumerate(block):\n"
+    "        for b, cs in enumerate(row):\n"
+    "            for z, v in enumerate(cs):\n"
+    "                count += 1\n"
+    "                for changed in (v + 1, 0 if v else 1):\n"
+    "                    rows = [[list(cs) for cs in row] for row in block]\n"
+    "                    rows[a][b][z] = changed\n"
+    "                    faults[(key, tuple(tuple(map(tuple, row)) for row in rows))] = None\n"
+    "print(count, 'coordinates')\n"
+    "for key, bad in faults:\n"
+    "    dup.DupContext.composite_idx = (lambda self, x, i, y, key=key, bad=bad:\n"
+    "        bad if (x, i, y) == key else composite_idx(self, x, i, y))\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        code = cli.main(argv)\n"
+    "    if (code, out.getvalue()) != (2, '') or not err.getvalue().startswith('engine error:'):\n"
+    "        print(key, bad, code, repr(out.getvalue()), repr(err.getvalue()))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("name, count", [("A3", 10), ("D4", 76)])
+def test_corrupted_composite_in_an_arc_certificate_is_an_engine_error(flags, name, count):
+    # the add test checks g . f = 0 on real blocks, so no corrupted
+    # coordinate is read as a pass or a violation
+    proc = _run_script(flags, CORRUPTED_ARC_COMPOSITES, name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{count} coordinates\n"
 
 
 # the deep check runs on every tilting set with the object of pool

@@ -500,6 +500,35 @@ def test_dropped_cover_column_exits_with_an_engine_error(flags):
     assert_engine_error(run_cli_script(flags, DROPPED_COVER_COLUMN))
 
 
+# the first simple resolved, over a non-bar summand of the first tilting
+# module, gets a resolution of length 3: within the bound of 3, but not
+# within theorem 3.1's refinement for non-bar summands
+LONG_NON_BAR_RESOLUTION = (
+    "import sys\n"
+    "from tiltquiver import cli, endo\n"
+    "simple_resolution, calls = endo.simple_resolution, []\n"
+    "def longer(alg, i):\n"
+    "    steps = simple_resolution(alg, i)\n"
+    "    calls.append(i)\n"
+    "    if len(calls) == 1:\n"
+    "        steps = steps + [[]] * (4 - len(steps))\n"
+    "    return steps\n"
+    "endo.simple_resolution = longer\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A2']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_bar_simple_of_projective_dimension_3_is_a_violation(flags):
+    proc = run_cli_script(flags, LONG_NON_BAR_RESOLUTION)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "theorem 3.1 [diagram A2]: violation"
+    assert "max_global_dimension=3" in lines[1]
+    assert lines[2:] == ["counterexample: E(0,1)+E(1,1): simple over non-bar summand E(0,1) "
+                         "has projective dimension 3 > 2"]
+
+
 # ---------------------------------------------------------------------------
 # the global dimension bound
 

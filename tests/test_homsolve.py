@@ -8,14 +8,15 @@ completed basis and identity sections for the cokernel; a sum of
 inclusion composites for the approximation map; ``compose(g, h).vec()`` for
 the composites.  Inputs are every map the exchange graphs of duplicated
 A3 and D4 (and classical D4) hand to these helpers, plus generated ones;
-a duplicated arc's exchange map x -> E is rebuilt from the arguments of
-its certificate, ``certify_exchange``, which builds neither E nor the
-cokernel.  The graph certifies each exchange pair (x, y) once, so every
-arc's own arguments are rebuilt from the graph (``_arc_certificates``).
-That certificate is held to ``exchange_sequence`` and to a two-Hom
-isomorphism test, and must reject wrong complements.  The structure
-nonzeros that ``_hom_system`` memoizes per module are held to a fresh
-read after full runs of both engines.  The oracles' cover route
+a duplicated arc's exchange map x -> E is rebuilt from the inputs of
+its certificate, ``approximation_key`` and ``cokernel_in_add``, which
+build neither E nor the cokernel.  The graph certifies each exchange
+pair (x, y) once, so every arc's own inputs are rebuilt from the graph
+(``_arc_certificates``).  That certificate is held to
+``exchange_sequence`` and to a two-Hom isomorphism test, and must
+reject wrong complements.  The structure nonzeros that ``_hom_system``
+memoizes per module are held to a fresh read after full runs of both
+engines.  The oracles' cover route
 (``tests/reference.py``) is checked too: its ``kernel`` against
 per-column solves, its covers, filled from the Yoneda words of one hook
 per module kind, against the identity on every slot projective and the
@@ -123,8 +124,8 @@ def _recorded(build, *attrs, owner=homsolve):
 
 
 def _exchange_maps(certificates):
-    """(x, pool, comps) of each ``certify_exchange`` argument set, its
-    approximation components rebuilt from its own arguments."""
+    """(x, pool, comps) of each arc's certificate inputs, its
+    approximation components rebuilt from its own Hom bases."""
     return [(c["x"], c["pool"], homsolve.minimal_left_approximation(c["hom_x"], c["radical"]))
             for c in certificates]
 
@@ -135,9 +136,10 @@ def _dup_graph(name):
 
 def _arc_certificates(name):
     """The exchange graph of duplicated ``name`` and, for each of its arcs
-    in order, the ``certify_exchange`` arguments of that arc alone: x,
-    the members of its almost complete part followed by the bar
-    projectives, y, and the graph's cached Hom bases and coordinates."""
+    in order, the certificate inputs of that arc alone: x, the members of
+    its almost complete part followed by the bar projectives, y, and the
+    graph's cached Hom bases and coordinates; under "at", the context
+    with the object indices of x, of those members and of y."""
     ctx = dup.DupContext(named_diagram(name))
     graph = dup.tilting_quiver_dup(ctx)
     objs = ctx.objects()
@@ -148,6 +150,7 @@ def _arc_certificates(name):
         x, y = position[arc.x], position[arc.y]
         members = [k for k in graph.tiltings[arc.src].indices if k != x] + bars
         return {
+            "at": (ctx, x, members, y),
             "x": objs[x][1],
             "pool": [objs[k][1] for k in members],
             "y": objs[y][1],
@@ -175,26 +178,17 @@ class FreshHoms:
         return self._bases[key][2]
 
 
-def with_complement(c, y, homs):
-    """The certificate arguments ``c`` offered the complement y: the Hom
-    bases into y and the composite coordinates over them from ``homs``."""
-    x, hom_x = c["x"], c["hom_x"]
-    hom_y = [homs(P, y) for P in c["pool"]]
-    hom_xy = homs(x, y)
-    return {**c, "y": y, "hom_y": hom_y, "composites": lambda i: homsolve.composite_coordinates(
-        x, hom_x[i], hom_y[i], hom_xy)}
-
-
 def fresh_arguments(x, pool, y, homs=None):
-    """``certify_exchange`` arguments with every Hom basis taken from
-    ``homs`` (fresh ``hom_basis`` results by default) and the radical
-    and composite coordinates computed over them."""
+    """Certificate inputs with every Hom basis taken from ``homs`` (fresh
+    ``hom_basis`` results by default) and the radical and composite
+    coordinates computed over them."""
     homs = homs or FreshHoms()
-    hom_x = [homs(x, P) for P in pool]
-    c = {"x": x, "pool": pool, "hom_x": hom_x,
-         "radical": lambda j, i: homsolve.radical_coordinates(
-             x, hom_x[j], homs(pool[j], pool[i]), hom_x[i])}
-    return with_complement(c, y, homs)
+    hom_x, hom_y, hom_xy = [homs(x, P) for P in pool], [homs(P, y) for P in pool], homs(x, y)
+    return {"x": x, "pool": pool, "y": y, "hom_x": hom_x, "hom_y": hom_y,
+            "radical": lambda j, i: homsolve.radical_coordinates(
+                x, hom_x[j], homs(pool[j], pool[i]), hom_x[i]),
+            "composites": lambda i: homsolve.composite_coordinates(
+                x, hom_x[i], hom_y[i], hom_xy)}
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
@@ -216,7 +210,7 @@ def test_cokernel_matches_dense_reference_on_dup_maps(name):
 @pytest.mark.parametrize("build, name", [
     (_dup_graph("A3"), "A3"),
     (_dup_graph("D4"), "D4"),
-    (lambda: tilt_a.tilting_quiver(named_diagram("D4")), None),  # no certify_exchange
+    (lambda: tilt_a.tilting_quiver(named_diagram("D4")), None),  # no arc certificates
 ], ids=["dup-A3", "dup-D4", "classical-D4"])
 def test_approximation_map_is_the_sum_of_inclusion_composites(build, name):
     seen = _recorded(build, "approximation_map")
@@ -266,6 +260,11 @@ def reference_is_iso(m, n):
                for f in homsolve.hom_basis(m, n) for g in homsolve.hom_basis(n, m))
 
 
+def _middle_dims(ctx, x, key):
+    """E's slot dimensions, read off the approximation key."""
+    return tuple(sum(ctx.module(k).dims[s] for k, _ in key) for s in ctx.module(x).slot_keys)
+
+
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_certificate_agrees_with_exchange_sequence(name):
     # each arc's own certificate and sequence give that arc's middle term,
@@ -274,7 +273,10 @@ def test_certificate_agrees_with_exchange_sequence(name):
     assert len(certificates) == len(graph.arcs)
     for arc, c in zip(graph.arcs, certificates):
         E, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["radical"])
-        assert homsolve.certify_exchange(**c) == E.dim_vector()
+        ctx, x, members, y = c["at"]
+        key = homsolve.approximation_key(ctx, x, members)
+        assert homsolve.cokernel_in_add(ctx, x, key)([y]) == [1]
+        assert _middle_dims(ctx, x, key) == E.dim_vector()
         assert reference_is_iso(cok, c["y"])
         assert arc.e_dims == E.dim_vector()
 
@@ -282,31 +284,35 @@ def test_certificate_agrees_with_exchange_sequence(name):
 def test_certificate_accepts_exactly_the_isomorphic_complements():
     # every pool member (each a brick) offered as the complement of every
     # duplicated A3 arc: the certificate and the two-Hom test agree
-    members = [m for _, m in dup.DupContext(named_diagram("A3")).pool()]
     _, certificates = _arc_certificates("A3")
-    homs = FreshHoms()
     accepted = 0
     for c in certificates:
         _, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["radical"])
-        for z in members:
-            got = homsolve.certify_exchange(**with_complement(c, z, homs))
-            assert (got is not None) == reference_is_iso(cok, z)
-            accepted += got is not None
+        ctx, x, members, _ = c["at"]
+        in_add = homsolve.cokernel_in_add(ctx, x, homsolve.approximation_key(ctx, x, members))
+        for z in range(ctx.pool_size()):
+            got = in_add([z]) == [1]
+            assert got == reference_is_iso(cok, ctx.module(z))
+            accepted += got
     assert accepted == len(certificates)
 
 
 def _offer_complement(monkeypatch, make):
     """Make every duplicated arc certificate test ``make(x, y)`` in place
-    of its complement y, with Hom bases into it and composite coordinates
-    of its own (the arc's, which belong to y, are dropped)."""
-    original = homsolve.certify_exchange
-    homs = FreshHoms()
+    of its complement y: the add test runs over a test-local cache of x,
+    the summands of E and that module, with Hom bases solved afresh."""
+    original = homsolve.cokernel_in_add
 
-    def offered(x, pool, y, hom_x, hom_y, radical, composites):
-        c = {"x": x, "pool": pool, "hom_x": hom_x, "radical": radical}
-        return original(**with_complement(c, make(x, y), homs))
+    def offered(ctx, x, key):
+        def test(members):
+            (y,) = members
+            mods = [ctx.module(x)] + [ctx.module(k) for k, _ in key]
+            fresh = ref.FreshCache(mods + [make(ctx.module(x), ctx.module(y))])
+            fresh_key = tuple((c, pos) for c, (_, pos) in enumerate(key, 1))
+            return original(fresh, 0, fresh_key)([len(mods)])
+        return test
 
-    monkeypatch.setattr(homsolve, "certify_exchange", offered)
+    monkeypatch.setattr(homsolve, "cokernel_in_add", offered)
 
 
 def test_one_constructor_checks_every_label_and_shape():
@@ -367,25 +373,47 @@ def test_certificate_rejects_a_non_injective_approximation(monkeypatch):
 
 def test_certificate_needs_a_brick_complement():
     # 0 -> S_1 -> P_0 -> S_0 -> 0 certifies; twice that sequence has the
-    # cokernel S_0 + S_0, whose maps from E killing x form no line
+    # cokernel S_0 + S_0, which is not one copy of a brick: the test of
+    # S_0 + S_0 rejects it, the test of S_0 counts it twice
     A2 = named_diagram("A2")
     s0, s1, p0 = ref.simple(A2, 0), ref.simple(A2, 1), rep_a.projective(A2, 0)
-    assert homsolve.certify_exchange(**fresh_arguments(s1, [p0], s0)) == (1, 1)
+    fresh = ref.FreshCache([s1, p0, s0])
+    key = homsolve.approximation_key(fresh, 0, [1])
+    assert _middle_dims(fresh, 0, key) == (1, 1)
+    assert homsolve.cokernel_in_add(fresh, 0, key)([2]) == [1]
     x = ref.direct_sum([s1, s1])[0]
     y = ref.direct_sum([s0, s0])[0]
     c = fresh_arguments(x, [p0], y)
     assert homsolve.exchange_sequence(x, [p0], c["hom_x"], c["radical"])[1].dims == y.dims
-    assert homsolve.certify_exchange(**c) is None
+    fresh = ref.FreshCache([x, p0, y, s0])
+    in_add = homsolve.cokernel_in_add(fresh, 0, homsolve.approximation_key(fresh, 0, [1]))
+    assert in_add([2]) is None
+    assert in_add([3]) == [2]
+
+
+def test_a_half_entry_keeps_its_fraction_through_the_certificate():
+    # P_1 into a copy of P_0 whose arrow 1 -> 2 is 2: the Hom basis map is
+    # 1/2 at vertex 1 and 1 at vertex 2, and the certificate of
+    # 0 -> P_1 -> P_0 -> S_0 -> 0 holds over it
+    A3 = named_diagram("A3")
+    p0, p1 = rep_a.projective(A3, 0), rep_a.projective(A3, 1)
+    scaled = homsolve.Rep(A3, p0.layout, p0.dims, {**p0.maps, "e1": RatMatrix([[2]], cols=1)})
+    fresh = ref.FreshCache([p1, scaled, ref.simple(A3, 0)])
+    (h,) = fresh.hom_idx(0, 1)
+    assert homsolve._block_nonzeros(h) == [[[]], [[(0, F(1, 2))]], [[(0, 1)]]]
+    key = homsolve.approximation_key(fresh, 0, [1])
+    assert key == ((1, 0),)
+    assert homsolve.cokernel_in_add(fresh, 0, key)([2]) == [1]
 
 
 def test_certificate_needs_a_nonzero_injective_approximation():
     A2 = named_diagram("A2")
-    p0, s0, s1 = rep_a.projective(A2, 0), ref.simple(A2, 0), ref.simple(A2, 1)
+    fresh = ref.FreshCache([rep_a.projective(A2, 0), ref.simple(A2, 0), ref.simple(A2, 1)])
     # P_0 -> S_0 is onto, not injective; S_0 maps to nothing in {S_1}
     with pytest.raises(homsolve.NoExchangeSequence, match="not injective"):
-        homsolve.certify_exchange(**fresh_arguments(p0, [s0], s1))
+        homsolve.approximation_key(fresh, 0, [1])
     with pytest.raises(homsolve.NoExchangeSequence, match="empty approximation"):
-        homsolve.certify_exchange(**fresh_arguments(s0, [s1], s1))
+        homsolve.approximation_key(fresh, 1, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +579,20 @@ def test_corrupted_cached_basis_raises():
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
-def test_certificate_returns_its_approximation_components(name):
-    # the graph reads E's summands off these components, with no second
-    # approximation; the arc keeps only the plain dimension tuple
+def test_middle_term_is_read_off_the_approximation_key(name):
+    # the key names the approximation's components as cached basis maps;
+    # the graph reads E's dimensions and summands off it, with no second
+    # approximation, and the arc keeps the plain dimension tuple
     graph, certificates = _arc_certificates(name)
     for arc, c in zip(graph.arcs, certificates):
-        got = homsolve.certify_exchange(**c)
+        ctx, x, members, _ = c["at"]
+        key = homsolve.approximation_key(ctx, x, members)
         comps = homsolve.minimal_left_approximation(c["hom_x"], c["radical"])
-        assert got.components == comps
-        assert got == arc.e_dims and type(arc.e_dims) is tuple
+        assert [(k, ctx.hom_idx(x, k)[pos]) for k, pos in key] == [
+            (members[i], h) for i, h in comps]
+        E, _ = homsolve.approximation_map(c["x"], c["pool"], comps)
+        assert arc.e_dims == _middle_dims(ctx, x, key) == E.dim_vector()
+        assert type(arc.e_dims) is tuple
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,16 @@ BAD_JSON_QUIVERS = {
     "no-vertex": '{"vertices": [], "arrows": []}',
     "arrows-object": '{"vertices": [1, 2], "arrows": {"a": 1}}',
     "no-arrows-key": '{"vertices": [1, 2]}',
+    "unknown-key": '{"vertices": [1, 2], "arrows": [], "arows": [["a", 1, 2]]}',
+    "top-level-array": ' [{"vertices": [1, 2], "arrows": []}]',
 }
 
 
 @pytest.mark.parametrize("text", BAD_JSON_QUIVERS.values(), ids=BAD_JSON_QUIVERS)
 def test_json_quiver_converts_no_value(text):
     # the JSON form is as strict as the line format: each value has its
-    # JSON type, and nothing is coerced into a vertex or an arrow
+    # JSON type, nothing is coerced into a vertex or an arrow, and no key
+    # or top-level array is passed over
     with pytest.raises(QuiverSyntaxError, match="^bad JSON quiver: "):
         parse_quiver(text)
 
