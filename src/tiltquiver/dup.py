@@ -16,9 +16,11 @@ The bottom copy of the module category of ``A`` embeds as the triples
   approximation of the embedded projective at ``a`` by bar projectives
   (its injective envelope).
 
-Hom spaces and exchange sequences are delegated to
-:mod:`tiltquiver.homsolve`, and Ext^1 is read off each object's
-presentation of length one (``DupContext.ext1_idx``); this module
+Hom bases and exchange sequences are delegated to
+:mod:`tiltquiver.homsolve`, Hom dimensions are read off the knitted
+Auslander-Reiten quiver (:mod:`tiltquiver.artable`, Dynkin only), and
+Ext^1 off each object's presentation of length one over them
+(``DupContext.ext1_idx``), held to the AR formula; this module
 supplies the triple-specific structure and the tilting combinatorics:
 enumeration of the basic tilting modules containing all bar projectives,
 their exchange graph, and the checkers the command line exposes.
@@ -44,7 +46,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple
 
-from . import homsolve, rep_a, tilt_a
+from . import artable, homsolve, rep_a, tilt_a
 from .exactlin import RatMatrix
 from .homsolve import Layout, Rep, SlotMap
 from .quiver_core import Quiver
@@ -212,7 +214,6 @@ class DupContext(homsolve.IndexCache):
         self._pool: list[tuple[DupPoolId, Rep]] | None = None
         self._a_pool: tilt_a.Pool | None = None
         self._objects: list[tuple[DupPoolId, Rep]] | None = None
-        self._hom_dim: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int], int] = {}
         self._rules_checked = False
         self._tiltings: list[tilt_a.Tilting] | None = None
@@ -263,23 +264,28 @@ class DupContext(homsolve.IndexCache):
             for a in self.quiver.vertices
         ]
 
+    @cached_property
+    def _ar(self) -> tuple[artable.ARTable, list[int]]:
+        """The quiver's AR table, and each object's module in it by
+        dimension vector (a KeyError if there is none)."""
+        table = artable.ar_table(self.quiver)
+        return table, [table.index[m.dim_vector()] for _, m in self.objects()]
+
     def hom_dim_idx(self, i: int, j: int) -> int:
-        """dim Hom(object i, object j) (cached): the rank of the
-        intertwining system (``homsolve.hom_dim``), with no basis."""
-        got = self._hom_dim.get((i, j))
-        if got is None:
-            objs = self.objects()
-            got = self._hom_dim[(i, j)] = homsolve.hom_dim(objs[i][1], objs[j][1])
-        return got
+        """dim Hom(object i, object j), read off the hammock of object i in
+        the AR table (``artable``): no linear algebra, and no row of the
+        intertwining system that a Hom basis is solved from."""
+        table, where = self._ar
+        return table.row(where[i])[where[j]]
 
     def hom_idx(self, i: int, j: int) -> list[SlotMap]:
         """Basis of Hom(object i, object j) (cached), for the certificates
         that read its maps.  Its dimension is fixed first, by a route that
-        builds no basis: dim N_(t, a) from a bar projective P_a, the
+        shares no row with it: dim N_(t, a) from a bar projective P_a, the
         projective at slot (t, a) (Yoneda); dim M_(b, a) into one, as P_a
-        is also the injective hull of the simple at (b, a); otherwise
-        ``hom_dim_idx``.  A zero dimension gives the empty basis with no
-        solve; a solved basis of any other length is a ``RuntimeError``."""
+        is also the injective hull of the simple at (b, a); otherwise the
+        AR table's ``hom_dim_idx``.  A zero dimension gives the empty basis
+        with no solve; a solved basis of any other length is a RuntimeError."""
         got = self._hom.get((i, j))
         if got is None:
             (pid, m), (qid, n) = self.objects()[i], self.objects()[j]
@@ -315,8 +321,8 @@ class DupContext(homsolve.IndexCache):
         layer, and dim Hom(bar P_a, N) = N_(t, a) = <dim P_a, dim N_top>:
         L is the top, delta = dim N_(b, i).  A bar projective resolves by
         itself: L is the top and delta = 0, which gives 0.  dim Hom(M, N)
-        is the rank-only ``hom_dim_idx``, and <dim M_L, -> is M's row of
-        ``_euler_rows``: no Hom basis is built.
+        is ``hom_dim_idx``, read off the AR table, and <dim M_L, -> is M's
+        row of ``_euler_rows``: nothing is solved.
         """
         got = self._ext.get((i, j))
         if got is not None:
@@ -352,12 +358,16 @@ class DupContext(homsolve.IndexCache):
         return tilt_a.compatibility_table(self.pool_size(), self.compatible)
 
     def validate_rules(self) -> None:
-        """Cross-check every predicted Ext vanishing against the solver,
-        ``ext1_idx`` on every ordered pool pair.  That reads rank-only Hom
-        dimensions, so the check builds no Hom basis: the certificates
-        that follow solve only the bases they read (``hom_idx``), and a
-        basis between pool members is checked against its rank found
-        here."""
+        """Cross-check every predicted Ext vanishing against ``ext1_idx`` on
+        every ordered pool pair, then hold the pool and ``ext1_idx`` to the
+        AR table (``artable``): the pool must be its non-bar
+        indecomposables of projective dimension at most 1, by dimension
+        vector, and each Ext^1 found so far, a presentation over the
+        hammock of its first object, must equal the AR formula dim
+        Hom(N, tau M), read off the hammock of its second.  Nothing is
+        solved: the certificates that follow solve only the bases they
+        read (``hom_idx``), each checked against a dimension that shares
+        no row with it."""
         if self._rules_checked:
             return
         r = len(self.pool())
@@ -372,6 +382,14 @@ class DupContext(homsolve.IndexCache):
                         f"rule says {'zero' if rule else 'nonzero'}, solver says "
                         f"{self.ext1_idx(i, j)}"
                     )
+        (table, where), objs = self._ar, self.objects()
+        if sorted(m.dim_vector() for _, m in self.pool()) != sorted(table.pool_dims()):
+            raise RuntimeError("the pool is not the pd <= 1 non-bar part of the AR quiver")
+        for (i, j), val in self._ext.items():
+            if val != table.ext1(where[i], where[j]):
+                raise RuntimeError(f"Ext^1({objs[i][0]}, {objs[j][0]}) is {val} by its "
+                                   f"presentation, {table.ext1(where[i], where[j])} in the "
+                                   "AR quiver")
         self._rules_checked = True
 
 
@@ -529,9 +547,11 @@ def verify_shift_completion(ctx: DupContext) -> dict:
     For every almost complete embedded part M (n-1 pairwise compatible
     embedded indecomposables) and every vertex i: M + shift(i) is
     tilting exactly when the total dimension of M at i vanishes.  All
-    Ext conditions are evaluated by the solver, not the counting rule.
-    Also checks that a non-sincere M misses exactly one vertex.
+    Ext conditions are evaluated by ``ext1_idx``, not the counting rule,
+    once ``validate_rules`` has held it to the AR formula.  Also checks
+    that a non-sincere M misses exactly one vertex.
     """
+    ctx.validate_rules()
     ids = ctx.pool_ids()
     shifts = {pid.key: i for i, pid in enumerate(ids) if pid.kind == "W"}
     n = ctx.n

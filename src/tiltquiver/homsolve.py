@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -640,23 +639,29 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
     hom_x = [ctx.hom_idx(x, m) for m, _ in key]
     f_maps = [(c, hom_x[c][pos]) for c, (_, pos) in enumerate(key)]
 
-    @cache
+    homs, radicals, decided = {}, {}, {}       # plain memos: no cache wrapper per call
+
     def hom(k: int) -> tuple[dict[int, dict[int, Rat]], list[tuple[int, int]]]:
         """The canonical kernel basis by free column, its last nonzero
         entry, and each column's (component, basis position)."""
+        if k in homs:
+            return homs[k]
         columns = [(c, l) for c, (m, _) in enumerate(key) for l in range(len(ctx.hom_idx(m, k)))]
         if not ctx.hom_idx(x, k):                 # every map E -> k kills x
-            return {col: {col: 1} for col in range(len(columns))}, columns
+            homs[k] = {col: {col: 1} for col in range(len(columns))}, columns
+            return homs[k]
         _, kernel = exchange_line(f_maps, hom_x, [ctx.hom_idx(m, k) for m, _ in key],
                                   lambda c: ctx.composite_idx(x, key[c][0], k))
         basis = [{col: as_int_if_integral(v) for col, v in enumerate(vec) if v}
                  for vec in kernel]
-        return {max(vec): vec for vec in basis}, columns
+        homs[k] = {max(vec): vec for vec in basis}, columns
+        return homs[k]
 
-    @cache
     def radical(j: int, i: int) -> tuple:
         """``radical_coordinates`` of C -> j -> i in ``hom(i)``, each
         composite lifted through ``composite_idx(m_c, j, i)``."""
+        if (j, i) in radicals:
+            return radicals[(j, i)]
         (phis, columns), (basis, _) = hom(j), hom(i)
         starts = list(accumulate((len(ctx.hom_idx(m, i)) for m, _ in key), initial=0))
         span = SparseEchelon(len(basis))
@@ -676,10 +681,10 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
                     raise RuntimeError(f"a composite leaves Hom(coker, {i})")
                 span.add(dict(enumerate(coords)))
         rows, _ = span.result()
-        return tuple(tuple(as_int_if_integral(row.get(n, 0)) for n in range(len(basis)))
-                     for row in rows)
+        radicals[(j, i)] = tuple(tuple(as_int_if_integral(row.get(n, 0))
+                                       for n in range(len(basis))) for row in rows)
+        return radicals[(j, i)]
 
-    @cache
     def decide(support: tuple[int, ...]) -> Counter | None:
         """The test on the objects k with Hom(C, k) nonzero.  C -> E' is
         injective iff its lift G: E -> E', built from Hom basis maps, has
@@ -731,7 +736,9 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
         if not any(dims):                         # the injective f keeps dimensions
             return [0] * len(members)
         support = tuple(k for k in members if hom(k)[0])
-        counts = decide(support)
+        if support not in decided:                # one test per support
+            decided[support] = decide(support)
+        counts = decided[support]
         if counts is not None:
             return [counts[k] for k in members]
         # a None is certified: the blocks that hom, then radical, read

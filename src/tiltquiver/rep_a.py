@@ -293,7 +293,7 @@ def exchange_sequence(
     if y.is_zero():
         return None
     if homsolve.end_dim(y) != 1:
-        raise ValueError(f"decomposable exchange cokernel {y.dim_vector()}")
+        raise RuntimeError(f"decomposable exchange cokernel {y.dim_vector()}")
     if tuple(a + b for a, b in zip(x.dim_vector(), y.dim_vector())) != e.dim_vector():
         raise RuntimeError(f"exchange sequence at {x.dim_vector()} is not exact: "
                            f"middle term {e.dim_vector()}, cokernel {y.dim_vector()}")

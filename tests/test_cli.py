@@ -447,8 +447,8 @@ def test_the_cli_imports_without_dataclasses():
     # written with open, not pathlib (about 2.3 ms).  -S keeps the modules
     # that site-packages hooks import out of the count.
     proc = _run_script(["-S"], "import sys, tiltquiver.cli; print(sorted("
-                       "{'dataclasses', 'inspect', 'json', 'pathlib', 'tiltquiver.dup', 'tiltquiver.endo'}"
-                       " & set(sys.modules)))")
+                       "{'dataclasses', 'inspect', 'json', 'pathlib', 'tiltquiver.artable', "
+                       "'tiltquiver.dup', 'tiltquiver.endo'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -1075,7 +1075,7 @@ def test_dropped_member_is_reported_as_the_cokernel_route_reports_it(flags):
 def test_free_hom_dimensions_match_the_solved_bases(q):
     # Hom(bar P_a, X) = X_(t, a) by Yoneda and Hom(X, bar P_a) = X_(b, a),
     # bar P_a being the injective hull of the simple at (b, a); between
-    # pool members the rank-only dimension is the basis length
+    # pool members the Auslander-Reiten table's dimension is the basis length
     ctx = dup.DupContext(q)
     objs = [m for _, m in ctx.objects()]
     for a in q.vertices:
@@ -1138,7 +1138,7 @@ def test_no_faulted_hom_basis_reads_as_a_verdict(monkeypatch, capsys, tmp_path, 
     assert [(key, cmd) for key, cmd, code, out in faulted
             if (code, out) != clean[cmd] and (code, out) != (2, "")] == []
     # the checks fire where a command reads a basis; theorem 4.3 reads
-    # only Ext^1, whose Hom dimensions are rank-only
+    # only Ext^1, whose Hom dimensions come from the Auslander-Reiten table
     assert {cmd for _, cmd, code, _ in faulted if code == 2} == {
         "dup-kquiver", "verify --theorem 3.1 --deep-check"}
 
