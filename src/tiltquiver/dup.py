@@ -25,7 +25,9 @@ supplies the triple-specific structure and the tilting combinatorics:
 enumeration of the basic tilting modules containing all bar projectives,
 their exchange graph, and the checkers the command line exposes.
 Enumeration and the exchange graph run on the one engine in
-:mod:`tiltquiver.tilt_a`, fed with this module's pool,
+:mod:`tiltquiver.tilt_a`: ``DupContext`` is built once, on the classical
+pool, with the same pool fields as ``tilt_a.Pool`` (an embedded member
+keeps its classical index), and the engine is fed with
 ``DupContext.ext1_idx`` and an exchange-sequence certifier, the add test
 ``homsolve.cokernel_in_add`` that the deep check runs too.
 
@@ -205,71 +207,64 @@ class DupPoolId(NamedTuple):
 
 
 class DupContext(homsolve.IndexCache):
-    """Canonical data of a duplicated path algebra, with hom/ext caches by ``objects()`` index."""
+    """The pool of a duplicated path algebra, with hom/ext caches by object
+    index.  Built once, on the classical pool ``classical``
+    (``tilt_a.Pool``), with the fields the exchange-graph engine reads:
+    ``ids``, ``names`` and ``dims`` of the pool members, the embedded
+    indecomposables at their classical indices and then one shifted module
+    W_v per vertex, ``table`` and ``len``.  The objects (``objects()``)
+    are the pool members followed by the bar projectives, whose object
+    indices are ``bar_indices``."""
 
     def __init__(self, quiver: Quiver) -> None:
         super().__init__()
-        self.quiver = quiver
+        q = self.quiver = quiver
         self.n = len(quiver.vertices)
-        self._pool: list[tuple[DupPoolId, Rep]] | None = None
-        self._a_pool: tilt_a.Pool | None = None
-        self._objects: list[tuple[DupPoolId, Rep]] | None = None
+        self.classical = tilt_a._dynkin_pool(q)
+        self._pool = [(DupPoolId("E", iid), embed(q, rep))
+                      for iid, rep in zip(self.classical.ids, self.classical.reps)]
+        self._pool += [(DupPoolId("W", v), shifted_module(q, v)) for v in q.vertices]
+        self.ids = [pid for pid, _ in self._pool]
+        self.names = [str(pid) for pid in self.ids]
+        self.dims = [m.dim_vector() for _, m in self._pool]
+        self.bar_indices = list(range(len(self.ids), len(self.ids) + self.n))
+        self._objects = self._pool + [(DupPoolId("B", v), slot_projective(q, ("t", v)))
+                                      for v in q.vertices]
         self._ext: dict[tuple[int, int], int] = {}
         self._rules_checked = False
         self._tiltings: list[tilt_a.Tilting] | None = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     # -- pool ---------------------------------------------------------------
 
     def pool(self) -> list[tuple[DupPoolId, Rep]]:
         """Candidate non-bar summands: embedded indecomposables + shifts."""
-        if self._pool is None:
-            q = self.quiver
-            # the embedded members keep the classical pool's indices, so its
-            # dims and Euler-form Ext^1 table index them directly
-            apool = self._a_pool = tilt_a._dynkin_pool(q)
-            items: list[tuple[DupPoolId, Rep]] = [
-                (DupPoolId("E", iid), embed(q, rep))
-                for iid, rep in zip(apool.ids, apool.reps)]
-            for v in q.vertices:
-                items.append((DupPoolId("W", v), shifted_module(q, v)))
-            self._pool = items
-            self._ids = [pid for pid, _ in items]
         return self._pool
 
     def objects(self) -> list[tuple[DupPoolId, Rep]]:
         """Pool plus the bar projectives (global hom-cache index space)."""
-        if self._objects is None:
-            self._objects = self.pool() + [
-                (DupPoolId("B", v), slot_projective(self.quiver, ("t", v)))
-                for v in self.quiver.vertices
-            ]
         return self._objects
 
     def module(self, i: int) -> Rep:
-        return self.objects()[i][1]
-
-    def pool_size(self) -> int:
-        return len(self.pool())
-
-    def pool_ids(self) -> list[DupPoolId]:
-        self.pool()
-        return self._ids
+        return self._objects[i][1]
 
     def embedded_projective_indices(self) -> list[int]:
-        """Pool positions of the embedded A-projectives (one per vertex)."""
-        self.pool()
-        by_dims = {dv: i for i, dv in enumerate(self._a_pool.dims)}
-        return [
-            by_dims[rep_a.projective(self.quiver, a).dim_vector()]
-            for a in self.quiver.vertices
-        ]
+        """Pool positions of the embedded A-projectives (one per vertex):
+        P_a is the classical member whose dimension at v counts the paths
+        a ~> v."""
+        q, ids = self.quiver, self.classical.ids
+        return [ids.index(rep_a.IndecId("dyn", tuple(len(q.paths_between(a, v))
+                                                      for v in q.vertices)))
+                for a in q.vertices]
 
     @cached_property
     def _ar(self) -> tuple[artable.ARTable, list[int]]:
         """The quiver's AR table, and each object's module in it by
         dimension vector (a KeyError if there is none)."""
         table = artable.ar_table(self.quiver)
-        return table, [table.index[m.dim_vector()] for _, m in self.objects()]
+        return table, [table.index[m.dim_vector()] for _, m in self._objects]
 
     def hom_dim_idx(self, i: int, j: int) -> int:
         """dim Hom(object i, object j), read off the hammock of object i in
@@ -284,11 +279,11 @@ class DupContext(homsolve.IndexCache):
         shares no row with it: dim N_(t, a) from a bar projective P_a, the
         projective at slot (t, a) (Yoneda); dim M_(b, a) into one, as P_a
         is also the injective hull of the simple at (b, a); otherwise the
-        AR table's ``hom_dim_idx``.  A zero dimension gives the empty basis
-        with no solve; a solved basis of any other length is a RuntimeError."""
+        AR table's ``hom_dim_idx``.  ``homsolve.checked_hom`` holds the basis,
+        or the rank for a zero dimension, to it: a RuntimeError otherwise."""
         got = self._hom.get((i, j))
         if got is None:
-            (pid, m), (qid, n) = self.objects()[i], self.objects()[j]
+            (pid, m), (qid, n) = self._objects[i], self._objects[j]
             if pid.kind == "B":
                 dim = n.dims[("t", pid.key)]
             elif qid.kind == "B":
@@ -304,7 +299,7 @@ class DupContext(homsolve.IndexCache):
         row of dim M_L, so that <dim M_L, e> is a dot product with e."""
         vs = self.quiver.vertices
         rows = []
-        for pid, m in self.objects():
+        for pid, m in self._objects:
             layer = "b" if pid.kind == "E" else "t"
             rows.append((layer, self.quiver.euler_row([m.dims[(layer, v)] for v in vs])))
         return rows
@@ -327,7 +322,7 @@ class DupContext(homsolve.IndexCache):
         got = self._ext.get((i, j))
         if got is not None:
             return got
-        pid, n = self.objects()[i][0], self.objects()[j][1]
+        pid, n = self._objects[i][0], self._objects[j][1]
         layer, row = self._euler_rows[i]
         val = self.hom_dim_idx(i, j) - sum(
             r * n.dims[(layer, v)] for r, v in zip(row, self.quiver.vertices))
@@ -342,11 +337,11 @@ class DupContext(homsolve.IndexCache):
 
     def _rule_ext_zero(self, i: int, j: int) -> bool:
         """Predicted vanishing of Ext^1(pool_i, pool_j) without the engine."""
-        pid, qid = self.pool_ids()[i], self.pool_ids()[j]
+        pid, qid = self.ids[i], self.ids[j]
         if pid.kind == "W" and qid.kind == "E":
-            return self._a_pool.dims[j][self.quiver.v_pos[pid.key]] == 0
+            return self.classical.dims[j][self.quiver.v_pos[pid.key]] == 0
         if pid.kind == "E" and qid.kind == "E":
-            return self._a_pool.ext(i, j) == 0
+            return self.classical.ext(i, j) == 0
         # E -> W and W -> W never extend
         return True
 
@@ -355,7 +350,7 @@ class DupContext(homsolve.IndexCache):
 
     @cached_property
     def table(self) -> list[int]:
-        return tilt_a.compatibility_table(self.pool_size(), self.compatible)
+        return tilt_a.compatibility_table(len(self), self.compatible)
 
     def validate_rules(self) -> None:
         """Cross-check every predicted Ext vanishing against ``ext1_idx`` on
@@ -370,7 +365,7 @@ class DupContext(homsolve.IndexCache):
         no row with it."""
         if self._rules_checked:
             return
-        r = len(self.pool())
+        r = len(self)
         for i in range(r):
             for j in range(r):
                 rule = self._rule_ext_zero(i, j)
@@ -378,11 +373,11 @@ class DupContext(homsolve.IndexCache):
                 if rule != engine:
                     raise RuntimeError(
                         f"compatibility rule disagrees with the solver on "
-                        f"({self.pool_ids()[i]}, {self.pool_ids()[j]}): "
+                        f"({self.ids[i]}, {self.ids[j]}): "
                         f"rule says {'zero' if rule else 'nonzero'}, solver says "
                         f"{self.ext1_idx(i, j)}"
                     )
-        (table, where), objs = self._ar, self.objects()
+        (table, where), objs = self._ar, self._objects
         if sorted(m.dim_vector() for _, m in self.pool()) != sorted(table.pool_dims()):
             raise RuntimeError("the pool is not the pd <= 1 non-bar part of the AR quiver")
         for (i, j), val in self._ext.items():
@@ -407,11 +402,7 @@ def enumerate_tilting_dup(ctx: DupContext) -> list[tilt_a.Tilting]:
     """
     if ctx._tiltings is None:
         ctx.validate_rules()
-        ids = ctx.pool_ids()
-        names = [str(pid) for pid in ids]
-        dims = [m.dim_vector() for _, m in ctx.pool()]
-        ctx._tiltings = [tilt_a.make_tilting(c, ids, names, dims)
-                         for c in tilt_a.cliques(ctx.table, ctx.n)]
+        ctx._tiltings = tilt_a.tilting_modules(ctx, ctx.n)
     return ctx._tiltings
 
 
@@ -440,9 +431,7 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
     Parts without exactly two completions are listed in ``defects``.
     """
     tilts = enumerate_tilting_dup(ctx)
-    ids = ctx.pool_ids()
-    objs = ctx.objects()
-    bar_indices = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    ids, bar_indices = ctx.ids, ctx.bar_indices
     pairs: dict[tuple[int, int], tuple[tuple[int, ...], frozenset[int]]] = {}
 
     def certify(x: int, y: int, rest: tuple[int, ...]) -> tuple[int, ...]:
@@ -456,7 +445,7 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
                 raise RuntimeError(f"exchange cokernel at {ids[x]} is not the expected "
                                    f"complement {ids[y]}")
             got = pairs[(x, y)] = (
-                tuple(map(sum, zip(*(objs[k][1].dim_vector() for k, _ in key)))),
+                tuple(map(sum, zip(*(ctx.module(k).dim_vector() for k, _ in key)))),
                 frozenset(k for k, _ in key if k < bar_indices[0]))
         e_dims, summands = got
         if not summands.issubset(rest):
@@ -464,13 +453,7 @@ def tilting_quiver_dup(ctx: DupContext) -> tilt_a.TiltingGraph:
                                f"is not in add of the part {[str(ids[k]) for k in rest]}")
         return e_dims
 
-    arcs, defects = tilt_a.exchange_arcs(ids, ctx.table, ctx.ext1_idx, certify,
-                                         [t.indices for t in tilts],
-                                         allowed=frozenset({2}))
-    return tilt_a.TiltingGraph(
-        ctx.quiver, ctx, tilts, arcs,
-        defects=[f"almost complete part {list(rest)} has {count} completions"
-                 for rest, count in defects])
+    return tilt_a.exchange_graph(ctx, tilts, ctx.ext1_idx, certify, frozenset({2}))
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +466,18 @@ def verify_embedding(ctx: DupContext) -> dict:
 
     Maps each tilting module over A to its embedded image, checks the
     map is a bijection onto the all-embedded vertices, and that arcs
-    between embedded vertices correspond exactly both ways.
+    between embedded vertices correspond exactly both ways.  An embedded
+    member keeps its classical index, so the image of a tilting module has
+    the same indices.
     """
     kA = tilt_a.tilting_quiver(ctx.quiver)
     dup = tilting_quiver_dup(ctx)
-    id_to_pos = {pid: i for i, pid in enumerate(ctx.pool_ids())}
     violations: list[str] = []
 
     image: dict[int, int] = {}
     for i, t in enumerate(kA.tiltings):
-        want = [id_to_pos[DupPoolId("E", iid)] for iid in t.ids]
         try:
-            image[i] = dup.index_of(want)
+            image[i] = dup.index_of(t.indices)
         except ValueError:
             violations.append(f"embedded image of {t.label()} is not tilting")
     embedded_vertices = {
@@ -552,7 +535,7 @@ def verify_shift_completion(ctx: DupContext) -> dict:
     that a non-sincere M misses exactly one vertex.
     """
     ctx.validate_rules()
-    ids = ctx.pool_ids()
+    ids = ctx.ids
     shifts = {pid.key: i for i, pid in enumerate(ids) if pid.kind == "W"}
     n = ctx.n
     violations: list[str] = []
@@ -567,11 +550,9 @@ def verify_shift_completion(ctx: DupContext) -> dict:
         )
 
     for part in parts:
-        dimsum = [0] * n
-        for c in part:
-            dv = ctx._a_pool.dims[c]
-            for k in range(n):
-                dimsum[k] += dv[k]
+        # an embedded member keeps its classical index; rank one's only
+        # part is empty and sums to zero
+        dimsum = tilt_a.make_tilting(ctx.classical, part).dim_sum or (0,) * n
         zeros = [v for v, pos in ctx.quiver.v_pos.items() if dimsum[pos] == 0]
         if zeros and len(zeros) != 1:
             violations.append(
@@ -596,7 +577,7 @@ def verify_shift_completion(ctx: DupContext) -> dict:
 
 def deep_check_projectives(ctx: DupContext) -> list[int]:
     """The deep check's projectives by object index: bars, then embedded."""
-    return list(range(ctx.pool_size(), ctx.pool_size() + ctx.n)) + ctx.embedded_projective_indices()
+    return ctx.bar_indices + ctx.embedded_projective_indices()
 
 
 def coresolutions(ctx: DupContext) -> Iterator[tuple[int, int, list[int] | None]]:
@@ -606,8 +587,7 @@ def coresolutions(ctx: DupContext) -> Iterator[tuple[int, int, list[int] | None]
     computed once per support (members k with Hom(P, k) nonzero) and
     tested once per key (P, components) by ``homsolve.cokernel_in_add``."""
     tilts = enumerate_tilting_dup(ctx)
-    projectives = deep_check_projectives(ctx)
-    bar_indices = projectives[:ctx.n]
+    projectives, bar_indices = deep_check_projectives(ctx), ctx.bar_indices
     for p_pos, p in enumerate(projectives):
         keys: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
         pairs: dict[tuple[tuple[int, int], ...], list[int]] = {}

@@ -217,8 +217,7 @@ def endo_algebra(ctx: dup.DupContext,
     Returns the algebra and the global object indices of its summands
     (tilting members first, then the bar projectives).
     """
-    members = list(t.indices) + list(
-        range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    members = list(t.indices) + ctx.bar_indices
     objs = ctx.objects()
     mods = [objs[k][1] for k in members]
     homs = {(a, b): ctx.hom_idx(i, j)

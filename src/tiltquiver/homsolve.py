@@ -221,13 +221,13 @@ def hom_basis(M: Rep, N: Rep) -> list[SlotMap]:
 
 def checked_hom(M: Rep, N: Rep, dim: int, pair: tuple) -> list[SlotMap]:
     """``hom_basis(M, N)`` for a pair whose Hom dimension ``dim`` is known
-    without it: no solve when dim is 0, and ``RuntimeError``, naming M and
-    N by ``pair``, unless the solved basis has exactly dim maps."""
-    if not dim:
-        return []
-    got = hom_basis(M, N)
-    if len(got) != dim:
-        raise RuntimeError(f"the Hom basis of ({pair[0]}, {pair[1]}) has {len(got)} maps, "
+    without it, and ``RuntimeError``, naming M and N by ``pair``, unless the
+    solved basis has exactly dim maps.  A claim of 0 builds no basis: the
+    rank of the intertwining system (``hom_dim``) must confirm it."""
+    got = hom_basis(M, N) if dim else []
+    found = len(got) if dim else hom_dim(M, N)
+    if found != dim:
+        raise RuntimeError(f"the Hom basis of ({pair[0]}, {pair[1]}) has {found} maps, "
                            f"not {dim}")
     return got
 

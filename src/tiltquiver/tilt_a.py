@@ -17,8 +17,13 @@ This module hosts the package's one exchange-graph engine (records,
 clique and complement search, the arc loop ``exchange_arcs``), run on
 bit masks: row i of ``compatibility_table`` is an int with bit j set
 when members i and j are compatible, and clique, complement and part
-sets are ANDs of rows.  :mod:`tiltquiver.dup` runs it with its own
-pool, Ext and certifier.
+sets are ANDs of rows.  It reads one pool interface, which ``Pool`` and
+``dup.DupContext`` both provide: ``quiver``, ``ids``, ``names``,
+``dims``, ``table`` and ``len``.  Tilting records come from
+``make_tilting``, the tilting modules of a pool from
+``tilting_modules``, and the graph from ``exchange_graph``;
+:mod:`tiltquiver.dup` brings only its Ext, its certifier and its
+allowed complement counts.
 
 The same machinery runs on the double-arrow (tame) quiver restricted to
 a preprojective/preinjective window; everything touching the window rim
@@ -51,7 +56,9 @@ __all__ = [
     "cliques",
     "complement_indices",
     "exchange_arcs",
+    "exchange_graph",
     "make_tilting",
+    "tilting_modules",
     "enumerate_tilting",
     "AlmostComplete",
     "almost_complete_survey",
@@ -99,8 +106,8 @@ class Pool(IndexCache):
         return self.reps[i]
 
     def hom_idx(self, i: int, j: int) -> list[SlotMap]:
-        """Basis of Hom(member i, member j) (cached), solved only when its
-        dimension max(0, <dim i, dim j>) is nonzero and checked against it."""
+        """Basis of Hom(member i, member j) (cached), checked against its
+        dimension max(0, <dim i, dim j>) by ``checked_hom``."""
         got = self._hom.get((i, j))
         if got is None:
             dim = max(0, sum(r * e for r, e in zip(self._rows[i], self.dims[j])))
@@ -166,9 +173,9 @@ class TiltingGraph:
     ``boundary`` holds the window-limited vertices and ``defects`` the
     disallowed complement counts."""
 
-    def __init__(self, quiver: Quiver, pool: object, tiltings: list[Tilting],
-                 arcs: list[Arc], defects: Sequence[str] = ()) -> None:
-        self.quiver = quiver
+    def __init__(self, pool, tiltings: list[Tilting], arcs: list[Arc],
+                 defects: Sequence[str] = ()) -> None:
+        self.quiver = pool.quiver
         self.pool = pool
         self.tiltings = tiltings
         self.arcs = arcs
@@ -325,13 +332,30 @@ def exchange_arcs(
     return arcs, defects
 
 
-def make_tilting(idx: tuple[int, ...], ids: Sequence[Hashable], names: Sequence[str],
-                 dims: Sequence[tuple[int, ...]]) -> Tilting:
-    """The tilting record of pool indices ``idx``; ``names[i]`` is the
-    label and ``dims[i]`` the dimension vector (``dim_vector``) of pool
-    member i."""
-    return Tilting(idx, tuple(ids[i] for i in idx), tuple(names[i] for i in idx),
-                   tuple(sum(col) for col in zip(*(dims[i] for i in idx))))
+def make_tilting(pool, idx: tuple[int, ...]) -> Tilting:
+    """The tilting record of the pool indices ``idx``: their ids, their
+    labels (``names``) and the sum of their dimension vectors (``dims``)."""
+    return Tilting(idx, tuple(pool.ids[i] for i in idx), tuple(pool.names[i] for i in idx),
+                   tuple(sum(col) for col in zip(*(pool.dims[i] for i in idx))))
+
+
+def tilting_modules(pool, size: int) -> list[Tilting]:
+    """The records of every ``size``-clique of the pool's ``table``, in
+    ``cliques`` order."""
+    return [make_tilting(pool, c) for c in cliques(pool.table, size)]
+
+
+def exchange_graph(pool, tilts: list[Tilting], ext: Callable[[int, int], int],
+                   certify: Callable[[int, int, tuple[int, ...]], tuple[int, ...]],
+                   allowed: frozenset[int]) -> TiltingGraph:
+    """The exchange graph on the tilting modules ``tilts`` of the pool, its
+    arcs oriented by ``ext`` and certified by ``certify`` (``exchange_arcs``);
+    each almost complete part whose complement count is not in ``allowed``
+    is listed in ``defects``."""
+    arcs, defects = exchange_arcs(pool.ids, pool.table, ext, certify,
+                                  [t.indices for t in tilts], allowed)
+    return TiltingGraph(pool, tilts, arcs, [
+        f"almost complete part {list(rest)} has {count} completions" for rest, count in defects])
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +370,7 @@ def enumerate_tilting(q: Quiver) -> list[Tilting]:
     The empty quiver has exactly one (the zero module), which keeps
     deleted-vertex counting uniform.
     """
-    if q.n == 0:
-        return [Tilting((), (), (), ())]
-    pool = _dynkin_pool(q)
-    return [make_tilting(c, pool.ids, pool.names, pool.dims) for c in cliques(pool.table, q.n)]
+    return tilting_modules(_dynkin_pool(q), q.n)
 
 
 class AlmostComplete(NamedTuple):
@@ -404,20 +425,15 @@ def _graph(pool: Pool, size: int) -> TiltingGraph:
                                f"complement {pool.ids[y]}")
         return e_rep.dim_vector()
 
-    vertices = cliques(pool.table, size)
-    arcs, defects = exchange_arcs(pool.ids, pool.table, pool.ext, certify, vertices,
-                                  allowed=frozenset({1, 2}))
-    if defects:
-        rest, count = defects[0]
-        raise RuntimeError(f"almost complete module {rest} has {count} complements")
-    tilts = [make_tilting(c, pool.ids, pool.names, pool.dims) for c in vertices]
-    return TiltingGraph(pool.quiver, pool, tilts, arcs)
+    g = exchange_graph(pool, tilting_modules(pool, size), pool.ext, certify,
+                       frozenset({1, 2}))
+    if g.defects:
+        raise RuntimeError(g.defects[0])
+    return g
 
 
 def tilting_quiver(q: Quiver) -> TiltingGraph:
     """Exchange graph of all tilting modules (Dynkin components only)."""
-    if q.n == 0:
-        return TiltingGraph(q, Pool(q, []), [Tilting((), (), (), ())], [])
     return _graph(_dynkin_pool(q), q.n)
 
 
@@ -503,7 +519,7 @@ def nonsaturated_tame(w: int) -> NonSaturatedSet:
             if len(comps) != 1:
                 raise RuntimeError("support-restricted module completed ambiguously")
             idx = tuple(sorted(rest + (comps[0],)))
-            t = seen.setdefault(idx, make_tilting(idx, pool.ids, pool.names, pool.dims))
+            t = seen.setdefault(idx, make_tilting(pool, idx))
             part.append(t)
         parts[x] = part
     delta = sorted(seen.values(), key=lambda t: t.indices)

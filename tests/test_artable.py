@@ -46,7 +46,6 @@ def test_the_rule_check_solves_no_hom_system(monkeypatch):
     # the End checks of the pool's build aside, validate_rules reads every
     # Hom dimension off the table
     ctx = dup.DupContext(named_diagram("D4"))
-    ctx.pool()
     solved = []
     monkeypatch.setattr(homsolve, "_hom_system", lambda *args: solved.append(args))
     ctx.validate_rules()
@@ -171,7 +170,7 @@ def essential(rows, total):
 
 ctx = dup.DupContext(parse_quiver(open(path).read()))
 table, where = ctx._ar
-pd_reads = {(i, table.tau[where[x]]) for x in range(ctx.pool_size())
+pd_reads = {(i, table.tau[where[x]]) for x in range(len(ctx))
             if table.tau[where[x]] >= 0 for i in table.injectives}
 count, failed = 0, []
 for argv in COMMANDS:
@@ -242,10 +241,16 @@ for case in failed:
 '''
 
 
+# The counts move with the hom systems a clean run solves, of which the
+# sweep drops a row from an evenly spaced sample: building the duplicated
+# pool when its context is made puts the shifted modules' systems before
+# the classical graph's in theorem 4.1 (A3 627 -> 626, D4 254 -> 255), and
+# checking every zero Hom dimension by its rank adds systems (A3 -> 633,
+# D4 -> 257).
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
 @pytest.mark.parametrize("name, quiver, limit, count", [
-    ("A3", orientations("A3")[1], 24, 627),
-    ("D4", orientations("D4")[1], 8, 254),
+    ("A3", orientations("A3")[1], 24, 633),
+    ("D4", orientations("D4")[1], 8, 257),
 ])
 def test_no_fault_in_the_table_or_the_solver_reads_as_a_verdict(tmp_path, flags, name,
                                                                   quiver, limit, count):

@@ -117,7 +117,7 @@ def test_slot_projectives_are_shared_and_never_mutated():
     dup.tilting_quiver_dup(ctx)
     for a in A3.vertices:
         bar, low = dup.slot_projective(A3, ("t", a)), dup.slot_projective(A3, ("b", a))
-        assert ctx.objects()[ctx.pool_size() + A3.v_pos[a]][1] is bar
+        assert ctx.objects()[ctx.bar_indices[A3.v_pos[a]]][1] is bar
         assert ref.triple_projective(ctx.pool()[0][1], ("b", a))[0] is low
         # the shared copies still equal fresh builds after all that work
         for got, fresh in ((bar, dup.bar_projective(A3, a)),
@@ -268,14 +268,14 @@ def test_shift_extension_identity():
     # and nothing extends the other way round.
     for q in (A2, A3):
         ctx = dup.DupContext(q)
-        ids = ctx.pool_ids()
+        ids = ctx.ids
         shift_pos = {pid.key: k for k, pid in enumerate(ids) if pid.kind == "W"}
         for i in q.vertices:
             wi = shift_pos[i]
             for j, pid in enumerate(ids):
                 if pid.kind != "E":
                     continue
-                assert ctx.ext1_idx(wi, j) == ctx._a_pool.dims[j][q.v_pos[i]]
+                assert ctx.ext1_idx(wi, j) == ctx.classical.dims[j][q.v_pos[i]]
                 assert ctx.ext1_idx(j, wi) == 0
 
 
@@ -283,6 +283,22 @@ YONEDA_QUIVERS = ([(f"A3/o{k}", q) for k, q in enumerate(orientations("A3"))]
                   + [(f"D4/o{k}", q) for k, q in enumerate(orientations("D4"))]
                   + [(name, named_diagram(name)) for name in ("A5", "D5")]
                   + [("E6_SEED1", parse_quiver(ref.E6_SEED1))])
+
+
+@pytest.mark.parametrize("q", [q for name, q in YONEDA_QUIVERS if name[:2] in ("A3", "D4", "E6")],
+                         ids=[name for name, _ in YONEDA_QUIVERS if name[:2] in ("A3", "D4", "E6")])
+def test_embedded_members_keep_their_classical_indices(q):
+    # theorem 4.1 and the rules read the classical pool at the embedded
+    # members' own indices, and the projectives are found by their ids
+    ctx = dup.DupContext(q)
+    classical = ctx.classical
+    assert [pid.kind for pid in ctx.ids] == ["E"] * len(classical) + ["W"] * ctx.n
+    for i in range(len(classical)):
+        assert ctx.ids[i] == dup.DupPoolId("E", classical.ids[i])
+        assert ctx.dims[i] == (0,) * ctx.n + classical.dims[i]
+    by_dims = {dv: i for i, dv in enumerate(classical.dims)}
+    assert ctx.embedded_projective_indices() == [
+        by_dims[rep_a.projective(q, a).dim_vector()] for a in q.vertices]
 
 
 def _ext1_mismatches(ctx):
@@ -303,7 +319,7 @@ def test_yoneda_ext1_matches_the_generic_route(q):
     assert _ext1_mismatches(ctx) == []
     # the shifted modules' extra term is read: some Ext^1(W_i, -) is nonzero
     assert any(ctx.ext1_idx(i, j) for i, (pid, _) in enumerate(ctx.objects())
-               if pid.kind == "W" for j in range(ctx.pool_size()))
+               if pid.kind == "W" for j in range(len(ctx)))
 
 
 # mutations of ext1_idx, each a wrapper around the real one: the shifted
@@ -362,9 +378,7 @@ def test_euler_ext_table_matches_the_solver(name, key):
     else:
         q = named_diagram(name) if key is None else orientations(name)[key]
         pool = tilt_a._dynkin_pool(q)
-        ctx = dup.DupContext(q)
-        ctx.pool()
-        assert ctx._a_pool is pool
+        assert dup.DupContext(q).classical is pool
     form = pool.quiver.euler_form
     for i, x in enumerate(pool.reps):
         for j, y in enumerate(pool.reps):
@@ -560,8 +574,7 @@ def _decompose(ctx, c, members):
 def _a3_members():
     ctx = dup.DupContext(A3)
     t = dup.enumerate_tilting_dup(ctx)[0]
-    bars = range(ctx.pool_size(), ctx.pool_size() + ctx.n)
-    return ctx, list(t.indices) + list(bars)
+    return ctx, list(t.indices) + ctx.bar_indices
 
 
 def test_sum_of_members_decomposes_with_its_multiplicities():
@@ -581,7 +594,7 @@ def test_zero_module_has_zero_multiplicities():
 def test_summand_from_outside_is_not_in_add():
     ctx, members = _a3_members()
     objs = ctx.objects()
-    outside = next(k for k in range(ctx.pool_size()) if k not in members)
+    outside = next(k for k in range(len(ctx)) if k not in members)
     c, _, _ = ref.direct_sum([objs[members[0]][1], objs[outside][1]])
     assert _decompose(ctx, c, members) is None
 
@@ -742,16 +755,17 @@ DECOMPOSABLE_SHIFT = (
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
-# once the pool build starts, every minimal left approximation is empty,
-# so the injective envelopes that build the shifted modules are too
+# once the pool build (the context's __init__) starts, every minimal left
+# approximation is empty, so the injective envelopes that build the shifted
+# modules are too
 EMPTY_ENVELOPE = (
     "import sys\n"
     "from tiltquiver import cli, dup, homsolve\n"
-    "pool = dup.DupContext.pool\n"
-    "def pool_without_approximations(self):\n"
+    "init = dup.DupContext.__init__\n"
+    "def init_without_approximations(self, quiver):\n"
     "    homsolve.minimal_left_approximation = lambda hom_x, radical: []\n"
-    "    return pool(self)\n"
-    "dup.DupContext.pool = pool_without_approximations\n"
+    "    init(self, quiver)\n"
+    "dup.DupContext.__init__ = init_without_approximations\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -786,22 +800,22 @@ EXT_PLANE = (
 )
 
 
-# once the pool is built, every approximation component is the zero map,
-# so no exchange sequence the engine goes on to certify exists; that is a
-# fault of the engine, not a counterexample and not an input error
+# once the pool is built (the context's __init__), every approximation
+# component is the zero map, so no exchange sequence the engine goes on to
+# certify exists; that is a fault of the engine, not a counterexample and
+# not an input error
 ZERO_APPROXIMATION = (
     "import sys\n"
     "from reference import zero_map\n"
     "from tiltquiver import cli, dup, homsolve\n"
-    "approximation, pool = homsolve.minimal_left_approximation, dup.DupContext.pool\n"
+    "approximation, init = homsolve.minimal_left_approximation, dup.DupContext.__init__\n"
     "def zeroed(*args, **kwargs):\n"
     "    return [(i, zero_map(h.src, h.dst))\n"
     "            for i, h in approximation(*args, **kwargs)]\n"
-    "def pool_then_zero(self):\n"
-    "    got = pool(self)\n"
+    "def init_then_zero(self, quiver):\n"
+    "    init(self, quiver)\n"
     "    homsolve.minimal_left_approximation = zeroed\n"
-    "    return got\n"
-    "dup.DupContext.pool = pool_then_zero\n"
+    "dup.DupContext.__init__ = init_then_zero\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 
@@ -1051,7 +1065,7 @@ def test_dropped_member_is_reported_as_the_cokernel_route_reports_it(flags):
     objs = ctx.objects()
     tilts = dup.enumerate_tilting_dup(ctx)
     projectives = dup.deep_check_projectives(ctx)
-    drop = next(k for k, pid in enumerate(ctx.pool_ids()) if str(pid) == "E(1,1,1)")
+    drop = ctx.names.index("E(1,1,1)")
     failing = sorted(pair for pair, mults in ref.deep_check_cokernels(ctx, drop).items()
                      if mults is None)
     proc = _run_script(flags, DROPPED_MEMBER, str(drop))
@@ -1083,7 +1097,7 @@ def test_free_hom_dimensions_match_the_solved_bases(q):
         for x in objs:
             assert len(homsolve.hom_basis(bar, x)) == x.dims[("t", a)]
             assert len(homsolve.hom_basis(x, bar)) == x.dims[("b", a)]
-    r = ctx.pool_size()
+    r = len(ctx)
     for i in range(r):
         for j in range(r):
             assert ctx.hom_dim_idx(i, j) == len(homsolve.hom_basis(objs[i], objs[j]))
@@ -1098,22 +1112,22 @@ def _hom_fault_outcomes(monkeypatch, capsys, path, fault):
     """(object pair, command, exit code, stdout) for each ordered object
     pair of the quiver file at ``path`` and each sweep command, run in
     process with ``homsolve.hom_basis`` faulted on that pair once the
-    context's objects exist; the clean runs come first, with pair None."""
-    hom_basis, objects = homsolve.hom_basis, dup.DupContext.objects
+    context's objects exist (its __init__ has run); the clean runs come
+    first, with pair None."""
+    hom_basis, init = homsolve.hom_basis, dup.DupContext.__init__
     target, pair = [None], []
 
     def faulted(m, n):
         got = hom_basis(m, n)
         return fault(got) if pair and m is pair[0] and n is pair[1] else got
 
-    def recorded(self):
-        objs = objects(self)
+    def recorded(self, quiver):
+        init(self, quiver)
         if target[0] is not None and not pair:
-            pair.extend(objs[k][1] for k in target[0])
-        return objs
+            pair.extend(self.module(k) for k in target[0])
 
     monkeypatch.setattr(homsolve, "hom_basis", faulted)
-    monkeypatch.setattr(dup.DupContext, "objects", recorded)
+    monkeypatch.setattr(dup.DupContext, "__init__", recorded)
     size = len(dup.DupContext(parse_quiver(path.read_text())).objects())
     for key in [None] + [(i, j) for i in range(size) for j in range(size)]:
         for argv in SWEEP_COMMANDS:
@@ -1143,22 +1157,21 @@ def test_no_faulted_hom_basis_reads_as_a_verdict(monkeypatch, capsys, tmp_path, 
         "dup-kquiver", "verify --theorem 3.1 --deep-check"}
 
 
-# once the context's objects exist, every Hom basis solved from a bar
-# projective loses its last map
+# once the context's objects exist (its __init__ has run), every Hom basis
+# solved from a bar projective loses its last map
 BAR_SOURCE_DROP = (
     "import sys\n"
     "from tiltquiver import cli, dup, homsolve\n"
-    "hom_basis, objects = homsolve.hom_basis, dup.DupContext.objects\n"
+    "hom_basis, init = homsolve.hom_basis, dup.DupContext.__init__\n"
     "bars = set()\n"
     "def dropped(m, n):\n"
     "    got = hom_basis(m, n)\n"
     "    return got[:-1] if id(m) in bars else got\n"
-    "def recorded(self):\n"
-    "    objs = objects(self)\n"
-    "    bars.update(id(m) for pid, m in objs if pid.kind == 'B')\n"
-    "    return objs\n"
+    "def recorded(self, quiver):\n"
+    "    init(self, quiver)\n"
+    "    bars.update(id(m) for pid, m in self.objects() if pid.kind == 'B')\n"
     "homsolve.hom_basis = dropped\n"
-    "dup.DupContext.objects = recorded\n"
+    "dup.DupContext.__init__ = recorded\n"
     "sys.exit(cli.main(['dup-kquiver', '--diagram', 'A3']))\n"
 )
 
@@ -1169,3 +1182,53 @@ def test_dropped_map_from_a_bar_projective_is_an_engine_error(flags):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("engine error: the Hom basis of (B")
+
+
+# once the rule check has read every Ext^1 of the pool, the Hom dimension
+# of the pool pair argv[1] reads 0 although Hom is nonzero: a zero claim
+# builds no basis, so only its rank check can see the fault
+ZERO_CLAIM = (
+    "import sys\n"
+    "from tiltquiver import cli, dup\n"
+    "pair = tuple(map(int, sys.argv[1].split(',')))\n"
+    "hom_dim_idx = dup.DupContext.hom_dim_idx\n"
+    "def claimed(self, i, j):\n"
+    "    return 0 if self._rules_checked and (i, j) == pair else hom_dim_idx(self, i, j)\n"
+    "dup.DupContext.hom_dim_idx = claimed\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+ZERO_CLAIM_COMMANDS = [["dup-kquiver"], ["dup-kquiver", "--deep-check"],
+                       ["verify", "--theorem", "3.1"], ["verify", "--theorem", "4.1"],
+                       ["verify", "--theorem", "4.2"], ["verify", "--theorem", "4.3"]]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_false_zero_hom_dimension_is_an_engine_error(monkeypatch, capsys, flags):
+    # the first nonzero pool pair dup-kquiver reads, claimed to be 0: every
+    # command that reads it exits 2 with an engine error naming the pair
+    hom_dim_idx, reads = dup.DupContext.hom_dim_idx, []
+
+    def recorded(self, i, j):
+        got = hom_dim_idx(self, i, j)
+        if self._rules_checked:
+            reads[-1][1][(i, j)] = got
+        return got
+
+    monkeypatch.setattr(dup.DupContext, "hom_dim_idx", recorded)
+    for argv in ZERO_CLAIM_COMMANDS:
+        reads.append((argv + ["--diagram", "A3"], {}))
+        ref.clear_caches()
+        assert cli.main(reads[-1][0]) == 0
+    capsys.readouterr()
+    ids = dup.DupContext(A3).ids
+    pair = min(p for p, dim in reads[0][1].items() if dim)
+    readers = [(argv, got[pair]) for argv, got in reads if pair in got]
+    # theorem 4.3 reads only Ext^1, which the rule check has cached
+    assert len(readers) == len(ZERO_CLAIM_COMMANDS) - 1
+    for argv, dim in readers:
+        proc = _run_script(flags, ZERO_CLAIM, ",".join(map(str, pair)), *argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"engine error: the Hom basis of ({ids[pair[0]]}, "
+                                      f"{ids[pair[1]]}) has {dim} maps, not 0"), argv

@@ -374,12 +374,13 @@ def test_theorem_sweep_and_deep_check_counts(monkeypatch, capsys, tmp_path):
     # the seed-1 A3 file: the sweep builds 14 algebras and resolves 84
     # simples; the deep check solves no Hom system of its own.  The rule
     # check reads its 81 Hom dimensions, one per ordered pool pair, off the
-    # Auslander-Reiten table, so the 9 rank solves left are End checks: one
+    # Auslander-Reiten table.  Of the 90 rank solves, 9 are End checks: one
     # per classical member, which its rigidity check reads back from
     # ``homsolve.end_dim`` instead of solving again, and one per shifted
-    # module (90 before the table, 81 of them rank solves per pool pair).
-    # A Hom basis is solved only where a certificate, or the build of a
-    # shifted module, reads a nonzero one: 57 bases
+    # module; the other 81 confirm the zero Hom dimensions that a
+    # certificate, or the build of a shifted module, claims (9 before
+    # ``checked_hom`` checked zero claims).  A Hom basis is solved only
+    # where one of them reads a nonzero one: 57 bases
     ref.clear_caches()
     calls = {"hom_basis": 0, "hom_dim": 0, "structure_algebra": 0, "simple_resolution": 0}
     for module, name in ((homsolve, "hom_basis"), (homsolve, "hom_dim"),
@@ -392,7 +393,7 @@ def test_theorem_sweep_and_deep_check_counts(monkeypatch, capsys, tmp_path):
     path.write_text(ref.A3_SEED1)
     assert cli.main(["verify", "--theorem", "3.1", "--deep-check", "-q", str(path)]) == 0
     assert capsys.readouterr().out.startswith(f"theorem 3.1 [file {path}]: pass\n")
-    assert calls == {"hom_basis": 57, "hom_dim": 9, "structure_algebra": 14,
+    assert calls == {"hom_basis": 57, "hom_dim": 90, "structure_algebra": 14,
                      "simple_resolution": 84}
 
 

@@ -143,8 +143,8 @@ def _arc_certificates(name):
     ctx = dup.DupContext(named_diagram(name))
     graph = dup.tilting_quiver_dup(ctx)
     objs = ctx.objects()
-    position = {pid: k for k, pid in enumerate(ctx.pool_ids())}
-    bars = list(range(ctx.pool_size(), ctx.pool_size() + ctx.n))
+    position = {pid: k for k, pid in enumerate(ctx.ids)}
+    bars = ctx.bar_indices
 
     def arguments(arc):
         x, y = position[arc.x], position[arc.y]
@@ -290,7 +290,7 @@ def test_certificate_accepts_exactly_the_isomorphic_complements():
         _, cok = homsolve.exchange_sequence(c["x"], c["pool"], c["hom_x"], c["radical"])
         ctx, x, members, _ = c["at"]
         in_add = homsolve.cokernel_in_add(ctx, x, homsolve.approximation_key(ctx, x, members))
-        for z in range(ctx.pool_size()):
+        for z in range(len(ctx)):
             got = in_add([z]) == [1]
             assert got == reference_is_iso(cok, ctx.module(z))
             accepted += got
@@ -364,8 +364,8 @@ def test_certificate_rejects_a_non_injective_approximation(monkeypatch):
     def zeroed(*args, **kwargs):
         return [(i, ref.scale(h, 0)) for i, h in original(*args, **kwargs)]
 
+    # the context's build makes the shifted modules from approximations too
     ctx = dup.DupContext(named_diagram("A2"))
-    ctx.pool()  # the shifted modules are built from approximations too
     monkeypatch.setattr(homsolve, "minimal_left_approximation", zeroed)
     with pytest.raises(homsolve.NoExchangeSequence, match="not injective"):
         dup.tilting_quiver_dup(ctx)

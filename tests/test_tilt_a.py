@@ -271,37 +271,26 @@ def test_indexed_degrees_match_arc_counts():
 
 class _IncompatiblePool:
     """Rank-one pool of pairwise incompatible members, serving both callers
-    of the engine: its only almost complete part (the empty one) has every
-    member as a complement.  ``ext`` is the Ext^1 both engines orient by."""
+    of the engine through the one pool interface: its only almost complete
+    part (the empty one) has every member as a complement.  ``ext`` is the
+    Ext^1 the classical engine orients by, ``ext1_idx`` the duplicated one's."""
 
     quiver = named_diagram("A1")
     n = 1
+    bar_indices = []
 
     def __init__(self, size, ext):
-        self.ids = list("XYZ"[:size])
+        self.ids = self.names = list("XYZ"[:size])
+        self.dims = [(1,)] * size
         self.table = compatibility_table(size, lambda i, j: False)
-        self.reps = [simple(self.quiver, 0)] * size
         self.ext = self.ext1_idx = ext
         self._tiltings = None  # the tilting list dup.enumerate_tilting_dup keeps
 
-    def hom(self, i, j):
+    def hom_idx(self, i, j):
         raise AssertionError("no arc may be certified")
-
-    hom_idx = hom
 
     def validate_rules(self):
         pass
-
-    def pool(self):
-        return list(zip(self.ids, self.reps))
-
-    objects = pool
-
-    def pool_ids(self):
-        return self.ids
-
-    def pool_size(self):
-        return len(self.ids)
 
 
 def _unoriented(i, j):
@@ -311,7 +300,7 @@ def _unoriented(i, j):
 def test_disallowed_complement_count(monkeypatch):
     stub = _IncompatiblePool(3, _unoriented)
     monkeypatch.setattr(tilt_a, "_dynkin_pool", lambda q: stub)
-    with pytest.raises(RuntimeError, match="has 3 complements"):
+    with pytest.raises(RuntimeError, match="^almost complete part \\[\\] has 3 completions$"):
         tilting_quiver(stub.quiver)
     g = dup.tilting_quiver_dup(stub)
     assert g.defects == ["almost complete part [] has 3 completions"]
