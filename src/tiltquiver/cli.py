@@ -1,5 +1,7 @@
-"""Command-line surface: enumeration, graph export, per-claim verification.
+"""Command-line surface: parsing, dispatch and printing.
 
+Each claim's checker lives beside its engine (theorem 3.1 in ``endo``,
+4.x in ``dup``, 5.x in ``tilt_a``) and returns a ``tilt_a.verdict``.
 Every subcommand assembles a structured report (``status``, ``stats``,
 ``counterexamples``, plus ``identity`` where a counting identity is
 involved), prints a stable text rendering to standard output and
@@ -49,11 +51,11 @@ _THEOREMS = {
     "4.1": ("dup", "dup", "verify_embedding"),
     "4.2": ("dup", "dup", "verify_regularity"),
     "4.3": ("dup", "dup", "verify_shift_completion"),
-    "5.1": ("quiver", "cli", "_verify_complement_counts"),
-    "5.2": ("quiver", "cli", "_verify_saturation_rule"),
-    "5.4": ("graph", "cli", "_verify_components_nonsaturated"),
-    "5.5": ("window", "cli", "_verify_tame_delta"),
-    "5.6": ("quiver", "cli", "_verify_identity"),
+    "5.1": ("quiver", "tilt_a", "verify_complement_counts"),
+    "5.2": ("quiver", "tilt_a", "verify_saturation_rule"),
+    "5.4": ("graph", "tilt_a", "verify_components_nonsaturated"),
+    "5.5": ("window", "tilt_a", "verify_tame_delta"),
+    "5.6": ("quiver", "tilt_a", "verify_identity"),
 }
 THEOREMS = tuple(_THEOREMS)
 
@@ -288,106 +290,7 @@ def _orientation_rows(stats: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# per-claim verifiers, each returning a ``tilt_a.verdict``
-
-
-def _verify_complement_counts(q: Quiver) -> dict:
-    survey = tilt_a.almost_complete_survey(q)
-    violations = []
-    sincere = 0
-    for rec in survey:
-        want = 2 if rec.sincere else 1
-        sincere += rec.sincere
-        if len(rec.complements) != want:
-            kind = "sincere" if rec.sincere else "non-sincere"
-            violations.append(
-                f"{rec.label()} is {kind} with {len(rec.complements)} complements"
-            )
-    return tilt_a.verdict(violations, {"almost_complete": len(survey), "sincere": sincere,
-                                       "non_sincere": len(survey) - sincere})
-
-
-def _verify_saturation_rule(q: Quiver) -> dict:
-    g = tilt_a.tilting_quiver(q)
-    violations = []
-    saturated = 0
-    for i, t in enumerate(g.tiltings):
-        sat = g.saturation(i)
-        saturated += sat.saturated
-        if sat.saturated != sat.dim_criterion:
-            violations.append(
-                f"{t.label()}: sigma={sat.sigma} but dim={_dimstr(t.dim_sum)}"
-            )
-    for name, reps in (("algebra", [rep_a.projective(q, a) for a in q.vertices]),
-                       ("dual algebra", [rep_a.injective(q, a) for a in q.vertices])):
-        want = frozenset(IndecId("dyn", r.dim_vector()) for r in reps)
-        hits = [i for i, t in enumerate(g.tiltings) if frozenset(t.ids) == want]
-        if len(hits) != 1:
-            violations.append(f"{name} is not a vertex of the exchange graph")
-        elif g.saturation(hits[0]).saturated:
-            violations.append(f"{name} is saturated")
-    return tilt_a.verdict(violations, {"tilting_modules": len(g.tiltings),
-                                       "saturated": saturated})
-
-
-def _verify_components_nonsaturated(g: tilt_a.TiltingGraph) -> dict:
-    violations = []
-    limited = 0
-    comps = g.weak_components()
-    for comp in comps:
-        interior = [i for i in comp if i not in g.boundary]
-        if any(not g.saturation(i).saturated for i in interior):
-            continue
-        if len(interior) < len(comp):
-            limited += 1
-        else:
-            violations.append(
-                f"component of {g.tiltings[comp[0]].label()} is fully saturated"
-            )
-    result = tilt_a.verdict(violations, {"components": len(comps), "vertices": len(g.tiltings),
-                                         "boundary_vertices": len(g.boundary),
-                                         "unresolved_components": limited})
-    if limited and not violations:
-        result["status"] = "window-limited"
-    return result
-
-
-def _verify_tame_delta(w: int) -> dict:
-    ns = tilt_a.nonsaturated_tame(w)
-    violations = []
-    if len(ns.delta) != 2:
-        violations.append(f"delta has {len(ns.delta)} members, expected 2")
-    kinds = sorted("".join(sorted({i.kind for i in t.ids})) for t in ns.delta)
-    if kinds != ["pi", "pp"]:
-        violations.append(
-            "delta is not the algebra/dual pair: "
-            + "; ".join(t.label() for t in ns.delta)
-        )
-    for t in ns.delta:
-        orbits = {i.key[0] for i in t.ids}
-        if orbits != {0, 1}:
-            violations.append(f"{t.label()} is not an end-of-orbit module")
-    if not ns.agrees_with_flags:
-        violations.append(
-            "deleted-vertex construction disagrees with saturation flags: "
-            + "; ".join(t.label() for t in ns.interior_nonsaturated)
-        )
-    return tilt_a.verdict(violations, {
-        "window": w,
-        "delta": [t.label() for t in ns.delta],
-        "parts": {str(v): [t.label() for t in part] for v, part in sorted(ns.parts.items())},
-        "interior_nonsaturated": len(ns.interior_nonsaturated),
-    })
-
-
-def _verify_identity(q: Quiver) -> dict:
-    """The orientation sweep's verdict, with the counting identity of the
-    first orientation."""
-    result = tilt_a.orientation_invariance(q)
-    first = result["stats"]["per_orientation"][0]
-    result["identity"] = {"n": result["stats"]["n"],
-                          **{k: first[k] for k in ("s", "t", "m", "lhs", "rhs")}}
-    return result
+# verify: each theorem's input
 
 
 def _quiver_input(args) -> tuple[Quiver, str]:
@@ -424,8 +327,7 @@ def cmd_verify(args) -> tuple[dict, list[str], dict[str, str]]:
     if args.deep_check and kind != "dup":
         raise UsageError(f"--deep-check does not apply to theorem {tok}")
     subject, desc = _INPUTS[kind](args)
-    home = sys.modules[__name__] if module == "cli" else getattr(
-        __import__(__package__, fromlist=[module]), module)
+    home = getattr(__import__(__package__, fromlist=[module]), module)
     result = getattr(home, name)(subject)
     if args.deep_check:
         result = _deep_checked(subject, result)

@@ -28,6 +28,10 @@ allowed complement counts.
 The same machinery runs on the double-arrow (tame) quiver restricted to
 a preprojective/preinjective window; everything touching the window rim
 is flagged window-limited instead of being trusted.
+
+The paper's classical claims (theorems 5.1, 5.2, 5.4, 5.5 and 5.6) are
+checked here too, one ``verify_*`` function each that computes and
+judges in one pass and returns a ``verdict``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from .rep_a import (
     exchange_sequence,
     ext1_dim,
     indecomposables,
+    injective,
     kronecker_window,
+    projective,
 )
 
 __all__ = [
@@ -60,14 +66,15 @@ __all__ = [
     "make_tilting",
     "tilting_modules",
     "enumerate_tilting",
-    "AlmostComplete",
-    "almost_complete_survey",
     "tilting_quiver",
     "kronecker_tilting_quiver",
-    "zero_support",
-    "nonsaturated_tame",
     "orientation_invariance",
     "verdict",
+    "verify_complement_counts",
+    "verify_saturation_rule",
+    "verify_components_nonsaturated",
+    "verify_tame_delta",
+    "verify_identity",
 ]
 
 
@@ -201,8 +208,7 @@ class TiltingGraph:
     def in_degree(self, i: int) -> int:
         return self._in[i]
 
-    def saturation(self, t: Tilting | int) -> Saturation:
-        i = t if isinstance(t, int) else self.index_of(t)
+    def saturation(self, i: int) -> Saturation:
         if not 0 <= i < len(self.tiltings):
             raise ValueError(f"no vertex {i}")
         s, e = self.out_degree(i), self.in_degree(i)
@@ -373,37 +379,6 @@ def enumerate_tilting(q: Quiver) -> list[Tilting]:
     return tilting_modules(_dynkin_pool(q), q.n)
 
 
-class AlmostComplete(NamedTuple):
-    """An almost complete tilting module with its completion data."""
-
-    summands: tuple[IndecId, ...]
-    dim_sum: tuple[int, ...]
-    sincere: bool
-    zero_support: tuple[int, ...]
-    complements: tuple[IndecId, ...]
-
-    def label(self) -> str:
-        return "+".join(str(i) for i in self.summands)
-
-
-def almost_complete_survey(q: Quiver) -> list[AlmostComplete]:
-    """Every almost complete tilting module with all its complements."""
-    pool = _dynkin_pool(q)
-    out = []
-    for rest in cliques(pool.table, q.n - 1):
-        ds = tuple(sum(pool.dims[i][k] for i in rest) for k in range(q.n))
-        zeros = zero_support(q, ds)
-        comps = complement_indices(pool.table, rest)
-        out.append(AlmostComplete(
-            tuple(pool.ids[i] for i in rest),
-            ds,
-            not zeros,
-            tuple(sorted(zeros)),
-            tuple(pool.ids[c] for c in comps),
-        ))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # graph construction
 
@@ -456,83 +431,6 @@ def kronecker_tilting_quiver(w: int) -> TiltingGraph:
 
 
 # ---------------------------------------------------------------------------
-# saturation bookkeeping
-
-
-def zero_support(q: Quiver, dim_sum: Sequence[int]) -> set[int]:
-    """Vertices where a summand-set dimension sum vanishes."""
-    dv = q.dimvec(dim_sum)
-    return {v for v, d in zip(q.vertices, dv) if d == 0}
-
-
-# ---------------------------------------------------------------------------
-# tame non-saturated analysis
-
-
-class NonSaturatedSet(NamedTuple):
-    window: int
-    parts: dict[int, list[Tilting]]      # deleted vertex -> completions
-    delta: list[Tilting]
-    interior_nonsaturated: list[Tilting]
-    agrees_with_flags: bool
-
-
-def nonsaturated_tame(w: int) -> NonSaturatedSet:
-    """Non-saturated tilting modules of the double-arrow quiver.
-
-    For each vertex x the deleted quiver is a single point whose unique
-    tilting module lifts to the window module supported off x; its
-    unique completion contributes to the part at x.  The union is
-    cross-checked against the saturation flags of every non-boundary
-    window vertex.
-    """
-    if w < 2:
-        raise ValueError("window must be >= 2 so the rim stays clear of the answer")
-    q = named_diagram("K")
-    pool = _kron_pool(w)
-    g = kronecker_tilting_quiver(w)
-    parts: dict[int, list[Tilting]] = {}
-    seen: dict[tuple[int, ...], Tilting] = {}
-    for x in q.vertices:
-        deleted = q.delete_vertex(x)
-        lifts: list[tuple[int, ...]] = []
-        for sub in enumerate_tilting(deleted):
-            want = [0] * q.n
-            for live, d in zip(deleted.vertices, sub.dim_sum):
-                want[q.v_pos[live]] = d
-            matches = [
-                i for i, rep in enumerate(pool.reps)
-                if list(rep.dim_vector()) == want
-            ]
-            if len(matches) != 1:
-                raise ValueError(
-                    f"no unique window module with dimensions {want}; enlarge the window"
-                )
-            lifts.append((matches[0],))
-        part: list[Tilting] = []
-        for rest in lifts:
-            comps = complement_indices(pool.table, rest)
-            if not comps:
-                raise ValueError(
-                    f"no completion found for {rest} inside window {w}; enlarge it"
-                )
-            if len(comps) != 1:
-                raise RuntimeError("support-restricted module completed ambiguously")
-            idx = tuple(sorted(rest + (comps[0],)))
-            t = seen.setdefault(idx, make_tilting(pool, idx))
-            part.append(t)
-        parts[x] = part
-    delta = sorted(seen.values(), key=lambda t: t.indices)
-    interior = [
-        g.tiltings[i]
-        for i in range(len(g.tiltings))
-        if i not in g.boundary and not g.saturation(i).saturated
-    ]
-    agrees = sorted(t.indices for t in interior) == [t.indices for t in delta]
-    return NonSaturatedSet(w, parts, delta, interior, agrees)
-
-
-# ---------------------------------------------------------------------------
 # orientation invariance
 
 
@@ -570,3 +468,142 @@ def orientation_invariance(diagram: str | Quiver) -> dict:
         violations.append({"reason": "arc count varies", "values": sorted(t_seen)})
     return verdict(violations, {"n": n, "orientations": len(per),
                                 "t_constant": len(t_seen) == 1, "per_orientation": per})
+
+
+# ---------------------------------------------------------------------------
+# the classical claims, each checked in one pass and returned as a ``verdict``
+
+
+def verify_complement_counts(q: Quiver) -> dict:
+    """Theorem 5.1: an almost complete tilting module has two complements
+    when it is sincere, else one.  Sincerity reads the part's dimensions
+    summed at every vertex, so rank one's empty part is not sincere."""
+    pool = _dynkin_pool(q)
+    parts = cliques(pool.table, q.n - 1)
+    violations = []
+    sincere = 0
+    for rest in parts:
+        is_sincere = all(sum(pool.dims[i][k] for i in rest) for k in range(q.n))
+        sincere += is_sincere
+        count = len(complement_indices(pool.table, rest))
+        if count != (2 if is_sincere else 1):
+            kind = "sincere" if is_sincere else "non-sincere"
+            violations.append(
+                f"{make_tilting(pool, rest).label()} is {kind} with {count} complements")
+    return verdict(violations, {"almost_complete": len(parts), "sincere": sincere,
+                                "non_sincere": len(parts) - sincere})
+
+
+def verify_saturation_rule(q: Quiver) -> dict:
+    """Theorem 5.2: a tilting module is saturated (n neighbours) exactly when
+    its dimension sum is at least 2 at every vertex; the algebra and its dual,
+    found by the projectives' and injectives' dimension vectors, are not."""
+    g = tilting_quiver(q)
+    violations = []
+    saturated = 0
+    for i, t in enumerate(g.tiltings):
+        sat = g.saturation(i)
+        saturated += sat.saturated
+        if sat.saturated != sat.dim_criterion:
+            violations.append(
+                f"{t.label()}: sigma={sat.sigma} but dim=({','.join(map(str, t.dim_sum))})")
+    for name, reps in (("algebra", [projective(q, a) for a in q.vertices]),
+                       ("dual algebra", [injective(q, a) for a in q.vertices])):
+        want = frozenset(IndecId("dyn", r.dim_vector()) for r in reps)
+        hits = [i for i, t in enumerate(g.tiltings) if frozenset(t.ids) == want]
+        if len(hits) != 1:
+            violations.append(f"{name} is not a vertex of the exchange graph")
+        elif g.saturation(hits[0]).saturated:
+            violations.append(f"{name} is saturated")
+    return verdict(violations, {"tilting_modules": len(g.tiltings), "saturated": saturated})
+
+
+def verify_components_nonsaturated(g: TiltingGraph) -> dict:
+    """Theorem 5.4: every weak component of the exchange graph has a
+    non-saturated vertex.  A component saturated off the window rim is
+    unresolved (``window-limited``), not a violation."""
+    violations = []
+    limited = 0
+    comps = g.weak_components()
+    for comp in comps:
+        interior = [i for i in comp if i not in g.boundary]
+        if any(not g.saturation(i).saturated for i in interior):
+            continue
+        if len(interior) < len(comp):
+            limited += 1
+        else:
+            violations.append(f"component of {g.tiltings[comp[0]].label()} is fully saturated")
+    result = verdict(violations, {"components": len(comps), "vertices": len(g.tiltings),
+                                  "boundary_vertices": len(g.boundary),
+                                  "unresolved_components": limited})
+    if limited and not violations:
+        result["status"] = "window-limited"
+    return result
+
+
+def verify_tame_delta(w: int) -> dict:
+    """Theorem 5.5 on the double-arrow window ``w``: the set Δ of
+    non-saturated tilting modules is the algebra and its dual.
+
+    Each vertex x's deleted quiver is a point whose one tilting module
+    lifts to the window module supported off x; its one completion is the
+    part at x.  Δ, the union of the parts, must be the end-of-orbit pair
+    P0+P1, I0+I1 and equal the non-saturated vertices off the window rim.
+    """
+    if w < 2:
+        raise ValueError("window must be >= 2 so the rim stays clear of the answer")
+    q = named_diagram("K")
+    pool = _kron_pool(w)
+    g = kronecker_tilting_quiver(w)
+    parts: dict[int, list[Tilting]] = {}
+    seen: dict[tuple[int, ...], Tilting] = {}
+    for x in q.vertices:
+        deleted = q.delete_vertex(x)
+        parts[x] = []
+        for sub in enumerate_tilting(deleted):
+            want = [0] * q.n
+            for live, d in zip(deleted.vertices, sub.dim_sum):
+                want[q.v_pos[live]] = d
+            matches = [i for i, dims in enumerate(pool.dims) if list(dims) == want]
+            if len(matches) != 1:
+                raise ValueError(
+                    f"no unique window module with dimensions {want}; enlarge the window")
+            rest = (matches[0],)
+            comps = complement_indices(pool.table, rest)
+            if not comps:
+                raise ValueError(f"no completion found for {rest} inside window {w}; enlarge it")
+            if len(comps) != 1:
+                raise RuntimeError("support-restricted module completed ambiguously")
+            idx = tuple(sorted(rest + (comps[0],)))
+            parts[x].append(seen.setdefault(idx, make_tilting(pool, idx)))
+    delta = sorted(seen.values(), key=lambda t: t.indices)
+    interior = [t for i, t in enumerate(g.tiltings)
+                if i not in g.boundary and not g.saturation(i).saturated]
+    violations = []
+    if len(delta) != 2:
+        violations.append(f"delta has {len(delta)} members, expected 2")
+    if sorted("".join(sorted({i.kind for i in t.ids})) for t in delta) != ["pi", "pp"]:
+        violations.append(
+            "delta is not the algebra/dual pair: " + "; ".join(t.label() for t in delta))
+    for t in delta:
+        if {i.key[0] for i in t.ids} != {0, 1}:
+            violations.append(f"{t.label()} is not an end-of-orbit module")
+    if sorted(t.indices for t in interior) != [t.indices for t in delta]:
+        violations.append("deleted-vertex construction disagrees with saturation flags: "
+                          + "; ".join(t.label() for t in interior))
+    return verdict(violations, {
+        "window": w,
+        "delta": [t.label() for t in delta],
+        "parts": {str(v): [t.label() for t in part] for v, part in sorted(parts.items())},
+        "interior_nonsaturated": len(interior),
+    })
+
+
+def verify_identity(q: Quiver) -> dict:
+    """Theorem 5.6: the orientation sweep's verdict, with the counting
+    identity of the first orientation under ``identity``."""
+    result = orientation_invariance(q)
+    first = result["stats"]["per_orientation"][0]
+    result["identity"] = {"n": result["stats"]["n"],
+                          **{k: first[k] for k in ("s", "t", "m", "lhs", "rhs")}}
+    return result

@@ -28,6 +28,11 @@ nonnegative or nonpositive (sign coherence).  An arc leaves the seed along
 k when c_k is negative; the variable it exchanges away is x_k, the one it
 brings in x_k', and its middle term is the monomial of the B+ column, the
 variables x_i with multiplicity [b_ik]+.
+
+In finite type a seed is determined by its cluster, so the oracle checks
+its own mutation: at every cluster it reaches again, the exchange matrix
+and the coefficient rows, keyed by d-vector, must be those it stored at
+the first visit, else ``ValueError``.
 """
 
 from __future__ import annotations
@@ -60,6 +65,14 @@ def _mutate_d(ds: list[DVector], b: list[list[int]], k: int) -> DVector:
     return tuple(max(p, q) - d for p, q, d in zip(plus, minus, ds[k]))
 
 
+def _keyed(ds: list[DVector], m: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The extended exchange matrix with B's rows and every column put in
+    the order of the seed's d-vectors, the coefficient rows after B."""
+    n = len(ds)
+    order = sorted(range(n), key=ds.__getitem__)
+    return tuple(tuple(m[i][j] for j in order) for i in order + list(range(n, 2 * n)))
+
+
 def exchange_graph(vertices: list, arrows: list[tuple]) -> tuple[
         set[Cluster], dict[tuple[Cluster, Cluster], tuple[DVector, DVector, Counter]]]:
     """Every cluster, as the set of its d-vectors (entries in the order of
@@ -74,7 +87,7 @@ def exchange_graph(vertices: list, arrows: list[tuple]) -> tuple[
         b[pos[t]][pos[s]] -= 1
     ds = [tuple(-int(i == v) for i in range(n)) for v in range(n)]
     start = (ds, b + [[int(i == j) for j in range(n)] for i in range(n)])
-    clusters = {frozenset(ds)}
+    seeds = {frozenset(ds): _keyed(*start)}
     arcs: dict[tuple[Cluster, Cluster], tuple[DVector, DVector, Counter]] = {}
     todo = deque([start])
     while todo:
@@ -89,7 +102,10 @@ def exchange_graph(vertices: list, arrows: list[tuple]) -> tuple[
             if any(x < 0 for x in c):
                 middle = Counter({ds[i]: m[i][k] for i in range(n) if m[i][k] > 0})
                 arcs[(here, there)] = (ds[k], new[k], middle)
-            if there not in clusters:
-                clusters.add(there)
-                todo.append((new, _mutate_matrix(m, k)))
-    return clusters, arcs
+            mutated = _mutate_matrix(m, k)
+            if there not in seeds:
+                seeds[there] = _keyed(new, mutated)
+                todo.append((new, mutated))
+            elif seeds[there] != _keyed(new, mutated):
+                raise ValueError(f"cluster {sorted(there)} reached with another seed")
+    return set(seeds), arcs

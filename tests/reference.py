@@ -276,9 +276,10 @@ def complements(q, m):
     ``m`` is not one."""
     want = [item if isinstance(item, IndecId) else IndecId("dyn", tuple(item)) for item in m]
     if len(set(want)) == len(want):
-        for rec in tilt_a.almost_complete_survey(q):
-            if set(rec.summands) == set(want):
-                return list(rec.complements)
+        pool = tilt_a._dynkin_pool(q)
+        for rest in tilt_a.cliques(pool.table, q.n - 1):
+            if {pool.ids[i] for i in rest} == set(want):
+                return [pool.ids[c] for c in tilt_a.complement_indices(pool.table, rest)]
     raise ValueError(f"{[str(i) for i in want]} is not an almost complete tilting module")
 
 

@@ -6,12 +6,6 @@ shows one verdict line per criterion either way.
 
 import reference as ref
 from tiltquiver import dup, endo, homsolve, rep_a, tilt_a
-from tiltquiver.cli import (
-    _verify_complement_counts,
-    _verify_components_nonsaturated,
-    _verify_saturation_rule,
-    _verify_tame_delta,
-)
 from tiltquiver.quiver_core import named_diagram, orientations
 from tiltquiver.rep_a import IndecId
 
@@ -131,7 +125,7 @@ def test_criterion_06_shift_completion_biconditional():
 def test_criterion_07_complement_counts():
     seen = {}
     for name in ("A2", "A3", "D4"):
-        rep = _verify_complement_counts(named_diagram(name))
+        rep = tilt_a.verify_complement_counts(named_diagram(name))
         assert rep["status"] == "pass", (name, rep["counterexamples"])
         seen[name] = rep["stats"]
     assert seen["A3"] == {"almost_complete": 10, "sincere": 5, "non_sincere": 5}
@@ -141,7 +135,7 @@ def test_criterion_07_complement_counts():
 
 def test_criterion_08_saturation_rule():
     for name in ("A2", "A3", "D4"):
-        rep = _verify_saturation_rule(named_diagram(name))
+        rep = tilt_a.verify_saturation_rule(named_diagram(name))
         assert rep["status"] == "pass", (name, rep["counterexamples"])
     print("criterion 8: PASS — saturated iff all dimension sums >= 2; "
           "algebra and dual never saturated (A2, A3, D4)")
@@ -150,12 +144,12 @@ def test_criterion_08_saturation_rule():
 def test_criterion_09_components_contain_nonsaturated():
     for name in ("A2", "A3", "A4", "D4"):
         g = tilt_a.tilting_quiver(named_diagram(name))
-        rep = _verify_components_nonsaturated(g)
+        rep = tilt_a.verify_components_nonsaturated(g)
         assert rep["status"] == "pass", (name, rep["counterexamples"])
     for w in (4, 6):
         g = tilt_a.kronecker_tilting_quiver(w)
         assert len(g.weak_components()) == 2
-        rep = _verify_components_nonsaturated(g)
+        rep = tilt_a.verify_components_nonsaturated(g)
         assert rep["status"] in ("pass", "window-limited"), rep
         assert rep["counterexamples"] == []
     print("criterion 9: PASS — every weak component has a non-saturated "
@@ -163,7 +157,7 @@ def test_criterion_09_components_contain_nonsaturated():
 
 
 def test_criterion_10_tame_nonsaturated_set():
-    rep = _verify_tame_delta(6)
+    rep = tilt_a.verify_tame_delta(6)
     assert rep["status"] == "pass", rep["counterexamples"]
     assert rep["stats"]["delta"] == ["P0+P1", "I0+I1"]
     assert rep["stats"]["interior_nonsaturated"] == 2

@@ -283,6 +283,85 @@ def test_deep_check_violation_exit_code(capsys, monkeypatch, argv):
     assert out.endswith("counterexample: made up deep\n")
 
 
+# faults, each made from the function it replaces
+def _one_complement(complement_indices):
+    return lambda table, rest: complement_indices(table, rest)[:1]
+
+
+def _flip_first(saturation):
+    def flipped(g, i):
+        sat = saturation(g, i)
+        return sat._replace(dim_criterion=not sat.dim_criterion) if i == 0 else sat
+    return flipped
+
+
+def _all_saturated(saturation):
+    return lambda g, i: saturation(g, i)._replace(saturated=True)
+
+
+def _one_extra(enumerate_tilting):
+    def more(q):
+        got = enumerate_tilting(q)
+        return got + got[:1]
+    return more
+
+
+# one fault per classical claim, injected through a name its checker calls,
+# and the full report it must print
+CLAIM_VIOLATIONS = {
+    "verify --theorem 5.1 --diagram A3": (
+        cli.tilt_a, "complement_indices", _one_complement,
+        "theorem 5.1 [diagram A3]: violation\n"
+        "stats: almost_complete=10 non_sincere=5 sincere=5\n"
+        "counterexample: (0,0,1)+(1,1,1) is sincere with 1 complements\n"
+        "counterexample: (0,1,0)+(1,1,1) is sincere with 1 complements\n"
+        "counterexample: (1,0,0)+(1,1,1) is sincere with 1 complements\n"
+        "counterexample: (0,1,1)+(1,1,1) is sincere with 1 complements\n"
+        "counterexample: (1,1,0)+(1,1,1) is sincere with 1 complements\n"),
+    "verify --theorem 5.2 --diagram A3": (
+        cli.tilt_a.TiltingGraph, "saturation", _flip_first,
+        "theorem 5.2 [diagram A3]: violation\n"
+        "stats: saturated=0 tilting_modules=5\n"
+        "counterexample: (0,0,1)+(1,0,0)+(1,1,1): sigma=2 but dim=(2,1,2)\n"),
+    "verify --theorem 5.4 --diagram A3": (
+        cli.tilt_a.TiltingGraph, "saturation", _all_saturated,
+        "theorem 5.4 [diagram A3]: violation\n"
+        "stats: boundary_vertices=0 components=1 unresolved_components=0 vertices=5\n"
+        "counterexample: component of (0,0,1)+(1,0,0)+(1,1,1) is fully saturated\n"),
+    "verify --theorem 5.5 --window 6": (
+        cli.tilt_a.TiltingGraph, "saturation", _all_saturated,
+        "theorem 5.5 [window 6]: violation\n"
+        "stats: delta=P0+P1,I0+I1 interior_nonsaturated=0 window=6\n"
+        "counterexample: deleted-vertex construction disagrees with saturation flags: \n"),
+    "verify --theorem 5.6 --diagram A3": (
+        cli.tilt_a, "enumerate_tilting", _one_extra,
+        "theorem 5.6 [diagram A3]: violation\n"
+        "stats: n=3 orientations=4 t_constant=yes\n"
+        "identity: 2*t + m = 18 = n*s = 15\n"
+        "orientation 0: arrows=(0,1),(1,2) s=5 t=5 m=8 identity 18=15\n"
+        "orientation 1: arrows=(1,0),(1,2) s=5 t=5 m=8 identity 18=15\n"
+        "orientation 2: arrows=(0,1),(2,1) s=5 t=5 m=8 identity 18=15\n"
+        "orientation 3: arrows=(1,0),(2,1) s=5 t=5 m=8 identity 18=15\n"
+        'counterexample: {"arrows": [[0, 1], [1, 2]], "lhs": 18, "m": 8, "orientation": 0, '
+        '"reason": "identity", "rhs": 15, "s": 5, "t": 5}\n'
+        'counterexample: {"arrows": [[1, 0], [1, 2]], "lhs": 18, "m": 8, "orientation": 1, '
+        '"reason": "identity", "rhs": 15, "s": 5, "t": 5}\n'
+        'counterexample: {"arrows": [[0, 1], [2, 1]], "lhs": 18, "m": 8, "orientation": 2, '
+        '"reason": "identity", "rhs": 15, "s": 5, "t": 5}\n'
+        'counterexample: {"arrows": [[1, 0], [2, 1]], "lhs": 18, "m": 8, "orientation": 3, '
+        '"reason": "identity", "rhs": 15, "s": 5, "t": 5}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLAIM_VIOLATIONS))
+def test_classical_claim_violations(capsys, monkeypatch, argv):
+    # a counterexample, not only a pass, keeps its text and exit code 1
+    owner, name, fault, want = CLAIM_VIOLATIONS[argv]
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, out) == (1, want)
+
+
 # ---------------------------------------------------------------------------
 # engine failures: exit 2, never a pass or a violation
 

@@ -24,8 +24,8 @@ TESTS = Path(__file__).resolve().parent
 # the slow case runs with TILTQUIVER_SLOW=1 in the environment
 SLOW = pytest.mark.skipif(not os.environ.get("TILTQUIVER_SLOW"), reason="slow")
 
-QUIVERS = ([pytest.param(q, id=f"A3/o{k}") for k, q in enumerate(orientations("A3"))]
-           + [pytest.param(q, id=f"D4/o{k}") for k, q in enumerate(orientations("D4"))]
+QUIVERS = ([pytest.param(q, id=f"{name}/o{k}") for name in ("A3", "A4", "D4")
+            for k, q in enumerate(orientations(name))]
            + [pytest.param(named_diagram(name), id=name) for name in ("D5", "A5", "E6")]
            + [pytest.param(named_diagram("E7"), id="E7", marks=SLOW)])
 
@@ -145,6 +145,26 @@ def test_the_comparisons_bite(monkeypatch):
     summand = next(iter(_oracle(q)[1][arc][2]))
     arcs = {**arcs, arc: (x, y, tuple(e - s for e, s in zip(e_dims, summand)))}
     assert not _agrees((vertices, arcs), positive)
+
+
+def test_the_oracle_checks_its_own_mutation(monkeypatch):
+    # matrix mutation that keeps the sign of column k off row k: every
+    # c-vector stays sign-coherent, but mutating back at k returns to the
+    # start cluster with another exchange matrix
+    mutate = cluster_oracle._mutate_matrix
+
+    def unsigned_column(m, k):
+        out = mutate(m, k)
+        for i, row in enumerate(out):
+            if i != k:
+                row[k] = -row[k]
+        return out
+
+    q = orientations("A3")[0]
+    _oracle(q)
+    monkeypatch.setattr(cluster_oracle, "_mutate_matrix", unsigned_column)
+    with pytest.raises(ValueError, match="reached with another seed"):
+        _oracle(q)
 
 
 def test_the_oracle_imports_no_package_module():

@@ -24,7 +24,6 @@ ALLOWED = {
     "exactlin.RatMatrix.apply": "the dense matrix-vector product, which tests check against",
     "exactlin.RatMatrix.rank": "the dense rank, which tests check against",
     "dup.validate": "the relation check, which reads the private quiver layout",
-    "tilt_a.AlmostComplete.label": "the text of a complement-count violation",
     "quiver_core.Quiver.tits_form": "the Tits form of the public Quiver",
     "exactlin.RatMatrix.__repr__": "debugging output",
     "quiver_core.Quiver.__repr__": "debugging output",

@@ -19,10 +19,9 @@ from tiltquiver.tilt_a import (
     enumerate_tilting,
     exchange_arcs,
     kronecker_tilting_quiver,
-    nonsaturated_tame,
     orientation_invariance,
     tilting_quiver,
-    zero_support,
+    verify_tame_delta,
 )
 
 A2 = named_diagram("A2")
@@ -181,16 +180,10 @@ def test_complement_count_vs_sincerity():
                 for j in rest:
                     for k, d in enumerate(g.pool.reps[j].dim_vector()):
                         dims[k] += d
-                zeros = zero_support(q, dims)
+                zeros = [k for k, d in enumerate(dims) if d == 0]
                 assert len(comp) == (2 if not zeros else 1)
                 if len(comp) == 1:
                     assert len(zeros) == 1  # non-sincere: exactly one gap
-
-
-def test_zero_support():
-    assert zero_support(A2, (0, 1)) == {0}
-    assert zero_support(A3, (0, 1, 2)) == {0}
-    assert zero_support(A3, (1, 1, 1)) == set()
 
 
 # ------------------------------------------------------------- engine
@@ -349,13 +342,12 @@ def test_kronecker_chain_directions():
 
 
 def test_nonsaturated_tame():
-    res = nonsaturated_tame(6)
-    assert [t.label() for t in res.delta] == ["P0+P1", "I0+I1"]
-    assert res.agrees_with_flags
-    assert [t.label() for t in res.parts[0]] == ["P0+P1"]
-    assert [t.label() for t in res.parts[1]] == ["I0+I1"]
+    res = verify_tame_delta(6)
+    assert res["stats"]["delta"] == ["P0+P1", "I0+I1"]
+    assert res["status"] == "pass"     # the delta agrees with the saturation flags
+    assert res["stats"]["parts"] == {"0": ["P0+P1"], "1": ["I0+I1"]}
     with pytest.raises(ValueError):
-        nonsaturated_tame(1)
+        verify_tame_delta(1)
 
 
 # ------------------------------------------------------------- orientation
