@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 from . import dup, tilt_a
-from .exactlin import Rat, SparseEchelon, rref_rows
+from .exactlin import Rat, SparseEchelon, kernel_from_rref, rref_rows
 from .homsolve import Rep, SlotMap
 
 
@@ -132,10 +132,10 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
     basis vector h: T_j -> T_s of the g-th summand, at slot j, is column
     g * dim B + h, and x: T_a -> T_j sends it to x*h, read off the shared
     block of (a, j, s) at the pairs' offsets.  A syzygy is the kernel of
-    the cover ``cols`` before it.  Each step checks that this cover kills
-    the syzygy's radical images, takes their greedy complement as top
-    generators, and checks that the new cover is onto (by rank) and kills
-    the next syzygy.
+    the cover ``cols`` before it (``kernel_from_rref`` over its columns).
+    Each step checks that this cover kills the syzygy's radical images,
+    takes their greedy complement as top generators, and checks that the
+    new cover is onto (by rank) and kills the next syzygy.
     """
     idem, dim = set(alg.idempotents), alg.dimension
     els, pairs, composites = alg.elements, alg.pair_basis, alg.composites
@@ -190,14 +190,7 @@ def simple_resolution(alg: StructureAlgebra, i: int) -> list[list[int]] | None:
         echelon, pivots = rref_rows(rows.values(), len(tags) * dim)
         if len(pivots) != len(syzygy):
             raise RuntimeError(f"the cover of a syzygy of simple {i} is not onto")
-        # kernel_from_rref's canonical basis, sparse and over cols alone
-        pivot_set = set(pivots)
-        kernel = {f: {f: 1} for f in cols if f not in pivot_set}
-        for row, p in zip(echelon, pivots):
-            for f, c in row.items():
-                if f != p:
-                    kernel[f][p] = -c
-        syzygy = list(kernel.values())
+        syzygy = list(kernel_from_rref(echelon, pivots, cols).values())
         if any(any(_apply(cols, v).values()) for v in syzygy):
             raise RuntimeError(f"the cover of a syzygy of simple {i} misses its kernel")
     return None if syzygy else steps

@@ -11,12 +11,14 @@ an incremental Gauss-Jordan on rows stored as ``{column: entry}`` dicts
 that never touches a zero entry and keeps integral entries as ``int``, so
 the 0/±1 systems the package builds stay in machine-word arithmetic.
 :func:`rref_rows` runs it over a batch of rows and
-:func:`kernel_from_rref` reads a kernel basis off its result.
-:class:`RatMatrix` stores the structure maps and morphism blocks of
-modules densely, with the products, stacking and column selection the
-engine assembles them with, and hands its rows to the kernel for rank
-and kernel bases; ``homsolve`` feeds the kernel the intertwining systems
-of Hom spaces directly, without a dense matrix.
+:func:`kernel_from_rref`, the one builder of kernel bases, reads a sparse
+kernel basis off its result.  :class:`RatMatrix` stores the structure
+maps and morphism blocks of modules densely, with the products, stacking
+and column selection the engine assembles them with, and hands its rows
+to the kernel for rank and kernel bases; ``homsolve`` feeds the kernel
+the intertwining systems of Hom spaces directly, without a dense matrix.
+The sparse side holds ``int`` or ``Fraction``, the dense side
+``Fraction`` only, and echelon output crosses over at :func:`dense_row`.
 
 Echelon-based outputs are *canonical*: the reduced row echelon form of a
 matrix is unique, so the order in which the kernel picks its pivots
@@ -51,11 +53,11 @@ def sparse_row(vec: Sequence[Rat]) -> dict[int, Rat]:
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def dense_row(row: Mapping[int, Fraction], n: int) -> list[Fraction]:
-    """Dense vector of length ``n`` from sparse entries."""
+def dense_row(row: Mapping[int, Rat], n: int) -> list[Fraction]:
+    """Dense vector of ``Fraction`` of length ``n`` from sparse entries."""
     v = [_ZERO] * n
     for j, x in row.items():
-        v[j] = x
+        v[j] = _frac(x)
     return v
 
 
@@ -92,7 +94,8 @@ class SparseEchelon:
     width of the matrix.
 
     Entries are kept as ``int`` while they are integral and as
-    ``Fraction`` otherwise; :meth:`result` hands out only Fractions.
+    ``Fraction`` otherwise; :meth:`result` hands out every integral entry
+    as an ``int``.
     """
 
     __slots__ = ("ncols", "_rows", "_holders")
@@ -152,25 +155,23 @@ class SparseEchelon:
         self._rows[c] = r
         return True
 
-    def result(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+    def result(self) -> tuple[list[dict[int, Rat]], list[int]]:
         """(nonzero RREF rows in pivot order, pivot columns ascending)."""
         pivots = sorted(self._rows)
-        rows = [
-            {j: x if type(x) is Fraction else Fraction(x)
-             for j, x in self._rows[p].items()}
-            for p in pivots
-        ]
+        # as_int_if_integral, inlined: eliminating can leave Fraction(n, 1)
+        rows = [{j: x if type(x) is int or x.denominator != 1 else x.numerator
+                 for j, x in self._rows[p].items()} for p in pivots]
         return rows, pivots
 
 
 def rref_rows(
     rows: Iterable[Mapping[int, Rat]], ncols: int
-) -> tuple[list[dict[int, Fraction]], list[int]]:
+) -> tuple[list[dict[int, Rat]], list[int]]:
     """Reduced row echelon form of sparse rows over ``ncols`` columns.
 
-    Returns the nonzero rows of the RREF as ``{column: Fraction}`` dicts,
-    sorted by pivot, and the pivot columns in increasing order; the
-    number of pivots is the rank.
+    Returns the nonzero rows of the RREF as ``{column: entry}`` dicts,
+    ``int`` where integral, sorted by pivot, and the pivot columns in
+    increasing order; the number of pivots is the rank.
     """
     ech = SparseEchelon(ncols)
     for row in rows:
@@ -179,27 +180,23 @@ def rref_rows(
 
 
 def kernel_from_rref(
-    rows: Sequence[Mapping[int, Fraction]], pivots: Sequence[int], ncols: int
-) -> list[list[Fraction]]:
+    rows: Sequence[Mapping[int, Rat]], pivots: Sequence[int], columns: Iterable[int]
+) -> dict[int, dict[int, Rat]]:
     """Canonical basis of the right kernel from an :func:`rref_rows` result.
 
-    One vector per free column ``f``, ordered by ``f``: entry 1 at ``f``,
-    the negated RREF coefficients of column ``f`` at the pivot
-    positions, zero elsewhere.  The basis is unique given the matrix.
+    ``columns`` are the unknowns, which hold every entry of ``rows``.  One
+    sparse vector per free column ``f`` among them, keyed by ``f`` in their
+    order: entry 1 at ``f``, the negated RREF coefficients of column ``f``
+    at the pivots.  Each RREF row starts at its pivot, so ``f`` is the last
+    nonzero entry, and the other vectors are zero there.  The basis is
+    unique given the matrix.
     """
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    one = Fraction(1)
-    basis = [[_ZERO] * ncols for _ in free]
-    at = {}
-    for k, f in enumerate(free):
-        basis[k][f] = one
-        at[f] = k
+    basis = {f: {f: 1} for f in columns if f not in pivot_set}
     for row, p in zip(rows, pivots):
         for j, x in row.items():
-            k = at.get(j)
-            if k is not None:
-                basis[k][p] = -x
+            if j != p:
+                basis[j][p] = -x
     return basis
 
 
@@ -362,7 +359,7 @@ class RatMatrix:
     # ------------------------------------------------------------------
     # echelon machinery
 
-    def _echelon(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+    def _echelon(self) -> tuple[list[dict[int, Rat]], list[int]]:
         return rref_rows(map(sparse_row, self.data), self.cols)
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
@@ -383,6 +380,7 @@ class RatMatrix:
         return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[list[Fraction]]:
-        """Canonical basis of the right kernel (see :func:`kernel_from_rref`)."""
+        """The dense canonical basis of the right kernel (:func:`kernel_from_rref`)."""
         rows, pivots = self._echelon()
-        return kernel_from_rref(rows, pivots, self.cols)
+        return [dense_row(v, self.cols)
+                for v in kernel_from_rref(rows, pivots, range(self.cols)).values()]

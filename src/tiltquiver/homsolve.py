@@ -29,7 +29,9 @@ Covers, kernels and module resolutions are not needed: every object
 whose Ext^1 the package reads comes with a projective presentation of
 length one (``dup.DupContext.ext1_idx``), and ``endo`` resolves the
 simples of End T in free coordinates.  No linear algebra happens outside
-``exactlin``.
+``exactlin``.  Systems, kernel bases, coordinates and spans are sparse
+(``int`` or ``Fraction``); the blocks of modules and maps are dense
+(``Fraction``), built from kernel vectors by ``exactlin.dense_row``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .exactlin import (
     RatMatrix,
     SparseEchelon,
     as_int_if_integral,
+    dense_row,
     kernel_from_rref,
     rref_rows,
 )
@@ -207,12 +210,13 @@ def hom_basis(M: Rep, N: Rep) -> list[SlotMap]:
     rows, offs, total = _hom_system(M, N)
     echelon, pivots = rref_rows(rows, total)
     out = []
-    for v in kernel_from_rref(echelon, pivots, total):
+    for vec in kernel_from_rref(echelon, pivots, range(total)).values():
+        v = dense_row(vec, total)
         blocks = {}
         for s in M.slot_keys:
             r, c = N.dims[s], M.dims[s]
             base = offs[s]
-            # slices of a fresh kernel vector of Fractions
+            # slices of a fresh dense row
             blocks[s] = RatMatrix._trusted(
                 [v[base + i * c: base + (i + 1) * c] for i in range(r)], c)
         out.append(SlotMap(M, N, blocks))
@@ -235,10 +239,7 @@ def checked_hom(M: Rep, N: Rep, dim: int, pair: tuple) -> list[SlotMap]:
 def hom_dim(M: Rep, N: Rep) -> int:
     """dim Hom(M, N) from the rank of the intertwining system alone."""
     rows, _, total = _hom_system(M, N)
-    echelon = SparseEchelon(total)
-    for row in rows:
-        echelon.add(row)
-    return total - echelon.rank
+    return total - len(rref_rows(rows, total)[1])
 
 
 def end_dim(M: Rep) -> int:
@@ -266,28 +267,17 @@ def cokernel_projection(mat: RatMatrix) -> tuple[list[int], RatMatrix]:
     plus columns below p, in the image; a non-pivot c cannot be reached,
     since a combination of rows is nonzero at its largest pivot.)
     Returns the complement columns and the projection, one row per
-    complement column c: e_c - sum_p r_p[c] e_p.  The projection onto a
-    fixed complement along a fixed subspace is unique.
+    complement column c: e_c - sum_p r_p[c] e_p, the canonical kernel
+    basis of the reversed echelon (``kernel_from_rref``).  The projection
+    onto a fixed complement along a fixed subspace is unique.
     """
     d = mat.rows
     top = d - 1
-    echelon = SparseEchelon(d)
-    for v in zip(*mat.data):  # the columns
-        echelon.add({top - j: x for j, x in enumerate(v) if x})
-    rows, pivots = echelon.result()
-    pivot_set = {top - p for p in pivots}
-    comp = [c for c in range(d) if c not in pivot_set]
-    zero, one = Fraction(0), Fraction(1)
-    proj = [[zero] * d for _ in comp]
-    at = {}
-    for k, c in enumerate(comp):
-        proj[k][c] = one
-        at[c] = k
-    for row, p in zip(rows, pivots):
-        for j, x in row.items():
-            if j != p:
-                proj[at[top - j]][top - p] = -x
-    return comp, RatMatrix(proj, cols=d)
+    rows, pivots = rref_rows(({top - j: x for j, x in enumerate(v) if x}  # the columns
+                              for v in zip(*mat.data)), d)
+    kernel = kernel_from_rref(rows, pivots, range(top, -1, -1))
+    proj = [dense_row({top - j: x for j, x in v.items()}, d) for v in kernel.values()]
+    return [top - f for f in kernel], RatMatrix._trusted(proj, d)
 
 
 def cokernel(f: SlotMap) -> tuple[Rep, SlotMap]:
@@ -354,30 +344,19 @@ def _composite_row(
     return out
 
 
-def basis_coordinates(
-    basis: Sequence[SlotMap], vecs: Iterable[Mapping[int, Rat]]
+def _coordinates(
+    basis: Mapping[int, Mapping[int, Rat]], vecs: Iterable[Mapping[int, Rat]]
 ) -> list[tuple[Rat, ...]]:
-    """Coordinates in ``basis`` of maps given as sparse ``vec()`` rows.
-
-    ``basis`` is meant to be a ``hom_basis`` result, the canonical
-    kernel basis of ``kernel_from_rref``: each basis map has entry 1 at
-    its last nonzero entry, its own free column, where every other basis
-    map is zero, so a map's coordinates are its entries there.  Raises
-    ``RuntimeError`` unless the free columns are distinct (so the basis
-    is independent) and every residual vec - sum c_k . b_k is zero (so
-    the coordinates are exact).
-    """
-    rows = [{k: as_int_if_integral(v) for k, v in enumerate(b.vec()) if v} for b in basis]
-    if not all(rows):
-        raise RuntimeError("a Hom basis map is zero")
-    free = [max(row) for row in rows]
-    if len(set(free)) != len(free):
-        raise RuntimeError("Hom basis maps share their last nonzero entry")
+    """Coordinates of sparse vectors in a basis keyed by free column, as
+    ``kernel_from_rref`` returns one: each basis vector has entry 1 at its
+    key, where every other one is zero, so a vector's coordinates are its
+    entries there.  Raises ``RuntimeError`` unless every residual vec -
+    sum c_k . b_k is zero (so the coordinates are exact)."""
     out = []
     for vec in vecs:
-        coords = tuple(as_int_if_integral(vec.get(f, 0)) for f in free)
+        coords = tuple(as_int_if_integral(vec.get(f, 0)) for f in basis)
         residual = dict(vec)
-        for c, row in zip(coords, rows):
+        for c, row in zip(coords, basis.values()):
             if c:
                 for col, v in row.items():
                     residual[col] = residual.get(col, 0) - c * v
@@ -385,6 +364,31 @@ def basis_coordinates(
             raise RuntimeError("a map does not lie in the span of its cached Hom basis")
         out.append(coords)
     return out
+
+
+def basis_coordinates(
+    basis: Sequence[SlotMap], vecs: Iterable[Mapping[int, Rat]]
+) -> list[tuple[Rat, ...]]:
+    """Coordinates in ``basis`` of maps given as sparse ``vec()`` rows.
+
+    ``basis`` is meant to be a ``hom_basis`` result, a canonical kernel
+    basis: each basis map's free column is its last nonzero entry, and
+    ``_coordinates`` reads the maps there.  Raises ``RuntimeError`` unless
+    the free columns are distinct (so the basis is independent).
+    """
+    rows = [{k: as_int_if_integral(v) for k, v in enumerate(b.vec()) if v} for b in basis]
+    if not all(rows):
+        raise RuntimeError("a Hom basis map is zero")
+    keyed = {max(row): row for row in rows}
+    if len(keyed) != len(rows):
+        raise RuntimeError("Hom basis maps share their last nonzero entry")
+    return _coordinates(keyed, vecs)
+
+
+def _span_rows(coords: Iterable[Sequence[Rat]], d: int) -> tuple[tuple[Rat, ...], ...]:
+    """The reduced echelon rows of the span of coordinate vectors of length d."""
+    rows, _ = rref_rows((dict(enumerate(c)) for c in coords), d)
+    return tuple(tuple(row.get(k, 0) for k in range(d)) for row in rows)
 
 
 def radical_coordinates(
@@ -402,12 +406,7 @@ def radical_coordinates(
     widths = [x.dims[s] for s in x.slot_keys]
     composites = [_composite_row(_block_nonzeros(g), _block_nonzeros(h), widths)
                   for g in hom_ji for h in hom_xj]
-    d = len(hom_xi)
-    span = SparseEchelon(d)
-    for coords in basis_coordinates(hom_xi, composites):
-        span.add(dict(enumerate(coords)))
-    rows, _ = span.result()
-    return tuple(tuple(as_int_if_integral(row.get(k, 0)) for k in range(d)) for row in rows)
+    return _span_rows(basis_coordinates(hom_xi, composites), len(hom_xi))
 
 
 def composite_coordinates(
@@ -539,11 +538,8 @@ def injective_approximation(
     for t, s in enumerate(x.slot_keys):
         if not x.dims[s]:
             continue
-        echelon = SparseEchelon(x.dims[s])
-        for _, h in comps:
-            for row in _block_nonzeros(h)[t]:
-                echelon.add(dict(row))
-        if echelon.rank != x.dims[s]:
+        rows = (dict(row) for _, h in comps for row in _block_nonzeros(h)[t])
+        if len(rref_rows(rows, x.dims[s])[1]) != x.dims[s]:
             raise NoExchangeSequence("approximation map is not injective")
     return comps
 
@@ -581,18 +577,19 @@ def exchange_line(
     hom_x: Sequence[list[SlotMap]],
     hom_y: Sequence[list[SlotMap]],
     composites: Callable[[int], Sequence[Sequence[Sequence[Rat]]]],
-) -> tuple[list[tuple[int, SlotMap]], list[list[Fraction]]]:
+) -> tuple[list[tuple[int, SlotMap]], dict[int, dict[int, Rat]]]:
     """The maps g: E -> y with g . f = 0, f: x -> E the approximation
     with components ``comps`` (each a basis map of ``hom_x[i]``).
 
     g is a combination of the terms (basis map of Hom(pool_i, y)) .
     (projection onto component k); returns the terms (k, basis map) and
-    the canonical kernel basis of the coefficients.  The equations are
-    the coordinates of g . f in a basis of Hom(x, y), one row per basis
-    map, read from ``composites(i)`` = ``composite_coordinates`` of
-    Hom(x, pool_i), Hom(pool_i, y) and Hom(x, y).  As that coordinate
-    map is injective, the system has the row space, hence the kernel
-    basis, of g . f = 0 taken entrywise.
+    the canonical kernel basis of the coefficients, keyed by free term
+    (``kernel_from_rref``).  The equations are the coordinates of g . f
+    in a basis of Hom(x, y), one row per basis map, read from
+    ``composites(i)`` = ``composite_coordinates`` of Hom(x, pool_i),
+    Hom(pool_i, y) and Hom(x, y).  As that coordinate map is injective,
+    the system has the row space, hence the kernel basis, of g . f = 0
+    taken entrywise.
     """
     terms: list[tuple[int, SlotMap]] = []
     equations: dict[int, dict[int, Rat]] = {}
@@ -604,7 +601,7 @@ def exchange_line(
                 if v:
                     equations.setdefault(entry, {})[col] = v
     echelon, pivots = rref_rows(equations.values(), len(terms))
-    return terms, kernel_from_rref(echelon, pivots, len(terms))
+    return terms, kernel_from_rref(echelon, pivots, range(len(terms)))
 
 
 def approximation_key(ctx: IndexCache, x: int, members: Sequence[int]
@@ -642,19 +639,17 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
     homs, radicals, decided = {}, {}, {}       # plain memos: no cache wrapper per call
 
     def hom(k: int) -> tuple[dict[int, dict[int, Rat]], list[tuple[int, int]]]:
-        """The canonical kernel basis by free column, its last nonzero
-        entry, and each column's (component, basis position)."""
-        if k in homs:
-            return homs[k]
-        columns = [(c, l) for c, (m, _) in enumerate(key) for l in range(len(ctx.hom_idx(m, k)))]
-        if not ctx.hom_idx(x, k):                 # every map E -> k kills x
-            homs[k] = {col: {col: 1} for col in range(len(columns))}, columns
-            return homs[k]
-        _, kernel = exchange_line(f_maps, hom_x, [ctx.hom_idx(m, k) for m, _ in key],
-                                  lambda c: ctx.composite_idx(x, key[c][0], k))
-        basis = [{col: as_int_if_integral(v) for col, v in enumerate(vec) if v}
-                 for vec in kernel]
-        homs[k] = {max(vec): vec for vec in basis}, columns
+        """The canonical kernel basis by free column (``exchange_line``)
+        and each column's (component, basis position)."""
+        if k not in homs:
+            columns = [(c, l) for c, (m, _) in enumerate(key)
+                       for l in range(len(ctx.hom_idx(m, k)))]
+            if ctx.hom_idx(x, k):
+                _, kernel = exchange_line(f_maps, hom_x, [ctx.hom_idx(m, k) for m, _ in key],
+                                          lambda c: ctx.composite_idx(x, key[c][0], k))
+            else:                                 # every map E -> k kills x
+                kernel = {col: {col: 1} for col in range(len(columns))}
+            homs[k] = kernel, columns
         return homs[k]
 
     def radical(j: int, i: int) -> tuple:
@@ -664,7 +659,7 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
             return radicals[(j, i)]
         (phis, columns), (basis, _) = hom(j), hom(i)
         starts = list(accumulate((len(ctx.hom_idx(m, i)) for m, _ in key), initial=0))
-        span = SparseEchelon(len(basis))
+        lifts = []
         for q in range(len(ctx.hom_idx(j, i))):
             for phi in phis.values():
                 lift: dict[int, Rat] = {}
@@ -673,16 +668,8 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
                     for z, v in enumerate(ctx.composite_idx(key[c][0], j, i)[l][q], starts[c]):
                         if v:
                             lift[z] = lift.get(z, 0) + a * v
-                coords = [lift.get(f, 0) for f in basis]
-                for a, vec in zip(coords, basis.values()):
-                    for f, v in vec.items() if a else ():
-                        lift[f] = lift.get(f, 0) - a * v
-                if any(lift.values()):
-                    raise RuntimeError(f"a composite leaves Hom(coker, {i})")
-                span.add(dict(enumerate(coords)))
-        rows, _ = span.result()
-        radicals[(j, i)] = tuple(tuple(as_int_if_integral(row.get(n, 0))
-                                       for n in range(len(basis))) for row in rows)
+                lifts.append(lift)
+        radicals[(j, i)] = _span_rows(_coordinates(basis, lifts), len(basis))
         return radicals[(j, i)]
 
     def decide(support: tuple[int, ...]) -> Counter | None:

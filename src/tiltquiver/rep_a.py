@@ -18,12 +18,11 @@ sequences.  All heavy lifting delegates to :mod:`homsolve`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import homsolve
-from .exactlin import RatMatrix
+from .exactlin import Rat, RatMatrix
 from .homsolve import Layout, Rep, SlotMap, hom_basis
 from .quiver_core import Quiver, classify, named_diagram
 
@@ -122,8 +121,7 @@ def reflect(r: Rep, v: int) -> Rep:
         big = (RatMatrix.hstack(blocks) if blocks
                else RatMatrix.zeros(r.dims[v], 0))
         kb = big.kernel_basis()
-        K = (RatMatrix(kb, cols=big.cols).transpose()
-             if kb else RatMatrix.zeros(big.cols, 0))
+        K = RatMatrix(kb, cols=big.cols).transpose()
         new_dims[v] = len(kb)
         off = 0
         for a in ins:
@@ -147,33 +145,32 @@ def reflect(r: Rep, v: int) -> Rep:
     return Rep(new_q, layout(new_q), new_dims, new_maps)
 
 
+def _reflect_along(m: Rep, order: Iterable[int], admissible: Callable[[Quiver, int], bool]) -> Rep:
+    """Reflect m at each vertex of ``order`` in turn, each one
+    ``admissible`` (a sink or a source) in the quiver reached so far."""
+    cur = m
+    for v in order:
+        if not admissible(cur.quiver, v):
+            raise RuntimeError("vertex order stopped being admissible")
+        cur = reflect(cur, v)
+    if cur.quiver != m.quiver:
+        raise RuntimeError("reflections did not return to the original quiver")
+    return cur
+
+
 def tau_inverse(m: Rep) -> Rep:
     """Inverse translate: reflect at sources along a topological order.
 
     Zero exactly on injectives (and the zero module); the quiver of the
     result is the original one again.
     """
-    cur = m
-    for v in m.quiver.topological_order():
-        if not cur.quiver.is_source(v):
-            raise RuntimeError("vertex order stopped being admissible")
-        cur = reflect(cur, v)
-    if cur.quiver != m.quiver:
-        raise RuntimeError("reflections did not return to the original quiver")
-    return cur
+    return _reflect_along(m, m.quiver.topological_order(), Quiver.is_source)
 
 
 def tau(m: Rep) -> Rep:
     """Translate: reflect at sinks along a reversed topological order
     (zero on projectives)."""
-    cur = m
-    for v in reversed(m.quiver.topological_order()):
-        if not cur.quiver.is_sink(v):
-            raise RuntimeError("vertex order stopped being admissible")
-        cur = reflect(cur, v)
-    if cur.quiver != m.quiver:
-        raise RuntimeError("reflections did not return to the original quiver")
-    return cur
+    return _reflect_along(m, reversed(m.quiver.topological_order()), Quiver.is_sink)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,7 @@ def exchange_sequence(
     x: Rep,
     m_pool: Sequence[Rep],
     hom_x: Sequence[list[SlotMap]],
-    radical: Callable[[int, int], Sequence[Sequence[Fraction]]],
+    radical: Callable[[int, int], Sequence[Sequence[Rat]]],
 ) -> tuple[Rep, Rep] | None:
     """0 -> x -> e -> y -> 0 against the pool, or None when there is none.
 

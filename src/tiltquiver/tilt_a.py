@@ -196,8 +196,8 @@ class TiltingGraph:
     def n(self) -> int:
         return self.quiver.n
 
-    def index_of(self, t: Tilting | Iterable[int]) -> int:
-        key = t.indices if isinstance(t, Tilting) else tuple(sorted(t))
+    def index_of(self, indices: Iterable[int]) -> int:
+        key = tuple(sorted(indices))
         if key not in self._position:
             raise ValueError(f"tilting module {key} not a vertex of this graph")
         return self._position[key]

@@ -993,6 +993,47 @@ def test_corrupted_composite_in_the_deep_check_is_an_engine_error(flags, route):
         assert "disagree with their maps" in proc.stderr
 
 
+# the deep check's cokernel radicals read coordinates in the canonical
+# bases of Hom(coker, k) through the reader that also reads cached Hom
+# bases: argv[1] "scaled" doubles every vector of those bases (entry 2 at
+# its key), "plus" adds 1 to the first coordinate of the block argv[2]
+COKERNEL_READER_FAULT = (
+    "import sys\n"
+    "from tiltquiver import cli, dup, homsolve\n"
+    "if sys.argv[1] == 'scaled':\n"
+    "    exchange_line = homsolve.exchange_line\n"
+    "    def scaled(*args):\n"
+    "        terms, kernel = exchange_line(*args)\n"
+    "        return terms, {f: {c: 2 * v for c, v in vec.items()} for f, vec in kernel.items()}\n"
+    "    homsolve.exchange_line = scaled\n"
+    "else:\n"
+    "    key = tuple(map(int, sys.argv[2].split(',')))\n"
+    "    composite_idx = dup.DupContext.composite_idx\n"
+    "    def plus_one(self, x, i, y):\n"
+    "        got = composite_idx(self, x, i, y)\n"
+    "        if (x, i, y) != key:\n"
+    "            return got\n"
+    "        rows = [[list(cs) for cs in row] for row in got]\n"
+    "        rows[0][0][0] += 1\n"
+    "        return tuple(tuple(map(tuple, row)) for row in rows)\n"
+    "    dup.DupContext.composite_idx = plus_one\n"
+    "sys.exit(cli.main(['verify', '--theorem', '3.1', '--diagram', 'A3', '--deep-check']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("fault", [["scaled"], ["plus", "5,11,9"]])
+def test_cokernel_coordinate_fault_is_an_engine_error(flags, fault):
+    # (5, 11, 9) is a block m -> j -> i that the cokernel radical of
+    # duplicated A3 lifts through: a component of T0, then two summands
+    # of T; the reader's residual check must stop both faults
+    proc = _run_script(flags, COKERNEL_READER_FAULT, *fault)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "engine error: a map does not lie in the span of its cached Hom basis")
+
+
 # every coordinate of every composite block that dup-kquiver on the
 # diagram argv[1] reads, changed in turn, by + 1 and by a 0 <-> 1 flip, at
 # every read of its block: each run must be an engine error; prints the

@@ -8,7 +8,10 @@ from reference import gauss_jordan, identity, image_basis, inverse, solve
 from tiltquiver import homsolve
 from tiltquiver.exactlin import (
     RatMatrix,
+    dense_row,
+    kernel_from_rref,
     rref_rows,
+    sparse_row,
 )
 from tiltquiver.quiver_core import named_diagram
 from tiltquiver.rep_a import indecomposables, kronecker_window
@@ -259,19 +262,27 @@ def test_rref_matches_sympy(sympy, m):
     assert got_piv == list(piv)
 
 
-@settings(max_examples=100, deadline=None)
-@given(shaped_matrices())
-def test_rank_kernel_match_dense_reference(m):
+def dense_kernel(m):
+    """The canonical kernel basis from ``reference.gauss_jordan``: one
+    vector per free column, 1 there, the negated RREF column at the pivots."""
     R, piv = gauss_jordan(m.data, m.cols)
-    want = []  # one vector per free column, as the dense routine gave it
+    want = []
     for f in (c for c in range(m.cols) if c not in piv):
         v = [F(0)] * m.cols
         v[f] = F(1)
         for i, p in enumerate(piv):
             v[p] = -R[i][f]
         want.append(v)
-    assert m.rank() == len(piv)
-    assert m.kernel_basis() == want
+    return want
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_matrices())
+def test_rank_kernel_match_dense_reference(m):
+    assert m.rank() == len(gauss_jordan(m.data, m.cols)[1])
+    kernel = m.kernel_basis()
+    assert kernel == dense_kernel(m)
+    assert all(type(x) is Fraction for v in kernel for x in v)  # the dense side
 
 
 def test_rref_rows_sparse_input():
@@ -279,9 +290,63 @@ def test_rref_rows_sparse_input():
     rows, piv = rref_rows([{2: F(2), 0: 4}, {}, {0: 2, 1: F(1, 3), 2: 0}], 3)
     assert piv == [0, 1]
     assert rows == [{0: F(1), 2: F(1, 2)}, {1: F(1), 2: F(-3)}]
-    assert all(type(x) is Fraction for row in rows for x in row.values())
+    # the sparse side keeps integral entries as int
+    assert [{j: type(x) for j, x in row.items()} for row in rows] == [
+        {0: int, 2: Fraction}, {1: int, 2: int}]
+    # back-substitution leaves Fraction(-2, 1) = -1/2 * 4 in the first row
+    rows, _ = rref_rows([{0: 2, 1: 1}, {0: 1, 1: 1, 2: 2}], 3)
+    assert rows == [{0: 1, 2: -2}, {1: 1, 2: 4}]
+    assert all(type(x) is int for row in rows for x in row.values())
     with pytest.raises(ValueError):
         rref_rows([{3: 1}], 3)
+
+
+# ------------------------------------------------ the one kernel format
+# ``kernel_from_rref`` builds every canonical kernel basis the package
+# reads: sparse, keyed by free column, ints where integral.
+
+
+def integral_as_int(entries):
+    return all(type(x) is int or x.denominator != 1 for x in entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices())
+def test_kernel_from_rref_is_keyed_by_its_last_entry(m):
+    rows, piv = rref_rows(map(sparse_row, m.data), m.cols)
+    assert all(integral_as_int(row.values()) for row in rows)
+    kernel = kernel_from_rref(rows, piv, range(m.cols))
+    assert list(kernel) == [c for c in range(m.cols) if c not in piv]
+    for f, v in kernel.items():
+        assert max(v) == f and v[f] == 1 and type(v[f]) is int
+        assert all(v.values()) and integral_as_int(v.values())
+    assert [dense_row(v, m.cols) for v in kernel.values()] == dense_kernel(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=shaped_matrices())
+def test_kernel_from_rref_matches_sympy_nullspace(sympy, m):
+    rows, piv = rref_rows(map(sparse_row, m.data), m.cols)
+    got = [dense_row(v, m.cols) for v in kernel_from_rref(rows, piv, range(m.cols)).values()]
+    want = [[from_sympy(x) for x in v] for v in to_sympy(sympy, m).nullspace()]
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_kernel_from_rref_over_a_column_subset(m, data):
+    # rows that use only some columns of a wider system, as the covers of
+    # ``endo.simple_resolution`` do: the basis over those columns is the
+    # basis of the matrix they form, carried to their positions
+    width = m.cols + data.draw(st.integers(0, 4))
+    columns = sorted(data.draw(st.permutations(range(width)))[:m.cols])
+    rows = [{columns[j]: x for j, x in sparse_row(row).items()} for row in m.data]
+    echelon, piv = rref_rows(rows, width)
+    kernel = kernel_from_rref(echelon, piv, columns)
+    assert [{columns[j]: x for j, x in sparse_row(v).items()} for v in dense_kernel(m)] == \
+        list(kernel.values())
+    assert list(kernel) == [max(v) for v in kernel.values()]
+    assert all(integral_as_int(v.values()) for v in kernel.values())
 
 
 # ---------------------------------------------------- hom spaces, rank only
@@ -293,7 +358,10 @@ def test_hom_dim_matches_hom_basis(pool):
             else indecomposables(named_diagram(pool)))
     for _, m in mods:
         for _, n in mods:
-            assert homsolve.hom_dim(m, n) == len(homsolve.hom_basis(m, n))
+            basis = homsolve.hom_basis(m, n)
+            assert homsolve.hom_dim(m, n) == len(basis)
+            # blocks built from sparse kernel vectors hold Fraction only
+            assert all(b == validated(b) for h in basis for b in h.blocks.values())
 
 
 # ------------------------------------------- results built without checks
@@ -340,6 +408,7 @@ def test_internal_results_equal_validated_construction(m, n):
         "block_diagonal": RatMatrix.block_diagonal([m, n]),
         "columns": m.columns(list(range(k))[::-1]),
         "matmul": m @ rhs,
+        "cokernel_projection": homsolve.cokernel_projection(m)[1],
     }
     for name, got in results.items():
         assert got == validated(got), name

@@ -442,10 +442,13 @@ def reference_components(x, pool, hom_x, homs):
 
 def reference_line(comps, hom_y):
     """Kernel basis of g . f = 0 taken entrywise: one equation per entry
-    of the composites, one unknown per (component, basis map) term."""
+    of the composites, one unknown per (component, basis map) term; each
+    vector sparse and keyed by its last nonzero entry, as ``exchange_line``
+    returns it."""
     terms = [(k, g) for k, (i, _) in enumerate(comps) for g in hom_y[i]]
     columns = [ref.compose(g, comps[k][1]).vec() for k, g in terms]
-    return RatMatrix([list(row) for row in zip(*columns)], cols=len(terms)).kernel_basis()
+    kernel = RatMatrix([list(row) for row in zip(*columns)], cols=len(terms)).kernel_basis()
+    return {max(sparse_row(v)): sparse_row(v) for v in kernel}
 
 
 def _blocks(pairs):

@@ -19,7 +19,6 @@ PACKAGE = Path(cli.__file__).resolve().parent
 
 ALLOWED = {
     "exactlin.RatMatrix.rref": "the benchmark's exactlin.rref span patches it",
-    "exactlin.dense_row": "rref's dense rows",
     "exactlin.RatMatrix.__eq__": "value equality of the dense matrix, which tests compare by",
     "exactlin.RatMatrix.apply": "the dense matrix-vector product, which tests check against",
     "exactlin.RatMatrix.rank": "the dense rank, which tests check against",

@@ -259,7 +259,7 @@ def test_indexed_degrees_match_arc_counts():
         for i, t in enumerate(g.tiltings):
             assert g.out_degree(i) == sum(1 for a in g.arcs if a.src == i)
             assert g.in_degree(i) == sum(1 for a in g.arcs if a.dst == i)
-            assert g.index_of(t) == i
+            assert g.index_of(t.indices) == i
 
 
 class _IncompatiblePool:
