@@ -134,8 +134,8 @@ def bar_projective(q: Quiver, a: int) -> Rep:
     """
     def conn(s: int, p: tuple[str, ...], e: int) -> RatMatrix:
         ys = q.paths_between(a, e)
-        return RatMatrix([[int(r + y == p) for y in ys] for r in q.paths_between(s, a)],
-                         cols=len(ys))
+        return RatMatrix([[(j, 1) for j, y in enumerate(ys) if r + y == p]
+                          for r in q.paths_between(s, a)], len(ys))
 
     return _triple(q, rep_a.projective(q, a), rep_a.injective(q, a), conn)
 
@@ -160,7 +160,7 @@ def _bar_cokernel(q: Quiver, m: Rep) -> Rep:
     hom_x = [homsolve.checked_hom(x, b, m.dims[a], (f"embedded {m.dim_vector()}", f"B{a}"))
              for a, b in zip(q.vertices, bars)]
     return homsolve.exchange_sequence(x, bars, hom_x, lambda a, b: homsolve.radical_coordinates(
-        x, hom_x[a], _bar_hom(q, a, b), hom_x[b]))[1]
+        hom_x[a], _bar_hom(q, a, b), hom_x[b]))[1]
 
 
 def shifted_module(q: Quiver, i: int) -> Rep:

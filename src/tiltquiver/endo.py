@@ -94,7 +94,7 @@ def structure_algebra(
                 if len(hs) != 1:
                     raise ValueError(f"summand {i} has End of dimension {len(hs)}, expected 1")
                 s = next(s for s in summands[i].slot_keys if summands[i].dims[s])
-                if hs[0].blocks[s][0, 0] != 1:       # lam * identity: End is k
+                if hs[0].blocks[s].data[0][:1] != [(0, 1)]:  # lam * identity: End is k
                     raise RuntimeError(f"the Hom basis of End(summand {i}) is not the identity")
             pair_basis[(i, j)] = range(len(elements), len(elements) + len(hs))
             for h in hs:

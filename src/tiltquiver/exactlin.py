@@ -12,13 +12,14 @@ that never touches a zero entry and keeps integral entries as ``int``, so
 the 0/±1 systems the package builds stay in machine-word arithmetic.
 :func:`rref_rows` runs it over a batch of rows and
 :func:`kernel_from_rref`, the one builder of kernel bases, reads a sparse
-kernel basis off its result.  :class:`RatMatrix` stores the structure
-maps and morphism blocks of modules densely, with the products, stacking
-and column selection the engine assembles them with, and hands its rows
-to the kernel for rank and kernel bases; ``homsolve`` feeds the kernel
-the intertwining systems of Hom spaces directly, without a dense matrix.
-The sparse side holds ``int`` or ``Fraction``, the dense side
-``Fraction`` only, and echelon output crosses over at :func:`dense_row`.
+kernel basis off its result.  :class:`RatMatrix`, the one matrix of the
+package, stores the structure maps and morphism blocks of modules as
+sparse rows of ``(column, entry)`` pairs, with the products, stacking and
+column selection the engine assembles them with, and hands its rows to
+the kernel for rank and kernel bases; ``homsolve`` feeds the kernel the
+intertwining systems of Hom spaces directly and reads the rows of the
+blocks as they are.  Entries are ``int`` or ``Fraction``, ``int`` while
+integral, on every side.
 
 Echelon-based outputs are *canonical*: the reduced row echelon form of a
 matrix is unique, so the order in which the kernel picks its pivots
@@ -29,6 +30,7 @@ basis.  Callers may compare bases by equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction | int
@@ -41,31 +43,23 @@ __all__ = [
 ]
 
 
-_ZERO = Fraction(0)
-
-
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def sparse_row(vec: Sequence[Rat]) -> dict[int, Rat]:
-    """The nonzero entries of a dense vector, keyed by position."""
-    return {j: x for j, x in enumerate(vec) if x}
-
-
-def dense_row(row: Mapping[int, Rat], n: int) -> list[Fraction]:
-    """Dense vector of ``Fraction`` of length ``n`` from sparse entries."""
-    v = [_ZERO] * n
-    for j, x in row.items():
-        v[j] = _frac(x)
-    return v
-
-
 def as_int_if_integral(x: Rat) -> Rat:
     """``x`` as an ``int`` when it is integral, else the Fraction itself."""
     if type(x) is int:
         return x
     return x.numerator if x.denominator == 1 else x
+
+
+def _check_columns(data: Iterable[Sequence[tuple[int, Rat]]], cols: int) -> None:
+    """``ValueError`` unless the columns of each row ascend strictly within
+    ``0..cols-1``."""
+    for row in data:
+        last = -1
+        for j, _ in row:
+            if not last < j < cols:
+                raise ValueError(f"row {row}: columns must ascend, without repeats, "
+                                 f"within 0..{cols - 1}")
+            last = j
 
 
 def _sub(row: dict[int, Rat], f: Rat, other: Mapping[int, Rat]) -> None:
@@ -201,119 +195,78 @@ def kernel_from_rref(
 
 
 class RatMatrix:
-    """Rational matrix stored densely (row-major list of lists of Fraction).
+    """Sparse rational matrix: the structure maps and morphism blocks of
+    modules.
 
-    ``data`` stays a dense list of lists for element access, products
-    and block assembly; the echelon methods (``rref``, ``rank``,
-    ``kernel_basis``) hand the nonzero entries to the sparse kernel
-    :func:`rref_rows` and read its result back.
+    ``data`` holds, per row, that row's nonzero ``(column, entry)`` pairs
+    in ascending column order, entries ``int`` while integral, so equal
+    matrices have equal ``data``.  Products, stacking and column selection
+    touch nonzero entries only; ``rref`` hands the rows to the sparse
+    kernel :func:`rref_rows`.  Matrices are not mutated once built.
     """
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence[Rat]], cols: int | None = None):
-        """Build from an iterable of rows.
-
-        ``cols`` disambiguates the width of a matrix with zero rows;
-        otherwise it is inferred (and checked) from the rows.
-        """
-        self.data: list[list[Fraction]] = [[_frac(x) for x in row] for row in data]
-        self.rows: int = len(self.data)
-        if self.rows:
-            widths = {len(r) for r in self.data}
-            if len(widths) != 1:
-                raise ValueError(f"ragged rows: widths {sorted(widths)}")
-            inferred = widths.pop()
-            if cols is not None and cols != inferred:
-                raise ValueError(f"cols={cols} but rows have width {inferred}")
-            self.cols: int = inferred
-        else:
-            if cols is None:
-                raise ValueError("zero-row matrix needs an explicit column count")
-            self.cols = cols
+    def __init__(self, data: Iterable[Iterable[tuple[int, Rat]]], cols: int):
+        """Build from rows of ``(column, entry)`` pairs in any order; zero
+        entries are dropped.  ``ValueError`` on a column outside
+        ``0..cols-1`` or repeated within a row."""
+        rows = [sorted(row) for row in data]
+        _check_columns(rows, cols)
+        self.data: list[list[tuple[int, Rat]]] = [
+            [(j, as_int_if_integral(x)) for j, x in row if x] for row in rows]
+        self.rows: int = len(rows)
+        self.cols: int = cols
 
     @classmethod
-    def _trusted(cls, data: list[list[Fraction]], cols: int) -> "RatMatrix":
-        """Wrap rows this class built itself: fresh lists of Fractions,
-        all of length ``cols``.  Skips the entry conversion and the
-        width check of the public constructor."""
+    def _trusted(cls, data: list[list[tuple[int, Rat]]], cols: int) -> "RatMatrix":
+        """Wrap fresh rows of nonzero entries, ``int`` where integral.
+        Skips the sorting and conversion of the public constructor, not
+        its column check."""
+        _check_columns(data, cols)
         m = object.__new__(cls)
         m.data = data
         m.rows = len(data)
         m.cols = cols
         return m
 
-    # ------------------------------------------------------------------
-    # constructors
-
     @classmethod
+    @cache
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls._trusted([[_ZERO] * cols for _ in range(rows)], cols)
-
-    # ------------------------------------------------------------------
-    # basic protocol
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.data[i][j]
-
-    def __setitem__(self, ij: tuple[int, int], val: Rat) -> None:
-        i, j = ij
-        self.data[i][j] = _frac(val)
+        """The zero matrix, one object per shape."""
+        return cls._trusted([[] for _ in range(rows)], cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return self.shape == other.shape and self.data == other.data
 
     def __repr__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"RatMatrix.zeros({self.rows}, {self.cols})"
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"RatMatrix[{body}]"
+        return f"RatMatrix({self.data!r}, cols={self.cols})"
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    # ------------------------------------------------------------------
-    # arithmetic
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Matrix product self @ other."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        n = other.cols
-        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for row in self.data:
-            acc = [_ZERO] * n
-            for a, nz in zip(row, nonzeros):
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append(acc)
-        return RatMatrix._trusted(out, n)
+            acc: dict[int, Rat] = {}
+            for k, a in row:
+                for j, b in other.data[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append([(j, as_int_if_integral(x)) for j, x in sorted(acc.items()) if x])
+        return RatMatrix._trusted(out, other.cols)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._trusted(
-            [[row[j] for row in self.data] for j in range(self.cols)], self.rows)
-
-    def apply(self, vec: Sequence[Rat]) -> list[Fraction]:
-        """Matrix-vector product (vec as a column of length ``cols``)."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
-        v = [_frac(x) for x in vec]
-        return [
-            sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.data
-        ]
-
-    # ------------------------------------------------------------------
-    # block assembly
+        out: list[list[tuple[int, Rat]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row:
+                out[j].append((i, x))
+        return RatMatrix._trusted(out, self.rows)
 
     @classmethod
     def vstack(cls, blocks: Iterable["RatMatrix"]) -> "RatMatrix":
@@ -321,66 +274,52 @@ class RatMatrix:
         if not blocks:
             raise ValueError("vstack of nothing")
         w = blocks[0].cols
-        rows: list[list[Fraction]] = []
-        for b in blocks:
-            if b.cols != w:
-                raise ValueError("vstack width mismatch")
-            rows.extend(row[:] for row in b.data)
-        return cls._trusted(rows, w)
+        if any(b.cols != w for b in blocks):
+            raise ValueError("vstack width mismatch")
+        return cls._trusted([row[:] for b in blocks for row in b.data], w)
 
     @classmethod
     def hstack(cls, blocks: Iterable["RatMatrix"]) -> "RatMatrix":
         blocks = list(blocks)
         if not blocks:
             raise ValueError("hstack of nothing")
-        h = blocks[0].rows
+        if any(b.rows != blocks[0].rows for b in blocks):
+            raise ValueError("hstack height mismatch")
+        rows: list[list[tuple[int, Rat]]] = [[] for _ in range(blocks[0].rows)]
+        left = 0
         for b in blocks:
-            if b.rows != h:
-                raise ValueError("hstack height mismatch")
-        rows = [[x for b in blocks for x in b.data[i]] for i in range(h)]
-        return cls._trusted(rows, sum(b.cols for b in blocks))
+            for out, row in zip(rows, b.data):
+                out.extend((left + j, x) for j, x in row)
+            left += b.cols
+        return cls._trusted(rows, left)
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
-        """Blocks along the diagonal, zeros elsewhere (built row by row)."""
-        width = sum(b.cols for b in blocks)
-        rows: list[list[Fraction]] = []
+        """Blocks along the diagonal, zeros elsewhere."""
+        rows: list[list[tuple[int, Rat]]] = []
         left = 0
         for b in blocks:
-            pad, right = [_ZERO] * left, [_ZERO] * (width - left - b.cols)
-            rows.extend(pad + row + right for row in b.data)
+            rows.extend([(left + j, x) for j, x in row] for row in b.data)
             left += b.cols
-        return cls._trusted(rows, width)
+        return cls._trusted(rows, left)
 
     def columns(self, idx: Sequence[int]) -> "RatMatrix":
-        """The submatrix of the listed columns, in the order given."""
-        return RatMatrix._trusted([[row[j] for j in idx] for row in self.data], len(idx))
+        """The submatrix of the listed distinct columns, in the order given."""
+        pos = {j: k for k, j in enumerate(idx)}
+        if len(pos) != len(idx):
+            raise ValueError(f"repeated columns in {list(idx)}")
+        return RatMatrix._trusted(
+            [sorted((pos[j], x) for j, x in row if j in pos) for row in self.data], len(idx))
 
-    # ------------------------------------------------------------------
-    # echelon machinery
-
-    def _echelon(self) -> tuple[list[dict[int, Rat]], list[int]]:
-        return rref_rows(map(sparse_row, self.data), self.cols)
-
-    def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form.
-
-        Returns ``(R, pivots)`` where ``R`` is the RREF (zero rows at the
-        bottom, same shape as ``self``) and ``pivots`` the list of pivot
-        column indices in increasing order.  A dense view of
-        :func:`rref_rows`.
-        """
-        rows, pivots = self._echelon()
-        n = self.cols
-        data = [dense_row(row, n) for row in rows]
-        data.extend([_ZERO] * n for _ in range(self.rows - len(rows)))
-        return RatMatrix._trusted(data, n), pivots
+    def rref(self) -> tuple[list[dict[int, Rat]], list[int]]:
+        """Reduced row echelon form: :func:`rref_rows` of the rows."""
+        return rref_rows(map(dict, self.data), self.cols)
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self.rref()[1])
 
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """The dense canonical basis of the right kernel (:func:`kernel_from_rref`)."""
-        rows, pivots = self._echelon()
-        return [dense_row(v, self.cols)
-                for v in kernel_from_rref(rows, pivots, range(self.cols)).values()]
+    def kernel_basis(self) -> dict[int, dict[int, Rat]]:
+        """The canonical basis of the right kernel, keyed by free column
+        (:func:`kernel_from_rref`)."""
+        rows, pivots = self.rref()
+        return kernel_from_rref(rows, pivots, range(self.cols))

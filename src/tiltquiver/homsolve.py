@@ -29,15 +29,15 @@ Covers, kernels and module resolutions are not needed: every object
 whose Ext^1 the package reads comes with a projective presentation of
 length one (``dup.DupContext.ext1_idx``), and ``endo`` resolves the
 simples of End T in free coordinates.  No linear algebra happens outside
-``exactlin``.  Systems, kernel bases, coordinates and spans are sparse
-(``int`` or ``Fraction``); the blocks of modules and maps are dense
-(``Fraction``), built from kernel vectors by ``exactlin.dense_row``.
+``exactlin``.  Everything is sparse, ``int`` where integral: systems,
+kernel bases, coordinates and spans are ``{column: entry}`` rows, and the
+maps of modules and the blocks of morphisms are ``exactlin.RatMatrix``,
+whose rows of ``(column, entry)`` pairs the solvers read as they are.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -46,7 +46,6 @@ from .exactlin import (
     RatMatrix,
     SparseEchelon,
     as_int_if_integral,
-    dense_row,
     kernel_from_rref,
     rref_rows,
 )
@@ -71,7 +70,7 @@ class Rep:
     what the layout was built from.  The maps' intertwining equations cut
     out Hom.  Modules are not mutated once built."""
 
-    _nonzeros = None  # memo of _label_nonzeros
+    _columns = None  # memo of _label_columns
     _end_dim = None  # memo of end_dim
 
     def __init__(self, quiver, layout: Layout, dims: Mapping[Slot, int],
@@ -110,13 +109,12 @@ class Rep:
 class SlotMap:
     """Morphism of representations: one matrix per slot (dst_dim x src_dim)."""
 
-    __slots__ = ("src", "dst", "blocks", "_nonzeros")
+    __slots__ = ("src", "dst", "blocks")
 
     def __init__(self, src: Rep, dst: Rep, blocks: dict[Slot, RatMatrix]):
         self.src = src
         self.dst = dst
         self.blocks = blocks
-        self._nonzeros = None  # memo of _block_nonzeros
         for s in src.slot_keys:
             b = blocks[s]
             if b.shape != (dst.dims[s], src.dims[s]):
@@ -125,40 +123,22 @@ class SlotMap:
                     f"expected {(dst.dims[s], src.dims[s])}"
                 )
 
-    def vec(self) -> tuple[Fraction, ...]:
-        """Flatten all blocks (slot order, row-major) for rank arguments."""
-        out: list[Fraction] = []
-        for s in self.src.slot_keys:
-            for row in self.blocks[s].data:
-                out.extend(row)
-        return tuple(out)
 
 # ---------------------------------------------------------------------------
 # morphism spaces
 
 
-def _label_nonzeros(
-    M: Rep,
-) -> tuple[tuple[Slot, Slot, list[list[tuple[int, Rat]]], list[list[tuple[int, Rat]]]], ...]:
-    """Per label, in layout order: its ends (a, b) and
-    the nonzero (index, entry)s of each column and of each row of its
-    matrix, integral entries as ``int`` (``as_int_if_integral``,
-    inlined).  Computed once per module, as ``_hom_system`` reads them
-    for every partner (modules are not mutated once built); the lists
-    are shared, so callers only read them."""
-    got = M._nonzeros
+def _label_columns(M: Rep) -> tuple[tuple[Slot, Slot, list[list[tuple[int, Rat]]]], ...]:
+    """Per label, in layout order: its ends (a, b) and the nonzero
+    (row, entry)s of each column of its matrix, the rows of its transpose.
+    Computed once per module, as ``_hom_system`` reads them for every
+    partner (modules are not mutated once built); the lists are shared,
+    so callers only read them."""
+    got = M._columns
     if got is None:
-        out = []
         ends = M.layout.ends
-        for lab, mat in M.maps.items():
-            rows = [[(k, x.numerator if x.denominator == 1 else x)
-                     for k, x in enumerate(row) if x] for row in mat.data]
-            cols: list[list[tuple[int, Rat]]] = [[] for _ in range(mat.cols)]
-            for i, row in enumerate(rows):
-                for k, x in row:
-                    cols[k].append((i, x))
-            out.append((*ends[lab], cols, rows))
-        got = M._nonzeros = tuple(out)
+        got = M._columns = tuple((*ends[lab], mat.transpose().data)
+                                 for lab, mat in M.maps.items())
     return got
 
 
@@ -186,9 +166,9 @@ def _hom_system(
         return [], offs, 0
     rows: list[dict[int, Rat]] = []
     # the columns of S^M_l: M_a -> M_b and the rows of S^N_l: N_a -> N_b
-    for (a, b, p_cols, _), (_, _, _, q_rows) in zip(_label_nonzeros(M), _label_nonzeros(N)):
+    for (a, b, p_cols), q_map in zip(_label_columns(M), N.maps.values()):
         mb, ma, off_a = M.dims[b], len(p_cols), offs[a]
-        for i, q_row in enumerate(q_rows):
+        for i, q_row in enumerate(q_map.data):
             base_b = offs[b] + i * mb
             for j, p_col in enumerate(p_cols):
                 row: dict[int, Rat] = {base_b + k: c for k, c in p_col}
@@ -211,14 +191,23 @@ def hom_basis(M: Rep, N: Rep) -> list[SlotMap]:
     echelon, pivots = rref_rows(rows, total)
     out = []
     for vec in kernel_from_rref(echelon, pivots, range(total)).values():
-        v = dense_row(vec, total)
+        entries = sorted(vec.items())
+        entries.append((total, 0))  # past every block
+        k = 0
         blocks = {}
         for s in M.slot_keys:
             r, c = N.dims[s], M.dims[s]
-            base = offs[s]
-            # slices of a fresh dense row
-            blocks[s] = RatMatrix._trusted(
-                [v[base + i * c: base + (i + 1) * c] for i in range(r)], c)
+            base, end = offs[s], offs[s] + r * c
+            if entries[k][0] >= end:  # most blocks are zero: share one per shape
+                blocks[s] = RatMatrix.zeros(r, c)
+                continue
+            block: list[list[tuple[int, Rat]]] = [[] for _ in range(r)]
+            while entries[k][0] < end:
+                t, x = entries[k]
+                i, j = divmod(t - base, c)
+                block[i].append((j, x))
+                k += 1
+            blocks[s] = RatMatrix._trusted(block, c)
         out.append(SlotMap(M, N, blocks))
     return out
 
@@ -273,11 +262,11 @@ def cokernel_projection(mat: RatMatrix) -> tuple[list[int], RatMatrix]:
     """
     d = mat.rows
     top = d - 1
-    rows, pivots = rref_rows(({top - j: x for j, x in enumerate(v) if x}  # the columns
-                              for v in zip(*mat.data)), d)
+    rows, pivots = rref_rows(({top - i: x for i, x in col}  # the columns
+                              for col in mat.transpose().data), d)
     kernel = kernel_from_rref(rows, pivots, range(top, -1, -1))
-    proj = [dense_row({top - j: x for j, x in v.items()}, d) for v in kernel.values()]
-    return [top - f for f in kernel], RatMatrix._trusted(proj, d)
+    proj = RatMatrix(([(top - j, x) for j, x in v.items()] for v in kernel.values()), d)
+    return [top - f for f in kernel], proj
 
 
 def cokernel(f: SlotMap) -> tuple[Rep, SlotMap]:
@@ -306,36 +295,34 @@ def _sum_module(mods: Sequence[Rep]) -> Rep:
 # approximations and exchange sequences
 
 
-def _block_nonzeros(f: SlotMap) -> list[list[list[tuple[int, Rat]]]]:
-    """Per slot (in slot order), per block row: its nonzero (column, entry)s,
-    integral entries as ``int`` (``as_int_if_integral``, inlined).
-    Computed once per map, as cached Hom bases are read by many arcs;
-    the lists are shared, so callers only read them."""
-    got = f._nonzeros
-    if got is None:
-        got = f._nonzeros = [
-            [[(t, b.numerator if b.denominator == 1 else b) for t, b in enumerate(row) if b]
-             for row in f.blocks[s].data]
-            for s in f.src.slot_keys]
-    return got
+def _flat_row(f: SlotMap) -> dict[int, Rat]:
+    """The blocks of f as one sparse row, slot by slot, each block
+    row-major: the unknowns of ``_hom_system``."""
+    out: dict[int, Rat] = {}
+    base = 0
+    for s in f.src.slot_keys:
+        block = f.blocks[s]
+        for row in block.data:
+            for j, x in row:
+                out[base + j] = x
+            base += block.cols
+    return out
 
 
-def _composite_row(
-    g_nonzeros: list[list[list[tuple[int, Rat]]]],
-    h_nonzeros: list[list[list[tuple[int, Rat]]]],
-    widths: Sequence[int],
-) -> dict[int, Rat]:
-    """``(g @ h).vec()`` as a sparse row, slot by slot from the
-    ``_block_nonzeros`` of g and h; ``widths`` are the slot dimensions
-    of h's source.  Sums that cancel stay as explicit zeros, which
+def _composite_row(g: SlotMap, h: SlotMap) -> dict[int, Rat]:
+    """``_flat_row`` of the composite g . h, slot by slot from the block
+    rows of g and h.  Sums that cancel stay as explicit zeros, which
     ``SparseEchelon`` drops."""
     out: dict[int, Rat] = {}
     get = out.get
     base = 0
-    for g_rows, h_rows, c in zip(g_nonzeros, h_nonzeros, widths):
+    for s in h.src.slot_keys:
+        h_block = h.blocks[s]
+        c = h_block.cols
         if not c:
             continue
-        for g_row in g_rows:
+        h_rows = h_block.data
+        for g_row in g.blocks[s].data:
             for k, a in g_row:
                 for t, b in h_rows[k]:
                     t += base
@@ -369,14 +356,14 @@ def _coordinates(
 def basis_coordinates(
     basis: Sequence[SlotMap], vecs: Iterable[Mapping[int, Rat]]
 ) -> list[tuple[Rat, ...]]:
-    """Coordinates in ``basis`` of maps given as sparse ``vec()`` rows.
+    """Coordinates in ``basis`` of maps given as sparse ``_flat_row`` rows.
 
     ``basis`` is meant to be a ``hom_basis`` result, a canonical kernel
     basis: each basis map's free column is its last nonzero entry, and
     ``_coordinates`` reads the maps there.  Raises ``RuntimeError`` unless
     the free columns are distinct (so the basis is independent).
     """
-    rows = [{k: as_int_if_integral(v) for k, v in enumerate(b.vec()) if v} for b in basis]
+    rows = [_flat_row(b) for b in basis]
     if not all(rows):
         raise RuntimeError("a Hom basis map is zero")
     keyed = {max(row): row for row in rows}
@@ -392,7 +379,6 @@ def _span_rows(coords: Iterable[Sequence[Rat]], d: int) -> tuple[tuple[Rat, ...]
 
 
 def radical_coordinates(
-    x: Rep,
     hom_xj: Sequence[SlotMap],
     hom_ji: Sequence[SlotMap],
     hom_xi: Sequence[SlotMap],
@@ -403,34 +389,28 @@ def radical_coordinates(
     ``len(hom_xi)``."""
     if not (hom_xj and hom_ji):
         return ()
-    widths = [x.dims[s] for s in x.slot_keys]
-    composites = [_composite_row(_block_nonzeros(g), _block_nonzeros(h), widths)
-                  for g in hom_ji for h in hom_xj]
+    composites = [_composite_row(g, h) for g in hom_ji for h in hom_xj]
     return _span_rows(basis_coordinates(hom_xi, composites), len(hom_xi))
 
 
 def composite_coordinates(
-    x: Rep,
     hom_xi: Sequence[SlotMap],
     hom_iy: Sequence[SlotMap],
     hom_xy: Sequence[SlotMap],
 ) -> tuple[tuple[tuple[Rat, ...], ...], ...]:
     """Coordinates of g_l . h_k in the basis ``hom_xy`` of Hom(x, y),
     for h_k in ``hom_xi`` and g_l in ``hom_iy``: entry [k][l]."""
-    widths = [x.dims[s] for s in x.slot_keys]
-    out = []
-    for h in hom_xi:
-        h_nonzeros = _block_nonzeros(h)
-        out.append(tuple(basis_coordinates(
-            hom_xy, [_composite_row(_block_nonzeros(g), h_nonzeros, widths) for g in hom_iy])))
-    return tuple(out)
+    return tuple(tuple(basis_coordinates(hom_xy, [_composite_row(g, h) for g in hom_iy]))
+                 for h in hom_xi)
 
 
 class IndexCache:
     """Hom data between a fixed list of objects, keyed by object index: a
-    subclass supplies object i as ``module(i)`` and a basis of Hom(object
-    i, object j), kept in ``_hom``, as ``hom_idx(i, j)``; the coordinates
-    read over those bases are cached here, one copy of each value."""
+    subclass supplies a basis of Hom(object i, object j), kept in
+    ``_hom``, as ``hom_idx(i, j)``, and object i as ``module(i)`` if the
+    add test (``approximation_key``, ``cokernel_in_add``) runs over it;
+    the coordinates read over those bases are cached here, one copy of
+    each value."""
 
     def __init__(self) -> None:
         self._hom: dict[tuple[int, int], list[SlotMap]] = {}
@@ -443,8 +423,7 @@ class IndexCache:
         basis ``hom_idx(x, i)`` (cached)."""
         got = self._radical.get((x, j, i))
         if got is None:
-            got = radical_coordinates(self.module(x), self.hom_idx(x, j), self.hom_idx(j, i),
-                                      self.hom_idx(x, i))
+            got = radical_coordinates(self.hom_idx(x, j), self.hom_idx(j, i), self.hom_idx(x, i))
             got = self._radical[(x, j, i)] = self._shared.setdefault(got, got)
         return got
 
@@ -453,7 +432,7 @@ class IndexCache:
         basis ``hom_idx(x, y)`` (cached)."""
         got = self._composites.get((x, i, y))
         if got is None:
-            got = composite_coordinates(self.module(x), self.hom_idx(x, i), self.hom_idx(i, y),
+            got = composite_coordinates(self.hom_idx(x, i), self.hom_idx(i, y),
                                         self.hom_idx(x, y))
             got = self._composites[(x, i, y)] = self._shared.setdefault(got, got)
         return got
@@ -535,10 +514,10 @@ def injective_approximation(
     if not comps:
         raise NoExchangeSequence("empty approximation: x admits no map into the pool")
     # injective iff the stacked component blocks have full column rank
-    for t, s in enumerate(x.slot_keys):
+    for s in x.slot_keys:
         if not x.dims[s]:
             continue
-        rows = (dict(row) for _, h in comps for row in _block_nonzeros(h)[t])
+        rows = (dict(row) for _, h in comps for row in h.blocks[s].data)
         if len(rref_rows(rows, x.dims[s])[1]) != x.dims[s]:
             raise NoExchangeSequence("approximation map is not injective")
     return comps
@@ -687,23 +666,22 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
             terms = []
             for col, a in basis[f].items():
                 c, l = columns[col]
-                terms.append((a, c, _block_nonzeros(ctx.hom_idx(key[c][0], k)[l])))
+                terms.append((a, c, ctx.hom_idx(key[c][0], k)[l]))
             lifts.append((k, mod(k).dim_vector(), terms))
         if tuple(map(sum, zip(*(d for _, d, _ in lifts)))) != dims:
             return None
-        f_blocks = [_block_nonzeros(h) for _, h in f_maps]
-        for t, n in enumerate(dims):
+        for t, (s, n) in enumerate(zip(mod(x).slot_keys, dims)):
             if not n:                             # no rows, and E_s - x_s = 0
                 continue
             # where each component starts in E_s, then dim E_s
             offs = list(accumulate((d[t] for d in targets), initial=0))
             echelon = SparseEchelon(offs[-1])
-            f_rows = [row for h in f_blocks for row in h[t]]          # f_s, E_s x x_s
+            f_rows = [row for _, h in f_maps for row in h.blocks[s].data]  # f_s, E_s x x_s
             for k, d, terms in lifts:
                 block: list[dict[int, Rat]] = [{} for _ in range(d[t])]
                 for a, c, g in terms:
                     off = offs[c]
-                    for out, g_row in zip(block, g[t]):
+                    for out, g_row in zip(block, g.blocks[s].data):
                         for u, v in g_row:
                             out[off + u] = out.get(off + u, 0) + a * v
                 for row in block:
@@ -732,7 +710,7 @@ def cokernel_in_add(ctx: IndexCache, x: int, key: tuple[tuple[int, int], ...]
         for a, i, b in sorted({(x, m, k) for m, _ in key for k in members}
                               | {(m, j, k) for m, _ in key for j in support for k in support}):
             if ctx.composite_idx(a, i, b) != composite_coordinates(
-                    mod(a), ctx.hom_idx(a, i), ctx.hom_idx(i, b), ctx.hom_idx(a, b)):
+                    ctx.hom_idx(a, i), ctx.hom_idx(i, b), ctx.hom_idx(a, b)):
                 raise RuntimeError(f"cached composites of objects {(a, i, b)} "
                                    "disagree with their maps")
         return None

@@ -75,11 +75,10 @@ def projective(q: Quiver, a: int) -> Rep:
     maps: dict[str, RatMatrix] = {}
     for arr in q.arrows:
         src_paths, dst_paths = paths[arr.source], paths[arr.target]
-        idx = {p: i for i, p in enumerate(dst_paths)}
-        m = RatMatrix.zeros(len(dst_paths), len(src_paths))
-        for j, p in enumerate(src_paths):
-            m[idx[p + (arr.aid,)], j] = 1
-        maps[arr.aid] = m
+        src_idx = {p: j for j, p in enumerate(src_paths)}
+        # row p gets a 1 at p minus its last arrow, when that is this one
+        maps[arr.aid] = RatMatrix([[(src_idx[p[:-1]], 1)] if p[-1:] == (arr.aid,) else []
+                                   for p in dst_paths], len(src_paths))
     return Rep(q, layout(q), dims, maps)
 
 
@@ -90,13 +89,11 @@ def injective(q: Quiver, a: int) -> Rep:
     maps: dict[str, RatMatrix] = {}
     for arr in q.arrows:
         src_paths, dst_paths = paths[arr.source], paths[arr.target]
-        src_idx = {p: i for i, p in enumerate(src_paths)}
-        m = RatMatrix.zeros(len(dst_paths), len(src_paths))
+        src_idx = {p: j for j, p in enumerate(src_paths)}
         # (arrow . f)(p) = f(arrow then p): row p gets the coefficient of
         # the dual basis vector at (arrow,) + p
-        for i, p in enumerate(dst_paths):
-            m[i, src_idx[(arr.aid,) + p]] = 1
-        maps[arr.aid] = m
+        maps[arr.aid] = RatMatrix([[(src_idx[(arr.aid,) + p], 1)] for p in dst_paths],
+                                  len(src_paths))
     return Rep(q, layout(q), dims, maps)
 
 
@@ -121,12 +118,12 @@ def reflect(r: Rep, v: int) -> Rep:
         big = (RatMatrix.hstack(blocks) if blocks
                else RatMatrix.zeros(r.dims[v], 0))
         kb = big.kernel_basis()
-        K = RatMatrix(kb, cols=big.cols).transpose()
+        K = RatMatrix((vec.items() for vec in kb.values()), big.cols).transpose()
         new_dims[v] = len(kb)
         off = 0
         for a in ins:
             d = r.dims[a.source]
-            new_maps[a.aid] = RatMatrix(K.data[off:off + d], cols=K.cols)
+            new_maps[a.aid] = RatMatrix(K.data[off:off + d], K.cols)
             off += d
     elif q.is_source(v):
         outs = q.out_arrows(v)
@@ -138,7 +135,7 @@ def reflect(r: Rep, v: int) -> Rep:
         off = 0
         for a in outs:
             d = r.dims[a.target]
-            new_maps[a.aid] = RatMatrix([row[off:off + d] for row in proj.data], cols=d)
+            new_maps[a.aid] = proj.columns(range(off, off + d))
             off += d
     else:
         raise ValueError(f"vertex {v} is neither a sink nor a source")

@@ -109,9 +109,6 @@ class Pool(IndexCache):
     def ext(self, i: int, j: int) -> int:
         return self._ext[i][j]
 
-    def module(self, i: int) -> Rep:
-        return self.reps[i]
-
     def hom_idx(self, i: int, j: int) -> list[SlotMap]:
         """Basis of Hom(member i, member j) (cached), checked against its
         dimension max(0, <dim i, dim j>) by ``checked_hom``."""

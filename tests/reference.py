@@ -3,10 +3,11 @@
 The package ships what the command line runs; what only the tests need
 lives here:
 
-* dense matrix helpers (``identity``, ``solve``, ``image_basis``,
-  ``inverse``) on a small dense Gauss-Jordan of their own,
-  ``gauss_jordan``, so that they share no elimination code with the
-  sparse kernel they check;
+* dense views of the sparse ``RatMatrix`` (``matrix`` from dense rows,
+  ``dense``, ``apply``, and ``vec`` for morphisms), and dense matrix
+  helpers (``identity``, ``solve``, ``image_basis``, ``inverse``) on a
+  small dense Gauss-Jordan of their own, ``gauss_jordan``, so that they
+  share no elimination code with the sparse kernel they check;
 * morphism arithmetic of representations (``compose``, ``add``, ``scale``,
   ``is_zero``, ``is_injective``, ``is_surjective``), zero modules and
   maps, and direct sums;
@@ -37,7 +38,7 @@ from functools import cache
 from pathlib import Path
 
 from tiltquiver import dup, endo, homsolve, rep_a, tilt_a
-from tiltquiver.exactlin import RatMatrix, SparseEchelon, sparse_row
+from tiltquiver.exactlin import RatMatrix, SparseEchelon
 from tiltquiver.homsolve import Layout, Rep, SlotMap
 from tiltquiver.rep_a import IndecId
 
@@ -53,12 +54,52 @@ def clear_caches():
         for value in vars(mod).values():
             methods = vars(value).values() if isinstance(value, type) else ()
             for fn in (value, *methods):
+                fn = getattr(fn, "__func__", fn)  # what a classmethod wraps
                 if callable(getattr(fn, "cache_clear", None)):
                     fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # dense matrices, eliminated here
+
+
+def matrix(rows, cols=None):
+    """The ``RatMatrix`` of dense rows; ``cols`` is needed without rows."""
+    rows = [list(row) for row in rows]
+    if cols is None:
+        if not rows:
+            raise ValueError("zero-row matrix needs an explicit column count")
+        cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"ragged rows: widths {sorted({len(row) for row in rows})}")
+    return RatMatrix([[(j, x) for j, x in enumerate(row) if x] for row in rows], cols)
+
+
+def dense(m):
+    """The rows of a ``RatMatrix`` as dense lists of ``Fraction``."""
+    out = [[F(0)] * m.cols for _ in range(m.rows)]
+    for row, pairs in zip(out, m.data):
+        for j, x in pairs:
+            row[j] = F(x)
+    return out
+
+
+def apply(m, vec):
+    """Matrix-vector product (vec as a column of length ``m.cols``)."""
+    if len(vec) != m.cols:
+        raise ValueError(f"vector length {len(vec)} != cols {m.cols}")
+    return [sum((x * vec[j] for j, x in row), F(0)) for row in m.data]
+
+
+def sparse_row(vec):
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def vec(f):
+    """The blocks of a morphism flattened, slot order, row-major: a dense
+    tuple of ``Fraction``, the unknowns of its Hom system."""
+    return tuple(x for s in f.src.slot_keys for row in dense(f.blocks[s]) for x in row)
 
 
 def gauss_jordan(data, ncols):
@@ -87,7 +128,7 @@ def gauss_jordan(data, ncols):
 
 
 def identity(n):
-    return RatMatrix([[F(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
+    return RatMatrix([[(i, 1)] for i in range(n)], n)
 
 
 def solve(mat, rhs):
@@ -96,7 +137,7 @@ def solve(mat, rhs):
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     n = mat.cols
-    rows, pivots = gauss_jordan([row + [b] for row, b in zip(mat.data, rhs)], n + 1)
+    rows, pivots = gauss_jordan([row + [b] for row, b in zip(dense(mat), rhs)], n + 1)
     if pivots and pivots[-1] == n:
         return None
     x = [F(0)] * n
@@ -107,7 +148,7 @@ def solve(mat, rhs):
 
 def image_basis(mat):
     """The nonzero rows of rref(mat^T): one basis per column space."""
-    rows, pivots = gauss_jordan(mat.transpose().data, mat.rows)
+    rows, pivots = gauss_jordan(dense(mat.transpose()), mat.rows)
     return rows[:len(pivots)]
 
 
@@ -115,10 +156,11 @@ def inverse(mat):
     if mat.rows != mat.cols:
         raise ValueError(f"inverse of non-square {mat.shape}")
     n = mat.rows
-    rows, pivots = gauss_jordan([row + e for row, e in zip(mat.data, identity(n).data)], 2 * n)
+    rows, pivots = gauss_jordan([row + e for row, e in zip(dense(mat), dense(identity(n)))],
+                                2 * n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RatMatrix([row[n:] for row in rows], cols=n)
+    return matrix([row[n:] for row in rows], n)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +169,8 @@ def inverse(mat):
 
 def _blockwise(f, g, op):
     return SlotMap(f.src, f.dst, {
-        s: RatMatrix([[op(a, b) for a, b in zip(ra, rb)]
-                      for ra, rb in zip(f.blocks[s].data, g.blocks[s].data)], cols=f.src.dims[s])
+        s: matrix([[op(a, b) for a, b in zip(ra, rb)]
+                   for ra, rb in zip(dense(f.blocks[s]), dense(g.blocks[s]))], f.src.dims[s])
         for s in f.src.slot_keys})
 
 
@@ -146,7 +188,7 @@ def scale(f, c):
 
 
 def is_zero(f):
-    return not any(x for b in f.blocks.values() for row in b.data for x in row)
+    return not any(row for b in f.blocks.values() for row in b.data)
 
 
 def is_injective(f):
@@ -185,11 +227,11 @@ def direct_sum(mods):
     incls, projs = [], []
     offset = dict.fromkeys(slots, 0)
     for m in mods:
-        inc = {s: RatMatrix.zeros(dims[s], m.dims[s]) for s in slots}
-        prj = {s: RatMatrix.zeros(m.dims[s], dims[s]) for s in slots}
+        inc = {s: RatMatrix([[(i - offset[s], 1)] if 0 <= i - offset[s] < m.dims[s] else []
+                             for i in range(dims[s])], m.dims[s]) for s in slots}
+        prj = {s: RatMatrix([[(offset[s] + i, 1)] for i in range(m.dims[s])], dims[s])
+               for s in slots}
         for s in slots:
-            for i in range(m.dims[s]):
-                inc[s][offset[s] + i, i] = prj[s][i, offset[s] + i] = 1
             offset[s] += m.dims[s]
         incls.append(SlotMap(m, S, inc))
         projs.append(SlotMap(S, m, prj))
@@ -202,7 +244,7 @@ def is_left_approximation(x, comps, pool):
         span = SparseEchelon(map_vec_length(x, P))
         for i, f in comps:
             for g in homsolve.hom_basis(pool[i], P):
-                span.add(sparse_row(compose(g, f).vec()))
+                span.add(sparse_row(vec(compose(g, f))))
         if span.rank != len(homsolve.hom_basis(x, P)):
             return False
     return True
@@ -300,7 +342,7 @@ def add_lookups(ctx, c):
 
     @cache
     def radical(a, b):
-        return homsolve.radical_coordinates(c, hom(a), ctx.hom_idx(a, b), hom(b))
+        return homsolve.radical_coordinates(hom(a), ctx.hom_idx(a, b), hom(b))
 
     return hom, radical
 
@@ -456,9 +498,10 @@ def _action(alg, dims, entries):
     action = {}
     for x, ex in enumerate(alg.elements):
         if x not in idem:
-            m = action[x] = RatMatrix.zeros(dims[ex.src], dims[ex.dst])
+            rows = [{} for _ in range(dims[ex.src])]
             for row, col, c in entries(x):
-                m[row, col] = c
+                rows[row][col] = c
+            action[x] = RatMatrix((row.items() for row in rows), dims[ex.dst])
     return action
 
 
@@ -493,14 +536,14 @@ def b_module(alg, m):
         for basis in homs:
             for h in basis:
                 for col in h.blocks[s].transpose().data:
-                    span.add(sparse_row(col))
+                    span.add(dict(col))
         if span.rank != m.dims[s]:
             raise ValueError("module is not generated by the summands")
     dims = {i: len(homs[i]) for i in range(r)}
 
     def entries(x):
         ex = alg.elements[x]
-        comps = [sparse_row(compose(h, ex.hom).vec()) for h in homs[ex.dst]]
+        comps = [sparse_row(vec(compose(h, ex.hom))) for h in homs[ex.dst]]
         for col, coords in enumerate(homsolve.basis_coordinates(homs[ex.src], comps)):
             for row, c in enumerate(coords):
                 yield row, col, c
@@ -585,12 +628,12 @@ def top_lifts(M):
     corner is scalar) and of the lifts before it."""
     images = {s: [] for s in M.slot_keys}
     for lab, mat in M.maps.items():
-        images[M.layout.ends[lab][1]].extend(zip(*mat.data))  # the columns
+        images[M.layout.ends[lab][1]].extend(mat.transpose().data)  # the columns
     out = []
     for s in M.slot_keys:
         span = SparseEchelon(M.dims[s])
         for v in images[s]:
-            span.add(sparse_row(v))
+            span.add(dict(v))
         out.extend((s, [F(int(k == i)) for k in range(M.dims[s])])
                    for i in range(M.dims[s]) if span.add({i: 1}))
     return out
@@ -614,12 +657,12 @@ def projective_cover_parts(M):
     for s, v in lifts:
         for w, words in projectives[s][1].items():
             for word in words:
-                vec = v
+                image = v
                 for lab in word:
-                    vec = st[lab].apply(vec)
-                cols[w].append(vec)
-    cover = SlotMap(P, M, {w: RatMatrix([[c[r] for c in cols[w]] for r in range(M.dims[w])],
-                                        cols=len(cols[w])) for w in M.slot_keys})
+                    image = apply(st[lab], image)
+                cols[w].append(image)
+    cover = SlotMap(P, M, {w: matrix([[c[r] for c in cols[w]] for r in range(M.dims[w])],
+                                     len(cols[w])) for w in M.slot_keys})
     if not is_surjective(cover):
         raise RuntimeError("cover failed to be surjective")
     return P, [s for s, _ in lifts], cover
@@ -635,13 +678,13 @@ def kernel(f):
     bases, free = {}, {}
     for s in M.slot_keys:
         vecs = f.blocks[s].kernel_basis()
-        bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()  # columns = basis
-        free[s] = [max(k for k, x in enumerate(v) if x) for v in vecs]
+        bases[s] = RatMatrix((v.items() for v in vecs.values()), M.dims[s]).transpose()
+        free[s] = list(vecs)  # the columns of bases[s] are the basis vectors
     struct = {}
     for lab, mat in M.maps.items():
         a, b = M.layout.ends[lab]
         pushed = mat @ bases[a]  # columns land in ker f_b
-        struct[lab] = RatMatrix([pushed.data[c] for c in free[b]], cols=pushed.cols)
+        struct[lab] = RatMatrix([pushed.data[c] for c in free[b]], pushed.cols)
         if bases[b] @ struct[lab] != pushed:
             raise RuntimeError("kernel not preserved: map is not a morphism")
     K = Rep(M.quiver, M.layout, {s: len(free[s]) for s in M.slot_keys}, struct)

@@ -62,7 +62,7 @@ def _triple_of(q, dims, ones):
     """The triple with slot dimensions ``dims`` (at most 1 each), the
     labels in ``ones`` acting as 1 and every other label as 0."""
     return homsolve.Rep(q, dup._layout(q), dims, {
-        lab: RatMatrix([[1]]) if lab in ones
+        lab: RatMatrix([[(0, 1)]], 1) if lab in ones
         else RatMatrix.zeros(dims.get(b, 0), dims.get(a, 0))
         for lab, (a, b) in dup._layout(q).ends.items()})
 
@@ -228,8 +228,8 @@ def _ar_mismatches(ctx, shifted):
     for i in q.vertices:
         tau_w = dup.embed(q, rep_a.injective(q, i))
         for pid, x, env, emb in approximations:
-            through = [ref.compose(g, emb).vec() for g in homsolve.hom_basis(env, tau_w)]
-            factored = RatMatrix(through).rank() if through else 0
+            through = [ref.vec(ref.compose(g, emb)) for g in homsolve.hom_basis(env, tau_w)]
+            factored = ref.matrix(through).rank() if through else 0
             stable = homsolve.hom_dim(x, tau_w) - factored
             if ref.ext1_dim(shifted[i], x) != stable:
                 bad.append((i, str(pid)))
@@ -615,10 +615,8 @@ def _gram_multiplicities(ctx, c, members):
     dim Hom(T_a, T_b) over the members, against dim Hom(T_a, c)."""
     objs = ctx.objects()
     k = len(members)
-    gram = RatMatrix.zeros(k, k)
-    for a in range(k):
-        for b in range(k):
-            gram[a, b] = len(ctx.hom_idx(members[a], members[b]))
+    gram = ref.matrix([[len(ctx.hom_idx(members[a], members[b])) for b in range(k)]
+                       for a in range(k)], k)
     rhs = [Fraction(homsolve.hom_dim(objs[members[a]][1], c)) for a in range(k)]
     sol = ref.solve(gram, rhs)
     assert sol is not None and all(x.denominator == 1 and x >= 0 for x in sol)

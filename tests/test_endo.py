@@ -11,7 +11,7 @@ import pytest
 
 import reference as ref
 from tiltquiver import cli, dup, endo, homsolve, rep_a
-from tiltquiver.exactlin import RatMatrix, rref_rows
+from tiltquiver.exactlin import rref_rows
 from tiltquiver.quiver_core import named_diagram, orientations, parse_quiver
 
 A2 = named_diagram("A2")
@@ -33,16 +33,16 @@ def hom_bases(mods):
             for i, a in enumerate(mods) for j, b in enumerate(mods)}
 
 
-def composites_over(mods, homs):
+def composites_over(homs):
     """``structure_algebra``'s composites, read off ``homs`` directly."""
     return lambda a, b, c: homsolve.composite_coordinates(
-        mods[a], homs[(a, b)], homs[(b, c)], homs[(a, c)])
+        homs[(a, b)], homs[(b, c)], homs[(a, c)])
 
 
 def end_of_sum(mods):
     """End of the sum of ``mods`` without a context."""
     homs = hom_bases(mods)
-    return endo.structure_algebra(mods, homs, composites_over(mods, homs))
+    return endo.structure_algebra(mods, homs, composites_over(homs))
 
 
 def multiply_sparse(alg, a, b):
@@ -85,12 +85,12 @@ def check_action(bm):
         for y, ey in enumerate(alg.elements):
             if ex.dst != ey.src:
                 continue
-            want = RatMatrix.zeros(bm.dims[ex.src], bm.dims[ey.dst])
+            want = [[0] * bm.dims[ey.dst] for _ in range(bm.dims[ex.src])]
             for z, c in ref.multiply(alg, x, y).items():
-                for i, row in enumerate(act(z).data):
-                    for j, v in enumerate(row):
-                        want[i, j] += c * v
-            assert act(x) @ act(y) == want, (x, y)
+                for out, row in zip(want, act(z).data):
+                    for j, v in row:
+                        out[j] += c * v
+            assert act(x) @ act(y) == ref.matrix(want, bm.dims[ey.dst]), (x, y)
 
 
 def shift_tilting(ctx):
@@ -198,8 +198,8 @@ def _dense_coordinates(basis, f):
     """Coordinates of f in ``basis`` from a dense solve, None if it escapes."""
     if not basis:
         return [] if ref.is_zero(f) else None
-    cols = [h.vec() for h in basis]
-    return ref.solve(RatMatrix(cols, cols=len(cols[0])).transpose(), f.vec())
+    cols = [ref.vec(h) for h in basis]
+    return ref.solve(ref.matrix(cols).transpose(), list(ref.vec(f)))
 
 
 def _dense_table(alg):
@@ -221,11 +221,9 @@ def _dense_action(alg, m):
     for x, ex in enumerate(alg.elements):
         if x in alg.idempotents:
             continue
-        mat = RatMatrix.zeros(len(homs[ex.src]), len(homs[ex.dst]))
-        for col, h in enumerate(homs[ex.dst]):
-            for row, c in enumerate(_dense_coordinates(homs[ex.src], ref.compose(h, ex.hom))):
-                mat[row, col] = c
-        action[x] = mat
+        cols = [_dense_coordinates(homs[ex.src], ref.compose(h, ex.hom)) for h in homs[ex.dst]]
+        action[x] = ref.matrix([[col[row] for col in cols] for row in range(len(homs[ex.src]))],
+                               len(homs[ex.dst]))
     return action
 
 
@@ -284,7 +282,7 @@ ESCAPING_PRODUCT = (
     "    homs = dict(homs)\n"
     "    if OWN_BASES:\n"
     "        composites = lambda a, b, c: homsolve.composite_coordinates(\n"
-    "            summands[a], homs[(a, b)], homs[(b, c)], homs[(a, c)])\n"
+    "            homs[(a, b)], homs[(b, c)], homs[(a, c)])\n"
     "    for (a, b), hs in homs.items():\n"
     "        for (b2, c), gs in homs.items():\n"
     "            if b2 == b and len({a, b, c}) == 3 and any(\n"

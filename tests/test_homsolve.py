@@ -5,7 +5,7 @@
 from the blocks directly.  Each is held here to the dense construction
 it replaced: a greedy standard-basis complement, the inverse of the
 completed basis and identity sections for the cokernel; a sum of
-inclusion composites for the approximation map; ``compose(g, h).vec()`` for
+inclusion composites for the approximation map; ``vec(compose(g, h))`` for
 the composites.  Inputs are every map the exchange graphs of duplicated
 A3 and D4 (and classical D4) hand to these helpers, plus generated ones;
 a duplicated arc's exchange map x -> E is rebuilt from the inputs of
@@ -14,7 +14,7 @@ build neither E nor the cokernel.  The graph certifies each exchange
 pair (x, y) once, so every arc's own inputs are rebuilt from the graph
 (``_arc_certificates``).  That certificate is held to
 ``exchange_sequence`` and to a two-Hom isomorphism test, and must
-reject wrong complements.  The structure nonzeros that ``_hom_system``
+reject wrong complements.  The structure columns that ``_hom_system``
 memoizes per module are held to a fresh read after full runs of both
 engines.  The oracles' cover route
 (``tests/reference.py``) is checked too: its ``kernel`` against
@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 
 import reference as ref
 from tiltquiver import cli, dup, endo, homsolve, rep_a, tilt_a
-from tiltquiver.exactlin import RatMatrix, SparseEchelon, sparse_row
+from reference import dense, sparse_row, vec
+from tiltquiver.exactlin import RatMatrix, SparseEchelon
 from tiltquiver.homsolve import SlotMap
 from tiltquiver.quiver_core import named_diagram, orientations
 
@@ -59,9 +60,9 @@ def reference_projection(mat):
     comp = reference_complement(img, d)
     if d == 0:
         return comp, RatMatrix.zeros(0, 0)
-    std = ref.identity(d).data
-    inv = ref.inverse(RatMatrix(img + [std[i] for i in comp], cols=d).transpose())
-    return comp, RatMatrix(inv.data[len(img):], cols=d)
+    std = dense(ref.identity(d))
+    inv = ref.inverse(ref.matrix(img + [std[i] for i in comp], d).transpose())
+    return comp, RatMatrix(inv.data[len(img):], d)
 
 
 def reference_cokernel(f):
@@ -71,8 +72,7 @@ def reference_cokernel(f):
     for s in N.slot_keys:
         comp, projs[s] = reference_projection(f.blocks[s])
         dims[s] = len(comp)
-        std = ref.identity(N.dims[s]).data
-        sections[s] = RatMatrix([std[i] for i in comp], cols=N.dims[s]).transpose()
+        sections[s] = RatMatrix([[(i, 1)] for i in comp], N.dims[s]).transpose()
     struct = {}
     for lab, mat in N.maps.items():
         a, b = N.layout.ends[lab]
@@ -186,9 +186,8 @@ def fresh_arguments(x, pool, y, homs=None):
     hom_x, hom_y, hom_xy = [homs(x, P) for P in pool], [homs(P, y) for P in pool], homs(x, y)
     return {"x": x, "pool": pool, "y": y, "hom_x": hom_x, "hom_y": hom_y,
             "radical": lambda j, i: homsolve.radical_coordinates(
-                x, hom_x[j], homs(pool[j], pool[i]), hom_x[i]),
-            "composites": lambda i: homsolve.composite_coordinates(
-                x, hom_x[i], hom_y[i], hom_xy)}
+                hom_x[j], homs(pool[j], pool[i]), hom_x[i]),
+            "composites": lambda i: homsolve.composite_coordinates(hom_x[i], hom_y[i], hom_xy)}
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
@@ -230,18 +229,15 @@ def test_sparse_composites_match_dense_products():
     ctx = dup.DupContext(named_diagram("A3"))
     objs = [m for _, m in ctx.objects()]
     x = objs[0]
-    widths = [x.dims[s] for s in x.slot_keys]
     checked = 0
     for j in range(len(objs)):
         hs = ctx.hom_idx(0, j)
         for i in range(len(objs)):
             length = ref.map_vec_length(x, objs[i])
             for g in ctx.hom_idx(j, i):
-                g_nonzeros = homsolve._block_nonzeros(g)
                 for h in hs:
-                    row = homsolve._composite_row(
-                        g_nonzeros, homsolve._block_nonzeros(h), widths)
-                    assert [row.get(k, 0) for k in range(length)] == list(ref.compose(g, h).vec())
+                    row = homsolve._composite_row(g, h)
+                    assert [row.get(k, 0) for k in range(length)] == list(vec(ref.compose(g, h)))
                     checked += 1
     assert checked > 20
 
@@ -397,10 +393,10 @@ def test_a_half_entry_keeps_its_fraction_through_the_certificate():
     # 0 -> P_1 -> P_0 -> S_0 -> 0 holds over it
     A3 = named_diagram("A3")
     p0, p1 = rep_a.projective(A3, 0), rep_a.projective(A3, 1)
-    scaled = homsolve.Rep(A3, p0.layout, p0.dims, {**p0.maps, "e1": RatMatrix([[2]], cols=1)})
+    scaled = homsolve.Rep(A3, p0.layout, p0.dims, {**p0.maps, "e1": RatMatrix([[(0, 2)]], 1)})
     fresh = ref.FreshCache([p1, scaled, ref.simple(A3, 0)])
     (h,) = fresh.hom_idx(0, 1)
-    assert homsolve._block_nonzeros(h) == [[[]], [[(0, F(1, 2))]], [[(0, 1)]]]
+    assert [h.blocks[s].data for s in h.src.slot_keys] == [[[]], [[(0, F(1, 2))]], [[(0, 1)]]]
     key = homsolve.approximation_key(fresh, 0, [1])
     assert key == ((1, 0),)
     assert homsolve.cokernel_in_add(fresh, 0, key)([2]) == [1]
@@ -433,9 +429,9 @@ def reference_components(x, pool, hom_x, homs):
             if j != i and hom_x[j]:
                 for g in homs(pool[j], pool[i]):
                     for h in hom_x[j]:
-                        span.add(sparse_row(ref.compose(g, h).vec()))
+                        span.add(sparse_row(vec(ref.compose(g, h))))
         for h in hom_x[i]:
-            if span.add(sparse_row(h.vec())):
+            if span.add(sparse_row(vec(h))):
                 comps.append((i, h))
     return comps
 
@@ -446,9 +442,8 @@ def reference_line(comps, hom_y):
     vector sparse and keyed by its last nonzero entry, as ``exchange_line``
     returns it."""
     terms = [(k, g) for k, (i, _) in enumerate(comps) for g in hom_y[i]]
-    columns = [ref.compose(g, comps[k][1]).vec() for k, g in terms]
-    kernel = RatMatrix([list(row) for row in zip(*columns)], cols=len(terms)).kernel_basis()
-    return {max(sparse_row(v)): sparse_row(v) for v in kernel}
+    columns = [vec(ref.compose(g, comps[k][1])) for k, g in terms]
+    return ref.matrix(zip(*columns), len(terms)).kernel_basis()
 
 
 def _blocks(pairs):
@@ -481,17 +476,17 @@ def test_index_level_certificate_matches_the_uncached_one(name):
 
 
 def _row(h):
-    return sparse_row(h.vec())
+    return sparse_row(vec(h))
 
 
 def _spurious(h):
     """2h with 1 added to its first entry: for a map with two or more
     nonzero entries, no longer a multiple of h."""
     s = next(s for s in h.src.slot_keys if h.blocks[s].rows and h.blocks[s].cols)
-    data = [[2 * v for v in row] for row in h.blocks[s].data]
+    data = [[2 * v for v in row] for row in dense(h.blocks[s])]
     data[0][0] += 1
     doubled = ref.scale(h, 2)
-    doubled.blocks[s] = RatMatrix(data, cols=h.blocks[s].cols)
+    doubled.blocks[s] = ref.matrix(data, h.blocks[s].cols)
     return doubled
 
 
@@ -528,7 +523,7 @@ def test_composite_coordinates_rebuild_the_composites():
                         rebuilt = ref.zero_map(objs[x], objs[y])
                         for cm, b in zip(c, basis):
                             rebuilt = ref.add(rebuilt, ref.scale(b, cm))
-                        assert rebuilt.vec() == ref.compose(g, h).vec()
+                        assert vec(rebuilt) == vec(ref.compose(g, h))
                         checked += 1
     assert checked > 100
 
@@ -599,7 +594,7 @@ def test_middle_term_is_read_off_the_approximation_key(name):
 
 
 # ---------------------------------------------------------------------------
-# the reference's kernels and resolutions; the structure nonzeros
+# the reference's kernels and resolutions; the structure columns
 
 
 def reference_kernel(f):
@@ -610,16 +605,15 @@ def reference_kernel(f):
     bases, dims = {}, {}
     for s in M.slot_keys:
         vecs = f.blocks[s].kernel_basis()
-        bases[s] = RatMatrix(vecs, cols=M.dims[s]).transpose()
+        bases[s] = RatMatrix((v.items() for v in vecs.values()), M.dims[s]).transpose()
         dims[s] = len(vecs)
     struct = {}
     for lab, mat in M.maps.items():
         a, b = M.layout.ends[lab]
-        pushed = mat @ bases[a]
-        cols = [ref.solve(bases[b], [pushed[i, j] for i in range(pushed.rows)])
-                for j in range(pushed.cols)]
+        pushed = dense(mat @ bases[a])
+        cols = [ref.solve(bases[b], [row[j] for row in pushed]) for j in range(bases[a].cols)]
         assert None not in cols
-        struct[lab] = (RatMatrix(cols, cols=dims[b]).transpose() if cols
+        struct[lab] = (ref.matrix(cols, dims[b]).transpose() if cols
                        else RatMatrix.zeros(dims[b], 0))
     return dims, struct, bases
 
@@ -729,29 +723,27 @@ def test_resolution_gives_up_past_the_cap(monkeypatch):
         ref.projective_dimension(simple)
 
 
-def reference_label_nonzeros(M):
-    """Per label, its ends and the nonzero (index, entry)s of each
-    column and each row of its structure matrix, read afresh from
-    ``struct()``."""
+def reference_label_columns(M):
+    """Per label, its ends and the nonzero (row, entry)s of each column of
+    its structure matrix, read afresh from a dense view."""
     out = []
     for lab, mat in M.maps.items():
-        cols = [[(i, row[j]) for i, row in enumerate(mat.data) if row[j]]
-                for j in range(mat.cols)]
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in mat.data]
-        out.append((*M.layout.ends[lab], cols, rows))
+        rows = dense(mat)
+        cols = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(mat.cols)]
+        out.append((*M.layout.ends[lab], cols))
     return tuple(out)
 
 
 def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
-    # full runs of both engines: every module whose structure nonzeros were
+    # full runs of both engines: every module whose structure columns were
     # memoized still has them, equal to a fresh read of its current
     # structure maps, and every Hom basis block is what the validating
     # constructor builds from the same rows
     memos, blocks = {}, []
-    label_nonzeros, hom_basis = homsolve._label_nonzeros, homsolve.hom_basis
+    label_columns, hom_basis = homsolve._label_columns, homsolve.hom_basis
 
     def memoized(M):
-        got = label_nonzeros(M)
+        got = label_columns(M)
         memos[id(M)] = (M, got)
         return got
 
@@ -760,7 +752,7 @@ def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
         blocks.extend(b for f in got for b in f.blocks.values())
         return got
 
-    monkeypatch.setattr(homsolve, "_label_nonzeros", memoized)
+    monkeypatch.setattr(homsolve, "_label_columns", memoized)
     for mod in (homsolve, rep_a):  # rep_a imports hom_basis by name
         monkeypatch.setattr(mod, "hom_basis", recorded)
     for argv in (["dup-kquiver", "--diagram", "A3"], ["dup-kquiver", "--diagram", "D4"],
@@ -769,14 +761,14 @@ def test_structure_memos_and_hom_blocks_stay_current(monkeypatch, capsys):
     capsys.readouterr()
     assert len(memos) > 50 and len(blocks) > 1000
     for M, memo in memos.values():
-        assert M._nonzeros is memo
-        assert memo == reference_label_nonzeros(M)
+        assert M._columns is memo
+        assert memo == reference_label_columns(M)
         assert all(type(x) is int or x.denominator != 1
-                   for _, _, _, rows in memo for row in rows for _, x in row)
+                   for _, _, cols in memo for col in cols for _, x in col)
     for b in blocks:
-        assert all(type(x) is Fraction for row in b.data for x in row)
+        assert all(x and (type(x) is int or x.denominator != 1) for row in b.data for _, x in row)
         assert len({id(row) for row in b.data}) == b.rows  # no shared rows
-        assert b == RatMatrix(b.data, cols=b.cols)
+        assert b == RatMatrix(b.data, b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -846,10 +838,10 @@ def _cover_components_are_morphisms(M):
                            for w in M.slot_keys})
         for w in M.slot_keys:
             start[w] += P.dims[w]
-        span = SparseEchelon(len(g.vec()))
+        span = SparseEchelon(len(vec(g)))
         for h in homsolve.hom_basis(P, M):
-            span.add(sparse_row(h.vec()))
-        if span.reduce(sparse_row(g.vec())):
+            span.add(sparse_row(vec(h)))
+        if span.reduce(sparse_row(vec(g))):
             return False
     return True
 
@@ -944,14 +936,14 @@ sparse_rat = st.one_of(st.just(F(0)), st.just(F(0)), st.sampled_from([F(1), F(-1
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda r: st.integers(0, 6).flatmap(
     lambda c: st.lists(st.lists(sparse_rat, min_size=c, max_size=c),
-                       min_size=r, max_size=r).map(lambda d: RatMatrix(d, cols=c)))))
+                       min_size=r, max_size=r).map(lambda d: ref.matrix(d, c)))))
 def test_cokernel_projection_matches_dense_reference(mat):
     comp, proj = homsolve.cokernel_projection(mat)
     want_comp, want_proj = reference_projection(mat)
     assert comp == want_comp
     assert proj == want_proj
     # it kills the image and fixes the complement
-    assert not any(x for row in (proj @ mat).data for x in row)
+    assert not any((proj @ mat).data)
     assert proj.columns(comp) == ref.identity(len(comp))
 
 

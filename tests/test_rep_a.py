@@ -112,7 +112,7 @@ def test_hom_a3_projective_to_quotient():
     P, _, _ = canonical_modules(A3)
     from tiltquiver.exactlin import RatMatrix
     quot = Rep(A3, rep_a.layout(A3), {0: 1, 1: 1}, {
-        "e0": RatMatrix([[1]]),
+        "e0": RatMatrix([[(0, 1)]], 1),
         "e1": RatMatrix.zeros(0, 1),
     })
     assert hom_dim(P[0], quot) == 1
@@ -245,7 +245,7 @@ def caches(x, pool):
     of the pool maps over them."""
     hom_x = [hom_basis(x, P) for P in pool]
     return hom_x, lambda j, i: homsolve.radical_coordinates(
-        x, hom_x[j], hom_basis(pool[j], pool[i]), hom_x[i])
+        hom_x[j], hom_basis(pool[j], pool[i]), hom_x[i])
 
 
 def test_minimal_approx_a2():

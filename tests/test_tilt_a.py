@@ -399,7 +399,7 @@ def test_cached_radicals_match_fresh_ones(name):
         for j, i in itertools.permutations(rest, 2):
             triples.add((x, j, i))
             assert pool.radical_idx(x, j, i) == homsolve.radical_coordinates(
-                pool.reps[x], fresh(x, j), fresh(j, i), fresh(x, i))
+                fresh(x, j), fresh(j, i), fresh(x, i))
     assert cached <= triples
 
 
